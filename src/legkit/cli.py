@@ -25,19 +25,39 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _ints(text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _pair(text: str) -> tuple[int, int]:
-    a, b = text.split(",")
-    return int(a), int(b)
+    vals = _ints(text)
+    if len(vals) != 2:
+        raise argparse.ArgumentTypeError(f"expected TB,R, got {text!r}")
+    return vals[0], vals[1]
+
+
+def _matrix(text: str) -> list[list[int]]:
+    return [_ints(row) for row in text.split(";")]
+
+
+def _orient(text: str) -> tuple[int, str]:
+    comp, _, sign = text.partition(":")
+    if not comp.isdecimal() or sign not in ("+", "-"):
+        raise argparse.ArgumentTypeError(f"expected COMP:+ or COMP:-, got {text!r}")
+    return int(comp), sign
 
 
 def cmd_invariants(args) -> int:
     d = fronts.parse_front(_read(args.path))
     of = fronts.OrientedFront.default(d)
-    if args.orient:
-        for spec in args.orient:
-            comp, sign = spec.split(":")
-            if sign == "-":
-                of = of.reverse(int(comp))
+    for comp, sign in args.orient or ():
+        if sign == "-":
+            of = of.reverse(comp)
     tr = of.trace
     comps = [args.component] if args.component is not None else list(range(tr.n_components))
     records = []
@@ -129,11 +149,11 @@ def cmd_foliate(args) -> int:
 def cmd_classify(args) -> int:
     sub = args.oracle
     if sub == "tight-unknot":
-        verdict = cls.classify_tight_unknot(_pair(args.a), _pair(args.b))
+        verdict = cls.classify_tight_unknot(args.a, args.b)
     elif sub == "loose":
         tag = cls.ContactStructureTag.overtwisted(args.hopf, at_infinity=args.at_infinity)
         if args.a and args.b:
-            verdict = cls.classify_loose(tag, _pair(args.a), _pair(args.b))
+            verdict = cls.classify_loose(tag, args.a, args.b)
         else:
             verdict = cls.loose_check(tag, args.tb, not args.nontrivial)
     elif sub == "exceptional":
@@ -157,16 +177,11 @@ def cmd_classify(args) -> int:
             d = fronts.parse_front(_read(args.front))
             h = cls.hopf_after_lutz_front(fronts.OrientedFront.default(d))
         else:
-            sl = [int(v) for v in args.sl.split(",")]
-            k = len(sl)
-            if args.lk is None:
-                lk = [[0] * k for _ in range(k)]
-            elif ";" in args.lk or "," in args.lk:
-                lk = [[int(v) for v in row.split(",")] for row in args.lk.split(";")]
-            else:
-                c = int(args.lk)
-                lk = [[c] * k for _ in range(k)]
-            h = cls.hopf_after_lutz(sl, lk)
+            k = len(args.sl)
+            lk = args.lk if args.lk is not None else [[0]]
+            if len(lk) == 1 and len(lk[0]) == 1:  # a constant
+                lk = [[lk[0][0]] * k for _ in range(k)]
+            h = cls.hopf_after_lutz(args.sl, lk)
         print(h)
         return 0
     elif sub == "d3":
@@ -209,21 +224,28 @@ def cmd_render(args) -> int:
 def cmd_fuzz(args) -> int:
     seed = int(os.environ.get("LEGKIT_SEED", "271828"))
     rng = random.Random(seed)
-    checked = 0
-    for _ in range(args.count):
+    for case in range(args.count):
+        failure = None
         if rng.random() < 0.5:
             d = fronts.random_single_component_front(rng)
             of = fronts.OrientedFront.default(d)
             tb, r = fronts.invariant_pair(of)
-            assert fronts.check_parity(tb, r), fronts.serialize_front(d)
-            assert fronts.rotation_number(of.reverse(0)) == -r
+            if not fronts.check_parity(tb, r):
+                failure = f"tb + r = {tb + r} is even"
+            elif fronts.rotation_number(of.reverse(0)) != -r:
+                failure = "r does not flip under reversal"
         else:
             emb = trees.random_acceptable_embedding(rng)
             d = trees.build_front(emb)
             got = fronts.invariant_pair(fronts.OrientedFront.default(d))
-            assert got == trees.expected_invariants(emb.tree)
-        checked += 1
-    print(f"fuzz: {checked} cases ok (seed {seed})")
+            want = trees.expected_invariants(emb.tree)
+            if got != want:
+                failure = f"invariants {got} != closed form {want}"
+        if failure:
+            print(f"fuzz: case {case} failed (seed {seed}): {failure}\n"
+                  f"{fronts.serialize_front(d)}", file=sys.stderr)
+            return 1
+    print(f"fuzz: {args.count} cases ok (seed {seed})")
     return 0
 
 
@@ -234,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="tb, r, linking and range flags of a front file")
     p.add_argument("path")
     p.add_argument("--component", type=int)
-    p.add_argument("--orient", action="append", metavar="COMP:+|-")
+    p.add_argument("--orient", action="append", type=_orient, metavar="COMP:+|-")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_invariants)
 
@@ -265,15 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classification oracles")
     ps = p.add_subparsers(dest="oracle", required=True)
     q = ps.add_parser("tight-unknot")
-    q.add_argument("--a", required=True, metavar="TB,R")
-    q.add_argument("--b", required=True, metavar="TB,R")
+    q.add_argument("--a", required=True, type=_pair, metavar="TB,R")
+    q.add_argument("--b", required=True, type=_pair, metavar="TB,R")
     q.add_argument("--json", action="store_true")
     q.set_defaults(func=cmd_classify)
     q = ps.add_parser("loose")
     q.add_argument("--hopf", type=int, required=True)
     q.add_argument("--tb", type=int)
-    q.add_argument("--a", metavar="TB,R")
-    q.add_argument("--b", metavar="TB,R")
+    q.add_argument("--a", type=_pair, metavar="TB,R")
+    q.add_argument("--b", type=_pair, metavar="TB,R")
     q.add_argument("--nontrivial", action="store_true")
     q.add_argument("--at-infinity", action="store_true")
     q.add_argument("--json", action="store_true")
@@ -286,9 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--json", action="store_true")
     q.set_defaults(func=cmd_classify)
     q = ps.add_parser("hopf-lutz")
-    q.add_argument("--front")
-    q.add_argument("--sl", help="comma-separated self-linking numbers")
-    q.add_argument("--lk", help="constant, or semicolon-separated matrix rows")
+    g = q.add_mutually_exclusive_group(required=True)
+    g.add_argument("--front")
+    g.add_argument("--sl", type=_ints, help="comma-separated self-linking numbers")
+    q.add_argument("--lk", type=_matrix, help="constant, or semicolon-separated matrix rows")
     q.add_argument("--json", action="store_true")
     q.set_defaults(func=cmd_classify)
     q = ps.add_parser("d3")

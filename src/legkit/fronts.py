@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 from .errors import (
@@ -54,7 +54,9 @@ class FrontEvent:
 
     def __post_init__(self):
         if self.kind not in (LEFT, RIGHT, CROSS):
-            raise ValueError(f"unknown event kind {self.kind!r}")
+            raise ParseError(f"unknown event kind {self.kind!r}")
+        if isinstance(self.position, bool) or not isinstance(self.position, int):
+            raise InvalidPosition(f"position {self.position!r} must be an integer")
         if self.position < 1:
             raise InvalidPosition(f"position {self.position} must be >= 1")
 
@@ -143,7 +145,8 @@ class CrossingRecord:
 
 @dataclass(frozen=True)
 class ComponentDecomposition:
-    """Arcs, per-arc component ids, cusp pairings and crossing incidences."""
+    """Arcs, per-arc component ids and default directions, cusp pairings and
+    crossing incidences."""
 
     arcs: tuple[Arc, ...]
     component_of: tuple[int, ...]  # arc index -> component id
@@ -151,6 +154,8 @@ class ComponentDecomposition:
     cusps: tuple[CuspRecord, ...]
     crossings: tuple[CrossingRecord, ...]
     stacks: tuple[tuple[int, ...], ...]  # stacks[j] = arc ids after j events
+    # arc index -> True if traversed rightward under the default orientation
+    directions: tuple[bool, ...]
 
     def arcs_of(self, comp: int) -> list[int]:
         return [a.index for a in self.arcs if self.component_of[a.index] == comp]
@@ -160,36 +165,21 @@ class ComponentDecomposition:
         return self.stacks[slot].index(arc) + 1
 
 
-def trace_components(d: FrontDiagram) -> ComponentDecomposition:
-    """Scan the event stack, building arcs, incidences and components."""
-    return _trace(d)
-
-
 @lru_cache(maxsize=4096)
-def _trace(d: FrontDiagram) -> ComponentDecomposition:
+def trace_components(d: FrontDiagram) -> ComponentDecomposition:
+    """Scan the event stack, building arcs, incidences and components.
+
+    Cached by diagram value: equal diagrams share one decomposition.
+    """
     arcs: list[Arc] = []
     cusps: list[CuspRecord] = []
     crossings: list[CrossingRecord] = []
     stack: list[int] = []
     stacks: list[tuple[int, ...]] = [()]
-    parent: list[int] = []
 
     def new_arc(born, role):
-        idx = len(arcs)
-        arcs.append(Arc(index=idx, born=born, role=role, died=-1))
-        parent.append(idx)
-        return idx
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
+        arcs.append(Arc(index=len(arcs), born=born, role=role, died=-1))
+        return len(arcs) - 1
 
     def kill(idx, at):
         arcs[idx] = Arc(index=idx, born=arcs[idx].born, role=arcs[idx].role, died=at)
@@ -201,14 +191,12 @@ def _trace(d: FrontDiagram) -> ComponentDecomposition:
             hi = new_arc(j, 1)
             stack[p - 1 : p - 1] = [lo, hi]
             cusps.append(CuspRecord(event=j, kind=LEFT, lower=lo, upper=hi))
-            union(lo, hi)
         elif ev.kind == RIGHT:
             lo, hi = stack[p - 1], stack[p]
             del stack[p - 1 : p + 1]
             kill(lo, j)
             kill(hi, j)
             cusps.append(CuspRecord(event=j, kind=RIGHT, lower=lo, upper=hi))
-            union(lo, hi)
         else:
             a, b = stack[p - 1], stack[p]
             kill(a, j)
@@ -219,20 +207,49 @@ def _trace(d: FrontDiagram) -> ComponentDecomposition:
             crossings.append(
                 CrossingRecord(event=j, in_lower=a, in_upper=b, out_lower=c, out_upper=dd)
             )
-            union(a, dd)  # lower-in continues as upper-out
-            union(b, c)
         stacks.append(tuple(stack))
 
-    roots = sorted({find(i) for i in range(len(arcs))})
-    comp_id = {r: k for k, r in enumerate(roots)}
-    component_of = tuple(comp_id[find(i)] for i in range(len(arcs)))
+    # Constraint graph: cusps flip direction, crossings preserve it (the
+    # lower-in arc continues as the upper-out arc).  Its connected components
+    # are the diagram's components, numbered by their lowest arc, which is
+    # directed left-to-right.
+    n = len(arcs)
+    adj: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
+    for cu in cusps:
+        adj[cu.lower].append((cu.upper, True))
+        adj[cu.upper].append((cu.lower, True))
+    for x in crossings:
+        for u, v in ((x.in_lower, x.out_upper), (x.in_upper, x.out_lower)):
+            adj[u].append((v, False))
+            adj[v].append((u, False))
+    component_of: list[int] = [-1] * n
+    dirs: list[bool] = [True] * n
+    n_components = 0
+    for anchor in range(n):
+        if component_of[anchor] >= 0:
+            continue
+        comp = n_components
+        n_components += 1
+        component_of[anchor] = comp
+        frontier = [anchor]
+        while frontier:
+            u = frontier.pop()
+            for v, flip in adj[u]:
+                want = dirs[u] != flip
+                if component_of[v] < 0:
+                    component_of[v] = comp
+                    dirs[v] = want
+                    frontier.append(v)
+                elif dirs[v] != want:
+                    raise NotClosed(f"inconsistent traversal in component {comp}")
     return ComponentDecomposition(
         arcs=tuple(arcs),
-        component_of=component_of,
-        n_components=len(roots),
+        component_of=tuple(component_of),
+        n_components=n_components,
         cusps=tuple(cusps),
         crossings=tuple(crossings),
         stacks=tuple(stacks),
+        directions=tuple(dirs),
     )
 
 
@@ -251,64 +268,35 @@ class OrientedFront:
     diagram: FrontDiagram
     reversed_components: frozenset[int] = frozenset()
 
+    def __post_init__(self):
+        n = self.trace.n_components
+        bad = sorted(c for c in self.reversed_components if not 0 <= c < n)
+        if bad:
+            raise NotClosed(f"no component {bad[0]} to reverse (diagram has {n})")
+
     @staticmethod
     def default(d: FrontDiagram) -> "OrientedFront":
-        rev = frozenset(c for c, s in d.orient_overrides if s < 0)
-        return OrientedFront(d, rev)
+        """Default orientation, with the last ``orient`` line per component applied."""
+        last = dict(d.orient_overrides)
+        return OrientedFront(d, frozenset(c for c, s in last.items() if s < 0))
 
-    @property
+    @cached_property
     def trace(self) -> ComponentDecomposition:
         return trace_components(self.diagram)
 
-    def arc_directions(self) -> dict[int, bool]:
-        """Map arc index -> True if traversed rightward."""
-        base = _default_directions(self.diagram)
-        if not self.reversed_components:
-            return dict(base)
-        tr = self.trace
-        return {
-            a: (not v if tr.component_of[a] in self.reversed_components else v)
-            for a, v in base.items()
-        }
+    @cached_property
+    def directions(self) -> tuple[bool, ...]:
+        """Arc index -> True if traversed rightward."""
+        tr, rev = self.trace, self.reversed_components
+        return tuple(d != (c in rev) for d, c in zip(tr.directions, tr.component_of))
 
     def reverse(self, comp: int) -> "OrientedFront":
         return OrientedFront(self.diagram, self.reversed_components ^ {comp})
 
 
-@lru_cache(maxsize=4096)
-def _default_directions(d: FrontDiagram) -> dict[int, bool]:
-    tr = _trace(d)
-    n = len(tr.arcs)
-    dirs: dict[int, bool] = {}
-    # Constraint graph: cusps flip direction, crossings preserve it.
-    adj: dict[int, list[tuple[int, bool]]] = {i: [] for i in range(n)}
-    for c in tr.cusps:
-        adj[c.lower].append((c.upper, True))
-        adj[c.upper].append((c.lower, True))
-    for x in tr.crossings:
-        for u, v in ((x.in_lower, x.out_upper), (x.in_upper, x.out_lower)):
-            adj[u].append((v, False))
-            adj[v].append((u, False))
-    for comp in range(tr.n_components):
-        anchor = min(tr.arcs_of(comp))
-        dirs[anchor] = True
-        frontier = [anchor]
-        while frontier:
-            u = frontier.pop()
-            for v, flip in adj[u]:
-                want = (not dirs[u]) if flip else dirs[u]
-                if v in dirs:
-                    if dirs[v] != want:
-                        raise NotClosed(f"inconsistent traversal in component {comp}")
-                else:
-                    dirs[v] = want
-                    frontier.append(v)
-    return dirs
-
-
 def cusp_kappa(of: OrientedFront, cusp: CuspRecord) -> int:
     """kappa = +1 iff the ray emanating from the cusp lies above the entering ray."""
-    dirs = of.arc_directions()
+    dirs = of.directions
     if cusp.kind == LEFT:
         # emanating ray = the rightward arc
         return 1 if dirs[cusp.upper] else -1
@@ -318,7 +306,7 @@ def cusp_kappa(of: OrientedFront, cusp: CuspRecord) -> int:
 
 def crossing_or(of: OrientedFront, crossing: CrossingRecord) -> int:
     """or = +1 iff the two emanating rays leave on opposite sides of the vertical."""
-    dirs = of.arc_directions()
+    dirs = of.directions
     return 1 if dirs[crossing.in_lower] != dirs[crossing.in_upper] else -1
 
 
@@ -424,10 +412,6 @@ def in_unknot_range(tb: int, r: int) -> bool:
 # Zig-zags (stabilization)
 
 
-def _arc_direction(d: FrontDiagram, arc: int) -> bool:
-    return _default_directions(d)[arc]
-
-
 def _zigzag_events(p: int, option: str) -> list[FrontEvent]:
     # option A: kink below the strand at p; option B: kink above.
     if option == "A":
@@ -449,7 +433,7 @@ def insert_zigzag(d: FrontDiagram, arc: int, direction: str) -> FrontDiagram:
     rec = tr.arcs[arc]
     slot = rec.born + 1
     p = tr.position_in_slot(arc, slot)
-    rightward = _arc_direction(d, arc)
+    rightward = tr.directions[arc]
     # Option B raises r on a rightward strand, option A lowers it; the
     # roles swap on a leftward strand.
     if (direction == UP) == rightward:
@@ -506,7 +490,7 @@ def find_zigzags(d: FrontDiagram) -> list[Zigzag]:
 
 def zigzag_direction(d: FrontDiagram, z: Zigzag) -> str:
     """Oriented direction of a zig-zag under the default orientation."""
-    rightward = _arc_direction(d, z.carrier_in)
+    rightward = trace_components(d).directions[z.carrier_in]
     if z.option == "B":
         return UP if rightward else DOWN
     return DOWN if rightward else UP

@@ -161,14 +161,9 @@ def realize_front(d: FrontDiagram, params: GeomParams = GeomParams()) -> Realize
             return event_x(k), (zl + zu) / 2, "cusp", 0.0
         z = (lv[(k, ev.position)] + lv[(k, ev.position + 1)]) / 2
         # in_lower leaves upward (+m), in_upper downward (-m)
-        slope = params.crossing_slope if arc_idx == _in_lower(tr, k) else -params.crossing_slope
+        in_lower = tr.stacks[k][ev.position - 1] == arc_idx
+        slope = params.crossing_slope if in_lower else -params.crossing_slope
         return event_x(k), z, "cross", slope
-
-    def _in_lower(trc, k):
-        for x in trc.crossings:
-            if x.event == k:
-                return x.in_lower
-        raise AssertionError
 
     curves = []
     for a in tr.arcs:
@@ -201,24 +196,9 @@ def realize_front(d: FrontDiagram, params: GeomParams = GeomParams()) -> Realize
             kk = target * h / 3.0
             tail_extra = (x1 - h, z1 - kk, 3 * kk / h if h else 0.0)
 
-        inner: list[tuple[float, float, float]] = []
-        if head_extra:
-            inner.append(head_extra)
-        for i in range(1, len(pts) - 1):
-            ax, az = pts[i]
-            x_prev = pts[i - 1][0]
-            x_next = pts[i + 1][0]
-            z_prev = pts[i - 1][1]
-            z_next = pts[i + 1][1]
-            slope = (z_next - z_prev) / (x_next - x_prev)
-            inner.append((ax, az, slope))
-        if tail_extra:
-            inner.append(tail_extra)
-
         # assemble pieces: head, inner chain, tail
-        def cusp_piece(xc, zc, xe, ze, we, reverse):
+        def cusp_piece(xc, zc, xe, ze, reverse):
             h = abs(xe - xc)
-            kk = (ze - zc) if not reverse else (zc - ze)
             # x(t) = xc +- h t^2 (2 - t); z(t) = zc + (ze - zc) t^3 (forward)
             if not reverse:
                 cx = (xc, 0.0, 2 * h, -h) if xe > xc else (xc, 0.0, -2 * h, h)
@@ -233,15 +213,13 @@ def realize_front(d: FrontDiagram, params: GeomParams = GeomParams()) -> Realize
 
         chain: list[tuple[float, float, float]] = []
         if kind0 == "cusp":
-            xe, ze, we = head_extra
-            pieces.append(cusp_piece(x0, z0, xe, ze, we, reverse=False))
+            xe, ze, _ = head_extra
+            pieces.append(cusp_piece(x0, z0, xe, ze, reverse=False))
             chain.append(head_extra)
         else:
             chain.append((x0, z0, s0))
-        for i in range(1, len(pts) - 1):
-            ax, az = pts[i]
-            slope = inner[i - 1 + (1 if head_extra else 0)][2]
-            chain.append((ax, az, slope))
+        for (x_prev, z_prev), (ax, az), (x_next, z_next) in zip(pts, pts[1:], pts[2:]):
+            chain.append((ax, az, (z_next - z_prev) / (x_next - x_prev)))
         if kind1 == "cusp":
             chain.append(tail_extra)
         else:
@@ -252,8 +230,8 @@ def realize_front(d: FrontDiagram, params: GeomParams = GeomParams()) -> Realize
                 CubicPiece(_hermite(xa, dx, xb, dx), _hermite(za, sa * dx, zb, sb * dx))
             )
         if kind1 == "cusp":
-            xe, ze, we = tail_extra
-            pieces.append(cusp_piece(xe, ze, x1, z1, we, reverse=True))
+            xe, ze, _ = tail_extra
+            pieces.append(cusp_piece(xe, ze, x1, z1, reverse=True))
 
         curves.append(ArcCurve(arc=a.index, pieces=tuple(pieces)))
 
@@ -317,7 +295,9 @@ class LiftedCurve:
         return float(np.max(np.abs(dz - ydx)))
 
 
-def _traversal(tr: ComponentDecomposition, comp: int, dirs: dict[int, bool]) -> list[tuple[int, bool]]:
+def _traversal(
+    tr: ComponentDecomposition, comp: int, dirs: tuple[bool, ...]
+) -> list[tuple[int, bool]]:
     """Ordered (arc, rightward) cycle of one component."""
     partner: dict[tuple[int, str], tuple[int, str]] = {}
     for c in tr.cusps:
@@ -359,9 +339,8 @@ def legendrian_lift(
         raise NotClosed(f"no component {comp}")
     if of is None:
         of = OrientedFront.default(rf.diagram)
-    dirs = of.arc_directions()
     xs, ys, zs = [], [], []
-    for arc, rightward in _traversal(tr, comp, dirs):
+    for arc, rightward in _traversal(tr, comp, of.directions):
         x, z, y = rf.curves[arc].sample(rf.params.samples_per_arc)
         if not rightward:
             x, z, y = x[::-1], z[::-1], y[::-1]

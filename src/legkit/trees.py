@@ -31,7 +31,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     BadSigning,
@@ -77,21 +79,25 @@ class SignedTree:
         t.validate()
         return t
 
-    @property
-    def sign_map(self) -> dict[int, int]:
-        return dict(self.signs)
+    @cached_property
+    def sign_map(self) -> Mapping[int, int]:
+        return MappingProxyType(dict(self.signs))
 
     @property
     def vertices(self) -> list[int]:
         return [v for v, _ in self.signs]
 
-    def neighbors(self, v: int) -> list[int]:
-        out = []
+    @cached_property
+    def _adjacency(self) -> Mapping[int, tuple[int, ...]]:
+        adj: dict[int, list[int]] = {v: [] for v, _ in self.signs}
         for e in self.edges:
-            if v in e:
-                (w,) = e - {v} if len(e) == 2 else (v,)
-                out.append(w)
-        return sorted(out)
+            for v in e:
+                adj.setdefault(v, []).extend(e - {v})
+        return MappingProxyType({v: tuple(sorted(ws)) for v, ws in adj.items()})
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        """Neighbors of v in increasing order."""
+        return self._adjacency.get(v, ())
 
     def valence(self, v: int) -> int:
         return len(self.neighbors(v))
@@ -160,9 +166,9 @@ class AcceptableEmbedding:
         emb.validate()
         return emb
 
-    @property
-    def coord_map(self) -> dict[int, tuple[Fraction, Fraction]]:
-        return dict(self.coords)
+    @cached_property
+    def coord_map(self) -> Mapping[int, tuple[Fraction, Fraction]]:
+        return MappingProxyType(dict(self.coords))
 
     def validate(self) -> None:
         self.tree.validate()
@@ -216,7 +222,7 @@ def build_front(emb: AcceptableEmbedding) -> FrontDiagram:
     signs = emb.tree.sign_map
     events: list[FrontEvent] = []
     root = emb.leftmost
-    (child,) = [w for w in emb.tree.neighbors(root)]
+    (child,) = emb.tree.neighbors(root)
 
     def emit(kind: str, pos: int) -> None:
         events.append(FrontEvent(kind, pos))
@@ -540,6 +546,17 @@ def spread_embedding(t: SignedTree, root: Optional[int] = None) -> AcceptableEmb
     if root is None:
         ends = [v for v in t.vertices if t.valence(v) == 1]
         root = min(ends)
+    order = _dfs_order(t, root)
+    n = len(order)
+    delta = Fraction(1, 4 * n)
+    coords = {
+        v: (Fraction(i), ((i % 3) - 1) * delta) for i, v in enumerate(order)
+    }
+    return AcceptableEmbedding.make(t, coords)
+
+
+def _dfs_order(t: SignedTree, root: int) -> list[int]:
+    """Depth-first preorder from root, smaller neighbor ids first."""
     order: list[int] = []
     stack = [root]
     seen: set[int] = set()
@@ -549,15 +566,10 @@ def spread_embedding(t: SignedTree, root: Optional[int] = None) -> AcceptableEmb
             continue
         seen.add(u)
         order.append(u)
-        for w in sorted(t.neighbors(u), reverse=True):
+        for w in reversed(t.neighbors(u)):
             if w not in seen:
                 stack.append(w)
-    n = len(order)
-    delta = Fraction(1, 4 * n)
-    coords = {
-        v: (Fraction(i), ((i % 3) - 1) * delta) for i, v in enumerate(order)
-    }
-    return AcceptableEmbedding.make(t, coords)
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -583,20 +595,8 @@ def random_acceptable_embedding(
     """Random signed tree embedded with the root as the left-most end vertex."""
     t = random_signed_tree(rng, max_vertices)
     n = len(t.vertices)
-    order: list[int] = []
-    stack = [0]
-    seen = set()
-    adj = {v: t.neighbors(v) for v in t.vertices}
-    while stack:
-        u = stack.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        order.append(u)
-        for w in sorted(adj[u], reverse=True):
-            if w not in seen:
-                stack.append(w)
-    x_of = {v: Fraction(i) for i, v in enumerate(order)}
+    # vertex 0 hangs off vertex 1 only, so it is an end vertex
+    x_of = {v: Fraction(i) for i, v in enumerate(_dfs_order(t, 0))}
     delta = Fraction(1, 4 * n)
     coords = {v: (x_of[v], (rng.randrange(-n, n + 1)) * delta / n) for v in t.vertices}
     return AcceptableEmbedding.make(t, coords)

@@ -49,6 +49,13 @@ class TestInvariants:
         r1 = json.loads(out_rev)["components"][0]["r"]
         assert r1 == -r0 != 0
 
+    def test_orient_line_for_missing_component_exit_one(self, capsys, tmp_path):
+        p = tmp_path / "bad.lfd"
+        p.write_text("L 1\nR 1\norient 7 -\n")
+        code, _, err = run(capsys, "invariants", str(p))
+        assert code == 1
+        assert "NotClosed" in err
+
 
 class TestCatalog:
     def test_front(self, capsys):
@@ -193,6 +200,33 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["catalog"])  # missing required flags
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "tight-unknot", "--a", "x", "--b", "-1,0"],
+            ["invariants", "f.lfd", "--orient", "0"],
+            ["invariants", "f.lfd", "--orient", "0:x"],
+            ["classify", "hopf-lutz", "--sl", "a"],
+            ["classify", "hopf-lutz", "--sl", "-1,-1", "--lk", "1;x"],
+            ["classify", "hopf-lutz"],
+        ],
+    )
+    def test_malformed_value_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_fuzz_fails_on_wrong_oracle(self, capsys, monkeypatch):
+        from legkit import trees
+
+        monkeypatch.setenv("LEGKIT_SEED", "777")
+        monkeypatch.setattr(trees, "expected_invariants", lambda t: (0, 0))
+        code, out, err = run(capsys, "fuzz", "--count", "20")
+        assert code == 1
+        assert "ok" not in out
+        assert "closed form (0, 0)" in err
 
     def test_fuzz_ok(self, capsys, monkeypatch):
         monkeypatch.setenv("LEGKIT_SEED", "777")

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legkit import fronts as fr
+from legkit import lifting as lf
 from legkit.errors import (
     BadLocator,
     InvalidPosition,
@@ -41,6 +44,24 @@ class TestParsing:
         assert d.orient_overrides == ((0, -1),)
         of = fr.OrientedFront.default(d)
         assert of.reversed_components == frozenset({0})
+
+    def test_last_orient_line_wins(self):
+        d = fr.parse_front("L 1\nR 1\norient 0 -\norient 0 +")
+        assert fr.OrientedFront.default(d).reversed_components == frozenset()
+
+    def test_orient_line_needs_existing_component(self):
+        d = fr.parse_front("L 1\nR 1\norient 7 -")
+        with pytest.raises(NotClosed):
+            fr.OrientedFront.default(d)
+
+    @pytest.mark.parametrize("position", [True, 1.5, "1"])
+    def test_event_position_must_be_int(self, position):
+        with pytest.raises(InvalidPosition):
+            fr.FrontEvent("L", position)
+
+    def test_unknown_event_kind(self):
+        with pytest.raises(ParseError):
+            fr.FrontEvent("Q", 1)
 
     def test_first_left_cusp_must_be_position_one(self):
         with pytest.raises(InvalidPosition):
@@ -230,3 +251,19 @@ class TestProperties:
             of = fr.OrientedFront.default(d)
             assert fr.thurston_bennequin(of.reverse(0)) == fr.thurston_bennequin(of)
             assert fr.rotation_number(of.reverse(0)) == -fr.rotation_number(of)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_directions_match_traversal_and_equal_diagrams_agree(self, seed, data):
+        d = fr.random_closed_front(random.Random(seed), 40)
+        k = fr.trace_components(d).n_components
+        of = fr.OrientedFront(d, data.draw(st.frozensets(st.integers(0, k - 1))))
+        # the partner walk of the lift visits every arc once, in its direction
+        walked = [step for c in range(k) for step in lf._traversal(of.trace, c, of.directions)]
+        assert sorted(walked) == list(enumerate(of.directions))
+        twin = fr.OrientedFront(fr.parse_front(fr.serialize_front(d)), of.reversed_components)
+        assert twin.diagram == d and twin.diagram is not d
+        for c in range(k):
+            assert fr.invariant_pair(twin, c) == fr.invariant_pair(of, c)
+        if k > 1:
+            assert fr.linking_matrix(twin) == fr.linking_matrix(of)
