@@ -11,7 +11,9 @@ transversality gap of twice that.
 The Legendrian lift adds y = dz/dx.  For a closed component the lift must
 satisfy dz = y dx, so the trapezoidal closure integral of y dx vanishes
 up to quadrature error, and the winding number of the Lagrangian-projection
-tangent recovers the combinatorial rotation number.
+tangent recovers the combinatorial rotation number.  The double points of the
+Lagrangian projection come from a sorted sweep over its segments; each must
+split the curve into two lobes of nonzero area.
 """
 
 from __future__ import annotations
@@ -357,17 +359,16 @@ def lagrangian_closure_integral(lc: LiftedCurve) -> float:
 
 def numeric_rotation(lc: LiftedCurve) -> int:
     """Winding number of the Lagrangian-projection tangent, rounded to int."""
-    res, winding = _winding(lc)
-    return int(round(winding))
+    return int(round(_winding(lc)))
 
 
 def rotation_residual(lc: LiftedCurve) -> float:
     """Distance of the raw winding number from the nearest integer."""
-    _, winding = _winding(lc)
+    winding = _winding(lc)
     return abs(winding - round(winding))
 
 
-def _winding(lc: LiftedCurve) -> tuple[float, float]:
+def _winding(lc: LiftedCurve) -> float:
     # The page is oriented so that the combinatorial cusp-count convention
     # (kappa positive on rising cusps) and the tangent winding agree: the
     # Lagrangian plane is traversed with y measured downward.
@@ -386,8 +387,13 @@ def _winding(lc: LiftedCurve) -> tuple[float, float]:
     ang = np.arctan2(dy, dx)
     turns = np.diff(np.concatenate([ang, ang[:1]]))
     turns = (turns + np.pi) % (2 * np.pi) - np.pi
-    total = float(np.sum(turns)) / (2 * np.pi)
-    return 0.0, total
+    return float(np.sum(turns)) / (2 * np.pi)
+
+
+# Candidate segment pairs are expanded at most this many at a time (or one
+# sorted segment's worth, if more), so a curve whose segments all overlap in
+# x never materialises all n^2/2 pairs at once.
+_SWEEP_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -412,41 +418,64 @@ def lagrangian_embeddedness_check(
     lc: LiftedCurve, tolerance: float = 1e-6, max_segments: int = 2000
 ) -> EmbeddednessReport:
     """Split-area test: each Lagrangian double point must bound two loops of
-    nonzero algebraic area."""
+    nonzero algebraic area.
+
+    The double points come from a sorted sweep over the polyline's segments:
+    sorted by their smallest x, each segment is paired with the later ones
+    that start before it ends, pairs with disjoint y-ranges are dropped, and
+    one vectorized intersection test runs over the rest.  Reports are ordered
+    by the indices (i, j), i < j, of the two crossing segments.
+    """
     step = max(1, len(lc.x) // max_segments)
     x = np.append(lc.x[::step], lc.x[0])
     y = np.append(lc.y[::step], lc.y[0])
     n = len(x) - 1
     p = np.stack([x[:-1], y[:-1]], axis=1)
     q = np.stack([x[1:], y[1:]], axis=1)
-    reports = []
-    for i in range(n):
-        d1 = q[i] - p[i]
-        js = np.arange(i + 2, n)
-        if i == 0:
-            js = js[js < n - 1]
-        if len(js) == 0:
-            continue
-        d2 = q[js] - p[js]
-        rel = p[js] - p[i]
-        denom = d1[0] * d2[:, 1] - d1[1] * d2[:, 0]
-        ok = np.abs(denom) > 1e-14
+    d = q - p
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    order = np.argsort(lo[:, 0], kind="stable")
+    lo, hi = lo[order], hi[order]
+    # sorted segment a overlaps in x exactly the sorted segments a+1 .. end[a]-1
+    end = np.searchsorted(lo[:, 0], hi[:, 0], side="right")
+    counts = end - np.arange(1, n + 1)
+    cum = np.cumsum(counts)
+    first = cum - counts  # offset of row a among all candidate pairs
+    found_i, found_j, found_t = [], [], []
+    start = 0
+    while start < n:
+        stop = max(start + 1, int(np.searchsorted(cum, first[start] + _SWEEP_CHUNK, side="right")))
+        rows = counts[start:stop]
+        a = np.repeat(np.arange(start, stop), rows)
+        b = a + 1 + np.arange(len(a)) - np.repeat(first[start:stop] - first[start], rows)
+        start = stop
+        keep = (lo[b, 1] <= hi[a, 1]) & (lo[a, 1] <= hi[b, 1])
+        i = np.minimum(order[a[keep]], order[b[keep]])
+        j = np.maximum(order[a[keep]], order[b[keep]])
+        # adjacent segments share an endpoint; so do segment 0 and the closing one
+        keep = (j >= i + 2) & ~((i == 0) & (j == n - 1))
+        i, j = i[keep], j[keep]
+        d1, d2, rel = d[i], d[j], p[j] - p[i]
+        denom = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (rel[:, 0] * d2[:, 1] - rel[:, 1] * d2[:, 0]) / denom
-            u = (rel[:, 0] * d1[1] - rel[:, 1] * d1[0]) / -denom
-        hit = ok & (t > 0) & (t < 1) & (u > 0) & (u < 1)
-        for j, th in zip(js[hit], t[hit]):
-            pt = p[i] + th * d1
-            loop1 = np.vstack([[pt], p[i + 1 : j + 1], [pt]])
-            loop2 = np.vstack([[pt], p[list(range(j + 1, n)) + list(range(0, i + 1))], [pt]])
-            a1 = _shoelace(loop1)
-            a2 = _shoelace(loop2)
-            scale = max(np.ptp(lc.x) * np.ptp(lc.y), 1e-30)
-            flagged = min(abs(a1), abs(a2)) < tolerance * scale
-            reports.append(
-                DoublePointReport(point=(float(pt[0]), float(pt[1])), area_one=a1,
-                                  area_two=a2, flagged=flagged)
-            )
+            u = (rel[:, 0] * d1[:, 1] - rel[:, 1] * d1[:, 0]) / denom
+        hit = (np.abs(denom) > 1e-14) & (t > 0) & (t < 1) & (u > 0) & (u < 1)
+        found_i.append(i[hit])
+        found_j.append(j[hit])
+        found_t.append(t[hit])
+    i, j, t = (np.concatenate(v) for v in (found_i, found_j, found_t))
+    scale = max(np.ptp(lc.x) * np.ptp(lc.y), 1e-30)
+    reports = []
+    for k in np.lexsort((j, i)):
+        ik, jk = int(i[k]), int(j[k])
+        pt = p[ik] + t[k] * d[ik]
+        a1 = _shoelace(np.vstack([[pt], p[ik + 1 : jk + 1], [pt]]))
+        a2 = _shoelace(np.vstack([[pt], p[jk + 1 :], p[: ik + 1], [pt]]))
+        reports.append(
+            DoublePointReport(point=(float(pt[0]), float(pt[1])), area_one=a1, area_two=a2,
+                              flagged=bool(min(abs(a1), abs(a2)) < tolerance * scale))
+        )
     return EmbeddednessReport(double_points=tuple(reports), tolerance=tolerance)
 
 

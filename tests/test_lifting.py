@@ -1,5 +1,11 @@
+import dataclasses
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legkit import fronts as fr
 from legkit import lifting as lf
@@ -12,6 +18,63 @@ FAST = lf.GeomParams(samples_per_arc=4000)
 def lift(text, params=FAST, of=None):
     d = fr.parse_front(text)
     return lf.legendrian_lift(lf.realize_front(d, params), of=of)
+
+
+def polyline(points):
+    x, y = np.array(points, float).T
+    return lf.LiftedCurve.from_samples(x, y, np.zeros_like(x))
+
+
+def _shoelace(pts):
+    x, y = pts[:, 0], pts[:, 1]
+    return float(0.5 * np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
+
+
+def brute_force_embeddedness(lc, tolerance=1e-6, max_segments=2000):
+    """Reference double-point search: every segment i against every later
+    non-adjacent segment j, reported in (i, j) order."""
+    step = max(1, len(lc.x) // max_segments)
+    x = np.append(lc.x[::step], lc.x[0])
+    y = np.append(lc.y[::step], lc.y[0])
+    n = len(x) - 1
+    p = np.stack([x[:-1], y[:-1]], axis=1)
+    q = np.stack([x[1:], y[1:]], axis=1)
+    scale = max(np.ptp(lc.x) * np.ptp(lc.y), 1e-30)
+    reports = []
+    for i in range(n):
+        d1 = q[i] - p[i]
+        js = np.arange(i + 2, n)
+        if i == 0:
+            js = js[js < n - 1]
+        if len(js) == 0:
+            continue
+        d2 = q[js] - p[js]
+        rel = p[js] - p[i]
+        denom = d1[0] * d2[:, 1] - d1[1] * d2[:, 0]
+        ok = np.abs(denom) > 1e-14
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (rel[:, 0] * d2[:, 1] - rel[:, 1] * d2[:, 0]) / denom
+            u = (rel[:, 0] * d1[1] - rel[:, 1] * d1[0]) / denom
+        hit = ok & (t > 0) & (t < 1) & (u > 0) & (u < 1)
+        for j, th in zip(js[hit], t[hit]):
+            pt = p[i] + th * d1
+            a1 = _shoelace(np.vstack([[pt], p[i + 1 : j + 1], [pt]]))
+            a2 = _shoelace(np.vstack([[pt], p[j + 1 :], p[: i + 1], [pt]]))
+            reports.append(lf.DoublePointReport(
+                point=(float(pt[0]), float(pt[1])), area_one=a1, area_two=a2,
+                flagged=bool(min(abs(a1), abs(a2)) < tolerance * scale)))
+    return lf.EmbeddednessReport(double_points=tuple(reports), tolerance=tolerance)
+
+
+_coord = st.integers(-8, 8)
+# general polylines, polylines with many vertical segments, and zig-zags whose
+# segments all share one x-range (every pair is a sweep candidate)
+_polylines = st.one_of(
+    st.lists(st.tuples(_coord, _coord), min_size=4, max_size=80),
+    st.lists(st.tuples(st.integers(-1, 1), _coord), min_size=4, max_size=80),
+    st.lists(_coord, min_size=4, max_size=80).map(
+        lambda ys: [(8 * (k % 2), yk) for k, yk in enumerate(ys)]),
+)
 
 
 class TestRealize:
@@ -102,6 +165,30 @@ class TestEmbeddedness:
         lc = lf.LiftedCurve.from_samples(x, y, np.zeros_like(x))
         rep = lf.lagrangian_embeddedness_check(lc, tolerance=1e-4)
         assert not rep.embedded
+        assert any(p.flagged is True for p in rep.double_points)
+
+    def test_bowtie_single_double_point(self):
+        rep = lf.lagrangian_embeddedness_check(polyline([(0, 0), (2, 2), (2, 0), (0, 2)]))
+        assert rep.double_points == (
+            lf.DoublePointReport(point=(1.0, 1.0), area_one=-1.0, area_two=1.0, flagged=False),
+        )
+        assert type(rep.double_points[0].flagged) is bool
+        json.dumps(dataclasses.asdict(rep))
+
+    @pytest.mark.parametrize("tb,r", [(-2, 1), (-4, 3), (-5, -2), (-5, 2)])
+    def test_catalog_lifts_embedded(self, tb, r):
+        lc = lf.legendrian_lift(lf.realize_front(tr.catalog_front(tb, r), FAST))
+        rep = lf.lagrangian_embeddedness_check(lc)
+        assert rep.double_points
+        assert rep.embedded
+
+    @settings(max_examples=150, deadline=None)
+    @given(points=_polylines, chunk=st.integers(1, 64))
+    def test_sweep_matches_brute_force(self, points, chunk):
+        lc = polyline(points)
+        with mock.patch.object(lf, "_SWEEP_CHUNK", chunk):
+            rep = lf.lagrangian_embeddedness_check(lc)
+        assert rep == brute_force_embeddedness(lc)
 
 
 class TestCsv:
