@@ -19,12 +19,22 @@ absorbs each interior negative hyperbolic into a boundary negative
 elliptic (flipping it to hyperbolic); that absorption is the one rewrite
 that changes the negative-side difference, which is why the identity is
 stated for NAF boundaries only.
+
+Each stage (to_naf, reduce_interior, to_elliptic_form) copies its input
+once into a private working copy, applies all its rewrites to it in place
+and freezes the result once; a stage with nothing to do returns its input.
+The atomic rewrites (eliminate, convert, create_pair, rewire) are the same
+code applied to a one-rewrite copy.  Tightness (no same-sign separatrix
+cycle) is checked per added same-sign separatrix, by a walk over one
+endpoint's same-sign tree; init_boundary adds its separatrices the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .errors import (
     BadInvariants,
@@ -88,9 +98,10 @@ class FoliationState:
     curves: tuple[SingularityCurve, ...] = ()
     trace: tuple[RewriteStep, ...] = field(default=(), compare=False)
 
-    @property
-    def sing_map(self) -> dict[str, Singularity]:
-        return dict(self.sing)
+    @cached_property
+    def sing_map(self) -> Mapping[str, Singularity]:
+        """Read-only id -> Singularity view, built once per state."""
+        return MappingProxyType(dict(self.sing))
 
     def counts(self, locus: Optional[str] = None) -> dict[str, int]:
         out = {"e+": 0, "h+": 0, "e-": 0, "h-": 0}
@@ -134,32 +145,6 @@ def _alternating(s: FoliationState) -> bool:
 def _delta(**kw: int) -> tuple[tuple[str, int], ...]:
     names = {"ep": "e+", "hp": "h+", "em": "e-", "hm": "h-"}
     return tuple((names[k], v) for k, v in kw.items() if v)
-
-
-def _check_tight(sing: dict[str, Singularity], edges: Iterable[frozenset[str]]) -> None:
-    """Reject separatrix graphs with a same-sign cycle (limit cycle seed)."""
-    for sign in (1, -1):
-        adj: dict[str, list[str]] = {}
-        for e in edges:
-            u, v = tuple(e)
-            if sing[u].sign == sign and sing[v].sign == sign:
-                adj.setdefault(u, []).append(v)
-                adj.setdefault(v, []).append(u)
-        seen: dict[str, Optional[str]] = {}
-        for start in adj:
-            if start in seen:
-                continue
-            stack = [(start, None)]
-            while stack:
-                u, parent = stack.pop()
-                if u in seen:
-                    raise TightnessViolation(
-                        f"same-sign separatrix cycle through {u}"
-                    )
-                seen[u] = parent
-                for w in adj[u]:
-                    if w != parent:
-                        stack.append((w, u))
 
 
 def interior_count_targets(tb: int, r: int) -> tuple[int, int]:
@@ -235,19 +220,11 @@ def init_boundary(
 
     # Separatrices: reduced Legendrian tree (spine alternating with interior
     # negative hyperbolics) plus boundary attachments.
-    seps: set[frozenset[str]] = set()
-    present = {i for i in sing}
+    edges = []
     for j in range(h_target):
-        q, a, b = f"q{j}", f"p{j}", f"p{j + 1}"
-        if {q, a} <= present:
-            seps.add(frozenset((q, a)))
-        if {q, b} <= present:
-            seps.add(frozenset((q, b)))
+        edges += [(f"q{j}", f"p{j}"), (f"q{j}", f"p{j + 1}")]
     pos_boundary = [b for b in boundary if sing[b].sign > 0]
-    for i, b in enumerate(pos_boundary):
-        p = f"p{i % max(1, e_target)}"
-        if p in present:
-            seps.add(frozenset((b, p)))
+    edges += [(b, f"p{i % max(1, e_target)}") for i, b in enumerate(pos_boundary)]
 
     # Absorption plan: each interior negative hyperbolic is matched with the
     # boundary negative elliptic it will absorb into during elliptic form.
@@ -255,37 +232,168 @@ def init_boundary(
     absorb_plan = tuple(
         (f"q{j}", neg_boundary[len(neg_boundary) - 1 - j]) for j in range(h_target)
     )
-    for q, m in absorb_plan:
-        if q in present:
-            seps.add(frozenset((q, m)))
+    edges += [(m, q) for q, m in absorb_plan]
 
     # Arc-family connections are only meaningful in elliptic form; they are
     # built by to_elliptic_form from whatever singularities survive.
-    connections: frozenset = frozenset()
-
-    state = FoliationState(
-        tb=tb,
-        r=r,
-        boundary=tuple(boundary),
-        sing=tuple(sorted(sing.items())),
-        separatrices=frozenset(seps),
-        connections=connections,
-        absorb_plan=absorb_plan,
-        trace=(),
+    w = _Work(
+        FoliationState(
+            tb=tb,
+            r=r,
+            boundary=tuple(boundary),
+            sing=tuple(sorted(sing.items())),
+            separatrices=frozenset(),
+            connections=frozenset(),
+            absorb_plan=absorb_plan,
+        )
     )
-    _check_tight(state.sing_map, state.separatrices)
-    return state
+    # link walks u's same-sign tree; each same-sign edge above lists first a
+    # boundary point that has no separatrix yet, so the walks stay O(1).
+    for u, v in edges:
+        if u in sing and v in sing:
+            w.link(u, v)
+    return w.freeze()
 
 
-def _with_sing(state: FoliationState, sing: dict[str, Singularity]) -> FoliationState:
-    return replace(state, sing=tuple(sorted(sing.items())))
+# ---------------------------------------------------------------------------
+# Working copy
 
 
-def _fresh_id(sing: dict[str, Singularity], prefix: str) -> str:
-    k = 0
-    while f"{prefix}{k}" in sing:
-        k += 1
-    return f"{prefix}{k}"
+class _Work:
+    """Mutable copy of a FoliationState that rewrites are applied to in place.
+
+    A stage copies its input once, applies all its rewrites here and
+    freezes once, so each rewrite costs O(degree) rather than O(n).  ``adj``
+    indexes every separatrix by endpoint, so removing a point touches only
+    its own edges.  Tightness is checked per added same-sign separatrix: a
+    tight state's same-sign separatrices form a forest, so an added edge
+    closes a cycle exactly when its endpoints already share a same-sign tree.
+    """
+
+    def __init__(self, state: FoliationState):
+        self.state = state
+        self.sing = dict(state.sing)
+        self.seps = set(state.separatrices)
+        self.adj: dict[str, list[str]] = {}
+        for u, v in self.seps:
+            self.adj.setdefault(u, []).append(v)
+            self.adj.setdefault(v, []).append(u)
+        self.connections = state.connections
+        self.trace: list[RewriteStep] = []
+        self.next_id: dict[str, int] = {}
+
+    def freeze(self) -> FoliationState:
+        return replace(
+            self.state,
+            sing=tuple(sorted(self.sing.items())),
+            separatrices=frozenset(self.seps),
+            connections=self.connections,
+            trace=self.state.trace + tuple(self.trace),
+        )
+
+    def fresh_id(self, prefix: str) -> str:
+        # The probe resumes where the last one stopped.  That is the lowest
+        # free id because no stage or atomic rewrite frees an id before it
+        # creates one.
+        k = self.next_id.get(prefix, 0)
+        while f"{prefix}{k}" in self.sing:
+            k += 1
+        self.next_id[prefix] = k + 1
+        return f"{prefix}{k}"
+
+    def link(self, u: str, v: str) -> None:
+        edge = frozenset((u, v))
+        if edge in self.seps:
+            return
+        sign = self.sing[u].sign
+        if self.sing[v].sign == sign and self._joined(u, v, sign):
+            raise TightnessViolation(f"same-sign separatrix cycle through {u}")
+        self.seps.add(edge)
+        self.adj.setdefault(u, []).append(v)
+        self.adj.setdefault(v, []).append(u)
+
+    def _joined(self, u: str, v: str, sign: int) -> bool:
+        """Whether a path of sign-``sign`` separatrices joins u to v."""
+        stack, seen = [u], {u}
+        while stack:
+            x = stack.pop()
+            if x == v:
+                return True
+            for w in self.adj.get(x, ()):
+                if w not in seen and self.sing[w].sign == sign:
+                    seen.add(w)
+                    stack.append(w)
+        return False
+
+    def drop(self, x: str) -> None:
+        """Remove singularity x with every separatrix and connection at it."""
+        del self.sing[x]
+        for w in self.adj.pop(x, ()):
+            self.adj[w].remove(x)
+            self.seps.discard(frozenset((x, w)))
+        if any(x in c for c in self.connections):
+            self.connections = frozenset(c for c in self.connections if x not in c)
+
+    def eliminate(self, e_id: str, h_id: str) -> None:
+        if e_id not in self.sing or h_id not in self.sing:
+            raise NotConnected(f"unknown singularities {e_id}, {h_id}")
+        e, h = self.sing[e_id], self.sing[h_id]
+        if e.kind != ELLIPTIC or h.kind != HYPERBOLIC:
+            raise SignMismatch(f"eliminate needs (elliptic, hyperbolic), got ({e.kind}, {h.kind})")
+        if e.sign != h.sign:
+            raise SignMismatch("eliminate needs a same-sign pair")
+        if frozenset((e_id, h_id)) not in self.seps:
+            raise NotConnected(f"{e_id} and {h_id} share no separatrix")
+        self.drop(e_id)
+        self.drop(h_id)
+        d = _delta(ep=-1, hp=-1) if e.sign > 0 else _delta(em=-1, hm=-1)
+        self.trace.append(RewriteStep("eliminate", (e_id, h_id), d))
+
+    def convert(self, p_id: str, gamma, tau) -> None:
+        if gamma == tau:
+            raise BadLeaves("gamma and tau must be distinct leaves")
+        if p_id not in self.sing:
+            raise BadLeaves(f"unknown singularity {p_id}")
+        p = self.sing[p_id]
+        self.sing[p_id] = replace(p, kind=HYPERBOLIC if p.kind == ELLIPTIC else ELLIPTIC)
+        prefix = "c" if p.kind == ELLIPTIC else "d"
+        for _ in range(2):
+            ident = self.fresh_id(prefix)
+            self.sing[ident] = Singularity(ident, p.sign, p.kind, INTERIOR)
+            self.link(ident, p_id)
+        d = _delta(ep=1, hp=1) if p.sign > 0 else _delta(em=1, hm=1)
+        self.trace.append(RewriteStep("convert", (p_id, gamma, tau), d))
+
+    def create_pair(self, leaf, sign: int) -> None:
+        e_id = self.fresh_id("ce")
+        h_id = self.fresh_id("ch")
+        self.sing[e_id] = Singularity(e_id, sign, ELLIPTIC, INTERIOR)
+        self.sing[h_id] = Singularity(h_id, sign, HYPERBOLIC, INTERIOR)
+        self.link(e_id, h_id)
+        d = _delta(ep=1, hp=1) if sign > 0 else _delta(em=1, hm=1)
+        self.trace.append(RewriteStep("create_pair", (leaf, sign), d))
+
+    def rewire(
+        self, add: Optional[tuple[str, str]] = None, remove: Optional[tuple[str, str]] = None
+    ) -> None:
+        if remove is not None:
+            edge = frozenset(remove)
+            if edge not in self.seps:
+                raise NotConnected(f"no separatrix {remove}")
+            self.seps.discard(edge)
+            u, v = remove
+            self.adj[u].remove(v)
+            self.adj[v].remove(u)
+        if add is not None:
+            if not all(x in self.sing for x in add):
+                raise NotConnected(f"unknown endpoint in {add}")
+            self.link(*add)
+        self.trace.append(RewriteStep("rewire", (add, remove), ()))
+
+    def absorb(self, q: str, m: str) -> None:
+        self.sing[m] = replace(self.sing[m], kind=HYPERBOLIC)
+        self.drop(q)
+        self.trace.append(RewriteStep("absorb", (q, m), _delta(em=-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -294,23 +402,9 @@ def _fresh_id(sing: dict[str, Singularity], prefix: str) -> str:
 
 def eliminate(state: FoliationState, e_id: str, h_id: str) -> FoliationState:
     """Cancel a same-sign elliptic/hyperbolic pair joined by a separatrix."""
-    sm = state.sing_map
-    if e_id not in sm or h_id not in sm:
-        raise NotConnected(f"unknown singularities {e_id}, {h_id}")
-    e, h = sm[e_id], sm[h_id]
-    if e.kind != ELLIPTIC or h.kind != HYPERBOLIC:
-        raise SignMismatch(f"eliminate needs (elliptic, hyperbolic), got ({e.kind}, {h.kind})")
-    if e.sign != h.sign:
-        raise SignMismatch("eliminate needs a same-sign pair")
-    if frozenset((e_id, h_id)) not in state.separatrices:
-        raise NotConnected(f"{e_id} and {h_id} share no separatrix")
-    sm.pop(e_id)
-    sm.pop(h_id)
-    seps = frozenset(s for s in state.separatrices if not (s & {e_id, h_id}))
-    conns = frozenset(c for c in state.connections if not (c & {e_id, h_id}))
-    d = _delta(ep=-1, hp=-1) if e.sign > 0 else _delta(em=-1, hm=-1)
-    out = replace(_with_sing(state, sm), separatrices=seps, connections=conns)
-    return out.logged(RewriteStep("eliminate", (e_id, h_id), d))
+    w = _Work(state)
+    w.eliminate(e_id, h_id)
+    return w.freeze()
 
 
 def convert(state: FoliationState, p_id: str, gamma, tau) -> FoliationState:
@@ -319,42 +413,16 @@ def convert(state: FoliationState, p_id: str, gamma, tau) -> FoliationState:
     p's kind flips and two singularities of p's original kind and sign are
     created on gamma; the per-sign count delta is (+1, +1).
     """
-    if gamma == tau:
-        raise BadLeaves("gamma and tau must be distinct leaves")
-    sm = state.sing_map
-    if p_id not in sm:
-        raise BadLeaves(f"unknown singularity {p_id}")
-    p = sm[p_id]
-    new_kind = HYPERBOLIC if p.kind == ELLIPTIC else ELLIPTIC
-    sm[p_id] = replace(p, kind=new_kind)
-    prefix = "c" if p.kind == ELLIPTIC else "d"
-    made = []
-    for _ in range(2):
-        ident = _fresh_id(sm, prefix)
-        sm[ident] = Singularity(ident, p.sign, p.kind, INTERIOR)
-        made.append(ident)
-    seps = set(state.separatrices)
-    for ident in made:
-        seps.add(frozenset((ident, p_id)))
-    _check_tight(sm, seps)
-    d = _delta(ep=1, hp=1) if p.sign > 0 else _delta(em=1, hm=1)
-    out = replace(_with_sing(state, sm), separatrices=frozenset(seps))
-    return out.logged(RewriteStep("convert", (p_id, gamma, tau), d))
+    w = _Work(state)
+    w.convert(p_id, gamma, tau)
+    return w.freeze()
 
 
 def create_pair(state: FoliationState, leaf, sign: int) -> FoliationState:
     """Create an elliptic/hyperbolic pair of the given sign on a leaf."""
-    sm = state.sing_map
-    e_id = _fresh_id(sm, "ce")
-    h_id = _fresh_id(sm, "ch")
-    sm[e_id] = Singularity(e_id, sign, ELLIPTIC, INTERIOR)
-    sm[h_id] = Singularity(h_id, sign, HYPERBOLIC, INTERIOR)
-    seps = set(state.separatrices)
-    seps.add(frozenset((e_id, h_id)))
-    _check_tight(sm, seps)
-    d = _delta(ep=1, hp=1) if sign > 0 else _delta(em=1, hm=1)
-    out = replace(_with_sing(state, sm), separatrices=frozenset(seps))
-    return out.logged(RewriteStep("create_pair", (leaf, sign), d))
+    w = _Work(state)
+    w.create_pair(leaf, sign)
+    return w.freeze()
 
 
 def rewire(
@@ -363,20 +431,9 @@ def rewire(
     remove: Optional[tuple[str, str]] = None,
 ) -> FoliationState:
     """Break or re-route a separatrix connection; count delta zero."""
-    seps = set(state.separatrices)
-    if remove is not None:
-        edge = frozenset(remove)
-        if edge not in seps:
-            raise NotConnected(f"no separatrix {remove}")
-        seps.discard(edge)
-    if add is not None:
-        sm = state.sing_map
-        if not set(add) <= set(sm):
-            raise NotConnected(f"unknown endpoint in {add}")
-        seps.add(frozenset(add))
-        _check_tight(sm, seps)
-    out = replace(state, separatrices=frozenset(seps))
-    return out.logged(RewriteStep("rewire", (add, remove), ()))
+    w = _Work(state)
+    w.rewire(add, remove)
+    return w.freeze()
 
 
 def singularity_curve_move(
@@ -413,26 +470,33 @@ def to_naf(state: FoliationState) -> FoliationState:
     """Convert boundary singularities until positives are hyperbolic, negatives elliptic."""
     if not _alternating(state):
         raise PatternMismatch("boundary signs must alternate")
-    cur = state
-    for b in state.boundary:
-        s = cur.sing_map[b]
-        if (s.sign > 0 and s.kind == ELLIPTIC) or (s.sign < 0 and s.kind == HYPERBOLIC):
-            sm = cur.sing_map
-            sm[b] = replace(s, kind=HYPERBOLIC if s.sign > 0 else ELLIPTIC)
-            made = []
-            prefix = "c" if s.kind == ELLIPTIC else "d"
-            for _ in range(2):
-                ident = _fresh_id(sm, prefix)
-                sm[ident] = Singularity(ident, s.sign, s.kind, INTERIOR)
-                made.append(ident)
-            seps = set(cur.separatrices)
-            for ident in made:
-                seps.add(frozenset((ident, b)))
-            d = _delta(ep=1, hp=1) if s.sign > 0 else _delta(em=1, hm=1)
-            cur = replace(_with_sing(cur, sm), separatrices=frozenset(seps))
-            cur = cur.logged(RewriteStep("convert", (b, "collar-leaf", "L"), d))
-    assert cur.is_naf()
-    return cur
+    sm = state.sing_map
+    todo = [
+        b
+        for b in state.boundary
+        if (sm[b].sign > 0 and sm[b].kind == ELLIPTIC)
+        or (sm[b].sign < 0 and sm[b].kind == HYPERBOLIC)
+    ]
+    if todo:
+        w = _Work(state)
+        for b in todo:
+            w.convert(b, "collar-leaf", "L")
+        state = w.freeze()
+    if not state.is_naf():
+        raise PatternMismatch("to_naf did not reach a NAF boundary")
+    return state
+
+
+def _doomed(state: FoliationState, kind: str, sign: int, keep: int) -> list[str]:
+    """Interior ids of this kind and sign beyond the first ``keep`` survivors."""
+    ids = sorted(
+        i for i, s in state.sing if s.locus == INTERIOR and s.kind == kind and s.sign == sign
+    )
+    # spine/hub ids (p*, q*) are the canonical survivors
+    canon = [i for i in ids if i[0] in "pq"]
+    extra = [i for i in ids if i[0] not in "pq"]
+    survivors = set((canon + extra)[:keep])
+    return [i for i in ids if i not in survivors]
 
 
 def reduce_interior(state: FoliationState) -> FoliationState:
@@ -444,39 +508,29 @@ def reduce_interior(state: FoliationState) -> FoliationState:
     """
     if not state.is_naf():
         raise PatternMismatch("reduce_interior needs a NAF boundary")
-    cur = state
-
-    def doomed(kind: str, sign: int, keep: int) -> list[str]:
-        ids = sorted(
-            i
-            for i, s in cur.sing
-            if s.locus == INTERIOR and s.kind == kind and s.sign == sign
+    e_target, h_target = interior_count_targets(state.tb, state.r)
+    # Eliminating a doomed pair leaves the survivors, and so the other
+    # doomed ids, unchanged: each list is computed once.
+    plan = [
+        (_doomed(state, ELLIPTIC, sign, e_keep), _doomed(state, HYPERBOLIC, sign, h_keep))
+        for sign, e_keep, h_keep in ((1, e_target, 0), (-1, 0, h_target))
+    ]
+    if any(es or hs for es, hs in plan):
+        w = _Work(state)
+        for es, hs in plan:
+            for e_id, h_id in zip(es, hs):
+                if frozenset((e_id, h_id)) not in w.seps:
+                    w.rewire(add=(e_id, h_id))
+                w.eliminate(e_id, h_id)
+            if len(es) != len(hs):
+                raise BadInvariants("interior counts cannot reach the reduced targets")
+        state = w.freeze()
+    counts = state.counts(INTERIOR)
+    if counts != {"e+": e_target, "h+": 0, "e-": 0, "h-": h_target}:
+        raise BadInvariants(
+            f"reduced interior {counts} misses the targets e+={e_target}, h-={h_target}"
         )
-        # spine/hub ids (p*, q*) are the canonical survivors
-        canon = [i for i in ids if i[0] in "pq"]
-        extra = [i for i in ids if i[0] not in "pq"]
-        survivors = (canon + extra)[:keep]
-        return [i for i in ids if i not in survivors]
-
-    e_target, h_target = interior_count_targets(cur.tb, cur.r)
-    for sign, e_keep, h_keep in ((1, e_target, 0), (-1, 0, h_target)):
-        while True:
-            es = doomed(ELLIPTIC, sign, e_keep)
-            hs = doomed(HYPERBOLIC, sign, h_keep)
-            if not es and not hs:
-                break
-            assert es and hs, "interior counts cannot reach the reduced targets"
-            e_id, h_id = es[0], hs[0]
-            if frozenset((e_id, h_id)) not in cur.separatrices:
-                cur = rewire(cur, add=(e_id, h_id))
-            cur = eliminate(cur, e_id, h_id)
-    assert cur.counts(INTERIOR) == {
-        "e+": e_target,
-        "h+": 0,
-        "e-": 0,
-        "h-": h_target,
-    }
-    return cur
+    return state
 
 
 @dataclass(frozen=True)
@@ -525,28 +579,27 @@ def to_elliptic_form(state: FoliationState) -> tuple[FoliationState, RegionDecom
         return state, _decompose(state)
     if not (state.is_naf() and state.is_reduced()):
         raise PatternMismatch("to_elliptic_form needs a reduced state with NAF boundary")
-    cur = state
-    sm = cur.sing_map
-    doomed_h = sorted(i for i, s in cur.sing if s.locus == INTERIOR and s.kind == HYPERBOLIC)
-    neg_boundary = [b for b in cur.boundary if sm[b].sign < 0]
-    for q, m in zip(doomed_h, reversed(neg_boundary)):
-        if frozenset((q, m)) not in cur.separatrices:
-            cur = rewire(cur, add=(q, m))
-        sm = cur.sing_map
-        sm[m] = replace(sm[m], kind=HYPERBOLIC)
-        sm.pop(q)
-        seps = frozenset(s for s in cur.separatrices if q not in s)
-        cur = replace(_with_sing(cur, sm), separatrices=seps)
-        cur = cur.logged(RewriteStep("absorb", (q, m), _delta(em=-1)))
+    sm = state.sing_map
+    doomed_h = sorted(i for i, s in state.sing if s.locus == INTERIOR and s.kind == HYPERBOLIC)
+    if doomed_h:
+        neg_boundary = [b for b in state.boundary if sm[b].sign < 0]
+        w = _Work(state)
+        for q, m in zip(doomed_h, reversed(neg_boundary)):
+            if frozenset((q, m)) not in w.seps:
+                w.rewire(add=(q, m))
+            w.absorb(q, m)
+        state = w.freeze()
+        del w  # release the working copy before the broom is built
+        sm = state.sing_map
     # the surviving elliptics assemble into the extended-skeleton broom
-    sm = cur.sing_map
-    spine = sorted(i for i, s in cur.sing if s.locus == INTERIOR and s.kind == ELLIPTIC)
-    leaves = [b for b in cur.boundary if sm[b].sign < 0 and sm[b].kind == ELLIPTIC]
+    spine = sorted(i for i, s in state.sing if s.locus == INTERIOR and s.kind == ELLIPTIC)
+    leaves = [b for b in state.boundary if sm[b].sign < 0 and sm[b].kind == ELLIPTIC]
     ids = spine + leaves
     signs = [sm[v].sign for v in ids]
-    cur = replace(cur, connections=frozenset(canonical_broom(signs, ids).edges))
-    assert cur.is_elliptic_form()
-    return cur, _decompose(cur)
+    out = replace(state, connections=frozenset(canonical_broom(signs, ids).edges))
+    if not out.is_elliptic_form():
+        raise NotEllipticForm("to_elliptic_form did not reach elliptic form")
+    return out, _decompose(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legkit import foliation as fo
 from legkit import trees as tr
@@ -202,3 +206,342 @@ class TestDump:
         assert a == b
         assert a.startswith("tb -3 r 0")
         assert "boundary" in a and "interior" in a
+
+
+class TestTypedFailures:
+    """Stage checks raise typed errors, so they hold under ``python -O``."""
+
+    def test_to_naf_unreached(self, monkeypatch):
+        monkeypatch.setattr(fo.FoliationState, "is_naf", lambda self: False)
+        with pytest.raises(PatternMismatch):
+            fo.to_naf(fo.init_boundary(-1, 0, boundary_kinds=["e", "e"]))
+
+    def test_reduce_targets_unreachable(self, monkeypatch):
+        s = fo.init_boundary(-3, 0)  # interior e+ = 2, h- = 1
+        monkeypatch.setattr(fo, "interior_count_targets", lambda tb, r: (0, 1))
+        with pytest.raises(BadInvariants, match="cannot reach"):
+            fo.reduce_interior(s)
+
+    def test_reduce_targets_missed(self, monkeypatch):
+        s = fo.init_boundary(-3, 0)
+        monkeypatch.setattr(fo, "interior_count_targets", lambda tb, r: (5, 1))
+        with pytest.raises(BadInvariants, match="misses the targets"):
+            fo.reduce_interior(s)
+
+    def test_elliptic_form_unreached(self, monkeypatch):
+        s = fo.reduce_interior(fo.to_naf(fo.init_boundary(-3, 0)))
+        monkeypatch.setattr(fo.FoliationState, "is_elliptic_form", lambda self: False)
+        with pytest.raises(NotEllipticForm):
+            fo.to_elliptic_form(s)
+
+    def test_self_loop_is_a_cycle(self):
+        with pytest.raises(TightnessViolation):
+            fo.rewire(fo.init_boundary(-3, 0), add=("p0", "p0"))
+
+
+def test_sing_map_built_once_and_read_only():
+    s = fo.init_boundary(-3, 0)
+    assert s.sing_map is s.sing_map
+    with pytest.raises(TypeError):
+        s.sing_map["p0"] = None
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-rewrite implementation the stages had before they
+# applied their rewrites to one working copy.  Every rewrite rebuilds the
+# whole state and re-walks the whole separatrix graph.  The library must
+# agree with it on every stage output and on every atomic rewrite.
+
+
+def _ref_check_tight(sing, edges):
+    """Reject separatrix graphs with a same-sign cycle (limit cycle seed)."""
+    for sign in (1, -1):
+        adj = {}
+        for e in edges:
+            u, v = tuple(e)
+            if sing[u].sign == sign and sing[v].sign == sign:
+                adj.setdefault(u, []).append(v)
+                adj.setdefault(v, []).append(u)
+        seen = {}
+        for start in adj:
+            if start in seen:
+                continue
+            stack = [(start, None)]
+            while stack:
+                u, parent = stack.pop()
+                if u in seen:
+                    raise TightnessViolation(f"same-sign separatrix cycle through {u}")
+                seen[u] = parent
+                for w in adj[u]:
+                    if w != parent:
+                        stack.append((w, u))
+
+
+def _ref_with_sing(state, sing):
+    return replace(state, sing=tuple(sorted(sing.items())))
+
+
+def _ref_fresh_id(sing, prefix):
+    k = 0
+    while f"{prefix}{k}" in sing:
+        k += 1
+    return f"{prefix}{k}"
+
+
+def ref_eliminate(state, e_id, h_id):
+    sm = dict(state.sing)
+    if e_id not in sm or h_id not in sm:
+        raise NotConnected(f"unknown singularities {e_id}, {h_id}")
+    e, h = sm[e_id], sm[h_id]
+    if e.kind != fo.ELLIPTIC or h.kind != fo.HYPERBOLIC:
+        raise SignMismatch(f"eliminate needs (elliptic, hyperbolic), got ({e.kind}, {h.kind})")
+    if e.sign != h.sign:
+        raise SignMismatch("eliminate needs a same-sign pair")
+    if frozenset((e_id, h_id)) not in state.separatrices:
+        raise NotConnected(f"{e_id} and {h_id} share no separatrix")
+    sm.pop(e_id)
+    sm.pop(h_id)
+    seps = frozenset(s for s in state.separatrices if not (s & {e_id, h_id}))
+    conns = frozenset(c for c in state.connections if not (c & {e_id, h_id}))
+    d = fo._delta(ep=-1, hp=-1) if e.sign > 0 else fo._delta(em=-1, hm=-1)
+    out = replace(_ref_with_sing(state, sm), separatrices=seps, connections=conns)
+    return out.logged(fo.RewriteStep("eliminate", (e_id, h_id), d))
+
+
+def ref_convert(state, p_id, gamma, tau):
+    if gamma == tau:
+        raise BadLeaves("gamma and tau must be distinct leaves")
+    sm = dict(state.sing)
+    if p_id not in sm:
+        raise BadLeaves(f"unknown singularity {p_id}")
+    p = sm[p_id]
+    sm[p_id] = replace(p, kind=fo.HYPERBOLIC if p.kind == fo.ELLIPTIC else fo.ELLIPTIC)
+    prefix = "c" if p.kind == fo.ELLIPTIC else "d"
+    made = []
+    for _ in range(2):
+        ident = _ref_fresh_id(sm, prefix)
+        sm[ident] = fo.Singularity(ident, p.sign, p.kind, fo.INTERIOR)
+        made.append(ident)
+    seps = set(state.separatrices)
+    for ident in made:
+        seps.add(frozenset((ident, p_id)))
+    _ref_check_tight(sm, seps)
+    d = fo._delta(ep=1, hp=1) if p.sign > 0 else fo._delta(em=1, hm=1)
+    out = replace(_ref_with_sing(state, sm), separatrices=frozenset(seps))
+    return out.logged(fo.RewriteStep("convert", (p_id, gamma, tau), d))
+
+
+def ref_create_pair(state, leaf, sign):
+    sm = dict(state.sing)
+    e_id = _ref_fresh_id(sm, "ce")
+    h_id = _ref_fresh_id(sm, "ch")
+    sm[e_id] = fo.Singularity(e_id, sign, fo.ELLIPTIC, fo.INTERIOR)
+    sm[h_id] = fo.Singularity(h_id, sign, fo.HYPERBOLIC, fo.INTERIOR)
+    seps = set(state.separatrices)
+    seps.add(frozenset((e_id, h_id)))
+    _ref_check_tight(sm, seps)
+    d = fo._delta(ep=1, hp=1) if sign > 0 else fo._delta(em=1, hm=1)
+    out = replace(_ref_with_sing(state, sm), separatrices=frozenset(seps))
+    return out.logged(fo.RewriteStep("create_pair", (leaf, sign), d))
+
+
+def ref_rewire(state, add=None, remove=None):
+    seps = set(state.separatrices)
+    if remove is not None:
+        edge = frozenset(remove)
+        if edge not in seps:
+            raise NotConnected(f"no separatrix {remove}")
+        seps.discard(edge)
+    if add is not None:
+        sm = dict(state.sing)
+        if not set(add) <= set(sm):
+            raise NotConnected(f"unknown endpoint in {add}")
+        seps.add(frozenset(add))
+        _ref_check_tight(sm, seps)
+    out = replace(state, separatrices=frozenset(seps))
+    return out.logged(fo.RewriteStep("rewire", (add, remove), ()))
+
+
+def ref_to_naf(state):
+    if not fo._alternating(state):
+        raise PatternMismatch("boundary signs must alternate")
+    cur = state
+    for b in state.boundary:
+        s = dict(cur.sing)[b]
+        if (s.sign > 0 and s.kind == fo.ELLIPTIC) or (s.sign < 0 and s.kind == fo.HYPERBOLIC):
+            sm = dict(cur.sing)
+            sm[b] = replace(s, kind=fo.HYPERBOLIC if s.sign > 0 else fo.ELLIPTIC)
+            made = []
+            prefix = "c" if s.kind == fo.ELLIPTIC else "d"
+            for _ in range(2):
+                ident = _ref_fresh_id(sm, prefix)
+                sm[ident] = fo.Singularity(ident, s.sign, s.kind, fo.INTERIOR)
+                made.append(ident)
+            seps = set(cur.separatrices)
+            for ident in made:
+                seps.add(frozenset((ident, b)))
+            d = fo._delta(ep=1, hp=1) if s.sign > 0 else fo._delta(em=1, hm=1)
+            cur = replace(_ref_with_sing(cur, sm), separatrices=frozenset(seps))
+            cur = cur.logged(fo.RewriteStep("convert", (b, "collar-leaf", "L"), d))
+    assert cur.is_naf()
+    return cur
+
+
+def ref_reduce_interior(state):
+    if not state.is_naf():
+        raise PatternMismatch("reduce_interior needs a NAF boundary")
+    cur = state
+
+    def doomed(kind, sign, keep):
+        ids = sorted(
+            i
+            for i, s in cur.sing
+            if s.locus == fo.INTERIOR and s.kind == kind and s.sign == sign
+        )
+        canon = [i for i in ids if i[0] in "pq"]
+        extra = [i for i in ids if i[0] not in "pq"]
+        survivors = (canon + extra)[:keep]
+        return [i for i in ids if i not in survivors]
+
+    e_target, h_target = fo.interior_count_targets(cur.tb, cur.r)
+    for sign, e_keep, h_keep in ((1, e_target, 0), (-1, 0, h_target)):
+        while True:
+            es = doomed(fo.ELLIPTIC, sign, e_keep)
+            hs = doomed(fo.HYPERBOLIC, sign, h_keep)
+            if not es and not hs:
+                break
+            assert es and hs, "interior counts cannot reach the reduced targets"
+            e_id, h_id = es[0], hs[0]
+            if frozenset((e_id, h_id)) not in cur.separatrices:
+                cur = ref_rewire(cur, add=(e_id, h_id))
+            cur = ref_eliminate(cur, e_id, h_id)
+    assert cur.counts(fo.INTERIOR) == {"e+": e_target, "h+": 0, "e-": 0, "h-": h_target}
+    return cur
+
+
+def ref_to_elliptic_form(state):
+    if state.is_elliptic_form() and state.connections:
+        return state, fo._decompose(state)
+    if not (state.is_naf() and state.is_reduced()):
+        raise PatternMismatch("to_elliptic_form needs a reduced state with NAF boundary")
+    cur = state
+    sm = dict(cur.sing)
+    doomed_h = sorted(
+        i for i, s in cur.sing if s.locus == fo.INTERIOR and s.kind == fo.HYPERBOLIC
+    )
+    neg_boundary = [b for b in cur.boundary if sm[b].sign < 0]
+    for q, m in zip(doomed_h, reversed(neg_boundary)):
+        if frozenset((q, m)) not in cur.separatrices:
+            cur = ref_rewire(cur, add=(q, m))
+        sm = dict(cur.sing)
+        sm[m] = replace(sm[m], kind=fo.HYPERBOLIC)
+        sm.pop(q)
+        seps = frozenset(s for s in cur.separatrices if q not in s)
+        cur = replace(_ref_with_sing(cur, sm), separatrices=seps)
+        cur = cur.logged(fo.RewriteStep("absorb", (q, m), fo._delta(em=-1)))
+    sm = dict(cur.sing)
+    spine = sorted(i for i, s in cur.sing if s.locus == fo.INTERIOR and s.kind == fo.ELLIPTIC)
+    leaves = [b for b in cur.boundary if sm[b].sign < 0 and sm[b].kind == fo.ELLIPTIC]
+    ids = spine + leaves
+    signs = [sm[v].sign for v in ids]
+    cur = replace(cur, connections=frozenset(tr.canonical_broom(signs, ids).edges))
+    assert cur.is_elliptic_form()
+    return cur, fo._decompose(cur)
+
+
+def _outcome(fn, *args):
+    """("ok", result) or ("raised", exception type)."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the reference may raise anything; compare types
+        return "raised", type(exc)
+
+
+def _kinds(pattern, tb):
+    n = 2 * abs(tb)
+    if pattern is None:
+        return None
+    if pattern == "mixed":
+        return ["h" if i % 3 == 0 else "e" for i in range(n)]
+    return [pattern] * n
+
+
+def _stage_outputs(stages, tb, r, kinds):
+    to_naf, reduce_interior, to_elliptic_form = stages
+    naf = to_naf(fo.init_boundary(tb, r, kinds))
+    reduced = reduce_interior(naf)
+    final, regions = to_elliptic_form(reduced)
+    dumps = [(fo.dump_state(s), [st.describe() for st in s.trace]) for s in (naf, reduced, final)]
+    return dumps, regions, fo.extract_skeleton(final)
+
+
+LIBRARY = (fo.to_naf, fo.reduce_interior, fo.to_elliptic_form)
+REFERENCE = (ref_to_naf, ref_reduce_interior, ref_to_elliptic_form)
+PATTERNS = (None, "e", "h", "mixed")
+
+
+class TestAgainstReference:
+    def test_stages_small_grid(self):
+        for tb, r in in_range_grid(-15):
+            for pattern in PATTERNS:
+                kinds = _kinds(pattern, tb)
+                want = _outcome(_stage_outputs, REFERENCE, tb, r, kinds)
+                assert _outcome(_stage_outputs, LIBRARY, tb, r, kinds) == want, (tb, r, pattern)
+
+    @pytest.mark.parametrize("tb, r, pattern", [(-161, 0, "e"), (-641, 640, None), (-641, -640, None)])
+    def test_stages_large(self, tb, r, pattern):
+        kinds = _kinds(pattern, tb)
+        assert _stage_outputs(LIBRARY, tb, r, kinds) == _stage_outputs(REFERENCE, tb, r, kinds)
+
+
+SMALL = list(in_range_grid(-4))
+OPS = ("rewire", "eliminate", "convert", "create_pair")
+
+
+def _neighbours(edges, x):
+    return [b if a == x else a for a, b in edges if x in (a, b)]
+
+
+def _draw_args(data, op, state):
+    ids = sorted(i for i, _ in state.sing)
+    edges = sorted(tuple(sorted(e)) for e in state.separatrices)
+    if op == "create_pair":
+        return ("leaf", data.draw(st.sampled_from((1, -1))))
+    if op == "convert":
+        return (data.draw(st.sampled_from(ids)), "gamma", data.draw(st.sampled_from(("tau", "gamma"))))
+    if op == "eliminate":
+        if edges and data.draw(st.booleans()):
+            u, v = data.draw(st.sampled_from(edges))
+            return (u, v) if dict(state.sing)[u].kind == fo.ELLIPTIC else (v, u)
+        return tuple(data.draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True)))
+    add = remove = None
+    if data.draw(st.booleans()):
+        # half the time two separatrices away from u, so that some additions close a cycle
+        u = data.draw(st.sampled_from(ids))
+        near = sorted({w for x in _neighbours(edges, u) for w in _neighbours(edges, x)} - {u})
+        pool = near if near and data.draw(st.booleans()) else [i for i in ids if i != u]
+        add = (u, data.draw(st.sampled_from(pool)))
+    if edges and (add is None or data.draw(st.booleans())):
+        remove = data.draw(st.sampled_from(edges))
+    return (add, remove)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_atomic_rewrites_match_reference(data):
+    tb, r = data.draw(st.sampled_from(SMALL))
+    new = ref = fo.init_boundary(tb, r, _kinds(data.draw(st.sampled_from(PATTERNS)), tb))
+    reference = {"create_pair": ref_create_pair, "rewire": ref_rewire,
+                 "convert": ref_convert, "eliminate": ref_eliminate}
+    for _ in range(data.draw(st.integers(1, 15))):
+        op = data.draw(st.sampled_from(OPS)) if len(new.sing) >= 2 else "create_pair"
+        args = _draw_args(data, op, new)
+        got = _outcome(getattr(fo, op), new, *args)
+        want = _outcome(reference[op], ref, *args)
+        if want[0] == "raised":
+            assert got == want, (op, args)
+            continue
+        assert got[0] == "ok", (op, args, got)
+        new, ref = got[1], want[1]
+        assert new == ref
+        assert [s.describe() for s in new.trace] == [s.describe() for s in ref.trace]
