@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatch, NotOvertwisted, ZeroSlope
+from .errors import BadInvariants, DimensionMismatch, NotOvertwisted, ZeroSlope
 from .fronts import (
     OrientedFront,
     in_unknot_range,
@@ -209,14 +209,8 @@ def hopf_after_lutz_front(of: OrientedFront) -> int:
     their linking number.
     """
     k = of.trace.n_components
-    sl = [invariant_pair(of, c) for c in range(k)]
-    total = sum(tb - r for tb, r in sl)
-    if k > 1:
-        lk = linking_matrix(of)
-        for i in range(k):
-            for j in range(i + 1, k):
-                total += 2 * lk[i][j]
-    return total
+    sl = [tb - r for tb, r in (invariant_pair(of, c) for c in range(k))]
+    return hopf_after_lutz(sl, linking_matrix(of) if k > 1 else None)
 
 
 def d3_from_hopf(h: int) -> Fraction:
@@ -261,5 +255,6 @@ def complement_torus_data(n: int) -> ComplementTorusData:
         pushoff_rotation_rule="ruling-curve rotation number equals -r(L)",
     )
     w_theta, w_x = data.wedge_checks()
-    assert w_theta == 1 and w_x == n, CITE_COMPLEMENT
+    if (w_theta, w_x) != (1, n):
+        raise BadInvariants(f"wedge checks {(w_theta, w_x)} != (1, {n}): {CITE_COMPLEMENT}")
     return data

@@ -365,6 +365,8 @@ class _Work:
         self.trace.append(RewriteStep("convert", (p_id, gamma, tau), d))
 
     def create_pair(self, leaf, sign: int) -> None:
+        if sign not in (1, -1):
+            raise SignMismatch(f"create_pair needs sign +1 or -1, got {sign!r}")
         e_id = self.fresh_id("ce")
         h_id = self.fresh_id("ch")
         self.sing[e_id] = Singularity(e_id, sign, ELLIPTIC, INTERIOR)

@@ -339,7 +339,8 @@ def thurston_bennequin(of: OrientedFront, comp: int = 0) -> int:
         if cof[x.in_lower] == comp and cof[x.in_upper] == comp
     )
     n_cusps = sum(1 for c in tr.cusps if cof[c.lower] == comp)
-    assert n_cusps % 2 == 0
+    if n_cusps % 2:
+        raise NotClosed(f"component {comp} has an odd cusp count {n_cusps}")
     return -or_sum - n_cusps // 2
 
 
@@ -348,7 +349,8 @@ def rotation_number(of: OrientedFront, comp: int = 0) -> int:
     _check_component(of, comp)
     tr = of.trace
     total = sum(cusp_kappa(of, c) for c in tr.cusps if tr.component_of[c.lower] == comp)
-    assert total % 2 == 0
+    if total % 2:
+        raise NotClosed(f"component {comp} has an odd signed cusp count {total}")
     return total // 2
 
 
@@ -374,7 +376,8 @@ def linking_matrix(of: OrientedFront) -> list[list[Optional[int]]]:
     for i in range(k):
         for j in range(k):
             if i != j:
-                assert sums[i][j] % 2 == 0, "inter-component signs must sum evenly"
+                if sums[i][j] % 2:
+                    raise NotClosed(f"odd crossing-sign sum between components {i} and {j}")
                 out[i][j] = sums[i][j] // 2
     return out
 

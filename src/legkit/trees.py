@@ -24,10 +24,16 @@ pair it acts on.  The resulting front always has
 
 which expected_invariants returns in closed form; the construction is
 validated against it exhaustively in the test suite.
+
+Trees and embeddings are checked once, when built.  Normalization copies
+its tree once into a mutable adjacency, gathers each end edge onto the hub
+of its sign there, undoes the canonical broom's own gathering on the same
+copy, and builds one tree at the end.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,12 +42,14 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
+    BadInvariants,
     BadSigning,
     NotAcceptable,
     NotATree,
     NotEndEdge,
     OutOfRange,
     ParseError,
+    PatternMismatch,
     SignMismatch,
 )
 from .fronts import (
@@ -63,7 +71,7 @@ SIGMA = 1
 
 @dataclass(frozen=True)
 class SignedTree:
-    """Abstract tree with alternating vertex signs.
+    """Abstract tree with alternating vertex signs, checked when built.
 
     ``signs`` maps vertex id -> +1 or -1; ``edges`` is a frozenset of
     2-element frozensets of vertex ids.
@@ -75,9 +83,7 @@ class SignedTree:
     @staticmethod
     def make(signs: dict[int, int], edges: Iterable[tuple[int, int]]) -> "SignedTree":
         e = frozenset(frozenset(p) for p in edges)
-        t = SignedTree(tuple(sorted(signs.items())), e)
-        t.validate()
-        return t
+        return SignedTree(tuple(sorted(signs.items())), e)
 
     @cached_property
     def sign_map(self) -> Mapping[int, int]:
@@ -102,7 +108,7 @@ class SignedTree:
     def valence(self, v: int) -> int:
         return len(self.neighbors(v))
 
-    def validate(self) -> None:
+    def __post_init__(self):
         sm = self.sign_map
         verts = set(sm)
         if any(s not in (1, -1) for s in sm.values()):
@@ -162,16 +168,13 @@ class AcceptableEmbedding:
         coords: dict[int, tuple[Fraction, Fraction]],
         epsilon: Fraction = Fraction(1, 2),
     ) -> "AcceptableEmbedding":
-        emb = AcceptableEmbedding(tree, tuple(sorted(coords.items())), epsilon)
-        emb.validate()
-        return emb
+        return AcceptableEmbedding(tree, tuple(sorted(coords.items())), epsilon)
 
     @cached_property
     def coord_map(self) -> Mapping[int, tuple[Fraction, Fraction]]:
         return MappingProxyType(dict(self.coords))
 
-    def validate(self) -> None:
-        self.tree.validate()
+    def __post_init__(self):
         cm = self.coord_map
         if set(cm) != set(self.tree.vertices):
             raise NotAcceptable(0, "coordinates must cover exactly the vertex set")
@@ -218,7 +221,6 @@ class AcceptableEmbedding:
 
 def build_front(emb: AcceptableEmbedding) -> FrontDiagram:
     """Construct the tree-based wavefront of an acceptable signed embedding."""
-    emb.validate()
     signs = emb.tree.sign_map
     events: list[FrontEvent] = []
     root = emb.leftmost
@@ -302,74 +304,91 @@ class MoveRecord:
     after: tuple[int, int]
 
 
-def _end_of_edge(t: SignedTree, edge: frozenset[int]) -> tuple[int, int]:
-    """Return (attachment, end_vertex) for an end edge."""
-    u, w = tuple(edge)
-    vu, vw = t.valence(u), t.valence(w)
-    if vu == 1 and vw == 1:
-        return (u, w)  # single-edge tree; either role works
-    if vw == 1:
-        return (u, w)
-    if vu == 1:
-        return (w, u)
-    raise NotEndEdge(f"edge {u}-{w} has no end vertex")
+class _TreeWork:
+    """Mutable copy of a SignedTree that end-edge moves are applied to in place.
+
+    Each move costs O(1); only the tree frozen at the end is built and checked.
+    """
+
+    def __init__(self, t: SignedTree):
+        self.tree = t
+        self.adj = {v: set(t.neighbors(v)) for v in t.vertices}
+
+    def freeze(self) -> SignedTree:
+        edges = frozenset(frozenset((u, w)) for u, ws in self.adj.items() for w in ws if u < w)
+        return SignedTree(self.tree.signs, edges)
+
+    def end_of(self, edge: tuple[int, int]) -> tuple[int, int]:
+        """(attachment, end vertex) of an end edge; either on a single-edge tree."""
+        e = frozenset(edge)
+        u, w = tuple(e) if len(e) == 2 else (None, None)
+        if w not in self.adj.get(u, ()):
+            raise NotATree(f"no edge {edge}")
+        if len(self.adj[u]) > 1 and len(self.adj[w]) > 1:
+            raise NotEndEdge(f"edge {u}-{w} has no end vertex")
+        return (u, w) if len(self.adj[w]) == 1 else (w, u)
+
+    def move(self, edge: tuple[int, int], target: int) -> None:
+        """Re-attach an end edge to another vertex of the same sign."""
+        attach, leaf = self.end_of(edge)
+        sm = self.tree.sign_map
+        if target == leaf:
+            raise SignMismatch("cannot attach an end edge to its own end vertex")
+        if target not in sm:
+            raise NotATree(f"no vertex {target}")
+        if sm[target] != sm[attach]:
+            raise SignMismatch(
+                f"target {target} has sign {sm[target]:+d}, attachment requires {sm[attach]:+d}"
+            )
+        self.adj[attach].discard(leaf)
+        self.adj[leaf].discard(attach)
+        self.adj[target].add(leaf)
+        self.adj[leaf].add(target)
+
+    def gather(self) -> list[tuple[tuple[int, int], int]]:
+        """Gather every end edge onto the hub of its attachment sign.
+
+        The hubs are the smallest vertex of each sign; end edges off the
+        hubs move smallest sorted edge first.  A move can only turn the last
+        edge of its attachment vertex into an end edge, so a heap holds the
+        eligible edges.  Returns the moves as ((attach, leaf), hub) pairs.
+        """
+        sm, adj = self.tree.sign_map, self.adj
+        hub_of = {s: min(v for v in sm if sm[v] == s) for s in (1, -1)}
+        hubs = set(hub_of.values())
+        off_hub = [tuple(sorted(e)) for e in self.tree.edges if not e & hubs]
+        heap = [e for e in off_hub if len(adj[e[0]]) == 1 or len(adj[e[1]]) == 1]
+        heapq.heapify(heap)
+        moves: list[tuple[tuple[int, int], int]] = []
+        while heap:
+            attach, leaf = self.end_of(heapq.heappop(heap))
+            hub = hub_of[sm[attach]]
+            self.move((attach, leaf), hub)
+            moves.append(((attach, leaf), hub))
+            if len(adj[attach]) == 1 and not adj[attach] & hubs:
+                heapq.heappush(heap, tuple(sorted((attach, *adj[attach]))))
+        if len(moves) != len(off_hub):
+            raise NotEndEdge(f"gathering stalled: no end edge off the hubs {sorted(hubs)}")
+        return moves
 
 
 def move_end_edge(t: SignedTree, edge: tuple[int, int], target: int) -> SignedTree:
     """Re-attach an end edge to another vertex of the same sign."""
-    e = frozenset(edge)
-    if e not in t.edges:
-        raise NotATree(f"no edge {edge}")
-    attach, leaf = _end_of_edge(t, e)
-    sm = t.sign_map
-    if target == leaf:
-        raise SignMismatch("cannot attach an end edge to its own end vertex")
-    if sm[target] != sm[attach]:
-        raise SignMismatch(
-            f"target {target} has sign {sm[target]:+d}, attachment requires {sm[attach]:+d}"
-        )
-    edges = set(t.edges) - {e} | {frozenset((target, leaf))}
-    return SignedTree.make(sm, [tuple(x) for x in edges])
+    work = _TreeWork(t)
+    work.move(edge, target)
+    return work.freeze()
 
 
-def _hubs(t: SignedTree) -> tuple[Optional[int], Optional[int]]:
-    plus = [v for v, s in t.signs if s == 1]
-    minus = [v for v, s in t.signs if s == -1]
-    return (min(plus) if plus else None, min(minus) if minus else None)
-
-
-def _greedy_to_double_star(t: SignedTree) -> tuple[SignedTree, list[tuple]]:
-    """Gather every end edge onto the canonical hub of its attachment sign.
-
-    Returns the double-star form and the move list as (edge, target) pairs.
-    Each move strictly reduces the number of edges not incident to a hub.
-    """
-    p0, m0 = _hubs(t)
-    hubs = {v for v in (p0, m0) if v is not None}
-    moves: list[tuple] = []
-    cur = t
-    for _ in range(4 * len(t.vertices) + 8):
-        sm = cur.sign_map
-        pending = None
-        for e in sorted(cur.edges, key=lambda e: tuple(sorted(e))):
-            if e & hubs:
-                continue
-            u, w = tuple(e)
-            for attach, leaf in ((u, w), (w, u)):
-                if cur.valence(leaf) == 1:
-                    target = p0 if sm[attach] == 1 else m0
-                    if target is not None and target != leaf:
-                        pending = ((attach, leaf), target)
-                        break
-            if pending:
-                break
-        if pending is None:
-            break
-        edge, target = pending
-        cur = move_end_edge(cur, edge, target)
-        moves.append((edge, target))
-    assert all(e & hubs for e in cur.edges), "double-star gathering did not converge"
-    return cur, moves
+def _broom(signs: Sequence[int], ids: Sequence[int]) -> tuple[SignedTree, list[int], list[int]]:
+    """The canonical broom, its path order (hub last) and its hub leaves."""
+    plus = sorted(v for v, s in zip(ids, signs) if s == 1)
+    minus = sorted(v for v, s in zip(ids, signs) if s == -1)
+    maj, mino = (plus, minus) if len(plus) >= len(minus) else (minus, plus)
+    q = len(mino)
+    order = [x for pair in zip(maj[:q], mino) for x in pair]
+    leaves = maj[q:]
+    edges = list(zip(order, order[1:])) + [(order[-1], leaf) for leaf in leaves]
+    return SignedTree.make(dict(zip(ids, signs)), edges), order, leaves
 
 
 def canonical_broom(signs: Sequence[int], ids: Sequence[int]) -> SignedTree:
@@ -379,50 +398,36 @@ def canonical_broom(signs: Sequence[int], ids: Sequence[int]) -> SignedTree:
     excess majority-sign vertices hanging off the hub as leaves.  For a
     balanced multiset it is the plain alternating path starting with +.
     """
-    plus = sorted(v for v, s in zip(ids, signs) if s == 1)
-    minus = sorted(v for v, s in zip(ids, signs) if s == -1)
-    r = len(plus) - len(minus)
-    if r == 0:
-        order = [x for pair in zip(plus, minus) for x in pair]
-        leaves: list[int] = []
-    else:
-        maj, mino = (plus, minus) if r > 0 else (minus, plus)
-        q = len(mino)
-        order = [x for pair in zip(maj[:q], mino) for x in pair]
-        leaves = maj[q:]
-    edges = [(order[i], order[i + 1]) for i in range(len(order) - 1)]
-    hub = order[-1]
-    edges += [(hub, leaf) for leaf in leaves]
-    sm = {v: s for v, s in zip(ids, signs)}
-    return SignedTree.make(sm, edges)
+    return _broom(signs, ids)[0]
 
 
 def normalize_to_almost_linear(t: SignedTree) -> tuple[SignedTree, list[MoveRecord]]:
-    """Reduce a signed tree to the canonical broom by legal end-edge moves."""
-    t.validate()
+    """Reduce a signed tree to the canonical broom by legal end-edge moves.
+
+    The tree is gathered into the double star on its hubs, then the
+    broom's own gathering is undone in reverse, all on one working copy.
+    """
     if len(t.vertices) <= 1:
         return t, []
     inv = expected_invariants(t)
-    target = canonical_broom([s for _, s in t.signs], [v for v, _ in t.signs])
-    _, fwd = _greedy_to_double_star(t)
-    _, bwd = _greedy_to_double_star(target)
-    moves: list[tuple] = []
-    cur = t
-    for edge, tgt in fwd:
-        cur = move_end_edge(cur, edge, tgt)
-        moves.append((edge, tgt))
-    # reverse the target's gathering: each (edge=(attach, leaf), tgt) undoes
-    # to moving (tgt, leaf) back to attach
-    for (attach, leaf), tgt in reversed(bwd):
-        cur = move_end_edge(cur, (tgt, leaf), attach)
-        moves.append(((tgt, leaf), attach))
-    assert cur.edges == target.edges, "normalization did not reach the broom"
+    target = canonical_broom([s for _, s in t.signs], t.vertices)
+    work = _TreeWork(t)
+    moves = work.gather()
+    # each gathering move ((attach, leaf), hub) is undone by moving
+    # (hub, leaf) back to attach
+    for (attach, leaf), hub in reversed(_TreeWork(target).gather()):
+        work.move((hub, leaf), attach)
+        moves.append(((hub, leaf), attach))
+    out = work.freeze()
+    if out.edges != target.edges:
+        raise PatternMismatch("normalization did not reach the broom")
+    if not out.is_almost_linear():
+        raise PatternMismatch("normalized tree is not almost linear")
     records = [
         MoveRecord(kind="end-edge move", operands=(edge, tgt), before=inv, after=inv)
         for edge, tgt in moves
     ]
-    assert cur.is_almost_linear()
-    return cur, records
+    return out, records
 
 
 # ---------------------------------------------------------------------------
@@ -436,25 +441,8 @@ def catalog_tree(tb: int, r: int) -> AcceptableEmbedding:
     v_total = 1 - tb
     n_plus = (v_total + SIGMA * r) // 2
     n_minus = v_total - n_plus
-    signs = [1] * n_plus + [-1] * n_minus
-    ids = list(range(v_total))
-    broom = canonical_broom(signs, ids)
-    # path order: walk from the unique end farthest from the hub
-    sm = broom.sign_map
-    if r == 0:
-        plus = sorted(v for v in ids if sm[v] == 1)
-        minus = sorted(v for v in ids if sm[v] == -1)
-        order = [x for pair in zip(plus, minus) for x in pair]
-        leaves = []
-    else:
-        maj = sorted(v for v in ids if sm[v] == (1 if SIGMA * r > 0 else -1))
-        mino = sorted(v for v in ids if sm[v] == (-1 if SIGMA * r > 0 else 1))
-        q = len(mino)
-        order = [x for pair in zip(maj[:q], mino) for x in pair]
-        leaves = maj[q:]
-    coords: dict[int, tuple[Fraction, Fraction]] = {}
-    for i, v in enumerate(order):
-        coords[v] = (Fraction(i), Fraction(0))
+    broom, order, leaves = _broom([1] * n_plus + [-1] * n_minus, range(v_total))
+    coords = {v: (Fraction(i), Fraction(0)) for i, v in enumerate(order)}
     k = len(leaves)
     delta = Fraction(1, 4 * (k + 1))
     for j, v in enumerate(leaves):
@@ -463,12 +451,17 @@ def catalog_tree(tb: int, r: int) -> AcceptableEmbedding:
     return AcceptableEmbedding.make(broom, coords)
 
 
+def _checked_front(emb: AcceptableEmbedding, inv: tuple[int, int]) -> FrontDiagram:
+    d = build_front(emb)
+    got = invariant_pair(OrientedFront.default(d))
+    if got != inv:
+        raise BadInvariants(f"catalog front invariants {got} != {inv}")
+    return d
+
+
 def catalog_front(tb: int, r: int) -> FrontDiagram:
     """Canonical front with invariants exactly (tb, r)."""
-    d = build_front(catalog_tree(tb, r))
-    got = invariant_pair(OrientedFront.default(d))
-    assert got == (tb, r), f"catalog front invariants {got} != ({tb}, {r})"
-    return d
+    return _checked_front(catalog_tree(tb, r), (tb, r))
 
 
 def normalize_front_to_catalog(
@@ -482,8 +475,9 @@ def normalize_front_to_catalog(
     """
     inv = expected_invariants(emb.tree)
     _, records = normalize_to_almost_linear(emb.tree)
-    front = catalog_front(*inv)
-    if records or emb.coords != catalog_tree(*inv).coords:
+    catalog = catalog_tree(*inv)
+    front = _checked_front(catalog, inv)
+    if records or emb.coords != catalog.coords:
         records = records + [
             MoveRecord(
                 kind="zig-zag displace",
@@ -542,7 +536,6 @@ def spread_embedding(t: SignedTree, root: Optional[int] = None) -> AcceptableEmb
 
     The root (left-most vertex) defaults to the smallest-id end vertex.
     """
-    t.validate()
     if root is None:
         ends = [v for v in t.vertices if t.valence(v) == 1]
         root = min(ends)

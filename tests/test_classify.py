@@ -6,7 +6,7 @@ import pytest
 
 from legkit import classify as cl
 from legkit import fronts as fr
-from legkit.errors import DimensionMismatch, NotOvertwisted, ZeroSlope
+from legkit.errors import BadInvariants, DimensionMismatch, NotOvertwisted, ZeroSlope
 
 
 class TestTightUnknot:
@@ -158,6 +158,12 @@ class TestComplementTorus:
     def test_zero_slope(self):
         with pytest.raises(ZeroSlope):
             cl.complement_torus_data(0)
+
+    def test_wedge_check_is_typed(self, monkeypatch):
+        # a typed error, so the check holds under ``python -O``
+        monkeypatch.setattr(cl.ComplementTorusData, "wedge_checks", lambda self: (1, 0))
+        with pytest.raises(BadInvariants, match="wedge checks"):
+            cl.complement_torus_data(3)
 
     def test_rotation_rule_text(self):
         assert "-r(L)" in cl.complement_torus_data(1).pushoff_rotation_rule

@@ -92,6 +92,11 @@ class TestAtomicRewrites:
         s3 = fo.eliminate(s2, e_id, h_id)
         assert s3.counts() == before
 
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_create_pair_needs_unit_sign(self, sign):
+        with pytest.raises(SignMismatch):
+            fo.create_pair(fo.init_boundary(-3, 0), "leaf", sign)
+
     def test_convert_deltas(self):
         s = fo.init_boundary(-3, 0)
         out = fo.convert(s, "p0", "gamma", "tau")

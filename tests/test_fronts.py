@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -178,6 +179,33 @@ class TestLinking:
                     if i != j:
                         assert lk[i][j] == lk[j][i]
             found += 1
+
+
+class TestParityChecks:
+    """Parity checks on a trace raise typed errors, so they hold under ``python -O``."""
+
+    @staticmethod
+    def trimmed(monkeypatch, text, **fields):
+        d = fr.parse_front(text)
+        real = fr.trace_components(d)
+        trace = replace(real, **{k: getattr(real, k)[:n] for k, n in fields.items()})
+        monkeypatch.setattr(fr, "trace_components", lambda diagram: trace)
+        return fr.OrientedFront.default(d)
+
+    def test_odd_cusp_count(self, monkeypatch):
+        of = self.trimmed(monkeypatch, BASIC, cusps=1)
+        with pytest.raises(NotClosed, match="odd cusp count"):
+            fr.thurston_bennequin(of)
+
+    def test_odd_rotation(self, monkeypatch):
+        of = self.trimmed(monkeypatch, BASIC, cusps=1)
+        with pytest.raises(NotClosed, match="odd signed cusp count"):
+            fr.rotation_number(of)
+
+    def test_odd_linking_sum(self, monkeypatch):
+        of = self.trimmed(monkeypatch, CLASP, crossings=1)
+        with pytest.raises(NotClosed, match="odd crossing-sign sum"):
+            fr.linking_matrix(of)
 
 
 class TestRangeOracles:

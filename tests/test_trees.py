@@ -2,16 +2,20 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legkit import fronts as fr
 from legkit import trees as tr
 from legkit.errors import (
+    BadInvariants,
     BadSigning,
     NotAcceptable,
     NotATree,
     NotEndEdge,
     OutOfRange,
     ParseError,
+    PatternMismatch,
     SignMismatch,
 )
 
@@ -30,6 +34,109 @@ def path_embedding(signs):
 def front_invariants(emb):
     d = tr.build_front(emb)
     return fr.invariant_pair(fr.OrientedFront.default(d))
+
+
+# Reference normalization: every end-edge move re-sorts all edges, rebuilds
+# and re-checks the whole tree, and the gathering is replayed once more.
+# It is the quadratic original of the one-working-copy version in trees.py.
+
+
+def ref_move_end_edge(t, edge, target):
+    e = frozenset(edge)
+    if e not in t.edges:
+        raise NotATree(f"no edge {edge}")
+    u, w = tuple(e)
+    if t.valence(w) == 1:
+        attach, leaf = u, w
+    elif t.valence(u) == 1:
+        attach, leaf = w, u
+    else:
+        raise NotEndEdge(f"edge {u}-{w} has no end vertex")
+    sm = t.sign_map
+    if target == leaf or sm[target] != sm[attach]:
+        raise SignMismatch("bad target")
+    edges = set(t.edges) - {e} | {frozenset((target, leaf))}
+    return tr.SignedTree.make(sm, [tuple(x) for x in edges])
+
+
+def ref_greedy_to_double_star(t):
+    """(double star, moves), or None where no off-hub end edge is left."""
+    plus = [v for v, s in t.signs if s == 1]
+    minus = [v for v, s in t.signs if s == -1]
+    p0, m0 = min(plus), min(minus)
+    hubs = {p0, m0}
+    moves = []
+    cur = t
+    for _ in range(4 * len(t.vertices) + 8):
+        sm = cur.sign_map
+        pending = None
+        for e in sorted(cur.edges, key=lambda e: tuple(sorted(e))):
+            if e & hubs:
+                continue
+            u, w = tuple(e)
+            for attach, leaf in ((u, w), (w, u)):
+                if cur.valence(leaf) == 1:
+                    target = p0 if sm[attach] == 1 else m0
+                    if target != leaf:
+                        pending = ((attach, leaf), target)
+                        break
+            if pending:
+                break
+        if pending is None:
+            break
+        edge, target = pending
+        cur = ref_move_end_edge(cur, edge, target)
+        moves.append((edge, target))
+    if not all(e & hubs for e in cur.edges):
+        return None
+    return cur, moves
+
+
+def ref_normalize(t):
+    """(broom, records) of the reference, or None where gathering stalls."""
+    if len(t.vertices) <= 1:
+        return t, []
+    inv = tr.expected_invariants(t)
+    target = tr.canonical_broom([s for _, s in t.signs], t.vertices)
+    fwd = ref_greedy_to_double_star(t)
+    if fwd is None:
+        return None
+    moves = list(fwd[1])
+    cur = t
+    for edge, tgt in moves:
+        cur = ref_move_end_edge(cur, edge, tgt)
+    for (attach, leaf), tgt in reversed(ref_greedy_to_double_star(target)[1]):
+        cur = ref_move_end_edge(cur, (tgt, leaf), attach)
+        moves.append(((tgt, leaf), attach))
+    assert cur == target
+    return cur, [tr.MoveRecord("end-edge move", mv, inv, inv) for mv in moves]
+
+
+@st.composite
+def signed_trees(draw):
+    """Signed trees of 2-40 vertices with arbitrary vertex ids."""
+    n = draw(st.integers(2, 40))
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    ids = draw(st.permutations(range(n)))
+    root_sign = draw(st.sampled_from((1, -1)))
+    depth = [0]
+    for p in parents:
+        depth.append(depth[p] + 1)
+    signs = {ids[v]: root_sign * (-1) ** depth[v] for v in range(n)}
+    edges = [(ids[p], ids[v]) for v, p in enumerate(parents, start=1)]
+    return tr.SignedTree.make(signs, edges)
+
+
+def assert_matches_reference(t):
+    want = ref_normalize(t)
+    if want is None:
+        with pytest.raises(NotEndEdge):
+            tr.normalize_to_almost_linear(t)
+        return
+    out, records = tr.normalize_to_almost_linear(t)
+    assert [r.operands for r in records] == [r.operands for r in want[1]]
+    assert records == want[1]
+    assert out == want[0]
 
 
 class TestParsing:
@@ -64,6 +171,44 @@ class TestParsing:
         with pytest.raises(NotAcceptable) as exc:
             tr.parse_tree(text)
         assert exc.value.condition == 4
+
+    @pytest.mark.parametrize(
+        "signs, edges, error",
+        [
+            ({0: 1, 1: 0}, [(0, 1)], BadSigning),
+            ({0: 1, 1: 1}, [(0, 1)], BadSigning),
+            ({0: 1, 1: -1}, [(0, 5)], NotATree),
+            ({0: 1, 1: -1, 2: 1}, [(0, 1)], NotATree),
+            ({0: 1, 1: -1, 2: -1}, [(0, 1), (1, 2)], BadSigning),
+            ({0: 1, 1: -1, 2: 1, 3: -1}, [(0, 1), (1, 2), (0, 1)], NotATree),
+        ],
+    )
+    def test_direct_tree_is_checked_like_make(self, signs, edges, error):
+        with pytest.raises(error) as made:
+            tr.SignedTree.make(signs, edges)
+        with pytest.raises(error) as direct:
+            tr.SignedTree(
+                tuple(sorted(signs.items())), frozenset(frozenset(e) for e in edges)
+            )
+        assert str(direct.value) == str(made.value)
+
+    @pytest.mark.parametrize(
+        "coords, condition",
+        [
+            ({0: (F(0), F(0))}, 0),
+            ({0: (F(0), F(0)), 1: (F(1), F(1)), 2: (F(2), F(0))}, 2),
+            ({0: (F(0), F(0)), 1: (F(1), F(0)), 2: (F(0), F(1, 8))}, 3),
+            ({0: (F(1), F(0)), 1: (F(0), F(0)), 2: (F(2), F(0))}, 4),
+        ],
+    )
+    def test_direct_embedding_is_checked_like_make(self, coords, condition):
+        t = tr.SignedTree.make({0: 1, 1: -1, 2: 1}, [(0, 1), (1, 2)])
+        with pytest.raises(NotAcceptable) as made:
+            tr.AcceptableEmbedding.make(t, coords)
+        with pytest.raises(NotAcceptable) as direct:
+            tr.AcceptableEmbedding(t, tuple(sorted(coords.items())))
+        assert direct.value.condition == made.value.condition == condition
+        assert str(direct.value) == str(made.value)
 
     def test_syntax_error_has_line(self):
         with pytest.raises(ParseError) as exc:
@@ -168,6 +313,67 @@ class TestNormalization:
             out, _ = tr.normalize_to_almost_linear(t)
             assert out.is_almost_linear()
             assert out.counts() == t.counts()
+
+
+class TestNormalizationReference:
+    @settings(max_examples=150, deadline=None)
+    @given(signed_trees())
+    def test_random_trees_match_reference(self, t):
+        assert_matches_reference(t)
+
+    def test_catalog_trees_match_reference(self):
+        for n in range(1, 16):
+            for r in range(-(n - 1), n, 2):
+                assert_matches_reference(tr.catalog_tree(-n, r).tree)
+
+    def test_records_replay_through_move_end_edge(self):
+        t = tr.catalog_tree(-161, 0).tree
+        out, records = tr.normalize_to_almost_linear(t)
+        assert len(records) > 300
+        cur = t
+        for rec in records:
+            cur = tr.move_end_edge(cur, *rec.operands)
+        assert cur == out
+
+    def test_large_catalog_tree_reaches_broom(self):
+        t = tr.catalog_tree(-641, 0).tree
+        out, records = tr.normalize_to_almost_linear(t)
+        assert out == tr.canonical_broom([s for _, s in t.signs], t.vertices)
+        assert len(records) == 2 * (len(t.vertices) - 3)
+
+
+class TestNormalizationErrors:
+    """Result checks raise typed errors, so they hold under ``python -O``."""
+
+    def test_hubs_not_adjacent_stall(self):
+        # the smallest + and - vertices (0 and 1) sit at the ends of a path
+        t = tr.SignedTree.make({0: 1, 2: -1, 3: 1, 1: -1}, [(0, 2), (2, 3), (3, 1)])
+        with pytest.raises(NotEndEdge, match="stalled"):
+            tr.normalize_to_almost_linear(t)
+
+    def test_broom_not_reached(self, monkeypatch):
+        t = tr.SignedTree.make(
+            {0: 1, 1: -1, 2: 1, 3: -1, 4: -1}, [(0, 1), (1, 2), (2, 3), (2, 4)]
+        )
+        monkeypatch.setattr(tr._TreeWork, "gather", lambda self: [])
+        with pytest.raises(PatternMismatch, match="did not reach the broom"):
+            tr.normalize_to_almost_linear(t)
+
+    def test_not_almost_linear(self, monkeypatch):
+        t = tr.SignedTree.make({0: 1, 1: -1, 2: 1}, [(0, 1), (1, 2)])
+        monkeypatch.setattr(tr.SignedTree, "is_almost_linear", lambda self: False)
+        with pytest.raises(PatternMismatch, match="almost linear"):
+            tr.normalize_to_almost_linear(t)
+
+    def test_catalog_front_invariants(self, monkeypatch):
+        monkeypatch.setattr(tr, "invariant_pair", lambda of: (0, 0))
+        with pytest.raises(BadInvariants, match="catalog front invariants"):
+            tr.catalog_front(-3, 0)
+
+    def test_move_to_missing_vertex(self):
+        t = tr.SignedTree.make({0: 1, 1: -1, 2: 1}, [(0, 1), (1, 2)])
+        with pytest.raises(NotATree, match="no vertex"):
+            tr.move_end_edge(t, (1, 2), 7)
 
 
 class TestCatalog:
