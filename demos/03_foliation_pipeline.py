@@ -41,7 +41,7 @@ print("reduced interior:", state.counts("interior"))
 
 state, regions = to_elliptic_form(state)
 print("elliptic form reached; regions:",
-      {t: regions.count(t) for t in ("type(a)", "type(b)", "semi-type(a)")})
+      {t: regions.count(t) for t in ("type(a)", "type(b)")})
 
 # Every rewrite carries its count delta; the trace is an append-only log.
 print("\nrewrite trace:")

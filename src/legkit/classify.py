@@ -221,7 +221,7 @@ def d3_from_hopf(h: int) -> Fraction:
 def hopf_from_d3(d3: Fraction) -> int:
     h = -d3 - Fraction(1, 2)
     if h.denominator != 1:
-        raise ValueError(f"{d3} is not the d3 invariant of any plane field on S^3")
+        raise BadInvariants(f"{d3} is not the d3 invariant of any plane field on S^3")
     return int(h)
 
 

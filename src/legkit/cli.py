@@ -109,10 +109,10 @@ def cmd_catalog(args) -> int:
 def cmd_tree2front(args) -> int:
     emb = trees.parse_tree(_read(args.path))
     if args.normalize:
-        front, records = trees.normalize_front_to_catalog(emb)
+        front, moves = trees.normalize_front_to_catalog(emb)
         if args.trace:
-            for rec in records:
-                print(f"# {rec.kind}: {rec.operands} (tb,r)={rec.before}", file=sys.stderr)
+            for edge, target in moves:
+                print(f"# end-edge move: {edge} -> {target}", file=sys.stderr)
         print(fronts.serialize_front(front))
         return 0
     d = trees.build_front(emb)
@@ -141,8 +141,7 @@ def cmd_foliate(args) -> int:
         print(trees.serialize_tree(skel.embedding()))
         return 0
     print(fol.dump_state(state))
-    print(f"# regions: type(a)={regions.count('type(a)')} "
-          f"type(b)={regions.count('type(b)')} semi-type(a)={regions.count('semi-type(a)')}")
+    print(f"# regions: type(a)={regions.count('type(a)')} type(b)={regions.count('type(b)')}")
     return 0
 
 
@@ -312,15 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--front")
     g.add_argument("--sl", type=_ints, help="comma-separated self-linking numbers")
     q.add_argument("--lk", type=_matrix, help="constant, or semicolon-separated matrix rows")
-    q.add_argument("--json", action="store_true")
     q.set_defaults(func=cmd_classify)
     q = ps.add_parser("d3")
     q.add_argument("--hopf", type=int, required=True)
-    q.add_argument("--json", action="store_true")
     q.set_defaults(func=cmd_classify)
     q = ps.add_parser("complement")
     q.add_argument("--slope", type=int, required=True)
-    q.add_argument("--json", action="store_true")
     q.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("render", help="SVG/ASCII picture or lift CSV of a front file")

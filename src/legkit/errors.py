@@ -44,6 +44,10 @@ class NoZigzag(LegkitError):
     """No zig-zag found at the given locator."""
 
 
+class BadDirection(LegkitError):
+    """Direction or pushoff side outside its allowed values."""
+
+
 class GeometryDegenerate(LegkitError):
     """Realization parameters force a tangential crossing."""
 

@@ -18,7 +18,10 @@ so the identity differences are preserved.  The reduced -> elliptic step
 absorbs each interior negative hyperbolic into a boundary negative
 elliptic (flipping it to hyperbolic); that absorption is the one rewrite
 that changes the negative-side difference, which is why the identity is
-stated for NAF boundaries only.
+stated for NAF boundaries only.  The pairing comes from the separatrices:
+init_boundary joins each interior negative hyperbolic to one boundary
+negative elliptic, and to_elliptic_form absorbs along such a separatrix
+wherever one is left.
 
 Each stage (to_naf, reduce_interior, to_elliptic_form) copies its input
 once into a private working copy, applies all its rewrites to it in place
@@ -94,7 +97,6 @@ class FoliationState:
     sing: tuple[tuple[str, Singularity], ...]  # sorted (id, record)
     separatrices: frozenset[frozenset[str]]
     connections: frozenset[frozenset[str]]  # elliptic-elliptic arc families
-    absorb_plan: tuple[tuple[str, str], ...]  # (interior h-, boundary e-) pairs
     curves: tuple[SingularityCurve, ...] = ()
     trace: tuple[RewriteStep, ...] = field(default=(), compare=False)
 
@@ -226,13 +228,10 @@ def init_boundary(
     pos_boundary = [b for b in boundary if sing[b].sign > 0]
     edges += [(b, f"p{i % max(1, e_target)}") for i, b in enumerate(pos_boundary)]
 
-    # Absorption plan: each interior negative hyperbolic is matched with the
-    # boundary negative elliptic it will absorb into during elliptic form.
+    # Each interior negative hyperbolic shares a separatrix with the boundary
+    # negative elliptic that to_elliptic_form absorbs it into.
     neg_boundary = [b for b in boundary if sing[b].sign < 0]
-    absorb_plan = tuple(
-        (f"q{j}", neg_boundary[len(neg_boundary) - 1 - j]) for j in range(h_target)
-    )
-    edges += [(m, q) for q, m in absorb_plan]
+    edges += [(neg_boundary[-1 - j], f"q{j}") for j in range(h_target)]
 
     # Arc-family connections are only meaningful in elliptic form; they are
     # built by to_elliptic_form from whatever singularities survive.
@@ -244,7 +243,6 @@ def init_boundary(
             sing=tuple(sorted(sing.items())),
             separatrices=frozenset(),
             connections=frozenset(),
-            absorb_plan=absorb_plan,
         )
     )
     # link walks u's same-sign tree; each same-sign edge above lists first a
@@ -537,7 +535,7 @@ def reduce_interior(state: FoliationState) -> FoliationState:
 
 @dataclass(frozen=True)
 class Region:
-    tag: str  # "type(a)" | "type(b)" | "semi-type(a)"
+    tag: str  # "type(a)" | "type(b)"
     members: tuple[str, ...]
 
 
@@ -551,21 +549,12 @@ class RegionDecomposition:
 
 def _decompose(state: FoliationState) -> RegionDecomposition:
     sm = state.sing_map
-    regions: list[Region] = []
-    for c in sorted(state.connections, key=sorted):
-        regions.append(Region("type(b)", tuple(sorted(c))))
+    regions = [Region("type(b)", tuple(sorted(c))) for c in sorted(state.connections, key=sorted)]
     n = len(state.boundary)
-    hyp_ell = 0
     for i in range(n):
         a, b = state.boundary[i], state.boundary[(i + 1) % n]
-        ka, kb = sm[a].kind, sm[b].kind
-        if ka == HYPERBOLIC and kb == HYPERBOLIC:
+        if sm[a].kind == HYPERBOLIC and sm[b].kind == HYPERBOLIC:
             regions.append(Region("type(a)", (a, b)))
-        elif HYPERBOLIC in (ka, kb):
-            hyp_ell += 1
-    n_type_b = len([r for r in regions if r.tag == "type(b)"])
-    for k in range(max(0, hyp_ell - n_type_b)):
-        regions.append(Region("semi-type(a)", (f"sector{k}",)))
     return RegionDecomposition(tuple(regions))
 
 
@@ -574,8 +563,12 @@ def to_elliptic_form(state: FoliationState) -> tuple[FoliationState, RegionDecom
 
     Each absorption flips the boundary point to hyperbolic and removes the
     interior point; afterwards the interior is all-elliptic and the
-    connection graph is the extended-skeleton tree.  Idempotent on states
-    already in elliptic form.
+    connection graph is the extended-skeleton tree.  The hyperbolics are
+    taken in sorted order, each into a still-elliptic boundary point it
+    shares a separatrix with (init_boundary draws one per hyperbolic).  Only
+    a hyperbolic with no such separatrix is rewired, to the first free point
+    in reversed boundary order.  Idempotent on states already in elliptic
+    form.
     """
     if state.is_elliptic_form() and state.connections:
         return state, _decompose(state)
@@ -584,11 +577,20 @@ def to_elliptic_form(state: FoliationState) -> tuple[FoliationState, RegionDecom
     sm = state.sing_map
     doomed_h = sorted(i for i, s in state.sing if s.locus == INTERIOR and s.kind == HYPERBOLIC)
     if doomed_h:
-        neg_boundary = [b for b in state.boundary if sm[b].sign < 0]
+        pool = [b for b in reversed(state.boundary) if sm[b].sign < 0]
+        free = {m: k for k, m in enumerate(pool)}  # still elliptic -> rank in pool
+        k = 0  # pool[:k] is absorbed already
         w = _Work(state)
-        for q, m in zip(doomed_h, reversed(neg_boundary)):
-            if frozenset((q, m)) not in w.seps:
+        for q in doomed_h:
+            shared = [m for m in w.adj.get(q, ()) if m in free]
+            if shared:
+                m = min(shared, key=free.__getitem__)
+            else:
+                while pool[k] not in free:
+                    k += 1
+                m = pool[k]
                 w.rewire(add=(q, m))
+            del free[m]
             w.absorb(q, m)
         state = w.freeze()
         del w  # release the working copy before the broom is built

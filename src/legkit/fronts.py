@@ -28,6 +28,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 from .errors import (
+    BadDirection,
     BadLocator,
     InvalidPosition,
     NoZigzag,
@@ -389,7 +390,7 @@ def transverse_self_linking(of: OrientedFront, comp: int = 0, pushoff: str = "+"
         return tb - r
     if pushoff == "-":
         return tb + r
-    raise ValueError(f"pushoff must be '+' or '-', got {pushoff!r}")
+    raise BadDirection(f"pushoff must be '+' or '-', got {pushoff!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +430,7 @@ def insert_zigzag(d: FrontDiagram, arc: int, direction: str) -> FrontDiagram:
     yields (tb, r) -> (tb - 1, r + 1), "down" yields (tb - 1, r - 1).
     """
     if direction not in (UP, DOWN):
-        raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
+        raise BadDirection(f"direction must be 'up' or 'down', got {direction!r}")
     tr = trace_components(d)
     if not 0 <= arc < len(tr.arcs):
         raise BadLocator(f"no arc {arc} (diagram has {len(tr.arcs)} arcs)")

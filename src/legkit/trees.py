@@ -294,14 +294,7 @@ def expected_invariants(t: SignedTree) -> tuple[int, int]:
 # Tree moves and normalization
 
 
-@dataclass(frozen=True)
-class MoveRecord:
-    """One recorded normalization step."""
-
-    kind: str  # "end-edge move" | "zig-zag displace" | ...
-    operands: tuple
-    before: tuple[int, int]
-    after: tuple[int, int]
+Move = tuple[tuple[int, int], int]  # ((attach, leaf), target) of an end-edge move
 
 
 class _TreeWork:
@@ -345,7 +338,7 @@ class _TreeWork:
         self.adj[target].add(leaf)
         self.adj[leaf].add(target)
 
-    def gather(self) -> list[tuple[tuple[int, int], int]]:
+    def gather(self) -> list[Move]:
         """Gather every end edge onto the hub of its attachment sign.
 
         The hubs are the smallest vertex of each sign; end edges off the
@@ -359,7 +352,7 @@ class _TreeWork:
         off_hub = [tuple(sorted(e)) for e in self.tree.edges if not e & hubs]
         heap = [e for e in off_hub if len(adj[e[0]]) == 1 or len(adj[e[1]]) == 1]
         heapq.heapify(heap)
-        moves: list[tuple[tuple[int, int], int]] = []
+        moves: list[Move] = []
         while heap:
             attach, leaf = self.end_of(heapq.heappop(heap))
             hub = hub_of[sm[attach]]
@@ -401,15 +394,15 @@ def canonical_broom(signs: Sequence[int], ids: Sequence[int]) -> SignedTree:
     return _broom(signs, ids)[0]
 
 
-def normalize_to_almost_linear(t: SignedTree) -> tuple[SignedTree, list[MoveRecord]]:
+def normalize_to_almost_linear(t: SignedTree) -> tuple[SignedTree, list[Move]]:
     """Reduce a signed tree to the canonical broom by legal end-edge moves.
 
     The tree is gathered into the double star on its hubs, then the
     broom's own gathering is undone in reverse, all on one working copy.
+    Each move replays as ``move_end_edge(t, *move)``.
     """
     if len(t.vertices) <= 1:
         return t, []
-    inv = expected_invariants(t)
     target = canonical_broom([s for _, s in t.signs], t.vertices)
     work = _TreeWork(t)
     moves = work.gather()
@@ -423,11 +416,7 @@ def normalize_to_almost_linear(t: SignedTree) -> tuple[SignedTree, list[MoveReco
         raise PatternMismatch("normalization did not reach the broom")
     if not out.is_almost_linear():
         raise PatternMismatch("normalized tree is not almost linear")
-    records = [
-        MoveRecord(kind="end-edge move", operands=(edge, tgt), before=inv, after=inv)
-        for edge, tgt in moves
-    ]
-    return out, records
+    return out, moves
 
 
 # ---------------------------------------------------------------------------
@@ -464,29 +453,16 @@ def catalog_front(tb: int, r: int) -> FrontDiagram:
     return _checked_front(catalog_tree(tb, r), (tb, r))
 
 
-def normalize_front_to_catalog(
-    emb: AcceptableEmbedding,
-) -> tuple[FrontDiagram, list[MoveRecord]]:
+def normalize_front_to_catalog(emb: AcceptableEmbedding) -> tuple[FrontDiagram, list[Move]]:
     """Normalize a tree-based front to the catalog front of its invariants.
 
-    The returned record documents the end-edge moves that reduce the tree to
-    the canonical broom; re-embedding the broom canonically corresponds to
-    zig-zag displacements on the front and is recorded as one final entry.
+    Also returns the end-edge moves that reduce the tree to the canonical
+    broom; re-embedding the broom canonically corresponds to zig-zag
+    displacements on the front.
     """
     inv = expected_invariants(emb.tree)
-    _, records = normalize_to_almost_linear(emb.tree)
-    catalog = catalog_tree(*inv)
-    front = _checked_front(catalog, inv)
-    if records or emb.coords != catalog.coords:
-        records = records + [
-            MoveRecord(
-                kind="zig-zag displace",
-                operands=("re-embed canonical broom",),
-                before=inv,
-                after=inv,
-            )
-        ]
-    return front, records
+    _, moves = normalize_to_almost_linear(emb.tree)
+    return _checked_front(catalog_tree(*inv), inv), moves
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +482,8 @@ def parse_tree(text: str) -> AcceptableEmbedding:
         try:
             if parts[0] == "v" and len(parts) == 5 and parts[4] in ("+", "-"):
                 vid = int(parts[1])
+                if vid in signs:
+                    raise ParseError(f"duplicate vertex {vid}", line=ln)
                 coords[vid] = (Fraction(parts[2]), Fraction(parts[3]))
                 signs[vid] = 1 if parts[4] == "+" else -1
             elif parts[0] == "e" and len(parts) == 3:

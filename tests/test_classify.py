@@ -140,6 +140,10 @@ class TestD3:
         for h in range(-10, 11):
             assert cl.hopf_from_d3(cl.d3_from_hopf(h)) == h
 
+    def test_not_a_d3_value(self):
+        with pytest.raises(BadInvariants, match="not the d3 invariant"):
+            cl.hopf_from_d3(Fraction(0))
+
 
 class TestComplementTorus:
     def test_example(self):

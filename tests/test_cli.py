@@ -108,6 +108,27 @@ class TestTree2Front:
         assert code == 0
         assert out == cat
 
+    def test_normalize_trace_lists_moves(self, capsys, tmp_path):
+        p = tmp_path / "tree.sat"
+        # the path is gathered onto the hubs 0 and 1, then spread into the broom
+        p.write_text("v 0 0 0 +\nv 1 1 0 -\nv 2 2 0 +\nv 3 3 0 -\nv 4 4 0 +\n"
+                     "e 0 1\ne 1 2\ne 2 3\ne 3 4\n")
+        code, _, err = run(capsys, "tree2front", str(p), "--normalize", "--trace")
+        assert code == 0
+        assert err.splitlines() == [
+            "# end-edge move: (3, 4) -> 1",
+            "# end-edge move: (2, 3) -> 0",
+            "# end-edge move: (0, 3) -> 2",
+            "# end-edge move: (1, 4) -> 3",
+        ]
+
+    def test_duplicate_vertex_exit_one(self, capsys, tmp_path):
+        p = tmp_path / "dup.sat"
+        p.write_text("v 0 0 0 +\nv 1 1 0 -\nv 1 2 0 -\ne 0 1\n")
+        code, _, err = run(capsys, "tree2front", str(p))
+        assert code == 1
+        assert "ParseError: line 3: duplicate vertex 1" in err
+
     def test_bad_signing_exit_one(self, capsys, tmp_path):
         p = tmp_path / "bad.sat"
         p.write_text("v 0 0 0 +\nv 1 1 0 +\ne 0 1\n")
@@ -136,6 +157,11 @@ class TestFoliate:
                         deltas[key] += int(token[len(key):])
             assert deltas["e+"] - deltas["h+"] == 0
             assert deltas["e-"] - deltas["h-"] == 0
+
+    def test_regions_line(self, capsys):
+        code, out, _ = run(capsys, "foliate", "--tb", "-1", "--r", "0")
+        assert code == 0
+        assert out.splitlines()[-1] == "# regions: type(a)=0 type(b)=1"
 
     def test_tb_zero_exit_one(self, capsys):
         code, _, err = run(capsys, "foliate", "--tb", "0", "--r", "1")
@@ -217,6 +243,20 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "hopf-lutz", "--sl", "-1", "--json"],
+            ["classify", "d3", "--hopf", "-1", "--json"],
+            ["classify", "complement", "--slope", "2", "--json"],
+        ],
+    )
+    def test_json_on_plain_text_oracles_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
 
     def test_fuzz_fails_on_wrong_oracle(self, capsys, monkeypatch):
         from legkit import trees

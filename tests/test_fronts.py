@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from legkit import fronts as fr
 from legkit import lifting as lf
 from legkit.errors import (
+    BadDirection,
     BadLocator,
     InvalidPosition,
     NoZigzag,
@@ -142,6 +143,10 @@ class TestInvariants:
             st.reverse(0), 0, "+"
         )
 
+    def test_bad_pushoff(self):
+        with pytest.raises(BadDirection, match="pushoff"):
+            fr.transverse_self_linking(oriented(BASIC), 0, "up")
+
 
 class TestLinking:
     def test_disjoint_eyes_link_zero(self):
@@ -242,6 +247,10 @@ class TestZigzag:
     def test_bad_locator(self):
         with pytest.raises(BadLocator):
             fr.insert_zigzag(fr.parse_front(BASIC), 99, "up")
+
+    def test_bad_direction(self):
+        with pytest.raises(BadDirection, match="direction"):
+            fr.insert_zigzag(fr.parse_front(BASIC), 0, "+")
 
     def test_displace_preserves_invariants(self):
         d = fr.insert_zigzag(fr.parse_front(EYE_X), 0, "down")

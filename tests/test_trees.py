@@ -93,10 +93,9 @@ def ref_greedy_to_double_star(t):
 
 
 def ref_normalize(t):
-    """(broom, records) of the reference, or None where gathering stalls."""
+    """(broom, moves) of the reference, or None where gathering stalls."""
     if len(t.vertices) <= 1:
         return t, []
-    inv = tr.expected_invariants(t)
     target = tr.canonical_broom([s for _, s in t.signs], t.vertices)
     fwd = ref_greedy_to_double_star(t)
     if fwd is None:
@@ -109,7 +108,7 @@ def ref_normalize(t):
         cur = ref_move_end_edge(cur, (tgt, leaf), attach)
         moves.append(((tgt, leaf), attach))
     assert cur == target
-    return cur, [tr.MoveRecord("end-edge move", mv, inv, inv) for mv in moves]
+    return cur, moves
 
 
 @st.composite
@@ -133,9 +132,8 @@ def assert_matches_reference(t):
         with pytest.raises(NotEndEdge):
             tr.normalize_to_almost_linear(t)
         return
-    out, records = tr.normalize_to_almost_linear(t)
-    assert [r.operands for r in records] == [r.operands for r in want[1]]
-    assert records == want[1]
+    out, moves = tr.normalize_to_almost_linear(t)
+    assert moves == want[1]
     assert out == want[0]
 
 
@@ -214,6 +212,11 @@ class TestParsing:
         with pytest.raises(ParseError) as exc:
             tr.parse_tree("v 0 0 0 +\nbogus line")
         assert exc.value.line == 2
+
+    def test_duplicate_vertex_has_line(self):
+        with pytest.raises(ParseError, match="duplicate vertex 1") as exc:
+            tr.parse_tree("v 0 0 0 +\nv 1 1 0 -\n# again\nv 1 2 0 -\ne 0 1")
+        assert exc.value.line == 4
 
 
 class TestBuildFront:
@@ -303,7 +306,7 @@ class TestNormalization:
         assert out.counts() == t.counts()
         cur = t
         for mv in moves:
-            cur = tr.move_end_edge(cur, mv.operands[0], mv.operands[1])
+            cur = tr.move_end_edge(cur, *mv)
         assert cur.edges == out.edges
 
     def test_fuzz_reaches_broom(self):
@@ -328,18 +331,18 @@ class TestNormalizationReference:
 
     def test_records_replay_through_move_end_edge(self):
         t = tr.catalog_tree(-161, 0).tree
-        out, records = tr.normalize_to_almost_linear(t)
-        assert len(records) > 300
+        out, moves = tr.normalize_to_almost_linear(t)
+        assert len(moves) > 300
         cur = t
-        for rec in records:
-            cur = tr.move_end_edge(cur, *rec.operands)
+        for mv in moves:
+            cur = tr.move_end_edge(cur, *mv)
         assert cur == out
 
     def test_large_catalog_tree_reaches_broom(self):
         t = tr.catalog_tree(-641, 0).tree
-        out, records = tr.normalize_to_almost_linear(t)
+        out, moves = tr.normalize_to_almost_linear(t)
         assert out == tr.canonical_broom([s for _, s in t.signs], t.vertices)
-        assert len(records) == 2 * (len(t.vertices) - 3)
+        assert len(moves) == 2 * (len(t.vertices) - 3)
 
 
 class TestNormalizationErrors:
@@ -405,9 +408,20 @@ class TestCatalog:
 class TestNormalizeToCatalog:
     def test_single_edge_empty_record(self):
         emb = tr.parse_tree(EDGE)
-        front, record = tr.normalize_front_to_catalog(emb)
+        front, moves = tr.normalize_front_to_catalog(emb)
         assert fr.serialize_front(front) == "L 1\nR 1"
-        assert record == []
+        assert moves == []
+
+    def test_moves_are_the_tree_moves(self):
+        # a broom embedded off the catalog coordinates needs no move
+        emb = tr.parse_tree("v 0 0 0 +\nv 1 1 1/8 -\nv 2 2 0 +\ne 0 1\ne 1 2")
+        assert emb.coords != tr.catalog_tree(-2, 1).coords
+        assert tr.normalize_front_to_catalog(emb)[1] == []
+        rng = random.Random(5)
+        for _ in range(20):
+            emb = tr.random_acceptable_embedding(rng, 12)
+            _, moves = tr.normalize_front_to_catalog(emb)
+            assert moves == tr.normalize_to_almost_linear(emb.tree)[1]
 
     def test_confluence_fuzz(self):
         rng = random.Random(314)
