@@ -41,6 +41,16 @@ def _pair(text: str) -> tuple[int, int]:
     return vals[0], vals[1]
 
 
+def _samples(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
+    return n
+
+
 def _matrix(text: str) -> list[list[int]]:
     return [_ints(row) for row in text.split(";")]
 
@@ -129,8 +139,8 @@ def cmd_foliate(args) -> int:
         kinds = [fol.ELLIPTIC] * (2 * abs(args.tb))
     state = fol.init_boundary(args.tb, args.r, boundary_kinds=kinds)
     state = fol.to_naf(state)
-    state = fol.reduce_interior(state)
     naf_steps = len(state.trace)
+    state = fol.reduce_interior(state)
     state, regions = fol.to_elliptic_form(state)
     if args.trace:
         for k, step in enumerate(state.trace):
@@ -323,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--format", choices=("svg", "ascii"), default="ascii")
     p.add_argument("--lift-csv", action="store_true")
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--samples", type=_samples, default=2000,
+                   help="samples per arc of the lift (at least 2)")
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("fuzz", help="random self-checks (LEGKIT_SEED)")

@@ -377,6 +377,10 @@ def _broom(signs: Sequence[int], ids: Sequence[int]) -> tuple[SignedTree, list[i
     plus = sorted(v for v, s in zip(ids, signs) if s == 1)
     minus = sorted(v for v, s in zip(ids, signs) if s == -1)
     maj, mino = (plus, minus) if len(plus) >= len(minus) else (minus, plus)
+    if not mino:
+        raise BadSigning(
+            f"a broom needs vertices of both signs, got {len(plus)} '+' and {len(minus)} '-'"
+        )
     q = len(mino)
     order = [x for pair in zip(maj[:q], mino) for x in pair]
     leaves = maj[q:]
@@ -390,6 +394,7 @@ def canonical_broom(signs: Sequence[int], ids: Sequence[int]) -> SignedTree:
     A broom: an alternating path ending in a hub at the right, with all
     excess majority-sign vertices hanging off the hub as leaves.  For a
     balanced multiset it is the plain alternating path starting with +.
+    A multiset without both signs has no broom (BadSigning).
     """
     return _broom(signs, ids)[0]
 

@@ -158,6 +158,16 @@ class TestFoliate:
             assert deltas["e+"] - deltas["h+"] == 0
             assert deltas["e-"] - deltas["h-"] == 0
 
+    def test_trace_marks_post_naf(self, capsys):
+        code, out, _ = run(capsys, "foliate", "--tb", "-3", "--r", "0", "--raw", "--trace")
+        assert code == 0
+        steps = [l for l in out.splitlines() if l.startswith("# ") and "regions:" not in l]
+        converts = [l for l in steps if l.startswith("# convert(")]
+        reduces = [l for l in steps if l.startswith(("# rewire(", "# eliminate("))]
+        assert len(converts) == 3 and len(reduces) == 8
+        assert not any("[post-NAF regime]" in l for l in converts)
+        assert all(l.endswith(" [post-NAF regime]") for l in reduces)
+
     def test_regions_line(self, capsys):
         code, out, _ = run(capsys, "foliate", "--tb", "-1", "--r", "0")
         assert code == 0
@@ -219,6 +229,20 @@ class TestRender:
         ys = np.append(y, y[0])
         closure = float(np.sum((ys[1:] + ys[:-1]) / 2 * np.diff(xs)))
         assert abs(closure) < 1e-6
+
+
+    @pytest.mark.parametrize("value", ["-5", "1", "0", "many"])
+    def test_samples_below_two_is_usage_error(self, capsys, basic_file, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["render", basic_file, "--lift-csv", "--samples", value])
+        assert exc.value.code == 2
+        assert "expected an integer >= 2" in capsys.readouterr().err
+
+    def test_two_samples_per_arc(self, capsys, basic_file):
+        code, out, _ = run(capsys, "render", basic_file, "--lift-csv", "--samples", "2")
+        assert code == 0
+        # two arcs of four pieces, two steps per piece, each arc's last sample dropped
+        assert len(out.strip().splitlines()) == 1 + 2 * 4 * 2
 
 
 class TestExitCodes:

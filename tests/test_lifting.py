@@ -94,6 +94,11 @@ class TestRealize:
         with pytest.raises(GeometryDegenerate):
             lf.realize_front(d, lf.GeomParams(crossing_slope=0.0))
 
+    @pytest.mark.parametrize("n", [1, 0, -5])
+    def test_too_few_samples(self, n):
+        with pytest.raises(GeometryDegenerate):
+            lf.realize_front(fr.parse_front("L 1\nR 1"), lf.GeomParams(samples_per_arc=n))
+
     def test_catalog_never_degenerate(self):
         for tb, r in [(-1, 0), (-3, 2), (-5, 0), (-6, -3)]:
             lf.realize_front(tr.catalog_front(tb, r), FAST)
@@ -122,7 +127,60 @@ class TestLift:
         r1 = lf.legendrian_lift(lf.realize_front(d, lf.GeomParams(samples_per_arc=2000)))
         r2 = lf.legendrian_lift(lf.realize_front(d, lf.GeomParams(samples_per_arc=4000)))
         assert r1.legendrian_residual() / r2.legendrian_residual() >= 2
-        assert abs(r1.closure_integral()) / max(abs(r2.closure_integral()), 1e-30) >= 2
+        # (-3, 0) is mirror-symmetric: its panel errors cancel to rounding
+        assert abs(r1.closure_integral()) <= 1e-15 * r1.diameter()
+        d = tr.catalog_front(-4, 1)
+        a1 = lf.legendrian_lift(lf.realize_front(d, lf.GeomParams(samples_per_arc=2000)))
+        a2 = lf.legendrian_lift(lf.realize_front(d, lf.GeomParams(samples_per_arc=4000)))
+        assert abs(a1.closure_integral()) / max(abs(a2.closure_integral()), 1e-30) >= 2
+
+    def test_panel_rule_fourth_order(self):
+        d = tr.catalog_front(-4, 1)
+        r1 = lf.legendrian_lift(lf.realize_front(d, lf.GeomParams(samples_per_arc=250)))
+        r2 = lf.legendrian_lift(lf.realize_front(d, lf.GeomParams(samples_per_arc=500)))
+        assert r1.legendrian_residual() / r2.legendrian_residual() >= 8
+        assert abs(r1.closure_integral()) / abs(r2.closure_integral()) >= 8
+
+    def test_panel_rule_exact_on_quadratics(self):
+        # a figure eight of four pieces, each with x linear and y quadratic
+        # in t, so y x' is quadratic; z is the exact integral of y dx
+        s = np.linspace(0.0, 1.0, 17)[:-1]
+        bump = 4 * s * (1 - s)
+        rise = 2 * s**2 - 4 * s**3 / 3  # integral of bump from 0 to s
+        x = np.concatenate([s, 1 + s, 2 - s, 1 - s])
+        y = np.concatenate([bump, -bump, bump, -bump])
+        z = np.concatenate([rise, 2 / 3 - rise, -rise, rise - 2 / 3])
+        lc = lf.LiftedCurve.from_samples(x, y, z)
+        assert lc.legendrian_residual() <= 1e-15
+        assert abs(lc.closure_integral()) <= 1e-15
+
+    def test_odd_last_step_is_trapezoid(self):
+        lc = polyline([(0, 0), (1, 2), (3, 1), (2, 5), (1, 4)])  # closed: 5 steps
+        dz, ydx = lc.panel_terms
+        assert len(dz) == len(ydx) == 3
+        assert ydx[-1] == (4 + 0) / 2 * (0 - 1)
+        open_lc = lf.LiftedCurve.from_samples(lc.x[:4], lc.y[:4], lc.z[:4], closed=False)
+        assert open_lc.panel_terms[1][-1] == (5 + 1) / 2 * (2 - 3)
+
+    def test_arrays_read_only(self):
+        x = np.array([0.0, 1.0, 1.0, 0.0])
+        lc = lf.LiftedCurve.from_samples(x, [0.0, 0.0, 1.0, 1.0], np.zeros(4))
+        before = lc.closure_integral()
+        x[1] = 5.0  # the caller's array is not the curve's
+        assert lc.closure_integral() == before
+        with pytest.raises(ValueError):
+            lc.x[0] = 1.0
+
+    def test_pieces_start_at_even_indices(self):
+        rf = lf.realize_front(tr.catalog_front(-4, 1), lf.GeomParams(samples_per_arc=101))
+        for curve in rf.curves:
+            x, z, _ = curve.sample(101)
+            per = (len(x) - 1) // len(curve.pieces)
+            assert per % 2 == 0 and len(x) == per * len(curve.pieces) + 1
+            for k, piece in enumerate(curve.pieces):
+                assert (x[k * per], z[k * per]) == (piece.cx[0], piece.cz[0])
+        lc = lf.legendrian_lift(rf)
+        assert len(lc.x) % 2 == 0
 
 
 class TestRotation:

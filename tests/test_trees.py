@@ -373,6 +373,11 @@ class TestNormalizationErrors:
         with pytest.raises(BadInvariants, match="catalog front invariants"):
             tr.catalog_front(-3, 0)
 
+    @pytest.mark.parametrize("signs,ids", [([1], [0]), ([1, 1], [0, 1])])
+    def test_broom_needs_both_signs(self, signs, ids):
+        with pytest.raises(BadSigning, match="both signs"):
+            tr.canonical_broom(signs, ids)
+
     def test_move_to_missing_vertex(self):
         t = tr.SignedTree.make({0: 1, 1: -1, 2: 1}, [(0, 1), (1, 2)])
         with pytest.raises(NotATree, match="no vertex"):
