@@ -349,24 +349,22 @@ _VALUE_FLAGS = {"--sl", "--lk", "--a", "--b", "--orient"}
 def _join_value_flags(argv: list[str]) -> list[str]:
     # let flag values start with a dash: --sl -1,-1,-1
     out = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            skip = True
+    for tok in argv:
+        if out and out[-1] in _VALUE_FLAGS and tok.startswith("-"):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
     return out
 
 
+_PARSER = None  # one per process, built by the first main() call
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = ap.parse_args(_join_value_flags(list(argv)))
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(_join_value_flags(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except LegkitError as exc:

@@ -508,7 +508,5 @@ def _shoelace(pts: np.ndarray) -> float:
 
 def lift_csv(lc: LiftedCurve) -> str:
     """CSV dump of the sampled space curve, 17 significant digits."""
-    lines = ["x,y,z"]
-    for xi, yi, zi in zip(lc.x, lc.y, lc.z):
-        lines.append(f"{xi:.17g},{yi:.17g},{zi:.17g}")
-    return "\n".join(lines)
+    rows = zip(lc.x.tolist(), lc.y.tolist(), lc.z.tolist())
+    return "\n".join(["x,y,z", *("%.17g,%.17g,%.17g" % row for row in rows)])

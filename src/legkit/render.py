@@ -2,8 +2,9 @@
 
 SVG uses the numeric realization: x rightward, z upward, semicubical cusp
 geometry, and a casing gap at each crossing so the strand of lesser slope
-reads as the over-strand.  The ASCII renderer draws the combinatorial
-stack on a character grid.
+reads as the over-strand; each path is formatted from one array with one
+``%`` operation.  The ASCII renderer draws the combinatorial stack on a
+character grid.
 """
 
 from __future__ import annotations
@@ -21,36 +22,28 @@ def render_svg(d: FrontDiagram, scale: float = 60.0) -> str:
     params = GeomParams(samples_per_arc=_SVG_SAMPLES)
     rf = realize_front(d, params)
     tr = rf.trace
-    paths = []
-    pts = {}
-    for curve in rf.curves:
-        x, z, _ = curve.sample(_SVG_SAMPLES)
-        pts[curve.arc] = (x, z)
-    all_x = np.concatenate([p[0] for p in pts.values()])
-    all_z = np.concatenate([p[1] for p in pts.values()])
+    xz = {curve.arc: curve.sample(_SVG_SAMPLES)[:2] for curve in rf.curves}
+    all_x = np.concatenate([x for x, _ in xz.values()])
+    all_z = np.concatenate([z for _, z in xz.values()])
     x0, x1 = float(all_x.min()) - 0.5, float(all_x.max()) + 0.5
     z0, z1 = float(all_z.min()) - 0.5, float(all_z.max()) + 0.5
     width = (x1 - x0) * scale
     height = (z1 - z0) * scale
-
-    def to_svg(x, z):
-        return (x - x0) * scale, (z1 - z) * scale
+    # page coordinates, one (n, 2) array per arc
+    pts = {arc: np.stack(((x - x0) * scale, (z1 - z) * scale), axis=1)
+           for arc, (x, z) in xz.items()}
 
     def path_of(arc, lo=0.0, hi=1.0):
-        x, z = pts[arc]
-        n = len(x)
-        i0, i1 = int(lo * (n - 1)), int(hi * (n - 1)) + 1
-        coords = " L".join(
-            f"{sx:.2f},{sz:.2f}" for sx, sz in (to_svg(a, b) for a, b in zip(x[i0:i1], z[i0:i1]))
-        )
+        seg = pts[arc]
+        n = len(seg)
+        seg = seg[int(lo * (n - 1)):int(hi * (n - 1)) + 1]
+        coords = ("%.2f,%.2f L" * len(seg))[:-2] % tuple(seg.ravel().tolist())
         return f'<path d="M{coords}" fill="none" stroke="black" stroke-width="2"/>'
 
-    for curve in rf.curves:
-        paths.append(path_of(curve.arc))
+    paths = [path_of(curve.arc) for curve in rf.curves]
     # crossing casings: over-strand (lesser slope) redrawn over a white disk
     for xr in tr.crossings:
-        ev = xr.event
-        cx, cz = to_svg(ev + 1, float(np.mean([pts[xr.in_lower][1][-1]])))
+        cx, cz = (xr.event + 1 - x0) * scale, pts[xr.in_lower][-1, 1]
         paths.append(f'<circle cx="{cx:.2f}" cy="{cz:.2f}" r="{0.18 * scale:.2f}" fill="white"/>')
         # lesser slope = the in_upper -> out_lower chain
         paths.append(path_of(xr.in_upper, lo=0.75))

@@ -1,7 +1,10 @@
 import json
+import random
 
 import pytest
 
+from legkit import classify as cls
+from legkit import cli, fronts, trees
 from legkit.cli import main
 
 BASIC = "L 1\nR 1\n"
@@ -81,6 +84,27 @@ class TestCatalog:
         assert code == 0
         events = [l for l in out.splitlines() if l and l[0] in "LR"]
         assert len(events) == 6  # catalog (-3, 0) has six cusps
+
+    def test_svg_paths_and_casings(self, capsys, tmp_path):
+        import xml.etree.ElementTree as ET
+
+        ns = "{http://www.w3.org/2000/svg}"
+        rng = random.Random(3)
+        cases = [(["catalog", "--tb", "-6", "--r", "1", "--svg"], trees.catalog_front(-6, 1))]
+        for i in range(12):
+            d = fronts.random_closed_front(rng, 16)
+            p = tmp_path / f"f{i}.lfd"
+            p.write_text(fronts.serialize_front(d))
+            cases.append((["render", str(p), "--format", "svg"], d))
+        for argv, d in cases:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            tr = fronts.trace_components(d)
+            root = ET.fromstring(out)
+            # one path per arc; per crossing a white disk and the two casing halves
+            assert len(root.findall(ns + "path")) == len(tr.arcs) + 2 * len(tr.crossings)
+            assert len(root.findall(ns + "circle")) == len(tr.crossings)
+        assert any(fronts.trace_components(d).crossings for _, d in cases)
 
     def test_determinism(self, capsys):
         _, a, _ = run(capsys, "catalog", "--tb", "-7", "--r", "4", "--front")
@@ -297,3 +321,42 @@ class TestExitCodes:
         code, out, _ = run(capsys, "fuzz", "--count", "20")
         assert code == 0
         assert "seed 777" in out
+
+
+class TestParserReuse:
+    """main() keeps one parser per process; no call may see another's arguments."""
+
+    def test_orient_does_not_stick(self, capsys, tmp_path):
+        p = tmp_path / "stab.lfd"
+        p.write_text("L 1\nL 1\nR 2\nR 1\n")
+        _, out_rev, _ = run(capsys, "invariants", str(p), "--orient", "0:-", "--json")
+        _, out_default, _ = run(capsys, "invariants", str(p), "--json")
+        r_rev = json.loads(out_rev)["components"][0]["r"]
+        r_default = json.loads(out_default)["components"][0]["r"]
+        assert (r_rev, r_default) == (1, -1)
+
+    def test_valid_call_after_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["catalog", "--tb", "-1", "--r", "0", "--tree", "--front"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        code, out, err = run(capsys, "catalog", "--tb", "-1", "--r", "0", "--front")
+        assert code == 0 and err == ""
+        assert out.strip() == "L 1\nR 1"
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        fresh = cli.build_parser
+        assert fresh() is not fresh()
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return fresh()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        for hopf in range(-3, 4):
+            code, out, _ = run(capsys, "classify", "d3", "--hopf", str(hopf))
+            assert code == 0
+            assert out.strip() == str(cls.d3_from_hopf(hopf))
+        assert len(built) == 1

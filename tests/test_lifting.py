@@ -256,3 +256,15 @@ class TestCsv:
         lines = text.splitlines()
         assert lines[0] == "x,y,z"
         assert len(lines) == len(lc.x) + 1
+
+    def test_matches_per_sample_reference(self):
+        # the per-sample original, formatted from numpy scalars
+        def ref_lift_csv(lc):
+            rows = (f"{a:.17g},{b:.17g},{c:.17g}" for a, b, c in zip(lc.x, lc.y, lc.z))
+            return "\n".join(["x,y,z", *rows])
+
+        for tb, r in ((-1, 0), (-4, 3), (-5, 2)):
+            lc = lf.legendrian_lift(lf.realize_front(tr.catalog_front(tb, r), FAST))
+            assert lf.lift_csv(lc) == ref_lift_csv(lc)
+        lc = polyline([(0.0, -0.0), (1e-300, 1 / 3), (-2.5e17, 7.0)])
+        assert lf.lift_csv(lc) == ref_lift_csv(lc)
