@@ -40,9 +40,8 @@ for tb, r in [(-1, 0), (-2, 1), (-4, -3)]:
           f" combinatorial {rotation_number(of):+d}")
 
 # The basic unknot's Lagrangian projection is a figure eight: one double
-# point splitting the curve into two lobes of opposite area.  The sweep only
-# counts crossings inside both segments, so at densities where the crossing
-# falls on a sample of both strands (as at this one) it reports none.
+# point splitting the curve into two lobes of opposite area.  Here it falls
+# on a sample of both strands; the sweep's half-open hit rule counts it once.
 lc = legendrian_lift(realize_front(parse_front("L 1\nR 1"), params))
 report = lagrangian_embeddedness_check(lc)
 print("double points found:", len(report.double_points))

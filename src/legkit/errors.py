@@ -52,10 +52,6 @@ class GeometryDegenerate(LegkitError):
     """Realization parameters force a tangential crossing."""
 
 
-class NonGeneric(LegkitError):
-    """Realized front violates transversality, cannot lift."""
-
-
 class DegenerateTangent(LegkitError):
     """Consecutive samples coincide; winding number undefined."""
 

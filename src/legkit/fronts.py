@@ -146,8 +146,8 @@ class CrossingRecord:
 
 @dataclass(frozen=True)
 class ComponentDecomposition:
-    """Arcs, per-arc component ids and default directions, cusp pairings and
-    crossing incidences."""
+    """Arcs, per-arc component ids, default directions and traversal cycles,
+    cusp pairings and crossing incidences."""
 
     arcs: tuple[Arc, ...]
     component_of: tuple[int, ...]  # arc index -> component id
@@ -157,9 +157,9 @@ class ComponentDecomposition:
     stacks: tuple[tuple[int, ...], ...]  # stacks[j] = arc ids after j events
     # arc index -> True if traversed rightward under the default orientation
     directions: tuple[bool, ...]
-
-    def arcs_of(self, comp: int) -> list[int]:
-        return [a.index for a in self.arcs if self.component_of[a.index] == comp]
+    # cycles[c] = arcs of component c in default traversal order, from its
+    # lowest arc
+    cycles: tuple[tuple[int, ...], ...]
 
     def position_in_slot(self, arc: int, slot: int) -> int:
         """1-based position of an arc in a given slot."""
@@ -168,89 +168,77 @@ class ComponentDecomposition:
 
 @lru_cache(maxsize=4096)
 def trace_components(d: FrontDiagram) -> ComponentDecomposition:
-    """Scan the event stack, building arcs, incidences and components.
+    """Scan the event stack for arcs, incidences and arc-end joins, then walk
+    the components as cycles.
 
-    Cached by diagram value: equal diagrams share one decomposition.
+    Arc end ``2 * a`` is the left (birth) end of arc ``a``, ``2 * a + 1`` its
+    right (death) end.  A cusp joins the two ends it creates or removes; at a
+    crossing the lower-in arc continues as the upper-out arc.  Every end is
+    joined to exactly one other, so each component is a cycle.  Cached by
+    diagram value: equal diagrams share one decomposition.
     """
-    arcs: list[Arc] = []
+    born: list[int] = []
+    died: list[int] = []
+    join: list[int] = []  # arc end -> the arc end it is joined to
     cusps: list[CuspRecord] = []
     crossings: list[CrossingRecord] = []
     stack: list[int] = []
     stacks: list[tuple[int, ...]] = [()]
-
-    def new_arc(born, role):
-        arcs.append(Arc(index=len(arcs), born=born, role=role, died=-1))
-        return len(arcs) - 1
-
-    def kill(idx, at):
-        arcs[idx] = Arc(index=idx, born=arcs[idx].born, role=arcs[idx].role, died=at)
-
     for j, ev in enumerate(d.events):
         p = ev.position
-        if ev.kind == LEFT:
-            lo = new_arc(j, 0)
-            hi = new_arc(j, 1)
-            stack[p - 1 : p - 1] = [lo, hi]
-            cusps.append(CuspRecord(event=j, kind=LEFT, lower=lo, upper=hi))
-        elif ev.kind == RIGHT:
+        if ev.kind == RIGHT:
             lo, hi = stack[p - 1], stack[p]
             del stack[p - 1 : p + 1]
-            kill(lo, j)
-            kill(hi, j)
+            died[lo] = died[hi] = j
+            join[2 * lo + 1], join[2 * hi + 1] = 2 * hi + 1, 2 * lo + 1
             cusps.append(CuspRecord(event=j, kind=RIGHT, lower=lo, upper=hi))
         else:
-            a, b = stack[p - 1], stack[p]
-            kill(a, j)
-            kill(b, j)
-            c = new_arc(j, 0)
-            dd = new_arc(j, 1)
-            stack[p - 1], stack[p] = c, dd
-            crossings.append(
-                CrossingRecord(event=j, in_lower=a, in_upper=b, out_lower=c, out_upper=dd)
-            )
+            lo, hi = len(born), len(born) + 1
+            born += (j, j)
+            died += (-1, -1)
+            join += (-1, -1, -1, -1)
+            if ev.kind == LEFT:
+                stack[p - 1 : p - 1] = [lo, hi]
+                join[2 * lo], join[2 * hi] = 2 * hi, 2 * lo
+                cusps.append(CuspRecord(event=j, kind=LEFT, lower=lo, upper=hi))
+            else:
+                a, b = stack[p - 1], stack[p]
+                died[a] = died[b] = j
+                join[2 * a + 1], join[2 * hi] = 2 * hi, 2 * a + 1
+                join[2 * b + 1], join[2 * lo] = 2 * lo, 2 * b + 1
+                stack[p - 1], stack[p] = lo, hi
+                crossings.append(
+                    CrossingRecord(event=j, in_lower=a, in_upper=b, out_lower=lo, out_upper=hi)
+                )
         stacks.append(tuple(stack))
 
-    # Constraint graph: cusps flip direction, crossings preserve it (the
-    # lower-in arc continues as the upper-out arc).  Its connected components
-    # are the diagram's components, numbered by their lowest arc, which is
-    # directed left-to-right.
-    n = len(arcs)
-    adj: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
-    for cu in cusps:
-        adj[cu.lower].append((cu.upper, True))
-        adj[cu.upper].append((cu.lower, True))
-    for x in crossings:
-        for u, v in ((x.in_lower, x.out_upper), (x.in_upper, x.out_lower)):
-            adj[u].append((v, False))
-            adj[v].append((u, False))
-    component_of: list[int] = [-1] * n
-    dirs: list[bool] = [True] * n
-    n_components = 0
+    # Components are numbered by their lowest arc, which is walked rightward:
+    # leave each arc by its far end and enter the next arc by the joined end.
+    n = len(born)
+    component_of = [-1] * n
+    dirs = [True] * n
+    cycles: list[tuple[int, ...]] = []
     for anchor in range(n):
         if component_of[anchor] >= 0:
             continue
-        comp = n_components
-        n_components += 1
-        component_of[anchor] = comp
-        frontier = [anchor]
-        while frontier:
-            u = frontier.pop()
-            for v, flip in adj[u]:
-                want = dirs[u] != flip
-                if component_of[v] < 0:
-                    component_of[v] = comp
-                    dirs[v] = want
-                    frontier.append(v)
-                elif dirs[v] != want:
-                    raise NotClosed(f"inconsistent traversal in component {comp}")
+        comp, cycle = len(cycles), []
+        arc, rightward = anchor, True
+        while component_of[arc] < 0:
+            component_of[arc], dirs[arc] = comp, rightward
+            cycle.append(arc)
+            end = join[2 * arc + rightward]
+            arc, rightward = end >> 1, not end & 1
+        cycles.append(tuple(cycle))
     return ComponentDecomposition(
-        arcs=tuple(arcs),
+        # arcs are made in (lower, upper) pairs, so an arc's role is its parity
+        arcs=tuple(Arc(index=a, born=born[a], role=a & 1, died=died[a]) for a in range(n)),
         component_of=tuple(component_of),
-        n_components=n_components,
+        n_components=len(cycles),
         cusps=tuple(cusps),
         crossings=tuple(crossings),
         stacks=tuple(stacks),
         directions=tuple(dirs),
+        cycles=tuple(cycles),
     )
 
 

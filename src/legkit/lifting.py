@@ -8,17 +8,20 @@ z ~ t^3, so branches meet with a common horizontal tangent); crossing
 ends meet at one point with slopes +-crossing_slope, giving a
 transversality gap of twice that.
 
-The Legendrian lift adds y = dz/dx.  For a closed component the lift must
-satisfy dz = y dx, so the closure integral of y dx vanishes up to
-quadrature error, and the winding number of the Lagrangian-projection
-tangent recovers the combinatorial rotation number.  Each cubic piece is
+The Legendrian lift adds y = dz/dx and follows a component's cycle from the
+trace: its arcs in default order from the lowest one or, for a reversed
+component, that arc and then the others backwards, each sampled in its
+oriented direction.  For a closed component the lift must satisfy
+dz = y dx, so the closure integral of y dx vanishes up to quadrature error,
+and the winding number of the Lagrangian-projection tangent recovers the
+combinatorial rotation number.  Each cubic piece is
 sampled at an even number of uniform parameter steps, so every two-step
 panel of the lifted curve lies inside one piece; the integral of y dx over a
 panel is that of the quadratic interpolants of x and y through its three
 samples, a fourth-order rule, exact where x and y are quadratic in the
 parameter.  The double points of the Lagrangian projection come from a
-sorted sweep over its segments; each must split the curve into two lobes of
-nonzero area.
+sorted sweep over its segments, a crossing through sample vertices counted
+once; each must split the curve into two lobes of nonzero area.
 """
 
 from __future__ import annotations
@@ -32,11 +35,9 @@ import numpy as np
 from .errors import (
     DegenerateTangent,
     GeometryDegenerate,
-    NonGeneric,
     NotClosed,
 )
 from .fronts import (
-    CROSS,
     LEFT,
     RIGHT,
     ComponentDecomposition,
@@ -110,7 +111,6 @@ class RealizedFront:
     diagram: FrontDiagram
     params: GeomParams
     curves: tuple[ArcCurve, ...]  # indexed by arc
-    crossing_gaps: tuple[float, ...]
 
     @property
     def trace(self) -> ComponentDecomposition:
@@ -238,11 +238,7 @@ def realize_front(d: FrontDiagram, params: GeomParams = GeomParams()) -> Realize
 
         curves.append(ArcCurve(arc=a.index, pieces=tuple(pieces)))
 
-    gaps = tuple(2 * params.crossing_slope for _ in tr.crossings)
-    for g in gaps:
-        if g < params.slope_margin:
-            raise GeometryDegenerate("tangential crossing")
-    return RealizedFront(diagram=d, params=params, curves=tuple(curves), crossing_gaps=gaps)
+    return RealizedFront(diagram=d, params=params, curves=tuple(curves))
 
 
 def _reverse_cubic(c: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
@@ -340,54 +336,24 @@ class LiftedCurve:
         return float(np.sum(turns)) / (2 * np.pi)
 
 
-def _traversal(
-    tr: ComponentDecomposition, comp: int, dirs: tuple[bool, ...]
-) -> list[tuple[int, bool]]:
-    """Ordered (arc, rightward) cycle of one component."""
-    partner: dict[tuple[int, str], tuple[int, str]] = {}
-    for c in tr.cusps:
-        if c.kind == LEFT:
-            partner[(c.lower, "born")] = (c.upper, "born")
-            partner[(c.upper, "born")] = (c.lower, "born")
-        else:
-            partner[(c.lower, "died")] = (c.upper, "died")
-            partner[(c.upper, "died")] = (c.lower, "died")
-    for xch in tr.crossings:
-        partner[(xch.in_lower, "died")] = (xch.out_upper, "born")
-        partner[(xch.out_upper, "born")] = (xch.in_lower, "died")
-        partner[(xch.in_upper, "died")] = (xch.out_lower, "born")
-        partner[(xch.out_lower, "born")] = (xch.in_upper, "died")
-
-    start = min(tr.arcs_of(comp))
-    walk = []
-    arc, rightward = start, dirs[start]
-    while True:
-        walk.append((arc, rightward))
-        end = "died" if rightward else "born"
-        nxt, nxt_end = partner[(arc, end)]
-        rightward = nxt_end == "born"
-        arc = nxt
-        if arc == start and rightward == dirs[start]:
-            break
-    return walk
-
-
 def legendrian_lift(
     rf: RealizedFront, comp: int = 0, of: Optional[OrientedFront] = None
 ) -> LiftedCurve:
     """Lift one component to a closed (x, y, z) polyline following its orientation."""
-    for g in rf.crossing_gaps:
-        if g < rf.params.slope_margin:
-            raise NonGeneric("tangential crossing in realized front")
     tr = rf.trace
     if not 0 <= comp < tr.n_components:
         raise NotClosed(f"no component {comp}")
     if of is None:
         of = OrientedFront.default(rf.diagram)
+    dirs = of.directions
+    cycle = tr.cycles[comp]
+    if not dirs[cycle[0]]:
+        # reversed: the same first arc, then the others backwards
+        cycle = cycle[:1] + cycle[:0:-1]
     xs, ys, zs = [], [], []
-    for arc, rightward in _traversal(tr, comp, of.directions):
+    for arc in cycle:
         x, z, y = rf.curves[arc].sample(rf.params.samples_per_arc)
-        if not rightward:
+        if not dirs[arc]:
             x, z, y = x[::-1], z[::-1], y[::-1]
         # the last sample is the next arc's first; every arc has an even
         # number of steps, so every piece starts at an even index
@@ -445,8 +411,11 @@ def lagrangian_embeddedness_check(
     The double points come from a sorted sweep over the polyline's segments:
     sorted by their smallest x, each segment is paired with the later ones
     that start before it ends, pairs with disjoint y-ranges are dropped, and
-    one vectorized intersection test runs over the rest.  Reports are ordered
-    by the indices (i, j), i < j, of the two crossing segments.
+    one vectorized intersection test runs over the rest.  Two segments cross
+    when each has its endpoints on opposite sides of the other's line, with a
+    point on a line counted on its left, so a crossing through sample
+    vertices is counted once.  Reports are ordered by the indices (i, j),
+    i < j, of the two crossing segments.
     """
     step = max(1, len(lc.x) // max_segments)
     x = np.append(lc.x[::step], lc.x[0])
@@ -477,15 +446,17 @@ def lagrangian_embeddedness_check(
         # adjacent segments share an endpoint; so do segment 0 and the closing one
         keep = (j >= i + 2) & ~((i == 0) & (j == n - 1))
         i, j = i[keep], j[keep]
-        d1, d2, rel = d[i], d[j], p[j] - p[i]
+        d1, d2 = d[i], d[j]
         denom = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (rel[:, 0] * d2[:, 1] - rel[:, 1] * d2[:, 0]) / denom
-            u = (rel[:, 0] * d1[:, 1] - rel[:, 1] * d1[:, 0]) / denom
-        hit = (np.abs(denom) > 1e-14) & (t > 0) & (t < 1) & (u > 0) & (u < 1)
-        found_i.append(i[hit])
-        found_j.append(j[hit])
-        found_t.append(t[hit])
+        # a rounded side test may still split nearly collinear parallel
+        # segments; those have no crossing parameter
+        hit = ((_left_of(p[i], d1, p[j]) != _left_of(p[i], d1, q[j]))
+               & (_left_of(p[j], d2, p[i]) != _left_of(p[j], d2, q[i])) & (denom != 0))
+        i, j, d2, denom = i[hit], j[hit], d2[hit], denom[hit]
+        rel = p[j] - p[i]
+        found_i.append(i)
+        found_j.append(j)
+        found_t.append((rel[:, 0] * d2[:, 1] - rel[:, 1] * d2[:, 0]) / denom)
     i, j, t = (np.concatenate(v) for v in (found_i, found_j, found_t))
     scale = max(np.ptp(lc.x) * np.ptp(lc.y), 1e-30)
     reports = []
@@ -499,6 +470,15 @@ def lagrangian_embeddedness_check(
                               flagged=bool(min(abs(a1), abs(a2)) < tolerance * scale))
         )
     return EmbeddednessReport(double_points=tuple(reports), tolerance=tolerance)
+
+
+def _left_of(a: np.ndarray, da: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Whether each point c lies on or left of the line through a along da.
+
+    A point on the line counts as left, so a crossing through a vertex that
+    two segments of one polyline share hits exactly one of them.
+    """
+    return da[:, 0] * (c[:, 1] - a[:, 1]) - da[:, 1] * (c[:, 0] - a[:, 0]) >= 0
 
 
 def _shoelace(pts: np.ndarray) -> float:

@@ -220,42 +220,49 @@ class AcceptableEmbedding:
 
 
 def build_front(emb: AcceptableEmbedding) -> FrontDiagram:
-    """Construct the tree-based wavefront of an acceptable signed embedding."""
+    """Construct the tree-based wavefront of an acceptable signed embedding.
+
+    Each vertex is expanded once, into its own events and the visits of its
+    right children in front order; a work stack replays them, so a child's
+    events come before whatever follows its visit.  Deep trees need no
+    recursion.
+    """
     signs = emb.tree.sign_map
-    events: list[FrontEvent] = []
     root = emb.leftmost
     (child,) = emb.tree.neighbors(root)
-
-    def emit(kind: str, pos: int) -> None:
-        events.append(FrontEvent(kind, pos))
-
-    def subtree(v: int, parent: int, p: int, phi: int) -> None:
-        # The strand pair of the edge parent->v sits at positions (p, p+1).
+    events: list[FrontEvent] = [FrontEvent(LEFT, 1)]
+    # a FrontEvent to emit, or a (v, parent, p, phi) visit: the strand pair
+    # of the edge parent->v sits at positions (p, p+1), reflected if phi < 0
+    work: list = [(child, root, 1, 1)]
+    while work:
+        item = work.pop()
+        if isinstance(item, FrontEvent):
+            events.append(item)
+            continue
+        v, parent, p, phi = item
+        plan: list = []
         w = 2  # local bundle width
 
         def local(kind: str, offset: int) -> None:
             nonlocal w
             if phi < 0:
                 offset = (w + 2 - offset) if kind == LEFT else (w - offset)
-            emit(kind, p - 1 + offset)
+            plan.append(FrontEvent(kind, p - 1 + offset))
             w += 2 if kind == LEFT else (-2 if kind == RIGHT else 0)
 
         kids = emb.right_children(v, parent)
         n = len(kids)
         if n == 0:
             local(RIGHT, 1)
-            return
-        s_eff = signs[v] * phi
-        if n == 1:
-            if s_eff > 0:
+        elif n == 1:
+            if signs[v] * phi > 0:
                 local(LEFT, 1)  # downward zig-zag
                 local(RIGHT, 2)
             else:
                 local(LEFT, 2)  # upward zig-zag
                 local(RIGHT, 1)
-            subtree(kids[0], v, p, phi)
-            return
-        if s_eff < 0:
+            plan.append((kids[0], v, p, phi))
+        elif signs[v] * phi < 0:
             # stacked crotch cusps plus one compensating zig-zag
             for i in range(1, n):
                 local(LEFT, 2 * i)
@@ -267,7 +274,7 @@ def build_front(emb: AcceptableEmbedding) -> FrontDiagram:
                 a = 2 * j - 1
                 bases.append(p - 1 + (a if phi > 0 else width - a))
             for child_v, base in zip(kids, sorted(bases, reverse=True)):
-                subtree(child_v, v, base, phi)
+                plan.append((child_v, v, base, phi))
         else:
             # nested lofts; the first branch carries the compensating zig-zag
             for i in range(1, n):
@@ -275,12 +282,10 @@ def build_front(emb: AcceptableEmbedding) -> FrontDiagram:
                 if i == 1:
                     local(LEFT, 1)  # downward zig-zag on the outer strand
                     local(RIGHT, 2)
-                subtree(kids[i - 1], v, p + 1, -phi)
+                plan.append((kids[i - 1], v, p + 1, -phi))
                 w -= 2  # inner branch closed its pair
-            subtree(kids[n - 1], v, p, phi)
-
-    emit(LEFT, 1)
-    subtree(child, root, 1, 1)
+            plan.append((kids[n - 1], v, p, phi))
+        work.extend(reversed(plan))
     return FrontDiagram(tuple(events))
 
 

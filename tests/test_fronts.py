@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,93 @@ CANCEL = "L 1\nL 2\nX 1\nX 2\nR 1\nR 1"
 
 def oriented(text):
     return fr.OrientedFront.default(fr.parse_front(text))
+
+
+def reference_trace(d):
+    """The former trace: arcs rebuilt at each death, a constraint graph in
+    which cusps flip direction and crossings keep it, and a DFS over it.
+    Returns (component_of, directions)."""
+    born, died, cusps, crossings, stack = [], {}, [], [], []
+    for j, ev in enumerate(d.events):
+        p = ev.position
+        if ev.kind == fr.LEFT:
+            lo, hi = len(born), len(born) + 1
+            born += [j, j]
+            stack[p - 1 : p - 1] = [lo, hi]
+            cusps.append((lo, hi))
+        elif ev.kind == fr.RIGHT:
+            lo, hi = stack[p - 1], stack[p]
+            del stack[p - 1 : p + 1]
+            died[lo] = died[hi] = j
+            cusps.append((lo, hi))
+        else:
+            a, b = stack[p - 1], stack[p]
+            died[a] = died[b] = j
+            c, dd = len(born), len(born) + 1
+            born += [j, j]
+            stack[p - 1], stack[p] = c, dd
+            crossings.append((a, b, c, dd))
+    n = len(born)
+    adj = [[] for _ in range(n)]
+    for lo, hi in cusps:
+        adj[lo].append((hi, True))
+        adj[hi].append((lo, True))
+    for a, b, c, dd in crossings:
+        for u, v in ((a, dd), (b, c)):
+            adj[u].append((v, False))
+            adj[v].append((u, False))
+    component_of, dirs, k = [-1] * n, [True] * n, 0
+    for anchor in range(n):
+        if component_of[anchor] >= 0:
+            continue
+        component_of[anchor] = k
+        frontier = [anchor]
+        while frontier:
+            u = frontier.pop()
+            for v, flip in adj[u]:
+                want = dirs[u] != flip
+                if component_of[v] < 0:
+                    component_of[v], dirs[v] = k, want
+                    frontier.append(v)
+                assert dirs[v] == want
+        k += 1
+    return tuple(component_of), tuple(dirs)
+
+
+def reference_traversal(tr, comp, dirs):
+    """The lift's former partner walk: the ordered (arc, rightward) cycle of
+    one component, from its lowest arc."""
+    partner = {}
+    for c in tr.cusps:
+        end = "born" if c.kind == fr.LEFT else "died"
+        partner[(c.lower, end)] = (c.upper, end)
+        partner[(c.upper, end)] = (c.lower, end)
+    for x in tr.crossings:
+        for a, b in ((x.in_lower, x.out_upper), (x.in_upper, x.out_lower)):
+            partner[(a, "died")] = (b, "born")
+            partner[(b, "born")] = (a, "died")
+    start = tr.component_of.index(comp)
+    walk = []
+    arc, rightward = start, dirs[start]
+    while True:
+        walk.append((arc, rightward))
+        arc, end = partner[(arc, "died" if rightward else "born")]
+        rightward = end == "born"
+        if arc == start and rightward == dirs[start]:
+            return walk
+
+
+def reference_lift(rf, comp, of):
+    """legendrian_lift over the former partner walk."""
+    xs, ys, zs = [], [], []
+    for arc, rightward in reference_traversal(rf.trace, comp, of.directions):
+        x, z, y = rf.curves[arc].sample(rf.params.samples_per_arc)
+        if not rightward:
+            x, z, y = x[::-1], z[::-1], y[::-1]
+        xs.append(x[:-1])
+        ys.append(y[:-1])
+        zs.append(z[:-1])
+    return np.concatenate(xs), np.concatenate(ys), np.concatenate(zs)
 
 
 class TestParsing:
@@ -295,8 +383,8 @@ class TestProperties:
         d = fr.random_closed_front(random.Random(seed), 40)
         k = fr.trace_components(d).n_components
         of = fr.OrientedFront(d, data.draw(st.frozensets(st.integers(0, k - 1))))
-        # the partner walk of the lift visits every arc once, in its direction
-        walked = [step for c in range(k) for step in lf._traversal(of.trace, c, of.directions)]
+        # the former partner walk visits every arc once, in its direction
+        walked = [step for c in range(k) for step in reference_traversal(of.trace, c, of.directions)]
         assert sorted(walked) == list(enumerate(of.directions))
         twin = fr.OrientedFront(fr.parse_front(fr.serialize_front(d)), of.reversed_components)
         assert twin.diagram == d and twin.diagram is not d
@@ -304,3 +392,31 @@ class TestProperties:
             assert fr.invariant_pair(twin, c) == fr.invariant_pair(of, c)
         if k > 1:
             assert fr.linking_matrix(twin) == fr.linking_matrix(of)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 60))
+    def test_trace_matches_reference_and_cycles_walk_every_arc(self, seed, size):
+        d = fr.random_closed_front(random.Random(seed), size)
+        tr = fr.trace_components(d)
+        assert (tr.component_of, tr.directions) == reference_trace(d)
+        # each cycle starts at its component's lowest arc, rightward, and
+        # follows the former partner walk
+        assert sorted(a for cycle in tr.cycles for a in cycle) == list(range(len(tr.arcs)))
+        for c, cycle in enumerate(tr.cycles):
+            assert cycle[0] == tr.component_of.index(c) and tr.directions[cycle[0]]
+            assert list(cycle) == [a for a, _ in reference_traversal(tr, c, tr.directions)]
+        for a in tr.arcs:
+            assert (a.died > a.born, a.role) == (True, a.index % 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_lift_matches_reference_under_reversals(self, seed, data):
+        d = fr.random_closed_front(random.Random(seed), 30)
+        k = fr.trace_components(d).n_components
+        of = fr.OrientedFront(d, data.draw(st.frozensets(st.integers(0, k - 1))))
+        rf = lf.realize_front(d, lf.GeomParams(samples_per_arc=20))
+        for c in range(k):
+            lc = lf.legendrian_lift(rf, c, of)
+            ref = reference_lift(rf, c, of)
+            for got, want in zip((lc.x, lc.y, lc.z), ref):
+                assert np.array_equal(got, want)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from legkit import fronts as fr
 from legkit import lifting as lf
 from legkit import trees as tr
-from legkit.errors import GeometryDegenerate, NonGeneric
+from legkit.errors import GeometryDegenerate
 
 FAST = lf.GeomParams(samples_per_arc=4000)
 
@@ -30,9 +30,14 @@ def _shoelace(pts):
     return float(0.5 * np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
 
 
-def brute_force_embeddedness(lc, tolerance=1e-6, max_segments=2000):
+def cross(u, v):
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def brute_force_embeddedness(lc, tolerance=1e-6, max_segments=2000, strict=False):
     """Reference double-point search: every segment i against every later
-    non-adjacent segment j, reported in (i, j) order."""
+    non-adjacent segment j, reported in (i, j) order.  ``strict`` takes the
+    former hit rule, crossing parameters strictly inside both segments."""
     step = max(1, len(lc.x) // max_segments)
     x = np.append(lc.x[::step], lc.x[0])
     y = np.append(lc.y[::step], lc.y[0])
@@ -51,11 +56,16 @@ def brute_force_embeddedness(lc, tolerance=1e-6, max_segments=2000):
         d2 = q[js] - p[js]
         rel = p[js] - p[i]
         denom = d1[0] * d2[:, 1] - d1[1] * d2[:, 0]
-        ok = np.abs(denom) > 1e-14
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (rel[:, 0] * d2[:, 1] - rel[:, 1] * d2[:, 0]) / denom
             u = (rel[:, 0] * d1[1] - rel[:, 1] * d1[0]) / denom
-        hit = ok & (t > 0) & (t < 1) & (u > 0) & (u < 1)
+        if strict:
+            hit = (np.abs(denom) > 1e-14) & (t > 0) & (t < 1) & (u > 0) & (u < 1)
+        else:
+            # each segment's endpoints on opposite sides of the other's line,
+            # a point on a line counting as left of it
+            hit = ((cross(d1, p[js] - p[i]) >= 0) != (cross(d1, q[js] - p[i]) >= 0)) & (
+                (cross(d2, p[i] - p[js]) >= 0) != (cross(d2, q[i] - p[js]) >= 0)) & (denom != 0)
         for j, th in zip(js[hit], t[hit]):
             pt = p[i] + th * d1
             a1 = _shoelace(np.vstack([[pt], p[i + 1 : j + 1], [pt]]))
@@ -82,12 +92,18 @@ class TestRealize:
         d = fr.parse_front("L 1\nR 1")
         rf = lf.realize_front(d, FAST)
         assert len(rf.curves) == 2
-        assert rf.crossing_gaps == ()
+        assert rf.trace.crossings == ()
+        lc = lf.legendrian_lift(rf)
+        # the cusps at x = 1 and x = 2 are lifted once each, at slope 0
+        assert lc.y[(lc.x == 1.0) | (lc.x == 2.0)].tolist() == [0.0, 0.0]
 
     def test_crossing_gap(self):
-        d = fr.parse_front("L 1\nX 1\nR 1")
-        rf = lf.realize_front(d, FAST)
-        assert all(g >= FAST.slope_margin for g in rf.crossing_gaps)
+        for slope in (0.25, 0.5, 2.0):
+            params = dataclasses.replace(FAST, crossing_slope=slope)
+            lc = lift("L 1\nX 1\nR 1", params)
+            # the crossing is at x = 2; the branches leave it at slopes -+slope
+            assert sorted(lc.y[lc.x == 2.0]) == [-slope, slope]
+            assert 2 * slope >= params.slope_margin
 
     def test_degenerate_parameters(self):
         d = fr.parse_front("L 1\nX 1\nR 1")
@@ -111,10 +127,12 @@ class TestLift:
         assert abs(lc.closure_integral()) / lc.diameter() < 1e-9
 
     def test_crossing_lifts_to_distinct_points(self):
-        d = fr.parse_front("L 1\nX 1\nR 1")
-        rf = lf.realize_front(d, FAST)
-        # the two branches at the double point carry different slopes
-        assert rf.crossing_gaps[0] == 2 * FAST.crossing_slope
+        lc = lift("L 1\nX 1\nR 1")
+        at = lc.x == 2.0
+        # the two branches meet at one front point but carry different slopes
+        assert np.count_nonzero(at) == 2
+        assert len(set(lc.z[at])) == 1
+        assert np.ptp(lc.y[at]) == 2 * FAST.crossing_slope
 
     def test_truncated_curve_flagged(self):
         lc = lift("L 1\nR 1")
@@ -247,6 +265,44 @@ class TestEmbeddedness:
         with mock.patch.object(lf, "_SWEEP_CHUNK", chunk):
             rep = lf.lagrangian_embeddedness_check(lc)
         assert rep == brute_force_embeddedness(lc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 60))
+    def test_generic_polylines_match_strict_rule(self, seed, n):
+        # with no three sample vertices collinear, a crossing through a vertex
+        # cannot happen and the hit rule agrees with the strict-interior one
+        lc = polyline(np.random.default_rng(seed).random((n, 2)))
+        assert lf.lagrangian_embeddedness_check(lc) == brute_force_embeddedness(lc, strict=True)
+
+    @pytest.mark.parametrize("shift", range(6))
+    @pytest.mark.parametrize("backwards", [False, True])
+    def test_crossing_through_shared_vertices_counted_once(self, shift, backwards):
+        # a bowtie whose two branches both have a sample vertex at (1, 1)
+        pts = [(0, 0), (1, 1), (2, 2), (2, 0), (1, 1), (0, 2)]
+        pts = pts[shift:] + pts[:shift]
+        rep = lf.lagrangian_embeddedness_check(polyline(pts[::-1] if backwards else pts))
+        assert [p.point for p in rep.double_points] == [(1.0, 1.0)]
+        assert abs(rep.double_points[0].area_one) == abs(rep.double_points[0].area_two) == 1.0
+
+    @pytest.mark.parametrize("samples", [50, 400, 2000, 4000, 20000])
+    def test_basic_unknot_one_double_point_at_every_density(self, samples):
+        # the figure-eight crossing at (1.5, 0) is a sample vertex of both strands
+        rep = lf.lagrangian_embeddedness_check(
+            lift("L 1\nR 1", lf.GeomParams(samples_per_arc=samples)))
+        assert [p.point for p in rep.double_points] == [(1.5, 0.0)]
+        assert rep.embedded
+
+    def test_acceptance_grid_lifts_embedded_in_both_orientations(self):
+        lifted = 0
+        for m in range(-3, 4):
+            for k in range(6):
+                d = tr.catalog_front(-abs(m) - 2 * k - 1, m)
+                rf = lf.realize_front(d)
+                of = fr.OrientedFront.default(d)
+                for o in (of, of.reverse(0)):
+                    assert lf.lagrangian_embeddedness_check(lf.legendrian_lift(rf, of=o)).embedded
+                    lifted += 1
+        assert lifted == 84
 
 
 class TestCsv:

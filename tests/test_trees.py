@@ -36,6 +36,83 @@ def front_invariants(emb):
     return fr.invariant_pair(fr.OrientedFront.default(d))
 
 
+def ref_build_front(emb):
+    """The recursive original of build_front: one nested call per vertex."""
+    signs = emb.tree.sign_map
+    events = []
+    root = emb.leftmost
+    (child,) = emb.tree.neighbors(root)
+
+    def emit(kind, pos):
+        events.append(fr.FrontEvent(kind, pos))
+
+    def subtree(v, parent, p, phi):
+        w = 2
+
+        def local(kind, offset):
+            nonlocal w
+            if phi < 0:
+                offset = (w + 2 - offset) if kind == fr.LEFT else (w - offset)
+            emit(kind, p - 1 + offset)
+            w += 2 if kind == fr.LEFT else (-2 if kind == fr.RIGHT else 0)
+
+        kids = emb.right_children(v, parent)
+        n = len(kids)
+        if n == 0:
+            local(fr.RIGHT, 1)
+            return
+        s_eff = signs[v] * phi
+        if n == 1:
+            if s_eff > 0:
+                local(fr.LEFT, 1)
+                local(fr.RIGHT, 2)
+            else:
+                local(fr.LEFT, 2)
+                local(fr.RIGHT, 1)
+            subtree(kids[0], v, p, phi)
+            return
+        if s_eff < 0:
+            for i in range(1, n):
+                local(fr.LEFT, 2 * i)
+            local(fr.LEFT, 2)
+            local(fr.RIGHT, 1)
+            width = 2 * n
+            bases = [p - 1 + (2 * j - 1 if phi > 0 else width - 2 * j + 1)
+                     for j in range(1, n + 1)]
+            for child_v, base in zip(kids, sorted(bases, reverse=True)):
+                subtree(child_v, v, base, phi)
+        else:
+            for i in range(1, n):
+                local(fr.LEFT, 3)
+                if i == 1:
+                    local(fr.LEFT, 1)
+                    local(fr.RIGHT, 2)
+                subtree(kids[i - 1], v, p + 1, -phi)
+                w -= 2
+            subtree(kids[n - 1], v, p, phi)
+
+    emit(fr.LEFT, 1)
+    subtree(child, root, 1, 1)
+    return fr.FrontDiagram(tuple(events))
+
+
+def comb_embedding(hub_sign, length):
+    """Root 0 - hub 1, whose right children are a leaf 2 (lower) and a path
+    3 - 4 - ... of ``length`` vertices (upper, so visited first): the long
+    path is not the last child."""
+    signs = {0: -hub_sign, 1: hub_sign, 2: -hub_sign}
+    coords = {0: (F(0), F(0)), 1: (F(1), F(0)), 2: (F(2), F(-1, 4))}
+    edges = [(0, 1), (1, 2)]
+    prev = 1
+    for k in range(length):
+        v = 3 + k
+        signs[v] = hub_sign * (-1 if k % 2 == 0 else 1)
+        coords[v] = (F(2 + k), F(1, 4))
+        edges.append((prev, v))
+        prev = v
+    return tr.AcceptableEmbedding.make(tr.SignedTree.make(signs, edges), coords)
+
+
 # Reference normalization: every end-edge move re-sorts all edges, rebuilds
 # and re-checks the whole tree, and the gathering is replayed once more.
 # It is the quadratic original of the one-working-copy version in trees.py.
@@ -255,6 +332,35 @@ class TestBuildFront:
         for _ in range(150):
             emb = tr.random_acceptable_embedding(rng, 14)
             assert front_invariants(emb) == tr.expected_invariants(emb.tree)
+
+    def test_catalog_trees_match_recursive_reference(self):
+        built = 0
+        for tb in range(-1, -42, -1):
+            for r in range(tb + 1, -tb):
+                if fr.in_unknot_range(tb, r):
+                    emb = tr.catalog_tree(tb, r)
+                    assert tr.build_front(emb) == ref_build_front(emb), (tb, r)
+                    built += 1
+        assert built == 41 * 42 // 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 24))
+    def test_random_embeddings_match_recursive_reference(self, seed, size):
+        emb = tr.random_acceptable_embedding(random.Random(seed), size)
+        assert tr.build_front(emb) == ref_build_front(emb)
+
+    @pytest.mark.parametrize("hub_sign", [1, -1])
+    def test_comb_with_long_non_last_child(self, hub_sign):
+        small = comb_embedding(hub_sign, 60)
+        assert tr.build_front(small) == ref_build_front(small)
+        # deeper than the default recursion limit
+        deep = comb_embedding(hub_sign, 1500)
+        assert front_invariants(deep) == tr.expected_invariants(deep.tree)
+
+    def test_deep_catalog_front(self):
+        d = tr.catalog_front(-1281, 0)
+        assert len(d.events) == 2 * 1281
+        assert fr.invariant_pair(fr.OrientedFront.default(d)) == (-1281, 0)
 
 
 class TestSigmaConvention:
