@@ -25,10 +25,13 @@ pair it acts on.  The resulting front always has
 which expected_invariants returns in closed form; the construction is
 validated against it exhaustively in the test suite.
 
-Trees and embeddings are checked once, when built.  Normalization copies
-its tree once into a mutable adjacency, gathers each end edge onto the hub
-of its sign there, undoes the canonical broom's own gathering on the same
-copy, and builds one tree at the end.
+Trees and embeddings are checked once, when built.  An embedding scales
+its rational coordinates by one common denominator into integer grid
+points, so every slope, left-edge and left-most test is an exact int
+comparison; ``Fraction`` appears only at the API.  Normalization copies
+its tree once into a mutable adjacency, makes the two hubs adjacent,
+gathers each end edge onto the hub of its sign there, undoes the canonical
+broom's own gathering on the same copy, and builds one tree at the end.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -174,45 +178,69 @@ class AcceptableEmbedding:
     def coord_map(self) -> Mapping[int, tuple[Fraction, Fraction]]:
         return MappingProxyType(dict(self.coords))
 
+    @cached_property
+    def grid(self) -> Mapping[int, tuple[int, int]]:
+        """Each vertex's (x, y) times the lcm of all coordinate denominators.
+
+        Every comparison the conditions and the front make is exact on
+        these ints; NotAcceptable(0) for a coordinate that is not rational.
+        """
+        ratios = [(v, _ratio(x), _ratio(y)) for v, (x, y) in self.coord_map.items()]
+        scale = lcm(*{d for _, (_, dx), (_, dy) in ratios for d in (dx, dy)})
+        return MappingProxyType({
+            v: (nx * (scale // dx), ny * (scale // dy)) for v, (nx, dx), (ny, dy) in ratios
+        })
+
     def __post_init__(self):
-        cm = self.coord_map
-        if set(cm) != set(self.tree.vertices):
+        if set(self.coord_map) != set(self.tree.vertices):
             raise NotAcceptable(0, "coordinates must cover exactly the vertex set")
         if len(self.tree.edges) < 1:
             raise NotAcceptable(1, "embedding needs at least one edge")
+        g = self.grid
+        eps_num, eps_den = _ratio(self.epsilon)
+        lefts: dict[int, int] = {}  # vertex -> number of edges on its left
         for e in self.tree.edges:
             u, w = tuple(e)
-            dx = cm[w][0] - cm[u][0]
-            dy = cm[w][1] - cm[u][1]
-            if dx == 0 or abs(Fraction(dy) / Fraction(dx)) >= self.epsilon:
+            dx = g[w][0] - g[u][0]
+            if dx == 0 or abs(g[w][1] - g[u][1]) * eps_den >= eps_num * abs(dx):
                 raise NotAcceptable(
                     2, f"edge {u}-{w} slope not strictly between +-{self.epsilon}"
                 )
-        for v in self.tree.vertices:
-            left = [w for w in self.tree.neighbors(v) if cm[w][0] < cm[v][0]]
-            if len(left) > 1:
-                raise NotAcceptable(3, f"vertex {v} has {len(left)} edges on its left")
-        xs = sorted((cm[v][0], v) for v in self.tree.vertices)
-        if len(xs) > 1 and xs[0][0] == xs[1][0]:
-            raise NotAcceptable(3, "left-most vertex is not unique")
-        leftmost = xs[0][1]
-        if self.tree.valence(leftmost) != 1:
-            raise NotAcceptable(4, f"left-most vertex {leftmost} is not an end vertex")
+            right = w if dx > 0 else u
+            lefts[right] = lefts.get(right, 0) + 1
+        crowded = min((v for v, n in lefts.items() if n > 1), default=None)
+        if crowded is not None:
+            raise NotAcceptable(3, f"vertex {crowded} has {lefts[crowded]} edges on its left")
+        # the left-most vertex is unique now: on the tree path between two
+        # vertices at the least x, the one of largest x has two left edges
+        root = self.leftmost
+        if self.tree.valence(root) != 1:
+            raise NotAcceptable(4, f"left-most vertex {root} is not an end vertex")
 
-    @property
+    @cached_property
     def leftmost(self) -> int:
-        cm = self.coord_map
-        return min(self.tree.vertices, key=lambda v: (cm[v][0], v))
+        return min((x, v) for v, (x, _) in self.grid.items())[1]
 
     def right_children(self, v: int, parent: Optional[int]) -> list[int]:
         """Right-attached neighbors, numbered from the top (steepest slope first)."""
-        cm = self.coord_map
-        kids = [w for w in self.tree.neighbors(v) if w != parent and cm[w][0] > cm[v][0]]
+        g = self.grid
+        x, y = g[v]
+        kids = [w for w in self.tree.neighbors(v) if w != parent and g[w][0] > x]
+        if len(kids) < 2:
+            return kids
+        return sorted(kids, key=lambda w: (-Fraction(g[w][1] - y, g[w][0] - x), w))
 
-        def slope(w):
-            return Fraction(cm[w][1] - cm[v][1]) / Fraction(cm[w][0] - cm[v][0])
 
-        return sorted(kids, key=lambda w: (-slope(w), w))
+def _ratio(c) -> tuple[int, int]:
+    """(numerator, denominator) of an exact number; NotAcceptable(0) otherwise."""
+    if type(c) is Fraction:
+        return c.as_integer_ratio()
+    if not isinstance(c, str):
+        try:
+            return Fraction(c).as_integer_ratio()
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise NotAcceptable(0, f"{c!r} is not a rational number")
 
 
 # ---------------------------------------------------------------------------
@@ -343,18 +371,59 @@ class _TreeWork:
         self.adj[target].add(leaf)
         self.adj[leaf].add(target)
 
+    def hub_by_sign(self) -> dict[int, int]:
+        """The hub of each sign: its smallest vertex."""
+        sm = self.tree.sign_map
+        return {s: min(v for v in sm if sm[v] == s) for s in (1, -1)}
+
+    def join_hubs(self) -> list[Move]:
+        """Make the two hubs adjacent; no move if they already are.
+
+        On the path p = x0, x1, ..., xk = m from the + hub to the - hub, the
+        branch hanging off m away from x(k-1) is taken apart leaves first,
+        each end edge moving to p or x1 by its attachment sign; then m, an
+        end vertex on x(k-1), moves to p.  Returns the moves.
+        """
+        sm, adj = self.tree.sign_map, self.adj
+        hub_of = self.hub_by_sign()
+        p, m = hub_of[1], hub_of[-1]
+        if m in adj[p]:
+            return []
+        parent = {p: p}
+        order = [p]  # breadth first from p, so parents come before children
+        for u in order:
+            for w in adj[u]:
+                if w not in parent:
+                    parent[w] = u
+                    order.append(w)
+        x1 = m
+        while parent[x1] != p:
+            x1 = parent[x1]
+        branch = {m}
+        for v in order:
+            if parent[v] in branch:
+                branch.add(v)
+        moves: list[Move] = []
+        for v in reversed(order):
+            if v in branch:
+                attach = parent[v]
+                target = p if sm[attach] == 1 else x1
+                self.move((attach, v), target)
+                moves.append(((attach, v), target))
+        return moves
+
     def gather(self) -> list[Move]:
         """Gather every end edge onto the hub of its attachment sign.
 
-        The hubs are the smallest vertex of each sign; end edges off the
-        hubs move smallest sorted edge first.  A move can only turn the last
-        edge of its attachment vertex into an end edge, so a heap holds the
-        eligible edges.  Returns the moves as ((attach, leaf), hub) pairs.
+        End edges off the hubs move smallest sorted edge first.  A move can
+        only turn the last edge of its attachment vertex into an end edge,
+        so a heap holds the eligible edges.  Returns the moves as
+        ((attach, leaf), hub) pairs.
         """
         sm, adj = self.tree.sign_map, self.adj
-        hub_of = {s: min(v for v in sm if sm[v] == s) for s in (1, -1)}
+        hub_of = self.hub_by_sign()
         hubs = set(hub_of.values())
-        off_hub = [tuple(sorted(e)) for e in self.tree.edges if not e & hubs]
+        off_hub = [(u, w) for u, ws in adj.items() for w in ws if u < w and not {u, w} & hubs]
         heap = [e for e in off_hub if len(adj[e[0]]) == 1 or len(adj[e[1]]) == 1]
         heapq.heapify(heap)
         moves: list[Move] = []
@@ -407,15 +476,16 @@ def canonical_broom(signs: Sequence[int], ids: Sequence[int]) -> SignedTree:
 def normalize_to_almost_linear(t: SignedTree) -> tuple[SignedTree, list[Move]]:
     """Reduce a signed tree to the canonical broom by legal end-edge moves.
 
-    The tree is gathered into the double star on its hubs, then the
-    broom's own gathering is undone in reverse, all on one working copy.
+    The hubs (the smallest vertex of each sign) are made adjacent, the
+    tree is gathered into the double star on them, then the broom's own
+    gathering is undone in reverse, all on one working copy.
     Each move replays as ``move_end_edge(t, *move)``.
     """
     if len(t.vertices) <= 1:
         return t, []
     target = canonical_broom([s for _, s in t.signs], t.vertices)
     work = _TreeWork(t)
-    moves = work.gather()
+    moves = work.join_hubs() + work.gather()
     # each gathering move ((attach, leaf), hub) is undone by moving
     # (hub, leaf) back to attach
     for (attach, leaf), hub in reversed(_TreeWork(target).gather()):
@@ -441,12 +511,14 @@ def catalog_tree(tb: int, r: int) -> AcceptableEmbedding:
     n_plus = (v_total + SIGMA * r) // 2
     n_minus = v_total - n_plus
     broom, order, leaves = _broom([1] * n_plus + [-1] * n_minus, range(v_total))
-    coords = {v: (Fraction(i), Fraction(0)) for i, v in enumerate(order)}
+    zero = Fraction(0)
+    coords = {v: (Fraction(i), zero) for i, v in enumerate(order)}
     k = len(leaves)
-    delta = Fraction(1, 4 * (k + 1))
+    x = Fraction(len(order))
     for j, v in enumerate(leaves):
-        # hang leaves off the hub at the right end, numbered from the top
-        coords[v] = (Fraction(len(order)), (Fraction(k - 1, 2) - j) * delta)
+        # hang leaves off the hub at the right end, numbered from the top:
+        # y = ((k - 1) / 2 - j) / (4 (k + 1))
+        coords[v] = (x, Fraction(k - 1 - 2 * j, 8 * (k + 1)))
     return AcceptableEmbedding.make(broom, coords)
 
 
@@ -529,10 +601,7 @@ def spread_embedding(t: SignedTree, root: Optional[int] = None) -> AcceptableEmb
         root = min(ends)
     order = _dfs_order(t, root)
     n = len(order)
-    delta = Fraction(1, 4 * n)
-    coords = {
-        v: (Fraction(i), ((i % 3) - 1) * delta) for i, v in enumerate(order)
-    }
+    coords = {v: (Fraction(i), Fraction((i % 3) - 1, 4 * n)) for i, v in enumerate(order)}
     return AcceptableEmbedding.make(t, coords)
 
 

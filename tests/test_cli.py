@@ -146,6 +146,44 @@ class TestTree2Front:
             "# end-edge move: (1, 4) -> 3",
         ]
 
+    def test_normalize_path_with_hubs_apart(self, capsys, tmp_path):
+        # the hubs 0 (+) and 1 (-) are the ends of the path 0-2-3-1: 1 moves
+        # next to 0 first, then the gathering and the broom's own follow
+        p = tmp_path / "tree.sat"
+        p.write_text("v 0 0 0 +\nv 2 1 0 -\nv 3 2 0 +\nv 1 3 0 -\n"
+                     "e 0 2\ne 2 3\ne 3 1\n")
+        code, out, err = run(capsys, "tree2front", str(p), "--normalize", "--trace")
+        _, cat, _ = run(capsys, "catalog", "--tb", "-3", "--r", "0", "--front")
+        assert code == 0
+        assert out == cat
+        assert err.splitlines() == [
+            "# end-edge move: (3, 1) -> 0",
+            "# end-edge move: (2, 3) -> 1",
+            "# end-edge move: (0, 2) -> 3",
+        ]
+
+    def test_normalize_random_trees_with_hubs_apart(self, capsys, tmp_path):
+        rng = random.Random(41)
+        p = tmp_path / "tree.sat"
+        checked = 0
+        while checked < 25:
+            t = trees.random_signed_tree(rng, 16)
+            ids = t.vertices
+            rng.shuffle(ids)
+            new_id = dict(zip(t.vertices, ids))
+            t = trees.SignedTree.make({new_id[v]: s for v, s in t.signs},
+                                      [tuple(new_id[v] for v in e) for e in t.edges])
+            sm = t.sign_map
+            hubs = {min(v for v in sm if sm[v] == s) for s in (1, -1)}
+            if hubs in t.edges:
+                continue
+            p.write_text(trees.serialize_tree(trees.spread_embedding(t)) + "\n")
+            code, out, err = run(capsys, "tree2front", str(p), "--normalize")
+            assert (code, err) == (0, "")
+            tb, r = trees.expected_invariants(t)
+            assert out == fronts.serialize_front(trees.catalog_front(tb, r)) + "\n"
+            checked += 1
+
     def test_duplicate_vertex_exit_one(self, capsys, tmp_path):
         p = tmp_path / "dup.sat"
         p.write_text("v 0 0 0 +\nv 1 1 0 -\nv 1 2 0 -\ne 0 1\n")

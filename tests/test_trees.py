@@ -36,11 +36,54 @@ def front_invariants(emb):
     return fr.invariant_pair(fr.OrientedFront.default(d))
 
 
+# Reference acceptability: the Fraction-slope originals of the checks,
+# left-most vertex and child order that AcceptableEmbedding now does on its
+# integer grid.
+
+
+def ref_check_acceptable(tree, cm, epsilon=F(1, 2)):
+    """Raise the NotAcceptable the embedding (tree, cm) fails, if any."""
+    if set(cm) != set(tree.vertices):
+        raise NotAcceptable(0, "coordinates must cover exactly the vertex set")
+    if len(tree.edges) < 1:
+        raise NotAcceptable(1, "embedding needs at least one edge")
+    for e in tree.edges:
+        u, w = tuple(e)
+        dx = cm[w][0] - cm[u][0]
+        dy = cm[w][1] - cm[u][1]
+        if dx == 0 or abs(F(dy) / F(dx)) >= epsilon:
+            raise NotAcceptable(2, f"edge {u}-{w} slope not strictly between +-{epsilon}")
+    for v in tree.vertices:
+        left = [w for w in tree.neighbors(v) if cm[w][0] < cm[v][0]]
+        if len(left) > 1:
+            raise NotAcceptable(3, f"vertex {v} has {len(left)} edges on its left")
+    xs = sorted((cm[v][0], v) for v in tree.vertices)
+    if len(xs) > 1 and xs[0][0] == xs[1][0]:
+        raise NotAcceptable(3, "left-most vertex is not unique")
+    if tree.valence(xs[0][1]) != 1:
+        raise NotAcceptable(4, f"left-most vertex {xs[0][1]} is not an end vertex")
+
+
+def ref_leftmost(emb):
+    cm = emb.coord_map
+    return min(emb.tree.vertices, key=lambda v: (cm[v][0], v))
+
+
+def ref_right_children(emb, v, parent):
+    cm = emb.coord_map
+    kids = [w for w in emb.tree.neighbors(v) if w != parent and cm[w][0] > cm[v][0]]
+
+    def slope(w):
+        return F(cm[w][1] - cm[v][1]) / F(cm[w][0] - cm[v][0])
+
+    return sorted(kids, key=lambda w: (-slope(w), w))
+
+
 def ref_build_front(emb):
     """The recursive original of build_front: one nested call per vertex."""
     signs = emb.tree.sign_map
     events = []
-    root = emb.leftmost
+    root = ref_leftmost(emb)
     (child,) = emb.tree.neighbors(root)
 
     def emit(kind, pos):
@@ -56,7 +99,7 @@ def ref_build_front(emb):
             emit(kind, p - 1 + offset)
             w += 2 if kind == fr.LEFT else (-2 if kind == fr.RIGHT else 0)
 
-        kids = emb.right_children(v, parent)
+        kids = ref_right_children(emb, v, parent)
         n = len(kids)
         if n == 0:
             local(fr.RIGHT, 1)
@@ -189,9 +232,9 @@ def ref_normalize(t):
 
 
 @st.composite
-def signed_trees(draw):
-    """Signed trees of 2-40 vertices with arbitrary vertex ids."""
-    n = draw(st.integers(2, 40))
+def signed_trees(draw, max_vertices=40):
+    """Signed trees of 2-max_vertices vertices with arbitrary vertex ids."""
+    n = draw(st.integers(2, max_vertices))
     parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
     ids = draw(st.permutations(range(n)))
     root_sign = draw(st.sampled_from((1, -1)))
@@ -203,15 +246,216 @@ def signed_trees(draw):
     return tr.SignedTree.make(signs, edges)
 
 
-def assert_matches_reference(t):
-    want = ref_normalize(t)
-    if want is None:
-        with pytest.raises(NotEndEdge):
-            tr.normalize_to_almost_linear(t)
-        return
+def broom_of(t):
+    return tr.canonical_broom([s for _, s in t.signs], t.vertices)
+
+
+def assert_replays_to_broom(t):
+    """Normalize t; every move replays through move_end_edge to the broom."""
     out, moves = tr.normalize_to_almost_linear(t)
-    assert moves == want[1]
-    assert out == want[0]
+    cur = t
+    for mv in moves:
+        cur = tr.move_end_edge(cur, *mv)
+    assert cur == out == broom_of(t)
+    return moves
+
+
+def assert_matches_reference(t):
+    """The reference's moves where its hubs are adjacent; the broom always."""
+    want = ref_normalize(t)
+    moves = assert_replays_to_broom(t)
+    if want is not None:
+        assert moves == want[1]
+
+
+def ref_broom_reachable(t):
+    """Breadth-first search over all end-edge moves: is t's broom reachable?"""
+    sm = t.sign_map
+    goal = broom_of(t).edges
+    seen = {t.edges}
+    queue = [t.edges]
+    for edges in queue:
+        if edges == goal:
+            return True
+        valence = {}
+        for e in edges:
+            for v in e:
+                valence[v] = valence.get(v, 0) + 1
+        for e in edges:
+            for leaf in e:
+                if valence[leaf] != 1:
+                    continue
+                (attach,) = e - {leaf}
+                for target in sm:
+                    if target not in (attach, leaf) and sm[target] == sm[attach]:
+                        nxt = edges - {e} | {frozenset((target, leaf))}
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            queue.append(nxt)
+    return False
+
+
+def hubs_adjacent(t):
+    sm = t.sign_map
+    hubs = {min(v for v in sm if sm[v] == s) for s in (1, -1)}
+    return hubs in t.edges
+
+
+DENOMINATORS = (1, 2, 3, 7, 11, 13)
+EPSILONS = (F(1, 2), F(3, 7), F(1, 3), 1)
+
+
+@st.composite
+def embedding_inputs(draw):
+    """(tree, coords, epsilon) on 2-8 vertices, random and adversarial.
+
+    Each vertex sits a random rational step right of its tree parent, and
+    now and then level with it or left of it.  Its edge slope is mostly
+    random in [-1.1 epsilon, 1.1 epsilon], sometimes exactly +-epsilon or
+    just inside +-epsilon.
+    Denominators are coprime; integral coordinates are sometimes plain
+    ints and dyadic ones sometimes floats.
+    """
+    n = draw(st.integers(2, 8))
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    ids = draw(st.permutations(range(n)))
+    root_sign = draw(st.sampled_from((1, -1)))
+    eps = F(draw(st.sampled_from(EPSILONS)))
+    rational = st.builds(F, st.integers(1, 30), st.sampled_from(DENOMINATORS))
+    depth = [0]
+    pts = [(draw(rational) - 1, draw(rational) - 1)]
+    for p in parents:
+        depth.append(depth[p] + 1)
+        dx = draw(rational) * draw(st.sampled_from((1, 1, 1, 1, 1, 0, -1)))
+        kind = draw(st.sampled_from(("random",) * 6 + ("exact", "inside", "inside")))
+        side = draw(st.sampled_from((1, -1)))
+        if kind == "random":
+            dy = abs(dx) * eps * F(draw(st.integers(-22, 22)), 20)
+        else:
+            dy = side * eps * abs(dx)
+            if kind == "inside":
+                dy -= side * F(1, 1001 * dy.denominator)
+        pts.append((pts[p][0] + dx, pts[p][1] + dy))
+
+    def plain(c):
+        if c.denominator == 1 and draw(st.booleans()):
+            return int(c)
+        if c.denominator in (1, 2) and draw(st.booleans()):
+            return float(c)
+        return c
+
+    signs = {ids[v]: root_sign * (-1) ** depth[v] for v in range(n)}
+    edges = [(ids[p], ids[v]) for v, p in enumerate(parents, start=1)]
+    coords = {ids[v]: (plain(x), plain(y)) for v, (x, y) in enumerate(pts)}
+    return tr.SignedTree.make(signs, edges), coords, draw(st.sampled_from((eps, float(eps))))
+
+
+def not_acceptable(fn):
+    try:
+        fn()
+    except NotAcceptable as exc:
+        return exc.condition, str(exc)
+    return None
+
+
+class TestIntegerGrid:
+    """The grid checks, left-most vertex and child order against the
+    Fraction-slope reference."""
+
+    def assert_matches_reference(self, tree, coords, eps=F(1, 2)):
+        # the grid takes a float at its exact binary value; the reference
+        # would round float differences, so it gets the exact values
+        exact = {v: (F(x), F(y)) for v, (x, y) in coords.items()}
+        want = not_acceptable(lambda: ref_check_acceptable(tree, exact, eps))
+        got = not_acceptable(lambda: tr.AcceptableEmbedding.make(tree, coords, eps))
+        assert got == want
+        if want is not None:
+            return None
+        emb = tr.AcceptableEmbedding.make(tree, coords, eps)
+        ref = tr.AcceptableEmbedding.make(tree, exact, eps)
+        assert emb.leftmost == ref_leftmost(ref)
+        for v in tree.vertices:
+            for parent in (None, *tree.neighbors(v)):
+                assert emb.right_children(v, parent) == ref_right_children(ref, v, parent)
+        assert tr.build_front(emb) == ref_build_front(ref)
+        return emb
+
+    @settings(max_examples=400, deadline=None)
+    @given(embedding_inputs())
+    def test_random_embeddings_match_reference(self, case):
+        self.assert_matches_reference(*case)
+
+    @pytest.mark.parametrize("eps", [F(1, 2), F(3, 7)])
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_slope_exactly_epsilon_is_rejected(self, eps, side):
+        t = tr.SignedTree.make({0: 1, 1: -1}, [(0, 1)])
+        x0, y0, dx = F(1, 3), F(-5, 11), F(7, 13)
+        coords = {0: (x0, y0), 1: (x0 + dx, y0 + side * eps * dx)}
+        self.assert_matches_reference(t, coords, eps)
+        with pytest.raises(NotAcceptable) as exc:
+            tr.AcceptableEmbedding.make(t, coords, eps)
+        assert exc.value.condition == 2
+
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_slope_one_grid_step_inside_epsilon(self, side):
+        # the grid has 3 * 11 * 13 = 429 steps per unit: |dY| = eps * dX - 1
+        t = tr.SignedTree.make({0: 1, 1: -1}, [(0, 1)])
+        eps, x0, y0, dx = F(3, 7), F(1, 3), F(-5, 11), F(7, 13)
+        coords = {0: (x0, y0), 1: (x0 + dx, y0 + side * (eps * dx - F(1, 429)))}
+        emb = self.assert_matches_reference(t, coords, eps)
+        (x0g, y0g), (x1g, y1g) = emb.grid[0], emb.grid[1]
+        assert (x1g - x0g, side * (y1g - y0g)) == (231, 99 - 1)
+        assert eps * (x1g - x0g) == 99
+
+    def test_tied_leftmost_x(self):
+        # 0 and 3 share the least x; 2, between them on the path, has two
+        # left edges, which the reference reports first
+        t = tr.SignedTree.make({0: 1, 1: -1, 2: 1, 3: -1}, [(0, 1), (1, 2), (2, 3)])
+        coords = {0: (F(0), F(0)), 1: (F(1, 3), F(0)), 2: (F(9, 7), F(1, 13)),
+                  3: (F(0), F(1, 11))}
+        self.assert_matches_reference(t, coords)
+        with pytest.raises(NotAcceptable, match="vertex 2 has 2 edges on its left"):
+            tr.AcceptableEmbedding.make(t, coords)
+
+    def test_smallest_crowded_vertex_is_reported(self):
+        # 1 and 3 each have two edges on their left
+        t = tr.SignedTree.make({4: 1, 3: -1, 2: 1, 1: -1, 0: 1},
+                               [(4, 3), (3, 2), (2, 1), (1, 0)])
+        coords = {4: (F(0), F(0)), 3: (F(2), F(1, 3)), 2: (F(1), F(2, 7)),
+                  1: (F(3), F(-5, 11)), 0: (F(5, 2), F(-3, 11))}
+        self.assert_matches_reference(t, coords)
+        with pytest.raises(NotAcceptable, match="vertex 1 has 2 edges on its left"):
+            tr.AcceptableEmbedding.make(t, coords)
+
+    def test_coprime_denominators(self):
+        t = tr.SignedTree.make({0: 1, 1: -1, 2: 1, 3: 1}, [(0, 1), (1, 2), (1, 3)])
+        coords = {0: (F(1, 3), F(0)), 1: (F(2, 7) + 1, F(-5, 11) / 8),
+                  2: (F(2), F(1, 13)), 3: (F(5, 2), F(-1, 13))}
+        emb = self.assert_matches_reference(t, coords, F(3, 7))
+        assert emb.right_children(1, 0) == [2, 3]
+        assert len({x for x, _ in emb.grid.values()}) == 4
+
+    def test_int_and_float_coordinates(self):
+        t = tr.SignedTree.make({0: 1, 1: -1, 2: 1}, [(0, 1), (1, 2)])
+        ints = {0: (0, 0), 1: (1, 0), 2: (2, 0)}
+        floats = {0: (0.0, 0.0), 1: (1.0, 0.25), 2: (2.5, -0.25)}
+        exact = {v: (F(x), F(y)) for v, (x, y) in floats.items()}
+        for coords in (ints, floats):
+            emb = self.assert_matches_reference(t, coords)
+            assert emb.coord_map == coords
+        assert tr.build_front(tr.AcceptableEmbedding.make(t, floats)) == tr.build_front(
+            tr.AcceptableEmbedding.make(t, exact))
+        assert tr.serialize_tree(tr.AcceptableEmbedding.make(t, floats)).splitlines()[1] == (
+            "v 1 1.0 0.25 -")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), "1/3", "x",
+                                     None])
+    def test_non_rational_coordinate_is_typed(self, bad):
+        t = tr.SignedTree.make({0: 1, 1: -1}, [(0, 1)])
+        with pytest.raises(NotAcceptable) as exc:
+            tr.AcceptableEmbedding.make(t, {0: (0, 0), 1: (1, bad)})
+        assert exc.value.condition == 0
+        assert "is not a rational number" in str(exc.value)
 
 
 class TestParsing:
@@ -451,12 +695,44 @@ class TestNormalizationReference:
         assert len(moves) == 2 * (len(t.vertices) - 3)
 
 
+class TestHubsNotAdjacent:
+    """Trees whose smallest + and smallest - vertex are not adjacent."""
+
+    def test_path_reaches_broom(self):
+        # the hubs 0 and 1 sit at the ends of a path
+        t = tr.SignedTree.make({0: 1, 2: -1, 3: 1, 1: -1}, [(0, 2), (2, 3), (3, 1)])
+        assert ref_normalize(t) is None
+        assert assert_replays_to_broom(t)[0] == ((3, 1), 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(signed_trees())
+    def test_random_trees_reach_broom(self, t):
+        assert_replays_to_broom(t)
+
+    def test_small_trees_against_search(self):
+        rng = random.Random(12)
+        apart = 0
+        for _ in range(200):
+            t = tr.random_signed_tree(rng, 7)
+            ids = t.vertices
+            rng.shuffle(ids)  # so that the hubs are often apart
+            new_id = dict(zip(t.vertices, ids))
+            t = tr.SignedTree.make({new_id[v]: s for v, s in t.signs},
+                                   [tuple(new_id[v] for v in e) for e in t.edges])
+            apart += not hubs_adjacent(t)
+            assert ref_broom_reachable(t)
+            assert_replays_to_broom(t)
+        assert apart >= 30
+
+
 class TestNormalizationErrors:
     """Result checks raise typed errors, so they hold under ``python -O``."""
 
-    def test_hubs_not_adjacent_stall(self):
-        # the smallest + and - vertices (0 and 1) sit at the ends of a path
+    def test_hubs_not_adjacent_stall(self, monkeypatch):
+        # the smallest + and - vertices (0 and 1) sit at the ends of a path;
+        # gathering without joining them first stalls
         t = tr.SignedTree.make({0: 1, 2: -1, 3: 1, 1: -1}, [(0, 2), (2, 3), (3, 1)])
+        monkeypatch.setattr(tr._TreeWork, "join_hubs", lambda self: [])
         with pytest.raises(NotEndEdge, match="stalled"):
             tr.normalize_to_almost_linear(t)
 
