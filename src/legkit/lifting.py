@@ -21,7 +21,10 @@ panel is that of the quadratic interpolants of x and y through its three
 samples, a fourth-order rule, exact where x and y are quadratic in the
 parameter.  The double points of the Lagrangian projection come from a
 sorted sweep over its segments, a crossing through sample vertices counted
-once; each must split the curve into two lobes of nonzero area.
+once; each must split the curve into two lobes of nonzero area.  Both
+lobe areas of every double point come from one prefix sum of the shoelace
+terms of the subsampled polygon, so past the sweep's candidate pairs the
+check costs O(n log n + hits).
 """
 
 from __future__ import annotations
@@ -38,8 +41,7 @@ from .errors import (
     NotClosed,
 )
 from .fronts import (
-    LEFT,
-    RIGHT,
+    CROSS,
     ComponentDecomposition,
     FrontDiagram,
     OrientedFront,
@@ -84,8 +86,10 @@ class ArcCurve:
     arc: int
     pieces: tuple[CubicPiece, ...]
 
-    def sample(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Arrays (x, z, y) at uniform parameter steps, endpoints included.
+    def _rows(self, n: int) -> tuple[np.ndarray, ...]:
+        """(t, c, d, x, z): the parameter steps t, the x and z coefficients
+        c and d (coefficient k of every piece as a column, one row per
+        piece), and x and z at t, one row per piece.
 
         Every piece gets the same even number of steps, about n / pieces, so
         the arc has an even number of steps and each piece starts at an even
@@ -93,17 +97,30 @@ class ArcCurve:
         """
         per = max(2, (n // len(self.pieces)) & ~1)
         t = np.linspace(0.0, 1.0, per + 1)
-        # coefficient k of every piece as a column, one row per piece
         c = np.array([p.cx for p in self.pieces]).T[:, :, None]
         d = np.array([p.cz for p in self.pieces]).T[:, :, None]
         x = c[0] + t * (c[1] + t * (c[2] + t * c[3]))
         z = d[0] + t * (d[1] + t * (d[2] + t * d[3]))
+        return t, c, d, x, z
+
+    def positions(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays (x, z) at uniform parameter steps, endpoints included."""
+        x, z = self._rows(n)[3:]
+        return _joined(x), _joined(z)
+
+    def sample(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arrays (x, z, y): the positions and the slope y = dz/dx."""
+        t, c, d, x, z = self._rows(n)
         dx = c[1] + t * (2 * c[2] + 3 * t * c[3])
         dz = d[1] + t * (2 * d[2] + 3 * t * d[3])
         with np.errstate(divide="ignore", invalid="ignore"):
             y = np.where(np.abs(dx) > 1e-14, dz / np.where(dx == 0, 1, dx), 0.0)
-        # a piece's endpoint is the next piece's start; keep only the arc's last
-        return tuple(np.append(a[:, :-1], a[-1, -1]) for a in (x, z, y))
+        return _joined(x), _joined(z), _joined(y)
+
+
+def _joined(a: np.ndarray) -> np.ndarray:
+    # a piece's endpoint is the next piece's start; keep only the arc's last
+    return np.append(a[:, :-1], a[-1, -1])
 
 
 @dataclass(frozen=True)
@@ -139,106 +156,64 @@ def realize_front(d: FrontDiagram, params: GeomParams = GeomParams()) -> Realize
     lv = _levels(tr, params.spacing)
     events = d.events
 
-    def event_x(k: int) -> float:
-        return float(k + 1)
-
-    # endpoint geometry per arc: (x, z, kind, slope)
-    def endpoint(arc_idx: int, end: str):
-        a = tr.arcs[arc_idx]
-        if end == "born":
-            k = a.born
-            ev = events[k]
-            if ev.kind == LEFT:
-                zl = lv[(k + 1, ev.position)]
-                zu = lv[(k + 1, ev.position + 1)]
-                return event_x(k), (zl + zu) / 2, "cusp", 0.0
-            # crossing: out_lower continues in_upper (slope -m), out_upper in_lower (+m)
-            z = (lv[(k + 1, ev.position)] + lv[(k + 1, ev.position + 1)]) / 2
-            slope = params.crossing_slope if a.role == 1 else -params.crossing_slope
-            return event_x(k), z, "cross", slope
-        k = a.died
-        ev = events[k]
-        if ev.kind == RIGHT:
-            zl = lv[(k, ev.position)]
-            zu = lv[(k, ev.position + 1)]
-            return event_x(k), (zl + zu) / 2, "cusp", 0.0
-        z = (lv[(k, ev.position)] + lv[(k, ev.position + 1)]) / 2
-        # in_lower leaves upward (+m), in_upper downward (-m)
-        in_lower = tr.stacks[k][ev.position - 1] == arc_idx
-        slope = params.crossing_slope if in_lower else -params.crossing_slope
-        return event_x(k), z, "cross", slope
+    def endpoint(a, born: bool):
+        """(x, z, slope, is_cusp) where the arc is born or dies."""
+        k = a.born if born else a.died
+        ev, slot = events[k], k + 1 if born else k
+        z = (lv[(slot, ev.position)] + lv[(slot, ev.position + 1)]) / 2
+        if ev.kind != CROSS:
+            return float(k + 1), z, 0.0, True
+        # out_upper and in_lower run at +m, out_lower and in_upper at -m
+        up = a.role == 1 if born else tr.stacks[k][ev.position - 1] == a.index
+        return float(k + 1), z, params.crossing_slope if up else -params.crossing_slope, False
 
     curves = []
     for a in tr.arcs:
-        x0, z0, kind0, s0 = endpoint(a.index, "born")
-        x1, z1, kind1, s1 = endpoint(a.index, "died")
-        anchors = []
-        for j in range(a.born + 1, a.died + 1):
-            p = tr.stacks[j].index(a.index) + 1
-            anchors.append((j + 0.5, lv[(j, p)]))
-        knots: list[tuple[float, float, Optional[float]]] = [(x0, z0, None)]
-        knots += [(ax, az, None) for ax, az in anchors]
-        knots.append((x1, z1, None))
-
-        # expand cusp ends into a dedicated semicubical piece
+        x0, z0, s0, cusp0 = endpoint(a, True)
+        x1, z1, s1, cusp1 = endpoint(a, False)
+        # the front point at the middle of every slot the arc spans
+        pts = [(x0, z0), *((j + 0.5, lv[(j, tr.stacks[j].index(a.index) + 1)])
+                           for j in range(a.born + 1, a.died + 1)), (x1, z1)]
+        # a chain of Hermite pieces through (x, z, slope) knots; a cusp end
+        # takes a semicubical piece up to the chain's end knot
+        head, tail = (x0, z0, s0), (x1, z1, s1)
         pieces: list[CubicPiece] = []
-        pts = [(x, z) for x, z, _ in knots]
-        # head cusp
-        head_extra = None
-        if kind0 == "cusp":
-            nx, nz = pts[1]
-            h = params.cusp_reach * (nx - x0)
-            target = (nz - z0) / (nx - x0)
-            kk = target * h / 3.0
-            head_extra = (x0 + h, z0 + kk, 3 * kk / h if h else 0.0)
-        tail_extra = None
-        if kind1 == "cusp":
-            px, pz = pts[-2]
-            h = params.cusp_reach * (x1 - px)
-            target = (z1 - pz) / (x1 - px)
-            kk = target * h / 3.0
-            tail_extra = (x1 - h, z1 - kk, 3 * kk / h if h else 0.0)
-
-        # assemble pieces: head, inner chain, tail
-        def cusp_piece(xc, zc, xe, ze, reverse):
-            h = abs(xe - xc)
-            # x(t) = xc +- h t^2 (2 - t); z(t) = zc + (ze - zc) t^3 (forward)
-            if not reverse:
-                cx = (xc, 0.0, 2 * h, -h) if xe > xc else (xc, 0.0, -2 * h, h)
-                cz = (zc, 0.0, 0.0, ze - zc)
-            else:
-                # built backwards then reparameterized t -> 1 - t
-                cx_f = (xe, 0.0, 2 * h, -h) if xc > xe else (xe, 0.0, -2 * h, h)
-                cz_f = (ze, 0.0, 0.0, zc - ze)
-                cx = _reverse_cubic(cx_f)
-                cz = _reverse_cubic(cz_f)
-            return CubicPiece(cx, cz)
-
-        chain: list[tuple[float, float, float]] = []
-        if kind0 == "cusp":
-            xe, ze, _ = head_extra
-            pieces.append(cusp_piece(x0, z0, xe, ze, reverse=False))
-            chain.append(head_extra)
-        else:
-            chain.append((x0, z0, s0))
-        for (x_prev, z_prev), (ax, az), (x_next, z_next) in zip(pts, pts[1:], pts[2:]):
-            chain.append((ax, az, (z_next - z_prev) / (x_next - x_prev)))
-        if kind1 == "cusp":
-            chain.append(tail_extra)
-        else:
-            chain.append((x1, z1, s1))
+        if cusp0:
+            head = _cusp_end(x0, z0, *pts[1], params.cusp_reach)
+            pieces.append(_cusp_piece(x0, z0, *head[:2]))
+        if cusp1:
+            tail = _cusp_end(x1, z1, *pts[-2], params.cusp_reach)
+        chain = [head, *((ax, az, (zn - zp) / (xn - xp))
+                         for (xp, zp), (ax, az), (xn, zn) in zip(pts, pts[1:], pts[2:])), tail]
         for (xa, za, sa), (xb, zb, sb) in zip(chain, chain[1:]):
             dx = xb - xa
             pieces.append(
                 CubicPiece(_hermite(xa, dx, xb, dx), _hermite(za, sa * dx, zb, sb * dx))
             )
-        if kind1 == "cusp":
-            xe, ze, _ = tail_extra
-            pieces.append(cusp_piece(xe, ze, x1, z1, reverse=True))
-
+        if cusp1:
+            pieces.append(_cusp_piece(x1, z1, *tail[:2], reverse=True))
         curves.append(ArcCurve(arc=a.index, pieces=tuple(pieces)))
 
     return RealizedFront(diagram=d, params=params, curves=tuple(curves))
+
+
+def _cusp_end(xc: float, zc: float, xn: float, zn: float, reach: float) -> tuple[float, float, float]:
+    """(x, z, slope) where a cusp at (xc, zc) hands over to the chain that
+    runs on to the knot (xn, zn)."""
+    h = reach * (xn - xc)
+    kk = (zn - zc) / (xn - xc) * h / 3.0
+    return xc + h, zc + kk, 3 * kk / h if h else 0.0
+
+
+def _cusp_piece(xc: float, zc: float, xe: float, ze: float, reverse: bool = False) -> CubicPiece:
+    """x(t) = xc +- h t^2 (2 - t), z(t) = zc + (ze - zc) t^3 from the cusp
+    (xc, zc) to (xe, ze), h = |xe - xc|; reparameterized t -> 1 - t if reverse."""
+    h = abs(xe - xc)
+    cx = (xc, 0.0, 2 * h, -h) if xe > xc else (xc, 0.0, -2 * h, h)
+    cz = (zc, 0.0, 0.0, ze - zc)
+    if reverse:
+        cx, cz = _reverse_cubic(cx), _reverse_cubic(cz)
+    return CubicPiece(cx, cz)
 
 
 def _reverse_cubic(c: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
@@ -416,7 +391,16 @@ def lagrangian_embeddedness_check(
     point on a line counted on its left, so a crossing through sample
     vertices is counted once.  Reports are ordered by the indices (i, j),
     i < j, of the two crossing segments.
+
+    The lobe areas come from the prefix sums s of the shoelace terms
+    p[m] x p[m+1] of the closed polyline: with pt the crossing point on
+    segment i, lobe one is (pt x p[i+1] + s[j] - s[i+1] + p[j] x pt) / 2 and
+    lobe two the rest of the curve, so beyond the sweep's candidate pairs
+    the check costs O(n log n + hits) for n subsampled segments.  The areas
+    differ from a per-lobe shoelace sum in the last digits only.
     """
+    if max_segments < 1:
+        raise GeometryDegenerate(f"max_segments {max_segments} below 1")
     step = max(1, len(lc.x) // max_segments)
     x = np.append(lc.x[::step], lc.x[0])
     y = np.append(lc.y[::step], lc.y[0])
@@ -447,29 +431,30 @@ def lagrangian_embeddedness_check(
         keep = (j >= i + 2) & ~((i == 0) & (j == n - 1))
         i, j = i[keep], j[keep]
         d1, d2 = d[i], d[j]
-        denom = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        denom = _cross(d1, d2)
         # a rounded side test may still split nearly collinear parallel
         # segments; those have no crossing parameter
         hit = ((_left_of(p[i], d1, p[j]) != _left_of(p[i], d1, q[j]))
                & (_left_of(p[j], d2, p[i]) != _left_of(p[j], d2, q[i])) & (denom != 0))
         i, j, d2, denom = i[hit], j[hit], d2[hit], denom[hit]
-        rel = p[j] - p[i]
         found_i.append(i)
         found_j.append(j)
-        found_t.append((rel[:, 0] * d2[:, 1] - rel[:, 1] * d2[:, 0]) / denom)
+        found_t.append(_cross(p[j] - p[i], d2) / denom)
     i, j, t = (np.concatenate(v) for v in (found_i, found_j, found_t))
+    k = np.lexsort((j, i))
+    i, j, t = i[k], j[k], t[k]
+    # s[m]: the shoelace terms of segments 0 .. m-1, summed
+    s = np.concatenate(([0.0], np.cumsum(_cross(p, q))))
+    pt = p[i] + t[:, None] * d[i]
+    a1 = 0.5 * (_cross(pt, q[i]) + s[j] - s[i + 1] + _cross(p[j], pt))
+    a2 = 0.5 * (_cross(pt, q[j]) + s[n] - s[j + 1] + s[i] + _cross(p[i], pt))
     scale = max(np.ptp(lc.x) * np.ptp(lc.y), 1e-30)
-    reports = []
-    for k in np.lexsort((j, i)):
-        ik, jk = int(i[k]), int(j[k])
-        pt = p[ik] + t[k] * d[ik]
-        a1 = _shoelace(np.vstack([[pt], p[ik + 1 : jk + 1], [pt]]))
-        a2 = _shoelace(np.vstack([[pt], p[jk + 1 :], p[: ik + 1], [pt]]))
-        reports.append(
-            DoublePointReport(point=(float(pt[0]), float(pt[1])), area_one=a1, area_two=a2,
-                              flagged=bool(min(abs(a1), abs(a2)) < tolerance * scale))
-        )
-    return EmbeddednessReport(double_points=tuple(reports), tolerance=tolerance)
+    flagged = np.minimum(np.abs(a1), np.abs(a2)) < tolerance * scale
+    reports = tuple(
+        DoublePointReport(point=(px, py), area_one=u, area_two=v, flagged=f)
+        for (px, py), u, v, f in zip(pt.tolist(), a1.tolist(), a2.tolist(), flagged.tolist())
+    )
+    return EmbeddednessReport(double_points=reports, tolerance=tolerance)
 
 
 def _left_of(a: np.ndarray, da: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -478,12 +463,12 @@ def _left_of(a: np.ndarray, da: np.ndarray, c: np.ndarray) -> np.ndarray:
     A point on the line counts as left, so a crossing through a vertex that
     two segments of one polyline share hits exactly one of them.
     """
-    return da[:, 0] * (c[:, 1] - a[:, 1]) - da[:, 1] * (c[:, 0] - a[:, 0]) >= 0
+    return _cross(da, c - a) >= 0
 
 
-def _shoelace(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    return float(0.5 * np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The cross product u x v of each row pair of two (m, 2) arrays."""
+    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
 
 def lift_csv(lc: LiftedCurve) -> str:

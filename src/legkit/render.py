@@ -22,7 +22,7 @@ def render_svg(d: FrontDiagram, scale: float = 60.0) -> str:
     params = GeomParams(samples_per_arc=_SVG_SAMPLES)
     rf = realize_front(d, params)
     tr = rf.trace
-    xz = {curve.arc: curve.sample(_SVG_SAMPLES)[:2] for curve in rf.curves}
+    xz = {curve.arc: curve.positions(_SVG_SAMPLES) for curve in rf.curves}
     all_x = np.concatenate([x for x, _ in xz.values()])
     all_z = np.concatenate([z for _, z in xz.values()])
     x0, x1 = float(all_x.min()) - 0.5, float(all_x.max()) + 0.5

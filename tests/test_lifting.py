@@ -76,6 +76,19 @@ def brute_force_embeddedness(lc, tolerance=1e-6, max_segments=2000, strict=False
     return lf.EmbeddednessReport(double_points=tuple(reports), tolerance=tolerance)
 
 
+def assert_matches_reference(rep, ref, lc):
+    """Equal count, order, points and flags; areas within 1e-12 of the scale,
+    as the check sums each lobe's shoelace terms in another order."""
+    scale = max(np.ptp(lc.x) * np.ptp(lc.y), 1e-30)
+    assert rep.tolerance == ref.tolerance
+    assert ([(p.point, p.flagged) for p in rep.double_points]
+            == [(p.point, p.flagged) for p in ref.double_points])
+    for p, r in zip(rep.double_points, ref.double_points):
+        assert type(p.area_one) is type(p.area_two) is float
+        assert abs(p.area_one - r.area_one) <= 1e-12 * scale
+        assert abs(p.area_two - r.area_two) <= 1e-12 * scale
+
+
 _coord = st.integers(-8, 8)
 # general polylines, polylines with many vertical segments, and zig-zags whose
 # segments all share one x-range (every pair is a sweep candidate)
@@ -85,6 +98,12 @@ _polylines = st.one_of(
     st.lists(_coord, min_size=4, max_size=80).map(
         lambda ys: [(8 * (k % 2), yk) for k, yk in enumerate(ys)]),
 )
+_float = st.floats(-8, 8)
+_float_polylines = st.lists(st.tuples(_float, _float), min_size=4, max_size=80)
+
+# the only crossing of this polyline is at (0, 0), between its segments 0
+# and 4; its lobes have areas -5 and 1
+_FISH = [(-1, -1), (1, 1), (3, 1), (3, -1), (1, -1), (-1, 1)]
 
 
 class TestRealize:
@@ -264,7 +283,7 @@ class TestEmbeddedness:
         lc = polyline(points)
         with mock.patch.object(lf, "_SWEEP_CHUNK", chunk):
             rep = lf.lagrangian_embeddedness_check(lc)
-        assert rep == brute_force_embeddedness(lc)
+        assert_matches_reference(rep, brute_force_embeddedness(lc), lc)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 60))
@@ -272,7 +291,48 @@ class TestEmbeddedness:
         # with no three sample vertices collinear, a crossing through a vertex
         # cannot happen and the hit rule agrees with the strict-interior one
         lc = polyline(np.random.default_rng(seed).random((n, 2)))
-        assert lf.lagrangian_embeddedness_check(lc) == brute_force_embeddedness(lc, strict=True)
+        rep = lf.lagrangian_embeddedness_check(lc)
+        assert_matches_reference(rep, brute_force_embeddedness(lc, strict=True), lc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(points=_polylines | _float_polylines, max_segments=st.integers(1, 80))
+    def test_lobes_sum_to_polygon_area(self, points, max_segments):
+        # the crossing point lies on segment i, so the two lobes together
+        # are the whole subsampled polygon
+        lc = polyline(points)
+        step = max(1, len(lc.x) // max_segments)
+        sub = np.stack([lc.x[::step], lc.y[::step]], axis=1)
+        whole = _shoelace(np.vstack([sub, sub[:1]]))
+        scale = max(np.ptp(lc.x) * np.ptp(lc.y), 1e-30)
+        rep = lf.lagrangian_embeddedness_check(lc, max_segments=max_segments)
+        for p in rep.double_points:
+            assert abs(p.area_one + p.area_two - whole) <= 1e-12 * scale
+
+    # lobe one runs from crossing segment i on to segment j; the reversed
+    # curve crosses at the same segment positions with negated areas
+    @pytest.mark.parametrize("shift,areas", [
+        (0, (-5.0, 1.0)),  # segments 0 and 4
+        (1, (1.0, -5.0)),  # segments 3 and 5, the closing one
+        (2, (1.0, -5.0)),  # segments 2 and 4
+        (3, (1.0, -5.0)),  # segments 1 and 3
+        (4, (1.0, -5.0)),  # segments 0 and 2
+        (5, (-5.0, 1.0)),  # segments 1 and 5, the closing one
+    ])
+    @pytest.mark.parametrize("backwards", [False, True])
+    def test_crossing_on_first_or_closing_segment(self, shift, areas, backwards):
+        pts = _FISH[::-1] if backwards else _FISH
+        lc = polyline(pts[shift:] + pts[:shift])
+        rep = lf.lagrangian_embeddedness_check(lc)
+        sign = -1.0 if backwards else 1.0
+        assert rep.double_points == (lf.DoublePointReport(
+            point=(0.0, 0.0), area_one=sign * areas[0], area_two=sign * areas[1], flagged=False),)
+        assert rep == brute_force_embeddedness(lc)
+
+    @pytest.mark.parametrize("max_segments", [0, -3])
+    def test_max_segments_below_one(self, max_segments):
+        lc = lift("L 1\nX 1\nR 1", lf.GeomParams(samples_per_arc=50))
+        with pytest.raises(GeometryDegenerate):
+            lf.lagrangian_embeddedness_check(lc, max_segments=max_segments)
 
     @pytest.mark.parametrize("shift", range(6))
     @pytest.mark.parametrize("backwards", [False, True])
@@ -293,16 +353,27 @@ class TestEmbeddedness:
         assert rep.embedded
 
     def test_acceptance_grid_lifts_embedded_in_both_orientations(self):
-        lifted = 0
+        counts = []
         for m in range(-3, 4):
             for k in range(6):
                 d = tr.catalog_front(-abs(m) - 2 * k - 1, m)
                 rf = lf.realize_front(d)
                 of = fr.OrientedFront.default(d)
                 for o in (of, of.reverse(0)):
-                    assert lf.lagrangian_embeddedness_check(lf.legendrian_lift(rf, of=o)).embedded
-                    lifted += 1
-        assert lifted == 84
+                    rep = lf.lagrangian_embeddedness_check(lf.legendrian_lift(rf, of=o))
+                    assert rep.embedded
+                    counts.append(len(rep.double_points))
+        # the sweep's double-point counts, default then reversed orientation
+        # of each (tb, r); they measure the sampling, not the geometry
+        assert counts == [
+            110, 108, 132, 132, 124, 124, 128, 132, 160, 164, 174, 170,
+            139, 137, 147, 147, 127, 127, 127, 129, 145, 147, 169, 173,
+            8, 8, 26, 26, 44, 44, 64, 62, 80, 80, 118, 118,
+            1, 1, 17, 17, 35, 35, 53, 53, 73, 73, 101, 107,
+            8, 8, 26, 26, 44, 44, 62, 62, 92, 92, 124, 126,
+            137, 137, 91, 89, 89, 89, 101, 99, 123, 123, 151, 151,
+            568, 568, 402, 394, 334, 334, 304, 302, 314, 314, 302, 302,
+        ]
 
 
 class TestCsv:
