@@ -23,19 +23,26 @@ init_boundary joins each interior negative hyperbolic to one boundary
 negative elliptic, and to_elliptic_form absorbs along such a separatrix
 wherever one is left.
 
-Each stage (to_naf, reduce_interior, to_elliptic_form) copies its input
-once into a private working copy, applies all its rewrites to it in place
-and freezes the result once; a stage with nothing to do returns its input.
-The atomic rewrites (eliminate, convert, create_pair, rewire) are the same
-code applied to a one-rewrite copy.  Tightness (no same-sign separatrix
-cycle) is checked per added same-sign separatrix, by a walk over one
-endpoint's same-sign tree; init_boundary adds its separatrices the same way.
+A state computes its derived facts once, when first asked: the id map,
+the per-locus tag counts (one pass), boundary alternation and the NAF
+verdict; counts(), identity_differences() and the is_* checks read them.
+Each stage (to_naf, reduce_interior, to_elliptic_form) scans its input
+once, copies it once into a private working copy, applies all its
+rewrites to it in place and freezes the result once; a stage with nothing
+to do returns its input after an O(1) check of the cached facts.  The
+atomic rewrites (eliminate, convert, create_pair, rewire) are the same code
+applied to a one-rewrite copy.  Tightness (no same-sign separatrix cycle)
+is checked per added same-sign separatrix, by a walk over one endpoint's
+same-sign tree; init_boundary adds its separatrices the same way.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import cycle
+from operator import attrgetter, ne
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -55,6 +62,7 @@ ELLIPTIC = "e"
 HYPERBOLIC = "h"
 BOUNDARY = "boundary"
 INTERIOR = "interior"
+_TAGS = ("e+", "h+", "e-", "h-")
 
 
 @dataclass(frozen=True)
@@ -105,48 +113,61 @@ class FoliationState:
         """Read-only id -> Singularity view, built once per state."""
         return MappingProxyType(dict(self.sing))
 
-    def counts(self, locus: Optional[str] = None) -> dict[str, int]:
-        out = {"e+": 0, "h+": 0, "e-": 0, "h-": 0}
-        for _, s in self.sing:
-            if locus is None or s.locus == locus:
-                out[f"{s.kind}{'+' if s.sign > 0 else '-'}"] += 1
+    @cached_property
+    def _tallies(self) -> dict[Optional[str], dict[str, int]]:
+        """Tag counts per locus and over all loci (key None), from one pass."""
+        out = {k: dict.fromkeys(_TAGS, 0) for k in (None, BOUNDARY, INTERIOR)}
+        tally = Counter(map(attrgetter("locus", "kind", "sign"), self.sing_map.values()))
+        for (locus, kind, sign), n in tally.items():
+            tag = f"{kind}{'+' if sign > 0 else '-'}"
+            out[None][tag] += n
+            out.setdefault(locus, dict.fromkeys(_TAGS, 0))[tag] += n
         return out
+
+    @cached_property
+    def _alternates(self) -> bool:
+        signs = [self.sing_map[b].sign for b in self.boundary]
+        return all(map(ne, signs, signs[1:] + signs[:1]))
+
+    @cached_property
+    def _naf(self) -> bool:
+        sm = self.sing_map
+        kinds = ((sm[b].sign, sm[b].kind) for b in self.boundary)
+        naf = all(k == (HYPERBOLIC if g > 0 else ELLIPTIC) for g, k in kinds if g)
+        return naf and self._alternates
+
+    def counts(self, locus: Optional[str] = None) -> dict[str, int]:
+        return dict(self._tallies.get(locus) or dict.fromkeys(_TAGS, 0))
 
     def identity_differences(self, locus: Optional[str] = None) -> tuple[int, int]:
         c = self.counts(locus)
         return c["e+"] - c["h+"], c["e-"] - c["h-"]
 
     def is_naf(self) -> bool:
-        sm = self.sing_map
-        for b in self.boundary:
-            s = sm[b]
-            if s.sign > 0 and s.kind != HYPERBOLIC:
-                return False
-            if s.sign < 0 and s.kind != ELLIPTIC:
-                return False
-        return _alternating(self)
+        return self._naf
 
     def is_reduced(self) -> bool:
-        c = self.counts(INTERIOR)
+        c = self._tallies[INTERIOR]
         return c["h+"] == 0 and c["e-"] == 0
 
     def is_elliptic_form(self) -> bool:
-        c = self.counts(INTERIOR)
-        return c["h+"] == 0 and c["h-"] == 0 and _alternating(self)
+        c = self._tallies[INTERIOR]
+        return c["h+"] == 0 and c["h-"] == 0 and self._alternates
 
     def logged(self, step: RewriteStep) -> "FoliationState":
         return replace(self, trace=self.trace + (step,))
 
 
 def _alternating(s: FoliationState) -> bool:
-    sm = s.sing_map
-    n = len(s.boundary)
-    return all(sm[s.boundary[i]].sign != sm[s.boundary[(i + 1) % n]].sign for i in range(n))
+    return s._alternates
 
 
 def _delta(**kw: int) -> tuple[tuple[str, int], ...]:
     names = {"ep": "e+", "hp": "h+", "em": "e-", "hm": "h-"}
     return tuple((names[k], v) for k, v in kw.items() if v)
+
+
+_ABSORB_DELTA = _delta(em=-1)
 
 
 def interior_count_targets(tb: int, r: int) -> tuple[int, int]:
@@ -173,46 +194,31 @@ def init_boundary(
     n = -tb
     e_target, h_target = interior_count_targets(tb, r)
 
+    if boundary_kinds is None:
+        boundary_kinds = (HYPERBOLIC, ELLIPTIC) * n
+    elif len(boundary_kinds) != 2 * n:
+        raise BadInvariants(f"boundary_kinds must list {2 * n} kinds, got {len(boundary_kinds)}")
     sing: dict[str, Singularity] = {}
-    boundary = []
-    for i in range(2 * n):
-        ident = f"b{i}"
-        sign = 1 if i % 2 == 0 else -1
-        if boundary_kinds is None:
-            kind = HYPERBOLIC if sign > 0 else ELLIPTIC
-        else:
-            if len(boundary_kinds) != 2 * n:
-                raise BadInvariants(
-                    f"boundary_kinds must list {2 * n} kinds, got {len(boundary_kinds)}"
-                )
-            kind = boundary_kinds[i]
-            if kind not in (ELLIPTIC, HYPERBOLIC):
-                raise BadInvariants(f"bad kind {kind!r}")
-        boundary.append(ident)
+    boundary = [f"b{i}" for i in range(2 * n)]  # signs alternate from b0 = +
+    pend = {1: 0, -1: 0}  # pending NAF conversions
+    for ident, kind, sign in zip(boundary, boundary_kinds, cycle((1, -1))):
+        if kind not in (ELLIPTIC, HYPERBOLIC):
+            raise BadInvariants(f"bad kind {kind!r}")
+        pend[sign] += kind == (ELLIPTIC if sign > 0 else HYPERBOLIC)
         sing[ident] = Singularity(ident, sign, kind, BOUNDARY)
-
-    # pending NAF conversions for custom boundary kinds
-    pend_pos = sum(
-        1 for b in boundary if sing[b].sign > 0 and sing[b].kind == ELLIPTIC
-    )
-    pend_neg = sum(
-        1 for b in boundary if sing[b].sign < 0 and sing[b].kind == HYPERBOLIC
-    )
     seed = {
-        "e+": max(0, e_target - 2 * pend_pos),
-        "h+": max(0, 2 * pend_pos - e_target),
-        "h-": max(0, h_target - 2 * pend_neg),
-        "e-": max(0, 2 * pend_neg - h_target),
+        "e+": max(0, e_target - 2 * pend[1]),
+        "h+": max(0, 2 * pend[1] - e_target),
+        "h-": max(0, h_target - 2 * pend[-1]),
+        "e-": max(0, 2 * pend[-1] - h_target),
     }
 
-    spine = [f"p{j}" for j in range(e_target)]
+    spine = [f"p{j}" for j in range(e_target)]  # e_target >= 1 in range
     hubs_h = [f"q{j}" for j in range(h_target)]
-    for j, ident in enumerate(spine):
-        if j < seed["e+"]:
-            sing[ident] = Singularity(ident, 1, ELLIPTIC, INTERIOR)
-    for j, ident in enumerate(hubs_h):
-        if j < seed["h-"]:
-            sing[ident] = Singularity(ident, -1, HYPERBOLIC, INTERIOR)
+    for ident in spine[: seed["e+"]]:
+        sing[ident] = Singularity(ident, 1, ELLIPTIC, INTERIOR)
+    for ident in hubs_h[: seed["h-"]]:
+        sing[ident] = Singularity(ident, -1, HYPERBOLIC, INTERIOR)
     for j in range(seed["h+"]):
         ident = f"x{j}"
         sing[ident] = Singularity(ident, 1, HYPERBOLIC, INTERIOR)
@@ -222,29 +228,15 @@ def init_boundary(
 
     # Separatrices: reduced Legendrian tree (spine alternating with interior
     # negative hyperbolics) plus boundary attachments.
-    edges = []
-    for j in range(h_target):
-        edges += [(f"q{j}", f"p{j}"), (f"q{j}", f"p{j + 1}")]
-    pos_boundary = [b for b in boundary if sing[b].sign > 0]
-    edges += [(b, f"p{i % max(1, e_target)}") for i, b in enumerate(pos_boundary)]
-
+    edges = [(q, p) for j, q in enumerate(hubs_h) for p in spine[j : j + 2]]
+    edges += zip(boundary[::2], cycle(spine))
     # Each interior negative hyperbolic shares a separatrix with the boundary
     # negative elliptic that to_elliptic_form absorbs it into.
-    neg_boundary = [b for b in boundary if sing[b].sign < 0]
-    edges += [(neg_boundary[-1 - j], f"q{j}") for j in range(h_target)]
+    edges += zip(reversed(boundary[1::2]), hubs_h)
 
     # Arc-family connections are only meaningful in elliptic form; they are
     # built by to_elliptic_form from whatever singularities survive.
-    w = _Work(
-        FoliationState(
-            tb=tb,
-            r=r,
-            boundary=tuple(boundary),
-            sing=tuple(sorted(sing.items())),
-            separatrices=frozenset(),
-            connections=frozenset(),
-        )
-    )
+    w = _Work(FoliationState(tb, r, tuple(boundary), (), frozenset(), frozenset()), sing)
     # link walks u's same-sign tree; each same-sign edge above lists first a
     # boundary point that has no separatrix yet, so the walks stay O(1).
     for u, v in edges:
@@ -261,21 +253,22 @@ class _Work:
     """Mutable copy of a FoliationState that rewrites are applied to in place.
 
     A stage copies its input once, applies all its rewrites here and
-    freezes once, so each rewrite costs O(degree) rather than O(n).  ``adj``
+    freezes once, so each rewrite costs O(degree) rather than O(n); a stage
+    whose input's cached facts show nothing to do makes no copy.  ``adj``
     indexes every separatrix by endpoint, so removing a point touches only
     its own edges.  Tightness is checked per added same-sign separatrix: a
     tight state's same-sign separatrices form a forest, so an added edge
     closes a cycle exactly when its endpoints already share a same-sign tree.
     """
 
-    def __init__(self, state: FoliationState):
+    def __init__(self, state: FoliationState, sing: Optional[dict[str, Singularity]] = None):
         self.state = state
-        self.sing = dict(state.sing)
+        self.sing = dict(state.sing) if sing is None else sing
         self.seps = set(state.separatrices)
-        self.adj: dict[str, list[str]] = {}
+        self.adj: defaultdict[str, list[str]] = defaultdict(list)
         for u, v in self.seps:
-            self.adj.setdefault(u, []).append(v)
-            self.adj.setdefault(v, []).append(u)
+            self.adj[u].append(v)
+            self.adj[v].append(u)
         self.connections = state.connections
         self.trace: list[RewriteStep] = []
         self.next_id: dict[str, int] = {}
@@ -307,8 +300,8 @@ class _Work:
         if self.sing[v].sign == sign and self._joined(u, v, sign):
             raise TightnessViolation(f"same-sign separatrix cycle through {u}")
         self.seps.add(edge)
-        self.adj.setdefault(u, []).append(v)
-        self.adj.setdefault(v, []).append(u)
+        self.adj[u].append(v)
+        self.adj[v].append(u)
 
     def _joined(self, u: str, v: str, sign: int) -> bool:
         """Whether a path of sign-``sign`` separatrices joins u to v."""
@@ -329,7 +322,7 @@ class _Work:
         for w in self.adj.pop(x, ()):
             self.adj[w].remove(x)
             self.seps.discard(frozenset((x, w)))
-        if any(x in c for c in self.connections):
+        if self.connections and any(x in c for c in self.connections):
             self.connections = frozenset(c for c in self.connections if x not in c)
 
     def eliminate(self, e_id: str, h_id: str) -> None:
@@ -353,7 +346,8 @@ class _Work:
         if p_id not in self.sing:
             raise BadLeaves(f"unknown singularity {p_id}")
         p = self.sing[p_id]
-        self.sing[p_id] = replace(p, kind=HYPERBOLIC if p.kind == ELLIPTIC else ELLIPTIC)
+        flip = HYPERBOLIC if p.kind == ELLIPTIC else ELLIPTIC
+        self.sing[p_id] = Singularity(p_id, p.sign, flip, p.locus)
         prefix = "c" if p.kind == ELLIPTIC else "d"
         for _ in range(2):
             ident = self.fresh_id(prefix)
@@ -391,9 +385,10 @@ class _Work:
         self.trace.append(RewriteStep("rewire", (add, remove), ()))
 
     def absorb(self, q: str, m: str) -> None:
-        self.sing[m] = replace(self.sing[m], kind=HYPERBOLIC)
+        p = self.sing[m]
+        self.sing[m] = Singularity(m, p.sign, HYPERBOLIC, p.locus)
         self.drop(q)
-        self.trace.append(RewriteStep("absorb", (q, m), _delta(em=-1)))
+        self.trace.append(RewriteStep("absorb", (q, m), _ABSORB_DELTA))
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +482,9 @@ def to_naf(state: FoliationState) -> FoliationState:
     return state
 
 
-def _doomed(state: FoliationState, kind: str, sign: int, keep: int) -> list[str]:
-    """Interior ids of this kind and sign beyond the first ``keep`` survivors."""
-    ids = sorted(
-        i for i, s in state.sing if s.locus == INTERIOR and s.kind == kind and s.sign == sign
-    )
+def _doomed(ids: list[str], keep: int) -> list[str]:
+    """The ids beyond the first ``keep`` survivors, sorted."""
+    ids = sorted(ids)
     # spine/hub ids (p*, q*) are the canonical survivors
     canon = [i for i in ids if i[0] in "pq"]
     extra = [i for i in ids if i[0] not in "pq"]
@@ -509,11 +502,18 @@ def reduce_interior(state: FoliationState) -> FoliationState:
     if not state.is_naf():
         raise PatternMismatch("reduce_interior needs a NAF boundary")
     e_target, h_target = interior_count_targets(state.tb, state.r)
+    want = {"e+": e_target, "h+": 0, "e-": 0, "h-": h_target}
+    if state.counts(INTERIOR) == want:
+        return state  # nothing is doomed
+    groups: dict[tuple[str, int], list[str]] = {}
+    for i, s in state.sing:
+        if s.locus == INTERIOR:
+            groups.setdefault((s.kind, s.sign), []).append(i)
     # Eliminating a doomed pair leaves the survivors, and so the other
     # doomed ids, unchanged: each list is computed once.
     plan = [
-        (_doomed(state, ELLIPTIC, sign, e_keep), _doomed(state, HYPERBOLIC, sign, h_keep))
-        for sign, e_keep, h_keep in ((1, e_target, 0), (-1, 0, h_target))
+        (_doomed(groups.get((ELLIPTIC, g), []), e), _doomed(groups.get((HYPERBOLIC, g), []), h))
+        for g, e, h in ((1, e_target, 0), (-1, 0, h_target))
     ]
     if any(es or hs for es, hs in plan):
         w = _Work(state)
@@ -526,7 +526,7 @@ def reduce_interior(state: FoliationState) -> FoliationState:
                 raise BadInvariants("interior counts cannot reach the reduced targets")
         state = w.freeze()
     counts = state.counts(INTERIOR)
-    if counts != {"e+": e_target, "h+": 0, "e-": 0, "h-": h_target}:
+    if counts != want:
         raise BadInvariants(
             f"reduced interior {counts} misses the targets e+={e_target}, h-={h_target}"
         )
@@ -549,10 +549,9 @@ class RegionDecomposition:
 
 def _decompose(state: FoliationState) -> RegionDecomposition:
     sm = state.sing_map
-    regions = [Region("type(b)", tuple(sorted(c))) for c in sorted(state.connections, key=sorted)]
-    n = len(state.boundary)
-    for i in range(n):
-        a, b = state.boundary[i], state.boundary[(i + 1) % n]
+    regions = [Region("type(b)", c) for c in sorted(map(tuple, map(sorted, state.connections)))]
+    bd = state.boundary
+    for a, b in zip(bd, bd[1:] + bd[:1]):
         if sm[a].kind == HYPERBOLIC and sm[b].kind == HYPERBOLIC:
             regions.append(Region("type(a)", (a, b)))
     return RegionDecomposition(tuple(regions))
@@ -575,10 +574,11 @@ def to_elliptic_form(state: FoliationState) -> tuple[FoliationState, RegionDecom
     if not (state.is_naf() and state.is_reduced()):
         raise PatternMismatch("to_elliptic_form needs a reduced state with NAF boundary")
     sm = state.sing_map
+    # the NAF boundary's negatives are elliptic until absorbed
+    pool = [b for b in reversed(state.boundary) if sm[b].sign < 0]
+    free = {m: k for k, m in enumerate(pool)}  # still elliptic -> rank in pool
     doomed_h = sorted(i for i, s in state.sing if s.locus == INTERIOR and s.kind == HYPERBOLIC)
     if doomed_h:
-        pool = [b for b in reversed(state.boundary) if sm[b].sign < 0]
-        free = {m: k for k, m in enumerate(pool)}  # still elliptic -> rank in pool
         k = 0  # pool[:k] is absorbed already
         w = _Work(state)
         for q in doomed_h:
@@ -594,11 +594,10 @@ def to_elliptic_form(state: FoliationState) -> tuple[FoliationState, RegionDecom
             w.absorb(q, m)
         state = w.freeze()
         del w  # release the working copy before the broom is built
-        sm = state.sing_map
-    # the surviving elliptics assemble into the extended-skeleton broom
+    # the surviving elliptics assemble into the extended-skeleton broom; an
+    # absorption changes no id and no sign
     spine = sorted(i for i, s in state.sing if s.locus == INTERIOR and s.kind == ELLIPTIC)
-    leaves = [b for b in state.boundary if sm[b].sign < 0 and sm[b].kind == ELLIPTIC]
-    ids = spine + leaves
+    ids = spine + [b for b in state.boundary if b in free]
     signs = [sm[v].sign for v in ids]
     out = replace(state, connections=frozenset(canonical_broom(signs, ids).edges))
     if not out.is_elliptic_form():
@@ -630,8 +629,8 @@ def extract_skeleton(state: FoliationState) -> SkeletonTree:
     sm = state.sing_map
     verts = sorted({v for c in state.connections for v in c})
     index = {v: k for k, v in enumerate(verts)}
-    signs = {index[v]: sm[v].sign for v in verts}
-    edges = [(index[u], index[v]) for u, v in (tuple(c) for c in state.connections)]
+    signs = {k: sm[v].sign for k, v in enumerate(verts)}
+    edges = [(index[u], index[v]) for u, v in state.connections]
     tree = SignedTree.make(signs, edges)
     interior = frozenset(v for v in verts if sm[v].locus == INTERIOR)
     boundary = frozenset(v for v in verts if sm[v].locus == BOUNDARY)

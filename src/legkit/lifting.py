@@ -235,8 +235,10 @@ def _reverse_cubic(c: tuple[float, float, float, float]) -> tuple[float, float, 
 class LiftedCurve:
     """Closed polyline (x, y, z) with y the front slope; one component.
 
-    The arrays are read-only copies, so the panel terms and the winding
-    number are computed once per curve and cannot go stale.
+    The arrays are read-only: copies of the arrays a caller passes in, or
+    the lift's own fresh arrays, marked read-only without a copy.  So the
+    panel terms and the winding number are computed once per curve and
+    cannot go stale.
     """
 
     x: np.ndarray
@@ -253,6 +255,16 @@ class LiftedCurve:
     @staticmethod
     def from_samples(x, y, z, closed=True) -> "LiftedCurve":
         return LiftedCurve(x, y, z, closed)
+
+    @classmethod
+    def _owning(cls, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> "LiftedCurve":
+        """A closed curve over fresh arrays no one else holds, not copied."""
+        lc = cls.__new__(cls)
+        for name, a in (("x", x), ("y", y), ("z", z)):
+            a = lc.__dict__[name] = np.asarray(a, float)
+            a.flags.writeable = False
+        lc.__dict__["closed"] = True
+        return lc
 
     def diameter(self) -> float:
         return float(
@@ -335,7 +347,7 @@ def legendrian_lift(
         xs.append(x[:-1])
         ys.append(y[:-1])
         zs.append(z[:-1])
-    return LiftedCurve(np.concatenate(xs), np.concatenate(ys), np.concatenate(zs))
+    return LiftedCurve._owning(np.concatenate(xs), np.concatenate(ys), np.concatenate(zs))
 
 
 def lagrangian_closure_integral(lc: LiftedCurve) -> float:

@@ -86,7 +86,7 @@ class SignedTree:
 
     @staticmethod
     def make(signs: dict[int, int], edges: Iterable[tuple[int, int]]) -> "SignedTree":
-        e = frozenset(frozenset(p) for p in edges)
+        e = frozenset(map(frozenset, edges))
         return SignedTree(tuple(sorted(signs.items())), e)
 
     @cached_property
@@ -99,11 +99,18 @@ class SignedTree:
 
     @cached_property
     def _adjacency(self) -> Mapping[int, tuple[int, ...]]:
+        """Neighbors of each vertex in increasing order, built from the edge pairs.
+
+        Read only after ``__post_init__`` has checked that every edge is a
+        pair of vertices.
+        """
         adj: dict[int, list[int]] = {v: [] for v, _ in self.signs}
-        for e in self.edges:
-            for v in e:
-                adj.setdefault(v, []).extend(e - {v})
-        return MappingProxyType({v: tuple(sorted(ws)) for v, ws in adj.items()})
+        for u, w in self.edges:
+            adj[u].append(w)
+            adj[w].append(u)
+        for ws in adj.values():
+            ws.sort()
+        return MappingProxyType({v: tuple(ws) for v, ws in adj.items()})
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in increasing order."""
@@ -126,18 +133,16 @@ class SignedTree:
             )
         # connectivity
         if verts:
-            seen = {min(verts)}
-            frontier = [min(verts)]
+            adj, root = self._adjacency, min(verts)
+            seen, frontier = {root}, [root]
             while frontier:
-                u = frontier.pop()
-                for w in self.neighbors(u):
+                for w in adj[frontier.pop()]:
                     if w not in seen:
                         seen.add(w)
                         frontier.append(w)
-            if seen != verts:
+            if len(seen) != len(verts):
                 raise NotATree("edge set is not connected")
-        for e in self.edges:
-            u, w = tuple(e)
+        for u, w in self.edges:
             if sm[u] == sm[w]:
                 raise BadSigning(f"adjacent vertices {u}, {w} share sign")
 

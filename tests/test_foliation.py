@@ -566,3 +566,90 @@ def test_atomic_rewrites_match_reference(data):
         new, ref = got[1], want[1]
         assert new == ref
         assert [s.describe() for s in new.trace] == [s.describe() for s in ref.trace]
+
+
+# ---------------------------------------------------------------------------
+# Reference: the from-scratch scans that every state fact was computed by
+# before each state cached its own.
+
+
+def ref_counts(state, locus=None):
+    out = {"e+": 0, "h+": 0, "e-": 0, "h-": 0}
+    for _, s in state.sing:
+        if locus is None or s.locus == locus:
+            out[f"{s.kind}{'+' if s.sign > 0 else '-'}"] += 1
+    return out
+
+
+def ref_alternating(state):
+    sm = dict(state.sing)
+    n = len(state.boundary)
+    return all(sm[state.boundary[i]].sign != sm[state.boundary[(i + 1) % n]].sign for i in range(n))
+
+
+def ref_is_naf(state):
+    sm = dict(state.sing)
+    for b in state.boundary:
+        s = sm[b]
+        if s.sign > 0 and s.kind != fo.HYPERBOLIC:
+            return False
+        if s.sign < 0 and s.kind != fo.ELLIPTIC:
+            return False
+    return ref_alternating(state)
+
+
+def ref_is_reduced(state):
+    c = ref_counts(state, fo.INTERIOR)
+    return c["h+"] == 0 and c["e-"] == 0
+
+
+def ref_is_elliptic_form(state):
+    c = ref_counts(state, fo.INTERIOR)
+    return c["h+"] == 0 and c["h-"] == 0 and ref_alternating(state)
+
+
+def assert_facts_match_reference(state):
+    for locus in (None, fo.BOUNDARY, fo.INTERIOR, "elsewhere"):
+        want = ref_counts(state, locus)
+        assert state.counts(locus) == want, locus
+        assert state.identity_differences(locus) == (want["e+"] - want["h+"], want["e-"] - want["h-"])
+    assert fo._alternating(state) == ref_alternating(state)
+    assert state.is_naf() == ref_is_naf(state)
+    assert state.is_reduced() == ref_is_reduced(state)
+    assert state.is_elliptic_form() == ref_is_elliptic_form(state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 41).flatmap(lambda n: st.tuples(
+    st.just(-n),
+    st.sampled_from([r for r in range(-n + 1, n) if fr.in_unknot_range(-n, r)]),
+    st.booleans(),
+)))
+def test_cached_state_facts_match_recount(case):
+    tb, r, raw = case
+    state = fo.init_boundary(tb, r, [fo.ELLIPTIC] * (2 * -tb) if raw else None)
+    assert_facts_match_reference(state)
+    for stage in (fo.to_naf, fo.reduce_interior, lambda s: fo.to_elliptic_form(s)[0]):
+        state = stage(state)
+        assert_facts_match_reference(state)
+
+
+def test_cached_facts_of_hand_built_states():
+    s = fo.init_boundary(-4, 1, ["e", "h", "h", "e", "e", "e", "h", "h"])
+    bent = replace(s, boundary=s.boundary[1:] + s.boundary[:1])  # b1 first: still alternating
+    mixed = replace(s, boundary=("b0", "b2", "b1"))  # two positives side by side
+    for state in (s, bent, mixed, fo.create_pair(s, "leaf", -1)):
+        assert_facts_match_reference(state)
+
+
+def test_counts_returns_a_fresh_dict():
+    s = fo.init_boundary(-5, 2)
+    first = s.counts(fo.INTERIOR)
+    first["e+"] += 100
+    first["x"] = 1
+    whole = s.counts()
+    whole.clear()
+    assert s.counts(fo.INTERIOR) == ref_counts(s, fo.INTERIOR)
+    assert s.counts() == ref_counts(s)
+    assert s.counts(fo.INTERIOR) is not s.counts(fo.INTERIOR)
+    assert s.is_reduced() == ref_is_reduced(s)

@@ -208,6 +208,19 @@ class TestLift:
         with pytest.raises(ValueError):
             lc.x[0] = 1.0
 
+    def test_lift_marks_its_own_arrays_read_only(self):
+        lc = lift("L 1\nR 1")
+        for a in (lc.x, lc.y, lc.z):
+            assert a.dtype == float and a.base is None and not a.flags.writeable
+        x, y, z = np.arange(4.0), np.ones(4), np.zeros(4)
+        owned = lf.LiftedCurve._owning(x, y, z)
+        assert owned.x is x and owned.y is y and owned.z is z and owned.closed
+        assert not x.flags.writeable
+        # a caller's array is still copied, even a read-only one
+        again = lf.LiftedCurve.from_samples(lc.x, lc.y, lc.z)
+        assert not np.shares_memory(again.x, lc.x)
+        assert again.closure_integral() == lc.closure_integral()
+
     def test_pieces_start_at_even_indices(self):
         rf = lf.realize_front(tr.catalog_front(-4, 1), lf.GeomParams(samples_per_arc=101))
         for curve in rf.curves:

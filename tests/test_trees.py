@@ -824,3 +824,118 @@ class TestNormalizeToCatalog:
                 assert fr.serialize_front(front) == target
                 pairs += 1
         assert pairs >= 60
+
+
+# ---------------------------------------------------------------------------
+# Reference: SignedTree's adjacency and validation as they were, with a set
+# difference per edge end and the connectivity walk through neighbors().
+
+
+def ref_adjacency(signs, edges):
+    adj = {v: [] for v, _ in signs}
+    for e in edges:
+        for v in e:
+            adj.setdefault(v, []).extend(e - {v})
+    return {v: tuple(sorted(ws)) for v, ws in adj.items()}
+
+
+def ref_check_tree(signs, edges):
+    sm = dict(signs)
+    verts = set(sm)
+    if any(s not in (1, -1) for s in sm.values()):
+        raise BadSigning("vertex signs must be +1 or -1")
+    for e in edges:
+        if len(e) != 2 or not e <= verts:
+            raise NotATree(f"bad edge {set(e)}")
+    if len(edges) != len(verts) - 1:
+        raise NotATree(f"{len(edges)} edges on {len(verts)} vertices is not a tree")
+    adj = ref_adjacency(signs, edges)
+    if verts:
+        seen = {min(verts)}
+        frontier = [min(verts)]
+        while frontier:
+            u = frontier.pop()
+            for w in adj.get(u, ()):
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        if seen != verts:
+            raise NotATree("edge set is not connected")
+    for e in edges:
+        u, w = tuple(e)
+        if sm[u] == sm[w]:
+            raise BadSigning(f"adjacent vertices {u}, {w} share sign")
+
+
+def tree_outcome(fn, signs, edges):
+    try:
+        fn(signs, edges)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def malformed_trees(draw):
+    """(signs, edges) of a random tree with one defect drawn from a few kinds."""
+    t = draw(signed_trees(max_vertices=12))
+    signs, edges = dict(t.signs), sorted(tuple(sorted(e)) for e in t.edges)
+    defect = draw(st.sampled_from(("one-element", "dropped", "extra", "cycle", "sign")))
+    k = draw(st.integers(0, len(edges) - 1))
+    u, w = edges.pop(k)
+    if defect == "one-element":
+        edges.append((u, u))  # a frozenset of one element
+    elif defect == "extra":
+        edges += [(u, w), (u, max(signs) + 1)]  # an endpoint that is not a vertex
+    elif defect == "cycle":
+        # the right count on the same vertices: a chord closes a cycle on one
+        # side of the cut edge, and the other side is cut off
+        adj = ref_adjacency(t.signs, map(frozenset, edges))
+        for start in (u, w):
+            side, todo = {start}, [start]
+            while todo:
+                for x in adj[todo.pop()]:
+                    if x not in side:
+                        side.add(x)
+                        todo.append(x)
+            chords = [(a, b) for a in sorted(side) for b in sorted(side) if a < b and b not in adj[a]]
+            if chords:
+                edges.append(draw(st.sampled_from(chords)))
+                break
+    elif defect == "sign":
+        edges.append((u, w))
+        v = draw(st.sampled_from(sorted(signs)))
+        signs[v] = -signs[v]  # every edge at v joins two equal signs
+    return tuple(sorted(signs.items())), frozenset(map(frozenset, edges))
+
+
+class TestSignedTreeAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(signed_trees())
+    def test_neighbors_match_reference(self, t):
+        want = ref_adjacency(t.signs, t.edges)
+        assert {v: t.neighbors(v) for v in t.vertices} == want
+        assert t.neighbors(max(t.vertices) + 1) == ()
+
+    @settings(max_examples=300, deadline=None)
+    @given(malformed_trees())
+    def test_malformed_input_raises_like_reference(self, case):
+        signs, edges = case
+        assert tree_outcome(tr.SignedTree, signs, edges) == tree_outcome(ref_check_tree, signs, edges)
+
+    @pytest.mark.parametrize(
+        "signs, edges, error",
+        [
+            ({0: 1, 1: -1, 2: 1}, [(0, 1), (2, 2)], NotATree),  # one-element edge
+            ({0: 1, 1: -1, 2: 1, 3: -1}, [(0, 1), (1, 2), (0, 2)], NotATree),  # disconnected
+            ({0: 1, 1: -1, 2: -1}, [(0, 1), (1, 2)], BadSigning),  # same-sign edge
+            ({0: 1, 1: -1, 2: 1}, [(0, 1)], NotATree),  # wrong edge count
+            ({0: 1, 1: -1, 2: 1, 3: 1}, [(0, 2), (2, 3), (0, 3)], NotATree),  # both: count first
+            ({0: 1, 1: 1, 2: -1, 3: 1}, [(0, 1), (2, 3), (0, 2)], BadSigning),
+        ],
+    )
+    def test_each_defect_raises_like_reference(self, signs, edges, error):
+        signs, edges = tuple(sorted(signs.items())), frozenset(map(frozenset, edges))
+        got = tree_outcome(tr.SignedTree, signs, edges)
+        assert got is not None and got[0] is error
+        assert got == tree_outcome(ref_check_tree, signs, edges)
