@@ -49,7 +49,7 @@ class BadDirection(LegkitError):
 
 
 class GeometryDegenerate(LegkitError):
-    """Realization parameters force a tangential crossing."""
+    """Realization or drawing parameters admit no generic picture."""
 
 
 class DegenerateTangent(LegkitError):

@@ -86,10 +86,8 @@ class ArcCurve:
     arc: int
     pieces: tuple[CubicPiece, ...]
 
-    def _rows(self, n: int) -> tuple[np.ndarray, ...]:
-        """(t, c, d, x, z): the parameter steps t, the x and z coefficients
-        c and d (coefficient k of every piece as a column, one row per
-        piece), and x and z at t, one row per piece.
+    def sample(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arrays (x, z, y): positions and slope y = dz/dx at uniform steps.
 
         Every piece gets the same even number of steps, about n / pieces, so
         the arc has an even number of steps and each piece starts at an even
@@ -97,30 +95,17 @@ class ArcCurve:
         """
         per = max(2, (n // len(self.pieces)) & ~1)
         t = np.linspace(0.0, 1.0, per + 1)
+        # coefficient k of every piece as a column, one row per piece
         c = np.array([p.cx for p in self.pieces]).T[:, :, None]
         d = np.array([p.cz for p in self.pieces]).T[:, :, None]
         x = c[0] + t * (c[1] + t * (c[2] + t * c[3]))
         z = d[0] + t * (d[1] + t * (d[2] + t * d[3]))
-        return t, c, d, x, z
-
-    def positions(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Arrays (x, z) at uniform parameter steps, endpoints included."""
-        x, z = self._rows(n)[3:]
-        return _joined(x), _joined(z)
-
-    def sample(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Arrays (x, z, y): the positions and the slope y = dz/dx."""
-        t, c, d, x, z = self._rows(n)
         dx = c[1] + t * (2 * c[2] + 3 * t * c[3])
         dz = d[1] + t * (2 * d[2] + 3 * t * d[3])
         with np.errstate(divide="ignore", invalid="ignore"):
             y = np.where(np.abs(dx) > 1e-14, dz / np.where(dx == 0, 1, dx), 0.0)
-        return _joined(x), _joined(z), _joined(y)
-
-
-def _joined(a: np.ndarray) -> np.ndarray:
-    # a piece's endpoint is the next piece's start; keep only the arc's last
-    return np.append(a[:, :-1], a[-1, -1])
+        # a piece's endpoint is the next piece's start; keep only the arc's last
+        return tuple(np.append(a[:, :-1], a[-1, -1]) for a in (x, z, y))
 
 
 @dataclass(frozen=True)

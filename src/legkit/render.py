@@ -1,53 +1,68 @@
 """SVG and ASCII rendering of front diagrams.
 
-SVG uses the numeric realization: x rightward, z upward, semicubical cusp
-geometry, and a casing gap at each crossing so the strand of lesser slope
-reads as the over-strand; each path is formatted from one array with one
-``%`` operation.  The ASCII renderer draws the combinatorial stack on a
-character grid.
+The SVG draws the numeric realization exactly, x rightward and z upward:
+each arc is one path, one cubic Bézier segment per realized piece, on the
+box of the control points plus a margin (by the convex-hull property it
+holds every curve).  At each crossing the strand of lesser slope is redrawn
+over a white disk, from the exact last and first quarters of its two arcs.
+The ASCII renderer draws the combinatorial stack on a character grid.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
+from numbers import Real
 
+from .errors import GeometryDegenerate
 from .fronts import CROSS, LEFT, RIGHT, FrontDiagram, trace_components
-from .lifting import GeomParams, realize_front
+from .lifting import ArcCurve, realize_front
 
-_SVG_SAMPLES = 400
+
+def _bezier(c: tuple[float, float, float, float], a: float, b: float) -> tuple[float, ...]:
+    """Bézier control values of the cubic with power-basis coefficients c on
+    t in [a, b]: the end values, each moved by (b - a) / 3 of its derivative."""
+    c0, c1, c2, c3 = c
+    pa, pb = c0 + a * (c1 + a * (c2 + a * c3)), c0 + b * (c1 + b * (c2 + b * c3))
+    va, vb = c1 + a * (2 * c2 + 3 * a * c3), c1 + b * (2 * c2 + 3 * b * c3)
+    return pa, pa + (b - a) / 3 * va, pb - (b - a) / 3 * vb, pb
+
+
+def _controls(curve: ArcCurve, lo: float = 0.0, hi: float = 1.0) -> list[tuple[float, float]]:
+    """The arc's (x, z) control points on parameter [lo, hi]: the start, then
+    P1 P2 P3 of each piece's share, piece k of n covering [k / n, (k + 1) / n]."""
+    n = len(curve.pieces)
+    pts = []
+    for k, p in enumerate(curve.pieces):
+        a, b = max(lo * n - k, 0.0), min(hi * n - k, 1.0)
+        if a < b:
+            pts += list(zip(_bezier(p.cx, a, b), _bezier(p.cz, a, b)))[1 if pts else 0:]
+    return pts
 
 
 def render_svg(d: FrontDiagram, scale: float = 60.0) -> str:
-    """A standalone SVG 1.1 document of the realized front."""
-    params = GeomParams(samples_per_arc=_SVG_SAMPLES)
-    rf = realize_front(d, params)
-    tr = rf.trace
-    xz = {curve.arc: curve.positions(_SVG_SAMPLES) for curve in rf.curves}
-    all_x = np.concatenate([x for x, _ in xz.values()])
-    all_z = np.concatenate([z for _, z in xz.values()])
-    x0, x1 = float(all_x.min()) - 0.5, float(all_x.max()) + 0.5
-    z0, z1 = float(all_z.min()) - 0.5, float(all_z.max()) + 0.5
-    width = (x1 - x0) * scale
-    height = (z1 - z0) * scale
-    # page coordinates, one (n, 2) array per arc
-    pts = {arc: np.stack(((x - x0) * scale, (z1 - z) * scale), axis=1)
-           for arc, (x, z) in xz.items()}
+    """A standalone SVG 1.1 document of the realized front, ``scale`` per unit."""
+    if isinstance(scale, bool) or not isinstance(scale, Real) or not 0 < scale < math.inf:
+        raise GeometryDegenerate(f"SVG scale {scale!r} is not a positive finite number")
+    rf = realize_front(d)
+    ctrl = [_controls(curve) for curve in rf.curves]  # indexed by arc
+    xs, zs = zip(*(q for pts in ctrl for q in pts))
+    x0, x1 = min(xs) - 0.5, max(xs) + 0.5
+    z0, z1 = min(zs) - 0.5, max(zs) + 0.5
+    width, height = (x1 - x0) * scale, (z1 - z0) * scale
 
-    def path_of(arc, lo=0.0, hi=1.0):
-        seg = pts[arc]
-        n = len(seg)
-        seg = seg[int(lo * (n - 1)):int(hi * (n - 1)) + 1]
-        coords = ("%.2f,%.2f L" * len(seg))[:-2] % tuple(seg.ravel().tolist())
-        return f'<path d="M{coords}" fill="none" stroke="black" stroke-width="2"/>'
+    def path_of(pts):
+        coords = tuple(v for x, z in pts for v in ((x - x0) * scale, (z1 - z) * scale))
+        cmds = ("M%.2f,%.2f" + " C%.2f,%.2f %.2f,%.2f %.2f,%.2f" * (len(pts) // 3)) % coords
+        return f'<path d="{cmds}" fill="none" stroke="black" stroke-width="2"/>'
 
-    paths = [path_of(curve.arc) for curve in rf.curves]
+    paths = [path_of(pts) for pts in ctrl]
     # crossing casings: over-strand (lesser slope) redrawn over a white disk
-    for xr in tr.crossings:
-        cx, cz = (xr.event + 1 - x0) * scale, pts[xr.in_lower][-1, 1]
+    for xr in rf.trace.crossings:
+        cx, cz = (xr.event + 1 - x0) * scale, (z1 - ctrl[xr.in_lower][-1][1]) * scale
         paths.append(f'<circle cx="{cx:.2f}" cy="{cz:.2f}" r="{0.18 * scale:.2f}" fill="white"/>')
         # lesser slope = the in_upper -> out_lower chain
-        paths.append(path_of(xr.in_upper, lo=0.75))
-        paths.append(path_of(xr.out_lower, hi=0.25))
+        paths.append(path_of(_controls(rf.curves[xr.in_upper], lo=0.75)))
+        paths.append(path_of(_controls(rf.curves[xr.out_lower], hi=0.25)))
     body = "\n".join(paths)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -79,6 +79,12 @@ class TestCatalog:
         root = ET.fromstring(out)
         assert root.tag.endswith("svg")
 
+    def test_svg_size(self, capsys):
+        # one Bezier segment per cubic piece; a per-sample polyline was 59.7 KB
+        code, out, _ = run(capsys, "catalog", "--tb", "-5", "--r", "2", "--svg")
+        assert code == 0
+        assert len(out.encode()) < 8 * 1024
+
     def test_svg_cusp_count(self, capsys):
         code, out, _ = run(capsys, "catalog", "--tb", "-3", "--r", "0", "--front")
         assert code == 0

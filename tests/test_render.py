@@ -1,7 +1,11 @@
 import hashlib
+import math
 import random
+import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,16 +13,20 @@ from legkit import fronts as fr
 from legkit import render
 from legkit import trees as tr
 from legkit.cli import main
+from legkit.errors import GeometryDegenerate
 from legkit.fronts import CROSS, FrontDiagram, FrontEvent
 from legkit.lifting import GeomParams, realize_front
 
-# Reference SVG: every sample is mapped and formatted on its own, from numpy
-# scalars.  It is the per-point original of the array version in render.py,
-# whose output must stay byte-identical.
+# Reference SVG: the former renderer, which maps every sample of a
+# 400-sample-per-arc realization to the page and draws each arc as a
+# polyline.  render.py draws the same cubic pieces as Bezier segments; the
+# tests below compare the two geometrically.
+
+REF_SAMPLES = 400
 
 
 def ref_render_svg(d, scale=60.0):
-    samples = render._SVG_SAMPLES
+    samples = REF_SAMPLES
     rf = realize_front(d, GeomParams(samples_per_arc=samples))
     tr_ = rf.trace
     paths = []
@@ -69,18 +77,106 @@ def nest(outer, inner):
     return FrontDiagram(tuple(events + shifted[1:] + rest))
 
 
+NS = "{http://www.w3.org/2000/svg}"
+TOL = 0.01 + 1e-9  # two %.2f roundings, one per document
+
+
+def page_points(d_attr):
+    """The (x, y) pairs of an SVG path, in order, as an (n, 2) array."""
+    return np.array([float(v) for v in re.findall(r"-?\d+\.\d+", d_attr)]).reshape(-1, 2)
+
+
+def hull_box(rf):
+    """(x0, x1, z0, z1) of the page: the box of every piece's Bezier control
+    points P0 = c0, P1 = c0 + c1/3, P2 = c0 + (2 c1 + c2)/3, P3 = c0 + c1 +
+    c2 + c3, widened by 0.5."""
+    xs, zs = [], []
+    for curve in rf.curves:
+        for p in curve.pieces:
+            for (c0, c1, c2, c3), out in ((p.cx, xs), (p.cz, zs)):
+                out += [c0, c0 + c1 / 3, c0 + (2 * c1 + c2) / 3, c0 + c1 + c2 + c3]
+    return min(xs) - 0.5, max(xs) + 0.5, min(zs) - 0.5, max(zs) + 0.5
+
+
+def bezier_at(ctrl, pieces, per):
+    """Points of the Bezier chain ``ctrl`` (P0, then P1 P2 P3 per piece) at
+    ``per`` uniform steps per piece, each piece's end dropped but the last."""
+    t = np.linspace(0.0, 1.0, per + 1)[:, None]
+    basis = [(1 - t) ** 3, 3 * (1 - t) ** 2 * t, 3 * (1 - t) * t ** 2, t ** 3]
+    rows = [sum(b * ctrl[3 * k + i] for i, b in enumerate(basis)) for k in range(pieces)]
+    return np.concatenate([r[:-1] for r in rows] + [rows[-1][-1:]])
+
+
+def check_geometry(d, scale=60.0):
+    """render_svg against the reference renderer, point by point."""
+    rf = realize_front(d)
+    trace = rf.trace
+    root = ET.fromstring(render.render_svg(d, scale))
+    new, ref = list(root), list(ET.fromstring(ref_render_svg(d, scale)))
+    n_arcs, n_cross = len(trace.arcs), len(trace.crossings)
+    # one path per arc; per crossing a white disk and the two casing halves
+    assert [e.tag for e in new] == [e.tag for e in ref]
+    assert sum(e.tag == NS + "path" for e in new) == n_arcs + 2 * n_cross
+    assert sum(e.tag == NS + "circle" for e in new) == n_cross
+    # the reference's page box comes from its samples, the new one from the
+    # control points; a point's two page positions differ by ``shift``
+    x0, x1, z0, z1 = hull_box(rf)
+    ref_x = np.concatenate([c.sample(REF_SAMPLES)[0] for c in rf.curves])
+    ref_z = np.concatenate([c.sample(REF_SAMPLES)[1] for c in rf.curves])
+    shift = np.array([(x0 - ref_x.min() + 0.5) * scale, (ref_z.max() + 0.5 - z1) * scale])
+    width, height = (float(v) for v in root.get("viewBox").split()[2:])
+    assert abs(width - (x1 - x0) * scale) <= 0.005 + 1e-9
+    assert abs(height - (z1 - z0) * scale) <= 0.005 + 1e-9
+    ref_pts = {}
+    for curve, e, r in zip(rf.curves, new, ref):
+        n = len(curve.pieces)
+        assert re.fullmatch(rf"M[^MLC]*( C[^MLC]*){{{n}}}", e.get("d")), e.get("d")
+        ref_pts[curve.arc] = page_points(r.get("d"))
+        per = max(2, (REF_SAMPLES // n) & ~1)
+        got = bezier_at(page_points(e.get("d")), n, per) + shift
+        assert np.abs(got - ref_pts[curve.arc]).max() <= TOL
+        # every point of the curve lies inside the viewBox
+        x, z, _ = curve.sample(4000)
+        assert (0 <= (x - x0) * scale).all() and ((x - x0) * scale <= width).all()
+        assert (0 <= (z1 - z) * scale).all() and ((z1 - z) * scale <= height).all()
+    for k, xr in enumerate(trace.crossings):
+        circle, upper, lower = new[n_arcs + 3 * k:n_arcs + 3 * k + 3]
+        rcircle, rupper, rlower = ref[n_arcs + 3 * k:n_arcs + 3 * k + 3]
+        centre = np.array([float(circle.get("cx")), float(circle.get("cy"))])
+        rcentre = np.array([float(rcircle.get("cx")), float(rcircle.get("cy"))])
+        assert np.abs(centre + shift - rcentre).max() <= TOL
+        assert circle.get("r") == rcircle.get("r")
+        # in_upper's half is its arc from parameter 3/4 on, out_lower's up to 1/4
+        for half, rhalf, arc, cut_first in ((upper, rupper, xr.in_upper, True),
+                                            (lower, rlower, xr.out_lower, False)):
+            cmds = half.get("d")
+            assert re.fullmatch(r"M[^MLC]*( C[^MLC]*)+", cmds), cmds
+            pts, rpts, full = page_points(cmds) + shift, page_points(rhalf.get("d")), ref_pts[arc]
+            cut, kept = (0, -1) if cut_first else (-1, 0)
+            assert np.abs(pts[kept] - rpts[kept]).max() <= TOL
+            # the exact cut lies between the reference's cut sample and the next
+            i = len(full) - len(rpts) if cut_first else len(rpts) - 1
+            step = np.linalg.norm(full[i + 1] - full[i])
+            assert np.linalg.norm(pts[cut] - rpts[cut]) <= step + 2 * TOL
+            # the pieces the cut leaves whole are the arc's own segments
+            segs = cmds.split(" C")[1:]
+            arc_segs = new[arc].get("d").split(" C")[1:]
+            if cut_first:
+                assert segs[1:] == arc_segs[len(arc_segs) - len(segs) + 1:]
+            else:
+                assert segs[:-1] == arc_segs[:len(segs) - 1]
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), max_events=st.integers(2, 24))
 def test_svg_matches_reference_on_random_fronts(seed, max_events):
-    d = fr.random_closed_front(random.Random(seed), max_events)
-    assert render.render_svg(d) == ref_render_svg(d)
+    check_geometry(fr.random_closed_front(random.Random(seed), max_events))
 
 
 def test_svg_matches_reference_on_catalog():
     for n in range(1, 14):
         for r in range(-(n - 1), n, 2):
-            d = tr.catalog_front(-n, r)
-            assert render.render_svg(d) == ref_render_svg(d), (-n, r)
+            check_geometry(tr.catalog_front(-n, r))
 
 
 def test_svg_matches_reference_on_nested_links():
@@ -93,12 +189,24 @@ def test_svg_matches_reference_on_nested_links():
         for outer in reversed(parts[:-1]):
             d = nest(outer, d)
         assert fr.trace_components(d).n_components == k
-        assert render.render_svg(d) == ref_render_svg(d)
+        check_geometry(d)
 
 
 def test_catalog_svg_digest(capsys):
-    # stdout of `legkit catalog --tb -5 --r 2 --svg` before the array version
+    # stdout of `legkit catalog --tb -5 --r 2 --svg`, one Bezier segment per piece
     assert main(["catalog", "--tb", "-5", "--r", "2", "--svg"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "7752f89e95773270b640409636accb02a5c540ec88af7721b45b33d908d0f663"
+    assert digest == "b531ff4d48bee4a888b5524c8ee8c965a9bd61dcc4b35ea4f80fad17fbf914fc"
 
+
+@pytest.mark.parametrize("scale", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf,
+                                   "60", None, True, 1j])
+def test_svg_rejects_bad_scale(scale):
+    with pytest.raises(GeometryDegenerate, match="scale"):
+        render.render_svg(tr.catalog_front(-3, 0), scale=scale)
+
+
+def test_svg_scale_is_a_page_factor():
+    d = tr.catalog_front(-4, 1)
+    assert render.render_svg(d, scale=30) == render.render_svg(d, scale=30.0)
+    check_geometry(d, scale=7.5)
