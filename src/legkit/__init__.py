@@ -4,6 +4,10 @@ Front diagrams with exact Thurston-Bennequin / rotation invariants, the
 signed-tree wavefront construction with catalog normalization, a rewrite
 engine for disk characteristic foliations, numeric Legendrian lifting, and
 classification oracles for tight and overtwisted ambient structures.
+
+Only ``lifting`` (and ``render``, through it) needs numpy, so its names are
+resolved on first use by the module ``__getattr__`` below (PEP 562):
+``import legkit`` and the combinatorial layers never load numpy.
 """
 
 from .fronts import (
@@ -46,15 +50,6 @@ from .foliation import (
     to_elliptic_form,
     to_naf,
 )
-from .lifting import (
-    GeomParams,
-    LiftedCurve,
-    lagrangian_closure_integral,
-    lagrangian_embeddedness_check,
-    legendrian_lift,
-    numeric_rotation,
-    realize_front,
-)
 from .classify import (
     ContactStructureTag,
     classify_loose,
@@ -66,5 +61,28 @@ from .classify import (
     hopf_after_lutz_front,
     loose_check,
 )
+
+_LIFTING = frozenset({
+    "GeomParams",
+    "LiftedCurve",
+    "lagrangian_closure_integral",
+    "lagrangian_embeddedness_check",
+    "legendrian_lift",
+    "numeric_rotation",
+    "realize_front",
+})
+
+
+def __getattr__(name: str):
+    if name == "lifting" or name in _LIFTING:
+        from importlib import import_module
+
+        lifting = import_module(".lifting", __name__)
+        return lifting if name == "lifting" else getattr(lifting, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# every public name, the lazy ones included, for ``from legkit import *``
+__all__ = sorted({n for n in dir() if not n.startswith("_")} | _LIFTING | {"lifting"})
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import sys
 
 from . import classify as cls
 from . import foliation as fol
-from . import fronts, lifting, render, trees
+from . import fronts, trees
 from .errors import LegkitError
 
 
@@ -110,6 +110,8 @@ def cmd_catalog(args) -> int:
         return 0
     d = trees.catalog_front(args.tb, args.r)
     if args.svg:
+        from . import render  # numpy, through lifting: only when drawing
+
         print(render.render_svg(d))
     else:
         print(fronts.serialize_front(d))
@@ -217,6 +219,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from . import lifting, render  # numpy: only the commands that draw or lift
+
     d = fronts.parse_front(_read(args.path))
     if args.lift_csv:
         params = lifting.GeomParams(samples_per_arc=args.samples)

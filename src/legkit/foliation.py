@@ -24,13 +24,16 @@ negative elliptic, and to_elliptic_form absorbs along such a separatrix
 wherever one is left.
 
 A state computes its derived facts once, when first asked: the id map,
-the per-locus tag counts (one pass), boundary alternation and the NAF
-verdict; counts(), identity_differences() and the is_* checks read them.
+the per-locus tag counts (one pass), boundary alternation, the NAF
+verdict and the skeleton tree of its connections; counts(),
+identity_differences(), the is_* checks and extract_skeleton read them.
 Each stage (to_naf, reduce_interior, to_elliptic_form) scans its input
 once, copies it once into a private working copy, applies all its
 rewrites to it in place and freezes the result once; a stage with nothing
-to do returns its input after an O(1) check of the cached facts.  The
-atomic rewrites (eliminate, convert, create_pair, rewire) are the same code
+to do returns its input after an O(1) check of the cached facts.
+to_elliptic_form also sets the broom's connections on its copy before
+the freeze, and checks the skeleton tree before it returns.  The atomic
+rewrites (eliminate, convert, create_pair, rewire) are the same code
 applied to a one-rewrite copy.  Tightness (no same-sign separatrix cycle)
 is checked per added same-sign separatrix, by a walk over one endpoint's
 same-sign tree; init_boundary adds its separatrices the same way.
@@ -42,7 +45,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import cycle
-from operator import attrgetter, ne
+from operator import and_, attrgetter, ne
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -56,7 +59,7 @@ from .errors import (
     TightnessViolation,
 )
 from .fronts import in_unknot_range
-from .trees import AcceptableEmbedding, SignedTree, canonical_broom, spread_embedding
+from .trees import AcceptableEmbedding, SignedTree, _broom, spread_embedding
 
 ELLIPTIC = "e"
 HYPERBOLIC = "h"
@@ -125,6 +128,20 @@ class FoliationState:
         return out
 
     @cached_property
+    def _skeleton(self) -> SkeletonTree:
+        """The connections as a signed tree on the sorted ids, checked when built."""
+        sm = self.sing_map
+        verts = sorted({v for c in self.connections for v in c})
+        index = {v: k for k, v in enumerate(verts)}
+        signs = {k: sm[v].sign for k, v in enumerate(verts)}
+        return SkeletonTree(
+            tree=SignedTree.make(signs, [(index[u], index[v]) for u, v in self.connections]),
+            interior_vertices=frozenset(v for v in verts if sm[v].locus == INTERIOR),
+            boundary_vertices=frozenset(v for v in verts if sm[v].locus == BOUNDARY),
+            ids=tuple(verts),
+        )
+
+    @cached_property
     def _alternates(self) -> bool:
         signs = [self.sing_map[b].sign for b in self.boundary]
         return all(map(ne, signs, signs[1:] + signs[:1]))
@@ -167,6 +184,9 @@ def _delta(**kw: int) -> tuple[tuple[str, int], ...]:
     return tuple((names[k], v) for k, v in kw.items() if v)
 
 
+# The count deltas the rewrites log, built once; per-sign ones keyed by sign.
+_ELIMINATE_DELTA = {1: _delta(ep=-1, hp=-1), -1: _delta(em=-1, hm=-1)}
+_PAIR_DELTA = {1: _delta(ep=1, hp=1), -1: _delta(em=1, hm=1)}  # convert, create_pair
 _ABSORB_DELTA = _delta(em=-1)
 
 
@@ -337,8 +357,7 @@ class _Work:
             raise NotConnected(f"{e_id} and {h_id} share no separatrix")
         self.drop(e_id)
         self.drop(h_id)
-        d = _delta(ep=-1, hp=-1) if e.sign > 0 else _delta(em=-1, hm=-1)
-        self.trace.append(RewriteStep("eliminate", (e_id, h_id), d))
+        self.trace.append(RewriteStep("eliminate", (e_id, h_id), _ELIMINATE_DELTA[e.sign]))
 
     def convert(self, p_id: str, gamma, tau) -> None:
         if gamma == tau:
@@ -353,8 +372,7 @@ class _Work:
             ident = self.fresh_id(prefix)
             self.sing[ident] = Singularity(ident, p.sign, p.kind, INTERIOR)
             self.link(ident, p_id)
-        d = _delta(ep=1, hp=1) if p.sign > 0 else _delta(em=1, hm=1)
-        self.trace.append(RewriteStep("convert", (p_id, gamma, tau), d))
+        self.trace.append(RewriteStep("convert", (p_id, gamma, tau), _PAIR_DELTA[p.sign]))
 
     def create_pair(self, leaf, sign: int) -> None:
         if sign not in (1, -1):
@@ -364,8 +382,7 @@ class _Work:
         self.sing[e_id] = Singularity(e_id, sign, ELLIPTIC, INTERIOR)
         self.sing[h_id] = Singularity(h_id, sign, HYPERBOLIC, INTERIOR)
         self.link(e_id, h_id)
-        d = _delta(ep=1, hp=1) if sign > 0 else _delta(em=1, hm=1)
-        self.trace.append(RewriteStep("create_pair", (leaf, sign), d))
+        self.trace.append(RewriteStep("create_pair", (leaf, sign), _PAIR_DELTA[sign]))
 
     def rewire(
         self, add: Optional[tuple[str, str]] = None, remove: Optional[tuple[str, str]] = None
@@ -534,27 +551,20 @@ def reduce_interior(state: FoliationState) -> FoliationState:
 
 
 @dataclass(frozen=True)
-class Region:
-    tag: str  # "type(a)" | "type(b)"
-    members: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class RegionDecomposition:
-    regions: tuple[Region, ...]
+    """Region counts of an elliptic-form disk by tag; no region is built."""
+
+    type_a: int  # cyclically adjacent hyperbolic boundary pairs
+    type_b: int  # arc-family connections
 
     def count(self, tag: str) -> int:
-        return sum(1 for r in self.regions if r.tag == tag)
+        return {"type(a)": self.type_a, "type(b)": self.type_b}.get(tag, 0)
 
 
 def _decompose(state: FoliationState) -> RegionDecomposition:
     sm = state.sing_map
-    regions = [Region("type(b)", c) for c in sorted(map(tuple, map(sorted, state.connections)))]
-    bd = state.boundary
-    for a, b in zip(bd, bd[1:] + bd[:1]):
-        if sm[a].kind == HYPERBOLIC and sm[b].kind == HYPERBOLIC:
-            regions.append(Region("type(a)", (a, b)))
-    return RegionDecomposition(tuple(regions))
+    hyp = [sm[b].kind == HYPERBOLIC for b in state.boundary]
+    return RegionDecomposition(sum(map(and_, hyp, hyp[1:] + hyp[:1])), len(state.connections))
 
 
 def to_elliptic_form(state: FoliationState) -> tuple[FoliationState, RegionDecomposition]:
@@ -567,21 +577,21 @@ def to_elliptic_form(state: FoliationState) -> tuple[FoliationState, RegionDecom
     shares a separatrix with (init_boundary draws one per hyperbolic).  Only
     a hyperbolic with no such separatrix is rewired, to the first free point
     in reversed boundary order.  Idempotent on states already in elliptic
-    form.
+    form.  The broom's connections go onto the same working copy, frozen
+    once; the skeleton tree is built and checked once and cached on the
+    returned state.
     """
-    if state.is_elliptic_form() and state.connections:
-        return state, _decompose(state)
-    if not (state.is_naf() and state.is_reduced()):
-        raise PatternMismatch("to_elliptic_form needs a reduced state with NAF boundary")
-    sm = state.sing_map
-    # the NAF boundary's negatives are elliptic until absorbed
-    pool = [b for b in reversed(state.boundary) if sm[b].sign < 0]
-    free = {m: k for k, m in enumerate(pool)}  # still elliptic -> rank in pool
-    doomed_h = sorted(i for i, s in state.sing if s.locus == INTERIOR and s.kind == HYPERBOLIC)
-    if doomed_h:
+    if not (state.is_elliptic_form() and state.connections):
+        if not (state.is_naf() and state.is_reduced()):
+            raise PatternMismatch("to_elliptic_form needs a reduced state with NAF boundary")
+        sm = state.sing_map
+        # the NAF boundary's negatives are elliptic until absorbed
+        pool = [b for b in reversed(state.boundary) if sm[b].sign < 0]
+        free = {m: k for k, m in enumerate(pool)}  # still elliptic -> rank in pool
+        interior = sorted(i for i, s in state.sing if s.locus == INTERIOR)
         k = 0  # pool[:k] is absorbed already
         w = _Work(state)
-        for q in doomed_h:
+        for q in (i for i in interior if sm[i].kind == HYPERBOLIC):
             shared = [m for m in w.adj.get(q, ()) if m in free]
             if shared:
                 m = min(shared, key=free.__getitem__)
@@ -592,17 +602,16 @@ def to_elliptic_form(state: FoliationState) -> tuple[FoliationState, RegionDecom
                 w.rewire(add=(q, m))
             del free[m]
             w.absorb(q, m)
+        # the surviving elliptics assemble into the extended-skeleton broom;
+        # an absorption changes no id and no sign
+        ids = [i for i in interior if sm[i].kind == ELLIPTIC]
+        ids += [b for b in state.boundary if b in free]
+        w.connections = frozenset(map(frozenset, _broom([sm[v].sign for v in ids], ids)[0]))
         state = w.freeze()
-        del w  # release the working copy before the broom is built
-    # the surviving elliptics assemble into the extended-skeleton broom; an
-    # absorption changes no id and no sign
-    spine = sorted(i for i, s in state.sing if s.locus == INTERIOR and s.kind == ELLIPTIC)
-    ids = spine + [b for b in state.boundary if b in free]
-    signs = [sm[v].sign for v in ids]
-    out = replace(state, connections=frozenset(canonical_broom(signs, ids).edges))
-    if not out.is_elliptic_form():
-        raise NotEllipticForm("to_elliptic_form did not reach elliptic form")
-    return out, _decompose(out)
+        if not state.is_elliptic_form():
+            raise NotEllipticForm("to_elliptic_form did not reach elliptic form")
+    extract_skeleton(state)  # builds and checks the skeleton tree once
+    return state, _decompose(state)
 
 
 # ---------------------------------------------------------------------------
@@ -623,23 +632,14 @@ class SkeletonTree:
 
 
 def extract_skeleton(state: FoliationState) -> SkeletonTree:
-    """The extended skeleton of an elliptic-form state, as a signed tree."""
+    """The extended skeleton of an elliptic-form state, as a signed tree.
+
+    Built and checked once per state and cached on it; to_elliptic_form
+    builds it for every state it returns.
+    """
     if not state.is_elliptic_form():
         raise NotEllipticForm("extract_skeleton needs an elliptic-form state")
-    sm = state.sing_map
-    verts = sorted({v for c in state.connections for v in c})
-    index = {v: k for k, v in enumerate(verts)}
-    signs = {k: sm[v].sign for k, v in enumerate(verts)}
-    edges = [(index[u], index[v]) for u, v in state.connections]
-    tree = SignedTree.make(signs, edges)
-    interior = frozenset(v for v in verts if sm[v].locus == INTERIOR)
-    boundary = frozenset(v for v in verts if sm[v].locus == BOUNDARY)
-    return SkeletonTree(
-        tree=tree,
-        interior_vertices=interior,
-        boundary_vertices=boundary,
-        ids=tuple(verts),
-    )
+    return state._skeleton
 
 
 def run_pipeline(tb: int, r: int) -> tuple[FoliationState, RegionDecomposition, SkeletonTree]:

@@ -451,8 +451,8 @@ def move_end_edge(t: SignedTree, edge: tuple[int, int], target: int) -> SignedTr
     return work.freeze()
 
 
-def _broom(signs: Sequence[int], ids: Sequence[int]) -> tuple[SignedTree, list[int], list[int]]:
-    """The canonical broom, its path order (hub last) and its hub leaves."""
+def _broom(signs: Sequence[int], ids: Sequence) -> tuple[list[tuple], list, list]:
+    """The canonical broom's edges, its path order (hub last) and its hub leaves; no tree."""
     plus = sorted(v for v, s in zip(ids, signs) if s == 1)
     minus = sorted(v for v, s in zip(ids, signs) if s == -1)
     maj, mino = (plus, minus) if len(plus) >= len(minus) else (minus, plus)
@@ -464,7 +464,7 @@ def _broom(signs: Sequence[int], ids: Sequence[int]) -> tuple[SignedTree, list[i
     order = [x for pair in zip(maj[:q], mino) for x in pair]
     leaves = maj[q:]
     edges = list(zip(order, order[1:])) + [(order[-1], leaf) for leaf in leaves]
-    return SignedTree.make(dict(zip(ids, signs)), edges), order, leaves
+    return edges, order, leaves
 
 
 def canonical_broom(signs: Sequence[int], ids: Sequence[int]) -> SignedTree:
@@ -475,7 +475,7 @@ def canonical_broom(signs: Sequence[int], ids: Sequence[int]) -> SignedTree:
     balanced multiset it is the plain alternating path starting with +.
     A multiset without both signs has no broom (BadSigning).
     """
-    return _broom(signs, ids)[0]
+    return SignedTree.make(dict(zip(ids, signs)), _broom(signs, ids)[0])
 
 
 def normalize_to_almost_linear(t: SignedTree) -> tuple[SignedTree, list[Move]]:
@@ -515,7 +515,8 @@ def catalog_tree(tb: int, r: int) -> AcceptableEmbedding:
     v_total = 1 - tb
     n_plus = (v_total + SIGMA * r) // 2
     n_minus = v_total - n_plus
-    broom, order, leaves = _broom([1] * n_plus + [-1] * n_minus, range(v_total))
+    signs = [1] * n_plus + [-1] * n_minus
+    edges, order, leaves = _broom(signs, range(v_total))
     zero = Fraction(0)
     coords = {v: (Fraction(i), zero) for i, v in enumerate(order)}
     k = len(leaves)
@@ -524,7 +525,7 @@ def catalog_tree(tb: int, r: int) -> AcceptableEmbedding:
         # hang leaves off the hub at the right end, numbered from the top:
         # y = ((k - 1) / 2 - j) / (4 (k + 1))
         coords[v] = (x, Fraction(k - 1 - 2 * j, 8 * (k + 1)))
-    return AcceptableEmbedding.make(broom, coords)
+    return AcceptableEmbedding.make(SignedTree.make(dict(enumerate(signs)), edges), coords)
 
 
 def _checked_front(emb: AcceptableEmbedding, inv: tuple[int, int]) -> FrontDiagram:

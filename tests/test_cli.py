@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -404,3 +407,36 @@ class TestParserReuse:
             assert code == 0
             assert out.strip() == str(cls.d3_from_hopf(hopf))
         assert len(built) == 1
+
+
+# The combinatorial commands never need numpy: only ``lifting`` imports it.
+NO_NUMPY = """
+import sys
+import legkit
+from legkit import catalog_front, cli
+catalog_front(-5, 2)
+code = cli.main(["invariants", sys.argv[1]])
+print(code, sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")))
+"""
+
+
+def test_combinatorial_cli_does_not_import_numpy(basic_file):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY, basic_file],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_lifting_names_resolve_lazily():
+    import legkit
+    from legkit import lifting
+
+    assert legkit.realize_front is lifting.realize_front
+    assert legkit.lifting is lifting
+    assert set(legkit.__all__) >= {"GeomParams", "legendrian_lift", "lifting", "catalog_front"}
+    namespace = {}
+    exec("from legkit import *", namespace)
+    assert namespace["GeomParams"] is lifting.GeomParams
+    with pytest.raises(AttributeError):
+        legkit.no_such_name

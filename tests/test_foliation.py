@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -191,7 +191,10 @@ class TestEllipticForm:
         s = fo.reduce_interior(fo.to_naf(fo.init_boundary(-2, 1)))
         out, regions = fo.to_elliptic_form(s)
         assert out.is_elliptic_form()
-        assert len(regions.regions) > 0
+        # b0 +h, b1 -e, b2 +h, b3 absorbed to -h; p0 - b1 - p1 is the broom
+        assert (regions.count("type(a)"), regions.count("type(b)")) == (2, 2)
+        assert regions.count("type(c)") == 0
+        assert regions == fo.RegionDecomposition(2, 2)
 
 
 class TestSkeleton:
@@ -437,9 +440,55 @@ def ref_reduce_interior(state):
     return cur
 
 
+@dataclass(frozen=True)
+class RefRegion:
+    tag: str  # "type(a)" | "type(b)"
+    members: tuple
+
+
+@dataclass(frozen=True)
+class RefRegionDecomposition:
+    regions: tuple
+
+    def count(self, tag):
+        return sum(1 for r in self.regions if r.tag == tag)
+
+
+def ref_decompose(state):
+    """One region object per connection and per hyperbolic boundary pair."""
+    sm = state.sing_map
+    regions = [RefRegion("type(b)", c) for c in sorted(map(tuple, map(sorted, state.connections)))]
+    bd = state.boundary
+    for a, b in zip(bd, bd[1:] + bd[:1]):
+        if sm[a].kind == fo.HYPERBOLIC and sm[b].kind == fo.HYPERBOLIC:
+            regions.append(RefRegion("type(a)", (a, b)))
+    return RefRegionDecomposition(tuple(regions))
+
+
+def ref_extract_skeleton(state):
+    """The skeleton rebuilt from the connections on every call, never cached."""
+    if not state.is_elliptic_form():
+        raise NotEllipticForm("extract_skeleton needs an elliptic-form state")
+    sm = state.sing_map
+    verts = sorted({v for c in state.connections for v in c})
+    index = {v: k for k, v in enumerate(verts)}
+    signs = {k: sm[v].sign for k, v in enumerate(verts)}
+    edges = [(index[u], index[v]) for u, v in state.connections]
+    tree = tr.SignedTree.make(signs, edges)
+    interior = frozenset(v for v in verts if sm[v].locus == fo.INTERIOR)
+    boundary = frozenset(v for v in verts if sm[v].locus == fo.BOUNDARY)
+    return fo.SkeletonTree(
+        tree=tree,
+        interior_vertices=interior,
+        boundary_vertices=boundary,
+        ids=tuple(verts),
+    )
+
+
 def ref_to_elliptic_form(state):
+    """Absorb one rewrite at a time, then connect through canonical_broom's tree."""
     if state.is_elliptic_form() and state.connections:
-        return state, fo._decompose(state)
+        return state, ref_decompose(state)
     if not (state.is_naf() and state.is_reduced()):
         raise PatternMismatch("to_elliptic_form needs a reduced state with NAF boundary")
     cur = state
@@ -467,7 +516,7 @@ def ref_to_elliptic_form(state):
     signs = [sm[v].sign for v in ids]
     cur = replace(cur, connections=frozenset(tr.canonical_broom(signs, ids).edges))
     assert cur.is_elliptic_form()
-    return cur, fo._decompose(cur)
+    return cur, ref_decompose(cur)
 
 
 def _outcome(fn, *args):
@@ -487,17 +536,20 @@ def _kinds(pattern, tb):
     return [pattern] * n
 
 
+REGION_TAGS = ("type(a)", "type(b)")
+
+
 def _stage_outputs(stages, tb, r, kinds):
-    to_naf, reduce_interior, to_elliptic_form = stages
+    to_naf, reduce_interior, to_elliptic_form, extract_skeleton = stages
     naf = to_naf(fo.init_boundary(tb, r, kinds))
     reduced = reduce_interior(naf)
     final, regions = to_elliptic_form(reduced)
     dumps = [(fo.dump_state(s), [st.describe() for st in s.trace]) for s in (naf, reduced, final)]
-    return dumps, regions, fo.extract_skeleton(final)
+    return dumps, [regions.count(t) for t in REGION_TAGS], extract_skeleton(final)
 
 
-LIBRARY = (fo.to_naf, fo.reduce_interior, fo.to_elliptic_form)
-REFERENCE = (ref_to_naf, ref_reduce_interior, ref_to_elliptic_form)
+LIBRARY = (fo.to_naf, fo.reduce_interior, fo.to_elliptic_form, fo.extract_skeleton)
+REFERENCE = (ref_to_naf, ref_reduce_interior, ref_to_elliptic_form, ref_extract_skeleton)
 PATTERNS = (None, "e", "h", "mixed")
 
 
@@ -572,6 +624,13 @@ def test_atomic_rewrites_match_reference(data):
 # Reference: the from-scratch scans that every state fact was computed by
 # before each state cached its own.
 
+# (tb, r, raw) with |tb| <= 41, raw meaning an all-elliptic starting boundary
+TB_R_RAW = st.integers(1, 41).flatmap(lambda n: st.tuples(
+    st.just(-n),
+    st.sampled_from([r for r in range(-n + 1, n) if fr.in_unknot_range(-n, r)]),
+    st.booleans(),
+))
+
 
 def ref_counts(state, locus=None):
     out = {"e+": 0, "h+": 0, "e-": 0, "h-": 0}
@@ -620,11 +679,7 @@ def assert_facts_match_reference(state):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 41).flatmap(lambda n: st.tuples(
-    st.just(-n),
-    st.sampled_from([r for r in range(-n + 1, n) if fr.in_unknot_range(-n, r)]),
-    st.booleans(),
-)))
+@given(TB_R_RAW)
 def test_cached_state_facts_match_recount(case):
     tb, r, raw = case
     state = fo.init_boundary(tb, r, [fo.ELLIPTIC] * (2 * -tb) if raw else None)
@@ -653,3 +708,82 @@ def test_counts_returns_a_fresh_dict():
     assert s.counts() == ref_counts(s)
     assert s.counts(fo.INTERIOR) is not s.counts(fo.INTERIOR)
     assert s.is_reduced() == ref_is_reduced(s)
+
+
+# ---------------------------------------------------------------------------
+# The elliptic-form stage builds its broom, skeleton tree and region counts
+# once; the references build a region object per region, a string-id broom
+# tree through canonical_broom, and the skeleton anew on every call.
+
+
+def _reduced(tb, r, raw):
+    return fo.reduce_interior(fo.to_naf(fo.init_boundary(tb, r, _kinds("e" if raw else None, tb))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(TB_R_RAW)
+def test_elliptic_form_outputs_match_reference(case):
+    reduced = _reduced(*case)
+    got, regions = fo.to_elliptic_form(reduced)
+    want, ref_regions = ref_to_elliptic_form(reduced)
+    assert [regions.count(t) for t in REGION_TAGS] == [ref_regions.count(t) for t in REGION_TAGS]
+    assert got.connections == want.connections
+    skel, ref_skel = fo.extract_skeleton(got), ref_extract_skeleton(want)
+    assert skel.tree == ref_skel.tree
+    assert skel.ids == ref_skel.ids
+    assert skel == ref_skel
+
+
+def _bent_connections(state, how):
+    """The connections with one leaf re-hung on its own sign, or cut off and a chord added."""
+    sm, conns = state.sing_map, set(state.connections)
+    degree = {}
+    for c in conns:
+        for v in c:
+            degree[v] = degree.get(v, 0) + 1
+    leaf = min(v for v, d in degree.items() if d == 1)
+    (hub,) = next(c for c in conns if leaf in c) - {leaf}
+    conns.discard(frozenset((leaf, hub)))
+    if how == "same-sign edge":
+        other = min(v for v in degree if v != leaf and sm[v].sign == sm[leaf].sign)
+        conns.add(frozenset((leaf, other)))
+    else:  # a cycle among the other vertices, with the edge count of a tree
+        u, v = next(
+            (u, v) for u in sorted(degree) for v in sorted(degree)
+            if leaf not in (u, v) and sm[u].sign != sm[v].sign and frozenset((u, v)) not in conns
+        )
+        conns.add(frozenset((u, v)))
+    return replace(state, connections=frozenset(conns))
+
+
+@pytest.mark.parametrize("how", ["same-sign edge", "cycle"])
+def test_hand_built_bad_skeleton_raises_like_reference(how):
+    state, _, _ = fo.run_pipeline(-7, 2)
+    bad = _bent_connections(state, how)
+    assert bad.is_elliptic_form()
+    want = _outcome(ref_extract_skeleton, bad)
+    assert want[0] == "raised"
+    assert _outcome(fo.extract_skeleton, bad) == want
+    assert _outcome(fo.extract_skeleton, bad) == want  # a failed build is not cached
+    assert _outcome(fo.to_elliptic_form, bad) == want  # nor returned unchecked
+
+
+def test_one_signed_tree_per_elliptic_form_state(monkeypatch):
+    built = []
+    post_init = tr.SignedTree.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(tr.SignedTree, "__post_init__", counting_post_init)
+    for case in ((-1, 0, False), (-9, 2, True), (-41, 0, False), (-41, -40, False)):
+        reduced = _reduced(*case)
+        built.clear()
+        state, _ = fo.to_elliptic_form(reduced)
+        assert len(built) == 1, case  # checked before to_elliptic_form returns
+        again, _ = fo.to_elliptic_form(state)
+        assert again is state
+        assert fo.extract_skeleton(state).tree is built[0]
+        assert fo.extract_skeleton(again) is fo.extract_skeleton(state)
+        assert len(built) == 1, case
