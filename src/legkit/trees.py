@@ -29,14 +29,13 @@ Trees and embeddings are checked once, when built.  An embedding scales
 its rational coordinates by one common denominator into integer grid
 points, so every slope, left-edge and left-most test is an exact int
 comparison; ``Fraction`` appears only at the API.  Normalization copies
-its tree once into a mutable adjacency, makes the two hubs adjacent,
-gathers each end edge onto the hub of its sign there, undoes the canonical
-broom's own gathering on the same copy, and builds one tree at the end.
+its tree once into a mutable adjacency, grows the canonical broom's path
+on it from an edge the tree already has, moving each vertex at most twice,
+and builds one tree at the end.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -365,6 +364,8 @@ class _TreeWork:
         sm = self.tree.sign_map
         if target == leaf:
             raise SignMismatch("cannot attach an end edge to its own end vertex")
+        if target == attach:
+            raise SignMismatch(f"end edge {attach}-{leaf} is already attached to {target}")
         if target not in sm:
             raise NotATree(f"no vertex {target}")
         if sm[target] != sm[attach]:
@@ -376,71 +377,63 @@ class _TreeWork:
         self.adj[target].add(leaf)
         self.adj[leaf].add(target)
 
-    def hub_by_sign(self) -> dict[int, int]:
-        """The hub of each sign: its smallest vertex."""
-        sm = self.tree.sign_map
-        return {s: min(v for v in sm if sm[v] == s) for s in (1, -1)}
+    def walk_to_broom(self, order: Sequence[int], leaves: Sequence[int]) -> list[Move]:
+        """Move end edges until this copy is the broom of path ``order`` and hub leaves ``leaves``.
 
-    def join_hubs(self) -> list[Move]:
-        """Make the two hubs adjacent; no move if they already are.
-
-        On the path p = x0, x1, ..., xk = m from the + hub to the - hub, the
-        branch hanging off m away from x(k-1) is taken apart leaves first,
-        each end edge moving to p or x1 by its attachment sign; then m, an
-        end vertex on x(k-1), moves to p.  Returns the moves.
+        The built path starts from a broom-path edge the tree already has (the
+        one whose ends have the most edges), or one a single move makes, and
+        grows outward from both ends, towards the hub first.  A next
+        path vertex x not adjacent to the end of the path first sheds the
+        branch beyond it, leaves first, onto the end or its path neighbor by
+        sign (onto the hub once it is placed, for hub leaves); then x moves
+        onto the end.  Built vertices never move, so no vertex moves more
+        than twice.  Returns the moves.
         """
         sm, adj = self.tree.sign_map, self.adj
-        hub_of = self.hub_by_sign()
-        p, m = hub_of[1], hub_of[-1]
-        if m in adj[p]:
-            return []
-        parent = {p: p}
-        order = [p]  # breadth first from p, so parents come before children
-        for u in order:
+        seeds = [i for i in range(len(order) - 1) if order[i + 1] in adj[order[i]]]
+        if seeds:
+            # where most edges meet; the one nearer the hub on a tie
+            lo = max(seeds, key=lambda i: (len(adj[order[i]]) + len(adj[order[i + 1]]), i))
+        else:
+            # an end vertex, moved next below: some majority path vertex is one,
+            # or the q of them would span 2q edges among the 2q path vertices
+            lo = next(i for i in range(0, len(order), 2) if len(adj[order[i]]) == 1)
+        hi, last, hub = lo + 1, len(order) - 1, order[-1]
+        parent = {order[hi]: order[hi]}  # each vertex's neighbor towards the built path
+        queue = [order[hi]]
+        for u in queue:
             for w in adj[u]:
                 if w not in parent:
                     parent[w] = u
-                    order.append(w)
-        x1 = m
-        while parent[x1] != p:
-            x1 = parent[x1]
-        branch = {m}
-        for v in order:
-            if parent[v] in branch:
-                branch.add(v)
+                    queue.append(w)
         moves: list[Move] = []
-        for v in reversed(order):
-            if v in branch:
-                attach = parent[v]
-                target = p if sm[attach] == 1 else x1
-                self.move((attach, v), target)
-                moves.append(((attach, v), target))
-        return moves
 
-    def gather(self) -> list[Move]:
-        """Gather every end edge onto the hub of its attachment sign.
+        def shift(v: int, target: int) -> None:
+            self.move((parent[v], v), target)
+            moves.append(((parent[v], v), target))
+            parent[v] = target
 
-        End edges off the hubs move smallest sorted edge first.  A move can
-        only turn the last edge of its attachment vertex into an end edge,
-        so a heap holds the eligible edges.  Returns the moves as
-        ((attach, leaf), hub) pairs.
-        """
-        sm, adj = self.tree.sign_map, self.adj
-        hub_of = self.hub_by_sign()
-        hubs = set(hub_of.values())
-        off_hub = [(u, w) for u, ws in adj.items() for w in ws if u < w and not {u, w} & hubs]
-        heap = [e for e in off_hub if len(adj[e[0]]) == 1 or len(adj[e[1]]) == 1]
-        heapq.heapify(heap)
-        moves: list[Move] = []
-        while heap:
-            attach, leaf = self.end_of(heapq.heappop(heap))
-            hub = hub_of[sm[attach]]
-            self.move((attach, leaf), hub)
-            moves.append(((attach, leaf), hub))
-            if len(adj[attach]) == 1 and not adj[attach] & hubs:
-                heapq.heappush(heap, tuple(sorted((attach, *adj[attach]))))
-        if len(moves) != len(off_hub):
-            raise NotEndEdge(f"gathering stalled: no end edge off the hubs {sorted(hubs)}")
+        if not seeds:
+            shift(order[lo], order[hi])
+        hub_leaves = set(leaves)
+        while lo > 0 or hi < last:
+            right = hi < last  # towards the hub first
+            x, end, near = (order[hi + 1], order[hi], order[hi - 1]) if right else (
+                order[lo - 1], order[lo], order[lo + 1])
+            if x not in adj[end]:
+                branch = [x]
+                for v in branch:
+                    branch.extend(w for w in adj[v] if w != parent[v])
+                for v in reversed(branch[1:]):
+                    if v in hub_leaves and hi == last:
+                        shift(v, hub)
+                    else:
+                        shift(v, end if sm[end] == sm[parent[v]] else near)
+                shift(x, end)
+            lo, hi = (lo, hi + 1) if right else (lo - 1, hi)
+        for v in leaves:
+            if hub not in adj[v]:
+                shift(v, hub)
         return moves
 
 
@@ -481,23 +474,18 @@ def canonical_broom(signs: Sequence[int], ids: Sequence[int]) -> SignedTree:
 def normalize_to_almost_linear(t: SignedTree) -> tuple[SignedTree, list[Move]]:
     """Reduce a signed tree to the canonical broom by legal end-edge moves.
 
-    The hubs (the smallest vertex of each sign) are made adjacent, the
-    tree is gathered into the double star on them, then the broom's own
-    gathering is undone in reverse, all on one working copy.
-    Each move replays as ``move_end_edge(t, *move)``.
+    One walk on a working copy builds the broom's path outward from an edge
+    the tree already has (``_TreeWork.walk_to_broom``), so an edge already
+    where the broom wants it is never moved and the broom itself gets no
+    move.  Each move replays as ``move_end_edge(t, *move)``.
     """
     if len(t.vertices) <= 1:
         return t, []
-    target = canonical_broom([s for _, s in t.signs], t.vertices)
+    edges, order, leaves = _broom([s for _, s in t.signs], t.vertices)
     work = _TreeWork(t)
-    moves = work.join_hubs() + work.gather()
-    # each gathering move ((attach, leaf), hub) is undone by moving
-    # (hub, leaf) back to attach
-    for (attach, leaf), hub in reversed(_TreeWork(target).gather()):
-        work.move((hub, leaf), attach)
-        moves.append(((hub, leaf), attach))
+    moves = work.walk_to_broom(order, leaves)
     out = work.freeze()
-    if out.edges != target.edges:
+    if out.edges != frozenset(map(frozenset, edges)):
         raise PatternMismatch("normalization did not reach the broom")
     if not out.is_almost_linear():
         raise PatternMismatch("normalized tree is not almost linear")

@@ -143,21 +143,28 @@ class TestTree2Front:
 
     def test_normalize_trace_lists_moves(self, capsys, tmp_path):
         p = tmp_path / "tree.sat"
-        # the path is gathered onto the hubs 0 and 1, then spread into the broom
+        # the path 0-1-2-3-4 (+,-,+,-,+) is the broom: no move
         p.write_text("v 0 0 0 +\nv 1 1 0 -\nv 2 2 0 +\nv 3 3 0 -\nv 4 4 0 +\n"
                      "e 0 1\ne 1 2\ne 2 3\ne 3 4\n")
         code, _, err = run(capsys, "tree2front", str(p), "--normalize", "--trace")
+        assert (code, err) == (0, "")
+        # the path 0-4-3-2-1 is not: its broom is 0-2-1-4 with 3 on the hub 4;
+        # it grows from 2-1, and 0 then 4 move so that the hub joins 1
+        p.write_text("v 0 0 0 +\nv 4 1 0 -\nv 3 2 0 +\nv 2 3 0 -\nv 1 4 0 +\n"
+                     "e 0 4\ne 4 3\ne 3 2\ne 2 1\n")
+        code, out, err = run(capsys, "tree2front", str(p), "--normalize", "--trace")
+        _, cat, _ = run(capsys, "catalog", "--tb", "-4", "--r", "1", "--front")
         assert code == 0
+        assert out == cat
         assert err.splitlines() == [
+            "# end-edge move: (4, 0) -> 2",
             "# end-edge move: (3, 4) -> 1",
-            "# end-edge move: (2, 3) -> 0",
-            "# end-edge move: (0, 3) -> 2",
-            "# end-edge move: (1, 4) -> 3",
+            "# end-edge move: (2, 3) -> 4",
         ]
 
     def test_normalize_path_with_hubs_apart(self, capsys, tmp_path):
-        # the hubs 0 (+) and 1 (-) are the ends of the path 0-2-3-1: 1 moves
-        # next to 0 first, then the gathering and the broom's own follow
+        # the smallest + and - vertices 0 and 1 are the ends of the path
+        # 0-2-3-1; the broom 0-1-3-2 already has 1-3 and 3-2, so 0 moves once
         p = tmp_path / "tree.sat"
         p.write_text("v 0 0 0 +\nv 2 1 0 -\nv 3 2 0 +\nv 1 3 0 -\n"
                      "e 0 2\ne 2 3\ne 3 1\n")
@@ -165,11 +172,7 @@ class TestTree2Front:
         _, cat, _ = run(capsys, "catalog", "--tb", "-3", "--r", "0", "--front")
         assert code == 0
         assert out == cat
-        assert err.splitlines() == [
-            "# end-edge move: (3, 1) -> 0",
-            "# end-edge move: (2, 3) -> 1",
-            "# end-edge move: (0, 2) -> 3",
-        ]
+        assert err.splitlines() == ["# end-edge move: (2, 0) -> 1"]
 
     def test_normalize_random_trees_with_hubs_apart(self, capsys, tmp_path):
         rng = random.Random(41)

@@ -1,3 +1,5 @@
+import heapq
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -231,6 +233,101 @@ def ref_normalize(t):
     return cur, moves
 
 
+# Reference move counts: the double-star normalizer as it was in trees.py.
+# It makes the hubs (the smallest vertex of each sign) adjacent, gathers
+# every end edge onto the hub of its sign, then undoes the canonical broom's
+# own gathering, so even the broom gets moves.
+
+
+class RefTreeWork(tr._TreeWork):
+    def hub_by_sign(self) -> dict[int, int]:
+        """The hub of each sign: its smallest vertex."""
+        sm = self.tree.sign_map
+        return {s: min(v for v in sm if sm[v] == s) for s in (1, -1)}
+
+    def join_hubs(self) -> list[tr.Move]:
+        """Make the two hubs adjacent; no move if they already are.
+
+        On the path p = x0, x1, ..., xk = m from the + hub to the - hub, the
+        branch hanging off m away from x(k-1) is taken apart leaves first,
+        each end edge moving to p or x1 by its attachment sign; then m, an
+        end vertex on x(k-1), moves to p.  Returns the moves.
+        """
+        sm, adj = self.tree.sign_map, self.adj
+        hub_of = self.hub_by_sign()
+        p, m = hub_of[1], hub_of[-1]
+        if m in adj[p]:
+            return []
+        parent = {p: p}
+        order = [p]  # breadth first from p, so parents come before children
+        for u in order:
+            for w in adj[u]:
+                if w not in parent:
+                    parent[w] = u
+                    order.append(w)
+        x1 = m
+        while parent[x1] != p:
+            x1 = parent[x1]
+        branch = {m}
+        for v in order:
+            if parent[v] in branch:
+                branch.add(v)
+        moves: list[tr.Move] = []
+        for v in reversed(order):
+            if v in branch:
+                attach = parent[v]
+                target = p if sm[attach] == 1 else x1
+                self.move((attach, v), target)
+                moves.append(((attach, v), target))
+        return moves
+
+    def gather(self) -> list[tr.Move]:
+        """Gather every end edge onto the hub of its attachment sign.
+
+        End edges off the hubs move smallest sorted edge first.  A move can
+        only turn the last edge of its attachment vertex into an end edge,
+        so a heap holds the eligible edges.  Returns the moves as
+        ((attach, leaf), hub) pairs.
+        """
+        sm, adj = self.tree.sign_map, self.adj
+        hub_of = self.hub_by_sign()
+        hubs = set(hub_of.values())
+        off_hub = [(u, w) for u, ws in adj.items() for w in ws if u < w and not {u, w} & hubs]
+        heap = [e for e in off_hub if len(adj[e[0]]) == 1 or len(adj[e[1]]) == 1]
+        heapq.heapify(heap)
+        moves: list[tr.Move] = []
+        while heap:
+            attach, leaf = self.end_of(heapq.heappop(heap))
+            hub = hub_of[sm[attach]]
+            self.move((attach, leaf), hub)
+            moves.append(((attach, leaf), hub))
+            if len(adj[attach]) == 1 and not adj[attach] & hubs:
+                heapq.heappush(heap, tuple(sorted((attach, *adj[attach]))))
+        if len(moves) != len(off_hub):
+            raise NotEndEdge(f"gathering stalled: no end edge off the hubs {sorted(hubs)}")
+        return moves
+
+
+def ref_double_star_normalize(t):
+    """(broom, moves) of the double-star normalizer."""
+    if len(t.vertices) <= 1:
+        return t, []
+    target = tr.canonical_broom([s for _, s in t.signs], t.vertices)
+    work = RefTreeWork(t)
+    moves = work.join_hubs() + work.gather()
+    # each gathering move ((attach, leaf), hub) is undone by moving
+    # (hub, leaf) back to attach
+    for (attach, leaf), hub in reversed(RefTreeWork(target).gather()):
+        work.move((hub, leaf), attach)
+        moves.append(((hub, leaf), attach))
+    out = work.freeze()
+    if out.edges != target.edges:
+        raise PatternMismatch("normalization did not reach the broom")
+    if not out.is_almost_linear():
+        raise PatternMismatch("normalized tree is not almost linear")
+    return out, moves
+
+
 @st.composite
 def signed_trees(draw, max_vertices=40):
     """Signed trees of 2-max_vertices vertices with arbitrary vertex ids."""
@@ -251,32 +348,45 @@ def broom_of(t):
 
 
 def assert_replays_to_broom(t):
-    """Normalize t; every move replays through move_end_edge to the broom."""
+    """Normalize t; every move replays through move_end_edge to the broom,
+    no move's target is its attachment, no vertex moves more than twice, and
+    the broom itself gets no move."""
     out, moves = tr.normalize_to_almost_linear(t)
     cur = t
     for mv in moves:
+        (attach, _), target = mv
+        assert target != attach
         cur = tr.move_end_edge(cur, *mv)
     assert cur == out == broom_of(t)
+    moved = [leaf for (_, leaf), _ in moves]
+    assert all(moved.count(v) <= 2 for v in moved)
+    assert (moves == []) == (t == out)
     return moves
 
 
 def assert_matches_reference(t):
-    """The reference's moves where its hubs are adjacent; the broom always."""
+    """The double-star reference's broom, and that reference's moves are the
+    quadratic reference's where its hubs are adjacent.  The move lists are
+    compared by length only exhaustively on small trees: on larger ones the
+    walk's list is now and then a few moves longer."""
     want = ref_normalize(t)
-    moves = assert_replays_to_broom(t)
+    ref = ref_double_star_normalize(t)
     if want is not None:
-        assert moves == want[1]
+        assert ref == want
+    assert_replays_to_broom(t)
+    assert ref[0] == broom_of(t)
 
 
 def ref_broom_reachable(t):
-    """Breadth-first search over all end-edge moves: is t's broom reachable?"""
+    """Breadth-first search over all end-edge moves: the fewest moves from t
+    to its broom, or None where the broom is not reachable."""
     sm = t.sign_map
     goal = broom_of(t).edges
-    seen = {t.edges}
+    dist = {t.edges: 0}
     queue = [t.edges]
     for edges in queue:
         if edges == goal:
-            return True
+            return dist[edges]
         valence = {}
         for e in edges:
             for v in e:
@@ -289,10 +399,10 @@ def ref_broom_reachable(t):
                 for target in sm:
                     if target not in (attach, leaf) and sm[target] == sm[attach]:
                         nxt = edges - {e} | {frozenset((target, leaf))}
-                        if nxt not in seen:
-                            seen.add(nxt)
+                        if nxt not in dist:
+                            dist[nxt] = dist[edges] + 1
                             queue.append(nxt)
-    return False
+    return None
 
 
 def hubs_adjacent(t):
@@ -638,6 +748,14 @@ class TestMoves:
         with pytest.raises(NotEndEdge):
             tr.move_end_edge(t, (1, 2), 3)
 
+    def test_target_is_attachment(self):
+        # moving the end edge 1-2 onto 1 would move nothing
+        t = tr.SignedTree.make({0: 1, 1: -1, 2: 1}, [(0, 1), (1, 2)])
+        with pytest.raises(SignMismatch, match="already attached"):
+            tr.move_end_edge(t, (1, 2), 1)
+        with pytest.raises(SignMismatch, match="already attached"):
+            tr.move_end_edge(t, (2, 1), 1)
+
 
 class TestNormalization:
     def test_already_almost_linear(self):
@@ -680,19 +798,23 @@ class TestNormalizationReference:
                 assert_matches_reference(tr.catalog_tree(-n, r).tree)
 
     def test_records_replay_through_move_end_edge(self):
-        t = tr.catalog_tree(-161, 0).tree
+        # the catalog path with its ids reversed: a path, but not the broom
+        n = 162
+        t = tr.catalog_tree(1 - n, 0).tree
+        t = tr.SignedTree.make({n - 1 - v: s for v, s in t.signs},
+                               [(n - 1 - u, n - 1 - w) for u, w in t.edges])
         out, moves = tr.normalize_to_almost_linear(t)
-        assert len(moves) > 300
+        assert len(moves) > 100
         cur = t
         for mv in moves:
             cur = tr.move_end_edge(cur, *mv)
-        assert cur == out
+        assert cur == out == broom_of(t)
 
     def test_large_catalog_tree_reaches_broom(self):
         t = tr.catalog_tree(-641, 0).tree
         out, moves = tr.normalize_to_almost_linear(t)
         assert out == tr.canonical_broom([s for _, s in t.signs], t.vertices)
-        assert len(moves) == 2 * (len(t.vertices) - 3)
+        assert len(moves) == 0
 
 
 class TestHubsNotAdjacent:
@@ -702,7 +824,8 @@ class TestHubsNotAdjacent:
         # the hubs 0 and 1 sit at the ends of a path
         t = tr.SignedTree.make({0: 1, 2: -1, 3: 1, 1: -1}, [(0, 2), (2, 3), (3, 1)])
         assert ref_normalize(t) is None
-        assert assert_replays_to_broom(t)[0] == ((3, 1), 0)
+        # the broom is 0-1-3-2: the path already has 1-3 and 3-2
+        assert assert_replays_to_broom(t) == [((2, 0), 1)]
 
     @settings(max_examples=200, deadline=None)
     @given(signed_trees())
@@ -720,27 +843,110 @@ class TestHubsNotAdjacent:
             t = tr.SignedTree.make({new_id[v]: s for v, s in t.signs},
                                    [tuple(new_id[v] for v in e) for e in t.edges])
             apart += not hubs_adjacent(t)
-            assert ref_broom_reachable(t)
+            assert ref_broom_reachable(t) is not None
             assert_replays_to_broom(t)
         assert apart >= 30
+
+
+def labelled_signed_trees(n):
+    """Every tree on vertices 0..n-1 (n >= 2), from its Pruefer sequence,
+    once with each sign of vertex 0."""
+    for seq in itertools.product(range(n), repeat=n - 2):
+        degree = [1] * n
+        for v in seq:
+            degree[v] += 1
+        edges = []
+        for v in seq:
+            leaf = degree.index(1)
+            edges.append((leaf, v))
+            degree[leaf] -= 1
+            degree[v] -= 1
+        edges.append(tuple(v for v in range(n) if degree[v] == 1))
+        adj = {v: [] for v in range(n)}
+        for u, w in edges:
+            adj[u].append(w)
+            adj[w].append(u)
+        for root_sign in (1, -1):
+            signs, todo = {0: root_sign}, [0]
+            while todo:
+                u = todo.pop()
+                for w in adj[u]:
+                    if w not in signs:
+                        signs[w] = -signs[u]
+                        todo.append(w)
+            yield tr.SignedTree.make(signs, edges)
+
+
+class TestDirectWalk:
+    """The walk straight to the broom, against the double-star reference and
+    the breadth-first optimum."""
+
+    def test_every_small_tree(self):
+        trees = brooms = total = ref_total = 0
+        for n in range(2, 7):
+            for t in labelled_signed_trees(n):
+                moves = assert_replays_to_broom(t)
+                ref = len(ref_double_star_normalize(t)[1])
+                assert len(moves) <= ref
+                trees += 1
+                brooms += not moves
+                total += len(moves)
+                ref_total += ref
+        # one broom per signing of 0..n-1 that has both signs
+        assert (trees, brooms) == (2882, sum(2**n - 2 for n in range(2, 7)))
+        assert (total, ref_total) == (8924, 16028)
+
+    def test_tree_without_broom_edge(self):
+        # the broom is 0-1-4-2-5-3 with 6 on the hub 3; the tree has none of
+        # its path edges, so the end vertex 4 first moves next to 2
+        t = tr.SignedTree.make({0: 1, 1: -1, 2: -1, 3: -1, 4: 1, 5: 1, 6: 1},
+                               [(3, 4), (0, 3), (0, 2), (3, 6), (1, 5), (1, 6)])
+        assert not any(frozenset(e) in t.edges for e in [(0, 1), (1, 4), (4, 2), (2, 5), (5, 3)])
+        moves = assert_replays_to_broom(t)
+        assert moves[0] == ((3, 4), 2)
+        assert len(moves) <= len(ref_double_star_normalize(t)[1])
+
+    def test_hub_leaves_go_straight_to_the_hub(self):
+        # the broom is 2-0-3-1-4-6 with 5 on the hub 6; the walk grows from
+        # 1-4, where most edges meet.  Growing left, 0 sheds its hub leaf 5
+        # straight onto the placed hub and 2 onto 1, by sign, before moving
+        t = tr.SignedTree.make({0: 1, 1: 1, 2: -1, 3: -1, 4: -1, 5: -1, 6: 1},
+                               [(0, 2), (0, 4), (0, 5), (1, 3), (1, 4), (4, 6)])
+        assert assert_replays_to_broom(t) == [((0, 5), 6), ((0, 2), 1), ((4, 0), 3), ((1, 2), 0)]
+        assert ref_broom_reachable(t) == 4
+
+    def test_catalog_trees_get_no_move(self):
+        for n in range(1, 16):
+            for r in range(-(n - 1), n, 2):
+                assert tr.normalize_to_almost_linear(tr.catalog_tree(-n, r).tree)[1] == []
+        assert tr.normalize_to_almost_linear(tr.catalog_tree(-641, 0).tree)[1] == []
+
+    def test_sample_against_search(self):
+        # 401 moves by the double-star reference, 199 at the optimum
+        rng = random.Random(5)
+        sample = [tr.random_signed_tree(rng, 7) for _ in range(150)]
+        total = optimum = 0
+        for t in sample:
+            moves = assert_replays_to_broom(t)
+            fewest = ref_broom_reachable(t)
+            assert fewest <= len(moves)
+            total += len(moves)
+            optimum += fewest
+        assert sum(len(ref_double_star_normalize(t)[1]) for t in sample) == 401
+        assert optimum == 199
+        assert total <= 401
+        assert total == optimum  # on this sample the walk is optimal
 
 
 class TestNormalizationErrors:
     """Result checks raise typed errors, so they hold under ``python -O``."""
 
-    def test_hubs_not_adjacent_stall(self, monkeypatch):
-        # the smallest + and - vertices (0 and 1) sit at the ends of a path;
-        # gathering without joining them first stalls
-        t = tr.SignedTree.make({0: 1, 2: -1, 3: 1, 1: -1}, [(0, 2), (2, 3), (3, 1)])
-        monkeypatch.setattr(tr._TreeWork, "join_hubs", lambda self: [])
-        with pytest.raises(NotEndEdge, match="stalled"):
-            tr.normalize_to_almost_linear(t)
-
     def test_broom_not_reached(self, monkeypatch):
         t = tr.SignedTree.make(
             {0: 1, 1: -1, 2: 1, 3: -1, 4: -1}, [(0, 1), (1, 2), (2, 3), (2, 4)]
         )
-        monkeypatch.setattr(tr._TreeWork, "gather", lambda self: [])
+        assert t != broom_of(t)
+        monkeypatch.setattr(tr._TreeWork, "walk_to_broom", lambda self, order, leaves: [])
         with pytest.raises(PatternMismatch, match="did not reach the broom"):
             tr.normalize_to_almost_linear(t)
 
