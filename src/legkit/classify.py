@@ -164,7 +164,8 @@ class ExceptionalClasses:
         return tb >= 1 and abs(r) == tb - 1
 
     def up_to(self, n_max: int) -> list[tuple[int, int]]:
-        if self.hopf != -1:
+        """The classes with tb <= n_max, by rising tb."""
+        if self.hopf != -1 or n_max < 1:
             return []
         out = [(1, 0)]
         for n in range(2, n_max + 1):

@@ -41,14 +41,17 @@ def _pair(text: str) -> tuple[int, int]:
     return vals[0], vals[1]
 
 
-def _samples(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
-    return n
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return n
+
+    return parse
 
 
 def _matrix(text: str) -> list[list[int]]:
@@ -162,14 +165,19 @@ def cmd_classify(args) -> int:
     if sub == "tight-unknot":
         verdict = cls.classify_tight_unknot(args.a, args.b)
     elif sub == "loose":
+        # either --tb alone, or --a and --b together
+        if (args.a is None) != (args.b is None) or (args.a is None) == (args.tb is None):
+            args.error("give either --tb or both --a and --b")
         tag = cls.ContactStructureTag.overtwisted(args.hopf, at_infinity=args.at_infinity)
-        if args.a and args.b:
+        if args.a:
             verdict = cls.classify_loose(tag, args.a, args.b)
         else:
             verdict = cls.loose_check(tag, args.tb, not args.nontrivial)
     elif sub == "exceptional":
+        if (args.tb is None) != (args.r is None):
+            args.error("give both --tb and --r, or neither")
         classes = cls.exceptional_unknot_classes(args.hopf)
-        if args.tb is not None and args.r is not None:
+        if args.tb is not None:
             member = (args.tb, args.r) in classes
             if args.json:
                 print(json.dumps({"hopf": args.hopf, "pair": [args.tb, args.r],
@@ -312,14 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--nontrivial", action="store_true")
     q.add_argument("--at-infinity", action="store_true")
     q.add_argument("--json", action="store_true")
-    q.set_defaults(func=cmd_classify)
+    q.set_defaults(func=cmd_classify, error=q.error)
     q = ps.add_parser("exceptional")
     q.add_argument("--hopf", type=int, required=True)
     q.add_argument("--tb", type=int)
     q.add_argument("--r", type=int)
-    q.add_argument("--list", type=int, default=5)
+    q.add_argument("--list", type=_at_least(0), default=5)
     q.add_argument("--json", action="store_true")
-    q.set_defaults(func=cmd_classify)
+    q.set_defaults(func=cmd_classify, error=q.error)
     q = ps.add_parser("hopf-lutz")
     g = q.add_mutually_exclusive_group(required=True)
     g.add_argument("--front")
@@ -337,12 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--format", choices=("svg", "ascii"), default="ascii")
     p.add_argument("--lift-csv", action="store_true")
-    p.add_argument("--samples", type=_samples, default=2000,
+    p.add_argument("--samples", type=_at_least(2), default=2000,
                    help="samples per arc of the lift (at least 2)")
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("fuzz", help="random self-checks (LEGKIT_SEED)")
-    p.add_argument("--count", type=int, default=200)
+    p.add_argument("--count", type=_at_least(0), default=200)
     p.set_defaults(func=cmd_fuzz)
     return ap
 

@@ -18,6 +18,14 @@ classical invariants are computed exactly from the oriented combinatorics:
 where or(p) = +1 iff the rays emanating from a crossing leave on opposite
 sides of the vertical line through it, and kappa(p) = +1 iff the ray
 emanating from a cusp lies above the ray entering it.
+
+The trace (``trace_components``) holds O(events) data: each arc's birth,
+death and role, one record per cusp and per crossing, and the component
+cycles.  It keeps no snapshot of the strand stack.  Its readers take what
+they need from the events: an arc born at event k starts at position
+``events[k].position + role``, a zig-zag is a left-cusp record followed at
+the next event by a right-cusp record, and ``FrontDiagram.strand_profile``
+gives each slot's strand count.
 """
 
 from __future__ import annotations
@@ -154,16 +162,11 @@ class ComponentDecomposition:
     n_components: int
     cusps: tuple[CuspRecord, ...]
     crossings: tuple[CrossingRecord, ...]
-    stacks: tuple[tuple[int, ...], ...]  # stacks[j] = arc ids after j events
     # arc index -> True if traversed rightward under the default orientation
     directions: tuple[bool, ...]
     # cycles[c] = arcs of component c in default traversal order, from its
     # lowest arc
     cycles: tuple[tuple[int, ...], ...]
-
-    def position_in_slot(self, arc: int, slot: int) -> int:
-        """1-based position of an arc in a given slot."""
-        return self.stacks[slot].index(arc) + 1
 
 
 @lru_cache(maxsize=4096)
@@ -183,7 +186,6 @@ def trace_components(d: FrontDiagram) -> ComponentDecomposition:
     cusps: list[CuspRecord] = []
     crossings: list[CrossingRecord] = []
     stack: list[int] = []
-    stacks: list[tuple[int, ...]] = [()]
     for j, ev in enumerate(d.events):
         p = ev.position
         if ev.kind == RIGHT:
@@ -210,7 +212,6 @@ def trace_components(d: FrontDiagram) -> ComponentDecomposition:
                 crossings.append(
                     CrossingRecord(event=j, in_lower=a, in_upper=b, out_lower=lo, out_upper=hi)
                 )
-        stacks.append(tuple(stack))
 
     # Components are numbered by their lowest arc, which is walked rightward:
     # leave each arc by its far end and enter the next arc by the joined end.
@@ -236,7 +237,6 @@ def trace_components(d: FrontDiagram) -> ComponentDecomposition:
         n_components=len(cycles),
         cusps=tuple(cusps),
         crossings=tuple(crossings),
-        stacks=tuple(stacks),
         directions=tuple(dirs),
         cycles=tuple(cycles),
     )
@@ -265,9 +265,13 @@ class OrientedFront:
 
     @staticmethod
     def default(d: FrontDiagram) -> "OrientedFront":
-        """Default orientation, with the last ``orient`` line per component applied."""
+        """Default orientation, with the last ``orient`` line per component
+        applied; an ``orient`` line must name a component of ``d``."""
         last = dict(d.orient_overrides)
-        return OrientedFront(d, frozenset(c for c, s in last.items() if s < 0))
+        of = OrientedFront(d, frozenset(c for c, s in last.items() if s < 0))
+        for c in sorted(last):
+            _check_component(of, c)
+        return of
 
     @cached_property
     def trace(self) -> ComponentDecomposition:
@@ -404,11 +408,33 @@ def in_unknot_range(tb: int, r: int) -> bool:
 # Zig-zags (stabilization)
 
 
-def _zigzag_events(p: int, option: str) -> list[FrontEvent]:
-    # option A: kink below the strand at p; option B: kink above.
-    if option == "A":
-        return [FrontEvent(LEFT, p), FrontEvent(RIGHT, p + 1)]
-    return [FrontEvent(LEFT, p + 1), FrontEvent(RIGHT, p)]
+def _splice(
+    d: FrontDiagram, tr: ComponentDecomposition, arc: int, direction: str, cut: Optional[int] = None
+) -> FrontDiagram:
+    """``d`` with a zig-zag on ``arc`` right after its birth and, if ``cut`` is
+    given, without the zig-zag whose left cusp is event ``cut``.
+
+    ``tr`` is the trace of ``d``.  An event at position p creates its arcs at
+    p and p + 1, so an arc starts at ``p + role``.  A zig-zag's two events
+    leave every other position as it was, and its arcs come after its
+    carrier's, so removing it keeps every other arc's default direction.
+    """
+    rec = tr.arcs[arc]
+    p = d.events[rec.born].position + rec.role
+    # Option B (kink above) raises r on a rightward strand, option A (kink
+    # below) lowers it; the roles swap on a leftward strand.
+    if (direction == UP) == tr.directions[arc]:
+        kink = [FrontEvent(LEFT, p + 1), FrontEvent(RIGHT, p)]
+    else:
+        kink = [FrontEvent(LEFT, p), FrontEvent(RIGHT, p + 1)]
+    events = list(d.events)
+    at = rec.born + 1
+    if cut is not None:
+        del events[cut : cut + 2]
+        if cut < at:
+            at -= 2
+    events[at:at] = kink
+    return FrontDiagram(tuple(events))
 
 
 def insert_zigzag(d: FrontDiagram, arc: int, direction: str) -> FrontDiagram:
@@ -422,19 +448,7 @@ def insert_zigzag(d: FrontDiagram, arc: int, direction: str) -> FrontDiagram:
     tr = trace_components(d)
     if not 0 <= arc < len(tr.arcs):
         raise BadLocator(f"no arc {arc} (diagram has {len(tr.arcs)} arcs)")
-    rec = tr.arcs[arc]
-    slot = rec.born + 1
-    p = tr.position_in_slot(arc, slot)
-    rightward = tr.directions[arc]
-    # Option B raises r on a rightward strand, option A lowers it; the
-    # roles swap on a leftward strand.
-    if (direction == UP) == rightward:
-        option = "B"
-    else:
-        option = "A"
-    events = list(d.events)
-    events[slot:slot] = _zigzag_events(p, option)
-    return FrontDiagram(tuple(events))
+    return _splice(d, tr, arc, direction)
 
 
 @dataclass(frozen=True)
@@ -449,34 +463,23 @@ class Zigzag:
 
 
 def find_zigzags(d: FrontDiagram) -> list[Zigzag]:
-    tr = trace_components(d)
-    by_birth = {}
-    for a in tr.arcs:
-        by_birth.setdefault(a.born, {})[a.role] = a.index
+    """Each left cusp followed at the next event by a right cusp one position
+    above or below it, which joins one new arc to the carrier."""
+    cusps = trace_components(d).cusps
     out = []
-    for i in range(len(d.events) - 1):
-        e1, e2 = d.events[i], d.events[i + 1]
-        if e1.kind != LEFT or e2.kind != RIGHT:
+    for left, right in zip(cusps, cusps[1:]):
+        if left.kind != LEFT or right.kind != RIGHT or right.event != left.event + 1:
             continue
-        lo, hi = by_birth[i][0], by_birth[i][1]
-        if e2.position == e1.position + 1:
+        shift = d.events[right.event].position - d.events[left.event].position
+        kink = (left.lower, left.upper)
+        if shift == 1:
             # option A: R consumes (upper kink arc, original strand)
-            stack = tr.stacks[i + 1]
-            orig = stack[e2.position]  # strand above the kink upper
-            if tr.arcs[hi].died == i + 1 and tr.arcs[orig].died == i + 1:
-                out.append(
-                    Zigzag(event=i, option="A", carrier_in=orig, carrier_out=lo,
-                           kink_arcs=(lo, hi))
-                )
-        elif e2.position == e1.position - 1:
+            out.append(Zigzag(event=left.event, option="A", carrier_in=right.upper,
+                              carrier_out=left.lower, kink_arcs=kink))
+        elif shift == -1:
             # option B: R consumes (original strand, lower kink arc)
-            stack = tr.stacks[i + 1]
-            orig = stack[e2.position - 1]
-            if tr.arcs[lo].died == i + 1 and tr.arcs[orig].died == i + 1:
-                out.append(
-                    Zigzag(event=i, option="B", carrier_in=orig, carrier_out=hi,
-                           kink_arcs=(lo, hi))
-                )
+            out.append(Zigzag(event=left.event, option="B", carrier_in=right.lower,
+                              carrier_out=left.upper, kink_arcs=kink))
     return out
 
 
@@ -489,7 +492,9 @@ def zigzag_direction(d: FrontDiagram, z: Zigzag) -> str:
 
 
 def displace_zigzag(d: FrontDiagram, from_arc: int, to_arc: int) -> FrontDiagram:
-    """Move a zig-zag from one arc to another, preserving (tb, r) exactly."""
+    """Move a zig-zag from one arc to another, preserving (tb, r) exactly:
+    one splice of the event list drops its two events and inserts the new
+    kink right after the target arc's birth."""
     tr = trace_components(d)
     if not 0 <= from_arc < len(tr.arcs) or not 0 <= to_arc < len(tr.arcs):
         raise BadLocator("arc locator out of range")
@@ -503,18 +508,7 @@ def displace_zigzag(d: FrontDiagram, from_arc: int, to_arc: int) -> FrontDiagram
     z = zigs[0]
     if to_arc in z.kink_arcs or to_arc in (z.carrier_in, z.carrier_out):
         raise BadLocator("target arc is part of the zig-zag being moved")
-    direction = zigzag_direction(d, z)
-    events = list(d.events)
-    del events[z.event : z.event + 2]
-    reduced = FrontDiagram(tuple(events))
-    # Re-identify the target arc by (birth event, role) in the reduced diagram.
-    tgt = tr.arcs[to_arc]
-    born = tgt.born if tgt.born < z.event else tgt.born - 2
-    red_tr = trace_components(reduced)
-    matches = [a.index for a in red_tr.arcs if a.born == born and a.role == tgt.role]
-    if not matches:
-        raise BadLocator("target arc does not survive zig-zag removal")
-    return insert_zigzag(reduced, matches[0], direction)
+    return _splice(d, tr, to_arc, zigzag_direction(d, z), cut=z.event)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@
 A front diagram is realized as a family of parametric arcs (x(t), z(t))
 built from cubic Hermite pieces: event k sits at x = k + 1, a strand at
 position p of n occupies the level (p - (n+1)/2) * spacing at the middle
-of its slot.  Cusp ends use the semicubical local model (x ~ t^2,
-z ~ t^3, so branches meet with a common horizontal tangent); crossing
-ends meet at one point with slopes +-crossing_slope, giving a
-transversality gap of twice that.
+of its slot.  One replay of the strand stack, event by event, gives every
+arc its knots at the middles of the slots it spans; the arc's ends come
+from the event positions and the strand profile.  Cusp ends use the
+semicubical local model (x ~ t^2, z ~ t^3, so branches meet with a common
+horizontal tangent); crossing ends meet at one point with slopes
++-crossing_slope, the lower incoming strand rising, giving a transversality
+gap of twice that.
 
 The Legendrian lift adds y = dz/dx and follows a component's cycle from the
 trace: its arcs in default order from the lowest one or, for a reversed
@@ -42,6 +45,8 @@ from .errors import (
 )
 from .fronts import (
     CROSS,
+    LEFT,
+    RIGHT,
     ComponentDecomposition,
     FrontDiagram,
     OrientedFront,
@@ -119,16 +124,6 @@ class RealizedFront:
         return trace_components(self.diagram)
 
 
-def _levels(tr: ComponentDecomposition, spacing: float) -> dict[tuple[int, int], float]:
-    """(slot, position) -> z level, centered per slot."""
-    out = {}
-    for j, stack in enumerate(tr.stacks):
-        n = len(stack)
-        for p in range(1, n + 1):
-            out[(j, p)] = (p - (n + 1) / 2.0) * spacing
-    return out
-
-
 def realize_front(d: FrontDiagram, params: GeomParams = GeomParams()) -> RealizedFront:
     """Build a generic planar realization with semicubical cusps."""
     if params.samples_per_arc < 2:
@@ -138,27 +133,44 @@ def realize_front(d: FrontDiagram, params: GeomParams = GeomParams()) -> Realize
             f"crossing slope gap {2 * params.crossing_slope} below margin {params.slope_margin}"
         )
     tr = trace_components(d)
-    lv = _levels(tr, params.spacing)
-    events = d.events
+    events, counts = d.events, d.strand_profile
+
+    def level(p: int, n: int) -> float:
+        # position p of n strands, centered per slot
+        return (p - (n + 1) / 2.0) * params.spacing
+
+    # one replay of the stack: mids[a] holds arc a's front point at the
+    # middle of every slot it spans; arcs are made in pairs, in event order
+    mids: list[list[tuple[float, float]]] = [[] for _ in tr.arcs]
+    stack: list[int] = []
+    made = 0
+    for k, ev in enumerate(events):
+        p = ev.position
+        if ev.kind == RIGHT:
+            del stack[p - 1 : p + 1]
+        else:
+            stack[p - 1 : p - 1 if ev.kind == LEFT else p + 1] = (made, made + 1)
+            made += 2
+        for q, a in enumerate(stack, 1):
+            mids[a].append((k + 1.5, level(q, len(stack))))
+    in_lower = {x.event: x.in_lower for x in tr.crossings}
 
     def endpoint(a, born: bool):
         """(x, z, slope, is_cusp) where the arc is born or dies."""
         k = a.born if born else a.died
-        ev, slot = events[k], k + 1 if born else k
-        z = (lv[(slot, ev.position)] + lv[(slot, ev.position + 1)]) / 2
+        ev, n = events[k], counts[k + 1 if born else k]
+        z = (level(ev.position, n) + level(ev.position + 1, n)) / 2
         if ev.kind != CROSS:
             return float(k + 1), z, 0.0, True
         # out_upper and in_lower run at +m, out_lower and in_upper at -m
-        up = a.role == 1 if born else tr.stacks[k][ev.position - 1] == a.index
+        up = a.role == 1 if born else in_lower[k] == a.index
         return float(k + 1), z, params.crossing_slope if up else -params.crossing_slope, False
 
     curves = []
     for a in tr.arcs:
         x0, z0, s0, cusp0 = endpoint(a, True)
         x1, z1, s1, cusp1 = endpoint(a, False)
-        # the front point at the middle of every slot the arc spans
-        pts = [(x0, z0), *((j + 0.5, lv[(j, tr.stacks[j].index(a.index) + 1)])
-                           for j in range(a.born + 1, a.died + 1)), (x1, z1)]
+        pts = [(x0, z0), *mids[a.index], (x1, z1)]
         # a chain of Hermite pieces through (x, z, slope) knots; a cusp end
         # takes a semicubical piece up to the chain's end knot
         head, tail = (x0, z0, s0), (x1, z1, s1)

@@ -5,7 +5,8 @@ each arc is one path, one cubic Bézier segment per realized piece, on the
 box of the control points plus a margin (by the convex-hull property it
 holds every curve).  At each crossing the strand of lesser slope is redrawn
 over a white disk, from the exact last and first quarters of its two arcs.
-The ASCII renderer draws the combinatorial stack on a character grid.
+The ASCII sketch draws each slot's strand count and each event on a
+character grid.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from numbers import Real
 
 from .errors import GeometryDegenerate
-from .fronts import CROSS, LEFT, RIGHT, FrontDiagram, trace_components
+from .fronts import CROSS, LEFT, RIGHT, FrontDiagram
 from .lifting import ArcCurve, realize_front
 
 
@@ -73,47 +74,20 @@ def render_svg(d: FrontDiagram, scale: float = 60.0) -> str:
 
 def render_ascii(d: FrontDiagram) -> str:
     """Character-grid sketch: '<' '>' cusps, 'X' crossings, '-' strands."""
-    tr = trace_components(d)
-    m = len(d.events)
+    counts = d.strand_profile
     cell = 4
-    # level of strand position p among n strands: 2p - (n + 1)
-    levels = []
-    for stack in tr.stacks:
-        n = len(stack)
-        levels.append({p: 2 * p - (n + 1) for p in range(1, n + 1)})
-    all_levels = [v for lv in levels for v in lv.values()]
-    top = max(all_levels + [1])
-    bot = min(all_levels + [-1])
-    rows = top - bot + 1
-
-    def row_of(level):
-        return top - level
-
-    cols = cell * (m + 1) + 4
-    grid = [[" "] * cols for _ in range(rows)]
-    for j in range(1, m + 1):
-        c0, c1 = cell * j + 2, cell * j + 4
-        for p, lv in levels[j].items():
-            rr = row_of(lv)
-            for c in range(c0, c1 + 1):
-                grid[rr][c] = "-"
+    # strand position p among n sits at level 2p - (n + 1), on row top - level
+    top = max(max(counts) - 1, 1)
+    grid = [[" "] * (cell * (len(d.events) + 1) + 4) for _ in range(2 * top + 1)]
+    for j, n in enumerate(counts):
+        for p in range(1, n + 1):
+            grid[top - 2 * p + n + 1][cell * j + 2 : cell * j + 5] = "---"
     for k, ev in enumerate(d.events):
         col = cell * (k + 1) + 1
-        if ev.kind == LEFT:
-            n_after = len(tr.stacks[k + 1])
-            apex = 2 * ev.position - n_after  # between the two created levels
-            grid[row_of(apex)][col] = "<"
-        elif ev.kind == RIGHT:
-            n_before = len(tr.stacks[k])
-            apex = 2 * ev.position - n_before
-            grid[row_of(apex)][col] = ">"
-        else:
-            n = len(tr.stacks[k])
-            mid = 2 * ev.position - n
-            grid[row_of(mid)][col] = "X"
-            lo, hi = row_of(mid - 1), row_of(mid + 1)
-            grid[hi][col - 1] = "\\"
-            grid[lo][col - 1] = "/"
-            grid[hi][col + 1] = "/"
-            grid[lo][col + 1] = "\\"
+        # a cusp's apex or a crossing lies between the event's two strands
+        row = top - 2 * ev.position + counts[k + 1 if ev.kind == LEFT else k]
+        grid[row][col] = {LEFT: "<", RIGHT: ">", CROSS: "X"}[ev.kind]
+        if ev.kind == CROSS:
+            grid[row - 1][col - 1], grid[row - 1][col + 1] = "\\", "/"
+            grid[row + 1][col - 1], grid[row + 1][col + 1] = "/", "\\"
     return "\n".join("".join(r).rstrip() for r in grid if "".join(r).strip())

@@ -96,6 +96,12 @@ class TestExceptional:
         assert len(pairs) == 1 + 2 * 49
         assert all(p in E for p in pairs)
 
+    @pytest.mark.parametrize("n_max", [0, -1, -7])
+    def test_enumeration_below_one_is_empty(self, n_max):
+        # the smallest class has tb = 1
+        assert cl.exceptional_unknot_classes(-1).up_to(n_max) == []
+        assert cl.exceptional_unknot_classes(-1).up_to(1) == [(1, 0)]
+
     def test_parity_of_classes(self):
         E = cl.exceptional_unknot_classes(-1)
         for tb, r in E.up_to(30):

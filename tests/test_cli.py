@@ -62,8 +62,32 @@ class TestInvariants:
         assert code == 1
         assert "NotClosed" in err
 
+    def test_orient_plus_line_for_missing_component_exit_one(self, capsys, tmp_path):
+        p = tmp_path / "bad.lfd"
+        p.write_text("L 1\nR 1\norient 5 +\n")
+        code, out, err = run(capsys, "invariants", str(p))
+        assert (code, out) == (1, "")
+        assert "NotClosed: no component 5" in err
+
+    def test_linking_rows(self, capsys, tmp_path):
+        p = tmp_path / "clasp.lfd"
+        p.write_text("L 1\nL 2\nX 1\nX 1\nR 2\nR 1\n")
+        code, out, _ = run(capsys, "invariants", str(p))
+        assert code == 0
+        assert out == (
+            "component 0: tb=-1 r=0 parity=yes bennequin=yes range=yes\n"
+            "component 1: tb=-1 r=0 parity=yes bennequin=yes range=yes\n"
+            "lk[0] . 1\n"
+            "lk[1] 1 .\n"
+        )
+
 
 class TestCatalog:
+    def test_tree(self, capsys):
+        code, out, _ = run(capsys, "catalog", "--tb", "-3", "--r", "0", "--tree")
+        assert code == 0
+        assert out == "v 0 0 0 +\nv 1 2 0 +\nv 2 1 0 -\nv 3 3 0 -\ne 0 2\ne 1 2\ne 1 3\n"
+
     def test_front(self, capsys):
         code, out, _ = run(capsys, "catalog", "--tb", "-1", "--r", "0", "--front")
         assert code == 0
@@ -276,6 +300,23 @@ class TestClassify:
         assert code == 0
         assert out.strip() == "1/2"
 
+    @pytest.mark.parametrize("argv,want", [
+        (["loose", "--hopf", "-1", "--tb", "-1"], "loose-class\n"),
+        (["loose", "--hopf", "-1", "--tb", "1"],
+         "undetermined-by-this-test\n"
+         "# tb > 0 or nontrivial knots may still be loose; the test is one-directional\n"),
+        (["loose", "--hopf", "0", "--a", "-1,0", "--b", "-3,0"], "not-coarsely-equivalent\n"),
+        (["exceptional", "--hopf", "-1", "--list", "3"], "(1,0) (2,1) (2,-1) (3,2) (3,-2)\n"),
+        (["exceptional", "--hopf", "2", "--list", "3"], "(none)\n"),
+        (["exceptional", "--hopf", "-1", "--list", "0"], "(none)\n"),
+        (["complement", "--slope", "2"],
+         "meridian=(-2,1) slope=2 wedges=(1,2) "
+         "rule='ruling-curve rotation number equals -r(L)'\n"),
+    ])
+    def test_text_output(self, capsys, argv, want):
+        code, out, _ = run(capsys, "classify", *argv)
+        assert (code, out) == (0, want)
+
     def test_tight_unknot_verdict(self, capsys):
         code, out, _ = run(
             capsys, "classify", "tight-unknot", "--a", "-1,0", "--b", "-1,0", "--json"
@@ -334,6 +375,13 @@ class TestExitCodes:
             ["classify", "hopf-lutz", "--sl", "a"],
             ["classify", "hopf-lutz", "--sl", "-1,-1", "--lk", "1;x"],
             ["classify", "hopf-lutz"],
+            ["classify", "loose", "--hopf", "-1"],
+            ["classify", "loose", "--hopf", "-1", "--a", "1,0"],
+            ["classify", "loose", "--hopf", "-1", "--tb", "-1", "--a", "1,0", "--b", "1,0"],
+            ["classify", "exceptional", "--hopf", "-1", "--tb", "1"],
+            ["classify", "exceptional", "--hopf", "-1", "--r", "0"],
+            ["classify", "exceptional", "--hopf", "-1", "--list", "-1"],
+            ["fuzz", "--count", "-3"],
         ],
     )
     def test_malformed_value_is_usage_error(self, capsys, argv):

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from legkit import fronts as fr
 from legkit import lifting as lf
+from legkit import render
+from legkit import trees
 from legkit.errors import (
     BadDirection,
     BadLocator,
     InvalidPosition,
+    LegkitError,
     NoZigzag,
     NotClosed,
     OpenDiagram,
@@ -118,6 +121,179 @@ def reference_lift(rf, comp, of):
     return np.concatenate(xs), np.concatenate(ys), np.concatenate(zs)
 
 
+# The former readers of the trace's stack snapshots, each over a test-local
+# replay of the stack; the library now reads the event records instead.
+
+
+def reference_stacks(d):
+    """stacks[j] = the arc ids, bottom to top, after j events."""
+    stack, stacks, made = [], [()], 0
+    for ev in d.events:
+        p = ev.position
+        if ev.kind == fr.RIGHT:
+            del stack[p - 1 : p + 1]
+        else:
+            stack[p - 1 : p - 1 if ev.kind == fr.LEFT else p + 1] = [made, made + 1]
+            made += 2
+        stacks.append(tuple(stack))
+    return stacks
+
+
+def reference_insert_zigzag(d, arc, direction):
+    if direction not in (fr.UP, fr.DOWN):
+        raise BadDirection(f"direction must be 'up' or 'down', got {direction!r}")
+    tr = fr.trace_components(d)
+    if not 0 <= arc < len(tr.arcs):
+        raise BadLocator(f"no arc {arc} (diagram has {len(tr.arcs)} arcs)")
+    slot = tr.arcs[arc].born + 1
+    p = reference_stacks(d)[slot].index(arc) + 1
+    if (direction == fr.UP) == tr.directions[arc]:
+        kink = [fr.FrontEvent(fr.LEFT, p + 1), fr.FrontEvent(fr.RIGHT, p)]  # option B
+    else:
+        kink = [fr.FrontEvent(fr.LEFT, p), fr.FrontEvent(fr.RIGHT, p + 1)]  # option A
+    events = list(d.events)
+    events[slot:slot] = kink
+    return fr.FrontDiagram(tuple(events))
+
+
+def reference_find_zigzags(d):
+    tr = fr.trace_components(d)
+    stacks = reference_stacks(d)
+    by_birth = {}
+    for a in tr.arcs:
+        by_birth.setdefault(a.born, {})[a.role] = a.index
+    out = []
+    for i in range(len(d.events) - 1):
+        e1, e2 = d.events[i], d.events[i + 1]
+        if e1.kind != fr.LEFT or e2.kind != fr.RIGHT:
+            continue
+        lo, hi = by_birth[i][0], by_birth[i][1]
+        if e2.position == e1.position + 1:
+            orig = stacks[i + 1][e2.position]
+            if tr.arcs[hi].died == i + 1 and tr.arcs[orig].died == i + 1:
+                out.append(fr.Zigzag(event=i, option="A", carrier_in=orig, carrier_out=lo,
+                                     kink_arcs=(lo, hi)))
+        elif e2.position == e1.position - 1:
+            orig = stacks[i + 1][e2.position - 1]
+            if tr.arcs[lo].died == i + 1 and tr.arcs[orig].died == i + 1:
+                out.append(fr.Zigzag(event=i, option="B", carrier_in=orig, carrier_out=hi,
+                                     kink_arcs=(lo, hi)))
+    return out
+
+
+def reference_displace_zigzag(d, from_arc, to_arc):
+    """Delete the zig-zag, re-trace, find the target by (birth, role), insert."""
+    tr = fr.trace_components(d)
+    if not 0 <= from_arc < len(tr.arcs) or not 0 <= to_arc < len(tr.arcs):
+        raise BadLocator("arc locator out of range")
+    zigs = [z for z in reference_find_zigzags(d)
+            if from_arc in z.kink_arcs or from_arc in (z.carrier_in, z.carrier_out)]
+    if not zigs:
+        raise NoZigzag(f"arc {from_arc} carries no zig-zag")
+    z = zigs[0]
+    if to_arc in z.kink_arcs or to_arc in (z.carrier_in, z.carrier_out):
+        raise BadLocator("target arc is part of the zig-zag being moved")
+    direction = fr.zigzag_direction(d, z)
+    events = list(d.events)
+    del events[z.event : z.event + 2]
+    reduced = fr.FrontDiagram(tuple(events))
+    tgt = tr.arcs[to_arc]
+    born = tgt.born if tgt.born < z.event else tgt.born - 2
+    matches = [a.index for a in fr.trace_components(reduced).arcs
+               if a.born == born and a.role == tgt.role]
+    if not matches:
+        raise BadLocator("target arc does not survive zig-zag removal")
+    return reference_insert_zigzag(reduced, matches[0], direction)
+
+
+def reference_realize_curves(d, params=lf.GeomParams()):
+    """realize_front's curves from a (slot, position) level dict and a
+    search of the stack snapshots for each slot knot."""
+    tr = fr.trace_components(d)
+    stacks = reference_stacks(d)
+    lv = {}
+    for j, stack in enumerate(stacks):
+        n = len(stack)
+        for p in range(1, n + 1):
+            lv[(j, p)] = (p - (n + 1) / 2.0) * params.spacing
+
+    def endpoint(a, born):
+        k = a.born if born else a.died
+        ev, slot = d.events[k], k + 1 if born else k
+        z = (lv[(slot, ev.position)] + lv[(slot, ev.position + 1)]) / 2
+        if ev.kind != fr.CROSS:
+            return float(k + 1), z, 0.0, True
+        up = a.role == 1 if born else stacks[k][ev.position - 1] == a.index
+        return float(k + 1), z, params.crossing_slope if up else -params.crossing_slope, False
+
+    curves = []
+    for a in tr.arcs:
+        x0, z0, s0, cusp0 = endpoint(a, True)
+        x1, z1, s1, cusp1 = endpoint(a, False)
+        pts = [(x0, z0), *((j + 0.5, lv[(j, stacks[j].index(a.index) + 1)])
+                           for j in range(a.born + 1, a.died + 1)), (x1, z1)]
+        head, tail = (x0, z0, s0), (x1, z1, s1)
+        pieces = []
+        if cusp0:
+            head = lf._cusp_end(x0, z0, *pts[1], params.cusp_reach)
+            pieces.append(lf._cusp_piece(x0, z0, *head[:2]))
+        if cusp1:
+            tail = lf._cusp_end(x1, z1, *pts[-2], params.cusp_reach)
+        chain = [head, *((ax, az, (zn - zp) / (xn - xp))
+                         for (xp, zp), (ax, az), (xn, zn) in zip(pts, pts[1:], pts[2:])), tail]
+        for (xa, za, sa), (xb, zb, sb) in zip(chain, chain[1:]):
+            dx = xb - xa
+            pieces.append(lf.CubicPiece(lf._hermite(xa, dx, xb, dx),
+                                        lf._hermite(za, sa * dx, zb, sb * dx)))
+        if cusp1:
+            pieces.append(lf._cusp_piece(x1, z1, *tail[:2], reverse=True))
+        curves.append(lf.ArcCurve(arc=a.index, pieces=tuple(pieces)))
+    return tuple(curves)
+
+
+def reference_render_ascii(d):
+    """render_ascii over per-slot level dicts of the stack snapshots."""
+    stacks = reference_stacks(d)
+    m, cell = len(d.events), 4
+    levels = [{p: 2 * p - (len(s) + 1) for p in range(1, len(s) + 1)} for s in stacks]
+    all_levels = [v for lv in levels for v in lv.values()]
+    top, bot = max(all_levels + [1]), min(all_levels + [-1])
+    grid = [[" "] * (cell * (m + 1) + 4) for _ in range(top - bot + 1)]
+    for j in range(1, m + 1):
+        for lv in levels[j].values():
+            for c in range(cell * j + 2, cell * j + 5):
+                grid[top - lv][c] = "-"
+    for k, ev in enumerate(d.events):
+        col = cell * (k + 1) + 1
+        if ev.kind == fr.LEFT:
+            grid[top - (2 * ev.position - len(stacks[k + 1]))][col] = "<"
+        elif ev.kind == fr.RIGHT:
+            grid[top - (2 * ev.position - len(stacks[k]))][col] = ">"
+        else:
+            mid = 2 * ev.position - len(stacks[k])
+            grid[top - mid][col] = "X"
+            lo, hi = top - (mid - 1), top - (mid + 1)
+            grid[hi][col - 1], grid[lo][col - 1] = "\\", "/"
+            grid[hi][col + 1], grid[lo][col + 1] = "/", "\\"
+    return "\n".join("".join(r).rstrip() for r in grid if "".join(r).strip())
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the legkit error it raises."""
+    try:
+        return f(*args)
+    except LegkitError as exc:
+        return type(exc)
+
+
+def check_against_references(d, spacing=1.0):
+    """Zig-zags, realization and ASCII sketch of d equal the references'."""
+    assert fr.find_zigzags(d) == reference_find_zigzags(d)
+    params = lf.GeomParams(spacing=spacing)
+    assert lf.realize_front(d, params).curves == reference_realize_curves(d, params)
+    assert render.render_ascii(d) == reference_render_ascii(d)
+
+
 class TestParsing:
     def test_basic_roundtrip(self):
         d = fr.parse_front(BASIC)
@@ -142,6 +318,12 @@ class TestParsing:
     def test_orient_line_needs_existing_component(self):
         d = fr.parse_front("L 1\nR 1\norient 7 -")
         with pytest.raises(NotClosed):
+            fr.OrientedFront.default(d)
+
+    def test_orient_plus_line_needs_existing_component(self):
+        # a "+" line reverses nothing, but it must still name a component
+        d = fr.parse_front("L 1\nR 1\norient 5 +")
+        with pytest.raises(NotClosed, match="no component 5"):
             fr.OrientedFront.default(d)
 
     @pytest.mark.parametrize("position", [True, 1.5, "1"])
@@ -420,3 +602,44 @@ class TestProperties:
             ref = reference_lift(rf, c, of)
             for got, want in zip((lc.x, lc.y, lc.z), ref):
                 assert np.array_equal(got, want)
+
+
+class TestReadersMatchReferences:
+    """find_zigzags, insert_zigzag, displace_zigzag, realize_front and
+    render_ascii read the event records as the references read the stacks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 60), data=st.data())
+    def test_random_fronts(self, seed, size, data):
+        d = fr.random_closed_front(random.Random(seed), size)
+        check_against_references(d, spacing=data.draw(st.sampled_from([1.0, 0.7])))
+        n = len(fr.trace_components(d).arcs)
+        arc = data.draw(st.integers(-1, n))
+        direction = data.draw(st.sampled_from([fr.UP, fr.DOWN, "+"]))
+        got = outcome(fr.insert_zigzag, d, arc, direction)
+        assert got == outcome(reference_insert_zigzag, d, arc, direction)
+        # a zig-zag on a random arc, moved from a random arc to every arc
+        d = fr.insert_zigzag(d, data.draw(st.integers(0, n - 1)),
+                             data.draw(st.sampled_from([fr.UP, fr.DOWN])))
+        check_against_references(d)
+        near = [a for z in fr.find_zigzags(d) for a in (*z.kink_arcs, z.carrier_in, z.carrier_out)]
+        n = len(fr.trace_components(d).arcs)
+        from_arc = data.draw(st.one_of(st.sampled_from(near), st.integers(-1, n)))
+        for to_arc in range(-1, n + 1):
+            got = outcome(fr.displace_zigzag, d, from_arc, to_arc)
+            assert got == outcome(reference_displace_zigzag, d, from_arc, to_arc)
+
+    def test_catalog_fronts(self):
+        for n in range(1, 14):
+            for r in range(-(n - 1), n, 2):
+                d = trees.catalog_front(-n, r)
+                check_against_references(d)
+                arcs = range(len(fr.trace_components(d).arcs))
+                for arc in arcs:
+                    for direction in (fr.UP, fr.DOWN):
+                        got = fr.insert_zigzag(d, arc, direction)
+                        assert got == reference_insert_zigzag(d, arc, direction)
+                for z in fr.find_zigzags(d):
+                    for to_arc in arcs:
+                        got = outcome(fr.displace_zigzag, d, z.kink_arcs[0], to_arc)
+                        assert got == outcome(reference_displace_zigzag, d, z.kink_arcs[0], to_arc)

@@ -192,6 +192,33 @@ def test_svg_matches_reference_on_nested_links():
         check_geometry(d)
 
 
+# `legkit render --format ascii` of the clasp and of an eye with a crossing
+CLASP_ASCII = """\
+          --- --- ---
+      --- --- --- --- ---
+     <   <           >   >
+      --- --\\ /-\\ /-- ---
+             X   X
+          --/ \\-/ \\--
+"""
+EYE_X_ASCII = """\
+      --\\ /--
+     <   X   >
+      --/ \\--
+"""
+
+
+@pytest.mark.parametrize("text,want", [
+    ("L 1\nL 2\nX 1\nX 1\nR 2\nR 1\n", CLASP_ASCII),
+    ("L 1\nX 1\nR 1\n", EYE_X_ASCII),
+])
+def test_ascii_sketch_pinned(capsys, tmp_path, text, want):
+    path = tmp_path / "front.lfd"
+    path.write_text(text)
+    assert main(["render", str(path), "--format", "ascii"]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_catalog_svg_digest(capsys):
     # stdout of `legkit catalog --tb -5 --r 2 --svg`, one Bezier segment per piece
     assert main(["catalog", "--tb", "-5", "--r", "2", "--svg"]) == 0
