@@ -17,7 +17,7 @@ import sys
 from . import classify as cls
 from . import foliation as fol
 from . import fronts, trees
-from .errors import LegkitError
+from .errors import LegkitError, NotClosed
 
 
 def _read(path: str) -> str:
@@ -71,6 +71,8 @@ def cmd_invariants(args) -> int:
     for comp, sign in args.orient or ():
         if sign == "-":
             of = of.reverse(comp)
+        elif not 0 <= comp < of.trace.n_components:
+            raise NotClosed(f"no component {comp} (diagram has {of.trace.n_components})")
     tr = of.trace
     comps = [args.component] if args.component is not None else list(range(tr.n_components))
     records = []

@@ -13,21 +13,23 @@ gap of twice that.
 
 The Legendrian lift adds y = dz/dx and follows a component's cycle from the
 trace: its arcs in default order from the lowest one or, for a reversed
-component, that arc and then the others backwards, each sampled in its
-oriented direction.  For a closed component the lift must satisfy
-dz = y dx, so the closure integral of y dx vanishes up to quadrature error,
-and the winding number of the Lagrangian-projection tangent recovers the
-combinatorial rotation number.  Each cubic piece is
-sampled at an even number of uniform parameter steps, so every two-step
-panel of the lifted curve lies inside one piece; the integral of y dx over a
-panel is that of the quadratic interpolants of x and y through its three
-samples, a fourth-order rule, exact where x and y are quadratic in the
-parameter.  The double points of the Lagrangian projection come from a
-sorted sweep over its segments, a crossing through sample vertices counted
-once; each must split the curve into two lobes of nonzero area.  Both
-lobe areas of every double point come from one prefix sum of the shoelace
-terms of the subsampled polygon, so past the sweep's candidate pairs the
-check costs O(n log n + hits).
+component, that arc and then the others backwards, each written in its
+oriented direction into the curve's arrays.  For a closed component the lift
+must satisfy dz = y dx, so the closure integral of y dx vanishes up to
+quadrature error, and the winding number of the Lagrangian-projection
+tangent, its turns atan2(cross, dot) summed over every edge, recovers the
+combinatorial rotation number.  Each cubic piece is sampled at an even
+number of uniform parameter steps, so every two-step panel of the lifted
+curve lies inside one piece; the integral of y dx over a panel is that of
+the quadratic interpolants of x and y through its three samples, a
+fourth-order rule, exact where x and y are quadratic in the parameter.  The
+quadrature and the winding read blocks of _BLOCK panels or edges, so no
+temporary array spans the curve.  The double points of the Lagrangian
+projection come from a sorted sweep over its segments, a crossing through
+sample vertices counted once; each must split the curve into two lobes of
+nonzero area.  Both lobe areas of every double point come from one prefix
+sum of the shoelace terms of the subsampled polygon, so past the sweep's
+candidate pairs the check costs O(n log n + hits).
 """
 
 from __future__ import annotations
@@ -38,20 +40,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateTangent,
-    GeometryDegenerate,
-    NotClosed,
-)
-from .fronts import (
-    CROSS,
-    LEFT,
-    RIGHT,
-    ComponentDecomposition,
-    FrontDiagram,
-    OrientedFront,
-    trace_components,
-)
+from .errors import DegenerateTangent, GeometryDegenerate, NotClosed
+from .fronts import (CROSS, LEFT, RIGHT, ComponentDecomposition, FrontDiagram, OrientedFront,
+                     trace_components)
 
 
 @dataclass(frozen=True)
@@ -79,11 +70,7 @@ class CubicPiece:
 
 def _hermite(p0: float, v0: float, p1: float, v1: float) -> tuple[float, float, float, float]:
     # cubic with value/derivative prescribed at t = 0, 1
-    c0 = p0
-    c1 = v0
-    c2 = 3 * (p1 - p0) - 2 * v0 - v1
-    c3 = 2 * (p0 - p1) + v0 + v1
-    return (c0, c1, c2, c3)
+    return (p0, v0, 3 * (p1 - p0) - 2 * v0 - v1, 2 * (p0 - p1) + v0 + v1)
 
 
 @dataclass(frozen=True)
@@ -91,26 +78,26 @@ class ArcCurve:
     arc: int
     pieces: tuple[CubicPiece, ...]
 
-    def sample(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Arrays (x, z, y): positions and slope y = dz/dx at uniform steps.
+    def steps(self, n: int) -> int:
+        """Steps per piece at about n samples per arc: even, at least 2."""
+        return max(2, (n // len(self.pieces)) & ~1)
 
-        Every piece gets the same even number of steps, about n / pieces, so
-        the arc has an even number of steps and each piece starts at an even
-        sample index.
-        """
-        per = max(2, (n // len(self.pieces)) & ~1)
+    def write(self, n: int, x: np.ndarray, z: np.ndarray, y: np.ndarray, reverse=False) -> None:
+        """Write the samples, steps(n) uniform steps per piece, into x, z and
+        y = dz/dx: all but the last or, reversed, all but the first, backwards."""
+        per = self.steps(n)
         t = np.linspace(0.0, 1.0, per + 1)
-        # coefficient k of every piece as a column, one row per piece
-        c = np.array([p.cx for p in self.pieces]).T[:, :, None]
-        d = np.array([p.cz for p in self.pieces]).T[:, :, None]
-        x = c[0] + t * (c[1] + t * (c[2] + t * c[3]))
-        z = d[0] + t * (d[1] + t * (d[2] + t * d[3]))
-        dx = c[1] + t * (2 * c[2] + 3 * t * c[3])
-        dz = d[1] + t * (2 * d[2] + 3 * t * d[3])
+        # c[k] holds coefficient k of x and of z, one row per piece
+        c = np.array([(p.cx, p.cz) for p in self.pieces]).T[..., None]
+        dx, dz = c[1] + t * (2 * c[2] + 3 * t * c[3])
         with np.errstate(divide="ignore", invalid="ignore"):
-            y = np.where(np.abs(dx) > 1e-14, dz / np.where(dx == 0, 1, dx), 0.0)
-        # a piece's endpoint is the next piece's start; keep only the arc's last
-        return tuple(np.append(a[:, :-1], a[-1, -1]) for a in (x, z, y))
+            slope = np.where(np.abs(dx) > 1e-14, dz / dx, 0.0)
+        for out, grid in zip((x, z, y), (*(c[0] + t * (c[1] + t * (c[2] + t * c[3]))), slope)):
+            if not reverse:
+                out.reshape(-1, per)[...] = grid[:, :-1]
+            else:  # row k: after piece k's start, up to the next piece's start
+                out = out[::-1].reshape(-1, per)
+                out[:, :-1], out[:, -1] = grid[:, 1:-1], np.append(grid[1:, 0], grid[-1, -1])
 
 
 @dataclass(frozen=True)
@@ -234,8 +221,8 @@ class LiftedCurve:
 
     The arrays are read-only: copies of the arrays a caller passes in, or
     the lift's own fresh arrays, marked read-only without a copy.  So the
-    panel terms and the winding number are computed once per curve and
-    cannot go stale.
+    closure integral, the residual and the winding number are computed once
+    per curve and cannot go stale.
     """
 
     x: np.ndarray
@@ -257,10 +244,9 @@ class LiftedCurve:
     def _owning(cls, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> "LiftedCurve":
         """A closed curve over fresh arrays no one else holds, not copied."""
         lc = cls.__new__(cls)
-        for name, a in (("x", x), ("y", y), ("z", z)):
-            a = lc.__dict__[name] = np.asarray(a, float)
+        lc.__dict__.update(x=x, y=y, z=z, closed=True)
+        for a in (x, y, z):
             a.flags.writeable = False
-        lc.__dict__["closed"] = True
         return lc
 
     def diameter(self) -> float:
@@ -269,55 +255,70 @@ class LiftedCurve:
         )
 
     @cached_property
-    def panel_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(dz, ydx) per panel of two steps: the rise of z and the integral
-        of y dx over the quadratic interpolants of x and y through the
-        panel's three samples.  An odd last step is one trapezoid panel."""
-        x, y, z = self.x, self.y, self.z
-        if self.closed:
-            x, y, z = (np.append(a, a[0]) for a in (x, y, z))
-        n = (len(x) - 1) & ~1  # steps covered by two-step panels
-        x0, x1, x2 = x[0:n:2], x[1:n:2], x[2 : n + 1 : 2]
-        y0, y1, y2 = y[0:n:2], y[1:n:2], y[2 : n + 1 : 2]
-        ydx = (y1 * (x2 - x0) + (x0 - 2 * x1 + x2) * (y2 - y0) / 3
-               + (y0 - 2 * y1 + y2) * (x2 - x0) / 6)
-        dz = z[2 : n + 1 : 2] - z[0:n:2]
-        if len(x) - 1 > n:
-            ydx = np.append(ydx, (y[-1] + y[-2]) / 2 * (x[-1] - x[-2]))
-            dz = np.append(dz, z[-1] - z[-2])
-        return dz, ydx
+    def _quadrature(self) -> tuple[float, float]:
+        """(closure integral, residual), _BLOCK panels at a time; an odd last
+        step is one trapezoid panel."""
+        steps = len(self.x) - (not self.closed)
+        closure = residual = 0.0
+        for x, y, z in _windows((self.x, self.y, self.z), steps & ~1, 2 * _BLOCK):
+            x0, x1, x2 = x[:-1:2], x[1::2], x[2::2]
+            y0, y1, y2 = y[:-1:2], y[1::2], y[2::2]
+            ydx = (y1 * (x2 - x0) + (x0 - 2 * x1 + x2) * (y2 - y0) / 3
+                   + (y0 - 2 * y1 + y2) * (x2 - x0) / 6)
+            closure += float(np.sum(ydx))
+            residual = max(residual, float(np.max(np.abs(z[2::2] - z[:-1:2] - ydx))))
+        if steps % 2:
+            (x0, x1), (y0, y1), (z0, z1) = (a[[steps - 1, steps % len(a)]].tolist()
+                                            for a in (self.x, self.y, self.z))
+            ydx = (y1 + y0) / 2 * (x1 - x0)
+            closure, residual = closure + ydx, max(residual, abs(z1 - z0 - ydx))
+        return closure, residual
 
     def closure_integral(self) -> float:
         """Circulation of y dx around the curve, by the three-point panel rule."""
-        return float(np.sum(self.panel_terms[1]))
+        return self._quadrature[0]
 
     def legendrian_residual(self) -> float:
         """Max per-panel violation of dz = y dx under the three-point rule."""
-        dz, ydx = self.panel_terms
-        return float(np.max(np.abs(dz - ydx), initial=0.0))
+        return self._quadrature[1]
 
     @cached_property
     def winding(self) -> float:
-        """Raw winding number of the Lagrangian-projection tangent."""
-        # The page is oriented so that the combinatorial cusp-count convention
-        # (kappa positive on rising cusps) and the tangent winding agree: the
-        # Lagrangian plane is traversed with y measured downward.
-        stride = max(1, len(self.x) // 200_000)
-        x, y = self.x[::stride], -self.y[::stride]
-        if self.closed:
-            x = np.append(x, x[0])
-            y = np.append(y, y[0])
-        dx = np.diff(x)
-        dy = np.diff(y)
-        norms = np.hypot(dx, dy)
-        keep = norms > 1e-13 * max(1.0, float(np.max(norms)))
-        dx, dy = dx[keep], dy[keep]
-        if len(dx) < 3:
+        """Raw winding number of the Lagrangian projection's tangent: its turns
+        atan2(cross, dot) from edge to edge and from the last to the first,
+        over edges longer than 1e-13 of the bounding-box diagonal, or of 1."""
+        # y is measured downward, so that the winding and the combinatorial
+        # cusp count (kappa positive on rising cusps) agree
+        size = float(np.ptp(self.x)) ** 2 + float(np.ptp(self.y)) ** 2 if len(self.x) else 0.0
+        kept, turns, first, last = 0, 0.0, None, (np.empty(0), np.empty(0))
+        for x, y in _windows((self.x, self.y), len(self.x) - (not self.closed), _BLOCK):
+            u, v = x[1:] - x[:-1], y[:-1] - y[1:]
+            keep = u * u + v * v > 1e-26 * max(1.0, size)
+            if not keep.all():
+                u, v = u[keep], v[keep]
+            if len(u):
+                kept += len(u)
+                first = first or (u[:1], v[:1])
+                turns += _turning(last, (u, v))
+                last = u[-1:], v[-1:]
+        if kept < 3:
             raise DegenerateTangent("not enough distinct samples for a winding number")
-        ang = np.arctan2(dy, dx)
-        turns = np.diff(np.concatenate([ang, ang[:1]]))
-        turns = (turns + np.pi) % (2 * np.pi) - np.pi
-        return float(np.sum(turns)) / (2 * np.pi)
+        return (turns + _turning(last, first)) / (2 * np.pi)
+
+
+def _windows(arrays, stop: int, width: int):
+    """Samples s .. min(s + width, stop) of each array, for s = 0, width, ...
+    below stop; sample len(a) is sample 0."""
+    for s in range(0, stop, width):
+        e = min(s + width, stop) + 1
+        yield tuple(a[s:e] if e <= len(a) else np.append(a[s:], a[0]) for a in arrays)
+
+
+def _turning(*parts: tuple[np.ndarray, np.ndarray]) -> float:
+    """Sum of the turns from edge to edge along the edges (dx, dy) of parts."""
+    u, v = (np.concatenate(a) for a in zip(*parts))
+    u0, v0, u1, v1 = u[:-1], v[:-1], u[1:], v[1:]
+    return float(np.sum(np.arctan2(u0 * v1 - v0 * u1, u0 * u1 + v0 * v1)))
 
 
 def legendrian_lift(
@@ -334,17 +335,14 @@ def legendrian_lift(
     if not dirs[cycle[0]]:
         # reversed: the same first arc, then the others backwards
         cycle = cycle[:1] + cycle[:0:-1]
-    xs, ys, zs = [], [], []
-    for arc in cycle:
-        x, z, y = rf.curves[arc].sample(rf.params.samples_per_arc)
-        if not dirs[arc]:
-            x, z, y = x[::-1], z[::-1], y[::-1]
-        # the last sample is the next arc's first; every arc has an even
-        # number of steps, so every piece starts at an even index
-        xs.append(x[:-1])
-        ys.append(y[:-1])
-        zs.append(z[:-1])
-    return LiftedCurve._owning(np.concatenate(xs), np.concatenate(ys), np.concatenate(zs))
+    n = rf.params.samples_per_arc
+    # an arc's last sample is the next arc's first, which that arc writes; every
+    # arc has an even number of steps, so every piece starts at an even index
+    ends = np.cumsum([0] + [len(rf.curves[a].pieces) * rf.curves[a].steps(n) for a in cycle])
+    x, y, z = (np.empty(int(ends[-1])) for _ in range(3))
+    for arc, s, e in zip(cycle, ends.tolist(), ends[1:].tolist()):
+        rf.curves[arc].write(n, x[s:e], z[s:e], y[s:e], reverse=not dirs[arc])
+    return LiftedCurve._owning(x, y, z)
 
 
 def lagrangian_closure_integral(lc: LiftedCurve) -> float:
@@ -361,6 +359,8 @@ def rotation_residual(lc: LiftedCurve) -> float:
     """Distance of the raw winding number from the nearest integer."""
     return abs(lc.winding - round(lc.winding))
 
+
+_BLOCK = 8192  # edges or panels that the winding and the quadrature read at a time
 
 # Candidate segment pairs are expanded at most this many at a time (or one
 # sorted segment's worth, if more), so a curve whose segments all overlap in

@@ -69,6 +69,14 @@ class TestInvariants:
         assert (code, out) == (1, "")
         assert "NotClosed: no component 5" in err
 
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_orient_flag_for_missing_component_exit_one(self, capsys, tmp_path, sign):
+        p = tmp_path / "eye.lfd"
+        p.write_text("L 1\nX 1\nR 1\n")
+        code, out, err = run(capsys, "invariants", str(p), "--orient", f"5:{sign}")
+        assert (code, out) == (1, "")
+        assert "NotClosed: no component 5" in err
+
     def test_linking_rows(self, capsys, tmp_path):
         p = tmp_path / "clasp.lfd"
         p.write_text("L 1\nL 2\nX 1\nX 1\nR 2\nR 1\n")

@@ -111,13 +111,14 @@ def reference_traversal(tr, comp, dirs):
 def reference_lift(rf, comp, of):
     """legendrian_lift over the former partner walk."""
     xs, ys, zs = [], [], []
+    n = rf.params.samples_per_arc
     for arc, rightward in reference_traversal(rf.trace, comp, of.directions):
-        x, z, y = rf.curves[arc].sample(rf.params.samples_per_arc)
-        if not rightward:
-            x, z, y = x[::-1], z[::-1], y[::-1]
-        xs.append(x[:-1])
-        ys.append(y[:-1])
-        zs.append(z[:-1])
+        curve = rf.curves[arc]
+        x, z, y = (np.empty(len(curve.pieces) * curve.steps(n)) for _ in range(3))
+        curve.write(n, x, z, y, reverse=not rightward)
+        xs.append(x)
+        ys.append(y)
+        zs.append(z)
     return np.concatenate(xs), np.concatenate(ys), np.concatenate(zs)
 
 

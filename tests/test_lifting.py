@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from legkit import fronts as fr
 from legkit import lifting as lf
 from legkit import trees as tr
-from legkit.errors import GeometryDegenerate
+from legkit.errors import DegenerateTangent, GeometryDegenerate
 
 FAST = lf.GeomParams(samples_per_arc=4000)
 
@@ -23,6 +24,89 @@ def lift(text, params=FAST, of=None):
 def polyline(points):
     x, y = np.array(points, float).T
     return lf.LiftedCurve.from_samples(x, y, np.zeros_like(x))
+
+
+# The former whole-array lift, quadrature and winding, kept as references:
+# each arc sampled on its own and the arcs concatenated, the panel terms as
+# whole arrays, and the winding from the hypot-filtered edges' angles
+# (without the former subsampling of curves past 200 000 samples).
+
+
+def ref_sample(curve, n):
+    """Arrays (x, z, y) of every sample of one arc, first to last."""
+    per = max(2, (n // len(curve.pieces)) & ~1)
+    t = np.linspace(0.0, 1.0, per + 1)
+    c = np.array([p.cx for p in curve.pieces]).T[:, :, None]
+    d = np.array([p.cz for p in curve.pieces]).T[:, :, None]
+    x = c[0] + t * (c[1] + t * (c[2] + t * c[3]))
+    z = d[0] + t * (d[1] + t * (d[2] + t * d[3]))
+    dx = c[1] + t * (2 * c[2] + 3 * t * c[3])
+    dz = d[1] + t * (2 * d[2] + 3 * t * d[3])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.where(np.abs(dx) > 1e-14, dz / np.where(dx == 0, 1, dx), 0.0)
+    # a piece's endpoint is the next piece's start; keep only the arc's last
+    return tuple(np.append(a[:, :-1], a[-1, -1]) for a in (x, z, y))
+
+
+def ref_lift(rf, comp, of):
+    dirs = of.directions
+    cycle = rf.trace.cycles[comp]
+    if not dirs[cycle[0]]:
+        cycle = cycle[:1] + cycle[:0:-1]
+    xs, ys, zs = [], [], []
+    for arc in cycle:
+        x, z, y = ref_sample(rf.curves[arc], rf.params.samples_per_arc)
+        if not dirs[arc]:
+            x, z, y = x[::-1], z[::-1], y[::-1]
+        xs.append(x[:-1])
+        ys.append(y[:-1])
+        zs.append(z[:-1])
+    return np.concatenate(xs), np.concatenate(ys), np.concatenate(zs)
+
+
+def ref_panel_terms(lc):
+    """(dz, ydx) per panel of two steps; an odd last step is one trapezoid."""
+    x, y, z = lc.x, lc.y, lc.z
+    if lc.closed:
+        x, y, z = (np.append(a, a[0]) for a in (x, y, z))
+    n = (len(x) - 1) & ~1
+    x0, x1, x2 = x[0:n:2], x[1:n:2], x[2 : n + 1 : 2]
+    y0, y1, y2 = y[0:n:2], y[1:n:2], y[2 : n + 1 : 2]
+    ydx = (y1 * (x2 - x0) + (x0 - 2 * x1 + x2) * (y2 - y0) / 3
+           + (y0 - 2 * y1 + y2) * (x2 - x0) / 6)
+    dz = z[2 : n + 1 : 2] - z[0:n:2]
+    if len(x) - 1 > n:
+        ydx = np.append(ydx, (y[-1] + y[-2]) / 2 * (x[-1] - x[-2]))
+        dz = np.append(dz, z[-1] - z[-2])
+    return dz, ydx
+
+
+def ref_winding(lc):
+    x, y = lc.x, -lc.y
+    if lc.closed:
+        x, y = np.append(x, x[0]), np.append(y, y[0])
+    dx, dy = np.diff(x), np.diff(y)
+    norms = np.hypot(dx, dy)
+    keep = norms > 1e-13 * max(1.0, float(np.max(norms, initial=0.0)))
+    dx, dy = dx[keep], dy[keep]
+    if len(dx) < 3:
+        raise DegenerateTangent("not enough distinct samples for a winding number")
+    ang = np.arctan2(dy, dx)
+    turns = np.diff(np.concatenate([ang, ang[:1]]))
+    turns = (turns + np.pi) % (2 * np.pi) - np.pi
+    return float(np.sum(turns)) / (2 * np.pi)
+
+
+def assert_matches_numeric_reference(lc):
+    """Closure and residual within 1e-12 of the diameter of the reference's,
+    the winding within 1e-12 and rounded the same."""
+    dz, ydx = ref_panel_terms(lc)
+    diam = lc.diameter()
+    assert abs(lc.closure_integral() - float(np.sum(ydx))) <= 1e-12 * diam
+    assert abs(lc.legendrian_residual() - float(np.max(np.abs(dz - ydx), initial=0.0))) <= 1e-12 * diam
+    want = ref_winding(lc)
+    assert abs(lc.winding - want) <= 1e-12
+    assert round(lc.winding) == round(want)
 
 
 def _shoelace(pts):
@@ -87,6 +171,11 @@ def assert_matches_reference(rep, ref, lc):
         assert type(p.area_one) is type(p.area_two) is float
         assert abs(p.area_one - r.area_one) <= 1e-12 * scale
         assert abs(p.area_two - r.area_two) <= 1e-12 * scale
+
+
+def _acceptance_grid():
+    """Catalog fronts for r = -3 .. 3 and the six largest tb of each."""
+    return [tr.catalog_front(-abs(m) - 2 * k - 1, m) for m in range(-3, 4) for k in range(6)]
 
 
 _coord = st.integers(-8, 8)
@@ -192,12 +281,22 @@ class TestLift:
         assert abs(lc.closure_integral()) <= 1e-15
 
     def test_odd_last_step_is_trapezoid(self):
-        lc = polyline([(0, 0), (1, 2), (3, 1), (2, 5), (1, 4)])  # closed: 5 steps
-        dz, ydx = lc.panel_terms
-        assert len(dz) == len(ydx) == 3
-        assert ydx[-1] == (4 + 0) / 2 * (0 - 1)
-        open_lc = lf.LiftedCurve.from_samples(lc.x[:4], lc.y[:4], lc.z[:4], closed=False)
-        assert open_lc.panel_terms[1][-1] == (5 + 1) / 2 * (2 - 3)
+        # closed, five steps: two panels, then the trapezoid from (1, 4) to (0, 0)
+        x, y = np.array([(0, 0), (1, 2), (3, 1), (2, 5), (1, 4)], float).T
+        panels = ref_panel_terms(polyline(np.stack([x, y], 1)))[1]
+        assert len(panels) == 3 and panels[-1] == (4 + 0) / 2 * (0 - 1)
+        # z rises by each panel's integral, so only the trapezoid leaves a residual
+        z = np.array([0, 0, panels[0], 0, panels[0] + panels[1]])
+        closed = lf.LiftedCurve.from_samples(x, y, z)
+        # open, three steps: one panel, then the trapezoid from (3, 1) to (2, 5)
+        open_ = lf.LiftedCurve.from_samples(x[:4], y[:4], z[[0, 1, 2, 2]], closed=False)
+        assert ref_panel_terms(open_)[1][-1] == (5 + 1) / 2 * (2 - 3)
+        assert closed.legendrian_residual() == pytest.approx(abs(0 - z[4] - panels[-1]), abs=1e-12)
+        assert open_.legendrian_residual() == 3.0
+        for lc in (closed, open_):
+            dz, ydx = ref_panel_terms(lc)
+            assert lc.closure_integral() == pytest.approx(float(np.sum(ydx)), abs=1e-12)
+            assert lc.legendrian_residual() == float(np.max(np.abs(dz - ydx)))
 
     def test_arrays_read_only(self):
         x = np.array([0.0, 1.0, 1.0, 0.0])
@@ -224,13 +323,107 @@ class TestLift:
     def test_pieces_start_at_even_indices(self):
         rf = lf.realize_front(tr.catalog_front(-4, 1), lf.GeomParams(samples_per_arc=101))
         for curve in rf.curves:
-            x, z, _ = curve.sample(101)
-            per = (len(x) - 1) // len(curve.pieces)
-            assert per % 2 == 0 and len(x) == per * len(curve.pieces) + 1
+            per = curve.steps(101)
+            x, z, y = (np.empty(per * len(curve.pieces)) for _ in range(3))
+            curve.write(101, x, z, y)
+            assert per % 2 == 0
             for k, piece in enumerate(curve.pieces):
                 assert (x[k * per], z[k * per]) == (piece.cx[0], piece.cz[0])
         lc = lf.legendrian_lift(rf)
         assert len(lc.x) % 2 == 0
+
+    @pytest.mark.parametrize("samples", [4000, 101, 2])
+    def test_lift_matches_reference(self, samples):
+        # bit for bit, the sign of zero included, in both orientations
+        for d in _acceptance_grid():
+            rf = lf.realize_front(d, lf.GeomParams(samples_per_arc=samples))
+            of = fr.OrientedFront.default(d)
+            for o in (of, of.reverse(0)):
+                lc = lf.legendrian_lift(rf, of=o)
+                for got, want in zip((lc.x, lc.y, lc.z), ref_lift(rf, 0, o)):
+                    assert got.tobytes() == want.tobytes()
+
+
+class TestQuadratureAndWinding:
+    def test_acceptance_grid_matches_reference(self):
+        for d in _acceptance_grid():
+            rf = lf.realize_front(d)
+            of = fr.OrientedFront.default(d)
+            for o in (of, of.reverse(0)):
+                lc = lf.legendrian_lift(rf, of=o)
+                assert_matches_numeric_reference(lc)
+                assert lf.numeric_rotation(lc) == fr.rotation_number(o)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 60), closed=st.booleans(),
+           repeats=st.lists(st.tuples(st.integers(0, 59), st.integers(1, 12)), max_size=6),
+           block=st.integers(1, 64))
+    def test_blocks_match_reference(self, seed, n, closed, repeats, block):
+        # generic points, so no edge turns back on the one before; runs of
+        # repeated samples add zero-length edges, across blocks as well
+        pts = np.random.default_rng(seed).random((n, 3)) * 8 - 4
+        for k, times in repeats:
+            pts = np.insert(pts, k % len(pts), np.repeat(pts[k % len(pts)][None], times, 0), 0)
+        lc = lf.LiftedCurve.from_samples(*pts.T, closed=closed)
+        with mock.patch.object(lf, "_BLOCK", block):
+            assert_matches_numeric_reference(lc)
+
+
+class TestDegenerateTangent:
+    # a square, counterclockwise in (x, y), so clockwise with y downward
+    SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 8192])
+    def test_repeated_samples_keep_winding(self, block):
+        # 13 points around the unit circle, visited two steps apart: two loops
+        pts = [(math.cos(4 * math.pi * k / 13), math.sin(4 * math.pi * k / 13)) for k in range(13)]
+        plain = polyline(pts)
+        # five copies of the fourth sample, two of the first and of the last:
+        # the run of five crosses a boundary at every block size up to 4
+        pts = pts[:1] * 2 + pts[1:3] + pts[3:4] * 5 + pts[4:] + pts[-1:] * 2
+        with mock.patch.object(lf, "_BLOCK", block):
+            assert polyline(pts).winding == pytest.approx(plain.winding, abs=1e-12)
+        assert plain.winding == pytest.approx(-2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("points,closed", [
+        ([], True),
+        ([(0, 0)], True),
+        ([(0, 0), (1, 0)], True),  # two edges, there and back
+        ([(0, 0), (0, 0), (1, 1), (1, 1)], True),
+        ([(0, 0), (1, 0), (1, 1)], False),  # two edges, open
+        ([(0, 0), (1, 0), (1, 0), (1, 1), (1, 1)], False),
+    ])
+    def test_fewer_than_three_edges_raise(self, points, closed):
+        x, y = np.array(points, float).reshape(-1, 2).T
+        lc = lf.LiftedCurve.from_samples(x, y, np.zeros_like(x), closed=closed)
+        with pytest.raises(DegenerateTangent):
+            lc.winding
+        with pytest.raises(DegenerateTangent):
+            lf.numeric_rotation(lc)
+
+    def test_edges_below_floor_dropped(self):
+        # a diamond with a spike of 2**-30 back along its first side: the
+        # spike's two half turns would add a loop, but its edges are shorter
+        # than 1e-13 of the diamond's bounding-box diagonal
+        a, m, d = 2.0**20, 2.0**19, 2.0**-30
+        spiked = polyline([(a, 0), (m, m), (m + d, m - d), (0, a), (-a, 0), (0, -a)])
+        diamond = polyline([(a, 0), (0, a), (-a, 0), (0, -a)])
+        assert spiked.winding == diamond.winding == ref_winding(spiked) == -1.0
+        # no edge is longer than 1e-13 of 1
+        with pytest.raises(DegenerateTangent):
+            polyline(np.array(self.SQUARE) * 1e-14).winding
+
+    def test_open_curve(self):
+        square = polyline(self.SQUARE)
+        x, y = np.array(self.SQUARE + self.SQUARE[:1], float).T
+        # open and back at its start: the same edges as the closed square
+        back = lf.LiftedCurve.from_samples(x, y, np.zeros_like(x), closed=False)
+        # open, three sides: it turns twice by a quarter, and by a half from
+        # its last edge back to its first
+        three = lf.LiftedCurve.from_samples(x[:4], y[:4], np.zeros(4), closed=False)
+        assert square.winding == back.winding == pytest.approx(-1.0, abs=1e-12)
+        assert three.winding == pytest.approx(ref_winding(three), abs=1e-12)
+        assert lf.numeric_rotation(three) == round(ref_winding(three))
 
 
 class TestRotation:
@@ -367,15 +560,13 @@ class TestEmbeddedness:
 
     def test_acceptance_grid_lifts_embedded_in_both_orientations(self):
         counts = []
-        for m in range(-3, 4):
-            for k in range(6):
-                d = tr.catalog_front(-abs(m) - 2 * k - 1, m)
-                rf = lf.realize_front(d)
-                of = fr.OrientedFront.default(d)
-                for o in (of, of.reverse(0)):
-                    rep = lf.lagrangian_embeddedness_check(lf.legendrian_lift(rf, of=o))
-                    assert rep.embedded
-                    counts.append(len(rep.double_points))
+        for d in _acceptance_grid():
+            rf = lf.realize_front(d)
+            of = fr.OrientedFront.default(d)
+            for o in (of, of.reverse(0)):
+                rep = lf.lagrangian_embeddedness_check(lf.legendrian_lift(rf, of=o))
+                assert rep.embedded
+                counts.append(len(rep.double_points))
         # the sweep's double-point counts, default then reversed orientation
         # of each (tb, r); they measure the sampling, not the geometry
         assert counts == [

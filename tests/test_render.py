@@ -16,6 +16,7 @@ from legkit.cli import main
 from legkit.errors import GeometryDegenerate
 from legkit.fronts import CROSS, FrontDiagram, FrontEvent
 from legkit.lifting import GeomParams, realize_front
+from test_lifting import ref_sample
 
 # Reference SVG: the former renderer, which maps every sample of a
 # 400-sample-per-arc realization to the page and draws each arc as a
@@ -32,7 +33,7 @@ def ref_render_svg(d, scale=60.0):
     paths = []
     pts = {}
     for curve in rf.curves:
-        x, z, _ = curve.sample(samples)
+        x, z, _ = ref_sample(curve, samples)
         pts[curve.arc] = (x, z)
     all_x = np.concatenate([p[0] for p in pts.values()])
     all_z = np.concatenate([p[1] for p in pts.values()])
@@ -121,8 +122,8 @@ def check_geometry(d, scale=60.0):
     # the reference's page box comes from its samples, the new one from the
     # control points; a point's two page positions differ by ``shift``
     x0, x1, z0, z1 = hull_box(rf)
-    ref_x = np.concatenate([c.sample(REF_SAMPLES)[0] for c in rf.curves])
-    ref_z = np.concatenate([c.sample(REF_SAMPLES)[1] for c in rf.curves])
+    ref_x = np.concatenate([ref_sample(c, REF_SAMPLES)[0] for c in rf.curves])
+    ref_z = np.concatenate([ref_sample(c, REF_SAMPLES)[1] for c in rf.curves])
     shift = np.array([(x0 - ref_x.min() + 0.5) * scale, (ref_z.max() + 0.5 - z1) * scale])
     width, height = (float(v) for v in root.get("viewBox").split()[2:])
     assert abs(width - (x1 - x0) * scale) <= 0.005 + 1e-9
@@ -136,7 +137,7 @@ def check_geometry(d, scale=60.0):
         got = bezier_at(page_points(e.get("d")), n, per) + shift
         assert np.abs(got - ref_pts[curve.arc]).max() <= TOL
         # every point of the curve lies inside the viewBox
-        x, z, _ = curve.sample(4000)
+        x, z, _ = ref_sample(curve, 4000)
         assert (0 <= (x - x0) * scale).all() and ((x - x0) * scale <= width).all()
         assert (0 <= (z1 - z) * scale).all() and ((z1 - z) * scale <= height).all()
     for k, xr in enumerate(trace.crossings):
