@@ -17,7 +17,7 @@ import sys
 from . import classify as cls
 from . import foliation as fol
 from . import fronts, trees
-from .errors import LegkitError, NotClosed
+from .errors import LegkitError
 
 
 def _read(path: str) -> str:
@@ -58,21 +58,19 @@ def _matrix(text: str) -> list[list[int]]:
     return [_ints(row) for row in text.split(";")]
 
 
-def _orient(text: str) -> tuple[int, str]:
+def _orient(text: str) -> tuple[int, int]:
     comp, _, sign = text.partition(":")
     if not comp.isdecimal() or sign not in ("+", "-"):
         raise argparse.ArgumentTypeError(f"expected COMP:+ or COMP:-, got {text!r}")
-    return int(comp), sign
+    return int(comp), 1 if sign == "+" else -1
 
 
 def cmd_invariants(args) -> int:
     d = fronts.parse_front(_read(args.path))
+    if args.orient:
+        # each flag sets its component's orientation as one more orient line
+        d = fronts.FrontDiagram(d.events, d.orient_overrides + tuple(args.orient))
     of = fronts.OrientedFront.default(d)
-    for comp, sign in args.orient or ():
-        if sign == "-":
-            of = of.reverse(comp)
-        elif not 0 <= comp < of.trace.n_components:
-            raise NotClosed(f"no component {comp} (diagram has {of.trace.n_components})")
     tr = of.trace
     comps = [args.component] if args.component is not None else list(range(tr.n_components))
     records = []

@@ -19,21 +19,24 @@ where or(p) = +1 iff the rays emanating from a crossing leave on opposite
 sides of the vertical line through it, and kappa(p) = +1 iff the ray
 emanating from a cusp lies above the ray entering it.
 
-The trace (``trace_components``) holds O(events) data: each arc's birth,
-death and role, one record per cusp and per crossing, and the component
-cycles.  It keeps no snapshot of the strand stack.  Its readers take what
-they need from the events: an arc born at event k starts at position
-``events[k].position + role``, a zig-zag is a left-cusp record followed at
-the next event by a right-cusp record, and ``FrontDiagram.strand_profile``
-gives each slot's strand count.
+Events and trace records are ``NamedTuple``s, built, hashed and compared in
+C: a ``FrontEvent`` equals the pair ``(kind, position)``, and an ``Arc``
+compares on all four fields, ``died`` included.  The trace
+(``trace_components``) holds O(events) data: each arc's birth, death and
+role, one record per cusp and per crossing, and the component cycles, but
+no snapshot of the strand stack.  Its readers take what they need from the
+events: an arc born at event k starts at ``events[k].position + role``, a
+zig-zag is a left-cusp record followed at the next event by a right-cusp
+record, and ``FrontDiagram.strand_profile`` gives each slot's strand count.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional
+from operator import ne
+from typing import NamedTuple, Optional
 
 from .errors import (
     BadDirection,
@@ -49,25 +52,26 @@ from .errors import (
 LEFT = "L"
 RIGHT = "R"
 CROSS = "X"
+_KINDS = (LEFT, RIGHT, CROSS)
 
 UP = "up"
 DOWN = "down"
 
 
-@dataclass(frozen=True)
-class FrontEvent:
+class FrontEvent(NamedTuple("FrontEvent", [("kind", str), ("position", int)])):
     """One event of a front diagram: kind in {L, R, X}, 1-based position."""
 
-    kind: str
-    position: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (LEFT, RIGHT, CROSS):
-            raise ParseError(f"unknown event kind {self.kind!r}")
-        if isinstance(self.position, bool) or not isinstance(self.position, int):
-            raise InvalidPosition(f"position {self.position!r} must be an integer")
-        if self.position < 1:
-            raise InvalidPosition(f"position {self.position} must be >= 1")
+    def __new__(cls, kind: str, position: int) -> "FrontEvent":
+        if kind not in _KINDS:
+            raise ParseError(f"unknown event kind {kind!r}")
+        # an exact int passes the first test alone; bool is an int subclass
+        if type(position) is not int and (isinstance(position, bool) or not isinstance(position, int)):
+            raise InvalidPosition(f"position {position!r} must be an integer")
+        if position < 1:
+            raise InvalidPosition(f"position {position} must be >= 1")
+        return tuple.__new__(cls, (kind, position))
 
     def __str__(self):
         return f"{self.kind} {self.position}"
@@ -89,19 +93,20 @@ class FrontDiagram:
     def __post_init__(self):
         n = 0
         for k, ev in enumerate(self.events):
-            if ev.kind == LEFT:
-                if not 1 <= ev.position <= n + 1:
+            kind, p = ev.kind, ev.position  # a bare tuple is no FrontEvent
+            if kind == LEFT:
+                if not 1 <= p <= n + 1:
                     raise InvalidPosition(
                         f"event {k + 1} ({ev}): left cusp position must be in 1..{n + 1}"
                     )
                 n += 2
             else:
-                if not 1 <= ev.position <= n - 1:
+                if not 1 <= p <= n - 1:
                     raise InvalidPosition(
                         f"event {k + 1} ({ev}): position must be in 1..{n - 1} "
                         f"({n} strands)"
                     )
-                if ev.kind == RIGHT:
+                if kind == RIGHT:
                     n -= 2
         if n != 0:
             raise OpenDiagram(f"strand count {n} nonzero after last event")
@@ -120,8 +125,7 @@ class FrontDiagram:
         return serialize_front(self)
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """Maximal strand segment between events.
 
     ``born``/``died`` are 0-based event indices; ``role`` is 0 for the lower
@@ -132,19 +136,17 @@ class Arc:
     index: int
     born: int
     role: int
-    died: int = field(compare=False)
+    died: int
 
 
-@dataclass(frozen=True)
-class CuspRecord:
+class CuspRecord(NamedTuple):
     event: int
     kind: str  # LEFT or RIGHT
     lower: int  # arc index
     upper: int
 
 
-@dataclass(frozen=True)
-class CrossingRecord:
+class CrossingRecord(NamedTuple):
     event: int
     in_lower: int
     in_upper: int
@@ -186,32 +188,29 @@ def trace_components(d: FrontDiagram) -> ComponentDecomposition:
     cusps: list[CuspRecord] = []
     crossings: list[CrossingRecord] = []
     stack: list[int] = []
-    for j, ev in enumerate(d.events):
-        p = ev.position
-        if ev.kind == RIGHT:
+    for j, (kind, p) in enumerate(d.events):
+        if kind == RIGHT:
             lo, hi = stack[p - 1], stack[p]
             del stack[p - 1 : p + 1]
             died[lo] = died[hi] = j
             join[2 * lo + 1], join[2 * hi + 1] = 2 * hi + 1, 2 * lo + 1
-            cusps.append(CuspRecord(event=j, kind=RIGHT, lower=lo, upper=hi))
+            cusps.append(CuspRecord(j, RIGHT, lo, hi))
         else:
             lo, hi = len(born), len(born) + 1
             born += (j, j)
             died += (-1, -1)
             join += (-1, -1, -1, -1)
-            if ev.kind == LEFT:
+            if kind == LEFT:
                 stack[p - 1 : p - 1] = [lo, hi]
                 join[2 * lo], join[2 * hi] = 2 * hi, 2 * lo
-                cusps.append(CuspRecord(event=j, kind=LEFT, lower=lo, upper=hi))
+                cusps.append(CuspRecord(j, LEFT, lo, hi))
             else:
                 a, b = stack[p - 1], stack[p]
                 died[a] = died[b] = j
                 join[2 * a + 1], join[2 * hi] = 2 * hi, 2 * a + 1
                 join[2 * b + 1], join[2 * lo] = 2 * lo, 2 * b + 1
                 stack[p - 1], stack[p] = lo, hi
-                crossings.append(
-                    CrossingRecord(event=j, in_lower=a, in_upper=b, out_lower=lo, out_upper=hi)
-                )
+                crossings.append(CrossingRecord(j, a, b, lo, hi))
 
     # Components are numbered by their lowest arc, which is walked rightward:
     # leave each arc by its far end and enter the next arc by the joined end.
@@ -232,7 +231,7 @@ def trace_components(d: FrontDiagram) -> ComponentDecomposition:
         cycles.append(tuple(cycle))
     return ComponentDecomposition(
         # arcs are made in (lower, upper) pairs, so an arc's role is its parity
-        arcs=tuple(Arc(index=a, born=born[a], role=a & 1, died=died[a]) for a in range(n)),
+        arcs=tuple(Arc(a, born[a], a & 1, died[a]) for a in range(n)),
         component_of=tuple(component_of),
         n_components=len(cycles),
         cusps=tuple(cusps),
@@ -281,7 +280,24 @@ class OrientedFront:
     def directions(self) -> tuple[bool, ...]:
         """Arc index -> True if traversed rightward."""
         tr, rev = self.trace, self.reversed_components
-        return tuple(d != (c in rev) for d, c in zip(tr.directions, tr.component_of))
+        # an arc runs its default way unless its component is reversed
+        return tuple(map(ne, tr.directions, map(rev.__contains__, tr.component_of)))
+
+    @cached_property
+    def _tallies(self) -> tuple[tuple[int, int, int], ...]:
+        """Per component: (or sum over its self-crossings, cusp count, kappa
+        sum), from one pass over the crossings and one over the cusps."""
+        tr = self.trace
+        cof = tr.component_of
+        ors = [0] * tr.n_components
+        for x in tr.crossings:
+            c = cof[x.in_lower]
+            if c == cof[x.in_upper]:
+                ors[c] += crossing_or(self, x)
+        kappas: list[list[int]] = [[] for _ in range(tr.n_components)]
+        for cusp in tr.cusps:
+            kappas[cof[cusp.lower]].append(cusp_kappa(self, cusp))
+        return tuple((o, len(ks), sum(ks)) for o, ks in zip(ors, kappas))
 
     def reverse(self, comp: int) -> "OrientedFront":
         return OrientedFront(self.diagram, self.reversed_components ^ {comp})
@@ -324,14 +340,7 @@ def _check_component(of: OrientedFront, comp: int) -> None:
 def thurston_bennequin(of: OrientedFront, comp: int = 0) -> int:
     """tb of one component: -sum or(p) over self-crossings - half the cusp count."""
     _check_component(of, comp)
-    tr = of.trace
-    cof = tr.component_of
-    or_sum = sum(
-        crossing_or(of, x)
-        for x in tr.crossings
-        if cof[x.in_lower] == comp and cof[x.in_upper] == comp
-    )
-    n_cusps = sum(1 for c in tr.cusps if cof[c.lower] == comp)
+    or_sum, n_cusps, _ = of._tallies[comp]
     if n_cusps % 2:
         raise NotClosed(f"component {comp} has an odd cusp count {n_cusps}")
     return -or_sum - n_cusps // 2
@@ -340,8 +349,7 @@ def thurston_bennequin(of: OrientedFront, comp: int = 0) -> int:
 def rotation_number(of: OrientedFront, comp: int = 0) -> int:
     """r of one component: half the signed cusp count; negates under reversal."""
     _check_component(of, comp)
-    tr = of.trace
-    total = sum(cusp_kappa(of, c) for c in tr.cusps if tr.component_of[c.lower] == comp)
+    total = of._tallies[comp][2]
     if total % 2:
         raise NotClosed(f"component {comp} has an odd signed cusp count {total}")
     return total // 2
@@ -520,10 +528,9 @@ def parse_front(text: str) -> FrontDiagram:
     events = []
     overrides = []
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if parts[0] == "orient":
             if len(parts) != 3 or parts[2] not in ("+", "-"):
                 raise ParseError(f"bad orient line {raw!r}", line=ln)
@@ -533,7 +540,7 @@ def parse_front(text: str) -> FrontDiagram:
                 raise ParseError(f"bad component index {parts[1]!r}", line=ln) from None
             overrides.append((comp, 1 if parts[2] == "+" else -1))
             continue
-        if len(parts) != 2 or parts[0] not in (LEFT, RIGHT, CROSS):
+        if len(parts) != 2 or parts[0] not in _KINDS:
             raise ParseError(f"malformed event line {raw!r}", line=ln)
         try:
             pos = int(parts[1])
@@ -579,14 +586,8 @@ def random_closed_front(rng: random.Random, max_events: int = 24) -> FrontDiagra
         if not must_close:
             choices += [LEFT, LEFT, CROSS, CROSS]
         kind = rng.choice(choices)
-        if kind == LEFT:
-            events.append(FrontEvent(LEFT, rng.randint(1, n + 1)))
-            n += 2
-        elif kind == CROSS:
-            events.append(FrontEvent(CROSS, rng.randint(1, n - 1)))
-        else:
-            events.append(FrontEvent(RIGHT, rng.randint(1, n - 1)))
-            n -= 2
+        events.append(FrontEvent(kind, rng.randint(1, n + 1 if kind == LEFT else n - 1)))
+        n += 2 if kind == LEFT else (-2 if kind == RIGHT else 0)
     return FrontDiagram(tuple(events))
 
 

@@ -441,6 +441,36 @@ class TestParserReuse:
         r_default = json.loads(out_default)["components"][0]["r"]
         assert (r_rev, r_default) == (1, -1)
 
+    @pytest.mark.parametrize("orient_line,flags,r", [
+        ("", [], -1),
+        ("", ["0:+"], -1),
+        ("", ["0:-"], 1),
+        ("", ["0:-", "0:-"], 1),
+        ("", ["0:-", "0:+"], -1),
+        ("", ["0:+", "0:-"], 1),
+        ("orient 0 -\n", [], 1),
+        ("orient 0 -\n", ["0:+"], -1),
+        ("orient 0 -\n", ["0:-"], 1),
+    ])
+    def test_orient_flag_sets_orientation(self, capsys, tmp_path, orient_line, flags, r):
+        # a flag sets its component's orientation; the last flag wins, over
+        # the file's orient line too
+        p = tmp_path / "stab.lfd"
+        p.write_text("L 1\nL 1\nR 2\nR 1\n" + orient_line)
+        argv = [a for f in flags for a in ("--orient", f)]
+        code, out, _ = run(capsys, "invariants", str(p), *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["components"][0]["r"] == r
+
+    @pytest.mark.parametrize("flags,lk", [([], -1), (["1:+"], 1), (["1:-"], -1), (["1:+", "1:-"], -1)])
+    def test_orient_flag_sets_link_orientation(self, capsys, tmp_path, flags, lk):
+        p = tmp_path / "clasp.lfd"
+        p.write_text("L 1\nL 2\nX 1\nX 1\nR 2\nR 1\norient 1 -\n")
+        argv = [a for f in flags for a in ("--orient", f)]
+        code, out, _ = run(capsys, "invariants", str(p), *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["lk"] == [[None, lk], [lk, None]]
+
     def test_valid_call_after_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["catalog", "--tb", "-1", "--r", "0", "--tree", "--front"])

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from dataclasses import replace
 
@@ -83,6 +85,65 @@ def reference_trace(d):
                 assert dirs[v] == want
         k += 1
     return tuple(component_of), tuple(dirs)
+
+
+def reference_records(d):
+    """Every trace record as a dict keyed by field name, from a test-local
+    replay of the stack: {"arcs": [...], "cusps": [...], "crossings": [...]}."""
+    born, roles, died, stack, cusps, crossings = [], [], {}, [], [], []
+    for j, ev in enumerate(d.events):
+        p = ev.position
+        if ev.kind == fr.RIGHT:
+            lo, hi = stack[p - 1], stack[p]
+            del stack[p - 1 : p + 1]
+            died[lo] = died[hi] = j
+            cusps.append(dict(event=j, kind=fr.RIGHT, lower=lo, upper=hi))
+            continue
+        lo, hi = len(born), len(born) + 1
+        born += [j, j]
+        roles += [0, 1]
+        if ev.kind == fr.LEFT:
+            stack[p - 1 : p - 1] = [lo, hi]
+            cusps.append(dict(event=j, kind=fr.LEFT, lower=lo, upper=hi))
+        else:
+            a, b = stack[p - 1], stack[p]
+            died[a] = died[b] = j
+            stack[p - 1], stack[p] = lo, hi
+            crossings.append(dict(event=j, in_lower=a, in_upper=b, out_lower=lo, out_upper=hi))
+    arcs = [dict(index=a, born=born[a], role=roles[a], died=died[a]) for a in range(len(born))]
+    return {"arcs": arcs, "cusps": cusps, "crossings": crossings}
+
+
+# The former per-component generator sums: k components cost k passes over
+# the crossings or cusps; the library tallies every component in one pass.
+
+
+def reference_thurston_bennequin(of, comp=0):
+    tr = of.trace
+    cof = tr.component_of
+    or_sum = sum(
+        fr.crossing_or(of, x)
+        for x in tr.crossings
+        if cof[x.in_lower] == comp and cof[x.in_upper] == comp
+    )
+    n_cusps = sum(1 for c in tr.cusps if cof[c.lower] == comp)
+    assert n_cusps % 2 == 0
+    return -or_sum - n_cusps // 2
+
+
+def reference_rotation_number(of, comp=0):
+    tr = of.trace
+    total = sum(fr.cusp_kappa(of, c) for c in tr.cusps if tr.component_of[c.lower] == comp)
+    assert total % 2 == 0
+    return total // 2
+
+
+def reference_linking_matrix(of):
+    tr = of.trace
+    cof, k = tr.component_of, tr.n_components
+    return [[None if i == j else sum(fr.crossing_sign(of, x) for x in tr.crossings
+                                     if {cof[x.in_lower], cof[x.in_upper]} == {i, j}) // 2
+             for j in range(k)] for i in range(k)]
 
 
 def reference_traversal(tr, comp, dirs):
@@ -603,6 +664,81 @@ class TestProperties:
             ref = reference_lift(rf, c, of)
             for got, want in zip((lc.x, lc.y, lc.z), ref):
                 assert np.array_equal(got, want)
+
+
+def check_tallies(d, orientations):
+    """invariant_pair of every component and linking_matrix equal the former
+    per-component sums under each set of reversed components."""
+    k = fr.trace_components(d).n_components
+    for rev in orientations:
+        of = fr.OrientedFront(d, rev)
+        for c in range(k):
+            want = (reference_thurston_bennequin(of, c), reference_rotation_number(of, c))
+            assert fr.invariant_pair(of, c) == want
+        if k > 1:
+            assert fr.linking_matrix(of) == reference_linking_matrix(of)
+
+
+class TestRecordsAndTalliesMatchReferences:
+    """Trace records are tuples, and tb and r come from one tally pass per
+    orientation; both must agree with the former per-component sums."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 60), data=st.data())
+    def test_random_fronts(self, seed, size, data):
+        d = fr.random_closed_front(random.Random(seed), size)
+        tr = fr.trace_components(d)
+        for name, want in reference_records(d).items():
+            got = getattr(tr, name)
+            assert len(got) == len(want)
+            assert [{f: getattr(rec, f) for f in w} for rec, w in zip(got, want)] == want
+        k = tr.n_components
+        # every component in both orientations, and a mixed orientation
+        drawn = data.draw(st.frozensets(st.integers(0, k - 1)))
+        check_tallies(d, (frozenset(), frozenset(range(k)), drawn))
+
+    def test_multi_component_fronts(self):
+        rng = random.Random(1818)
+        seen = set()
+        while len(seen) < 4:
+            d = fr.random_closed_front(rng, 60)
+            k = fr.trace_components(d).n_components
+            seen.add(k)
+            check_tallies(d, (frozenset(), frozenset(range(k)), frozenset(range(0, k, 2))))
+
+
+class TestRecordContracts:
+    @pytest.mark.parametrize("position", [0, -3])
+    def test_event_position_must_be_positive(self, position):
+        with pytest.raises(InvalidPosition):
+            fr.FrontEvent("L", position)
+
+    def test_event_is_a_pair(self):
+        ev = fr.FrontEvent("L", 1)
+        assert repr(ev) == "FrontEvent(kind='L', position=1)"
+        assert str(ev) == "L 1"
+        assert ev == ("L", 1) and hash(ev) == hash(("L", 1))
+        assert (ev.kind, ev.position) == ev
+
+    def test_equal_diagrams_share_one_trace(self):
+        a = fr.parse_front(CLASP)
+        b = fr.FrontDiagram(tuple(fr.FrontEvent(k, p) for k, p in (
+            ("L", 1), ("L", 2), ("X", 1), ("X", 1), ("R", 2), ("R", 1))))
+        assert a == b and a is not b and a.events[0] is not b.events[0]
+        assert hash(a) == hash(b)
+        assert fr.trace_components(a) is fr.trace_components(b)
+
+    @pytest.mark.parametrize("roundtrip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_pickle_and_deepcopy(self, roundtrip):
+        d = trees.catalog_front(-7, 2)
+        tr = fr.trace_components(d)
+        d2, tr2 = roundtrip(d), roundtrip(tr)
+        assert d2 == d and hash(d2) == hash(d)
+        assert type(d2.events[0]) is fr.FrontEvent
+        assert tr2 == tr and tr2 is not tr
+        assert type(tr2.arcs[0]) is fr.Arc and type(tr2.cusps[0]) is fr.CuspRecord
+        assert fr.trace_components(d2) is tr
 
 
 class TestReadersMatchReferences:
