@@ -33,6 +33,7 @@ record, and ``FrontDiagram.strand_profile`` gives each slot's strand count.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import ne
@@ -53,6 +54,8 @@ LEFT = "L"
 RIGHT = "R"
 CROSS = "X"
 _KINDS = (LEFT, RIGHT, CROSS)
+# an integer in the text formats; int() alone also takes "+1", "1_0" and non-ASCII digits
+INT_TOKEN = re.compile(r"-?[0-9]+")
 
 UP = "up"
 DOWN = "down"
@@ -525,30 +528,31 @@ def displace_zigzag(d: FrontDiagram, from_arc: int, to_arc: int) -> FrontDiagram
 
 def parse_front(text: str) -> FrontDiagram:
     """Parse the line-oriented front format (L/R/X events, orient lines)."""
-    events = []
-    overrides = []
+    events, overrides = [], []
+    made: dict[str, FrontEvent] = {}  # each distinct event line, parsed once -> its event
     for ln, raw in enumerate(text.splitlines(), start=1):
+        if raw in made:
+            events.append(made[raw])
+            continue
         parts = raw.split("#", 1)[0].split()
         if not parts:
             continue
         if parts[0] == "orient":
             if len(parts) != 3 or parts[2] not in ("+", "-"):
                 raise ParseError(f"bad orient line {raw!r}", line=ln)
-            try:
-                comp = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad component index {parts[1]!r}", line=ln) from None
-            overrides.append((comp, 1 if parts[2] == "+" else -1))
+            if not INT_TOKEN.fullmatch(parts[1]):
+                raise ParseError(f"bad component index {parts[1]!r}", line=ln)
+            overrides.append((int(parts[1]), 1 if parts[2] == "+" else -1))
             continue
         if len(parts) != 2 or parts[0] not in _KINDS:
             raise ParseError(f"malformed event line {raw!r}", line=ln)
-        try:
-            pos = int(parts[1])
-        except ValueError:
-            raise ParseError(f"bad position {parts[1]!r}", line=ln) from None
+        if not INT_TOKEN.fullmatch(parts[1]):
+            raise ParseError(f"bad position {parts[1]!r}", line=ln)
+        pos = int(parts[1])
         if pos < 1:
             raise InvalidPosition(f"line {ln}: position {pos} must be >= 1")
-        events.append(FrontEvent(parts[0], pos))
+        made[raw] = FrontEvent(parts[0], pos)
+        events.append(made[raw])
     if not events:
         raise ParseError("empty diagram has no component")
     return FrontDiagram(tuple(events), tuple(overrides))

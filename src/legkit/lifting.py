@@ -51,11 +51,11 @@ class GeomParams:
     crossing_slope: float = 0.5  # each branch leaves a crossing at +-this slope
     cusp_reach: float = 0.3  # fraction of the first piece taken by the cusp model
     # Sample density per arc, rounded down to an even number of steps per
-    # piece.  The three-point panel rule's closure error scales as
-    # (pieces / samples)^4; at this density the closure integral and the
-    # residual stay at or below 3.1e-11 of the curve diameter on the
-    # acceptance grid and 3.7e-11 on catalog (-31, 0), at least 27x inside
-    # the 1e-9 bound.
+    # piece.  The panel rule's error scales as (pieces / samples)^4: closure
+    # and residual stay at or below 3.1e-11 of the diameter on the acceptance
+    # grid and 3.7e-11 on catalog (-31, 0), 27x inside the 1e-9 bound, but a
+    # deeper front's long arcs get fewer steps per piece: the residual reads
+    # 2.4e-10 on catalog (-51, 0) and 4.1e-9, over the bound, on (-101, 0).
     samples_per_arc: int = 4000
     slope_margin: float = 0.1  # minimal slope gap at a crossing
 

@@ -27,11 +27,12 @@ validated against it exhaustively in the test suite.
 
 Trees and embeddings are checked once, when built.  An embedding scales
 its rational coordinates by one common denominator into integer grid
-points, so every slope, left-edge and left-most test is an exact int
-comparison; ``Fraction`` appears only at the API.  Normalization copies
-its tree once into a mutable adjacency, grows the canonical broom's path
-on it from an edge the tree already has, moving each vertex at most twice,
-and builds one tree at the end.
+points, so every slope, left-edge, left-most and child-order test is an
+exact int comparison; ``Fraction`` appears only at the API.  A vertex's
+right ends are its children in the front.  Normalization copies its tree
+once into a mutable adjacency, grows the canonical broom's path on it
+from an edge the tree already has, moving each vertex at most twice, and
+builds one tree at the end.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .errors import (
 )
 from .fronts import (
     CROSS,
+    INT_TOKEN,
     LEFT,
     RIGHT,
     FrontDiagram,
@@ -171,11 +173,8 @@ class AcceptableEmbedding:
     epsilon: Fraction = Fraction(1, 2)
 
     @staticmethod
-    def make(
-        tree: SignedTree,
-        coords: dict[int, tuple[Fraction, Fraction]],
-        epsilon: Fraction = Fraction(1, 2),
-    ) -> "AcceptableEmbedding":
+    def make(tree: SignedTree, coords: dict[int, tuple[Fraction, Fraction]],
+             epsilon: Fraction = Fraction(1, 2)) -> "AcceptableEmbedding":
         return AcceptableEmbedding(tree, tuple(sorted(coords.items())), epsilon)
 
     @cached_property
@@ -203,13 +202,11 @@ class AcceptableEmbedding:
         g = self.grid
         eps_num, eps_den = _ratio(self.epsilon)
         lefts: dict[int, int] = {}  # vertex -> number of edges on its left
-        for e in self.tree.edges:
-            u, w = tuple(e)
-            dx = g[w][0] - g[u][0]
-            if dx == 0 or abs(g[w][1] - g[u][1]) * eps_den >= eps_num * abs(dx):
-                raise NotAcceptable(
-                    2, f"edge {u}-{w} slope not strictly between +-{self.epsilon}"
-                )
+        for u, w in self.tree.edges:
+            (xu, yu), (xw, yw) = g[u], g[w]
+            dx = xw - xu
+            if dx == 0 or abs(yw - yu) * eps_den >= eps_num * abs(dx):
+                raise NotAcceptable(2, f"edge {u}-{w} slope not strictly between +-{self.epsilon}")
             right = w if dx > 0 else u
             lefts[right] = lefts.get(right, 0) + 1
         crowded = min((v for v, n in lefts.items() if n > 1), default=None)
@@ -225,19 +222,31 @@ class AcceptableEmbedding:
     def leftmost(self) -> int:
         return min((x, v) for v, (x, _) in self.grid.items())[1]
 
+    @cached_property
+    def children(self) -> Mapping[int, tuple[int, ...]]:
+        """Each vertex's right ends from the top (steepest slope first): its
+        children in the front, where its one left neighbor is its parent."""
+        g = self.grid
+        kids: dict[int, list[int]] = {v: [] for v in g}
+        for u, w in self.tree.edges:
+            left, right = (u, w) if g[u][0] < g[w][0] else (w, u)
+            kids[left].append(right)
+        for v, ws in kids.items():
+            if len(ws) > 1:
+                # slope times the lcm m of the fork's dx: an exact int key
+                x, y = g[v]
+                m = lcm(*(g[w][0] - x for w in ws))
+                ws.sort(key=lambda w: ((y - g[w][1]) * (m // (g[w][0] - x)), w))
+        return MappingProxyType({v: tuple(ws) for v, ws in kids.items()})
+
     def right_children(self, v: int, parent: Optional[int]) -> list[int]:
         """Right-attached neighbors, numbered from the top (steepest slope first)."""
-        g = self.grid
-        x, y = g[v]
-        kids = [w for w in self.tree.neighbors(v) if w != parent and g[w][0] > x]
-        if len(kids) < 2:
-            return kids
-        return sorted(kids, key=lambda w: (-Fraction(g[w][1] - y, g[w][0] - x), w))
+        return [w for w in self.children[v] if w != parent]
 
 
 def _ratio(c) -> tuple[int, int]:
     """(numerator, denominator) of an exact number; NotAcceptable(0) otherwise."""
-    if type(c) is Fraction:
+    if type(c) is Fraction or type(c) is int:
         return c.as_integer_ratio()
     if not isinstance(c, str):
         try:
@@ -257,21 +266,20 @@ def build_front(emb: AcceptableEmbedding) -> FrontDiagram:
     Each vertex is expanded once, into its own events and the visits of its
     right children in front order; a work stack replays them, so a child's
     events come before whatever follows its visit.  Deep trees need no
-    recursion.
+    recursion.  Each distinct event is made once and then shared.
     """
-    signs = emb.tree.sign_map
-    root = emb.leftmost
-    (child,) = emb.tree.neighbors(root)
-    events: list[FrontEvent] = [FrontEvent(LEFT, 1)]
-    # a FrontEvent to emit, or a (v, parent, p, phi) visit: the strand pair
-    # of the edge parent->v sits at positions (p, p+1), reflected if phi < 0
-    work: list = [(child, root, 1, 1)]
+    signs, children = emb.tree.sign_map, emb.children
+    made: dict[tuple[str, int], FrontEvent] = {(LEFT, 1): FrontEvent(LEFT, 1)}
+    events: list[FrontEvent] = [made[LEFT, 1]]
+    # a FrontEvent to emit, or a (v, p, phi) visit: the strand pair of the
+    # edge into v sits at positions (p, p+1), reflected if phi < 0
+    work: list = [(children[emb.leftmost][0], 1, 1)]
     while work:
         item = work.pop()
-        if isinstance(item, FrontEvent):
+        if type(item) is FrontEvent:
             events.append(item)
             continue
-        v, parent, p, phi = item
+        v, p, phi = item
         plan: list = []
         w = 2  # local bundle width
 
@@ -279,10 +287,13 @@ def build_front(emb: AcceptableEmbedding) -> FrontDiagram:
             nonlocal w
             if phi < 0:
                 offset = (w + 2 - offset) if kind == LEFT else (w - offset)
-            plan.append(FrontEvent(kind, p - 1 + offset))
-            w += 2 if kind == LEFT else (-2 if kind == RIGHT else 0)
+            key = (kind, p - 1 + offset)
+            if key not in made:
+                made[key] = FrontEvent(*key)
+            plan.append(made[key])
+            w += 2 if kind == LEFT else -2
 
-        kids = emb.right_children(v, parent)
+        kids = children[v]
         n = len(kids)
         if n == 0:
             local(RIGHT, 1)
@@ -293,20 +304,15 @@ def build_front(emb: AcceptableEmbedding) -> FrontDiagram:
             else:
                 local(LEFT, 2)  # upward zig-zag
                 local(RIGHT, 1)
-            plan.append((kids[0], v, p, phi))
+            plan.append((kids[0], p, phi))
         elif signs[v] * phi < 0:
             # stacked crotch cusps plus one compensating zig-zag
             for i in range(1, n):
                 local(LEFT, 2 * i)
             local(LEFT, 2)
             local(RIGHT, 1)
-            width = 2 * n
-            bases = []
-            for j in range(1, n + 1):
-                a = 2 * j - 1
-                bases.append(p - 1 + (a if phi > 0 else width - a))
-            for child_v, base in zip(kids, sorted(bases, reverse=True)):
-                plan.append((child_v, v, base, phi))
+            # the pairs at p + 2n - 2, ..., p + 2, p, from the top, either way up
+            plan += [(c, p + 2 * (n - 1 - i), phi) for i, c in enumerate(kids)]
         else:
             # nested lofts; the first branch carries the compensating zig-zag
             for i in range(1, n):
@@ -314,9 +320,9 @@ def build_front(emb: AcceptableEmbedding) -> FrontDiagram:
                 if i == 1:
                     local(LEFT, 1)  # downward zig-zag on the outer strand
                     local(RIGHT, 2)
-                plan.append((kids[i - 1], v, p + 1, -phi))
+                plan.append((kids[i - 1], p + 1, -phi))
                 w -= 2  # inner branch closed its pair
-            plan.append((kids[n - 1], v, p, phi))
+            plan.append((kids[n - 1], p, phi))
         work.extend(reversed(plan))
     return FrontDiagram(tuple(events))
 
@@ -502,13 +508,10 @@ def catalog_tree(tb: int, r: int) -> AcceptableEmbedding:
         raise OutOfRange(f"(tb, r) = ({tb}, {r}) is not realized by an unknot")
     v_total = 1 - tb
     n_plus = (v_total + SIGMA * r) // 2
-    n_minus = v_total - n_plus
-    signs = [1] * n_plus + [-1] * n_minus
+    signs = [1] * n_plus + [-1] * (v_total - n_plus)
     edges, order, leaves = _broom(signs, range(v_total))
-    zero = Fraction(0)
-    coords = {v: (Fraction(i), zero) for i, v in enumerate(order)}
-    k = len(leaves)
-    x = Fraction(len(order))
+    coords = {v: (i, 0) for i, v in enumerate(order)}
+    k, x = len(leaves), len(order)
     for j, v in enumerate(leaves):
         # hang leaves off the hub at the right end, numbered from the top:
         # y = ((k - 1) / 2 - j) / (4 (k + 1))
@@ -556,13 +559,14 @@ def parse_tree(text: str) -> AcceptableEmbedding:
             continue
         parts = line.split()
         try:
-            if parts[0] == "v" and len(parts) == 5 and parts[4] in ("+", "-"):
+            vertex = parts[0] == "v" and len(parts) == 5 and parts[4] in ("+", "-")
+            if vertex and INT_TOKEN.fullmatch(parts[1]):
                 vid = int(parts[1])
                 if vid in signs:
                     raise ParseError(f"duplicate vertex {vid}", line=ln)
                 coords[vid] = (Fraction(parts[2]), Fraction(parts[3]))
                 signs[vid] = 1 if parts[4] == "+" else -1
-            elif parts[0] == "e" and len(parts) == 3:
+            elif parts[0] == "e" and len(parts) == 3 and all(map(INT_TOKEN.fullmatch, parts[1:])):
                 edges.append((int(parts[1]), int(parts[2])))
             else:
                 raise ValueError(line)
@@ -575,8 +579,7 @@ def parse_tree(text: str) -> AcceptableEmbedding:
 
 
 def serialize_tree(emb: AcceptableEmbedding) -> str:
-    cm = emb.coord_map
-    sm = emb.tree.sign_map
+    cm, sm = emb.coord_map, emb.tree.sign_map
     lines = [
         f"v {v} {cm[v][0]} {cm[v][1]} {'+' if sm[v] > 0 else '-'}"
         for v in emb.tree.vertices
@@ -591,8 +594,7 @@ def spread_embedding(t: SignedTree, root: Optional[int] = None) -> AcceptableEmb
     The root (left-most vertex) defaults to the smallest-id end vertex.
     """
     if root is None:
-        ends = [v for v in t.vertices if t.valence(v) == 1]
-        root = min(ends)
+        root = min(v for v in t.vertices if t.valence(v) == 1)
     order = _dfs_order(t, root)
     n = len(order)
     coords = {v: (Fraction(i), Fraction((i % 3) - 1, 4 * n)) for i, v in enumerate(order)}
@@ -622,20 +624,14 @@ def _dfs_order(t: SignedTree, root: int) -> list[int]:
 
 def random_signed_tree(rng: random.Random, max_vertices: int = 14) -> SignedTree:
     n = rng.randint(2, max_vertices)
-    root_sign = rng.choice((1, -1))
-    parents = {1: 0}
-    for v in range(2, n):
-        parents[v] = rng.randrange(1, v)
-    depth = {0: 0}
-    for v in range(1, n):
-        depth[v] = depth[parents[v]] + 1
-    signs = {v: root_sign * (1 if depth[v] % 2 == 0 else -1) for v in range(n)}
+    signs = {0: rng.choice((1, -1))}
+    parents = {v: rng.randrange(1, v) if v > 1 else 0 for v in range(1, n)}
+    for v in range(1, n):  # each parent has a smaller id, so its sign is set
+        signs[v] = -signs[parents[v]]
     return SignedTree.make(signs, [(parents[v], v) for v in range(1, n)])
 
 
-def random_acceptable_embedding(
-    rng: random.Random, max_vertices: int = 14
-) -> AcceptableEmbedding:
+def random_acceptable_embedding(rng: random.Random, max_vertices: int = 14) -> AcceptableEmbedding:
     """Random signed tree embedded with the root as the left-most end vertex."""
     t = random_signed_tree(rng, max_vertices)
     n = len(t.vertices)

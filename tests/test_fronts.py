@@ -36,6 +36,73 @@ def oriented(text):
     return fr.OrientedFront.default(fr.parse_front(text))
 
 
+def former_parse_front(text):
+    """The former parse_front: every line split and converted with int()."""
+    events, overrides = [], []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if parts[0] == "orient":
+            if len(parts) != 3 or parts[2] not in ("+", "-"):
+                raise ParseError(f"bad orient line {raw!r}", line=ln)
+            try:
+                comp = int(parts[1])
+            except ValueError:
+                raise ParseError(f"bad component index {parts[1]!r}", line=ln) from None
+            overrides.append((comp, 1 if parts[2] == "+" else -1))
+            continue
+        if len(parts) != 2 or parts[0] not in ("L", "R", "X"):
+            raise ParseError(f"malformed event line {raw!r}", line=ln)
+        try:
+            pos = int(parts[1])
+        except ValueError:
+            raise ParseError(f"bad position {parts[1]!r}", line=ln) from None
+        if pos < 1:
+            raise InvalidPosition(f"line {ln}: position {pos} must be >= 1")
+        events.append(fr.FrontEvent(parts[0], pos))
+    if not events:
+        raise ParseError("empty diagram has no component")
+    return fr.FrontDiagram(tuple(events), tuple(overrides))
+
+
+def parsed(parse, text):
+    """The diagram, or the error's type, line and message."""
+    try:
+        return parse(text)
+    except LegkitError as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+
+
+# lines that both parsers reject
+MALFORMED = ["Q 3", "L", "L 1 2", "L x", "X 1.5", "L 0", "R -2", "R --1", "L -", "orient 0",
+             "orient x -", "orient 0 *", "orient 1 - extra", "# only a comment\nR"]
+
+
+@st.composite
+def front_texts(draw):
+    """The text of a random closed front whose event lines repeat, with
+    trailing comments, blank lines, orient lines and sometimes one injected
+    malformed line or one event at an out-of-range position."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    d = fr.random_closed_front(rng, draw(st.integers(2, 60)))
+    k = fr.trace_components(d).n_components
+    lines = []
+    for ev in d.events:
+        lines.append(rng.choice([f"{ev}", f"{ev}  # note", f"  {ev.kind}\t{ev.position} "]))
+        if rng.random() < 0.2:
+            lines.append(rng.choice(["", "   ", "# a comment"]))
+        if rng.random() < 0.1:
+            lines.append(f"orient {rng.randint(0, k)} {rng.choice('+-')}")
+    fault = draw(st.sampled_from(["none", "none", "malformed", "range"]))
+    at = draw(st.integers(0, len(lines)))
+    if fault == "malformed":
+        lines.insert(at, draw(st.sampled_from(MALFORMED)))
+    elif fault == "range":
+        lines.insert(at, draw(st.sampled_from(["L 9", "R 7", "X 40", "R 1"])))
+    return "\n".join(lines)
+
+
 def reference_trace(d):
     """The former trace: arcs rebuilt at each death, a constraint graph in
     which cusps flip direction and crossings keep it, and a DFS over it.
@@ -417,6 +484,53 @@ class TestParsing:
     def test_crossing_needs_two_strands(self):
         with pytest.raises(InvalidPosition):
             fr.parse_front("L 1\nX 2\nR 1")
+
+    # int() alone takes a sign, underscores, whitespace-free other scripts'
+    # digits and full-width digits
+    @pytest.mark.parametrize("text, line", [
+        ("L +1\nR 1", 1), ("L 1\nR 0_1", 2), ("L 1\nR \u0661", 2), ("L \uff11\nR 1", 1),
+        ("L 1\nR 1\norient +0 -", 3), ("L 1\nR 1\norient 0_0 -", 3),
+        ("L 1\nR 1\norient \u0660 +", 3), ("L 1\nL 1\nR +1\nR 1", 3),
+    ])
+    def test_integers_are_ascii_digits(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            fr.parse_front(text)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("position", ["0", "-3", "-0", "00"])
+    def test_position_below_one_is_invalid(self, position):
+        with pytest.raises(InvalidPosition, match="line 2"):
+            fr.parse_front(f"L 1\nR {position}\nR 1")
+
+    def test_leading_zeros_and_negative_component(self):
+        d = fr.parse_front("L 01\nR 001\norient -2 -")
+        assert d == fr.FrontDiagram((fr.FrontEvent("L", 1), fr.FrontEvent("R", 1)), ((-2, -1),))
+
+    @settings(max_examples=200, deadline=None)
+    @given(front_texts())
+    def test_matches_former_parser(self, text):
+        got = parsed(fr.parse_front, text)
+        assert got == parsed(former_parse_front, text)
+        if isinstance(got, fr.FrontDiagram):
+            assert got.orient_overrides == former_parse_front(text).orient_overrides
+            # each repeat of an event line gives the same event object
+            event_lines = [ln for ln in text.splitlines()
+                           if ln.split("#")[0].split()[:1] not in ([], ["orient"])]
+            first = {}
+            for ln, ev in zip(event_lines, got.events, strict=True):
+                assert first.setdefault(ln, ev) is ev
+
+    def test_valid_line_repeats_after_a_failing_line(self):
+        # the failing line is remembered by no call: the same valid line
+        # parses before it, and in the next call after it
+        bad = "L 1\nL 1\nR 2\nL +1\nR 1"
+        with pytest.raises(ParseError) as exc:
+            fr.parse_front(bad)
+        assert exc.value.line == 4
+        good = "L 1\nL 1\nR 2\nR 1\nL 1\nR 1  # again\nL 1\nR 1"
+        assert fr.parse_front(good) == former_parse_front(good)
+        with pytest.raises(InvalidPosition, match="line 5"):
+            fr.parse_front("L 1\nR 1\nL 1\nR 1\nR 0\nL 1\nR 1")
 
 
 class TestTrace:

@@ -141,6 +141,110 @@ def ref_build_front(emb):
     return fr.FrontDiagram(tuple(events))
 
 
+def former_build_front(emb):
+    """The former build_front: the same work stack, with each vertex's
+    children found by ``ref_right_children`` from its parent and every
+    event built anew."""
+    signs = emb.tree.sign_map
+    root = ref_leftmost(emb)
+    (child,) = emb.tree.neighbors(root)
+    events = [fr.FrontEvent(fr.LEFT, 1)]
+    work = [(child, root, 1, 1)]
+    while work:
+        item = work.pop()
+        if isinstance(item, fr.FrontEvent):
+            events.append(item)
+            continue
+        v, parent, p, phi = item
+        plan = []
+        w = 2
+
+        def local(kind, offset):
+            nonlocal w
+            if phi < 0:
+                offset = (w + 2 - offset) if kind == fr.LEFT else (w - offset)
+            plan.append(fr.FrontEvent(kind, p - 1 + offset))
+            w += 2 if kind == fr.LEFT else (-2 if kind == fr.RIGHT else 0)
+
+        kids = ref_right_children(emb, v, parent)
+        n = len(kids)
+        if n == 0:
+            local(fr.RIGHT, 1)
+        elif n == 1:
+            if signs[v] * phi > 0:
+                local(fr.LEFT, 1)
+                local(fr.RIGHT, 2)
+            else:
+                local(fr.LEFT, 2)
+                local(fr.RIGHT, 1)
+            plan.append((kids[0], v, p, phi))
+        elif signs[v] * phi < 0:
+            for i in range(1, n):
+                local(fr.LEFT, 2 * i)
+            local(fr.LEFT, 2)
+            local(fr.RIGHT, 1)
+            width = 2 * n
+            bases = []
+            for j in range(1, n + 1):
+                a = 2 * j - 1
+                bases.append(p - 1 + (a if phi > 0 else width - a))
+            for child_v, base in zip(kids, sorted(bases, reverse=True)):
+                plan.append((child_v, v, base, phi))
+        else:
+            for i in range(1, n):
+                local(fr.LEFT, 3)
+                if i == 1:
+                    local(fr.LEFT, 1)
+                    local(fr.RIGHT, 2)
+                plan.append((kids[i - 1], v, p + 1, -phi))
+                w -= 2
+            plan.append((kids[n - 1], v, p, phi))
+        work.extend(reversed(plan))
+    return fr.FrontDiagram(tuple(events))
+
+
+SLOPES = (F(-2, 5), F(-1, 4), F(-1, 7), F(0), F(1, 7), F(1, 4), F(2, 5))
+
+
+@st.composite
+def fork_embeddings(draw):
+    """Acceptable embeddings of random recursive trees on 2-24 vertices,
+    which have many forks.
+
+    Each child sits right of its parent by a dx shared with its siblings or
+    drawn per child, at a slope from a short list, so equal slopes, equal
+    dx and collinear children all occur.  The root has one child.
+    """
+    n = draw(st.integers(2, 24))
+    parents = [0] + [draw(st.integers(1, v - 1)) for v in range(2, n)]
+    ids = [0] + draw(st.permutations(range(1, n)))
+    shared = {p: draw(st.sampled_from((F(1), F(2), F(3, 2)))) for p in set(parents)}
+    pts = [(F(0), F(0))]
+    for v, p in enumerate(parents, start=1):
+        dx = shared[p] if draw(st.booleans()) else draw(st.sampled_from((F(1, 2), F(1), F(5, 3))))
+        pts.append((pts[p][0] + dx, pts[p][1] + draw(st.sampled_from(SLOPES)) * dx))
+    depth = [0]
+    for p in parents:
+        depth.append(depth[p] + 1)
+    signs = {ids[v]: (-1) ** depth[v] for v in range(n)}
+    edges = [(ids[p], ids[v]) for v, p in enumerate(parents, start=1)]
+    coords = {ids[v]: pts[v] for v in range(n)}
+    return tr.AcceptableEmbedding.make(tr.SignedTree.make(signs, edges), coords)
+
+
+def assert_matches_former(emb):
+    """build_front equals the former one, each distinct event is one object,
+    and the recorded children are the reference's right children."""
+    d = tr.build_front(emb)
+    assert d == former_build_front(emb)
+    assert len({id(ev) for ev in d.events}) == len(set(d.events))
+    for v in emb.tree.vertices:
+        assert emb.children[v] == tuple(ref_right_children(emb, v, None))
+        for parent in (None, *emb.tree.neighbors(v)):
+            assert emb.right_children(v, parent) == ref_right_children(emb, v, parent)
+    return d
+
+
 def comb_embedding(hub_sign, length):
     """Root 0 - hub 1, whose right children are a leaf 2 (lower) and a path
     3 - 4 - ... of ``length`` vertices (upper, so visited first): the long
@@ -644,6 +748,21 @@ class TestParsing:
             tr.parse_tree("v 0 0 0 +\nbogus line")
         assert exc.value.line == 2
 
+    # int() alone takes a sign, underscores and other scripts' digits
+    @pytest.mark.parametrize("text, line", [
+        ("v 1_0 0 0 +\nv 1 1 0 -\ne 1_0 1", 1), ("v 0 0 0 +\nv +1 1 0 -\ne 0 1", 2),
+        ("v 0 0 0 +\nv \u0661 1 0 -\ne 0 1", 2), ("v 0 0 0 +\nv 1 1 0 -\ne 0 +1", 3),
+        ("v 0 0 0 +\nv 1 1 0 -\ne 0_0 1", 3), ("v 0 0 0 +\nv 1 1 0 -\ne \uff10 1", 3),
+    ])
+    def test_integers_are_ascii_digits(self, text, line):
+        with pytest.raises(ParseError, match="malformed tree line") as exc:
+            tr.parse_tree(text)
+        assert exc.value.line == line
+
+    def test_negative_ids(self):
+        emb = tr.parse_tree("v -3 0 0 +\nv 01 1 0 -\ne -3 1")
+        assert emb.tree.vertices == [-3, 1]
+
     def test_duplicate_vertex_has_line(self):
         with pytest.raises(ParseError, match="duplicate vertex 1") as exc:
             tr.parse_tree("v 0 0 0 +\nv 1 1 0 -\n# again\nv 1 2 0 -\ne 0 1")
@@ -710,6 +829,36 @@ class TestBuildFront:
         # deeper than the default recursion limit
         deep = comb_embedding(hub_sign, 1500)
         assert front_invariants(deep) == tr.expected_invariants(deep.tree)
+
+    def test_catalog_trees_match_former(self):
+        built = 0
+        for tb in range(-1, -16, -1):
+            for r in range(tb + 1, -tb):
+                if fr.in_unknot_range(tb, r):
+                    assert_matches_former(tr.catalog_tree(tb, r))
+                    built += 1
+        assert built == 15 * 16 // 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(fork_embeddings())
+    def test_fork_embeddings_match_former(self, emb):
+        assert_matches_former(emb)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 24))
+    def test_random_embeddings_match_former(self, seed, size):
+        assert_matches_former(tr.random_acceptable_embedding(random.Random(seed), size))
+
+    def test_forks_of_equal_and_unequal_dx(self):
+        # hub 1 at (1, 0): children 2..5 at slopes 1/4, 1/4, 0, -1/4 with dx
+        # 1, 2, 1, 1/2; 2 and 3 tie on slope and go by id
+        t = tr.SignedTree.make({0: 1, 1: -1, 2: 1, 3: 1, 4: 1, 5: 1},
+                               [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5)])
+        coords = {0: (0, 0), 1: (1, 0), 2: (2, F(1, 4)), 3: (3, F(1, 2)), 4: (2, 0),
+                  5: (F(3, 2), F(-1, 8))}
+        emb = tr.AcceptableEmbedding.make(t, coords)
+        assert emb.children == {0: (1,), 1: (2, 3, 4, 5), 2: (), 3: (), 4: (), 5: ()}
+        assert_matches_former(emb)
 
     def test_deep_catalog_front(self):
         d = tr.catalog_front(-1281, 0)
@@ -988,6 +1137,18 @@ class TestCatalog:
             tr.catalog_tree(-2, 0)
         with pytest.raises(OutOfRange):
             tr.catalog_front(1, 0)
+
+    def test_catalog_coordinates(self):
+        # path vertices get ints, equal to and hashing like the former
+        # Fractions, so the embedding and its text are the former ones
+        for tb, r in [(-1, 0), (-6, 3), (-9, -4), (-41, 0), (-40, 7)]:
+            emb = tr.catalog_tree(tb, r)
+            former = tr.AcceptableEmbedding.make(
+                emb.tree, {v: (F(x), F(y)) for v, (x, y) in emb.coord_map.items()})
+            assert emb == former and hash(emb) == hash(former)
+            assert tr.serialize_tree(emb) == tr.serialize_tree(former)
+            assert emb.grid == former.grid and emb.children == former.children
+            assert all(type(x) is int for x, _ in emb.coord_map.values())
 
     def test_catalog_tree_is_almost_linear(self):
         for tb, r in [(-1, 0), (-4, 1), (-7, 0), (-9, -4)]:
