@@ -58,7 +58,7 @@ from .errors import (
     SignMismatch,
     TightnessViolation,
 )
-from .fronts import in_unknot_range
+from .fronts import fields_state, in_unknot_range
 from .trees import AcceptableEmbedding, SignedTree, _broom, spread_embedding
 
 ELLIPTIC = "e"
@@ -110,6 +110,8 @@ class FoliationState:
     connections: frozenset[frozenset[str]]  # elliptic-elliptic arc families
     curves: tuple[SingularityCurve, ...] = ()
     trace: tuple[RewriteStep, ...] = field(default=(), compare=False)
+
+    __getstate__ = fields_state  # the cached views are rebuilt on use
 
     @cached_property
     def sing_map(self) -> Mapping[str, Singularity]:

@@ -28,14 +28,20 @@ no snapshot of the strand stack.  Its readers take what they need from the
 events: an arc born at event k starts at ``events[k].position + role``, a
 zig-zag is a left-cusp record followed at the next event by a right-cusp
 record, and ``FrontDiagram.strand_profile`` gives each slot's strand count.
+
+A diagram caches its own trace, and a weak registry keyed by the events
+lets equal diagrams alive at the same time share it.  No global cache keeps
+a trace once its diagrams are gone, so memory follows the live diagrams
+and not the number of diagrams ever traced.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+import weakref
+from dataclasses import dataclass, fields
+from functools import cached_property
 from operator import ne
 from typing import NamedTuple, Optional
 
@@ -78,6 +84,11 @@ class FrontEvent(NamedTuple("FrontEvent", [("kind", str), ("position", int)])):
 
     def __str__(self):
         return f"{self.kind} {self.position}"
+
+
+def fields_state(obj) -> dict:
+    """Pickle and copy state of a dataclass: its fields, never what it caches."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 @dataclass(frozen=True)
@@ -123,6 +134,16 @@ class FrontDiagram:
             n += 2 if ev.kind == LEFT else (-2 if ev.kind == RIGHT else 0)
             prof.append(n)
         return tuple(prof)
+
+    @cached_property
+    def _trace(self) -> ComponentDecomposition:
+        """This diagram's trace: an equal live diagram's, or a new one."""
+        tr = _live_traces.get(self.events)
+        if tr is None:
+            tr = _live_traces[self.events] = _decompose(self.events)
+        return tr
+
+    __getstate__ = fields_state  # a copy finds or makes its own trace
 
     def __str__(self):
         return serialize_front(self)
@@ -174,16 +195,26 @@ class ComponentDecomposition:
     cycles: tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=4096)
+# each live trace by its events; an entry goes with the last holder of its trace
+_live_traces: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def trace_components(d: FrontDiagram) -> ComponentDecomposition:
+    """The trace of ``d``, cached on ``d``: a repeat call is one attribute
+    read, and a diagram traced while an equal one is alive shares its trace.
+    A trace lives while some diagram or caller holds it; nothing is bounded
+    or evicted, and pickling or copying a diagram leaves its trace behind."""
+    return d._trace
+
+
+def _decompose(events: tuple[FrontEvent, ...]) -> ComponentDecomposition:
     """Scan the event stack for arcs, incidences and arc-end joins, then walk
     the components as cycles.
 
     Arc end ``2 * a`` is the left (birth) end of arc ``a``, ``2 * a + 1`` its
     right (death) end.  A cusp joins the two ends it creates or removes; at a
     crossing the lower-in arc continues as the upper-out arc.  Every end is
-    joined to exactly one other, so each component is a cycle.  Cached by
-    diagram value: equal diagrams share one decomposition.
+    joined to exactly one other, so each component is a cycle.
     """
     born: list[int] = []
     died: list[int] = []
@@ -191,7 +222,7 @@ def trace_components(d: FrontDiagram) -> ComponentDecomposition:
     cusps: list[CuspRecord] = []
     crossings: list[CrossingRecord] = []
     stack: list[int] = []
-    for j, (kind, p) in enumerate(d.events):
+    for j, (kind, p) in enumerate(events):
         if kind == RIGHT:
             lo, hi = stack[p - 1], stack[p]
             del stack[p - 1 : p + 1]

@@ -38,6 +38,7 @@ builds one tree at the end.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -64,6 +65,7 @@ from .fronts import (
     FrontDiagram,
     FrontEvent,
     OrientedFront,
+    fields_state,
     in_unknot_range,
     invariant_pair,
 )
@@ -72,6 +74,11 @@ from .fronts import (
 # front orientation.  Pinned by measurement on the 3-path (+,-,+) and frozen;
 # a regression test guards it.
 SIGMA = 1
+# a coordinate in the tree format: what str() writes for an int, a Fraction or
+# a float; Fraction() alone also takes "+1", "1_0", non-ASCII digits and
+# exponents of any length ("1e-99999999" would build 10**99999999)
+RATIONAL_TOKEN = re.compile(r"-?[0-9]+(?:/[0-9]+|(?:\.[0-9]+)?(?:[eE][-+]?[0-9]{1,3})?)")
+VERTEX_TOKENS = (INT_TOKEN, RATIONAL_TOKEN, RATIONAL_TOKEN)  # id, x, y
 
 
 @dataclass(frozen=True)
@@ -89,6 +96,8 @@ class SignedTree:
     def make(signs: dict[int, int], edges: Iterable[tuple[int, int]]) -> "SignedTree":
         e = frozenset(map(frozenset, edges))
         return SignedTree(tuple(sorted(signs.items())), e)
+
+    __getstate__ = fields_state  # the cached views are rebuilt on use
 
     @cached_property
     def sign_map(self) -> Mapping[int, int]:
@@ -176,6 +185,8 @@ class AcceptableEmbedding:
     def make(tree: SignedTree, coords: dict[int, tuple[Fraction, Fraction]],
              epsilon: Fraction = Fraction(1, 2)) -> "AcceptableEmbedding":
         return AcceptableEmbedding(tree, tuple(sorted(coords.items())), epsilon)
+
+    __getstate__ = fields_state  # the cached views are rebuilt on use
 
     @cached_property
     def coord_map(self) -> Mapping[int, tuple[Fraction, Fraction]]:
@@ -560,7 +571,7 @@ def parse_tree(text: str) -> AcceptableEmbedding:
         parts = line.split()
         try:
             vertex = parts[0] == "v" and len(parts) == 5 and parts[4] in ("+", "-")
-            if vertex and INT_TOKEN.fullmatch(parts[1]):
+            if vertex and all(map(re.fullmatch, VERTEX_TOKENS, parts[1:4])):
                 vid = int(parts[1])
                 if vid in signs:
                     raise ParseError(f"duplicate vertex {vid}", line=ln)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import dataclass, replace
 
 import pytest
@@ -218,6 +220,17 @@ class TestSkeleton:
             _, _, skel = fo.run_pipeline(tb, r)
             d = tr.build_front(skel.embedding())
             assert fr.invariant_pair(fr.OrientedFront.default(d)) == (tb, r)
+
+
+class TestCopies:
+    def test_state_round_trip(self):
+        state, _, skel = fo.run_pipeline(-7, 2)
+        counts = state.counts()  # fills the cached views
+        for state2 in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
+            assert state2 == state and state2.trace == state.trace
+            assert "sing_map" not in vars(state2)
+            assert state2.counts() == counts and state2.sing_map == state.sing_map
+            assert fo.extract_skeleton(state2) == skel
 
 
 class TestDump:

@@ -1,6 +1,8 @@
 import copy
+import gc
 import pickle
 import random
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -853,6 +855,53 @@ class TestRecordContracts:
         assert tr2 == tr and tr2 is not tr
         assert type(tr2.arcs[0]) is fr.Arc and type(tr2.cusps[0]) is fr.CuspRecord
         assert fr.trace_components(d2) is tr
+
+
+ROUNDTRIPS = pytest.mark.parametrize(
+    "roundtrip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"])
+
+
+class TestTraceLifetime:
+    """A trace lives on the diagrams that asked for it and dies with them."""
+
+    def test_trace_dies_with_its_diagrams(self):
+        a = fr.parse_front(CLASP)
+        b = fr.FrontDiagram(tuple(fr.FrontEvent(*ev) for ev in a.events))
+        trace = weakref.ref(fr.trace_components(a))
+        assert fr.trace_components(b) is trace()
+        expected = copy.deepcopy(trace())
+        del a
+        gc.collect()
+        assert trace() is fr.trace_components(b)  # b still holds it
+        del b
+        gc.collect()
+        assert trace() is None
+        # a diagram traced later gets a new trace, equal to the dead one
+        assert fr.trace_components(fr.parse_front(CLASP)) == expected
+
+    def test_orient_overrides_share_one_trace(self):
+        plain = fr.parse_front(CLASP)
+        flipped = fr.parse_front(CLASP + "\norient 1 -")
+        assert plain != flipped and plain.events == flipped.events
+        assert fr.trace_components(flipped) is fr.trace_components(plain)
+        lk = [fr.linking_matrix(fr.OrientedFront.default(d))[0][1] for d in (plain, flipped)]
+        assert lk == [1, -1]
+
+    @ROUNDTRIPS
+    def test_copy_traces_only_on_demand(self, roundtrip):
+        d = trees.catalog_front(-7, 2)
+        untraced = pickle.dumps(fr.FrontDiagram(d.events))
+        old = fr.trace_components(d)
+        assert pickle.dumps(d) == untraced  # the trace does not travel
+        d2 = roundtrip(d)
+        assert set(vars(d2)) == {"events", "orient_overrides"}
+        expected = copy.deepcopy(old)
+        del d, old
+        gc.collect()
+        tr2 = fr.trace_components(d2)  # no equal diagram is left to share with
+        assert tr2 == expected and tr2 is not expected
+        assert fr.trace_components(d2) is tr2
+        assert set(vars(d2)) > {"events", "orient_overrides"}
 
 
 class TestReadersMatchReferences:

@@ -1,5 +1,7 @@
+import copy
 import heapq
 import itertools
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -759,6 +761,40 @@ class TestParsing:
             tr.parse_tree(text)
         assert exc.value.line == line
 
+    # Fraction() alone takes a sign, underscores, other scripts' digits, a bare
+    # point and more forms that serialize_tree never writes
+    @pytest.mark.parametrize("token", [
+        "+1", "1_0", "\u0661", "\uff11", "1.", ".5", "1e", "1/-2", "1/0", "1.5/2", "1e5/2",
+        "0x1", "nan", "inf", "1/2/3", "--1", "1e-5000", "1e+0400",
+    ])
+    def test_coordinates_are_ascii_rationals(self, token):
+        for text, line in (
+            (f"v 0 0 0 +\n# x\nv 1 {token} 0 -\ne 0 1", 3),
+            (f"v 0 0 {token} +\nv 1 1 0 -\ne 0 1", 1),
+        ):
+            with pytest.raises(ParseError, match="malformed tree line") as exc:
+                tr.parse_tree(text)
+            assert exc.value.line == line
+
+    def test_serialized_coordinates_parse(self):
+        t = tr.SignedTree.make({0: 1, 1: -1, 2: 1, 3: 1}, [(0, 1), (1, 2), (1, 3)])
+        coords = {0: (F(-5, 11), 0), 1: (1.0, 1e-05), 2: (2, 0.25), 3: (F(7, 4), -3e-17)}
+        emb = tr.AcceptableEmbedding.make(t, coords)
+        text = tr.serialize_tree(emb)
+        for token in ("-5/11", "1.0", "1e-05", "0.25", "7/4", "-3e-17"):
+            assert f" {token} " in text
+        back = tr.parse_tree(text)
+        # a float is written as its shortest repr, which reads back as that decimal
+        assert dict(back.coord_map) == {v: (F(str(x)), F(str(y))) for v, (x, y) in coords.items()}
+        assert tr.serialize_tree(tr.parse_tree(tr.serialize_tree(back))) == tr.serialize_tree(back)
+        assert tr.build_front(back) == tr.build_front(emb)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.fractions(), st.integers()))
+    def test_every_written_number_is_a_token(self, c):
+        assert tr.RATIONAL_TOKEN.fullmatch(str(c))
+        assert type(c)(F(str(c))) == c
+
     def test_negative_ids(self):
         emb = tr.parse_tree("v -3 0 0 +\nv 01 1 0 -\ne -3 1")
         assert emb.tree.vertices == [-3, 1]
@@ -767,6 +803,39 @@ class TestParsing:
         with pytest.raises(ParseError, match="duplicate vertex 1") as exc:
             tr.parse_tree("v 0 0 0 +\nv 1 1 0 -\n# again\nv 1 2 0 -\ne 0 1")
         assert exc.value.line == 4
+
+
+class TestCopies:
+    """Pickle and deepcopy carry the fields only; the copy rebuilds its views."""
+
+    VIEWS = ("coord_map", "grid", "children", "leftmost")
+
+    @pytest.mark.parametrize("roundtrip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    @pytest.mark.parametrize("make", [lambda: tr.catalog_tree(-5, 2), lambda: tr.parse_tree(
+        "v 0 -5/11 0 +\nv 1 1/3 2/7 -\nv 2 1 5/11 +\nv 3 1 1/13 +\nv 4 5/2 -2/7 -\n"
+        "e 0 1\ne 1 2\ne 1 3\ne 3 4")], ids=["catalog", "fractional"])
+    def test_embedding_round_trip(self, roundtrip, make):
+        emb = make()
+        front = tr.build_front(emb)  # fills every cached view
+        emb2 = roundtrip(emb)
+        assert emb2 == emb and emb2.tree == emb.tree and hash(emb2) == hash(emb)
+        assert set(vars(emb2)) == {"tree", "coords", "epsilon"}
+        assert set(vars(emb2.tree)) == {"signs", "edges"}
+        assert tr.build_front(emb2) == front
+        for view in self.VIEWS:
+            assert getattr(emb2, view) == getattr(emb, view)
+        assert emb2.tree.sign_map == emb.tree.sign_map
+        assert [emb2.tree.neighbors(v) for v in emb.tree.vertices] == [
+            emb.tree.neighbors(v) for v in emb.tree.vertices]
+        assert tr.serialize_tree(emb2) == tr.serialize_tree(emb)
+
+    def test_tree_round_trip(self):
+        t = tr.random_signed_tree(random.Random(7), 20)
+        t.is_almost_linear()  # fills the cached views
+        for t2 in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+            assert t2 == t and set(vars(t2)) == {"signs", "edges"}
+            assert tr.normalize_to_almost_linear(t2) == tr.normalize_to_almost_linear(t)
 
 
 class TestBuildFront:
