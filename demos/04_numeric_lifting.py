@@ -15,7 +15,6 @@ verifies the reconstruction identities numerically:
 import numpy as np
 
 from legkit import (
-    GeomParams,
     OrientedFront,
     catalog_front,
     lagrangian_embeddedness_check,
@@ -26,12 +25,12 @@ from legkit import (
     rotation_number,
 )
 
-params = GeomParams(samples_per_arc=20_000)
+SAMPLES = 20_000  # per arc of each lift
 
 for tb, r in [(-1, 0), (-2, 1), (-4, -3)]:
     d = catalog_front(tb, r)
     of = OrientedFront.default(d)
-    lc = legendrian_lift(realize_front(d, params), of=of)
+    lc = legendrian_lift(realize_front(d), of=of, samples_per_arc=SAMPLES)
     diam = lc.diameter()
     print(f"catalog ({tb:3d},{r:3d}):"
           f" residual {lc.legendrian_residual()/diam:.1e}"
@@ -42,7 +41,7 @@ for tb, r in [(-1, 0), (-2, 1), (-4, -3)]:
 # The basic unknot's Lagrangian projection is a figure eight: one double
 # point splitting the curve into two lobes of opposite area.  Here it falls
 # on a sample of both strands; the sweep's half-open hit rule counts it once.
-lc = legendrian_lift(realize_front(parse_front("L 1\nR 1"), params))
+lc = legendrian_lift(realize_front(parse_front("L 1\nR 1")), samples_per_arc=SAMPLES)
 report = lagrangian_embeddedness_check(lc)
 print("double points found:", len(report.double_points))
 for p in report.double_points:
@@ -53,9 +52,9 @@ print("embedded lift:", report.embedded)
 # The lift's integrals use a three-point rule on each two-step panel, which
 # is fourth order: halving the step size cuts the closure error about
 # 16-fold and the per-panel residual about 32-fold.
-d = catalog_front(-4, 1)
-coarse = legendrian_lift(realize_front(d, GeomParams(samples_per_arc=2000)))
-fine = legendrian_lift(realize_front(d, GeomParams(samples_per_arc=4000)))
+rf = realize_front(catalog_front(-4, 1))
+coarse = legendrian_lift(rf, samples_per_arc=2000)
+fine = legendrian_lift(rf, samples_per_arc=4000)
 print("residual ratio under halving:",
       f"{coarse.legendrian_residual() / fine.legendrian_residual():.1f}")
 print("closure ratio under halving:",

@@ -63,7 +63,6 @@ from .classify import (
 )
 
 _LIFTING = frozenset({
-    "GeomParams",
     "LiftedCurve",
     "lagrangian_closure_integral",
     "lagrangian_embeddedness_check",

@@ -231,8 +231,7 @@ def cmd_render(args) -> int:
 
     d = fronts.parse_front(_read(args.path))
     if args.lift_csv:
-        params = lifting.GeomParams(samples_per_arc=args.samples)
-        lc = lifting.legendrian_lift(lifting.realize_front(d, params))
+        lc = lifting.legendrian_lift(lifting.realize_front(d), samples_per_arc=args.samples)
         print(lifting.lift_csv(lc))
         return 0
     if args.format == "svg":

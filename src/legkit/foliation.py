@@ -177,10 +177,6 @@ class FoliationState:
         return replace(self, trace=self.trace + (step,))
 
 
-def _alternating(s: FoliationState) -> bool:
-    return s._alternates
-
-
 def _delta(**kw: int) -> tuple[tuple[str, int], ...]:
     names = {"ep": "e+", "hp": "h+", "em": "e-", "hm": "h-"}
     return tuple((names[k], v) for k, v in kw.items() if v)
@@ -482,7 +478,7 @@ def add_singularity_curve(state: FoliationState, ident: str, sign: int) -> Folia
 
 def to_naf(state: FoliationState) -> FoliationState:
     """Convert boundary singularities until positives are hyperbolic, negatives elliptic."""
-    if not _alternating(state):
+    if not state._alternates:
         raise PatternMismatch("boundary signs must alternate")
     sm = state.sing_map
     todo = [

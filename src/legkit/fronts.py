@@ -431,9 +431,9 @@ def transverse_self_linking(of: OrientedFront, comp: int = 0, pushoff: str = "+"
 # Range oracles
 
 
-def check_bennequin(tb: int, r: int, chi: int = 1) -> bool:
-    """Bennequin inequality tb <= -chi(F) - |r| (chi = 1 for a disk)."""
-    return tb <= -chi - abs(r)
+def check_bennequin(tb: int, r: int) -> bool:
+    """Bennequin inequality tb <= -chi(F) - |r| for a disk F, chi(F) = 1."""
+    return tb <= -1 - abs(r)
 
 
 def check_parity(tb: int, r: int) -> bool:
@@ -626,11 +626,9 @@ def random_closed_front(rng: random.Random, max_events: int = 24) -> FrontDiagra
     return FrontDiagram(tuple(events))
 
 
-def random_single_component_front(
-    rng: random.Random, max_events: int = 24, max_tries: int = 200
-) -> FrontDiagram:
-    """Rejection-sample random_closed_front down to one component."""
-    for _ in range(max_tries):
+def random_single_component_front(rng: random.Random, max_events: int = 24) -> FrontDiagram:
+    """Rejection-sample random_closed_front down to one component, 200 tries."""
+    for _ in range(200):
         d = random_closed_front(rng, max_events)
         if trace_components(d).n_components == 1:
             return d

@@ -2,14 +2,15 @@
 
 A front diagram is realized as a family of parametric arcs (x(t), z(t))
 built from cubic Hermite pieces: event k sits at x = k + 1, a strand at
-position p of n occupies the level (p - (n+1)/2) * spacing at the middle
+position p of n occupies the level (p - (n+1)/2) * SPACING at the middle
 of its slot.  One replay of the strand stack, event by event, gives every
 arc its knots at the middles of the slots it spans; the arc's ends come
 from the event positions and the strand profile.  Cusp ends use the
 semicubical local model (x ~ t^2, z ~ t^3, so branches meet with a common
 horizontal tangent); crossing ends meet at one point with slopes
-+-crossing_slope, the lower incoming strand rising, giving a transversality
-gap of twice that.
++-CROSSING_SLOPE, the lower incoming strand rising, giving a transversality
+gap of twice that.  The realization takes no setting; the lift takes one,
+its sample density.
 
 The Legendrian lift adds y = dz/dx and follows a component's cycle from the
 trace: its arcs in default order from the lowest one or, for a reversed
@@ -44,20 +45,9 @@ from .errors import DegenerateTangent, GeometryDegenerate, NotClosed
 from .fronts import (CROSS, LEFT, RIGHT, ComponentDecomposition, FrontDiagram, OrientedFront,
                      trace_components)
 
-
-@dataclass(frozen=True)
-class GeomParams:
-    spacing: float = 1.0  # vertical distance between adjacent strand levels
-    crossing_slope: float = 0.5  # each branch leaves a crossing at +-this slope
-    cusp_reach: float = 0.3  # fraction of the first piece taken by the cusp model
-    # Sample density per arc, rounded down to an even number of steps per
-    # piece.  The panel rule's error scales as (pieces / samples)^4: closure
-    # and residual stay at or below 3.1e-11 of the diameter on the acceptance
-    # grid and 3.7e-11 on catalog (-31, 0), 27x inside the 1e-9 bound, but a
-    # deeper front's long arcs get fewer steps per piece: the residual reads
-    # 2.4e-10 on catalog (-51, 0) and 4.1e-9, over the bound, on (-101, 0).
-    samples_per_arc: int = 4000
-    slope_margin: float = 0.1  # minimal slope gap at a crossing
+SPACING = 1.0  # vertical distance between adjacent strand levels
+CROSSING_SLOPE = 0.5  # each branch leaves a crossing at +-this slope
+CUSP_REACH = 0.3  # fraction of the first piece taken by the cusp model
 
 
 @dataclass(frozen=True)
@@ -103,7 +93,6 @@ class ArcCurve:
 @dataclass(frozen=True)
 class RealizedFront:
     diagram: FrontDiagram
-    params: GeomParams
     curves: tuple[ArcCurve, ...]  # indexed by arc
 
     @property
@@ -111,20 +100,14 @@ class RealizedFront:
         return trace_components(self.diagram)
 
 
-def realize_front(d: FrontDiagram, params: GeomParams = GeomParams()) -> RealizedFront:
+def realize_front(d: FrontDiagram) -> RealizedFront:
     """Build a generic planar realization with semicubical cusps."""
-    if params.samples_per_arc < 2:
-        raise GeometryDegenerate(f"samples_per_arc {params.samples_per_arc} below 2")
-    if params.crossing_slope * 2 < params.slope_margin:
-        raise GeometryDegenerate(
-            f"crossing slope gap {2 * params.crossing_slope} below margin {params.slope_margin}"
-        )
     tr = trace_components(d)
     events, counts = d.events, d.strand_profile
 
     def level(p: int, n: int) -> float:
         # position p of n strands, centered per slot
-        return (p - (n + 1) / 2.0) * params.spacing
+        return (p - (n + 1) / 2.0) * SPACING
 
     # one replay of the stack: mids[a] holds arc a's front point at the
     # middle of every slot it spans; arcs are made in pairs, in event order
@@ -151,7 +134,7 @@ def realize_front(d: FrontDiagram, params: GeomParams = GeomParams()) -> Realize
             return float(k + 1), z, 0.0, True
         # out_upper and in_lower run at +m, out_lower and in_upper at -m
         up = a.role == 1 if born else in_lower[k] == a.index
-        return float(k + 1), z, params.crossing_slope if up else -params.crossing_slope, False
+        return float(k + 1), z, CROSSING_SLOPE if up else -CROSSING_SLOPE, False
 
     curves = []
     for a in tr.arcs:
@@ -163,10 +146,10 @@ def realize_front(d: FrontDiagram, params: GeomParams = GeomParams()) -> Realize
         head, tail = (x0, z0, s0), (x1, z1, s1)
         pieces: list[CubicPiece] = []
         if cusp0:
-            head = _cusp_end(x0, z0, *pts[1], params.cusp_reach)
+            head = _cusp_end(x0, z0, *pts[1])
             pieces.append(_cusp_piece(x0, z0, *head[:2]))
         if cusp1:
-            tail = _cusp_end(x1, z1, *pts[-2], params.cusp_reach)
+            tail = _cusp_end(x1, z1, *pts[-2])
         chain = [head, *((ax, az, (zn - zp) / (xn - xp))
                          for (xp, zp), (ax, az), (xn, zn) in zip(pts, pts[1:], pts[2:])), tail]
         for (xa, za, sa), (xb, zb, sb) in zip(chain, chain[1:]):
@@ -178,13 +161,13 @@ def realize_front(d: FrontDiagram, params: GeomParams = GeomParams()) -> Realize
             pieces.append(_cusp_piece(x1, z1, *tail[:2], reverse=True))
         curves.append(ArcCurve(arc=a.index, pieces=tuple(pieces)))
 
-    return RealizedFront(diagram=d, params=params, curves=tuple(curves))
+    return RealizedFront(diagram=d, curves=tuple(curves))
 
 
-def _cusp_end(xc: float, zc: float, xn: float, zn: float, reach: float) -> tuple[float, float, float]:
+def _cusp_end(xc: float, zc: float, xn: float, zn: float) -> tuple[float, float, float]:
     """(x, z, slope) where a cusp at (xc, zc) hands over to the chain that
-    runs on to the knot (xn, zn)."""
-    h = reach * (xn - xc)
+    runs on to the knot (xn, zn), CUSP_REACH of the way."""
+    h = CUSP_REACH * (xn - xc)
     kk = (zn - zc) / (xn - xc) * h / 3.0
     return xc + h, zc + kk, 3 * kk / h if h else 0.0
 
@@ -235,10 +218,6 @@ class LiftedCurve:
             a = np.array(getattr(self, name), float)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-
-    @staticmethod
-    def from_samples(x, y, z, closed=True) -> "LiftedCurve":
-        return LiftedCurve(x, y, z, closed)
 
     @classmethod
     def _owning(cls, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> "LiftedCurve":
@@ -321,10 +300,22 @@ def _turning(*parts: tuple[np.ndarray, np.ndarray]) -> float:
     return float(np.sum(np.arctan2(u0 * v1 - v0 * u1, u0 * u1 + v0 * v1)))
 
 
-def legendrian_lift(
-    rf: RealizedFront, comp: int = 0, of: Optional[OrientedFront] = None
-) -> LiftedCurve:
-    """Lift one component to a closed (x, y, z) polyline following its orientation."""
+def legendrian_lift(rf: RealizedFront, comp: int = 0, of: Optional[OrientedFront] = None, *,
+                    samples_per_arc: int = 4000) -> LiftedCurve:
+    """Lift one component to a closed (x, y, z) polyline following its orientation.
+
+    Each arc gets about ``samples_per_arc`` samples: divided over its pieces
+    and rounded down to an even number of steps per piece, at least 2 each.
+    GeometryDegenerate if ``samples_per_arc`` is below 2.  The panel rule's
+    error scales as (pieces / samples)^4: closure and residual stay at or
+    below 3.1e-11 of the diameter on the acceptance grid and 3.7e-11 on
+    catalog (-31, 0), 27x inside the 1e-9 bound, but a deeper front's long
+    arcs get fewer steps per piece: the residual reads 2.4e-10 on catalog
+    (-51, 0) and 4.1e-9, over the bound, on (-101, 0).
+    """
+    n = samples_per_arc
+    if n < 2:
+        raise GeometryDegenerate(f"samples_per_arc {n} below 2")
     tr = rf.trace
     if not 0 <= comp < tr.n_components:
         raise NotClosed(f"no component {comp}")
@@ -335,7 +326,6 @@ def legendrian_lift(
     if not dirs[cycle[0]]:
         # reversed: the same first arc, then the others backwards
         cycle = cycle[:1] + cycle[:0:-1]
-    n = rf.params.samples_per_arc
     # an arc's last sample is the next arc's first, which that arc writes; every
     # arc has an even number of steps, so every piece starts at an even index
     ends = np.cumsum([0] + [len(rf.curves[a].pieces) * rf.curves[a].steps(n) for a in cycle])

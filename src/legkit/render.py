@@ -1,22 +1,21 @@
 """SVG and ASCII rendering of front diagrams.
 
 The SVG draws the numeric realization exactly, x rightward and z upward:
-each arc is one path, one cubic Bézier segment per realized piece, on the
-box of the control points plus a margin (by the convex-hull property it
-holds every curve).  At each crossing the strand of lesser slope is redrawn
-over a white disk, from the exact last and first quarters of its two arcs.
+each arc is one path, one cubic Bézier segment per realized piece, SCALE =
+60 SVG units per front unit, on the box of the control points plus a margin
+(by the convex-hull property it holds every curve).  At each crossing the
+strand of lesser slope is redrawn over a white disk, from the exact last
+and first quarters of its two arcs.
 The ASCII sketch draws each slot's strand count and each event on a
 character grid.
 """
 
 from __future__ import annotations
 
-import math
-from numbers import Real
-
-from .errors import GeometryDegenerate
 from .fronts import CROSS, LEFT, RIGHT, FrontDiagram
 from .lifting import ArcCurve, realize_front
+
+SCALE = 60.0  # SVG units per front unit
 
 
 def _bezier(c: tuple[float, float, float, float], a: float, b: float) -> tuple[float, ...]:
@@ -40,27 +39,25 @@ def _controls(curve: ArcCurve, lo: float = 0.0, hi: float = 1.0) -> list[tuple[f
     return pts
 
 
-def render_svg(d: FrontDiagram, scale: float = 60.0) -> str:
-    """A standalone SVG 1.1 document of the realized front, ``scale`` per unit."""
-    if isinstance(scale, bool) or not isinstance(scale, Real) or not 0 < scale < math.inf:
-        raise GeometryDegenerate(f"SVG scale {scale!r} is not a positive finite number")
+def render_svg(d: FrontDiagram) -> str:
+    """A standalone SVG 1.1 document of the realized front, SCALE per unit."""
     rf = realize_front(d)
     ctrl = [_controls(curve) for curve in rf.curves]  # indexed by arc
     xs, zs = zip(*(q for pts in ctrl for q in pts))
     x0, x1 = min(xs) - 0.5, max(xs) + 0.5
     z0, z1 = min(zs) - 0.5, max(zs) + 0.5
-    width, height = (x1 - x0) * scale, (z1 - z0) * scale
+    width, height = (x1 - x0) * SCALE, (z1 - z0) * SCALE
 
     def path_of(pts):
-        coords = tuple(v for x, z in pts for v in ((x - x0) * scale, (z1 - z) * scale))
+        coords = tuple(v for x, z in pts for v in ((x - x0) * SCALE, (z1 - z) * SCALE))
         cmds = ("M%.2f,%.2f" + " C%.2f,%.2f %.2f,%.2f %.2f,%.2f" * (len(pts) // 3)) % coords
         return f'<path d="{cmds}" fill="none" stroke="black" stroke-width="2"/>'
 
     paths = [path_of(pts) for pts in ctrl]
     # crossing casings: over-strand (lesser slope) redrawn over a white disk
     for xr in rf.trace.crossings:
-        cx, cz = (xr.event + 1 - x0) * scale, (z1 - ctrl[xr.in_lower][-1][1]) * scale
-        paths.append(f'<circle cx="{cx:.2f}" cy="{cz:.2f}" r="{0.18 * scale:.2f}" fill="white"/>')
+        cx, cz = (xr.event + 1 - x0) * SCALE, (z1 - ctrl[xr.in_lower][-1][1]) * SCALE
+        paths.append(f'<circle cx="{cx:.2f}" cy="{cz:.2f}" r="{0.18 * SCALE:.2f}" fill="white"/>')
         # lesser slope = the in_upper -> out_lower chain
         paths.append(path_of(_controls(rf.curves[xr.in_upper], lo=0.75)))
         paths.append(path_of(_controls(rf.curves[xr.out_lower], hi=0.25)))

@@ -1,12 +1,12 @@
 """Signed acceptable tree embeddings and tree-based wavefronts.
 
 A signed tree alternates vertex signs along edges.  An acceptable planar
-embedding has at least one edge, near-horizontal straight edges, at most
-one edge attached on the left of any vertex, and an end vertex as its
-left-most vertex.  Such an embedding determines a closed front (the
-tree-based wavefront) built by an anchor step at the left-most vertex and
-an induction over right-attached edges, reflecting each right subtree in
-the horizontal axis as it is entered.
+embedding has at least one edge, straight edges of slope strictly between
+-1/2 and 1/2, at most one edge attached on the left of any vertex, and an
+end vertex as its left-most vertex.  Such an embedding determines a closed
+front (the tree-based wavefront) built by an anchor step at the left-most
+vertex and an induction over right-attached edges, reflecting each right
+subtree in the horizontal axis as it is entered.
 
 In the event model the induction portions are:
 
@@ -175,16 +175,16 @@ class SignedTree:
 
 @dataclass(frozen=True)
 class AcceptableEmbedding:
-    """A signed tree with planar coordinates meeting the four conditions."""
+    """A signed tree with planar coordinates meeting the four conditions;
+    the edge slopes lie strictly between -1/2 and 1/2."""
 
     tree: SignedTree
     coords: tuple[tuple[int, tuple[Fraction, Fraction]], ...]
-    epsilon: Fraction = Fraction(1, 2)
 
     @staticmethod
-    def make(tree: SignedTree, coords: dict[int, tuple[Fraction, Fraction]],
-             epsilon: Fraction = Fraction(1, 2)) -> "AcceptableEmbedding":
-        return AcceptableEmbedding(tree, tuple(sorted(coords.items())), epsilon)
+    def make(tree: SignedTree,
+             coords: dict[int, tuple[Fraction, Fraction]]) -> "AcceptableEmbedding":
+        return AcceptableEmbedding(tree, tuple(sorted(coords.items())))
 
     __getstate__ = fields_state  # the cached views are rebuilt on use
 
@@ -211,13 +211,12 @@ class AcceptableEmbedding:
         if len(self.tree.edges) < 1:
             raise NotAcceptable(1, "embedding needs at least one edge")
         g = self.grid
-        eps_num, eps_den = _ratio(self.epsilon)
         lefts: dict[int, int] = {}  # vertex -> number of edges on its left
         for u, w in self.tree.edges:
             (xu, yu), (xw, yw) = g[u], g[w]
             dx = xw - xu
-            if dx == 0 or abs(yw - yu) * eps_den >= eps_num * abs(dx):
-                raise NotAcceptable(2, f"edge {u}-{w} slope not strictly between +-{self.epsilon}")
+            if dx == 0 or abs(yw - yu) * 2 >= abs(dx):
+                raise NotAcceptable(2, f"edge {u}-{w} slope not strictly between +-1/2")
             right = w if dx > 0 else u
             lefts[right] = lefts.get(right, 0) + 1
         crowded = min((v for v, n in lefts.items() if n > 1), default=None)
@@ -599,28 +598,25 @@ def serialize_tree(emb: AcceptableEmbedding) -> str:
     return "\n".join(lines)
 
 
-def spread_embedding(t: SignedTree, root: Optional[int] = None) -> AcceptableEmbedding:
+def spread_embedding(t: SignedTree) -> AcceptableEmbedding:
     """Deterministic acceptable embedding: DFS order on x, small y jitter.
 
-    The root (left-most vertex) defaults to the smallest-id end vertex.
+    The root (left-most vertex) is the smallest-id end vertex.
     """
-    if root is None:
-        root = min(v for v in t.vertices if t.valence(v) == 1)
-    order = _dfs_order(t, root)
+    order = _dfs_order(t, min(v for v in t.vertices if t.valence(v) == 1))
     n = len(order)
     coords = {v: (Fraction(i), Fraction((i % 3) - 1, 4 * n)) for i, v in enumerate(order)}
     return AcceptableEmbedding.make(t, coords)
 
 
 def _dfs_order(t: SignedTree, root: int) -> list[int]:
-    """Depth-first preorder from root, smaller neighbor ids first."""
+    """Depth-first preorder from root, smaller neighbor ids first; a tree
+    pushes each vertex once."""
     order: list[int] = []
     stack = [root]
     seen: set[int] = set()
     while stack:
         u = stack.pop()
-        if u in seen:
-            continue
         seen.add(u)
         order.append(u)
         for w in reversed(t.neighbors(u)):

@@ -161,6 +161,14 @@ class TestTree2Front:
         assert code == 0
         assert out.strip() == "L 1\nR 1"
 
+    def test_trace_without_normalize(self, capsys, tmp_path):
+        p = tmp_path / "fork.sat"
+        p.write_text("v 0 0 0 +\nv 1 1 0 -\nv 2 2 1/8 +\nv 3 2 -1/8 +\ne 0 1\ne 1 2\ne 1 3\n")
+        code, out, err = run(capsys, "tree2front", str(p), "--trace")
+        assert code == 0
+        assert err == f"# built {len(out.splitlines())} events, invariants (-3, 2)\n"
+        assert out == run(capsys, "tree2front", str(p))[1]
+
     def test_normalize_matches_catalog(self, capsys, tmp_path):
         p = tmp_path / "tree.sat"
         # 5-vertex tree with a fork
@@ -332,6 +340,22 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["status"] == "isotopic"
 
+    def test_tight_unknot_text_prints_representative(self, capsys):
+        code, out, _ = run(capsys, "classify", "tight-unknot", "--a", "-3,0", "--b", "-3,0")
+        want = fronts.serialize_front(trees.catalog_front(-3, 0))
+        assert (code, out) == (0, f"isotopic\n{want}\n")
+
+    @pytest.mark.parametrize("argv,want", [
+        (["--hopf", "-1", "--list", "2"],
+         {"hopf": -1, "classes": [[1, 0], [2, 1], [2, -1]]}),
+        (["--hopf", "-1", "--tb", "2", "--r", "-1"],
+         {"hopf": -1, "pair": [2, -1], "member": True}),
+        (["--hopf", "0", "--tb", "2", "--r", "1"], {"hopf": 0, "pair": [2, 1], "member": False}),
+    ])
+    def test_exceptional_json(self, capsys, argv, want):
+        code, out, _ = run(capsys, "classify", "exceptional", *argv, "--json")
+        assert (code, json.loads(out)) == (0, want)
+
 
 class TestRender:
     def test_ascii_eye(self, capsys, basic_file):
@@ -374,6 +398,12 @@ class TestExitCodes:
             main(["catalog"])  # missing required flags
         assert exc.value.code == 2
 
+    def test_missing_input_file_is_one(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.lfd")
+        code, out, err = run(capsys, "invariants", missing)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno 2]") and missing in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -390,6 +420,7 @@ class TestExitCodes:
             ["classify", "exceptional", "--hopf", "-1", "--r", "0"],
             ["classify", "exceptional", "--hopf", "-1", "--list", "-1"],
             ["fuzz", "--count", "-3"],
+            ["classify", "tight-unknot", "--a", "-1,0,1", "--b", "-1,0"],
         ],
     )
     def test_malformed_value_is_usage_error(self, capsys, argv):
@@ -523,9 +554,10 @@ def test_lifting_names_resolve_lazily():
 
     assert legkit.realize_front is lifting.realize_front
     assert legkit.lifting is lifting
-    assert set(legkit.__all__) >= {"GeomParams", "legendrian_lift", "lifting", "catalog_front"}
+    assert set(legkit.__all__) >= {"LiftedCurve", "legendrian_lift", "lifting", "catalog_front"}
+    assert "GeomParams" not in legkit.__all__
     namespace = {}
     exec("from legkit import *", namespace)
-    assert namespace["GeomParams"] is lifting.GeomParams
+    assert namespace["LiftedCurve"] is lifting.LiftedCurve
     with pytest.raises(AttributeError):
         legkit.no_such_name

@@ -46,6 +46,15 @@ class TestInit:
         with pytest.raises(BadInvariants):
             fo.init_boundary(0, 1)
 
+    @pytest.mark.parametrize("kinds", [["h", "e"] * 2, ["h", "e"] * 4])
+    def test_boundary_kinds_length(self, kinds):
+        with pytest.raises(BadInvariants, match=f"must list 6 kinds, got {len(kinds)}"):
+            fo.init_boundary(-3, 0, boundary_kinds=kinds)
+
+    def test_bad_boundary_kind(self):
+        with pytest.raises(BadInvariants, match="bad kind 'x'"):
+            fo.init_boundary(-1, 0, boundary_kinds=["e", "x"])
+
     def test_alternating_signs(self):
         s = fo.init_boundary(-4, 1)
         sm = s.sing_map
@@ -111,6 +120,19 @@ class TestAtomicRewrites:
         with pytest.raises(BadLeaves):
             fo.convert(s, "p0", "gamma", "gamma")
 
+    def test_unknown_ids(self):
+        s = fo.init_boundary(-3, 0)
+        with pytest.raises(NotConnected, match="unknown singularities p0, zz"):
+            fo.eliminate(s, "p0", "zz")
+        with pytest.raises(NotConnected, match="unknown singularities zz, q0"):
+            fo.eliminate(s, "zz", "q0")
+        with pytest.raises(BadLeaves, match="unknown singularity zz"):
+            fo.convert(s, "zz", "gamma", "tau")
+        with pytest.raises(NotConnected, match="unknown endpoint"):
+            fo.rewire(s, add=("p0", "zz"))
+        with pytest.raises(NotConnected, match="no separatrix"):
+            fo.rewire(s, remove=("p0", "zz"))
+
     def test_tightness_guard(self):
         s = fo.init_boundary(-3, 0)
         # closing a same-sign separatrix cycle p0 - q? ... use two rewires
@@ -135,6 +157,11 @@ class TestAtomicRewrites:
         s = fo.add_singularity_curve(s, "g", 1)
         with pytest.raises(PatternMismatch):
             fo.singularity_curve_move(s, "g", "merge")
+
+    def test_curve_move_bad_direction(self):
+        s = fo.add_singularity_curve(fo.init_boundary(-1, 0), "g", 1)
+        with pytest.raises(PatternMismatch, match="direction must be 'split' or 'merge'"):
+            fo.singularity_curve_move(s, "g", "flip")
 
 
 class TestReduce:
@@ -241,6 +268,12 @@ class TestDump:
         assert a.startswith("tb -3 r 0")
         assert "boundary" in a and "interior" in a
 
+    def test_curve_lines(self):
+        s = fo.add_singularity_curve(fo.add_singularity_curve(fo.init_boundary(-1, 0), "g", -1),
+                                     "k", 1)
+        s = fo.singularity_curve_move(s, "k", "split")
+        assert fo.dump_state(s).splitlines()[-2:] == ["curve g:-:curve", "curve k:+:split"]
+
 
 class TestTypedFailures:
     """Stage checks raise typed errors, so they hold under ``python -O``."""
@@ -266,6 +299,18 @@ class TestTypedFailures:
         s = fo.reduce_interior(fo.to_naf(fo.init_boundary(-3, 0)))
         monkeypatch.setattr(fo.FoliationState, "is_elliptic_form", lambda self: False)
         with pytest.raises(NotEllipticForm):
+            fo.to_elliptic_form(s)
+
+    def test_to_naf_needs_alternating_boundary(self):
+        s = fo.init_boundary(-3, 0)
+        s = replace(s, boundary=("b0", "b2", "b1", "b3", "b4", "b5"))  # signs + + - - + -
+        with pytest.raises(PatternMismatch, match="boundary signs must alternate"):
+            fo.to_naf(s)
+
+    def test_elliptic_form_needs_reduced_state(self):
+        s = fo.create_pair(fo.init_boundary(-3, 0), "leaf", 1)  # an interior h+
+        assert s.is_naf() and not s.is_reduced()
+        with pytest.raises(PatternMismatch, match="needs a reduced state"):
             fo.to_elliptic_form(s)
 
     def test_self_loop_is_a_cycle(self):
@@ -397,7 +442,7 @@ def ref_rewire(state, add=None, remove=None):
 
 
 def ref_to_naf(state):
-    if not fo._alternating(state):
+    if not state._alternates:
         raise PatternMismatch("boundary signs must alternate")
     cur = state
     for b in state.boundary:
@@ -685,7 +730,7 @@ def assert_facts_match_reference(state):
         want = ref_counts(state, locus)
         assert state.counts(locus) == want, locus
         assert state.identity_differences(locus) == (want["e+"] - want["h+"], want["e-"] - want["h-"])
-    assert fo._alternating(state) == ref_alternating(state)
+    assert state._alternates == ref_alternating(state)
     assert state.is_naf() == ref_is_naf(state)
     assert state.is_reduced() == ref_is_reduced(state)
     assert state.is_elliptic_form() == ref_is_elliptic_form(state)

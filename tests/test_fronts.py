@@ -238,10 +238,9 @@ def reference_traversal(tr, comp, dirs):
             return walk
 
 
-def reference_lift(rf, comp, of):
-    """legendrian_lift over the former partner walk."""
+def reference_lift(rf, comp, of, n):
+    """legendrian_lift at n samples per arc over the former partner walk."""
     xs, ys, zs = [], [], []
-    n = rf.params.samples_per_arc
     for arc, rightward in reference_traversal(rf.trace, comp, of.directions):
         curve = rf.curves[arc]
         x, z, y = (np.empty(len(curve.pieces) * curve.steps(n)) for _ in range(3))
@@ -337,16 +336,17 @@ def reference_displace_zigzag(d, from_arc, to_arc):
     return reference_insert_zigzag(reduced, matches[0], direction)
 
 
-def reference_realize_curves(d, params=lf.GeomParams()):
+def reference_realize_curves(d):
     """realize_front's curves from a (slot, position) level dict and a
-    search of the stack snapshots for each slot knot."""
+    search of the stack snapshots for each slot knot: strand spacing 1,
+    crossing slopes +-1/2, cusp reach 0.3."""
     tr = fr.trace_components(d)
     stacks = reference_stacks(d)
     lv = {}
     for j, stack in enumerate(stacks):
         n = len(stack)
         for p in range(1, n + 1):
-            lv[(j, p)] = (p - (n + 1) / 2.0) * params.spacing
+            lv[(j, p)] = p - (n + 1) / 2.0
 
     def endpoint(a, born):
         k = a.born if born else a.died
@@ -355,7 +355,7 @@ def reference_realize_curves(d, params=lf.GeomParams()):
         if ev.kind != fr.CROSS:
             return float(k + 1), z, 0.0, True
         up = a.role == 1 if born else stacks[k][ev.position - 1] == a.index
-        return float(k + 1), z, params.crossing_slope if up else -params.crossing_slope, False
+        return float(k + 1), z, 0.5 if up else -0.5, False
 
     curves = []
     for a in tr.arcs:
@@ -366,10 +366,10 @@ def reference_realize_curves(d, params=lf.GeomParams()):
         head, tail = (x0, z0, s0), (x1, z1, s1)
         pieces = []
         if cusp0:
-            head = lf._cusp_end(x0, z0, *pts[1], params.cusp_reach)
+            head = lf._cusp_end(x0, z0, *pts[1])
             pieces.append(lf._cusp_piece(x0, z0, *head[:2]))
         if cusp1:
-            tail = lf._cusp_end(x1, z1, *pts[-2], params.cusp_reach)
+            tail = lf._cusp_end(x1, z1, *pts[-2])
         chain = [head, *((ax, az, (zn - zp) / (xn - xp))
                          for (xp, zp), (ax, az), (xn, zn) in zip(pts, pts[1:], pts[2:])), tail]
         for (xa, za, sa), (xb, zb, sb) in zip(chain, chain[1:]):
@@ -417,11 +417,10 @@ def outcome(f, *args):
         return type(exc)
 
 
-def check_against_references(d, spacing=1.0):
+def check_against_references(d):
     """Zig-zags, realization and ASCII sketch of d equal the references'."""
     assert fr.find_zigzags(d) == reference_find_zigzags(d)
-    params = lf.GeomParams(spacing=spacing)
-    assert lf.realize_front(d, params).curves == reference_realize_curves(d, params)
+    assert lf.realize_front(d).curves == reference_realize_curves(d)
     assert render.render_ascii(d) == reference_render_ascii(d)
 
 
@@ -663,11 +662,11 @@ class TestParityChecks:
 
 class TestRangeOracles:
     @pytest.mark.parametrize(
-        "tb,r,chi,expect",
-        [(-1, 0, 1, True), (1, 0, 1, False), (-3, 2, 1, True)],
+        "tb,r,expect",
+        [(-1, 0, True), (1, 0, False), (-3, 2, True)],
     )
-    def test_bennequin(self, tb, r, chi, expect):
-        assert fr.check_bennequin(tb, r, chi) is expect
+    def test_bennequin(self, tb, r, expect):
+        assert fr.check_bennequin(tb, r) is expect
 
     def test_parity(self):
         assert fr.check_parity(-1, 0)
@@ -774,10 +773,10 @@ class TestProperties:
         d = fr.random_closed_front(random.Random(seed), 30)
         k = fr.trace_components(d).n_components
         of = fr.OrientedFront(d, data.draw(st.frozensets(st.integers(0, k - 1))))
-        rf = lf.realize_front(d, lf.GeomParams(samples_per_arc=20))
+        rf = lf.realize_front(d)
         for c in range(k):
-            lc = lf.legendrian_lift(rf, c, of)
-            ref = reference_lift(rf, c, of)
+            lc = lf.legendrian_lift(rf, c, of, samples_per_arc=20)
+            ref = reference_lift(rf, c, of, 20)
             for got, want in zip((lc.x, lc.y, lc.z), ref):
                 assert np.array_equal(got, want)
 
@@ -912,7 +911,7 @@ class TestReadersMatchReferences:
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 60), data=st.data())
     def test_random_fronts(self, seed, size, data):
         d = fr.random_closed_front(random.Random(seed), size)
-        check_against_references(d, spacing=data.draw(st.sampled_from([1.0, 0.7])))
+        check_against_references(d)
         n = len(fr.trace_components(d).arcs)
         arc = data.draw(st.integers(-1, n))
         direction = data.draw(st.sampled_from([fr.UP, fr.DOWN, "+"]))

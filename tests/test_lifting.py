@@ -11,19 +11,16 @@ from hypothesis import strategies as st
 from legkit import fronts as fr
 from legkit import lifting as lf
 from legkit import trees as tr
-from legkit.errors import DegenerateTangent, GeometryDegenerate
+from legkit.errors import DegenerateTangent, GeometryDegenerate, NotClosed
 
-FAST = lf.GeomParams(samples_per_arc=4000)
-
-
-def lift(text, params=FAST, of=None):
+def lift(text, samples=4000, of=None):
     d = fr.parse_front(text)
-    return lf.legendrian_lift(lf.realize_front(d, params), of=of)
+    return lf.legendrian_lift(lf.realize_front(d), of=of, samples_per_arc=samples)
 
 
 def polyline(points):
     x, y = np.array(points, float).T
-    return lf.LiftedCurve.from_samples(x, y, np.zeros_like(x))
+    return lf.LiftedCurve(x, y, np.zeros_like(x))
 
 
 # The former whole-array lift, quadrature and winding, kept as references:
@@ -48,14 +45,14 @@ def ref_sample(curve, n):
     return tuple(np.append(a[:, :-1], a[-1, -1]) for a in (x, z, y))
 
 
-def ref_lift(rf, comp, of):
+def ref_lift(rf, comp, of, samples):
     dirs = of.directions
     cycle = rf.trace.cycles[comp]
     if not dirs[cycle[0]]:
         cycle = cycle[:1] + cycle[:0:-1]
     xs, ys, zs = [], [], []
     for arc in cycle:
-        x, z, y = ref_sample(rf.curves[arc], rf.params.samples_per_arc)
+        x, z, y = ref_sample(rf.curves[arc], samples)
         if not dirs[arc]:
             x, z, y = x[::-1], z[::-1], y[::-1]
         xs.append(x[:-1])
@@ -198,7 +195,7 @@ _FISH = [(-1, -1), (1, 1), (3, 1), (3, -1), (1, -1), (-1, 1)]
 class TestRealize:
     def test_basic_two_cusps_no_crossings(self):
         d = fr.parse_front("L 1\nR 1")
-        rf = lf.realize_front(d, FAST)
+        rf = lf.realize_front(d)
         assert len(rf.curves) == 2
         assert rf.trace.crossings == ()
         lc = lf.legendrian_lift(rf)
@@ -206,29 +203,28 @@ class TestRealize:
         assert lc.y[(lc.x == 1.0) | (lc.x == 2.0)].tolist() == [0.0, 0.0]
 
     def test_crossing_gap(self):
-        for slope in (0.25, 0.5, 2.0):
-            params = dataclasses.replace(FAST, crossing_slope=slope)
-            lc = lift("L 1\nX 1\nR 1", params)
-            # the crossing is at x = 2; the branches leave it at slopes -+slope
-            assert sorted(lc.y[lc.x == 2.0]) == [-slope, slope]
-            assert 2 * slope >= params.slope_margin
-
-    def test_degenerate_parameters(self):
-        d = fr.parse_front("L 1\nX 1\nR 1")
-        with pytest.raises(GeometryDegenerate):
-            lf.realize_front(d, lf.GeomParams(crossing_slope=0.0))
-
-    @pytest.mark.parametrize("n", [1, 0, -5])
-    def test_too_few_samples(self, n):
-        with pytest.raises(GeometryDegenerate):
-            lf.realize_front(fr.parse_front("L 1\nR 1"), lf.GeomParams(samples_per_arc=n))
+        lc = lift("L 1\nX 1\nR 1")
+        # the crossing is at x = 2; the branches leave it at slopes -+1/2
+        assert sorted(lc.y[lc.x == 2.0]) == [-0.5, 0.5] == [-lf.CROSSING_SLOPE, lf.CROSSING_SLOPE]
 
     def test_catalog_never_degenerate(self):
         for tb, r in [(-1, 0), (-3, 2), (-5, 0), (-6, -3)]:
-            lf.realize_front(tr.catalog_front(tb, r), FAST)
+            lf.realize_front(tr.catalog_front(tb, r))
 
 
 class TestLift:
+    @pytest.mark.parametrize("n", [1, 0, -5])
+    def test_too_few_samples(self, n):
+        rf = lf.realize_front(fr.parse_front("L 1\nR 1"))
+        with pytest.raises(GeometryDegenerate, match=f"samples_per_arc {n} below 2"):
+            lf.legendrian_lift(rf, samples_per_arc=n)
+
+    @pytest.mark.parametrize("comp", [-1, 1, 5])
+    def test_bad_component(self, comp):
+        rf = lf.realize_front(fr.parse_front("L 1\nR 1"))
+        with pytest.raises(NotClosed, match=f"no component {comp}"):
+            lf.legendrian_lift(rf, comp)
+
     def test_basic_closure_and_residual(self):
         lc = lift("L 1\nR 1")
         assert lc.legendrian_residual() / lc.diameter() < 1e-9
@@ -240,30 +236,30 @@ class TestLift:
         # the two branches meet at one front point but carry different slopes
         assert np.count_nonzero(at) == 2
         assert len(set(lc.z[at])) == 1
-        assert np.ptp(lc.y[at]) == 2 * FAST.crossing_slope
+        assert np.ptp(lc.y[at]) == 2 * lf.CROSSING_SLOPE
 
     def test_truncated_curve_flagged(self):
         lc = lift("L 1\nR 1")
         n = len(lc.x) // 4  # stop mid-arc, where the running integral is not zero
-        part = lf.LiftedCurve.from_samples(lc.x[:n], lc.y[:n], lc.z[:n], closed=False)
+        part = lf.LiftedCurve(lc.x[:n], lc.y[:n], lc.z[:n], closed=False)
         assert abs(part.closure_integral()) > 1e-3
 
     def test_halving_improves_residual_and_closure(self):
         d = tr.catalog_front(-3, 0)
-        r1 = lf.legendrian_lift(lf.realize_front(d, lf.GeomParams(samples_per_arc=2000)))
-        r2 = lf.legendrian_lift(lf.realize_front(d, lf.GeomParams(samples_per_arc=4000)))
+        r1 = lf.legendrian_lift(lf.realize_front(d), samples_per_arc=2000)
+        r2 = lf.legendrian_lift(lf.realize_front(d), samples_per_arc=4000)
         assert r1.legendrian_residual() / r2.legendrian_residual() >= 2
         # (-3, 0) is mirror-symmetric: its panel errors cancel to rounding
         assert abs(r1.closure_integral()) <= 1e-15 * r1.diameter()
         d = tr.catalog_front(-4, 1)
-        a1 = lf.legendrian_lift(lf.realize_front(d, lf.GeomParams(samples_per_arc=2000)))
-        a2 = lf.legendrian_lift(lf.realize_front(d, lf.GeomParams(samples_per_arc=4000)))
+        a1 = lf.legendrian_lift(lf.realize_front(d), samples_per_arc=2000)
+        a2 = lf.legendrian_lift(lf.realize_front(d), samples_per_arc=4000)
         assert abs(a1.closure_integral()) / max(abs(a2.closure_integral()), 1e-30) >= 2
 
     def test_panel_rule_fourth_order(self):
         d = tr.catalog_front(-4, 1)
-        r1 = lf.legendrian_lift(lf.realize_front(d, lf.GeomParams(samples_per_arc=250)))
-        r2 = lf.legendrian_lift(lf.realize_front(d, lf.GeomParams(samples_per_arc=500)))
+        r1 = lf.legendrian_lift(lf.realize_front(d), samples_per_arc=250)
+        r2 = lf.legendrian_lift(lf.realize_front(d), samples_per_arc=500)
         assert r1.legendrian_residual() / r2.legendrian_residual() >= 8
         assert abs(r1.closure_integral()) / abs(r2.closure_integral()) >= 8
 
@@ -276,7 +272,7 @@ class TestLift:
         x = np.concatenate([s, 1 + s, 2 - s, 1 - s])
         y = np.concatenate([bump, -bump, bump, -bump])
         z = np.concatenate([rise, 2 / 3 - rise, -rise, rise - 2 / 3])
-        lc = lf.LiftedCurve.from_samples(x, y, z)
+        lc = lf.LiftedCurve(x, y, z)
         assert lc.legendrian_residual() <= 1e-15
         assert abs(lc.closure_integral()) <= 1e-15
 
@@ -287,9 +283,9 @@ class TestLift:
         assert len(panels) == 3 and panels[-1] == (4 + 0) / 2 * (0 - 1)
         # z rises by each panel's integral, so only the trapezoid leaves a residual
         z = np.array([0, 0, panels[0], 0, panels[0] + panels[1]])
-        closed = lf.LiftedCurve.from_samples(x, y, z)
+        closed = lf.LiftedCurve(x, y, z)
         # open, three steps: one panel, then the trapezoid from (3, 1) to (2, 5)
-        open_ = lf.LiftedCurve.from_samples(x[:4], y[:4], z[[0, 1, 2, 2]], closed=False)
+        open_ = lf.LiftedCurve(x[:4], y[:4], z[[0, 1, 2, 2]], closed=False)
         assert ref_panel_terms(open_)[1][-1] == (5 + 1) / 2 * (2 - 3)
         assert closed.legendrian_residual() == pytest.approx(abs(0 - z[4] - panels[-1]), abs=1e-12)
         assert open_.legendrian_residual() == 3.0
@@ -300,7 +296,7 @@ class TestLift:
 
     def test_arrays_read_only(self):
         x = np.array([0.0, 1.0, 1.0, 0.0])
-        lc = lf.LiftedCurve.from_samples(x, [0.0, 0.0, 1.0, 1.0], np.zeros(4))
+        lc = lf.LiftedCurve(x, [0.0, 0.0, 1.0, 1.0], np.zeros(4))
         before = lc.closure_integral()
         x[1] = 5.0  # the caller's array is not the curve's
         assert lc.closure_integral() == before
@@ -316,12 +312,12 @@ class TestLift:
         assert owned.x is x and owned.y is y and owned.z is z and owned.closed
         assert not x.flags.writeable
         # a caller's array is still copied, even a read-only one
-        again = lf.LiftedCurve.from_samples(lc.x, lc.y, lc.z)
+        again = lf.LiftedCurve(lc.x, lc.y, lc.z)
         assert not np.shares_memory(again.x, lc.x)
         assert again.closure_integral() == lc.closure_integral()
 
     def test_pieces_start_at_even_indices(self):
-        rf = lf.realize_front(tr.catalog_front(-4, 1), lf.GeomParams(samples_per_arc=101))
+        rf = lf.realize_front(tr.catalog_front(-4, 1))
         for curve in rf.curves:
             per = curve.steps(101)
             x, z, y = (np.empty(per * len(curve.pieces)) for _ in range(3))
@@ -329,18 +325,18 @@ class TestLift:
             assert per % 2 == 0
             for k, piece in enumerate(curve.pieces):
                 assert (x[k * per], z[k * per]) == (piece.cx[0], piece.cz[0])
-        lc = lf.legendrian_lift(rf)
+        lc = lf.legendrian_lift(rf, samples_per_arc=101)
         assert len(lc.x) % 2 == 0
 
     @pytest.mark.parametrize("samples", [4000, 101, 2])
     def test_lift_matches_reference(self, samples):
         # bit for bit, the sign of zero included, in both orientations
         for d in _acceptance_grid():
-            rf = lf.realize_front(d, lf.GeomParams(samples_per_arc=samples))
+            rf = lf.realize_front(d)
             of = fr.OrientedFront.default(d)
             for o in (of, of.reverse(0)):
-                lc = lf.legendrian_lift(rf, of=o)
-                for got, want in zip((lc.x, lc.y, lc.z), ref_lift(rf, 0, o)):
+                lc = lf.legendrian_lift(rf, of=o, samples_per_arc=samples)
+                for got, want in zip((lc.x, lc.y, lc.z), ref_lift(rf, 0, o, samples)):
                     assert got.tobytes() == want.tobytes()
 
 
@@ -364,7 +360,7 @@ class TestQuadratureAndWinding:
         pts = np.random.default_rng(seed).random((n, 3)) * 8 - 4
         for k, times in repeats:
             pts = np.insert(pts, k % len(pts), np.repeat(pts[k % len(pts)][None], times, 0), 0)
-        lc = lf.LiftedCurve.from_samples(*pts.T, closed=closed)
+        lc = lf.LiftedCurve(*pts.T, closed=closed)
         with mock.patch.object(lf, "_BLOCK", block):
             assert_matches_numeric_reference(lc)
 
@@ -395,7 +391,7 @@ class TestDegenerateTangent:
     ])
     def test_fewer_than_three_edges_raise(self, points, closed):
         x, y = np.array(points, float).reshape(-1, 2).T
-        lc = lf.LiftedCurve.from_samples(x, y, np.zeros_like(x), closed=closed)
+        lc = lf.LiftedCurve(x, y, np.zeros_like(x), closed=closed)
         with pytest.raises(DegenerateTangent):
             lc.winding
         with pytest.raises(DegenerateTangent):
@@ -417,10 +413,10 @@ class TestDegenerateTangent:
         square = polyline(self.SQUARE)
         x, y = np.array(self.SQUARE + self.SQUARE[:1], float).T
         # open and back at its start: the same edges as the closed square
-        back = lf.LiftedCurve.from_samples(x, y, np.zeros_like(x), closed=False)
+        back = lf.LiftedCurve(x, y, np.zeros_like(x), closed=False)
         # open, three sides: it turns twice by a quarter, and by a half from
         # its last edge back to its first
-        three = lf.LiftedCurve.from_samples(x[:4], y[:4], np.zeros(4), closed=False)
+        three = lf.LiftedCurve(x[:4], y[:4], np.zeros(4), closed=False)
         assert square.winding == back.winding == pytest.approx(-1.0, abs=1e-12)
         assert three.winding == pytest.approx(ref_winding(three), abs=1e-12)
         assert lf.numeric_rotation(three) == round(ref_winding(three))
@@ -431,14 +427,14 @@ class TestRotation:
         for tb, r in [(-1, 0), (-2, 1), (-4, -3), (-5, 2)]:
             d = tr.catalog_front(tb, r)
             of = fr.OrientedFront.default(d)
-            lc = lf.legendrian_lift(lf.realize_front(d, FAST), of=of)
+            lc = lf.legendrian_lift(lf.realize_front(d), of=of)
             assert lf.numeric_rotation(lc) == fr.rotation_number(of) == r
             assert lf.rotation_residual(lc) < 0.01
 
     def test_reversal_negates(self):
         d = tr.catalog_front(-2, 1)
         of = fr.OrientedFront.default(d).reverse(0)
-        lc = lf.legendrian_lift(lf.realize_front(d, FAST), of=of)
+        lc = lf.legendrian_lift(lf.realize_front(d), of=of)
         assert lf.numeric_rotation(lc) == -1
 
 
@@ -463,7 +459,7 @@ class TestEmbeddedness:
         # a pinched curve: right lobe has area, the pinch loop does not
         x = np.concatenate([np.cos(t), 0.001 * np.cos(t)])
         y = np.concatenate([np.sin(t), 0.001 * np.sin(t)])
-        lc = lf.LiftedCurve.from_samples(x, y, np.zeros_like(x))
+        lc = lf.LiftedCurve(x, y, np.zeros_like(x))
         rep = lf.lagrangian_embeddedness_check(lc, tolerance=1e-4)
         assert not rep.embedded
         assert any(p.flagged is True for p in rep.double_points)
@@ -478,7 +474,7 @@ class TestEmbeddedness:
 
     @pytest.mark.parametrize("tb,r", [(-2, 1), (-4, 3), (-5, -2), (-5, 2)])
     def test_catalog_lifts_embedded(self, tb, r):
-        lc = lf.legendrian_lift(lf.realize_front(tr.catalog_front(tb, r), FAST))
+        lc = lf.legendrian_lift(lf.realize_front(tr.catalog_front(tb, r)))
         rep = lf.lagrangian_embeddedness_check(lc)
         assert rep.double_points
         assert rep.embedded
@@ -536,7 +532,7 @@ class TestEmbeddedness:
 
     @pytest.mark.parametrize("max_segments", [0, -3])
     def test_max_segments_below_one(self, max_segments):
-        lc = lift("L 1\nX 1\nR 1", lf.GeomParams(samples_per_arc=50))
+        lc = lift("L 1\nX 1\nR 1", 50)
         with pytest.raises(GeometryDegenerate):
             lf.lagrangian_embeddedness_check(lc, max_segments=max_segments)
 
@@ -554,7 +550,7 @@ class TestEmbeddedness:
     def test_basic_unknot_one_double_point_at_every_density(self, samples):
         # the figure-eight crossing at (1.5, 0) is a sample vertex of both strands
         rep = lf.lagrangian_embeddedness_check(
-            lift("L 1\nR 1", lf.GeomParams(samples_per_arc=samples)))
+            lift("L 1\nR 1", samples))
         assert [p.point for p in rep.double_points] == [(1.5, 0.0)]
         assert rep.embedded
 
@@ -582,7 +578,7 @@ class TestEmbeddedness:
 
 class TestCsv:
     def test_header_and_precision(self):
-        lc = lift("L 1\nR 1", lf.GeomParams(samples_per_arc=50))
+        lc = lift("L 1\nR 1", 50)
         text = lf.lift_csv(lc)
         lines = text.splitlines()
         assert lines[0] == "x,y,z"
@@ -595,7 +591,7 @@ class TestCsv:
             return "\n".join(["x,y,z", *rows])
 
         for tb, r in ((-1, 0), (-4, 3), (-5, 2)):
-            lc = lf.legendrian_lift(lf.realize_front(tr.catalog_front(tb, r), FAST))
+            lc = lf.legendrian_lift(lf.realize_front(tr.catalog_front(tb, r)))
             assert lf.lift_csv(lc) == ref_lift_csv(lc)
         lc = polyline([(0.0, -0.0), (1e-300, 1 / 3), (-2.5e17, 7.0)])
         assert lf.lift_csv(lc) == ref_lift_csv(lc)

@@ -1,5 +1,4 @@
 import hashlib
-import math
 import random
 import re
 import xml.etree.ElementTree as ET
@@ -13,9 +12,8 @@ from legkit import fronts as fr
 from legkit import render
 from legkit import trees as tr
 from legkit.cli import main
-from legkit.errors import GeometryDegenerate
 from legkit.fronts import CROSS, FrontDiagram, FrontEvent
-from legkit.lifting import GeomParams, realize_front
+from legkit.lifting import realize_front
 from test_lifting import ref_sample
 
 # Reference SVG: the former renderer, which maps every sample of a
@@ -24,11 +22,12 @@ from test_lifting import ref_sample
 # tests below compare the two geometrically.
 
 REF_SAMPLES = 400
+SCALE = 60.0  # page units per front unit
 
 
-def ref_render_svg(d, scale=60.0):
+def ref_render_svg(d):
     samples = REF_SAMPLES
-    rf = realize_front(d, GeomParams(samples_per_arc=samples))
+    rf = realize_front(d)
     tr_ = rf.trace
     paths = []
     pts = {}
@@ -39,11 +38,11 @@ def ref_render_svg(d, scale=60.0):
     all_z = np.concatenate([p[1] for p in pts.values()])
     x0, x1 = float(all_x.min()) - 0.5, float(all_x.max()) + 0.5
     z0, z1 = float(all_z.min()) - 0.5, float(all_z.max()) + 0.5
-    width = (x1 - x0) * scale
-    height = (z1 - z0) * scale
+    width = (x1 - x0) * SCALE
+    height = (z1 - z0) * SCALE
 
     def to_svg(x, z):
-        return (x - x0) * scale, (z1 - z) * scale
+        return (x - x0) * SCALE, (z1 - z) * SCALE
 
     def path_of(arc, lo=0.0, hi=1.0):
         x, z = pts[arc]
@@ -59,7 +58,7 @@ def ref_render_svg(d, scale=60.0):
     for xr in tr_.crossings:
         ev = xr.event
         cx, cz = to_svg(ev + 1, float(np.mean([pts[xr.in_lower][1][-1]])))
-        paths.append(f'<circle cx="{cx:.2f}" cy="{cz:.2f}" r="{0.18 * scale:.2f}" fill="white"/>')
+        paths.append(f'<circle cx="{cx:.2f}" cy="{cz:.2f}" r="{0.18 * SCALE:.2f}" fill="white"/>')
         paths.append(path_of(xr.in_upper, lo=0.75))
         paths.append(path_of(xr.out_lower, hi=0.25))
     body = "\n".join(paths)
@@ -108,12 +107,12 @@ def bezier_at(ctrl, pieces, per):
     return np.concatenate([r[:-1] for r in rows] + [rows[-1][-1:]])
 
 
-def check_geometry(d, scale=60.0):
+def check_geometry(d):
     """render_svg against the reference renderer, point by point."""
     rf = realize_front(d)
     trace = rf.trace
-    root = ET.fromstring(render.render_svg(d, scale))
-    new, ref = list(root), list(ET.fromstring(ref_render_svg(d, scale)))
+    root = ET.fromstring(render.render_svg(d))
+    new, ref = list(root), list(ET.fromstring(ref_render_svg(d)))
     n_arcs, n_cross = len(trace.arcs), len(trace.crossings)
     # one path per arc; per crossing a white disk and the two casing halves
     assert [e.tag for e in new] == [e.tag for e in ref]
@@ -124,10 +123,10 @@ def check_geometry(d, scale=60.0):
     x0, x1, z0, z1 = hull_box(rf)
     ref_x = np.concatenate([ref_sample(c, REF_SAMPLES)[0] for c in rf.curves])
     ref_z = np.concatenate([ref_sample(c, REF_SAMPLES)[1] for c in rf.curves])
-    shift = np.array([(x0 - ref_x.min() + 0.5) * scale, (ref_z.max() + 0.5 - z1) * scale])
+    shift = np.array([(x0 - ref_x.min() + 0.5) * SCALE, (ref_z.max() + 0.5 - z1) * SCALE])
     width, height = (float(v) for v in root.get("viewBox").split()[2:])
-    assert abs(width - (x1 - x0) * scale) <= 0.005 + 1e-9
-    assert abs(height - (z1 - z0) * scale) <= 0.005 + 1e-9
+    assert abs(width - (x1 - x0) * SCALE) <= 0.005 + 1e-9
+    assert abs(height - (z1 - z0) * SCALE) <= 0.005 + 1e-9
     ref_pts = {}
     for curve, e, r in zip(rf.curves, new, ref):
         n = len(curve.pieces)
@@ -138,8 +137,8 @@ def check_geometry(d, scale=60.0):
         assert np.abs(got - ref_pts[curve.arc]).max() <= TOL
         # every point of the curve lies inside the viewBox
         x, z, _ = ref_sample(curve, 4000)
-        assert (0 <= (x - x0) * scale).all() and ((x - x0) * scale <= width).all()
-        assert (0 <= (z1 - z) * scale).all() and ((z1 - z) * scale <= height).all()
+        assert (0 <= (x - x0) * SCALE).all() and ((x - x0) * SCALE <= width).all()
+        assert (0 <= (z1 - z) * SCALE).all() and ((z1 - z) * SCALE <= height).all()
     for k, xr in enumerate(trace.crossings):
         circle, upper, lower = new[n_arcs + 3 * k:n_arcs + 3 * k + 3]
         rcircle, rupper, rlower = ref[n_arcs + 3 * k:n_arcs + 3 * k + 3]
@@ -225,16 +224,3 @@ def test_catalog_svg_digest(capsys):
     assert main(["catalog", "--tb", "-5", "--r", "2", "--svg"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "b531ff4d48bee4a888b5524c8ee8c965a9bd61dcc4b35ea4f80fad17fbf914fc"
-
-
-@pytest.mark.parametrize("scale", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf,
-                                   "60", None, True, 1j])
-def test_svg_rejects_bad_scale(scale):
-    with pytest.raises(GeometryDegenerate, match="scale"):
-        render.render_svg(tr.catalog_front(-3, 0), scale=scale)
-
-
-def test_svg_scale_is_a_page_factor():
-    d = tr.catalog_front(-4, 1)
-    assert render.render_svg(d, scale=30) == render.render_svg(d, scale=30.0)
-    check_geometry(d, scale=7.5)

@@ -45,7 +45,7 @@ def front_invariants(emb):
 # integer grid.
 
 
-def ref_check_acceptable(tree, cm, epsilon=F(1, 2)):
+def ref_check_acceptable(tree, cm):
     """Raise the NotAcceptable the embedding (tree, cm) fails, if any."""
     if set(cm) != set(tree.vertices):
         raise NotAcceptable(0, "coordinates must cover exactly the vertex set")
@@ -55,8 +55,8 @@ def ref_check_acceptable(tree, cm, epsilon=F(1, 2)):
         u, w = tuple(e)
         dx = cm[w][0] - cm[u][0]
         dy = cm[w][1] - cm[u][1]
-        if dx == 0 or abs(F(dy) / F(dx)) >= epsilon:
-            raise NotAcceptable(2, f"edge {u}-{w} slope not strictly between +-{epsilon}")
+        if dx == 0 or abs(F(dy) / F(dx)) >= F(1, 2):
+            raise NotAcceptable(2, f"edge {u}-{w} slope not strictly between +-1/2")
     for v in tree.vertices:
         left = [w for w in tree.neighbors(v) if cm[w][0] < cm[v][0]]
         if len(left) > 1:
@@ -518,17 +518,16 @@ def hubs_adjacent(t):
 
 
 DENOMINATORS = (1, 2, 3, 7, 11, 13)
-EPSILONS = (F(1, 2), F(3, 7), F(1, 3), 1)
 
 
 @st.composite
 def embedding_inputs(draw):
-    """(tree, coords, epsilon) on 2-8 vertices, random and adversarial.
+    """(tree, coords) on 2-8 vertices, random and adversarial.
 
     Each vertex sits a random rational step right of its tree parent, and
     now and then level with it or left of it.  Its edge slope is mostly
-    random in [-1.1 epsilon, 1.1 epsilon], sometimes exactly +-epsilon or
-    just inside +-epsilon.
+    random in [-1.1 eps, 1.1 eps] for eps = 1/2, sometimes exactly +-eps or
+    just inside +-eps.
     Denominators are coprime; integral coordinates are sometimes plain
     ints and dyadic ones sometimes floats.
     """
@@ -536,7 +535,7 @@ def embedding_inputs(draw):
     parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
     ids = draw(st.permutations(range(n)))
     root_sign = draw(st.sampled_from((1, -1)))
-    eps = F(draw(st.sampled_from(EPSILONS)))
+    eps = F(1, 2)
     rational = st.builds(F, st.integers(1, 30), st.sampled_from(DENOMINATORS))
     depth = [0]
     pts = [(draw(rational) - 1, draw(rational) - 1)]
@@ -563,7 +562,7 @@ def embedding_inputs(draw):
     signs = {ids[v]: root_sign * (-1) ** depth[v] for v in range(n)}
     edges = [(ids[p], ids[v]) for v, p in enumerate(parents, start=1)]
     coords = {ids[v]: (plain(x), plain(y)) for v, (x, y) in enumerate(pts)}
-    return tr.SignedTree.make(signs, edges), coords, draw(st.sampled_from((eps, float(eps))))
+    return tr.SignedTree.make(signs, edges), coords
 
 
 def not_acceptable(fn):
@@ -578,17 +577,17 @@ class TestIntegerGrid:
     """The grid checks, left-most vertex and child order against the
     Fraction-slope reference."""
 
-    def assert_matches_reference(self, tree, coords, eps=F(1, 2)):
+    def assert_matches_reference(self, tree, coords):
         # the grid takes a float at its exact binary value; the reference
         # would round float differences, so it gets the exact values
         exact = {v: (F(x), F(y)) for v, (x, y) in coords.items()}
-        want = not_acceptable(lambda: ref_check_acceptable(tree, exact, eps))
-        got = not_acceptable(lambda: tr.AcceptableEmbedding.make(tree, coords, eps))
+        want = not_acceptable(lambda: ref_check_acceptable(tree, exact))
+        got = not_acceptable(lambda: tr.AcceptableEmbedding.make(tree, coords))
         assert got == want
         if want is not None:
             return None
-        emb = tr.AcceptableEmbedding.make(tree, coords, eps)
-        ref = tr.AcceptableEmbedding.make(tree, exact, eps)
+        emb = tr.AcceptableEmbedding.make(tree, coords)
+        ref = tr.AcceptableEmbedding.make(tree, exact)
         assert emb.leftmost == ref_leftmost(ref)
         for v in tree.vertices:
             for parent in (None, *tree.neighbors(v)):
@@ -601,27 +600,27 @@ class TestIntegerGrid:
     def test_random_embeddings_match_reference(self, case):
         self.assert_matches_reference(*case)
 
-    @pytest.mark.parametrize("eps", [F(1, 2), F(3, 7)])
     @pytest.mark.parametrize("side", [1, -1])
-    def test_slope_exactly_epsilon_is_rejected(self, eps, side):
+    def test_slope_exactly_epsilon_is_rejected(self, side):
         t = tr.SignedTree.make({0: 1, 1: -1}, [(0, 1)])
         x0, y0, dx = F(1, 3), F(-5, 11), F(7, 13)
-        coords = {0: (x0, y0), 1: (x0 + dx, y0 + side * eps * dx)}
-        self.assert_matches_reference(t, coords, eps)
+        coords = {0: (x0, y0), 1: (x0 + dx, y0 + side * dx / 2)}
+        self.assert_matches_reference(t, coords)
         with pytest.raises(NotAcceptable) as exc:
-            tr.AcceptableEmbedding.make(t, coords, eps)
+            tr.AcceptableEmbedding.make(t, coords)
         assert exc.value.condition == 2
+        assert str(exc.value) == (
+            "acceptability condition 2 failed: edge 0-1 slope not strictly between +-1/2")
 
     @pytest.mark.parametrize("side", [1, -1])
     def test_slope_one_grid_step_inside_epsilon(self, side):
-        # the grid has 3 * 11 * 13 = 429 steps per unit: |dY| = eps * dX - 1
+        # the grid has 3 * 11 * 13 = 429 steps per unit: |dY| = dX / 2 - 1
         t = tr.SignedTree.make({0: 1, 1: -1}, [(0, 1)])
-        eps, x0, y0, dx = F(3, 7), F(1, 3), F(-5, 11), F(7, 13)
-        coords = {0: (x0, y0), 1: (x0 + dx, y0 + side * (eps * dx - F(1, 429)))}
-        emb = self.assert_matches_reference(t, coords, eps)
+        x0, y0, dx = F(1, 3), F(-5, 11), F(8, 13)
+        coords = {0: (x0, y0), 1: (x0 + dx, y0 + side * (dx / 2 - F(1, 429)))}
+        emb = self.assert_matches_reference(t, coords)
         (x0g, y0g), (x1g, y1g) = emb.grid[0], emb.grid[1]
-        assert (x1g - x0g, side * (y1g - y0g)) == (231, 99 - 1)
-        assert eps * (x1g - x0g) == 99
+        assert (x1g - x0g, side * (y1g - y0g)) == (264, 132 - 1)
 
     def test_tied_leftmost_x(self):
         # 0 and 3 share the least x; 2, between them on the path, has two
@@ -647,7 +646,7 @@ class TestIntegerGrid:
         t = tr.SignedTree.make({0: 1, 1: -1, 2: 1, 3: 1}, [(0, 1), (1, 2), (1, 3)])
         coords = {0: (F(1, 3), F(0)), 1: (F(2, 7) + 1, F(-5, 11) / 8),
                   2: (F(2), F(1, 13)), 3: (F(5, 2), F(-1, 13))}
-        emb = self.assert_matches_reference(t, coords, F(3, 7))
+        emb = self.assert_matches_reference(t, coords)
         assert emb.right_children(1, 0) == [2, 3]
         assert len({x for x, _ in emb.grid.values()}) == 4
 
@@ -706,6 +705,17 @@ class TestParsing:
         with pytest.raises(NotAcceptable) as exc:
             tr.parse_tree(text)
         assert exc.value.condition == 4
+
+    def test_edgeless_embedding(self):
+        # one vertex and no edge is a tree, but not an acceptable embedding
+        with pytest.raises(NotAcceptable, match="at least one edge") as exc:
+            tr.parse_tree("v 0 0 0 +")
+        assert exc.value.condition == 1
+
+    @pytest.mark.parametrize("text", ["", "\n", "# comments only\n\n"])
+    def test_empty_file(self, text):
+        with pytest.raises(ParseError, match="tree file has no vertices"):
+            tr.parse_tree(text)
 
     @pytest.mark.parametrize(
         "signs, edges, error",
@@ -820,7 +830,7 @@ class TestCopies:
         front = tr.build_front(emb)  # fills every cached view
         emb2 = roundtrip(emb)
         assert emb2 == emb and emb2.tree == emb.tree and hash(emb2) == hash(emb)
-        assert set(vars(emb2)) == {"tree", "coords", "epsilon"}
+        assert set(vars(emb2)) == {"tree", "coords"}
         assert set(vars(emb2.tree)) == {"signs", "edges"}
         assert tr.build_front(emb2) == front
         for view in self.VIEWS:
@@ -966,6 +976,17 @@ class TestMoves:
         with pytest.raises(NotEndEdge):
             tr.move_end_edge(t, (1, 2), 3)
 
+    @pytest.mark.parametrize("edge", [(0, 2), (1, 1), (1, 7)])
+    def test_no_such_edge(self, edge):
+        t = tr.SignedTree.make({0: 1, 1: -1, 2: 1}, [(0, 1), (1, 2)])
+        with pytest.raises(NotATree, match="no edge"):
+            tr.move_end_edge(t, edge, 0)
+
+    def test_target_is_end_vertex(self):
+        t = tr.SignedTree.make({0: 1, 1: -1, 2: 1}, [(0, 1), (1, 2)])
+        with pytest.raises(SignMismatch, match="its own end vertex"):
+            tr.move_end_edge(t, (1, 2), 2)
+
     def test_target_is_attachment(self):
         # moving the end edge 1-2 onto 1 would move nothing
         t = tr.SignedTree.make({0: 1, 1: -1, 2: 1}, [(0, 1), (1, 2)])
@@ -976,6 +997,10 @@ class TestMoves:
 
 
 class TestNormalization:
+    def test_one_vertex(self):
+        t = tr.SignedTree.make({4: -1}, [])
+        assert tr.normalize_to_almost_linear(t) == (t, [])
+
     def test_already_almost_linear(self):
         t = tr.SignedTree.make({0: 1, 1: -1}, [(0, 1)])
         out, moves = tr.normalize_to_almost_linear(t)
