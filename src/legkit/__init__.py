@@ -5,9 +5,10 @@ signed-tree wavefront construction with catalog normalization, a rewrite
 engine for disk characteristic foliations, numeric Legendrian lifting, and
 classification oracles for tight and overtwisted ambient structures.
 
-Only ``lifting`` (and ``render``, through it) needs numpy, so its names are
-resolved on first use by the module ``__getattr__`` below (PEP 562):
-``import legkit`` and the combinatorial layers never load numpy.
+Only ``lifting`` needs numpy, so its names are resolved on first use by the
+module ``__getattr__`` below (PEP 562): ``import legkit``, the combinatorial
+layers and ``render`` never load numpy.  ``realize_front`` resolves from
+``render``, where the realization lives, so it loads no numpy either.
 """
 
 from .fronts import (
@@ -76,8 +77,8 @@ def __getattr__(name: str):
     if name == "lifting" or name in _LIFTING:
         from importlib import import_module
 
-        lifting = import_module(".lifting", __name__)
-        return lifting if name == "lifting" else getattr(lifting, name)
+        module = import_module(".render" if name == "realize_front" else ".lifting", __name__)
+        return module if name == "lifting" else getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -113,7 +113,7 @@ def cmd_catalog(args) -> int:
         return 0
     d = trees.catalog_front(args.tb, args.r)
     if args.svg:
-        from . import render  # numpy, through lifting: only when drawing
+        from . import render
 
         print(render.render_svg(d))
     else:
@@ -227,11 +227,13 @@ def cmd_classify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    from . import lifting, render  # numpy: only the commands that draw or lift
+    from . import render
 
     d = fronts.parse_front(_read(args.path))
     if args.lift_csv:
-        lc = lifting.legendrian_lift(lifting.realize_front(d), samples_per_arc=args.samples)
+        from . import lifting  # numpy: only the lift
+
+        lc = lifting.legendrian_lift(render.realize_front(d), samples_per_arc=args.samples)
         print(lifting.lift_csv(lc))
         return 0
     if args.format == "svg":
@@ -344,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--format", choices=("svg", "ascii"), default="ascii")
     p.add_argument("--lift-csv", action="store_true")
-    p.add_argument("--samples", type=_at_least(2), default=2000,
+    p.add_argument("--samples", type=_at_least(2), default=4000,
                    help="samples per arc of the lift (at least 2)")
     p.set_defaults(func=cmd_render)
 

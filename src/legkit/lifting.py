@@ -1,36 +1,27 @@
-"""Numeric realization of fronts and Legendrian lifting.
+"""Legendrian lifting of realized fronts.
 
-A front diagram is realized as a family of parametric arcs (x(t), z(t))
-built from cubic Hermite pieces: event k sits at x = k + 1, a strand at
-position p of n occupies the level (p - (n+1)/2) * SPACING at the middle
-of its slot.  One replay of the strand stack, event by event, gives every
-arc its knots at the middles of the slots it spans; the arc's ends come
-from the event positions and the strand profile.  Cusp ends use the
-semicubical local model (x ~ t^2, z ~ t^3, so branches meet with a common
-horizontal tangent); crossing ends meet at one point with slopes
-+-CROSSING_SLOPE, the lower incoming strand rising, giving a transversality
-gap of twice that.  The realization takes no setting; the lift takes one,
-its sample density.
-
-The Legendrian lift adds y = dz/dx and follows a component's cycle from the
-trace: its arcs in default order from the lowest one or, for a reversed
-component, that arc and then the others backwards, each written in its
-oriented direction into the curve's arrays.  For a closed component the lift
-must satisfy dz = y dx, so the closure integral of y dx vanishes up to
-quadrature error, and the winding number of the Lagrangian-projection
-tangent, its turns atan2(cross, dot) summed over every edge, recovers the
-combinatorial rotation number.  Each cubic piece is sampled at an even
-number of uniform parameter steps, so every two-step panel of the lifted
-curve lies inside one piece; the integral of y dx over a panel is that of
-the quadratic interpolants of x and y through its three samples, a
-fourth-order rule, exact where x and y are quadratic in the parameter.  The
-quadrature and the winding read blocks of _BLOCK panels or edges, so no
-temporary array spans the curve.  The double points of the Lagrangian
-projection come from a sorted sweep over its segments, a crossing through
-sample vertices counted once; each must split the curve into two lobes of
-nonzero area.  Both lobe areas of every double point come from one prefix
-sum of the shoelace terms of the subsampled polygon, so past the sweep's
-candidate pairs the check costs O(n log n + hits).
+The realization, ``realize_front`` and its cubic pieces, lives in
+``render``, which needs no numpy; ``realize_front`` is re-exported here.
+The lift takes one setting, its sample density.  It adds y = dz/dx to the
+realized arcs and follows a component's cycle from the trace: its arcs in
+default order from the lowest one or, for a reversed component, that arc
+and then the others backwards, each written in its oriented direction into
+the curve's arrays.  For a closed component the lift must satisfy dz = y dx,
+so the closure integral of y dx vanishes up to quadrature error, and the
+winding number of the Lagrangian-projection tangent, its turns
+atan2(cross, dot) summed over every edge, recovers the combinatorial
+rotation number.  Each cubic piece is sampled at an even number of uniform
+parameter steps, so every two-step panel of the lifted curve lies inside
+one piece; the integral of y dx over a panel is that of the quadratic
+interpolants of x and y through its three samples, a fourth-order rule,
+exact where x and y are quadratic in the parameter.  The quadrature and the
+winding read blocks of _BLOCK panels or edges, so no temporary array spans
+the curve.  The double points of the Lagrangian projection come from a
+sorted sweep over its segments, a crossing through sample vertices counted
+once; each must split the curve into two lobes of nonzero area.  Both lobe
+areas of every double point come from one prefix sum of the shoelace terms
+of the subsampled polygon, so past the sweep's candidate pairs the check
+costs O(n log n + hits).
 """
 
 from __future__ import annotations
@@ -42,160 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateTangent, GeometryDegenerate, NotClosed
-from .fronts import (CROSS, LEFT, RIGHT, ComponentDecomposition, FrontDiagram, OrientedFront,
-                     trace_components)
-
-SPACING = 1.0  # vertical distance between adjacent strand levels
-CROSSING_SLOPE = 0.5  # each branch leaves a crossing at +-this slope
-CUSP_REACH = 0.3  # fraction of the first piece taken by the cusp model
-
-
-@dataclass(frozen=True)
-class CubicPiece:
-    """x(t), z(t) cubics on t in [0, 1], stored as coefficient tuples (c0..c3)."""
-
-    cx: tuple[float, float, float, float]
-    cz: tuple[float, float, float, float]
-
-
-def _hermite(p0: float, v0: float, p1: float, v1: float) -> tuple[float, float, float, float]:
-    # cubic with value/derivative prescribed at t = 0, 1
-    return (p0, v0, 3 * (p1 - p0) - 2 * v0 - v1, 2 * (p0 - p1) + v0 + v1)
-
-
-@dataclass(frozen=True)
-class ArcCurve:
-    arc: int
-    pieces: tuple[CubicPiece, ...]
-
-    def steps(self, n: int) -> int:
-        """Steps per piece at about n samples per arc: even, at least 2."""
-        return max(2, (n // len(self.pieces)) & ~1)
-
-    def write(self, n: int, x: np.ndarray, z: np.ndarray, y: np.ndarray, reverse=False) -> None:
-        """Write the samples, steps(n) uniform steps per piece, into x, z and
-        y = dz/dx: all but the last or, reversed, all but the first, backwards."""
-        per = self.steps(n)
-        t = np.linspace(0.0, 1.0, per + 1)
-        # c[k] holds coefficient k of x and of z, one row per piece
-        c = np.array([(p.cx, p.cz) for p in self.pieces]).T[..., None]
-        dx, dz = c[1] + t * (2 * c[2] + 3 * t * c[3])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.where(np.abs(dx) > 1e-14, dz / dx, 0.0)
-        for out, grid in zip((x, z, y), (*(c[0] + t * (c[1] + t * (c[2] + t * c[3]))), slope)):
-            if not reverse:
-                out.reshape(-1, per)[...] = grid[:, :-1]
-            else:  # row k: after piece k's start, up to the next piece's start
-                out = out[::-1].reshape(-1, per)
-                out[:, :-1], out[:, -1] = grid[:, 1:-1], np.append(grid[1:, 0], grid[-1, -1])
-
-
-@dataclass(frozen=True)
-class RealizedFront:
-    diagram: FrontDiagram
-    curves: tuple[ArcCurve, ...]  # indexed by arc
-
-    @property
-    def trace(self) -> ComponentDecomposition:
-        return trace_components(self.diagram)
-
-
-def realize_front(d: FrontDiagram) -> RealizedFront:
-    """Build a generic planar realization with semicubical cusps."""
-    tr = trace_components(d)
-    events, counts = d.events, d.strand_profile
-
-    def level(p: int, n: int) -> float:
-        # position p of n strands, centered per slot
-        return (p - (n + 1) / 2.0) * SPACING
-
-    # one replay of the stack: mids[a] holds arc a's front point at the
-    # middle of every slot it spans; arcs are made in pairs, in event order
-    mids: list[list[tuple[float, float]]] = [[] for _ in tr.arcs]
-    stack: list[int] = []
-    made = 0
-    for k, ev in enumerate(events):
-        p = ev.position
-        if ev.kind == RIGHT:
-            del stack[p - 1 : p + 1]
-        else:
-            stack[p - 1 : p - 1 if ev.kind == LEFT else p + 1] = (made, made + 1)
-            made += 2
-        for q, a in enumerate(stack, 1):
-            mids[a].append((k + 1.5, level(q, len(stack))))
-    in_lower = {x.event: x.in_lower for x in tr.crossings}
-
-    def endpoint(a, born: bool):
-        """(x, z, slope, is_cusp) where the arc is born or dies."""
-        k = a.born if born else a.died
-        ev, n = events[k], counts[k + 1 if born else k]
-        z = (level(ev.position, n) + level(ev.position + 1, n)) / 2
-        if ev.kind != CROSS:
-            return float(k + 1), z, 0.0, True
-        # out_upper and in_lower run at +m, out_lower and in_upper at -m
-        up = a.role == 1 if born else in_lower[k] == a.index
-        return float(k + 1), z, CROSSING_SLOPE if up else -CROSSING_SLOPE, False
-
-    curves = []
-    for a in tr.arcs:
-        x0, z0, s0, cusp0 = endpoint(a, True)
-        x1, z1, s1, cusp1 = endpoint(a, False)
-        pts = [(x0, z0), *mids[a.index], (x1, z1)]
-        # a chain of Hermite pieces through (x, z, slope) knots; a cusp end
-        # takes a semicubical piece up to the chain's end knot
-        head, tail = (x0, z0, s0), (x1, z1, s1)
-        pieces: list[CubicPiece] = []
-        if cusp0:
-            head = _cusp_end(x0, z0, *pts[1])
-            pieces.append(_cusp_piece(x0, z0, *head[:2]))
-        if cusp1:
-            tail = _cusp_end(x1, z1, *pts[-2])
-        chain = [head, *((ax, az, (zn - zp) / (xn - xp))
-                         for (xp, zp), (ax, az), (xn, zn) in zip(pts, pts[1:], pts[2:])), tail]
-        for (xa, za, sa), (xb, zb, sb) in zip(chain, chain[1:]):
-            dx = xb - xa
-            pieces.append(
-                CubicPiece(_hermite(xa, dx, xb, dx), _hermite(za, sa * dx, zb, sb * dx))
-            )
-        if cusp1:
-            pieces.append(_cusp_piece(x1, z1, *tail[:2], reverse=True))
-        curves.append(ArcCurve(arc=a.index, pieces=tuple(pieces)))
-
-    return RealizedFront(diagram=d, curves=tuple(curves))
-
-
-def _cusp_end(xc: float, zc: float, xn: float, zn: float) -> tuple[float, float, float]:
-    """(x, z, slope) where a cusp at (xc, zc) hands over to the chain that
-    runs on to the knot (xn, zn), CUSP_REACH of the way."""
-    h = CUSP_REACH * (xn - xc)
-    kk = (zn - zc) / (xn - xc) * h / 3.0
-    return xc + h, zc + kk, 3 * kk / h if h else 0.0
-
-
-def _cusp_piece(xc: float, zc: float, xe: float, ze: float, reverse: bool = False) -> CubicPiece:
-    """x(t) = xc +- h t^2 (2 - t), z(t) = zc + (ze - zc) t^3 from the cusp
-    (xc, zc) to (xe, ze), h = |xe - xc|; reparameterized t -> 1 - t if reverse."""
-    h = abs(xe - xc)
-    cx = (xc, 0.0, 2 * h, -h) if xe > xc else (xc, 0.0, -2 * h, h)
-    cz = (zc, 0.0, 0.0, ze - zc)
-    if reverse:
-        cx, cz = _reverse_cubic(cx), _reverse_cubic(cz)
-    return CubicPiece(cx, cz)
-
-
-def _reverse_cubic(c: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
-    """Coefficients of p(1 - t) given those of p(t)."""
-    c0, c1, c2, c3 = c
-    return (
-        c0 + c1 + c2 + c3,
-        -(c1 + 2 * c2 + 3 * c3),
-        c2 + 3 * c3,
-        -c3,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Lifting
+from .fronts import OrientedFront
+from .render import RealizedFront, realize_front
 
 
 @dataclass(frozen=True)
@@ -304,14 +143,15 @@ def legendrian_lift(rf: RealizedFront, comp: int = 0, of: Optional[OrientedFront
                     samples_per_arc: int = 4000) -> LiftedCurve:
     """Lift one component to a closed (x, y, z) polyline following its orientation.
 
-    Each arc gets about ``samples_per_arc`` samples: divided over its pieces
-    and rounded down to an even number of steps per piece, at least 2 each.
-    GeometryDegenerate if ``samples_per_arc`` is below 2.  The panel rule's
-    error scales as (pieces / samples)^4: closure and residual stay at or
-    below 3.1e-11 of the diameter on the acceptance grid and 3.7e-11 on
-    catalog (-31, 0), 27x inside the 1e-9 bound, but a deeper front's long
-    arcs get fewer steps per piece: the residual reads 2.4e-10 on catalog
-    (-51, 0) and 4.1e-9, over the bound, on (-101, 0).
+    An arc of P pieces gets ``max(2, (samples_per_arc // min(P, 62)) & ~1)``
+    uniform parameter steps per piece: about ``samples_per_arc`` samples
+    over the arc, even per piece, and never fewer per piece than a 62-piece
+    arc gets.  GeometryDegenerate if ``samples_per_arc`` is below 2.  The
+    panel rule's error scales as (steps per piece)^-4, so with the floor the
+    error of the default lift does not grow with depth: closure and residual
+    stay at or below 3.1e-11 of the diameter on the acceptance grid, 3.2e-11
+    on catalog (-31, 0), 1.9e-11 on (-51, 0), 9.7e-12 on (-101, 0) and
+    4.9e-12 on (-201, 0), inside the 1e-9 bound.
     """
     n = samples_per_arc
     if n < 2:
@@ -326,12 +166,24 @@ def legendrian_lift(rf: RealizedFront, comp: int = 0, of: Optional[OrientedFront
     if not dirs[cycle[0]]:
         # reversed: the same first arc, then the others backwards
         cycle = cycle[:1] + cycle[:0:-1]
+    steps = [max(2, (n // min(len(rf.curves[a]), 62)) & ~1) for a in cycle]
     # an arc's last sample is the next arc's first, which that arc writes; every
     # arc has an even number of steps, so every piece starts at an even index
-    ends = np.cumsum([0] + [len(rf.curves[a].pieces) * rf.curves[a].steps(n) for a in cycle])
+    ends = np.cumsum([0] + [len(rf.curves[a]) * per for a, per in zip(cycle, steps)])
     x, y, z = (np.empty(int(ends[-1])) for _ in range(3))
-    for arc, s, e in zip(cycle, ends.tolist(), ends[1:].tolist()):
-        rf.curves[arc].write(n, x[s:e], z[s:e], y[s:e], reverse=not dirs[arc])
+    for arc, per, s, e in zip(cycle, steps, ends.tolist(), ends[1:].tolist()):
+        t = np.linspace(0.0, 1.0, per + 1)
+        # c[k] holds coefficient k of x and of z, one row per piece
+        c = np.array([(p.cx, p.cz) for p in rf.curves[arc]]).T[..., None]
+        dx, dz = c[1] + t * (2 * c[2] + 3 * t * c[3])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.where(np.abs(dx) > 1e-14, dz / dx, 0.0)
+        for out, grid in zip((x, z, y), (*(c[0] + t * (c[1] + t * (c[2] + t * c[3]))), slope)):
+            if dirs[arc]:  # all but the arc's last sample
+                out[s:e].reshape(-1, per)[...] = grid[:, :-1]
+            else:  # backwards, all but the first: each piece ends at the next's start
+                grid[:-1, -1] = grid[1:, 0]
+                out[s:e][::-1].reshape(-1, per)[...] = grid[:, 1:]
     return LiftedCurve._owning(x, y, z)
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import random
@@ -529,14 +530,19 @@ class TestParserReuse:
         assert len(built) == 1
 
 
-# The combinatorial commands never need numpy: only ``lifting`` imports it.
+# The combinatorial and drawing commands never need numpy: only ``lifting``
+# imports it.  Importing it at the end shows that the probe sees numpy.
 NO_NUMPY = """
 import sys
 import legkit
-from legkit import catalog_front, cli
+from legkit import catalog_front, cli, realize_front
 catalog_front(-5, 2)
-code = cli.main(["invariants", sys.argv[1]])
-print(code, sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")))
+for argv in (["invariants", sys.argv[1]], ["catalog", "--tb", "-5", "--r", "2", "--svg"],
+             ["render", sys.argv[1], "--format", "ascii"], ["render", sys.argv[1], "--format", "svg"]):
+    assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")))
+import legkit.lifting
+print("numpy" in sys.modules)
 """
 
 
@@ -545,14 +551,22 @@ def test_combinatorial_cli_does_not_import_numpy(basic_file):
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", NO_NUMPY, basic_file],
                           capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert proc.stdout.splitlines()[-2:] == ["[]", "True"]
+
+
+def test_lift_csv_samples_default_is_the_lift_default():
+    from legkit import lifting
+
+    lift_default = inspect.signature(lifting.legendrian_lift).parameters["samples_per_arc"]
+    args = cli.build_parser().parse_args(["render", "front.lfd", "--lift-csv"])
+    assert args.samples == lift_default.default == 4000
 
 
 def test_lifting_names_resolve_lazily():
     import legkit
-    from legkit import lifting
+    from legkit import lifting, render
 
-    assert legkit.realize_front is lifting.realize_front
+    assert legkit.realize_front is lifting.realize_front is render.realize_front
     assert legkit.lifting is lifting
     assert set(legkit.__all__) >= {"LiftedCurve", "legendrian_lift", "lifting", "catalog_front"}
     assert "GeomParams" not in legkit.__all__

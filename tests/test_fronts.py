@@ -25,6 +25,7 @@ from legkit.errors import (
     ParseError,
     SingleComponent,
 )
+from test_lifting import ref_steps, ref_write
 
 BASIC = "L 1\nR 1"
 STABILIZED = "L 1\nL 1\nR 2\nR 1"
@@ -242,9 +243,9 @@ def reference_lift(rf, comp, of, n):
     """legendrian_lift at n samples per arc over the former partner walk."""
     xs, ys, zs = [], [], []
     for arc, rightward in reference_traversal(rf.trace, comp, of.directions):
-        curve = rf.curves[arc]
-        x, z, y = (np.empty(len(curve.pieces) * curve.steps(n)) for _ in range(3))
-        curve.write(n, x, z, y, reverse=not rightward)
+        pieces = rf.curves[arc]
+        x, z, y = (np.empty(len(pieces) * ref_steps(pieces, n)) for _ in range(3))
+        ref_write(pieces, n, x, z, y, reverse=not rightward)
         xs.append(x)
         ys.append(y)
         zs.append(z)
@@ -366,19 +367,19 @@ def reference_realize_curves(d):
         head, tail = (x0, z0, s0), (x1, z1, s1)
         pieces = []
         if cusp0:
-            head = lf._cusp_end(x0, z0, *pts[1])
-            pieces.append(lf._cusp_piece(x0, z0, *head[:2]))
+            head = render._cusp_end(x0, z0, *pts[1])
+            pieces.append(render._cusp_piece(x0, z0, *head[:2]))
         if cusp1:
-            tail = lf._cusp_end(x1, z1, *pts[-2])
+            tail = render._cusp_end(x1, z1, *pts[-2])
         chain = [head, *((ax, az, (zn - zp) / (xn - xp))
                          for (xp, zp), (ax, az), (xn, zn) in zip(pts, pts[1:], pts[2:])), tail]
         for (xa, za, sa), (xb, zb, sb) in zip(chain, chain[1:]):
             dx = xb - xa
-            pieces.append(lf.CubicPiece(lf._hermite(xa, dx, xb, dx),
-                                        lf._hermite(za, sa * dx, zb, sb * dx)))
+            pieces.append(render.CubicPiece(render._hermite(xa, dx, xb, dx),
+                                            render._hermite(za, sa * dx, zb, sb * dx)))
         if cusp1:
-            pieces.append(lf._cusp_piece(x1, z1, *tail[:2], reverse=True))
-        curves.append(lf.ArcCurve(arc=a.index, pieces=tuple(pieces)))
+            pieces.append(render._cusp_piece(x1, z1, *tail[:2], reverse=True))
+        curves.append(tuple(pieces))
     return tuple(curves)
 
 
@@ -420,7 +421,7 @@ def outcome(f, *args):
 def check_against_references(d):
     """Zig-zags, realization and ASCII sketch of d equal the references'."""
     assert fr.find_zigzags(d) == reference_find_zigzags(d)
-    assert lf.realize_front(d).curves == reference_realize_curves(d)
+    assert render.realize_front(d).curves == reference_realize_curves(d)
     assert render.render_ascii(d) == reference_render_ascii(d)
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from legkit import fronts as fr
 from legkit import lifting as lf
+from legkit import render
 from legkit import trees as tr
 from legkit.errors import DegenerateTangent, GeometryDegenerate, NotClosed
 
@@ -29,12 +30,12 @@ def polyline(points):
 # (without the former subsampling of curves past 200 000 samples).
 
 
-def ref_sample(curve, n):
+def ref_sample(pieces, n):
     """Arrays (x, z, y) of every sample of one arc, first to last."""
-    per = max(2, (n // len(curve.pieces)) & ~1)
+    per = ref_steps(pieces, n)
     t = np.linspace(0.0, 1.0, per + 1)
-    c = np.array([p.cx for p in curve.pieces]).T[:, :, None]
-    d = np.array([p.cz for p in curve.pieces]).T[:, :, None]
+    c = np.array([p.cx for p in pieces]).T[:, :, None]
+    d = np.array([p.cz for p in pieces]).T[:, :, None]
     x = c[0] + t * (c[1] + t * (c[2] + t * c[3]))
     z = d[0] + t * (d[1] + t * (d[2] + t * d[3]))
     dx = c[1] + t * (2 * c[2] + 3 * t * c[3])
@@ -59,6 +60,47 @@ def ref_lift(rf, comp, of, samples):
         ys.append(y[:-1])
         zs.append(z[:-1])
     return np.concatenate(xs), np.concatenate(ys), np.concatenate(zs)
+
+
+# The former per-arc writer, ArcCurve.write with its step rule, kept as a
+# reference: before the 62-piece floor, an arc of P pieces got
+# max(2, (n // P) & ~1) steps per piece, and a reversed arc's last samples
+# were appended to its grid.
+
+
+def ref_steps(pieces, n):
+    return max(2, (n // len(pieces)) & ~1)
+
+
+def ref_write(pieces, n, x, z, y, reverse=False):
+    """Write the samples, ref_steps(pieces, n) uniform steps per piece, into
+    x, z and y = dz/dx: all but the last or, reversed, all but the first,
+    backwards."""
+    per = ref_steps(pieces, n)
+    t = np.linspace(0.0, 1.0, per + 1)
+    c = np.array([(p.cx, p.cz) for p in pieces]).T[..., None]
+    dx, dz = c[1] + t * (2 * c[2] + 3 * t * c[3])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(np.abs(dx) > 1e-14, dz / dx, 0.0)
+    for out, grid in zip((x, z, y), (*(c[0] + t * (c[1] + t * (c[2] + t * c[3]))), slope)):
+        if not reverse:
+            out.reshape(-1, per)[...] = grid[:, :-1]
+        else:  # row k: after piece k's start, up to the next piece's start
+            out = out[::-1].reshape(-1, per)
+            out[:, :-1], out[:, -1] = grid[:, 1:-1], np.append(grid[1:, 0], grid[-1, -1])
+
+
+def ref_write_lift(rf, comp, of, n):
+    """The former legendrian_lift: each arc of the cycle through ref_write."""
+    dirs = of.directions
+    cycle = rf.trace.cycles[comp]
+    if not dirs[cycle[0]]:
+        cycle = cycle[:1] + cycle[:0:-1]
+    ends = np.cumsum([0] + [len(rf.curves[a]) * ref_steps(rf.curves[a], n) for a in cycle])
+    x, y, z = (np.empty(int(ends[-1])) for _ in range(3))
+    for arc, s, e in zip(cycle, ends.tolist(), ends[1:].tolist()):
+        ref_write(rf.curves[arc], n, x[s:e], z[s:e], y[s:e], reverse=not dirs[arc])
+    return x, y, z
 
 
 def ref_panel_terms(lc):
@@ -205,7 +247,7 @@ class TestRealize:
     def test_crossing_gap(self):
         lc = lift("L 1\nX 1\nR 1")
         # the crossing is at x = 2; the branches leave it at slopes -+1/2
-        assert sorted(lc.y[lc.x == 2.0]) == [-0.5, 0.5] == [-lf.CROSSING_SLOPE, lf.CROSSING_SLOPE]
+        assert sorted(lc.y[lc.x == 2.0]) == [-0.5, 0.5] == [-render.CROSSING_SLOPE, render.CROSSING_SLOPE]
 
     def test_catalog_never_degenerate(self):
         for tb, r in [(-1, 0), (-3, 2), (-5, 0), (-6, -3)]:
@@ -236,7 +278,7 @@ class TestLift:
         # the two branches meet at one front point but carry different slopes
         assert np.count_nonzero(at) == 2
         assert len(set(lc.z[at])) == 1
-        assert np.ptp(lc.y[at]) == 2 * lf.CROSSING_SLOPE
+        assert np.ptp(lc.y[at]) == 2 * render.CROSSING_SLOPE
 
     def test_truncated_curve_flagged(self):
         lc = lift("L 1\nR 1")
@@ -317,27 +359,46 @@ class TestLift:
         assert again.closure_integral() == lc.closure_integral()
 
     def test_pieces_start_at_even_indices(self):
-        rf = lf.realize_front(tr.catalog_front(-4, 1))
-        for curve in rf.curves:
-            per = curve.steps(101)
-            x, z, y = (np.empty(per * len(curve.pieces)) for _ in range(3))
-            curve.write(101, x, z, y)
-            assert per % 2 == 0
-            for k, piece in enumerate(curve.pieces):
-                assert (x[k * per], z[k * per]) == (piece.cx[0], piece.cz[0])
-        lc = lf.legendrian_lift(rf, samples_per_arc=101)
-        assert len(lc.x) % 2 == 0
+        # each piece's start is a sample of the lift, at an even index, in
+        # both orientations; a reversed arc's start is the next arc's first
+        d = tr.catalog_front(-4, 1)
+        rf = lf.realize_front(d)
+        of = fr.OrientedFront.default(d)
+        for o in (of, of.reverse(0)):
+            lc = lf.legendrian_lift(rf, of=o, samples_per_arc=101)
+            assert len(lc.x) % 2 == 0
+            for pieces in rf.curves:
+                for piece in pieces:
+                    at = np.flatnonzero((lc.x == piece.cx[0]) & (lc.z == piece.cz[0]))
+                    assert (at % 2 == 0).any()
 
     @pytest.mark.parametrize("samples", [4000, 101, 2])
     def test_lift_matches_reference(self, samples):
-        # bit for bit, the sign of zero included, in both orientations
+        # bit for bit, the sign of zero included, in both orientations: the
+        # whole-array reference and the former per-arc writer
         for d in _acceptance_grid():
             rf = lf.realize_front(d)
             of = fr.OrientedFront.default(d)
             for o in (of, of.reverse(0)):
                 lc = lf.legendrian_lift(rf, of=o, samples_per_arc=samples)
-                for got, want in zip((lc.x, lc.y, lc.z), ref_lift(rf, 0, o, samples)):
-                    assert got.tobytes() == want.tobytes()
+                for ref in (ref_lift(rf, 0, o, samples), ref_write_lift(rf, 0, o, samples)):
+                    for got, want in zip((lc.x, lc.y, lc.z), ref):
+                        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tb", [-101, -201])
+    def test_deep_lift_within_bound(self, tb):
+        # the long arcs of deep fronts get at least a 62-piece arc's steps
+        # per piece, so the default lift meets 1e-9 of the diameter
+        d = tr.catalog_front(tb, 0)
+        rf = lf.realize_front(d)
+        of = fr.OrientedFront.default(d)
+        assert max(len(pieces) for pieces in rf.curves) > 62
+        for o in (of, of.reverse(0)):
+            lc = lf.legendrian_lift(rf, of=o)
+            diam = lc.diameter()
+            assert lc.legendrian_residual() < 1e-9 * diam
+            assert abs(lf.lagrangian_closure_integral(lc)) < 1e-9 * diam
+            assert lf.numeric_rotation(lc) == fr.rotation_number(o) == 0
 
 
 class TestQuadratureAndWinding:

@@ -13,7 +13,7 @@ from legkit import render
 from legkit import trees as tr
 from legkit.cli import main
 from legkit.fronts import CROSS, FrontDiagram, FrontEvent
-from legkit.lifting import realize_front
+from legkit.render import realize_front
 from test_lifting import ref_sample
 
 # Reference SVG: the former renderer, which maps every sample of a
@@ -31,9 +31,8 @@ def ref_render_svg(d):
     tr_ = rf.trace
     paths = []
     pts = {}
-    for curve in rf.curves:
-        x, z, _ = ref_sample(curve, samples)
-        pts[curve.arc] = (x, z)
+    for arc, pieces in enumerate(rf.curves):
+        pts[arc] = ref_sample(pieces, samples)[:2]
     all_x = np.concatenate([p[0] for p in pts.values()])
     all_z = np.concatenate([p[1] for p in pts.values()])
     x0, x1 = float(all_x.min()) - 0.5, float(all_x.max()) + 0.5
@@ -53,8 +52,8 @@ def ref_render_svg(d):
         )
         return f'<path d="M{coords}" fill="none" stroke="black" stroke-width="2"/>'
 
-    for curve in rf.curves:
-        paths.append(path_of(curve.arc))
+    for arc in range(len(rf.curves)):
+        paths.append(path_of(arc))
     for xr in tr_.crossings:
         ev = xr.event
         cx, cz = to_svg(ev + 1, float(np.mean([pts[xr.in_lower][1][-1]])))
@@ -91,8 +90,8 @@ def hull_box(rf):
     points P0 = c0, P1 = c0 + c1/3, P2 = c0 + (2 c1 + c2)/3, P3 = c0 + c1 +
     c2 + c3, widened by 0.5."""
     xs, zs = [], []
-    for curve in rf.curves:
-        for p in curve.pieces:
+    for pieces in rf.curves:
+        for p in pieces:
             for (c0, c1, c2, c3), out in ((p.cx, xs), (p.cz, zs)):
                 out += [c0, c0 + c1 / 3, c0 + (2 * c1 + c2) / 3, c0 + c1 + c2 + c3]
     return min(xs) - 0.5, max(xs) + 0.5, min(zs) - 0.5, max(zs) + 0.5
@@ -128,15 +127,15 @@ def check_geometry(d):
     assert abs(width - (x1 - x0) * SCALE) <= 0.005 + 1e-9
     assert abs(height - (z1 - z0) * SCALE) <= 0.005 + 1e-9
     ref_pts = {}
-    for curve, e, r in zip(rf.curves, new, ref):
-        n = len(curve.pieces)
+    for arc, (pieces, e, r) in enumerate(zip(rf.curves, new, ref)):
+        n = len(pieces)
         assert re.fullmatch(rf"M[^MLC]*( C[^MLC]*){{{n}}}", e.get("d")), e.get("d")
-        ref_pts[curve.arc] = page_points(r.get("d"))
+        ref_pts[arc] = page_points(r.get("d"))
         per = max(2, (REF_SAMPLES // n) & ~1)
         got = bezier_at(page_points(e.get("d")), n, per) + shift
-        assert np.abs(got - ref_pts[curve.arc]).max() <= TOL
+        assert np.abs(got - ref_pts[arc]).max() <= TOL
         # every point of the curve lies inside the viewBox
-        x, z, _ = ref_sample(curve, 4000)
+        x, z, _ = ref_sample(pieces, 4000)
         assert (0 <= (x - x0) * SCALE).all() and ((x - x0) * SCALE <= width).all()
         assert (0 <= (z1 - z) * SCALE).all() and ((z1 - z) * SCALE <= height).all()
     for k, xr in enumerate(trace.crossings):
