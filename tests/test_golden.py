@@ -1,7 +1,8 @@
 """Golden outputs: the command-line outputs on catalog fronts, a clasp, a
-fractional tree and a path, regenerated in-process and compared with the
-SHA-256 digests in golden_sha256.json.  The demos' digests sit in the same
-file; CI compares them, as a demo runs as its own script.
+fractional tree and a path, the disk foliations and the classification
+oracles, regenerated in-process and compared with the SHA-256 digests in
+golden_sha256.json.  The demos' digests sit in the same file; CI compares
+them, as a demo runs as its own script.
 
 An output is what the command writes to stdout, and for the two ``--trace``
 runs of tree2front on a hand-written tree, what it writes to stderr before
@@ -22,6 +23,16 @@ CATALOG = [(-1, 0), (-5, 2), (-9, 2), (-13, -2), (-41, 0), (-40, 3), (-161, 0), 
 CLASP = "L 1\nL 2\nX 1\nX 1\nR 2\nR 1\norient 1 -\n"
 FRACTIONAL = ("v 0 -5/11 0 +\nv 1 1/3 2/7 -\nv 2 1 5/11 +\nv 3 1 1/13 +\nv 4 5/2 -2/7 -\n"
               "e 0 1\ne 1 2\ne 1 3\ne 3 4\n")
+ORACLES = [
+    ("tight-unknot", ["tight-unknot", "--a", "-1,0", "--b", "-1,0"], True),
+    ("loose-tb", ["loose", "--hopf", "-1", "--tb", "-1"], True),
+    ("loose-ab", ["loose", "--hopf", "-1", "--a", "-2,1", "--b", "-2,1"], True),
+    ("exceptional", ["exceptional", "--hopf", "-1", "--tb", "1", "--r", "0"], True),
+    ("exceptional-list", ["exceptional", "--hopf", "-1"], True),
+    ("hopf-lutz", ["hopf-lutz", "--sl", "-1,-1,-1", "--lk", "1"], False),
+    ("d3", ["d3", "--hopf", "-1"], False),
+    ("complement", ["complement", "--slope", "2"], False),
+]
 PATH = "v 0 0 0 +\nv 4 1 0 -\nv 3 2 0 +\nv 2 3 0 -\nv 1 4 0 +\ne 0 4\ne 4 3\ne 3 2\ne 2 1\n"
 
 
@@ -60,13 +71,26 @@ def golden_outputs(tmp_path):
     out["path.t2fn"] = run("tree2front", put("path.sat", PATH), "--normalize", "--trace",
                            stderr=True)
     out["lift.csv"] = run("render", str(tmp_path / "c-5_2.lfd"), "--lift-csv")
+    # README's foliate forms, then CI's raw and full-size runs
+    for flags in ((), ("--raw",), ("--trace",), ("--skeleton",)):
+        out["f-3_0" + "".join(flags).replace("--", ".") + ".fol"] = run(
+            "foliate", "--tb", "-3", "--r", "0", *flags)
+    out["f-41_0.raw.trace.skeleton.fol"] = run(
+        "foliate", "--tb", "-41", "--r", "0", "--raw", "--trace", "--skeleton")
+    out["f-641_0.trace.skeleton.fol"] = run(
+        "foliate", "--tb", "-641", "--r", "0", "--trace", "--skeleton")
+    # each oracle as text, and as JSON where it has --json
+    for name, argv, has_json in ORACLES:
+        out[f"cls.{name}.txt"] = run("classify", *argv)
+        if has_json:
+            out[f"cls.{name}.json"] = run("classify", *argv, "--json")
     return out
 
 
 def test_outputs_match_golden_digests(tmp_path):
     out = golden_outputs(tmp_path)
     assert sorted(out) == sorted(k for k in DIGESTS if not k.startswith("demo_"))
-    assert len(out) == 99
+    assert len(out) == 118
     changed = [k for k, text in out.items()
                if hashlib.sha256(text.encode()).hexdigest() != DIGESTS[k]]
     assert changed == []
