@@ -14,9 +14,7 @@ import os
 import random
 import sys
 
-from . import classify as cls
-from . import foliation as fol
-from . import fronts, trees
+from . import fronts  # every command reads or writes fronts; each imports the rest itself
 from .errors import LegkitError
 
 
@@ -107,6 +105,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from . import trees
+
     if args.tree:
         emb = trees.catalog_tree(args.tb, args.r)
         print(trees.serialize_tree(emb))
@@ -122,6 +122,8 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_tree2front(args) -> int:
+    from . import trees
+
     emb = trees.parse_tree(_read(args.path))
     if args.normalize:
         front, moves = trees.normalize_front_to_catalog(emb)
@@ -139,6 +141,9 @@ def cmd_tree2front(args) -> int:
 
 
 def cmd_foliate(args) -> int:
+    from . import foliation as fol
+    from . import trees
+
     kinds = None
     if args.raw:
         kinds = [fol.ELLIPTIC] * (2 * abs(args.tb))
@@ -161,6 +166,8 @@ def cmd_foliate(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from . import classify as cls
+
     sub = args.oracle
     if sub == "tight-unknot":
         verdict = cls.classify_tight_unknot(args.a, args.b)
@@ -244,6 +251,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from . import trees
+
     seed = int(os.environ.get("LEGKIT_SEED", "271828"))
     rng = random.Random(seed)
     for case in range(args.count):
