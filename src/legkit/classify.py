@@ -80,9 +80,6 @@ CITE_LOOSE = "topologically trivial knots with tb <= 0 are loose"
 CITE_COARSE = "loose unknots are coarsely classified by (tb, r)"
 CITE_COARSE_ISO = "equal invariants and tb < 0 imply Legendrian isotopy"
 CITE_DYMARA = "coarse = Legendrian classification in R^3 overtwisted at infinity"
-CITE_EXCEPT = "exceptional unknots exist only in xi_-1: (1,0) and (n, +-(n-1))"
-CITE_LUTZ = "pi-Lutz twists: h = sum(sl_i) + 2 sum lk_ij"
-CITE_D3 = "d3 = -h - 1/2"
 CITE_COMPLEMENT = "complement torus: meridian -n e_theta + e_x, slope n"
 
 

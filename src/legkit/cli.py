@@ -15,18 +15,30 @@ import random
 import sys
 
 from . import fronts  # every command reads or writes fronts; each imports the rest itself
-from .errors import LegkitError
+from .errors import LegkitError, ParseError
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 (byte {data[exc.start]:#04x})",
+                         line=data.count(b"\n", 0, exc.start) + 1) from None
+
+
+def _int(text: str) -> int:
+    # ASCII -?[0-9]+ as in the file formats; int() alone reads "+1", "1_0" and "\u0661"
+    if not fronts.INT_TOKEN.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 def _ints(text: str) -> list[int]:
     try:
-        return [int(v) for v in text.split(",")]
-    except ValueError:
+        return [_int(v) for v in text.split(",")]
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
@@ -42,8 +54,8 @@ def _pair(text: str) -> tuple[int, int]:
 def _at_least(low: int):
     def parse(text: str) -> int:
         try:
-            n = int(text)
-        except ValueError:
+            n = _int(text)
+        except argparse.ArgumentTypeError:
             n = low - 1
         if n < low:
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
@@ -58,9 +70,13 @@ def _matrix(text: str) -> list[list[int]]:
 
 def _orient(text: str) -> tuple[int, int]:
     comp, _, sign = text.partition(":")
-    if not comp.isdecimal() or sign not in ("+", "-"):
+    try:
+        n = _int(comp)
+    except argparse.ArgumentTypeError:
+        n = -1
+    if n < 0 or sign not in ("+", "-"):
         raise argparse.ArgumentTypeError(f"expected COMP:+ or COMP:-, got {text!r}")
-    return int(comp), 1 if sign == "+" else -1
+    return n, 1 if sign == "+" else -1
 
 
 def cmd_invariants(args) -> int:
@@ -253,7 +269,10 @@ def cmd_render(args) -> int:
 def cmd_fuzz(args) -> int:
     from . import trees
 
-    seed = int(os.environ.get("LEGKIT_SEED", "271828"))
+    try:
+        seed = _int(os.environ.get("LEGKIT_SEED", "271828"))
+    except argparse.ArgumentTypeError as exc:
+        args.error(f"LEGKIT_SEED: {exc}")
     rng = random.Random(seed)
     for case in range(args.count):
         failure = None
@@ -286,14 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="tb, r, linking and range flags of a front file")
     p.add_argument("path")
-    p.add_argument("--component", type=int)
+    p.add_argument("--component", type=_int)
     p.add_argument("--orient", action="append", type=_orient, metavar="COMP:+|-")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("catalog", help="canonical tree/front for a (tb, r) pair")
-    p.add_argument("--tb", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--tb", type=_int, required=True)
+    p.add_argument("--r", type=_int, required=True)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--tree", action="store_true")
     g.add_argument("--front", action="store_true")
@@ -307,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tree2front)
 
     p = sub.add_parser("foliate", help="run the disk-foliation pipeline")
-    p.add_argument("--tb", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--tb", type=_int, required=True)
+    p.add_argument("--r", type=_int, required=True)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--skeleton", action="store_true")
     p.add_argument("--raw", action="store_true",
@@ -323,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--json", action="store_true")
     q.set_defaults(func=cmd_classify)
     q = ps.add_parser("loose")
-    q.add_argument("--hopf", type=int, required=True)
-    q.add_argument("--tb", type=int)
+    q.add_argument("--hopf", type=_int, required=True)
+    q.add_argument("--tb", type=_int)
     q.add_argument("--a", type=_pair, metavar="TB,R")
     q.add_argument("--b", type=_pair, metavar="TB,R")
     q.add_argument("--nontrivial", action="store_true")
@@ -332,9 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--json", action="store_true")
     q.set_defaults(func=cmd_classify, error=q.error)
     q = ps.add_parser("exceptional")
-    q.add_argument("--hopf", type=int, required=True)
-    q.add_argument("--tb", type=int)
-    q.add_argument("--r", type=int)
+    q.add_argument("--hopf", type=_int, required=True)
+    q.add_argument("--tb", type=_int)
+    q.add_argument("--r", type=_int)
     q.add_argument("--list", type=_at_least(0), default=5)
     q.add_argument("--json", action="store_true")
     q.set_defaults(func=cmd_classify, error=q.error)
@@ -345,10 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--lk", type=_matrix, help="constant, or semicolon-separated matrix rows")
     q.set_defaults(func=cmd_classify)
     q = ps.add_parser("d3")
-    q.add_argument("--hopf", type=int, required=True)
+    q.add_argument("--hopf", type=_int, required=True)
     q.set_defaults(func=cmd_classify)
     q = ps.add_parser("complement")
-    q.add_argument("--slope", type=int, required=True)
+    q.add_argument("--slope", type=_int, required=True)
     q.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("render", help="SVG/ASCII picture or lift CSV of a front file")
@@ -361,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="random self-checks (LEGKIT_SEED)")
     p.add_argument("--count", type=_at_least(0), default=200)
-    p.set_defaults(func=cmd_fuzz)
+    p.set_defaults(func=cmd_fuzz, error=p.error)
     return ap
 
 

@@ -422,6 +422,23 @@ class TestExitCodes:
             ["classify", "exceptional", "--hopf", "-1", "--list", "-1"],
             ["fuzz", "--count", "-3"],
             ["classify", "tight-unknot", "--a", "-1,0,1", "--b", "-1,0"],
+            # integers are ASCII -?[0-9]+, as in the file formats: int() alone
+            # reads "+3", "1_0", " 0" and the Arabic-Indic digits
+            ["classify", "complement", "--slope", "1_0"],
+            ["classify", "exceptional", "--hopf", "-1", "--tb", "+3", "--r", "\u0662"],
+            ["classify", "exceptional", "--hopf", "-1", "--list", "+5"],
+            ["classify", "loose", "--hopf", "\u0663", "--tb", "-1"],
+            ["classify", "d3", "--hopf", "1_0"],
+            ["classify", "tight-unknot", "--a", "-1,0", "--b", "-1, 0"],
+            ["classify", "hopf-lutz", "--sl", "-1,+1"],
+            ["classify", "hopf-lutz", "--sl", "-1,-1", "--lk", "1_0"],
+            ["invariants", "f.lfd", "--orient", "\u0661:-"],
+            ["invariants", "f.lfd", "--orient", "-1:+"],
+            ["invariants", "f.lfd", "--component", "\u0660"],
+            ["catalog", "--tb", "-5", "--r", "+2"],
+            ["foliate", "--tb", "-3", "--r", "0 "],
+            ["render", "f.lfd", "--lift-csv", "--samples", "4_000"],
+            ["fuzz", "--count", "1_0"],
         ],
     )
     def test_malformed_value_is_usage_error(self, capsys, argv):
@@ -443,6 +460,28 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["abc", "1_0", "+7", "\u0667", ""])
+    def test_bad_seed_is_usage_error(self, capsys, monkeypatch, seed):
+        monkeypatch.setenv("LEGKIT_SEED", seed)
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--count", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"LEGKIT_SEED: expected an integer, got {seed!r}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["invariants", "{lfd}"],
+        ["render", "{lfd}", "--format", "svg"],
+        ["classify", "hopf-lutz", "--front", "{lfd}"],
+        ["tree2front", "{sat}"],
+    ])
+    def test_non_utf8_file_is_parse_error(self, capsys, tmp_path, argv):
+        # the bad byte's line, as for any other malformed line, and exit 1
+        (tmp_path / "bad.lfd").write_bytes(b"L 1\nR \xff\n")
+        (tmp_path / "bad.sat").write_bytes(b"v 0 0 0 +\nv 1 1 0 \xff\ne 0 1\n")
+        argv = [a.format(lfd=tmp_path / "bad.lfd", sat=tmp_path / "bad.sat") for a in argv]
+        assert run(capsys, *argv) == (1, "", "error: ParseError: line 2: not UTF-8 (byte 0xff)\n")
 
     def test_fuzz_fails_on_wrong_oracle(self, capsys, monkeypatch):
         from legkit import trees
@@ -554,6 +593,64 @@ def test_combinatorial_cli_does_not_import_numpy(basic_file):
     assert proc.stdout.splitlines()[-2:] == ["[]", "True"]
 
 
+# A bare ``import legkit`` loads no submodule.  Each command loads
+# legkit.cli, legkit.fronts and legkit.errors, plus the modules it runs
+# (listed) and no others.
+LOADS = """
+import contextlib, io, sys
+if sys.argv[1:] == ["import legkit"]:
+    import legkit
+else:
+    from legkit import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+print(" ".join(sorted(m for m in sys.modules if m == "numpy" or m.split(".")[0] == "legkit")))
+"""
+CATALOG = ["catalog", "--tb", "-5", "--r", "2"]
+CLASSIFY = [
+    ["tight-unknot", "--a", "-1,0", "--b", "-1,0"],
+    ["loose", "--hopf", "-1", "--tb", "-1"],
+    ["loose", "--hopf", "-1", "--a", "-2,1", "--b", "-2,1"],
+    ["exceptional", "--hopf", "-1", "--tb", "1", "--r", "0"],
+    ["exceptional", "--hopf", "-1"],
+    ["hopf-lutz", "--sl", "-1,-1,-1", "--lk", "1"],
+    ["hopf-lutz", "--front", "front.lfd"],
+    ["d3", "--hopf", "-1"],
+    ["complement", "--slope", "2"],
+]
+COMMAND_LOADS = [
+    (["import legkit"], None),
+    (["invariants", "front.lfd"], ""),
+    (["invariants", "front.lfd", "--json", "--orient", "0:-"], ""),
+    (CATALOG + ["--front"], "trees"),
+    (CATALOG + ["--tree"], "trees"),
+    (CATALOG, "trees"),
+    (CATALOG + ["--svg"], "trees render"),
+    (["tree2front", "tree.sat"], "trees"),
+    (["tree2front", "tree.sat", "--normalize", "--trace"], "trees"),
+    (["foliate", "--tb", "-3", "--r", "0"], "trees foliation"),
+    (["foliate", "--tb", "-3", "--r", "0", "--raw", "--trace", "--skeleton"], "trees foliation"),
+    *((["classify", *argv], "trees classify") for argv in CLASSIFY),
+    (["render", "front.lfd", "--format", "ascii"], "render"),
+    (["render", "front.lfd", "--format", "svg"], "render"),
+    (["render", "front.lfd", "--lift-csv", "--samples", "2"], "render lifting numpy"),
+    (["fuzz", "--count", "20"], "trees"),
+]
+
+
+@pytest.mark.parametrize("argv,extra", COMMAND_LOADS, ids=[" ".join(a) for a, _ in COMMAND_LOADS])
+def test_command_loads_only_its_modules(tmp_path, argv, extra):
+    (tmp_path / "front.lfd").write_text(fronts.serialize_front(trees.catalog_front(-5, 2)))
+    (tmp_path / "tree.sat").write_text(trees.serialize_tree(trees.catalog_tree(-5, 2)))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", LOADS, *argv], cwd=tmp_path, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    want = {"legkit"} if extra is None else {"legkit", "legkit.cli", "legkit.fronts",
+                                             "legkit.errors"}
+    want |= {m if m == "numpy" else "legkit." + m for m in (extra or "").split()}
+    assert set(proc.stdout.split()) == want
+
+
 def test_lift_csv_samples_default_is_the_lift_default():
     from legkit import lifting
 
@@ -562,14 +659,41 @@ def test_lift_csv_samples_default_is_the_lift_default():
     assert args.samples == lift_default.default == 4000
 
 
+PUBLIC = """
+    AcceptableEmbedding ContactStructureTag FoliationState FrontDiagram FrontEvent LiftedCurve
+    OrientedFront SignedTree build_front catalog_front catalog_tree check_bennequin check_parity
+    classify classify_loose classify_tight_unknot complement_torus_data d3_from_hopf
+    displace_zigzag errors exceptional_unknot_classes expected_invariants extract_skeleton
+    foliation fronts hopf_after_lutz hopf_after_lutz_front in_unknot_range init_boundary
+    insert_zigzag invariant_pair lagrangian_closure_integral lagrangian_embeddedness_check
+    legendrian_lift lifting linking_matrix loose_check move_end_edge normalize_front_to_catalog
+    normalize_to_almost_linear numeric_rotation parse_front parse_tree realize_front
+    reduce_interior rotation_number run_pipeline serialize_front serialize_tree
+    thurston_bennequin to_elliptic_form to_naf trace_components transverse_self_linking trees
+""".split()
+
+
 def test_lifting_names_resolve_lazily():
     import legkit
     from legkit import lifting, render
 
     assert legkit.realize_front is lifting.realize_front is render.realize_front
     assert legkit.lifting is lifting
-    assert set(legkit.__all__) >= {"LiftedCurve", "legendrian_lift", "lifting", "catalog_front"}
-    assert "GeomParams" not in legkit.__all__
+    assert legkit.__all__ == PUBLIC and len(PUBLIC) == 55
+    # each name is a submodule or the object of the module that defines it
+    for name in PUBLIC:
+        obj = getattr(legkit, name)
+        if inspect.ismodule(obj):
+            assert obj is sys.modules["legkit." + name]
+        else:
+            assert obj.__module__.startswith("legkit.") and obj.__name__ == name
+            assert getattr(sys.modules[obj.__module__], name) is obj
+    # submodules resolve through the same hook after a bare import
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = "import legkit; print(legkit.fronts.__name__, legkit.errors.__name__)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout.split() == ["legkit.fronts", "legkit.errors"]
     namespace = {}
     exec("from legkit import *", namespace)
     assert namespace["LiftedCurve"] is lifting.LiftedCurve
