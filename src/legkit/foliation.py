@@ -23,16 +23,21 @@ init_boundary joins each interior negative hyperbolic to one boundary
 negative elliptic, and to_elliptic_form absorbs along such a separatrix
 wherever one is left.
 
-A state computes its derived facts once, when first asked: the id map,
-the per-locus tag counts (one pass), boundary alternation, the NAF
-verdict and the skeleton tree of its connections; counts(),
-identity_differences(), the is_* checks and extract_skeleton read them.
+A state stores only the foliation: tb, r, the boundary cycle, each
+singularity once under its id, the separatrices and the rewrite trace.
+It derives everything else once, when first asked: the id map, the
+per-locus tag counts (one pass), boundary alternation, the NAF verdict
+(positive boundary points hyperbolic, negative ones elliptic), the
+connections and their skeleton tree; counts(), identity_differences(),
+the is_* checks and extract_skeleton read them.  The connections (the
+arc families between elliptic points) exist only in elliptic form with a
+reduced interior, where they are the canonical broom on the elliptic
+points; any other state has none, and so no skeleton.
 Each stage (to_naf, reduce_interior, to_elliptic_form) scans its input
 once, copies it once into a private working copy, applies all its
 rewrites to it in place and freezes the result once; a stage with nothing
 to do returns its input after an O(1) check of the cached facts.
-to_elliptic_form also sets the broom's connections on its copy before
-the freeze, and checks the skeleton tree before it returns.  The atomic
+to_elliptic_form checks the skeleton tree before it returns.  The atomic
 rewrites (eliminate, convert, create_pair, rewire) are the same code
 applied to a one-rewrite copy.  Tightness (no same-sign separatrix cycle)
 is checked per added same-sign separatrix, by a walk over one endpoint's
@@ -70,7 +75,6 @@ _TAGS = ("e+", "h+", "e-", "h-")
 
 @dataclass(frozen=True)
 class Singularity:
-    ident: str
     sign: int  # +1 or -1
     kind: str  # ELLIPTIC or HYPERBOLIC
     locus: str  # BOUNDARY or INTERIOR
@@ -94,21 +98,12 @@ class RewriteStep:
 
 
 @dataclass(frozen=True)
-class SingularityCurve:
-    ident: str
-    sign: int
-    form: str  # "curve" or "split"
-
-
-@dataclass(frozen=True)
 class FoliationState:
     tb: int
     r: int
     boundary: tuple[str, ...]  # ids in cyclic order
     sing: tuple[tuple[str, Singularity], ...]  # sorted (id, record)
     separatrices: frozenset[frozenset[str]]
-    connections: frozenset[frozenset[str]]  # elliptic-elliptic arc families
-    curves: tuple[SingularityCurve, ...] = ()
     trace: tuple[RewriteStep, ...] = field(default=(), compare=False)
 
     __getstate__ = fields_state  # the cached views are rebuilt on use
@@ -128,6 +123,18 @@ class FoliationState:
             out[None][tag] += n
             out.setdefault(locus, dict.fromkeys(_TAGS, 0))[tag] += n
         return out
+
+    @cached_property
+    def connections(self) -> frozenset[frozenset[str]]:
+        """Elliptic-elliptic arc families: the broom on the elliptic points.
+
+        Only a state in elliptic form whose interior is all positive
+        elliptic has them; any other state has none.
+        """
+        if not (self.is_elliptic_form() and self.is_reduced()):
+            return frozenset()
+        ids = [i for i, s in self.sing if s.kind == ELLIPTIC]
+        return frozenset(map(frozenset, _broom([self.sing_map[i].sign for i in ids], ids)[0]))
 
     @cached_property
     def _skeleton(self) -> SkeletonTree:
@@ -151,9 +158,7 @@ class FoliationState:
     @cached_property
     def _naf(self) -> bool:
         sm = self.sing_map
-        kinds = ((sm[b].sign, sm[b].kind) for b in self.boundary)
-        naf = all(k == (HYPERBOLIC if g > 0 else ELLIPTIC) for g, k in kinds if g)
-        return naf and self._alternates
+        return all(sm[b].kind == _naf_kind(sm[b].sign) for b in self.boundary) and self._alternates
 
     def counts(self, locus: Optional[str] = None) -> dict[str, int]:
         return dict(self._tallies.get(locus) or dict.fromkeys(_TAGS, 0))
@@ -173,8 +178,10 @@ class FoliationState:
         c = self._tallies[INTERIOR]
         return c["h+"] == 0 and c["h-"] == 0 and self._alternates
 
-    def logged(self, step: RewriteStep) -> "FoliationState":
-        return replace(self, trace=self.trace + (step,))
+
+def _naf_kind(sign: int) -> str:
+    """The kind a boundary point of this sign has in NAF: + hyperbolic, - elliptic."""
+    return HYPERBOLIC if sign > 0 else ELLIPTIC
 
 
 def _delta(**kw: int) -> tuple[tuple[str, int], ...]:
@@ -222,8 +229,8 @@ def init_boundary(
     for ident, kind, sign in zip(boundary, boundary_kinds, cycle((1, -1))):
         if kind not in (ELLIPTIC, HYPERBOLIC):
             raise BadInvariants(f"bad kind {kind!r}")
-        pend[sign] += kind == (ELLIPTIC if sign > 0 else HYPERBOLIC)
-        sing[ident] = Singularity(ident, sign, kind, BOUNDARY)
+        pend[sign] += kind != _naf_kind(sign)
+        sing[ident] = Singularity(sign, kind, BOUNDARY)
     seed = {
         "e+": max(0, e_target - 2 * pend[1]),
         "h+": max(0, 2 * pend[1] - e_target),
@@ -234,15 +241,13 @@ def init_boundary(
     spine = [f"p{j}" for j in range(e_target)]  # e_target >= 1 in range
     hubs_h = [f"q{j}" for j in range(h_target)]
     for ident in spine[: seed["e+"]]:
-        sing[ident] = Singularity(ident, 1, ELLIPTIC, INTERIOR)
+        sing[ident] = Singularity(1, ELLIPTIC, INTERIOR)
     for ident in hubs_h[: seed["h-"]]:
-        sing[ident] = Singularity(ident, -1, HYPERBOLIC, INTERIOR)
+        sing[ident] = Singularity(-1, HYPERBOLIC, INTERIOR)
     for j in range(seed["h+"]):
-        ident = f"x{j}"
-        sing[ident] = Singularity(ident, 1, HYPERBOLIC, INTERIOR)
+        sing[f"x{j}"] = Singularity(1, HYPERBOLIC, INTERIOR)
     for j in range(seed["e-"]):
-        ident = f"y{j}"
-        sing[ident] = Singularity(ident, -1, ELLIPTIC, INTERIOR)
+        sing[f"y{j}"] = Singularity(-1, ELLIPTIC, INTERIOR)
 
     # Separatrices: reduced Legendrian tree (spine alternating with interior
     # negative hyperbolics) plus boundary attachments.
@@ -252,9 +257,7 @@ def init_boundary(
     # negative elliptic that to_elliptic_form absorbs it into.
     edges += zip(reversed(boundary[1::2]), hubs_h)
 
-    # Arc-family connections are only meaningful in elliptic form; they are
-    # built by to_elliptic_form from whatever singularities survive.
-    w = _Work(FoliationState(tb, r, tuple(boundary), (), frozenset(), frozenset()), sing)
+    w = _Work(FoliationState(tb, r, tuple(boundary), (), frozenset()), sing)
     # link walks u's same-sign tree; each same-sign edge above lists first a
     # boundary point that has no separatrix yet, so the walks stay O(1).
     for u, v in edges:
@@ -287,7 +290,6 @@ class _Work:
         for u, v in self.seps:
             self.adj[u].append(v)
             self.adj[v].append(u)
-        self.connections = state.connections
         self.trace: list[RewriteStep] = []
         self.next_id: dict[str, int] = {}
 
@@ -296,7 +298,6 @@ class _Work:
             self.state,
             sing=tuple(sorted(self.sing.items())),
             separatrices=frozenset(self.seps),
-            connections=self.connections,
             trace=self.state.trace + tuple(self.trace),
         )
 
@@ -335,13 +336,11 @@ class _Work:
         return False
 
     def drop(self, x: str) -> None:
-        """Remove singularity x with every separatrix and connection at it."""
+        """Remove singularity x with every separatrix at it."""
         del self.sing[x]
         for w in self.adj.pop(x, ()):
             self.adj[w].remove(x)
             self.seps.discard(frozenset((x, w)))
-        if self.connections and any(x in c for c in self.connections):
-            self.connections = frozenset(c for c in self.connections if x not in c)
 
     def eliminate(self, e_id: str, h_id: str) -> None:
         if e_id not in self.sing or h_id not in self.sing:
@@ -364,11 +363,11 @@ class _Work:
             raise BadLeaves(f"unknown singularity {p_id}")
         p = self.sing[p_id]
         flip = HYPERBOLIC if p.kind == ELLIPTIC else ELLIPTIC
-        self.sing[p_id] = Singularity(p_id, p.sign, flip, p.locus)
+        self.sing[p_id] = Singularity(p.sign, flip, p.locus)
         prefix = "c" if p.kind == ELLIPTIC else "d"
         for _ in range(2):
             ident = self.fresh_id(prefix)
-            self.sing[ident] = Singularity(ident, p.sign, p.kind, INTERIOR)
+            self.sing[ident] = Singularity(p.sign, p.kind, INTERIOR)
             self.link(ident, p_id)
         self.trace.append(RewriteStep("convert", (p_id, gamma, tau), _PAIR_DELTA[p.sign]))
 
@@ -377,8 +376,8 @@ class _Work:
             raise SignMismatch(f"create_pair needs sign +1 or -1, got {sign!r}")
         e_id = self.fresh_id("ce")
         h_id = self.fresh_id("ch")
-        self.sing[e_id] = Singularity(e_id, sign, ELLIPTIC, INTERIOR)
-        self.sing[h_id] = Singularity(h_id, sign, HYPERBOLIC, INTERIOR)
+        self.sing[e_id] = Singularity(sign, ELLIPTIC, INTERIOR)
+        self.sing[h_id] = Singularity(sign, HYPERBOLIC, INTERIOR)
         self.link(e_id, h_id)
         self.trace.append(RewriteStep("create_pair", (leaf, sign), _PAIR_DELTA[sign]))
 
@@ -401,7 +400,7 @@ class _Work:
 
     def absorb(self, q: str, m: str) -> None:
         p = self.sing[m]
-        self.sing[m] = Singularity(m, p.sign, HYPERBOLIC, p.locus)
+        self.sing[m] = Singularity(p.sign, HYPERBOLIC, p.locus)
         self.drop(q)
         self.trace.append(RewriteStep("absorb", (q, m), _ABSORB_DELTA))
 
@@ -446,32 +445,6 @@ def rewire(
     return w.freeze()
 
 
-def singularity_curve_move(
-    state: FoliationState, segment: str, direction: str
-) -> FoliationState:
-    """Toggle a singularity curve between its merged and split local forms."""
-    if direction not in ("split", "merge"):
-        raise PatternMismatch(f"direction must be 'split' or 'merge', got {direction!r}")
-    for i, c in enumerate(state.curves):
-        if c.ident == segment:
-            want = "curve" if direction == "split" else "split"
-            if c.form != want:
-                raise PatternMismatch(
-                    f"curve {segment} is in {c.form!r} form, cannot {direction}"
-                )
-            new = SingularityCurve(c.ident, c.sign, "split" if direction == "split" else "curve")
-            curves = state.curves[:i] + (new,) + state.curves[i + 1 :]
-            out = replace(state, curves=curves)
-            return out.logged(RewriteStep("curve_move", (segment, direction), ()))
-    raise PatternMismatch(f"no singularity curve {segment!r}")
-
-
-def add_singularity_curve(state: FoliationState, ident: str, sign: int) -> FoliationState:
-    """Introduce a singularity curve record (non-generic configuration)."""
-    curves = state.curves + (SingularityCurve(ident, sign, "curve"),)
-    return replace(state, curves=curves)
-
-
 # ---------------------------------------------------------------------------
 # Pipeline stages
 
@@ -481,12 +454,7 @@ def to_naf(state: FoliationState) -> FoliationState:
     if not state._alternates:
         raise PatternMismatch("boundary signs must alternate")
     sm = state.sing_map
-    todo = [
-        b
-        for b in state.boundary
-        if (sm[b].sign > 0 and sm[b].kind == ELLIPTIC)
-        or (sm[b].sign < 0 and sm[b].kind == HYPERBOLIC)
-    ]
+    todo = [b for b in state.boundary if sm[b].kind != _naf_kind(sm[b].sign)]
     if todo:
         w = _Work(state)
         for b in todo:
@@ -499,12 +467,9 @@ def to_naf(state: FoliationState) -> FoliationState:
 
 def _doomed(ids: list[str], keep: int) -> list[str]:
     """The ids beyond the first ``keep`` survivors, sorted."""
-    ids = sorted(ids)
     # spine/hub ids (p*, q*) are the canonical survivors
-    canon = [i for i in ids if i[0] in "pq"]
-    extra = [i for i in ids if i[0] not in "pq"]
-    survivors = set((canon + extra)[:keep])
-    return [i for i in ids if i not in survivors]
+    survivors = set(sorted(ids, key=lambda i: (i[0] not in "pq", i))[:keep])
+    return sorted(i for i in ids if i not in survivors)
 
 
 def reduce_interior(state: FoliationState) -> FoliationState:
@@ -530,16 +495,15 @@ def reduce_interior(state: FoliationState) -> FoliationState:
         (_doomed(groups.get((ELLIPTIC, g), []), e), _doomed(groups.get((HYPERBOLIC, g), []), h))
         for g, e, h in ((1, e_target, 0), (-1, 0, h_target))
     ]
-    if any(es or hs for es, hs in plan):
-        w = _Work(state)
-        for es, hs in plan:
-            for e_id, h_id in zip(es, hs):
-                if frozenset((e_id, h_id)) not in w.seps:
-                    w.rewire(add=(e_id, h_id))
-                w.eliminate(e_id, h_id)
-            if len(es) != len(hs):
-                raise BadInvariants("interior counts cannot reach the reduced targets")
-        state = w.freeze()
+    w = _Work(state)
+    for es, hs in plan:
+        for e_id, h_id in zip(es, hs):
+            if frozenset((e_id, h_id)) not in w.seps:
+                w.rewire(add=(e_id, h_id))
+            w.eliminate(e_id, h_id)
+        if len(es) != len(hs):
+            raise BadInvariants("interior counts cannot reach the reduced targets")
+    state = w.freeze()
     counts = state.counts(INTERIOR)
     if counts != want:
         raise BadInvariants(
@@ -569,27 +533,26 @@ def to_elliptic_form(state: FoliationState) -> tuple[FoliationState, RegionDecom
     """Absorb interior negative hyperbolics into boundary negative elliptics.
 
     Each absorption flips the boundary point to hyperbolic and removes the
-    interior point; afterwards the interior is all-elliptic and the
-    connection graph is the extended-skeleton tree.  The hyperbolics are
-    taken in sorted order, each into a still-elliptic boundary point it
-    shares a separatrix with (init_boundary draws one per hyperbolic).  Only
-    a hyperbolic with no such separatrix is rewired, to the first free point
-    in reversed boundary order.  Idempotent on states already in elliptic
-    form.  The broom's connections go onto the same working copy, frozen
-    once; the skeleton tree is built and checked once and cached on the
-    returned state.
+    interior point; afterwards the interior is all positive elliptic, so
+    the state has its connections (FoliationState.connections).  The
+    hyperbolics are taken in sorted order, each into a still-elliptic
+    boundary point it shares a separatrix with (init_boundary draws one per
+    hyperbolic).  Only a hyperbolic with no such separatrix is rewired, to
+    the first free point in reversed boundary order.  A state already in
+    elliptic form with a reduced interior is returned as it is.  The
+    skeleton tree is built and checked once and cached on the returned
+    state.
     """
-    if not (state.is_elliptic_form() and state.connections):
+    if not (state.is_elliptic_form() and state.is_reduced()):
         if not (state.is_naf() and state.is_reduced()):
             raise PatternMismatch("to_elliptic_form needs a reduced state with NAF boundary")
         sm = state.sing_map
         # the NAF boundary's negatives are elliptic until absorbed
         pool = [b for b in reversed(state.boundary) if sm[b].sign < 0]
         free = {m: k for k, m in enumerate(pool)}  # still elliptic -> rank in pool
-        interior = sorted(i for i, s in state.sing if s.locus == INTERIOR)
         k = 0  # pool[:k] is absorbed already
         w = _Work(state)
-        for q in (i for i in interior if sm[i].kind == HYPERBOLIC):
+        for q in sorted(i for i, s in state.sing if s.locus == INTERIOR and s.kind == HYPERBOLIC):
             shared = [m for m in w.adj.get(q, ()) if m in free]
             if shared:
                 m = min(shared, key=free.__getitem__)
@@ -600,11 +563,6 @@ def to_elliptic_form(state: FoliationState) -> tuple[FoliationState, RegionDecom
                 w.rewire(add=(q, m))
             del free[m]
             w.absorb(q, m)
-        # the surviving elliptics assemble into the extended-skeleton broom;
-        # an absorption changes no id and no sign
-        ids = [i for i in interior if sm[i].kind == ELLIPTIC]
-        ids += [b for b in state.boundary if b in free]
-        w.connections = frozenset(map(frozenset, _broom([sm[v].sign for v in ids], ids)[0]))
         state = w.freeze()
         if not state.is_elliptic_form():
             raise NotEllipticForm("to_elliptic_form did not reach elliptic form")
@@ -630,13 +588,14 @@ class SkeletonTree:
 
 
 def extract_skeleton(state: FoliationState) -> SkeletonTree:
-    """The extended skeleton of an elliptic-form state, as a signed tree.
+    """The extended skeleton of a state's connections, as a signed tree.
 
     Built and checked once per state and cached on it; to_elliptic_form
-    builds it for every state it returns.
+    builds it for every state it returns.  A state without connections (not
+    in elliptic form, or with interior negative elliptics) has no skeleton.
     """
-    if not state.is_elliptic_form():
-        raise NotEllipticForm("extract_skeleton needs an elliptic-form state")
+    if not state.connections:
+        raise NotEllipticForm("extract_skeleton needs an elliptic-form, reduced state")
     return state._skeleton
 
 
@@ -660,12 +619,6 @@ def dump_state(state: FoliationState) -> str:
     lines.append("boundary " + " ".join(f"{b}:{sm[b].tag()}" for b in state.boundary))
     interior = sorted(i for i, s in state.sing if s.locus == INTERIOR)
     lines.append("interior " + " ".join(f"{i}:{sm[i].tag()}" for i in interior))
-    for e in sorted(state.separatrices, key=sorted):
-        u, v = sorted(e)
-        lines.append(f"separatrix {u}-{v}")
-    for c in sorted(state.connections, key=sorted):
-        u, v = sorted(c)
-        lines.append(f"connection {u}-{v}")
-    for c in state.curves:
-        lines.append(f"curve {c.ident}:{'+' if c.sign > 0 else '-'}:{c.form}")
+    for name, edges in (("separatrix", state.separatrices), ("connection", state.connections)):
+        lines += (f"{name} {'-'.join(sorted(e))}" for e in sorted(edges, key=sorted))
     return "\n".join(lines)

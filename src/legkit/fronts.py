@@ -105,9 +105,15 @@ class FrontDiagram:
     orient_overrides: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        # a list would build, and fail later when the diagram is hashed
+        if type(self.events) is not tuple or type(self.orient_overrides) is not tuple:
+            raise ParseError("a diagram's events and orientation overrides must be tuples")
         n = 0
         for k, ev in enumerate(self.events):
-            kind, p = ev.kind, ev.position  # a bare tuple is no FrontEvent
+            try:
+                kind, p = ev.kind, ev.position
+            except AttributeError:  # a bare tuple, which skipped FrontEvent's checks
+                raise ParseError(f"event {k + 1} ({ev!r}) is not a FrontEvent") from None
             if kind == LEFT:
                 if not 1 <= p <= n + 1:
                     raise InvalidPosition(

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -94,7 +95,11 @@ class SignedTree:
 
     @staticmethod
     def make(signs: dict[int, int], edges: Iterable[tuple[int, int]]) -> "SignedTree":
-        e = frozenset(map(frozenset, edges))
+        pairs = list(map(frozenset, edges))
+        e = frozenset(pairs)
+        if len(e) != len(pairs):  # a set of edges would hide the repeat
+            repeat = next(p for p, n in Counter(pairs).items() if n > 1)
+            raise NotATree(f"repeated edge {'-'.join(map(str, sorted(repeat)))}")
         return SignedTree(tuple(sorted(signs.items())), e)
 
     __getstate__ = fields_state  # the cached views are rebuilt on use
@@ -562,7 +567,7 @@ def parse_tree(text: str) -> AcceptableEmbedding:
     """Parse the line-oriented tree format: v/e lines, # comments."""
     signs: dict[int, int] = {}
     coords: dict[int, tuple[Fraction, Fraction]] = {}
-    edges: list[tuple[int, int]] = []
+    edges: set[frozenset[int]] = set()
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -577,7 +582,10 @@ def parse_tree(text: str) -> AcceptableEmbedding:
                 coords[vid] = (Fraction(parts[2]), Fraction(parts[3]))
                 signs[vid] = 1 if parts[4] == "+" else -1
             elif parts[0] == "e" and len(parts) == 3 and all(map(INT_TOKEN.fullmatch, parts[1:])):
-                edges.append((int(parts[1]), int(parts[2])))
+                edge = frozenset((int(parts[1]), int(parts[2])))
+                if edge in edges:  # a set of edges would hide the repeat
+                    raise ParseError(f"repeated edge {parts[1]}-{parts[2]}", line=ln)
+                edges.add(edge)
             else:
                 raise ValueError(line)
         except (ValueError, ZeroDivisionError):
@@ -603,7 +611,8 @@ def spread_embedding(t: SignedTree) -> AcceptableEmbedding:
 
     The root (left-most vertex) is the smallest-id end vertex.
     """
-    order = _dfs_order(t, min(v for v in t.vertices if t.valence(v) == 1))
+    # a one-vertex tree has no end vertex; the embedding check rejects it
+    order = _dfs_order(t, min((v for v in t.vertices if t.valence(v) == 1), default=t.vertices[0]))
     n = len(order)
     coords = {v: (Fraction(i), Fraction((i % 3) - 1, 4 * n)) for i, v in enumerate(order)}
     return AcceptableEmbedding.make(t, coords)

@@ -244,6 +244,15 @@ class TestTree2Front:
         assert code == 1
         assert "ParseError: line 3: duplicate vertex 1" in err
 
+    @pytest.mark.parametrize("text, line", [
+        ("v 0 0 0 +\nv 1 1 0 -\ne 0 1\ne 1 0\n", "line 4: repeated edge 1-0"),
+        ("v 0 0 0 +\nv 1 1 0 -\nv 2 2 0 +\ne 0 1\ne 0 1\n", "line 5: repeated edge 0-1"),
+    ], ids=["reversed pair", "same pair"])
+    def test_repeated_edge_exit_one(self, capsys, tmp_path, text, line):
+        p = tmp_path / "repeat.sat"
+        p.write_text(text)
+        assert run(capsys, "tree2front", str(p)) == (1, "", f"error: ParseError: {line}\n")
+
     def test_bad_signing_exit_one(self, capsys, tmp_path):
         p = tmp_path / "bad.sat"
         p.write_text("v 0 0 0 +\nv 1 1 0 +\ne 0 1\n")

@@ -1,6 +1,6 @@
 import copy
 import pickle
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -143,26 +143,6 @@ class TestAtomicRewrites:
         with pytest.raises(TightnessViolation):
             fo.rewire(s, add=("p0", h_id))  # p0-e-h-p0 same-sign cycle
 
-    def test_curve_move_involution(self):
-        s = fo.init_boundary(-1, 0)
-        s = fo.add_singularity_curve(s, "g", -1)
-        split = fo.singularity_curve_move(s, "g", "split")
-        back = fo.singularity_curve_move(split, "g", "merge")
-        assert back.curves == s.curves
-
-    def test_curve_move_pattern_mismatch(self):
-        s = fo.init_boundary(-1, 0)
-        with pytest.raises(PatternMismatch):
-            fo.singularity_curve_move(s, "nope", "split")
-        s = fo.add_singularity_curve(s, "g", 1)
-        with pytest.raises(PatternMismatch):
-            fo.singularity_curve_move(s, "g", "merge")
-
-    def test_curve_move_bad_direction(self):
-        s = fo.add_singularity_curve(fo.init_boundary(-1, 0), "g", 1)
-        with pytest.raises(PatternMismatch, match="direction must be 'split' or 'merge'"):
-            fo.singularity_curve_move(s, "g", "flip")
-
 
 class TestReduce:
     def test_exact_counts_default(self):
@@ -242,6 +222,24 @@ class TestSkeleton:
         with pytest.raises(NotEllipticForm):
             fo.extract_skeleton(s)
 
+    def test_initial_elliptic_form_has_its_skeleton(self):
+        # (tb, tb + 1) starts in elliptic form with a reduced interior
+        for tb in range(-15, 0):
+            state = fo.init_boundary(tb, tb + 1)
+            assert state.is_elliptic_form() and state.is_reduced()
+            skel = fo.extract_skeleton(state)
+            assert skel == fo.run_pipeline(tb, tb + 1)[2]
+            assert skel == ref_extract_skeleton(ref_to_elliptic_form(state)[0])
+            assert fo.to_elliptic_form(state)[0] is state
+
+    def test_interior_negative_elliptics_have_no_skeleton(self):
+        s = fo.init_boundary(-1, 0, ["h", "h"])
+        assert s.counts(fo.INTERIOR) == {"e+": 1, "h+": 0, "e-": 2, "h-": 0}
+        assert s.is_elliptic_form() and not s.is_reduced()
+        assert s.connections == frozenset()
+        with pytest.raises(NotEllipticForm):
+            fo.extract_skeleton(s)
+
     def test_round_trip_through_build_front(self):
         for tb, r in [(-1, 0), (-3, 2), (-6, -1), (-9, 0)]:
             _, _, skel = fo.run_pipeline(tb, r)
@@ -267,12 +265,6 @@ class TestDump:
         assert a == b
         assert a.startswith("tb -3 r 0")
         assert "boundary" in a and "interior" in a
-
-    def test_curve_lines(self):
-        s = fo.add_singularity_curve(fo.add_singularity_curve(fo.init_boundary(-1, 0), "g", -1),
-                                     "k", 1)
-        s = fo.singularity_curve_move(s, "k", "split")
-        assert fo.dump_state(s).splitlines()[-2:] == ["curve g:-:curve", "curve k:+:split"]
 
 
 class TestTypedFailures:
@@ -318,6 +310,12 @@ class TestTypedFailures:
             fo.rewire(fo.init_boundary(-3, 0), add=("p0", "p0"))
 
 
+def test_state_stores_only_the_foliation():
+    assert [f.name for f in fields(fo.FoliationState)] == [
+        "tb", "r", "boundary", "sing", "separatrices", "trace"]
+    assert [f.name for f in fields(fo.Singularity)] == ["sign", "kind", "locus"]
+
+
 def test_sing_map_built_once_and_read_only():
     s = fo.init_boundary(-3, 0)
     assert s.sing_map is s.sing_map
@@ -360,6 +358,23 @@ def _ref_with_sing(state, sing):
     return replace(state, sing=tuple(sorted(sing.items())))
 
 
+def _ref_logged(state, step):
+    return replace(state, trace=state.trace + (step,))
+
+
+@dataclass(frozen=True)
+class RefState(fo.FoliationState):
+    """The reference's elliptic-form state: it stores the broom that the
+    reference built, to compare with the connections a library state derives."""
+
+    connections: frozenset = frozenset()
+
+
+def _plain(state):
+    """The same foliation as a library state, which derives its connections."""
+    return fo.FoliationState(**{f.name: getattr(state, f.name) for f in fields(fo.FoliationState)})
+
+
 def _ref_fresh_id(sing, prefix):
     k = 0
     while f"{prefix}{k}" in sing:
@@ -381,10 +396,9 @@ def ref_eliminate(state, e_id, h_id):
     sm.pop(e_id)
     sm.pop(h_id)
     seps = frozenset(s for s in state.separatrices if not (s & {e_id, h_id}))
-    conns = frozenset(c for c in state.connections if not (c & {e_id, h_id}))
     d = fo._delta(ep=-1, hp=-1) if e.sign > 0 else fo._delta(em=-1, hm=-1)
-    out = replace(_ref_with_sing(state, sm), separatrices=seps, connections=conns)
-    return out.logged(fo.RewriteStep("eliminate", (e_id, h_id), d))
+    out = replace(_ref_with_sing(state, sm), separatrices=seps)
+    return _ref_logged(out, fo.RewriteStep("eliminate", (e_id, h_id), d))
 
 
 def ref_convert(state, p_id, gamma, tau):
@@ -399,7 +413,7 @@ def ref_convert(state, p_id, gamma, tau):
     made = []
     for _ in range(2):
         ident = _ref_fresh_id(sm, prefix)
-        sm[ident] = fo.Singularity(ident, p.sign, p.kind, fo.INTERIOR)
+        sm[ident] = fo.Singularity(p.sign, p.kind, fo.INTERIOR)
         made.append(ident)
     seps = set(state.separatrices)
     for ident in made:
@@ -407,21 +421,21 @@ def ref_convert(state, p_id, gamma, tau):
     _ref_check_tight(sm, seps)
     d = fo._delta(ep=1, hp=1) if p.sign > 0 else fo._delta(em=1, hm=1)
     out = replace(_ref_with_sing(state, sm), separatrices=frozenset(seps))
-    return out.logged(fo.RewriteStep("convert", (p_id, gamma, tau), d))
+    return _ref_logged(out, fo.RewriteStep("convert", (p_id, gamma, tau), d))
 
 
 def ref_create_pair(state, leaf, sign):
     sm = dict(state.sing)
     e_id = _ref_fresh_id(sm, "ce")
     h_id = _ref_fresh_id(sm, "ch")
-    sm[e_id] = fo.Singularity(e_id, sign, fo.ELLIPTIC, fo.INTERIOR)
-    sm[h_id] = fo.Singularity(h_id, sign, fo.HYPERBOLIC, fo.INTERIOR)
+    sm[e_id] = fo.Singularity(sign, fo.ELLIPTIC, fo.INTERIOR)
+    sm[h_id] = fo.Singularity(sign, fo.HYPERBOLIC, fo.INTERIOR)
     seps = set(state.separatrices)
     seps.add(frozenset((e_id, h_id)))
     _ref_check_tight(sm, seps)
     d = fo._delta(ep=1, hp=1) if sign > 0 else fo._delta(em=1, hm=1)
     out = replace(_ref_with_sing(state, sm), separatrices=frozenset(seps))
-    return out.logged(fo.RewriteStep("create_pair", (leaf, sign), d))
+    return _ref_logged(out, fo.RewriteStep("create_pair", (leaf, sign), d))
 
 
 def ref_rewire(state, add=None, remove=None):
@@ -438,7 +452,7 @@ def ref_rewire(state, add=None, remove=None):
         seps.add(frozenset(add))
         _ref_check_tight(sm, seps)
     out = replace(state, separatrices=frozenset(seps))
-    return out.logged(fo.RewriteStep("rewire", (add, remove), ()))
+    return _ref_logged(out, fo.RewriteStep("rewire", (add, remove), ()))
 
 
 def ref_to_naf(state):
@@ -454,14 +468,14 @@ def ref_to_naf(state):
             prefix = "c" if s.kind == fo.ELLIPTIC else "d"
             for _ in range(2):
                 ident = _ref_fresh_id(sm, prefix)
-                sm[ident] = fo.Singularity(ident, s.sign, s.kind, fo.INTERIOR)
+                sm[ident] = fo.Singularity(s.sign, s.kind, fo.INTERIOR)
                 made.append(ident)
             seps = set(cur.separatrices)
             for ident in made:
                 seps.add(frozenset((ident, b)))
             d = fo._delta(ep=1, hp=1) if s.sign > 0 else fo._delta(em=1, hm=1)
             cur = replace(_ref_with_sing(cur, sm), separatrices=frozenset(seps))
-            cur = cur.logged(fo.RewriteStep("convert", (b, "collar-leaf", "L"), d))
+            cur = _ref_logged(cur, fo.RewriteStep("convert", (b, "collar-leaf", "L"), d))
     assert cur.is_naf()
     return cur
 
@@ -545,7 +559,7 @@ def ref_extract_skeleton(state):
 
 def ref_to_elliptic_form(state):
     """Absorb one rewrite at a time, then connect through canonical_broom's tree."""
-    if state.is_elliptic_form() and state.connections:
+    if isinstance(state, RefState):
         return state, ref_decompose(state)
     if not (state.is_naf() and state.is_reduced()):
         raise PatternMismatch("to_elliptic_form needs a reduced state with NAF boundary")
@@ -566,13 +580,14 @@ def ref_to_elliptic_form(state):
         sm.pop(q)
         seps = frozenset(s for s in cur.separatrices if q not in s)
         cur = replace(_ref_with_sing(cur, sm), separatrices=seps)
-        cur = cur.logged(fo.RewriteStep("absorb", (q, m), fo._delta(em=-1)))
+        cur = _ref_logged(cur, fo.RewriteStep("absorb", (q, m), fo._delta(em=-1)))
     sm = dict(cur.sing)
     spine = sorted(i for i, s in cur.sing if s.locus == fo.INTERIOR and s.kind == fo.ELLIPTIC)
     leaves = [b for b in cur.boundary if sm[b].sign < 0 and sm[b].kind == fo.ELLIPTIC]
     ids = spine + leaves
     signs = [sm[v].sign for v in ids]
-    cur = replace(cur, connections=frozenset(tr.canonical_broom(signs, ids).edges))
+    conns = frozenset(tr.canonical_broom(signs, ids).edges)
+    cur = RefState(**fr.fields_state(cur), connections=conns)
     assert cur.is_elliptic_form()
     return cur, ref_decompose(cur)
 
@@ -623,6 +638,21 @@ class TestAgainstReference:
     def test_stages_large(self, tb, r, pattern):
         kinds = _kinds(pattern, tb)
         assert _stage_outputs(LIBRARY, tb, r, kinds) == _stage_outputs(REFERENCE, tb, r, kinds)
+
+
+def test_derived_connections_are_the_reference_broom():
+    """On every NAF state of the reference pipeline: the broom that the
+    reference's elliptic form stores where the state is in elliptic form with
+    a reduced interior, and none elsewhere."""
+    for tb, r in in_range_grid(-15):
+        for pattern in PATTERNS:
+            naf = ref_to_naf(fo.init_boundary(tb, r, _kinds(pattern, tb)))
+            reduced = ref_reduce_interior(naf)
+            final, _ = ref_to_elliptic_form(reduced)
+            assert final.connections and _plain(final).connections == final.connections
+            for s in (naf, reduced):
+                done = s.is_elliptic_form() and s.is_reduced()
+                assert s.connections == (final.connections if done else frozenset()), (tb, r)
 
 
 SMALL = list(in_range_grid(-4))
@@ -790,40 +820,6 @@ def test_elliptic_form_outputs_match_reference(case):
     assert skel.tree == ref_skel.tree
     assert skel.ids == ref_skel.ids
     assert skel == ref_skel
-
-
-def _bent_connections(state, how):
-    """The connections with one leaf re-hung on its own sign, or cut off and a chord added."""
-    sm, conns = state.sing_map, set(state.connections)
-    degree = {}
-    for c in conns:
-        for v in c:
-            degree[v] = degree.get(v, 0) + 1
-    leaf = min(v for v, d in degree.items() if d == 1)
-    (hub,) = next(c for c in conns if leaf in c) - {leaf}
-    conns.discard(frozenset((leaf, hub)))
-    if how == "same-sign edge":
-        other = min(v for v in degree if v != leaf and sm[v].sign == sm[leaf].sign)
-        conns.add(frozenset((leaf, other)))
-    else:  # a cycle among the other vertices, with the edge count of a tree
-        u, v = next(
-            (u, v) for u in sorted(degree) for v in sorted(degree)
-            if leaf not in (u, v) and sm[u].sign != sm[v].sign and frozenset((u, v)) not in conns
-        )
-        conns.add(frozenset((u, v)))
-    return replace(state, connections=frozenset(conns))
-
-
-@pytest.mark.parametrize("how", ["same-sign edge", "cycle"])
-def test_hand_built_bad_skeleton_raises_like_reference(how):
-    state, _, _ = fo.run_pipeline(-7, 2)
-    bad = _bent_connections(state, how)
-    assert bad.is_elliptic_form()
-    want = _outcome(ref_extract_skeleton, bad)
-    assert want[0] == "raised"
-    assert _outcome(fo.extract_skeleton, bad) == want
-    assert _outcome(fo.extract_skeleton, bad) == want  # a failed build is not cached
-    assert _outcome(fo.to_elliptic_form, bad) == want  # nor returned unchecked
 
 
 def test_one_signed_tree_per_elliptic_form_state(monkeypatch):

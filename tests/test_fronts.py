@@ -836,6 +836,16 @@ class TestRecordContracts:
         assert ev == ("L", 1) and hash(ev) == hash(("L", 1))
         assert (ev.kind, ev.position) == ev
 
+    @pytest.mark.parametrize("args, message", [
+        (((("L", 1), ("R", 1)),), "event 1 .* is not a FrontEvent"),
+        (([fr.FrontEvent("L", 1), fr.FrontEvent("R", 1)],), "must be tuples"),
+        (((fr.FrontEvent("L", 1), fr.FrontEvent("R", 1)), [(0, -1)]), "must be tuples"),
+    ], ids=["bare tuples", "event list", "override list"])
+    def test_diagram_of_unchecked_parts_is_rejected(self, args, message):
+        # a bare tuple skips FrontEvent's checks; a list would fail on the first hash
+        with pytest.raises(ParseError, match=message):
+            fr.FrontDiagram(*args)
+
     def test_equal_diagrams_share_one_trace(self):
         a = fr.parse_front(CLASP)
         b = fr.FrontDiagram(tuple(fr.FrontEvent(k, p) for k, p in (

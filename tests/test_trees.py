@@ -735,7 +735,9 @@ class TestParsing:
             tr.SignedTree(
                 tuple(sorted(signs.items())), frozenset(frozenset(e) for e in edges)
             )
-        assert str(direct.value) == str(made.value)
+        # a frozenset of edges holds no repeat, so only make can name one
+        repeats = len(set(map(frozenset, edges))) != len(edges)
+        assert str(made.value) == ("repeated edge 0-1" if repeats else str(direct.value))
 
     @pytest.mark.parametrize(
         "coords, condition",
@@ -813,6 +815,15 @@ class TestParsing:
         with pytest.raises(ParseError, match="duplicate vertex 1") as exc:
             tr.parse_tree("v 0 0 0 +\nv 1 1 0 -\n# again\nv 1 2 0 -\ne 0 1")
         assert exc.value.line == 4
+
+    @pytest.mark.parametrize("text, line, edge", [
+        ("v 0 0 0 +\nv 1 1 0 -\ne 0 1\ne 1 0", 4, "1-0"),  # a set keeps a one-edge tree
+        ("v 0 0 0 +\nv 1 1 0 -\nv 2 2 0 +\ne 0 1\n\ne 0 1", 6, "0-1"),  # and miscounts here
+    ], ids=["reversed pair", "same pair"])
+    def test_repeated_edge_has_line(self, text, line, edge):
+        with pytest.raises(ParseError, match=f"repeated edge {edge}") as exc:
+            tr.parse_tree(text)
+        assert exc.value.line == line
 
 
 class TestCopies:
@@ -1377,6 +1388,17 @@ class TestSignedTreeAgainstReference:
         want = ref_adjacency(t.signs, t.edges)
         assert {v: t.neighbors(v) for v in t.vertices} == want
         assert t.neighbors(max(t.vertices) + 1) == ()
+
+    @pytest.mark.parametrize("edges", [[(0, 1), (1, 0)], [(0, 1), (1, 2), (2, 1)], [(0, 1), (0, 1)]],
+                             ids=["reversed pair", "reversed in a tree", "same pair"])
+    def test_repeated_pair_is_not_a_tree(self, edges):
+        # a set of edges would keep one copy: a tree, or a miscounted non-tree
+        with pytest.raises(NotATree, match="repeated edge"):
+            tr.SignedTree.make({0: 1, 1: -1, 2: 1}, edges)
+
+    def test_one_vertex_tree_has_no_embedding(self):
+        with pytest.raises(NotAcceptable, match="at least one edge"):
+            tr.spread_embedding(tr.SignedTree.make({0: 1}, []))
 
     @settings(max_examples=300, deadline=None)
     @given(malformed_trees())
