@@ -11,7 +11,9 @@ class LegkitError(Exception):
 
 
 class ParseError(LegkitError):
-    """Malformed input text (front or tree format)."""
+    """Malformed input: front or tree text, or a front built in code from
+    parts of the wrong type (an unknown event kind, a bare-tuple event, a
+    list where the diagram keeps a tuple)."""
 
     def __init__(self, message, line=None):
         self.line = line

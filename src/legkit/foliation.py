@@ -31,8 +31,9 @@ per-locus tag counts (one pass), boundary alternation, the NAF verdict
 connections and their skeleton tree; counts(), identity_differences(),
 the is_* checks and extract_skeleton read them.  The connections (the
 arc families between elliptic points) exist only in elliptic form with a
-reduced interior, where they are the canonical broom on the elliptic
-points; any other state has none, and so no skeleton.
+reduced interior whose elliptic points can be the skeleton's vertices
+(1 - tb of them, signed to give r), where they are the canonical broom on
+those points; any other state has none, and so no skeleton.
 Each stage (to_naf, reduce_interior, to_elliptic_form) scans its input
 once, copies it once into a private working copy, applies all its
 rewrites to it in place and freezes the result once; a stage with nothing
@@ -57,6 +58,7 @@ from typing import Mapping, Optional, Sequence
 from .errors import (
     BadInvariants,
     BadLeaves,
+    NotATree,
     NotConnected,
     NotEllipticForm,
     PatternMismatch,
@@ -64,7 +66,7 @@ from .errors import (
     TightnessViolation,
 )
 from .fronts import fields_state, in_unknot_range
-from .trees import AcceptableEmbedding, SignedTree, _broom, spread_embedding
+from .trees import SIGMA, AcceptableEmbedding, SignedTree, _broom, spread_embedding
 
 ELLIPTIC = "e"
 HYPERBOLIC = "h"
@@ -129,12 +131,17 @@ class FoliationState:
         """Elliptic-elliptic arc families: the broom on the elliptic points.
 
         Only a state in elliptic form whose interior is all positive
-        elliptic has them; any other state has none.
+        elliptic has them, and only if its elliptic points can be the
+        skeleton's vertices: 1 - tb of them, with SIGMA * (plus - minus) = r.
+        Any other state has none.
         """
         if not (self.is_elliptic_form() and self.is_reduced()):
             return frozenset()
         ids = [i for i, s in self.sing if s.kind == ELLIPTIC]
-        return frozenset(map(frozenset, _broom([self.sing_map[i].sign for i in ids], ids)[0]))
+        signs = [self.sing_map[i].sign for i in ids]
+        if (len(ids), SIGMA * sum(signs)) != (1 - self.tb, self.r):
+            return frozenset()
+        return frozenset(map(frozenset, _broom(signs, ids)[0]))
 
     @cached_property
     def _skeleton(self) -> SkeletonTree:
@@ -467,9 +474,12 @@ def to_naf(state: FoliationState) -> FoliationState:
 
 def _doomed(ids: list[str], keep: int) -> list[str]:
     """The ids beyond the first ``keep`` survivors, sorted."""
+    ids = sorted(ids)
     # spine/hub ids (p*, q*) are the canonical survivors
-    survivors = set(sorted(ids, key=lambda i: (i[0] not in "pq", i))[:keep])
-    return sorted(i for i in ids if i not in survivors)
+    canon = [i for i in ids if i[0] in "pq"]
+    extra = [i for i in ids if i[0] not in "pq"]
+    survivors = set((canon + extra)[:keep])
+    return [i for i in ids if i not in survivors]
 
 
 def reduce_interior(state: FoliationState) -> FoliationState:
@@ -495,15 +505,16 @@ def reduce_interior(state: FoliationState) -> FoliationState:
         (_doomed(groups.get((ELLIPTIC, g), []), e), _doomed(groups.get((HYPERBOLIC, g), []), h))
         for g, e, h in ((1, e_target, 0), (-1, 0, h_target))
     ]
-    w = _Work(state)
-    for es, hs in plan:
-        for e_id, h_id in zip(es, hs):
-            if frozenset((e_id, h_id)) not in w.seps:
-                w.rewire(add=(e_id, h_id))
-            w.eliminate(e_id, h_id)
-        if len(es) != len(hs):
-            raise BadInvariants("interior counts cannot reach the reduced targets")
-    state = w.freeze()
+    if any(es or hs for es, hs in plan):
+        w = _Work(state)
+        for es, hs in plan:
+            for e_id, h_id in zip(es, hs):
+                if frozenset((e_id, h_id)) not in w.seps:
+                    w.rewire(add=(e_id, h_id))
+                w.eliminate(e_id, h_id)
+            if len(es) != len(hs):
+                raise BadInvariants("interior counts cannot reach the reduced targets")
+        state = w.freeze()
     counts = state.counts(INTERIOR)
     if counts != want:
         raise BadInvariants(
@@ -538,12 +549,11 @@ def to_elliptic_form(state: FoliationState) -> tuple[FoliationState, RegionDecom
     hyperbolics are taken in sorted order, each into a still-elliptic
     boundary point it shares a separatrix with (init_boundary draws one per
     hyperbolic).  Only a hyperbolic with no such separatrix is rewired, to
-    the first free point in reversed boundary order.  A state already in
-    elliptic form with a reduced interior is returned as it is.  The
-    skeleton tree is built and checked once and cached on the returned
-    state.
+    the first free point in reversed boundary order.  A state that has its
+    connections already is returned as it is.  The skeleton tree is built
+    and checked once and cached on the returned state.
     """
-    if not (state.is_elliptic_form() and state.is_reduced()):
+    if not state.connections:
         if not (state.is_naf() and state.is_reduced()):
             raise PatternMismatch("to_elliptic_form needs a reduced state with NAF boundary")
         sm = state.sing_map
@@ -564,9 +574,7 @@ def to_elliptic_form(state: FoliationState) -> tuple[FoliationState, RegionDecom
             del free[m]
             w.absorb(q, m)
         state = w.freeze()
-        if not state.is_elliptic_form():
-            raise NotEllipticForm("to_elliptic_form did not reach elliptic form")
-    extract_skeleton(state)  # builds and checks the skeleton tree once
+    extract_skeleton(state)  # checks elliptic form, builds and checks the skeleton tree once
     return state, _decompose(state)
 
 
@@ -591,11 +599,17 @@ def extract_skeleton(state: FoliationState) -> SkeletonTree:
     """The extended skeleton of a state's connections, as a signed tree.
 
     Built and checked once per state and cached on it; to_elliptic_form
-    builds it for every state it returns.  A state without connections (not
-    in elliptic form, or with interior negative elliptics) has no skeleton.
+    builds it for every state it returns.  A state not in elliptic form, or
+    with interior negative elliptics, has no skeleton (NotEllipticForm); nor
+    has one whose elliptic points are too many or too few, or of the wrong
+    signs, for (tb, r) (NotATree).
     """
-    if not state.connections:
+    if not (state.is_elliptic_form() and state.is_reduced()):
         raise NotEllipticForm("extract_skeleton needs an elliptic-form, reduced state")
+    if not state.connections:
+        raise NotATree(
+            f"the elliptic points cannot form a skeleton with tb={state.tb}, r={state.r}"
+        )
     return state._skeleton
 
 

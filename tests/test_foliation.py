@@ -12,6 +12,7 @@ from legkit import fronts as fr
 from legkit.errors import (
     BadInvariants,
     BadLeaves,
+    NotATree,
     NotConnected,
     NotEllipticForm,
     PatternMismatch,
@@ -238,6 +239,29 @@ class TestSkeleton:
         assert s.is_elliptic_form() and not s.is_reduced()
         assert s.connections == frozenset()
         with pytest.raises(NotEllipticForm):
+            fo.extract_skeleton(s)
+
+    @staticmethod
+    def _rewritten():
+        # a positive boundary elliptic leaves 3 elliptic points for tb = -3
+        s = fo.convert(fo.run_pipeline(-3, 2)[0], "b0", "g", "t")
+        for e, h in (("p1", "d0"), ("p2", "d1")):
+            s = fo.eliminate(fo.rewire(s, add=(e, h)), e, h)
+        return s
+
+    @pytest.mark.parametrize("make", [
+        lambda: fo.init_boundary(-3, 2, list("hhhehe")),  # 5 elliptic points
+        lambda: fo.init_boundary(-3, 2, list("ehhehe")),  # 4, but r reads 0
+        _rewritten,
+    ], ids=["five", "r0", "rewritten"])
+    def test_elliptic_points_that_cannot_be_the_skeleton(self, make):
+        # elliptic form with a reduced interior, but no (-3, 2) skeleton
+        s = make()
+        assert s.is_elliptic_form() and s.is_reduced()
+        assert s.connections == frozenset()
+        with pytest.raises(PatternMismatch):
+            fo.to_elliptic_form(s)
+        with pytest.raises(NotATree, match="tb=-3, r=2"):
             fo.extract_skeleton(s)
 
     def test_round_trip_through_build_front(self):
