@@ -24,25 +24,32 @@ negative elliptic, and to_elliptic_form absorbs along such a separatrix
 wherever one is left.
 
 A state stores only the foliation: tb, r, the boundary cycle, each
-singularity once under its id, the separatrices and the rewrite trace.
-It derives everything else once, when first asked: the id map, the
-per-locus tag counts (one pass), boundary alternation, the NAF verdict
-(positive boundary points hyperbolic, negative ones elliptic), the
-connections and their skeleton tree; counts(), identity_differences(),
-the is_* checks and extract_skeleton read them.  The connections (the
-arc families between elliptic points) exist only in elliptic form with a
-reduced interior whose elliptic points can be the skeleton's vertices
-(1 - tb of them, signed to give r), where they are the canonical broom on
-those points; any other state has none, and so no skeleton.
+singularity once under its id, the separatrices and the rewrite trace.  A
+singularity record is one of 8 values (sign, kind, locus), built once in
+a module table that every state and rewrite shares, so a stage builds no
+record per singularity; a logged rewrite is a RewriteStep tuple.  Copies
+hold equal records of their own: records compare with ==, never by
+identity.  A state derives everything else once, when first asked: the id
+map, the per-locus tag counts (one pass), boundary alternation, the NAF
+verdict (positive boundary points hyperbolic, negative ones elliptic),
+the connections and their skeleton tree; counts(),
+identity_differences(), the is_* checks and extract_skeleton read them.
+The connections (the arc families between elliptic points) exist only in
+elliptic form with a reduced interior whose elliptic points can be the
+skeleton's vertices (1 - tb of them, signed to give r), where they are
+the canonical broom on those points; any other state has none, and so no
+skeleton.
 Each stage (to_naf, reduce_interior, to_elliptic_form) scans its input
 once, copies it once into a private working copy, applies all its
 rewrites to it in place and freezes the result once; a stage with nothing
 to do returns its input after an O(1) check of the cached facts.
 to_elliptic_form checks the skeleton tree before it returns.  The atomic
 rewrites (eliminate, convert, create_pair, rewire) are the same code
-applied to a one-rewrite copy.  Tightness (no same-sign separatrix cycle)
-is checked per added same-sign separatrix, by a walk over one endpoint's
-same-sign tree; init_boundary adds its separatrices the same way.
+applied to a one-rewrite copy; eliminate cancels interior points only.
+Tightness (no same-sign separatrix cycle) is checked per added same-sign
+separatrix, by a walk over one endpoint's same-sign tree, and needs no
+walk when an endpoint has no separatrix yet; init_boundary adds its
+separatrices the same way.
 """
 
 from __future__ import annotations
@@ -50,10 +57,10 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import cycle
+from itertools import cycle, product
 from operator import and_, attrgetter, ne
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     BadInvariants,
@@ -85,8 +92,13 @@ class Singularity:
         return f"{'+' if self.sign > 0 else '-'}{self.kind}"
 
 
-@dataclass(frozen=True)
-class RewriteStep:
+# The 8 singularity records, one per (sign, kind, locus), shared by every
+# state; a pickled or copied state holds equal records, so compare with ==.
+_SINGS = {key: Singularity(*key)
+          for key in product((1, -1), (ELLIPTIC, HYPERBOLIC), (BOUNDARY, INTERIOR))}
+
+
+class RewriteStep(NamedTuple):
     """One logged rewrite with its count delta (over all loci, per sign/kind)."""
 
     rule: str
@@ -237,7 +249,7 @@ def init_boundary(
         if kind not in (ELLIPTIC, HYPERBOLIC):
             raise BadInvariants(f"bad kind {kind!r}")
         pend[sign] += kind != _naf_kind(sign)
-        sing[ident] = Singularity(sign, kind, BOUNDARY)
+        sing[ident] = _SINGS[sign, kind, BOUNDARY]
     seed = {
         "e+": max(0, e_target - 2 * pend[1]),
         "h+": max(0, 2 * pend[1] - e_target),
@@ -248,13 +260,13 @@ def init_boundary(
     spine = [f"p{j}" for j in range(e_target)]  # e_target >= 1 in range
     hubs_h = [f"q{j}" for j in range(h_target)]
     for ident in spine[: seed["e+"]]:
-        sing[ident] = Singularity(1, ELLIPTIC, INTERIOR)
+        sing[ident] = _SINGS[1, ELLIPTIC, INTERIOR]
     for ident in hubs_h[: seed["h-"]]:
-        sing[ident] = Singularity(-1, HYPERBOLIC, INTERIOR)
+        sing[ident] = _SINGS[-1, HYPERBOLIC, INTERIOR]
     for j in range(seed["h+"]):
-        sing[f"x{j}"] = Singularity(1, HYPERBOLIC, INTERIOR)
+        sing[f"x{j}"] = _SINGS[1, HYPERBOLIC, INTERIOR]
     for j in range(seed["e-"]):
-        sing[f"y{j}"] = Singularity(-1, ELLIPTIC, INTERIOR)
+        sing[f"y{j}"] = _SINGS[-1, ELLIPTIC, INTERIOR]
 
     # Separatrices: reduced Legendrian tree (spine alternating with interior
     # negative hyperbolics) plus boundary attachments.
@@ -265,8 +277,8 @@ def init_boundary(
     edges += zip(reversed(boundary[1::2]), hubs_h)
 
     w = _Work(FoliationState(tb, r, tuple(boundary), (), frozenset()), sing)
-    # link walks u's same-sign tree; each same-sign edge above lists first a
-    # boundary point that has no separatrix yet, so the walks stay O(1).
+    # each same-sign edge above lists first a boundary point that has no
+    # separatrix yet, so link adds it without a walk.
     for u, v in edges:
         if u in sing and v in sing:
             w.link(u, v)
@@ -286,7 +298,9 @@ class _Work:
     indexes every separatrix by endpoint, so removing a point touches only
     its own edges.  Tightness is checked per added same-sign separatrix: a
     tight state's same-sign separatrices form a forest, so an added edge
-    closes a cycle exactly when its endpoints already share a same-sign tree.
+    closes a cycle exactly when its endpoints already share a same-sign tree,
+    which an endpoint without separatrices cannot.  A rewrite stores a
+    record from the shared table and logs a RewriteStep tuple.
     """
 
     def __init__(self, state: FoliationState, sing: Optional[dict[str, Singularity]] = None):
@@ -323,7 +337,10 @@ class _Work:
         if edge in self.seps:
             return
         sign = self.sing[u].sign
-        if self.sing[v].sign == sign and self._joined(u, v, sign):
+        # an endpoint without separatrices shares no tree with the other one;
+        # a self-loop is a cycle all the same
+        if (self.sing[v].sign == sign and (u == v or self.adj.get(u) and self.adj.get(v))
+                and self._joined(u, v, sign)):
             raise TightnessViolation(f"same-sign separatrix cycle through {u}")
         self.seps.add(edge)
         self.adj[u].append(v)
@@ -353,6 +370,9 @@ class _Work:
         if e_id not in self.sing or h_id not in self.sing:
             raise NotConnected(f"unknown singularities {e_id}, {h_id}")
         e, h = self.sing[e_id], self.sing[h_id]
+        if BOUNDARY in (e.locus, h.locus):
+            # the boundary cycle keeps its points: tb fixes their number
+            raise PatternMismatch(f"eliminate needs interior points, got {e_id}, {h_id}")
         if e.kind != ELLIPTIC or h.kind != HYPERBOLIC:
             raise SignMismatch(f"eliminate needs (elliptic, hyperbolic), got ({e.kind}, {h.kind})")
         if e.sign != h.sign:
@@ -370,11 +390,11 @@ class _Work:
             raise BadLeaves(f"unknown singularity {p_id}")
         p = self.sing[p_id]
         flip = HYPERBOLIC if p.kind == ELLIPTIC else ELLIPTIC
-        self.sing[p_id] = Singularity(p.sign, flip, p.locus)
+        self.sing[p_id] = _SINGS[p.sign, flip, p.locus]
         prefix = "c" if p.kind == ELLIPTIC else "d"
         for _ in range(2):
             ident = self.fresh_id(prefix)
-            self.sing[ident] = Singularity(p.sign, p.kind, INTERIOR)
+            self.sing[ident] = _SINGS[p.sign, p.kind, INTERIOR]
             self.link(ident, p_id)
         self.trace.append(RewriteStep("convert", (p_id, gamma, tau), _PAIR_DELTA[p.sign]))
 
@@ -383,8 +403,8 @@ class _Work:
             raise SignMismatch(f"create_pair needs sign +1 or -1, got {sign!r}")
         e_id = self.fresh_id("ce")
         h_id = self.fresh_id("ch")
-        self.sing[e_id] = Singularity(sign, ELLIPTIC, INTERIOR)
-        self.sing[h_id] = Singularity(sign, HYPERBOLIC, INTERIOR)
+        self.sing[e_id] = _SINGS[sign, ELLIPTIC, INTERIOR]
+        self.sing[h_id] = _SINGS[sign, HYPERBOLIC, INTERIOR]
         self.link(e_id, h_id)
         self.trace.append(RewriteStep("create_pair", (leaf, sign), _PAIR_DELTA[sign]))
 
@@ -407,7 +427,7 @@ class _Work:
 
     def absorb(self, q: str, m: str) -> None:
         p = self.sing[m]
-        self.sing[m] = Singularity(p.sign, HYPERBOLIC, p.locus)
+        self.sing[m] = _SINGS[p.sign, HYPERBOLIC, p.locus]
         self.drop(q)
         self.trace.append(RewriteStep("absorb", (q, m), _ABSORB_DELTA))
 
@@ -417,7 +437,7 @@ class _Work:
 
 
 def eliminate(state: FoliationState, e_id: str, h_id: str) -> FoliationState:
-    """Cancel a same-sign elliptic/hyperbolic pair joined by a separatrix."""
+    """Cancel a same-sign interior elliptic/hyperbolic pair joined by a separatrix."""
     w = _Work(state)
     w.eliminate(e_id, h_id)
     return w.freeze()

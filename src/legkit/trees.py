@@ -458,11 +458,21 @@ class _TreeWork:
         return moves
 
 
+def replay_moves(t: SignedTree, moves: Iterable[Move]) -> SignedTree:
+    """Apply end-edge moves in order to one working copy of t and build one tree.
+
+    Each move is checked against the tree the moves before it left, as
+    move_end_edge checks it; only the final tree is built and checked.
+    """
+    work = _TreeWork(t)
+    for edge, target in moves:
+        work.move(edge, target)
+    return work.freeze()
+
+
 def move_end_edge(t: SignedTree, edge: tuple[int, int], target: int) -> SignedTree:
     """Re-attach an end edge to another vertex of the same sign."""
-    work = _TreeWork(t)
-    work.move(edge, target)
-    return work.freeze()
+    return replay_moves(t, [(edge, target)])
 
 
 def _broom(signs: Sequence[int], ids: Sequence) -> tuple[list[tuple], list, list]:
@@ -498,7 +508,8 @@ def normalize_to_almost_linear(t: SignedTree) -> tuple[SignedTree, list[Move]]:
     One walk on a working copy builds the broom's path outward from an edge
     the tree already has (``_TreeWork.walk_to_broom``), so an edge already
     where the broom wants it is never moved and the broom itself gets no
-    move.  Each move replays as ``move_end_edge(t, *move)``.
+    move.  The moves replay as ``replay_moves(t, moves)``, and each one as
+    ``move_end_edge(t, *move)``.
     """
     if len(t.vertices) <= 1:
         return t, []

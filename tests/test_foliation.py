@@ -141,8 +141,38 @@ class TestAtomicRewrites:
         e_id = next(i for i, _ in s.sing if i.startswith("ce"))
         h_id = next(i for i, _ in s.sing if i.startswith("ch"))
         s = fo.rewire(s, add=("p0", e_id))
+        # both endpoints already have separatrices, so the walk runs
+        assert all(any(x in e for e in s.separatrices) for x in ("p0", h_id))
         with pytest.raises(TightnessViolation):
             fo.rewire(s, add=("p0", h_id))  # p0-e-h-p0 same-sign cycle
+        with pytest.raises(TightnessViolation):
+            ref_rewire(s, add=("p0", h_id))
+
+    def test_no_walk_from_an_isolated_endpoint(self, monkeypatch):
+        # a point without separatrices shares no same-sign tree with another
+        def walk(self, u, v, sign):
+            raise AssertionError(f"walk from {u} to {v}")
+
+        s = fo.init_boundary(-1, 0, ["h", "h"])  # interior y0, y1: e-, no separatrix
+        with pytest.raises(TightnessViolation):
+            fo.rewire(s, add=("y0", "y0"))  # a self-loop is a cycle all the same
+        want = ref_rewire(s, add=("b1", "y0"))
+        monkeypatch.setattr(fo._Work, "_joined", walk)
+        assert fo.rewire(s, add=("b1", "y0")) == want
+        fo.create_pair(fo.convert(s, "y1", "gamma", "tau"), "leaf", -1)
+
+    @pytest.mark.parametrize("tb, r, e_id, h_id", [
+        (-4, -3, "p0", "b0"),  # a boundary hyperbolic
+        (-4, -3, "b0", "p0"),  # the same pair, operands swapped
+        (-3, 0, "b5", "q0"),  # a boundary elliptic
+    ])
+    def test_eliminate_refuses_boundary_points(self, tb, r, e_id, h_id):
+        # the boundary cycle would still name the removed point
+        s = fo.init_boundary(tb, r)
+        assert frozenset((e_id, h_id)) in s.separatrices
+        for rewrite in (fo.eliminate, ref_eliminate):
+            with pytest.raises(PatternMismatch, match=f"interior points, got {e_id}, {h_id}"):
+                rewrite(s, e_id, h_id)
 
 
 class TestReduce:
@@ -282,6 +312,75 @@ class TestCopies:
             assert fo.extract_skeleton(state2) == skel
 
 
+class TestSharedRecords:
+    """Every state holds the module's 8 singularity records; no stage or
+    rewrite builds its own, and a copy with records of its own runs alike."""
+
+    @staticmethod
+    def assert_shared(state):
+        assert all(fo._SINGS[s.sign, s.kind, s.locus] is s for _, s in state.sing)
+
+    def test_table(self):
+        assert len(fo._SINGS) == 8
+        assert all(fo.Singularity(*key) == s for key, s in fo._SINGS.items())
+
+    def test_pipeline_states(self):
+        for tb, r in in_range_grid(-15):
+            for raw in (False, True):
+                state = fo.init_boundary(tb, r, [fo.ELLIPTIC] * (2 * -tb) if raw else None)
+                self.assert_shared(state)
+                for stage in (fo.to_naf, fo.reduce_interior, lambda s: fo.to_elliptic_form(s)[0]):
+                    state = stage(state)
+                    self.assert_shared(state)
+                if not raw:
+                    final = fo.run_pipeline(tb, r)[0]
+                    assert final == state
+                    self.assert_shared(final)
+
+    def test_atomic_rewrites(self):
+        s = fo.init_boundary(-3, 0, list("eehehe"))
+        steps = [
+            lambda s: fo.convert(s, "b0", "gamma", "tau"),  # a boundary point flips
+            lambda s: fo.convert(s, "q0", "gamma", "tau"),  # and an interior one
+            lambda s: fo.create_pair(s, "leaf", -1),
+            lambda s: fo.rewire(s, add=("ce0", "b1"), remove=("b0", "c1")),
+            lambda s: fo.eliminate(s, "q0", "d0"),
+        ]
+        for step in steps:
+            s = step(s)
+            self.assert_shared(s)
+        assert [st.rule for st in s.trace] == [
+            "convert", "convert", "create_pair", "rewire", "eliminate"]
+        assert s.counts(fo.INTERIOR) == {"e+": 2, "h+": 0, "e-": 1, "h-": 2}
+
+    def test_copies_run_like_the_original(self):
+        start = fo.init_boundary(-9, 2, [fo.ELLIPTIC] * 18)
+        stages = (fo.to_naf, fo.reduce_interior, lambda s: fo.to_elliptic_form(s)[0])
+        for copied in (pickle.loads(pickle.dumps(start)), copy.deepcopy(start)):
+            assert copied == start and copied.sing_map == start.sing_map
+            assert not any(fo._SINGS[s.sign, s.kind, s.locus] is s for _, s in copied.sing)
+            a, b = copied, start
+            for stage in stages:
+                a, b = stage(a), stage(b)
+                assert a == b and fo.dump_state(a) == fo.dump_state(b)
+                assert a.trace == b.trace
+            assert fo.extract_skeleton(a) == fo.extract_skeleton(b)
+
+
+def test_rewrite_steps_are_immutable_hashable_tuples():
+    s = fo.rewire(fo.run_pipeline(-5, 2)[0], add=("p0", "b1"))
+    steps = s.trace
+    assert [st.rule for st in steps] == ["absorb"] * 3 + ["rewire"]
+    for step in steps:
+        assert isinstance(step, tuple) and step == fo.RewriteStep(*step)
+        assert hash(step) == hash(fo.RewriteStep(step.rule, step.operands, step.delta))
+        with pytest.raises(AttributeError):
+            step.rule = "eliminate"
+    assert len(set(steps)) == 4
+    assert [st.describe() for st in steps[2:]] == [
+        "absorb(q2,b5): e--1", "rewire(('p0', 'b1'),None): no count change"]
+
+
 class TestDump:
     def test_deterministic(self):
         a = fo.dump_state(fo.run_pipeline(-3, 0)[0])
@@ -411,6 +510,8 @@ def ref_eliminate(state, e_id, h_id):
     if e_id not in sm or h_id not in sm:
         raise NotConnected(f"unknown singularities {e_id}, {h_id}")
     e, h = sm[e_id], sm[h_id]
+    if e.locus == fo.BOUNDARY or h.locus == fo.BOUNDARY:
+        raise PatternMismatch(f"eliminate needs interior points, got {e_id}, {h_id}")
     if e.kind != fo.ELLIPTIC or h.kind != fo.HYPERBOLIC:
         raise SignMismatch(f"eliminate needs (elliptic, hyperbolic), got ({e.kind}, {h.kind})")
     if e.sign != h.sign:

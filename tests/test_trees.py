@@ -454,16 +454,12 @@ def broom_of(t):
 
 
 def assert_replays_to_broom(t):
-    """Normalize t; every move replays through move_end_edge to the broom,
-    no move's target is its attachment, no vertex moves more than twice, and
-    the broom itself gets no move."""
+    """Normalize t; the moves replay through replay_moves to the broom, each
+    one legal where it is made, no move's target is its attachment, no vertex
+    moves more than twice, and the broom itself gets no move."""
     out, moves = tr.normalize_to_almost_linear(t)
-    cur = t
-    for mv in moves:
-        (attach, _), target = mv
-        assert target != attach
-        cur = tr.move_end_edge(cur, *mv)
-    assert cur == out == broom_of(t)
+    assert all(target != attach for (attach, _), target in moves)
+    assert tr.replay_moves(t, moves) == out == broom_of(t)
     moved = [leaf for (_, leaf), _ in moves]
     assert all(moved.count(v) <= 2 for v in moved)
     assert (moves == []) == (t == out)
@@ -1005,6 +1001,21 @@ class TestMoves:
             tr.move_end_edge(t, (1, 2), 1)
         with pytest.raises(SignMismatch, match="already attached"):
             tr.move_end_edge(t, (2, 1), 1)
+
+    def test_replay_checks_each_move_where_it_is_made(self):
+        t = tr.SignedTree.make(
+            {0: 1, 1: -1, 2: 1, 3: -1, 4: 1},
+            [(0, 1), (1, 2), (2, 3), (3, 4)],
+        )
+        moves = [((3, 4), 1), ((1, 4), 3)]  # 4 onto 1, then back onto 3
+        assert tr.move_end_edge(tr.move_end_edge(t, *moves[0]), *moves[1]) == t
+        assert tr.replay_moves(t, moves) == t
+        assert tr.replay_moves(t, moves[:1]) == tr.move_end_edge(t, *moves[0])
+        assert tr.replay_moves(t, []) == t
+        with pytest.raises(NotATree, match="no edge"):
+            tr.replay_moves(t, [moves[0], moves[0]])  # 3-4 is gone after the first
+        with pytest.raises(SignMismatch, match="already attached"):
+            tr.replay_moves(t, [moves[0], ((4, 1), 1)])
 
 
 class TestNormalization:
