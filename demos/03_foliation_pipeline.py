@@ -21,7 +21,6 @@ from legkit import (
     reduce_interior,
     to_elliptic_form,
     to_naf,
-    extract_skeleton,
 )
 from legkit.foliation import ELLIPTIC, dump_state
 
@@ -39,9 +38,9 @@ print("interior identity differences:", state.identity_differences("interior"))
 state = reduce_interior(state)
 print("reduced interior:", state.counts("interior"))
 
-state, regions = to_elliptic_form(state)
-print("elliptic form reached; regions:",
-      {t: regions.count(t) for t in ("type(a)", "type(b)")})
+# The elliptic-form stage returns the state with its extended skeleton.
+state, skel = to_elliptic_form(state)
+print("elliptic form reached")
 
 # Every rewrite carries its count delta; the trace is an append-only log.
 print("\nrewrite trace:")
@@ -53,7 +52,6 @@ print(dump_state(state))
 
 # The extended skeleton is a signed tree with exactly 1 - tb vertices;
 # feeding it back through the wavefront construction recovers (tb, r).
-skel = extract_skeleton(state)
 front = build_front(skel.embedding())
 print("\nskeleton vertices:", len(skel.tree.vertices),
       "-> rebuilt front invariants:", invariant_pair(OrientedFront.default(front)))

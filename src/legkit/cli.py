@@ -167,17 +167,15 @@ def cmd_foliate(args) -> int:
     state = fol.to_naf(state)
     naf_steps = len(state.trace)
     state = fol.reduce_interior(state)
-    state, regions = fol.to_elliptic_form(state)
+    state, skel = fol.to_elliptic_form(state)
     if args.trace:
         for k, step in enumerate(state.trace):
             marker = "" if k < naf_steps else " [post-NAF regime]"
             print(f"# {step.describe()}{marker}")
     if args.skeleton:
-        skel = fol.extract_skeleton(state)
         print(trees.serialize_tree(skel.embedding()))
         return 0
     print(fol.dump_state(state))
-    print(f"# regions: type(a)={regions.count('type(a)')} type(b)={regions.count('type(b)')}")
     return 0
 
 

@@ -13,7 +13,7 @@ class LegkitError(Exception):
 class ParseError(LegkitError):
     """Malformed input: front or tree text, or a front built in code from
     parts of the wrong type (an unknown event kind, a bare-tuple event, a
-    list where the diagram keeps a tuple)."""
+    list where the diagram keeps a tuple) or from no event at all."""
 
     def __init__(self, message, line=None):
         self.line = line

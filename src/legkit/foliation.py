@@ -43,7 +43,8 @@ Each stage (to_naf, reduce_interior, to_elliptic_form) scans its input
 once, copies it once into a private working copy, applies all its
 rewrites to it in place and freezes the result once; a stage with nothing
 to do returns its input after an O(1) check of the cached facts.
-to_elliptic_form checks the skeleton tree before it returns.  The atomic
+to_elliptic_form returns its state with the skeleton tree, built and
+checked once; no region decomposition is built.  The atomic
 rewrites (eliminate, convert, create_pair, rewire) are the same code
 applied to a one-rewrite copy; eliminate cancels interior points only.
 Tightness (no same-sign separatrix cycle) is checked per added same-sign
@@ -58,7 +59,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import cycle, product
-from operator import and_, attrgetter, ne
+from operator import attrgetter, ne
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -203,15 +204,10 @@ def _naf_kind(sign: int) -> str:
     return HYPERBOLIC if sign > 0 else ELLIPTIC
 
 
-def _delta(**kw: int) -> tuple[tuple[str, int], ...]:
-    names = {"ep": "e+", "hp": "h+", "em": "e-", "hm": "h-"}
-    return tuple((names[k], v) for k, v in kw.items() if v)
-
-
-# The count deltas the rewrites log, built once; per-sign ones keyed by sign.
-_ELIMINATE_DELTA = {1: _delta(ep=-1, hp=-1), -1: _delta(em=-1, hm=-1)}
-_PAIR_DELTA = {1: _delta(ep=1, hp=1), -1: _delta(em=1, hm=1)}  # convert, create_pair
-_ABSORB_DELTA = _delta(em=-1)
+# The count deltas the rewrites log; per-sign ones keyed by sign.
+_ELIMINATE_DELTA = {1: (("e+", -1), ("h+", -1)), -1: (("e-", -1), ("h-", -1))}
+_PAIR_DELTA = {1: (("e+", 1), ("h+", 1)), -1: (("e-", 1), ("h-", 1))}  # convert, create_pair
+_ABSORB_DELTA = (("e-", -1),)
 
 
 def interior_count_targets(tb: int, r: int) -> tuple[int, int]:
@@ -543,24 +539,7 @@ def reduce_interior(state: FoliationState) -> FoliationState:
     return state
 
 
-@dataclass(frozen=True)
-class RegionDecomposition:
-    """Region counts of an elliptic-form disk by tag; no region is built."""
-
-    type_a: int  # cyclically adjacent hyperbolic boundary pairs
-    type_b: int  # arc-family connections
-
-    def count(self, tag: str) -> int:
-        return {"type(a)": self.type_a, "type(b)": self.type_b}.get(tag, 0)
-
-
-def _decompose(state: FoliationState) -> RegionDecomposition:
-    sm = state.sing_map
-    hyp = [sm[b].kind == HYPERBOLIC for b in state.boundary]
-    return RegionDecomposition(sum(map(and_, hyp, hyp[1:] + hyp[:1])), len(state.connections))
-
-
-def to_elliptic_form(state: FoliationState) -> tuple[FoliationState, RegionDecomposition]:
+def to_elliptic_form(state: FoliationState) -> tuple[FoliationState, SkeletonTree]:
     """Absorb interior negative hyperbolics into boundary negative elliptics.
 
     Each absorption flips the boundary point to hyperbolic and removes the
@@ -570,8 +549,9 @@ def to_elliptic_form(state: FoliationState) -> tuple[FoliationState, RegionDecom
     boundary point it shares a separatrix with (init_boundary draws one per
     hyperbolic).  Only a hyperbolic with no such separatrix is rewired, to
     the first free point in reversed boundary order.  A state that has its
-    connections already is returned as it is.  The skeleton tree is built
-    and checked once and cached on the returned state.
+    connections already is returned as it is.  Returns (state, skeleton):
+    the skeleton is extract_skeleton(state), built and checked once and
+    cached on the state.
     """
     if not state.connections:
         if not (state.is_naf() and state.is_reduced()):
@@ -594,8 +574,7 @@ def to_elliptic_form(state: FoliationState) -> tuple[FoliationState, RegionDecom
             del free[m]
             w.absorb(q, m)
         state = w.freeze()
-    extract_skeleton(state)  # checks elliptic form, builds and checks the skeleton tree once
-    return state, _decompose(state)
+    return state, extract_skeleton(state)
 
 
 # ---------------------------------------------------------------------------
@@ -633,13 +612,9 @@ def extract_skeleton(state: FoliationState) -> SkeletonTree:
     return state._skeleton
 
 
-def run_pipeline(tb: int, r: int) -> tuple[FoliationState, RegionDecomposition, SkeletonTree]:
-    """init -> NAF -> reduced -> elliptic form -> skeleton, with full trace."""
-    state = init_boundary(tb, r)
-    state = to_naf(state)
-    state = reduce_interior(state)
-    state, regions = to_elliptic_form(state)
-    return state, regions, extract_skeleton(state)
+def run_pipeline(tb: int, r: int) -> tuple[FoliationState, SkeletonTree]:
+    """init -> NAF -> reduced -> elliptic form, with full trace: (state, skeleton)."""
+    return to_elliptic_form(reduce_interior(to_naf(init_boundary(tb, r))))
 
 
 # ---------------------------------------------------------------------------

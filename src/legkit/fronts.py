@@ -108,6 +108,8 @@ class FrontDiagram:
         # a list would build, and fail later when the diagram is hashed
         if type(self.events) is not tuple or type(self.orient_overrides) is not tuple:
             raise ParseError("a diagram's events and orientation overrides must be tuples")
+        if not self.events:
+            raise ParseError("empty diagram has no component")
         n = 0
         for k, ev in enumerate(self.events):
             try:
@@ -590,8 +592,6 @@ def parse_front(text: str) -> FrontDiagram:
             raise InvalidPosition(f"line {ln}: position {pos} must be >= 1")
         made[raw] = FrontEvent(parts[0], pos)
         events.append(made[raw])
-    if not events:
-        raise ParseError("empty diagram has no component")
     return FrontDiagram(tuple(events), tuple(overrides))
 
 

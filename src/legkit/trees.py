@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     BadInvariants,
@@ -253,10 +253,6 @@ class AcceptableEmbedding:
                 m = lcm(*(g[w][0] - x for w in ws))
                 ws.sort(key=lambda w: ((y - g[w][1]) * (m // (g[w][0] - x)), w))
         return MappingProxyType({v: tuple(ws) for v, ws in kids.items()})
-
-    def right_children(self, v: int, parent: Optional[int]) -> list[int]:
-        """Right-attached neighbors, numbered from the top (steepest slope first)."""
-        return [w for w in self.children[v] if w != parent]
 
 
 def _ratio(c) -> tuple[int, int]:

@@ -285,17 +285,21 @@ class TestFoliate:
     def test_trace_marks_post_naf(self, capsys):
         code, out, _ = run(capsys, "foliate", "--tb", "-3", "--r", "0", "--raw", "--trace")
         assert code == 0
-        steps = [l for l in out.splitlines() if l.startswith("# ") and "regions:" not in l]
+        steps = [l for l in out.splitlines() if l.startswith("# ")]
         converts = [l for l in steps if l.startswith("# convert(")]
         reduces = [l for l in steps if l.startswith(("# rewire(", "# eliminate("))]
         assert len(converts) == 3 and len(reduces) == 8
         assert not any("[post-NAF regime]" in l for l in converts)
         assert all(l.endswith(" [post-NAF regime]") for l in reduces)
 
-    def test_regions_line(self, capsys):
+    def test_ends_with_the_state_dump(self, capsys):
+        from legkit import foliation as fo
+
         code, out, _ = run(capsys, "foliate", "--tb", "-1", "--r", "0")
         assert code == 0
-        assert out.splitlines()[-1] == "# regions: type(a)=0 type(b)=1"
+        last = fo.dump_state(fo.run_pipeline(-1, 0)[0]).splitlines()[-1]
+        assert last == "connection b1-p0"
+        assert out.splitlines()[-1] == last
 
     def test_tb_zero_exit_one(self, capsys):
         code, _, err = run(capsys, "foliate", "--tb", "0", "--r", "1")

@@ -201,11 +201,11 @@ class TestReduce:
 class TestEllipticForm:
     def test_minimal(self):
         s = fo.reduce_interior(fo.to_naf(fo.init_boundary(-1, 0)))
-        out, regions = fo.to_elliptic_form(s)
+        out, skel = fo.to_elliptic_form(s)
         assert out.counts(fo.INTERIOR) == {"e+": 1, "h+": 0, "e-": 0, "h-": 0}
         tags = [out.sing_map[b].tag() for b in out.boundary]
         assert tags == ["+h", "-e"]
-        assert regions.count("type(b)") == 1
+        assert skel.ids == ("b1", "p0") and len(skel.tree.edges) == 1
 
     def test_idempotent(self):
         s = fo.reduce_interior(fo.to_naf(fo.init_boundary(-5, 2)))
@@ -227,24 +227,32 @@ class TestEllipticForm:
         assert [st.rule for st in steps] == ["absorb"] * fo.interior_count_targets(tb, r)[1]
         assert all(frozenset(st.operands) in reduced.separatrices for st in steps)
 
-    def test_decomposition_nonempty(self):
-        s = fo.reduce_interior(fo.to_naf(fo.init_boundary(-2, 1)))
-        out, regions = fo.to_elliptic_form(s)
-        assert out.is_elliptic_form()
+    @pytest.mark.parametrize("make", [
         # b0 +h, b1 -e, b2 +h, b3 absorbed to -h; p0 - b1 - p1 is the broom
-        assert (regions.count("type(a)"), regions.count("type(b)")) == (2, 2)
-        assert regions.count("type(c)") == 0
-        assert regions == fo.RegionDecomposition(2, 2)
+        lambda: fo.reduce_interior(fo.to_naf(fo.init_boundary(-2, 1))),
+        lambda: fo.init_boundary(-3, -2),  # (tb, tb + 1): returned as it is
+    ], ids=["absorbing", "already-elliptic"])
+    def test_returns_its_skeleton(self, make):
+        out, skel = fo.to_elliptic_form(make())
+        assert out.is_elliptic_form()
+        assert skel is fo.extract_skeleton(out)
+
+    def test_run_pipeline_returns_state_and_skeleton(self):
+        result = fo.run_pipeline(-2, 1)
+        assert type(result) is tuple and len(result) == 2
+        state, skel = result
+        assert skel is fo.extract_skeleton(state)
+        assert state.connections == {frozenset(("b1", "p0")), frozenset(("b1", "p1"))}
 
 
 class TestSkeleton:
     def test_minimal_edge(self):
-        _, _, skel = fo.run_pipeline(-1, 0)
+        _, skel = fo.run_pipeline(-1, 0)
         assert len(skel.tree.vertices) == 2
         assert skel.tree.counts() == (1, 1)
 
     def test_three_vertex_path(self):
-        _, _, skel = fo.run_pipeline(-2, 1)
+        _, skel = fo.run_pipeline(-2, 1)
         assert len(skel.tree.vertices) == 3
         assert tr.expected_invariants(skel.tree) == (-2, 1)
 
@@ -259,7 +267,7 @@ class TestSkeleton:
             state = fo.init_boundary(tb, tb + 1)
             assert state.is_elliptic_form() and state.is_reduced()
             skel = fo.extract_skeleton(state)
-            assert skel == fo.run_pipeline(tb, tb + 1)[2]
+            assert skel == fo.run_pipeline(tb, tb + 1)[1]
             assert skel == ref_extract_skeleton(ref_to_elliptic_form(state)[0])
             assert fo.to_elliptic_form(state)[0] is state
 
@@ -296,14 +304,14 @@ class TestSkeleton:
 
     def test_round_trip_through_build_front(self):
         for tb, r in [(-1, 0), (-3, 2), (-6, -1), (-9, 0)]:
-            _, _, skel = fo.run_pipeline(tb, r)
+            _, skel = fo.run_pipeline(tb, r)
             d = tr.build_front(skel.embedding())
             assert fr.invariant_pair(fr.OrientedFront.default(d)) == (tb, r)
 
 
 class TestCopies:
     def test_state_round_trip(self):
-        state, _, skel = fo.run_pipeline(-7, 2)
+        state, skel = fo.run_pipeline(-7, 2)
         counts = state.counts()  # fills the cached views
         for state2 in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
             assert state2 == state and state2.trace == state.trace
@@ -485,6 +493,12 @@ def _ref_logged(state, step):
     return replace(state, trace=state.trace + (step,))
 
 
+def ref_delta(**kw):
+    """A count delta built from keyword counts, as the library once did."""
+    names = {"ep": "e+", "hp": "h+", "em": "e-", "hm": "h-"}
+    return tuple((names[k], v) for k, v in kw.items() if v)
+
+
 @dataclass(frozen=True)
 class RefState(fo.FoliationState):
     """The reference's elliptic-form state: it stores the broom that the
@@ -521,7 +535,7 @@ def ref_eliminate(state, e_id, h_id):
     sm.pop(e_id)
     sm.pop(h_id)
     seps = frozenset(s for s in state.separatrices if not (s & {e_id, h_id}))
-    d = fo._delta(ep=-1, hp=-1) if e.sign > 0 else fo._delta(em=-1, hm=-1)
+    d = ref_delta(ep=-1, hp=-1) if e.sign > 0 else ref_delta(em=-1, hm=-1)
     out = replace(_ref_with_sing(state, sm), separatrices=seps)
     return _ref_logged(out, fo.RewriteStep("eliminate", (e_id, h_id), d))
 
@@ -544,7 +558,7 @@ def ref_convert(state, p_id, gamma, tau):
     for ident in made:
         seps.add(frozenset((ident, p_id)))
     _ref_check_tight(sm, seps)
-    d = fo._delta(ep=1, hp=1) if p.sign > 0 else fo._delta(em=1, hm=1)
+    d = ref_delta(ep=1, hp=1) if p.sign > 0 else ref_delta(em=1, hm=1)
     out = replace(_ref_with_sing(state, sm), separatrices=frozenset(seps))
     return _ref_logged(out, fo.RewriteStep("convert", (p_id, gamma, tau), d))
 
@@ -558,7 +572,7 @@ def ref_create_pair(state, leaf, sign):
     seps = set(state.separatrices)
     seps.add(frozenset((e_id, h_id)))
     _ref_check_tight(sm, seps)
-    d = fo._delta(ep=1, hp=1) if sign > 0 else fo._delta(em=1, hm=1)
+    d = ref_delta(ep=1, hp=1) if sign > 0 else ref_delta(em=1, hm=1)
     out = replace(_ref_with_sing(state, sm), separatrices=frozenset(seps))
     return _ref_logged(out, fo.RewriteStep("create_pair", (leaf, sign), d))
 
@@ -598,7 +612,7 @@ def ref_to_naf(state):
             seps = set(cur.separatrices)
             for ident in made:
                 seps.add(frozenset((ident, b)))
-            d = fo._delta(ep=1, hp=1) if s.sign > 0 else fo._delta(em=1, hm=1)
+            d = ref_delta(ep=1, hp=1) if s.sign > 0 else ref_delta(em=1, hm=1)
             cur = replace(_ref_with_sing(cur, sm), separatrices=frozenset(seps))
             cur = _ref_logged(cur, fo.RewriteStep("convert", (b, "collar-leaf", "L"), d))
     assert cur.is_naf()
@@ -637,31 +651,6 @@ def ref_reduce_interior(state):
     return cur
 
 
-@dataclass(frozen=True)
-class RefRegion:
-    tag: str  # "type(a)" | "type(b)"
-    members: tuple
-
-
-@dataclass(frozen=True)
-class RefRegionDecomposition:
-    regions: tuple
-
-    def count(self, tag):
-        return sum(1 for r in self.regions if r.tag == tag)
-
-
-def ref_decompose(state):
-    """One region object per connection and per hyperbolic boundary pair."""
-    sm = state.sing_map
-    regions = [RefRegion("type(b)", c) for c in sorted(map(tuple, map(sorted, state.connections)))]
-    bd = state.boundary
-    for a, b in zip(bd, bd[1:] + bd[:1]):
-        if sm[a].kind == fo.HYPERBOLIC and sm[b].kind == fo.HYPERBOLIC:
-            regions.append(RefRegion("type(a)", (a, b)))
-    return RefRegionDecomposition(tuple(regions))
-
-
 def ref_extract_skeleton(state):
     """The skeleton rebuilt from the connections on every call, never cached."""
     if not state.is_elliptic_form():
@@ -685,7 +674,7 @@ def ref_extract_skeleton(state):
 def ref_to_elliptic_form(state):
     """Absorb one rewrite at a time, then connect through canonical_broom's tree."""
     if isinstance(state, RefState):
-        return state, ref_decompose(state)
+        return state, ref_extract_skeleton(state)
     if not (state.is_naf() and state.is_reduced()):
         raise PatternMismatch("to_elliptic_form needs a reduced state with NAF boundary")
     cur = state
@@ -705,7 +694,7 @@ def ref_to_elliptic_form(state):
         sm.pop(q)
         seps = frozenset(s for s in cur.separatrices if q not in s)
         cur = replace(_ref_with_sing(cur, sm), separatrices=seps)
-        cur = _ref_logged(cur, fo.RewriteStep("absorb", (q, m), fo._delta(em=-1)))
+        cur = _ref_logged(cur, fo.RewriteStep("absorb", (q, m), ref_delta(em=-1)))
     sm = dict(cur.sing)
     spine = sorted(i for i, s in cur.sing if s.locus == fo.INTERIOR and s.kind == fo.ELLIPTIC)
     leaves = [b for b in cur.boundary if sm[b].sign < 0 and sm[b].kind == fo.ELLIPTIC]
@@ -714,7 +703,7 @@ def ref_to_elliptic_form(state):
     conns = frozenset(tr.canonical_broom(signs, ids).edges)
     cur = RefState(**fr.fields_state(cur), connections=conns)
     assert cur.is_elliptic_form()
-    return cur, ref_decompose(cur)
+    return cur, ref_extract_skeleton(cur)
 
 
 def _outcome(fn, *args):
@@ -734,16 +723,13 @@ def _kinds(pattern, tb):
     return [pattern] * n
 
 
-REGION_TAGS = ("type(a)", "type(b)")
-
-
 def _stage_outputs(stages, tb, r, kinds):
     to_naf, reduce_interior, to_elliptic_form, extract_skeleton = stages
     naf = to_naf(fo.init_boundary(tb, r, kinds))
     reduced = reduce_interior(naf)
-    final, regions = to_elliptic_form(reduced)
+    final, _ = to_elliptic_form(reduced)
     dumps = [(fo.dump_state(s), [st.describe() for st in s.trace]) for s in (naf, reduced, final)]
-    return dumps, [regions.count(t) for t in REGION_TAGS], extract_skeleton(final)
+    return dumps, extract_skeleton(final)
 
 
 LIBRARY = (fo.to_naf, fo.reduce_interior, fo.to_elliptic_form, fo.extract_skeleton)
@@ -924,9 +910,9 @@ def test_counts_returns_a_fresh_dict():
 
 
 # ---------------------------------------------------------------------------
-# The elliptic-form stage builds its broom, skeleton tree and region counts
-# once; the references build a region object per region, a string-id broom
-# tree through canonical_broom, and the skeleton anew on every call.
+# The elliptic-form stage builds its broom and skeleton tree once; the
+# references build a string-id broom tree through canonical_broom, and the
+# skeleton anew on every call.
 
 
 def _reduced(tb, r, raw):
@@ -937,9 +923,8 @@ def _reduced(tb, r, raw):
 @given(TB_R_RAW)
 def test_elliptic_form_outputs_match_reference(case):
     reduced = _reduced(*case)
-    got, regions = fo.to_elliptic_form(reduced)
-    want, ref_regions = ref_to_elliptic_form(reduced)
-    assert [regions.count(t) for t in REGION_TAGS] == [ref_regions.count(t) for t in REGION_TAGS]
+    got, _ = fo.to_elliptic_form(reduced)
+    want, _ = ref_to_elliptic_form(reduced)
     assert got.connections == want.connections
     skel, ref_skel = fo.extract_skeleton(got), ref_extract_skeleton(want)
     assert skel.tree == ref_skel.tree

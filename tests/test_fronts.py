@@ -482,6 +482,9 @@ class TestParsing:
     def test_empty_diagram_rejected(self):
         with pytest.raises(ParseError):
             fr.parse_front("# nothing\n")
+        with pytest.raises(ParseError) as exc:
+            fr.parse_front("# nothing\norient 0 +\n")
+        assert str(exc.value) == "empty diagram has no component" and exc.value.line is None
 
     def test_crossing_needs_two_strands(self):
         with pytest.raises(InvalidPosition):
@@ -840,9 +843,12 @@ class TestRecordContracts:
         (((("L", 1), ("R", 1)),), "event 1 .* is not a FrontEvent"),
         (([fr.FrontEvent("L", 1), fr.FrontEvent("R", 1)],), "must be tuples"),
         (((fr.FrontEvent("L", 1), fr.FrontEvent("R", 1)), [(0, -1)]), "must be tuples"),
-    ], ids=["bare tuples", "event list", "override list"])
+        (((),), "^empty diagram has no component$"),
+        (((), ((0, 1),)), "^empty diagram has no component$"),
+    ], ids=["bare tuples", "event list", "override list", "no events", "orient only"])
     def test_diagram_of_unchecked_parts_is_rejected(self, args, message):
-        # a bare tuple skips FrontEvent's checks; a list would fail on the first hash
+        # a bare tuple skips FrontEvent's checks; a list would fail on the first hash;
+        # no events would fail to render and to round-trip through text
         with pytest.raises(ParseError, match=message):
             fr.FrontDiagram(*args)
 
