@@ -32,7 +32,7 @@ state = init_boundary(TB, R, boundary_kinds=[ELLIPTIC] * (2 * abs(TB)))
 print("initial interior counts:", state.counts("interior"))
 
 state = to_naf(state)
-print("after NAF: boundary", [state.sing_map[b].tag() for b in state.boundary])
+print("after NAF: boundary", [state.sing_map[b][::-1] for b in state.boundary])
 print("interior identity differences:", state.identity_differences("interior"))
 
 state = reduce_interior(state)

@@ -282,6 +282,10 @@ def cmd_fuzz(args) -> int:
                 failure = f"tb + r = {tb + r} is even"
             elif fronts.rotation_number(of.reverse(0)) != -r:
                 failure = "r does not flip under reversal"
+            elif (sum(ev.kind == fronts.CROSS for ev in d.events) <= 2
+                  and not fronts.in_unknot_range(tb, r)):
+                # a diagram of at most 2 crossings is a topological unknot
+                failure = f"({tb}, {r}) is outside the unknot range with at most 2 crossings"
         else:
             emb = trees.random_acceptable_embedding(rng)
             d = trees.build_front(emb)

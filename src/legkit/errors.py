@@ -13,7 +13,8 @@ class LegkitError(Exception):
 class ParseError(LegkitError):
     """Malformed input: front or tree text, or a front built in code from
     parts of the wrong type (an unknown event kind, a bare-tuple event, a
-    list where the diagram keeps a tuple) or from no event at all."""
+    list where the diagram keeps a tuple, an orientation override that is
+    not a (component, +1 or -1) pair of ints) or from no event at all."""
 
     def __init__(self, message, line=None):
         self.line = line
@@ -47,7 +48,8 @@ class NoZigzag(LegkitError):
 
 
 class BadDirection(LegkitError):
-    """Direction or pushoff side outside its allowed values."""
+    """Direction or pushoff side outside its allowed values, or an
+    orientation of another front than the one it is applied to."""
 
 
 class GeometryDegenerate(LegkitError):

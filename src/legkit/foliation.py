@@ -25,15 +25,17 @@ wherever one is left.
 
 A state stores only the foliation: tb, r, the boundary cycle, each
 singularity once under its id, the separatrices and the rewrite trace.  A
-singularity record is one of 8 values (sign, kind, locus), built once in
-a module table that every state and rewrite shares, so a stage builds no
-record per singularity; a logged rewrite is a RewriteStep tuple.  Copies
-hold equal records of their own: records compare with ==, never by
-identity.  A state derives everything else once, when first asked: the id
-map, the per-locus tag counts (one pass), boundary alternation, the NAF
-verdict (positive boundary points hyperbolic, negative ones elliptic),
-the connections and their skeleton tree; counts(),
-identity_differences(), the is_* checks and extract_skeleton read them.
+singularity is its tag, one of "e+", "h+", "e-", "h-" (kind, then sign);
+whether it lies on the boundary is whether its id is in the boundary
+cycle.  A separatrix (and a connection) is a pair of ids (u, v) with
+u < v, and a state holds them as a sorted tuple; a logged rewrite is a
+RewriteStep tuple.  So a state holds strings and tuples of strings only,
+which the garbage collector stops tracking.  A state derives everything
+else once, when first asked: the id map, the per-locus tag counts,
+boundary alternation, the NAF verdict (positive boundary points
+hyperbolic, negative ones elliptic), the connections and their skeleton
+tree; counts(), identity_differences(), the is_* checks and
+extract_skeleton read them.
 The connections (the arc families between elliptic points) exist only in
 elliptic form with a reduced interior whose elliptic points can be the
 skeleton's vertices (1 - tb of them, signed to give r), where they are
@@ -43,6 +45,7 @@ Each stage (to_naf, reduce_interior, to_elliptic_form) scans its input
 once, copies it once into a private working copy, applies all its
 rewrites to it in place and freezes the result once; a stage with nothing
 to do returns its input after an O(1) check of the cached facts.
+init_boundary builds its start state and copies it the same way.
 to_elliptic_form returns its state with the skeleton tree, built and
 checked once; no region decomposition is built.  The atomic
 rewrites (eliminate, convert, create_pair, rewire) are the same code
@@ -58,8 +61,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import cycle, product
-from operator import attrgetter, ne
+from itertools import cycle
+from operator import ne
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -80,23 +83,11 @@ ELLIPTIC = "e"
 HYPERBOLIC = "h"
 BOUNDARY = "boundary"
 INTERIOR = "interior"
+# A singularity's tag: its kind, then its sign; tag[1] is "+" or "-".
 _TAGS = ("e+", "h+", "e-", "h-")
-
-
-@dataclass(frozen=True)
-class Singularity:
-    sign: int  # +1 or -1
-    kind: str  # ELLIPTIC or HYPERBOLIC
-    locus: str  # BOUNDARY or INTERIOR
-
-    def tag(self) -> str:
-        return f"{'+' if self.sign > 0 else '-'}{self.kind}"
-
-
-# The 8 singularity records, one per (sign, kind, locus), shared by every
-# state; a pickled or copied state holds equal records, so compare with ==.
-_SINGS = {key: Singularity(*key)
-          for key in product((1, -1), (ELLIPTIC, HYPERBOLIC), (BOUNDARY, INTERIOR))}
+_NAF = ("h+", "e-")  # the tags a NAF boundary has: + hyperbolic, - elliptic
+_FLIP = {"e+": "h+", "h+": "e+", "e-": "h-", "h-": "e-"}  # a conversion's kind flip
+_SIGN = {"+": 1, "-": -1}
 
 
 class RewriteStep(NamedTuple):
@@ -117,30 +108,31 @@ class FoliationState:
     tb: int
     r: int
     boundary: tuple[str, ...]  # ids in cyclic order
-    sing: tuple[tuple[str, Singularity], ...]  # sorted (id, record)
-    separatrices: frozenset[frozenset[str]]
+    sing: tuple[tuple[str, str], ...]  # sorted (id, tag)
+    separatrices: tuple[tuple[str, str], ...]  # sorted (u, v), u < v
     trace: tuple[RewriteStep, ...] = field(default=(), compare=False)
 
     __getstate__ = fields_state  # the cached views are rebuilt on use
 
     @cached_property
-    def sing_map(self) -> Mapping[str, Singularity]:
-        """Read-only id -> Singularity view, built once per state."""
+    def sing_map(self) -> Mapping[str, str]:
+        """Read-only id -> tag view, built once per state."""
         return MappingProxyType(dict(self.sing))
 
     @cached_property
-    def _tallies(self) -> dict[Optional[str], dict[str, int]]:
-        """Tag counts per locus and over all loci (key None), from one pass."""
-        out = {k: dict.fromkeys(_TAGS, 0) for k in (None, BOUNDARY, INTERIOR)}
-        tally = Counter(map(attrgetter("locus", "kind", "sign"), self.sing_map.values()))
-        for (locus, kind, sign), n in tally.items():
-            tag = f"{kind}{'+' if sign > 0 else '-'}"
-            out[None][tag] += n
-            out.setdefault(locus, dict.fromkeys(_TAGS, 0))[tag] += n
-        return out
+    def _on_boundary(self) -> frozenset[str]:
+        return frozenset(self.boundary)
 
     @cached_property
-    def connections(self) -> frozenset[frozenset[str]]:
+    def _tallies(self) -> dict[Optional[str], dict[str, int]]:
+        """Tag counts per locus and over all loci (key None)."""
+        total = Counter(self.sing_map.values())
+        bnd = Counter(map(self.sing_map.__getitem__, self.boundary))
+        return {None: {t: total[t] for t in _TAGS}, BOUNDARY: {t: bnd[t] for t in _TAGS},
+                INTERIOR: {t: total[t] - bnd[t] for t in _TAGS}}
+
+    @cached_property
+    def connections(self) -> tuple[tuple[str, str], ...]:
         """Elliptic-elliptic arc families: the broom on the elliptic points.
 
         Only a state in elliptic form whose interior is all positive
@@ -149,36 +141,35 @@ class FoliationState:
         Any other state has none.
         """
         if not (self.is_elliptic_form() and self.is_reduced()):
-            return frozenset()
-        ids = [i for i, s in self.sing if s.kind == ELLIPTIC]
-        signs = [self.sing_map[i].sign for i in ids]
+            return ()
+        ids = [i for i, t in self.sing if t[0] == ELLIPTIC]
+        signs = [_SIGN[self.sing_map[i][1]] for i in ids]
         if (len(ids), SIGMA * sum(signs)) != (1 - self.tb, self.r):
-            return frozenset()
-        return frozenset(map(frozenset, _broom(signs, ids)[0]))
+            return ()
+        return tuple(sorted(tuple(sorted(e)) for e in _broom(signs, ids)[0]))
 
     @cached_property
     def _skeleton(self) -> SkeletonTree:
         """The connections as a signed tree on the sorted ids, checked when built."""
-        sm = self.sing_map
+        sm, on_b = self.sing_map, self._on_boundary
         verts = sorted({v for c in self.connections for v in c})
         index = {v: k for k, v in enumerate(verts)}
-        signs = {k: sm[v].sign for k, v in enumerate(verts)}
+        signs = {k: _SIGN[sm[v][1]] for k, v in enumerate(verts)}
         return SkeletonTree(
             tree=SignedTree.make(signs, [(index[u], index[v]) for u, v in self.connections]),
-            interior_vertices=frozenset(v for v in verts if sm[v].locus == INTERIOR),
-            boundary_vertices=frozenset(v for v in verts if sm[v].locus == BOUNDARY),
+            interior_vertices=frozenset(v for v in verts if v not in on_b),
+            boundary_vertices=frozenset(v for v in verts if v in on_b),
             ids=tuple(verts),
         )
 
     @cached_property
     def _alternates(self) -> bool:
-        signs = [self.sing_map[b].sign for b in self.boundary]
+        signs = [self.sing_map[b][1] for b in self.boundary]
         return all(map(ne, signs, signs[1:] + signs[:1]))
 
     @cached_property
     def _naf(self) -> bool:
-        sm = self.sing_map
-        return all(sm[b].kind == _naf_kind(sm[b].sign) for b in self.boundary) and self._alternates
+        return all(self.sing_map[b] in _NAF for b in self.boundary) and self._alternates
 
     def counts(self, locus: Optional[str] = None) -> dict[str, int]:
         return dict(self._tallies.get(locus) or dict.fromkeys(_TAGS, 0))
@@ -199,14 +190,9 @@ class FoliationState:
         return c["h+"] == 0 and c["h-"] == 0 and self._alternates
 
 
-def _naf_kind(sign: int) -> str:
-    """The kind a boundary point of this sign has in NAF: + hyperbolic, - elliptic."""
-    return HYPERBOLIC if sign > 0 else ELLIPTIC
-
-
-# The count deltas the rewrites log; per-sign ones keyed by sign.
-_ELIMINATE_DELTA = {1: (("e+", -1), ("h+", -1)), -1: (("e-", -1), ("h-", -1))}
-_PAIR_DELTA = {1: (("e+", 1), ("h+", 1)), -1: (("e-", 1), ("h-", 1))}  # convert, create_pair
+# The count deltas the rewrites log; per-sign ones keyed by the sign character.
+_ELIMINATE_DELTA = {"+": (("e+", -1), ("h+", -1)), "-": (("e-", -1), ("h-", -1))}
+_PAIR_DELTA = {"+": (("e+", 1), ("h+", 1)), "-": (("e-", 1), ("h-", 1))}  # convert, create_pair
 _ABSORB_DELTA = (("e-", -1),)
 
 
@@ -238,31 +224,27 @@ def init_boundary(
         boundary_kinds = (HYPERBOLIC, ELLIPTIC) * n
     elif len(boundary_kinds) != 2 * n:
         raise BadInvariants(f"boundary_kinds must list {2 * n} kinds, got {len(boundary_kinds)}")
-    sing: dict[str, Singularity] = {}
+    sing: dict[str, str] = {}
     boundary = [f"b{i}" for i in range(2 * n)]  # signs alternate from b0 = +
-    pend = {1: 0, -1: 0}  # pending NAF conversions
-    for ident, kind, sign in zip(boundary, boundary_kinds, cycle((1, -1))):
+    pend = {"+": 0, "-": 0}  # pending NAF conversions
+    for ident, kind, sign in zip(boundary, boundary_kinds, cycle("+-")):
         if kind not in (ELLIPTIC, HYPERBOLIC):
             raise BadInvariants(f"bad kind {kind!r}")
-        pend[sign] += kind != _naf_kind(sign)
-        sing[ident] = _SINGS[sign, kind, BOUNDARY]
+        sing[ident] = kind + sign
+        pend[sign] += sing[ident] not in _NAF
     seed = {
-        "e+": max(0, e_target - 2 * pend[1]),
-        "h+": max(0, 2 * pend[1] - e_target),
-        "h-": max(0, h_target - 2 * pend[-1]),
-        "e-": max(0, 2 * pend[-1] - h_target),
+        "e+": max(0, e_target - 2 * pend["+"]),
+        "h+": max(0, 2 * pend["+"] - e_target),
+        "h-": max(0, h_target - 2 * pend["-"]),
+        "e-": max(0, 2 * pend["-"] - h_target),
     }
 
     spine = [f"p{j}" for j in range(e_target)]  # e_target >= 1 in range
     hubs_h = [f"q{j}" for j in range(h_target)]
-    for ident in spine[: seed["e+"]]:
-        sing[ident] = _SINGS[1, ELLIPTIC, INTERIOR]
-    for ident in hubs_h[: seed["h-"]]:
-        sing[ident] = _SINGS[-1, HYPERBOLIC, INTERIOR]
-    for j in range(seed["h+"]):
-        sing[f"x{j}"] = _SINGS[1, HYPERBOLIC, INTERIOR]
-    for j in range(seed["e-"]):
-        sing[f"y{j}"] = _SINGS[-1, ELLIPTIC, INTERIOR]
+    sing.update(dict.fromkeys(spine[: seed["e+"]], "e+"))
+    sing.update(dict.fromkeys(hubs_h[: seed["h-"]], "h-"))
+    sing.update((f"x{j}", "h+") for j in range(seed["h+"]))
+    sing.update((f"y{j}", "e-") for j in range(seed["e-"]))
 
     # Separatrices: reduced Legendrian tree (spine alternating with interior
     # negative hyperbolics) plus boundary attachments.
@@ -272,7 +254,7 @@ def init_boundary(
     # negative elliptic that to_elliptic_form absorbs it into.
     edges += zip(reversed(boundary[1::2]), hubs_h)
 
-    w = _Work(FoliationState(tb, r, tuple(boundary), (), frozenset()), sing)
+    w = _Work(FoliationState(tb, r, tuple(boundary), tuple(sorted(sing.items())), ()))
     # each same-sign edge above lists first a boundary point that has no
     # separatrix yet, so link adds it without a walk.
     for u, v in edges:
@@ -291,22 +273,21 @@ class _Work:
     A stage copies its input once, applies all its rewrites here and
     freezes once, so each rewrite costs O(degree) rather than O(n); a stage
     whose input's cached facts show nothing to do makes no copy.  ``adj``
-    indexes every separatrix by endpoint, so removing a point touches only
-    its own edges.  Tightness is checked per added same-sign separatrix: a
-    tight state's same-sign separatrices form a forest, so an added edge
-    closes a cycle exactly when its endpoints already share a same-sign tree,
-    which an endpoint without separatrices cannot.  A rewrite stores a
-    record from the shared table and logs a RewriteStep tuple.
+    is the copy's one separatrix index, a set of neighbours per endpoint,
+    so removing a point touches only its own edges.  Tightness is checked
+    per added same-sign separatrix: a tight state's same-sign separatrices
+    form a forest, so an added edge closes a cycle exactly when its
+    endpoints already share a same-sign tree, which an endpoint without
+    separatrices cannot.  A rewrite stores tags and logs a RewriteStep tuple.
     """
 
-    def __init__(self, state: FoliationState, sing: Optional[dict[str, Singularity]] = None):
+    def __init__(self, state: FoliationState):
         self.state = state
-        self.sing = dict(state.sing) if sing is None else sing
-        self.seps = set(state.separatrices)
-        self.adj: defaultdict[str, list[str]] = defaultdict(list)
-        for u, v in self.seps:
-            self.adj[u].append(v)
-            self.adj[v].append(u)
+        self.sing = dict(state.sing)
+        self.adj: defaultdict[str, set[str]] = defaultdict(set)
+        for u, v in state.separatrices:
+            self.adj[u].add(v)
+            self.adj[v].add(u)
         self.trace: list[RewriteStep] = []
         self.next_id: dict[str, int] = {}
 
@@ -314,7 +295,7 @@ class _Work:
         return replace(
             self.state,
             sing=tuple(sorted(self.sing.items())),
-            separatrices=frozenset(self.seps),
+            separatrices=tuple(sorted((u, v) for u, vs in self.adj.items() for v in vs if u < v)),
             trace=self.state.trace + tuple(self.trace),
         )
 
@@ -329,20 +310,18 @@ class _Work:
         return f"{prefix}{k}"
 
     def link(self, u: str, v: str) -> None:
-        edge = frozenset((u, v))
-        if edge in self.seps:
+        if v in self.adj[u]:
             return
-        sign = self.sing[u].sign
+        sign = self.sing[u][1]
         # an endpoint without separatrices shares no tree with the other one;
         # a self-loop is a cycle all the same
-        if (self.sing[v].sign == sign and (u == v or self.adj.get(u) and self.adj.get(v))
+        if (self.sing[v][1] == sign and (u == v or self.adj[u] and self.adj.get(v))
                 and self._joined(u, v, sign)):
             raise TightnessViolation(f"same-sign separatrix cycle through {u}")
-        self.seps.add(edge)
-        self.adj[u].append(v)
-        self.adj[v].append(u)
+        self.adj[u].add(v)
+        self.adj[v].add(u)
 
-    def _joined(self, u: str, v: str, sign: int) -> bool:
+    def _joined(self, u: str, v: str, sign: str) -> bool:
         """Whether a path of sign-``sign`` separatrices joins u to v."""
         stack, seen = [u], {u}
         while stack:
@@ -350,7 +329,7 @@ class _Work:
             if x == v:
                 return True
             for w in self.adj.get(x, ()):
-                if w not in seen and self.sing[w].sign == sign:
+                if w not in seen and self.sing[w][1] == sign:
                     seen.add(w)
                     stack.append(w)
         return False
@@ -360,24 +339,23 @@ class _Work:
         del self.sing[x]
         for w in self.adj.pop(x, ()):
             self.adj[w].remove(x)
-            self.seps.discard(frozenset((x, w)))
 
     def eliminate(self, e_id: str, h_id: str) -> None:
         if e_id not in self.sing or h_id not in self.sing:
             raise NotConnected(f"unknown singularities {e_id}, {h_id}")
         e, h = self.sing[e_id], self.sing[h_id]
-        if BOUNDARY in (e.locus, h.locus):
+        if e_id in self.state._on_boundary or h_id in self.state._on_boundary:
             # the boundary cycle keeps its points: tb fixes their number
             raise PatternMismatch(f"eliminate needs interior points, got {e_id}, {h_id}")
-        if e.kind != ELLIPTIC or h.kind != HYPERBOLIC:
-            raise SignMismatch(f"eliminate needs (elliptic, hyperbolic), got ({e.kind}, {h.kind})")
-        if e.sign != h.sign:
+        if e[0] != ELLIPTIC or h[0] != HYPERBOLIC:
+            raise SignMismatch(f"eliminate needs (elliptic, hyperbolic), got ({e[0]}, {h[0]})")
+        if e[1] != h[1]:
             raise SignMismatch("eliminate needs a same-sign pair")
-        if frozenset((e_id, h_id)) not in self.seps:
+        if h_id not in self.adj[e_id]:
             raise NotConnected(f"{e_id} and {h_id} share no separatrix")
         self.drop(e_id)
         self.drop(h_id)
-        self.trace.append(RewriteStep("eliminate", (e_id, h_id), _ELIMINATE_DELTA[e.sign]))
+        self.trace.append(RewriteStep("eliminate", (e_id, h_id), _ELIMINATE_DELTA[e[1]]))
 
     def convert(self, p_id: str, gamma, tau) -> None:
         if gamma == tau:
@@ -385,33 +363,31 @@ class _Work:
         if p_id not in self.sing:
             raise BadLeaves(f"unknown singularity {p_id}")
         p = self.sing[p_id]
-        flip = HYPERBOLIC if p.kind == ELLIPTIC else ELLIPTIC
-        self.sing[p_id] = _SINGS[p.sign, flip, p.locus]
-        prefix = "c" if p.kind == ELLIPTIC else "d"
+        self.sing[p_id] = _FLIP[p]
+        prefix = "c" if p[0] == ELLIPTIC else "d"
         for _ in range(2):
             ident = self.fresh_id(prefix)
-            self.sing[ident] = _SINGS[p.sign, p.kind, INTERIOR]
+            self.sing[ident] = p
             self.link(ident, p_id)
-        self.trace.append(RewriteStep("convert", (p_id, gamma, tau), _PAIR_DELTA[p.sign]))
+        self.trace.append(RewriteStep("convert", (p_id, gamma, tau), _PAIR_DELTA[p[1]]))
 
     def create_pair(self, leaf, sign: int) -> None:
         if sign not in (1, -1):
             raise SignMismatch(f"create_pair needs sign +1 or -1, got {sign!r}")
+        s = "+" if sign > 0 else "-"
         e_id = self.fresh_id("ce")
         h_id = self.fresh_id("ch")
-        self.sing[e_id] = _SINGS[sign, ELLIPTIC, INTERIOR]
-        self.sing[h_id] = _SINGS[sign, HYPERBOLIC, INTERIOR]
+        self.sing[e_id] = ELLIPTIC + s
+        self.sing[h_id] = HYPERBOLIC + s
         self.link(e_id, h_id)
-        self.trace.append(RewriteStep("create_pair", (leaf, sign), _PAIR_DELTA[sign]))
+        self.trace.append(RewriteStep("create_pair", (leaf, sign), _PAIR_DELTA[s]))
 
     def rewire(
         self, add: Optional[tuple[str, str]] = None, remove: Optional[tuple[str, str]] = None
     ) -> None:
         if remove is not None:
-            edge = frozenset(remove)
-            if edge not in self.seps:
+            if len(remove) != 2 or remove[1] not in self.adj.get(remove[0], ()):
                 raise NotConnected(f"no separatrix {remove}")
-            self.seps.discard(edge)
             u, v = remove
             self.adj[u].remove(v)
             self.adj[v].remove(u)
@@ -422,8 +398,7 @@ class _Work:
         self.trace.append(RewriteStep("rewire", (add, remove), ()))
 
     def absorb(self, q: str, m: str) -> None:
-        p = self.sing[m]
-        self.sing[m] = _SINGS[p.sign, HYPERBOLIC, p.locus]
+        self.sing[m] = "h-"  # m is a boundary negative elliptic
         self.drop(q)
         self.trace.append(RewriteStep("absorb", (q, m), _ABSORB_DELTA))
 
@@ -476,8 +451,7 @@ def to_naf(state: FoliationState) -> FoliationState:
     """Convert boundary singularities until positives are hyperbolic, negatives elliptic."""
     if not state._alternates:
         raise PatternMismatch("boundary signs must alternate")
-    sm = state.sing_map
-    todo = [b for b in state.boundary if sm[b].kind != _naf_kind(sm[b].sign)]
+    todo = [b for b in state.boundary if state.sing_map[b] not in _NAF]
     if todo:
         w = _Work(state)
         for b in todo:
@@ -511,21 +485,21 @@ def reduce_interior(state: FoliationState) -> FoliationState:
     want = {"e+": e_target, "h+": 0, "e-": 0, "h-": h_target}
     if state.counts(INTERIOR) == want:
         return state  # nothing is doomed
-    groups: dict[tuple[str, int], list[str]] = {}
-    for i, s in state.sing:
-        if s.locus == INTERIOR:
-            groups.setdefault((s.kind, s.sign), []).append(i)
+    groups: dict[str, list[str]] = {}
+    for i, t in state.sing:
+        if i not in state._on_boundary:
+            groups.setdefault(t, []).append(i)
     # Eliminating a doomed pair leaves the survivors, and so the other
     # doomed ids, unchanged: each list is computed once.
     plan = [
-        (_doomed(groups.get((ELLIPTIC, g), []), e), _doomed(groups.get((HYPERBOLIC, g), []), h))
-        for g, e, h in ((1, e_target, 0), (-1, 0, h_target))
+        (_doomed(groups.get(ELLIPTIC + s, []), e), _doomed(groups.get(HYPERBOLIC + s, []), h))
+        for s, e, h in (("+", e_target, 0), ("-", 0, h_target))
     ]
     if any(es or hs for es, hs in plan):
         w = _Work(state)
         for es, hs in plan:
             for e_id, h_id in zip(es, hs):
-                if frozenset((e_id, h_id)) not in w.seps:
+                if h_id not in w.adj[e_id]:
                     w.rewire(add=(e_id, h_id))
                 w.eliminate(e_id, h_id)
             if len(es) != len(hs):
@@ -558,12 +532,13 @@ def to_elliptic_form(state: FoliationState) -> tuple[FoliationState, SkeletonTre
             raise PatternMismatch("to_elliptic_form needs a reduced state with NAF boundary")
         sm = state.sing_map
         # the NAF boundary's negatives are elliptic until absorbed
-        pool = [b for b in reversed(state.boundary) if sm[b].sign < 0]
+        pool = [b for b in reversed(state.boundary) if sm[b][1] == "-"]
         free = {m: k for k, m in enumerate(pool)}  # still elliptic -> rank in pool
         k = 0  # pool[:k] is absorbed already
         w = _Work(state)
-        for q in sorted(i for i, s in state.sing if s.locus == INTERIOR and s.kind == HYPERBOLIC):
-            shared = [m for m in w.adj.get(q, ()) if m in free]
+        # a NAF boundary has no negative hyperbolic, so every h- is interior
+        for q in sorted(i for i, t in state.sing if t == "h-"):
+            shared = [m for m in w.adj[q] if m in free]
             if shared:
                 m = min(shared, key=free.__getitem__)
             else:
@@ -622,12 +597,14 @@ def run_pipeline(tb: int, r: int) -> tuple[FoliationState, SkeletonTree]:
 
 
 def dump_state(state: FoliationState) -> str:
-    """Deterministic text listing boundary cycle, interior set, and edges."""
-    sm = state.sing_map
+    """Deterministic text listing boundary cycle, interior set, and edges.
+
+    A singularity prints as sign then kind (``b0:+h``), its tag reversed.
+    """
+    sm, on_b = state.sing_map, state._on_boundary
     lines = [f"tb {state.tb} r {state.r}"]
-    lines.append("boundary " + " ".join(f"{b}:{sm[b].tag()}" for b in state.boundary))
-    interior = sorted(i for i, s in state.sing if s.locus == INTERIOR)
-    lines.append("interior " + " ".join(f"{i}:{sm[i].tag()}" for i in interior))
+    lines.append("boundary " + " ".join(f"{b}:{sm[b][::-1]}" for b in state.boundary))
+    lines.append("interior " + " ".join(f"{i}:{t[::-1]}" for i, t in state.sing if i not in on_b))
     for name, edges in (("separatrix", state.separatrices), ("connection", state.connections)):
-        lines += (f"{name} {'-'.join(sorted(e))}" for e in sorted(edges, key=sorted))
+        lines += (f"{name} {u}-{v}" for u, v in edges)
     return "\n".join(lines)

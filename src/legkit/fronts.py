@@ -97,8 +97,9 @@ class FrontDiagram:
 
     ``events`` is the left-to-right event sequence; ``orient_overrides``
     carries optional per-component orientation flips parsed from the text
-    format (it does not affect diagram equality semantics beyond tuple
-    equality, and is empty for programmatically built diagrams).
+    format, as ``(component, sign)`` int pairs with sign 1 or -1 (it does
+    not affect diagram equality semantics beyond tuple equality, and is
+    empty for programmatically built diagrams).
     """
 
     events: tuple[FrontEvent, ...]
@@ -110,6 +111,12 @@ class FrontDiagram:
             raise ParseError("a diagram's events and orientation overrides must be tuples")
         if not self.events:
             raise ParseError("empty diagram has no component")
+        for o in self.orient_overrides:
+            # (component, sign): an int and +1 or -1, never a bool; the
+            # component's range is checked where it is applied
+            if (type(o) is not tuple or len(o) != 2 or o[1] not in (1, -1)
+                    or any(isinstance(x, bool) or not isinstance(x, int) for x in o)):
+                raise ParseError(f"orientation override {o!r} is not a (component, +1 or -1) pair")
         n = 0
         for k, ev in enumerate(self.events):
             try:

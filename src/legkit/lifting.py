@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateTangent, GeometryDegenerate, NotClosed
+from .errors import BadDirection, DegenerateTangent, GeometryDegenerate, NotClosed
 from .fronts import OrientedFront
 from .render import RealizedFront, realize_front
 
@@ -146,7 +146,8 @@ def legendrian_lift(rf: RealizedFront, comp: int = 0, of: Optional[OrientedFront
     An arc of P pieces gets ``max(2, (samples_per_arc // min(P, 62)) & ~1)``
     uniform parameter steps per piece: about ``samples_per_arc`` samples
     over the arc, even per piece, and never fewer per piece than a 62-piece
-    arc gets.  GeometryDegenerate if ``samples_per_arc`` is below 2.  The
+    arc gets.  GeometryDegenerate if ``samples_per_arc`` is below 2, and
+    BadDirection if ``of`` orients a front with other events than ``rf``'s.  The
     panel rule's error scales as (steps per piece)^-4, so with the floor the
     error of the default lift does not grow with depth: closure and residual
     stay at or below 3.1e-11 of the diameter on the acceptance grid, 3.2e-11
@@ -161,6 +162,8 @@ def legendrian_lift(rf: RealizedFront, comp: int = 0, of: Optional[OrientedFront
         raise NotClosed(f"no component {comp}")
     if of is None:
         of = OrientedFront.default(rf.diagram)
+    elif of.diagram is not rf.diagram and of.diagram.events != rf.diagram.events:
+        raise BadDirection("the orientation is of another front than the realized one")
     dirs = of.directions
     cycle = tr.cycles[comp]
     if not dirs[cycle[0]]:

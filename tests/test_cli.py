@@ -512,6 +512,14 @@ class TestExitCodes:
         assert code == 0
         assert "seed 777" in out
 
+    def test_fuzz_fails_outside_the_unknot_range(self, capsys, monkeypatch):
+        # a random front of at most 2 crossings is a topological unknot
+        monkeypatch.setenv("LEGKIT_SEED", "777")
+        monkeypatch.setattr(fronts, "in_unknot_range", lambda tb, r: False)
+        code, out, err = run(capsys, "fuzz", "--count", "20")
+        assert (code, out) == (1, "")
+        assert "is outside the unknot range with at most 2 crossings" in err
+
 
 class TestParserReuse:
     """main() keeps one parser per process; no call may see another's arguments."""

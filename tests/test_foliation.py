@@ -1,6 +1,6 @@
 import copy
 import pickle
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -58,8 +58,7 @@ class TestInit:
 
     def test_alternating_signs(self):
         s = fo.init_boundary(-4, 1)
-        sm = s.sing_map
-        signs = [sm[b].sign for b in s.boundary]
+        signs = [s.sing_map[b][1] for b in s.boundary]
         assert all(signs[i] != signs[(i + 1) % len(signs)] for i in range(len(signs)))
 
 
@@ -71,8 +70,7 @@ class TestNaf:
     def test_single_conversion(self):
         s = fo.init_boundary(-1, 0, boundary_kinds=["e", "e"])
         out = fo.to_naf(s)
-        tags = [out.sing_map[b].tag() for b in out.boundary]
-        assert tags == ["+h", "-e"]
+        assert [out.sing_map[b] for b in out.boundary] == ["h+", "e-"]
         conversions = [st for st in out.trace if st.rule == "convert"]
         assert len(conversions) == 1
 
@@ -114,7 +112,7 @@ class TestAtomicRewrites:
         out = fo.convert(s, "p0", "gamma", "tau")
         assert out.counts()["e+"] - s.counts()["e+"] == 1
         assert out.counts()["h+"] - s.counts()["h+"] == 1
-        assert out.sing_map["p0"].kind == fo.HYPERBOLIC
+        assert out.sing_map["p0"] == "h+"
 
     def test_convert_bad_leaves(self):
         s = fo.init_boundary(-3, 0)
@@ -146,7 +144,7 @@ class TestAtomicRewrites:
         with pytest.raises(TightnessViolation):
             fo.rewire(s, add=("p0", h_id))  # p0-e-h-p0 same-sign cycle
         with pytest.raises(TightnessViolation):
-            ref_rewire(s, add=("p0", h_id))
+            ref_rewire(to_ref(s), add=("p0", h_id))
 
     def test_no_walk_from_an_isolated_endpoint(self, monkeypatch):
         # a point without separatrices shares no same-sign tree with another
@@ -156,9 +154,9 @@ class TestAtomicRewrites:
         s = fo.init_boundary(-1, 0, ["h", "h"])  # interior y0, y1: e-, no separatrix
         with pytest.raises(TightnessViolation):
             fo.rewire(s, add=("y0", "y0"))  # a self-loop is a cycle all the same
-        want = ref_rewire(s, add=("b1", "y0"))
+        want = ref_rewire(to_ref(s), add=("b1", "y0"))
         monkeypatch.setattr(fo._Work, "_joined", walk)
-        assert fo.rewire(s, add=("b1", "y0")) == want
+        assert to_ref(fo.rewire(s, add=("b1", "y0"))) == want
         fo.create_pair(fo.convert(s, "y1", "gamma", "tau"), "leaf", -1)
 
     @pytest.mark.parametrize("tb, r, e_id, h_id", [
@@ -169,10 +167,10 @@ class TestAtomicRewrites:
     def test_eliminate_refuses_boundary_points(self, tb, r, e_id, h_id):
         # the boundary cycle would still name the removed point
         s = fo.init_boundary(tb, r)
-        assert frozenset((e_id, h_id)) in s.separatrices
-        for rewrite in (fo.eliminate, ref_eliminate):
+        assert tuple(sorted((e_id, h_id))) in s.separatrices
+        for rewrite, state in ((fo.eliminate, s), (ref_eliminate, to_ref(s))):
             with pytest.raises(PatternMismatch, match=f"interior points, got {e_id}, {h_id}"):
-                rewrite(s, e_id, h_id)
+                rewrite(state, e_id, h_id)
 
 
 class TestReduce:
@@ -203,8 +201,7 @@ class TestEllipticForm:
         s = fo.reduce_interior(fo.to_naf(fo.init_boundary(-1, 0)))
         out, skel = fo.to_elliptic_form(s)
         assert out.counts(fo.INTERIOR) == {"e+": 1, "h+": 0, "e-": 0, "h-": 0}
-        tags = [out.sing_map[b].tag() for b in out.boundary]
-        assert tags == ["+h", "-e"]
+        assert [out.sing_map[b] for b in out.boundary] == ["h+", "e-"]
         assert skel.ids == ("b1", "p0") and len(skel.tree.edges) == 1
 
     def test_idempotent(self):
@@ -225,7 +222,7 @@ class TestEllipticForm:
             assert final == fo.run_pipeline(tb, r)[0]
         steps = final.trace[len(reduced.trace):]
         assert [st.rule for st in steps] == ["absorb"] * fo.interior_count_targets(tb, r)[1]
-        assert all(frozenset(st.operands) in reduced.separatrices for st in steps)
+        assert all(tuple(sorted(st.operands)) in reduced.separatrices for st in steps)
 
     @pytest.mark.parametrize("make", [
         # b0 +h, b1 -e, b2 +h, b3 absorbed to -h; p0 - b1 - p1 is the broom
@@ -242,7 +239,7 @@ class TestEllipticForm:
         assert type(result) is tuple and len(result) == 2
         state, skel = result
         assert skel is fo.extract_skeleton(state)
-        assert state.connections == {frozenset(("b1", "p0")), frozenset(("b1", "p1"))}
+        assert state.connections == (("b1", "p0"), ("b1", "p1"))
 
 
 class TestSkeleton:
@@ -268,14 +265,14 @@ class TestSkeleton:
             assert state.is_elliptic_form() and state.is_reduced()
             skel = fo.extract_skeleton(state)
             assert skel == fo.run_pipeline(tb, tb + 1)[1]
-            assert skel == ref_extract_skeleton(ref_to_elliptic_form(state)[0])
+            assert skel == ref_extract_skeleton(ref_to_elliptic_form(to_ref(state))[0])
             assert fo.to_elliptic_form(state)[0] is state
 
     def test_interior_negative_elliptics_have_no_skeleton(self):
         s = fo.init_boundary(-1, 0, ["h", "h"])
         assert s.counts(fo.INTERIOR) == {"e+": 1, "h+": 0, "e-": 2, "h-": 0}
         assert s.is_elliptic_form() and not s.is_reduced()
-        assert s.connections == frozenset()
+        assert s.connections == ()
         with pytest.raises(NotEllipticForm):
             fo.extract_skeleton(s)
 
@@ -296,7 +293,7 @@ class TestSkeleton:
         # elliptic form with a reduced interior, but no (-3, 2) skeleton
         s = make()
         assert s.is_elliptic_form() and s.is_reduced()
-        assert s.connections == frozenset()
+        assert s.connections == ()
         with pytest.raises(PatternMismatch):
             fo.to_elliptic_form(s)
         with pytest.raises(NotATree, match="tb=-3, r=2"):
@@ -320,59 +317,55 @@ class TestCopies:
             assert fo.extract_skeleton(state2) == skel
 
 
-class TestSharedRecords:
-    """Every state holds the module's 8 singularity records; no stage or
-    rewrite builds its own, and a copy with records of its own runs alike."""
-
-    @staticmethod
-    def assert_shared(state):
-        assert all(fo._SINGS[s.sign, s.kind, s.locus] is s for _, s in state.sing)
-
-    def test_table(self):
-        assert len(fo._SINGS) == 8
-        assert all(fo.Singularity(*key) == s for key, s in fo._SINGS.items())
-
-    def test_pipeline_states(self):
-        for tb, r in in_range_grid(-15):
-            for raw in (False, True):
-                state = fo.init_boundary(tb, r, [fo.ELLIPTIC] * (2 * -tb) if raw else None)
-                self.assert_shared(state)
-                for stage in (fo.to_naf, fo.reduce_interior, lambda s: fo.to_elliptic_form(s)[0]):
-                    state = stage(state)
-                    self.assert_shared(state)
-                if not raw:
-                    final = fo.run_pipeline(tb, r)[0]
-                    assert final == state
-                    self.assert_shared(final)
-
-    def test_atomic_rewrites(self):
-        s = fo.init_boundary(-3, 0, list("eehehe"))
-        steps = [
-            lambda s: fo.convert(s, "b0", "gamma", "tau"),  # a boundary point flips
-            lambda s: fo.convert(s, "q0", "gamma", "tau"),  # and an interior one
-            lambda s: fo.create_pair(s, "leaf", -1),
-            lambda s: fo.rewire(s, add=("ce0", "b1"), remove=("b0", "c1")),
-            lambda s: fo.eliminate(s, "q0", "d0"),
-        ]
-        for step in steps:
-            s = step(s)
-            self.assert_shared(s)
-        assert [st.rule for st in s.trace] == [
-            "convert", "convert", "create_pair", "rewire", "eliminate"]
-        assert s.counts(fo.INTERIOR) == {"e+": 2, "h+": 0, "e-": 1, "h-": 2}
-
     def test_copies_run_like_the_original(self):
         start = fo.init_boundary(-9, 2, [fo.ELLIPTIC] * 18)
         stages = (fo.to_naf, fo.reduce_interior, lambda s: fo.to_elliptic_form(s)[0])
         for copied in (pickle.loads(pickle.dumps(start)), copy.deepcopy(start)):
             assert copied == start and copied.sing_map == start.sing_map
-            assert not any(fo._SINGS[s.sign, s.kind, s.locus] is s for _, s in copied.sing)
             a, b = copied, start
             for stage in stages:
                 a, b = stage(a), stage(b)
                 assert a == b and fo.dump_state(a) == fo.dump_state(b)
                 assert a.trace == b.trace
             assert fo.extract_skeleton(a) == fo.extract_skeleton(b)
+
+
+def test_states_hold_tags_and_sorted_id_pairs():
+    """A singularity is its tag, and a separatrix or connection a (u, v) pair
+    of ids with u < v, held in sorted order, in every state of the default and
+    raw pipelines and of a chain of atomic rewrites.  The locus comes from the
+    boundary cycle, so a boundary point still cannot be eliminated."""
+    states = []
+    for tb, r in in_range_grid(-15):
+        for raw in (False, True):
+            state = fo.init_boundary(tb, r, [fo.ELLIPTIC] * (2 * -tb) if raw else None)
+            states.append(state)
+            for stage in (fo.to_naf, fo.reduce_interior, lambda s: fo.to_elliptic_form(s)[0]):
+                states.append(stage(states[-1]))
+    s = fo.init_boundary(-3, 0, list("eehehe"))
+    for step in (
+        lambda s: fo.convert(s, "b0", "gamma", "tau"),  # a boundary point flips
+        lambda s: fo.convert(s, "q0", "gamma", "tau"),  # and an interior one
+        lambda s: fo.create_pair(s, "leaf", -1),
+        lambda s: fo.rewire(s, add=("ce0", "b1"), remove=("b0", "c1")),
+        lambda s: fo.eliminate(s, "q0", "d0"),
+    ):
+        s = step(s)
+        states.append(s)
+    assert [st.rule for st in s.trace] == [
+        "convert", "convert", "create_pair", "rewire", "eliminate"]
+    assert s.counts(fo.INTERIOR) == {"e+": 2, "h+": 0, "e-": 1, "h-": 2}
+    assert any(st.connections for st in states)
+    for state in states:
+        assert all(type(t) is str and t in fo._TAGS for _, t in state.sing)
+        for pairs in (state.separatrices, state.connections):
+            assert type(pairs) is tuple and list(pairs) == sorted(pairs)
+            assert all(type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is str
+                       and p[0] < p[1] for p in pairs)
+    # c0 is the interior e+ that converting b0 (now h+) made on a separatrix to it
+    assert ("b0", "c0") in s.separatrices and s.sing_map["c0"] == "e+"
+    with pytest.raises(PatternMismatch, match="interior points, got c0, b0"):
+        fo.eliminate(s, "c0", "b0")
 
 
 def test_rewrite_steps_are_immutable_hashable_tuples():
@@ -396,6 +389,14 @@ class TestDump:
         assert a == b
         assert a.startswith("tb -3 r 0")
         assert "boundary" in a and "interior" in a
+
+    def test_matches_reference(self):
+        for tb, r in in_range_grid(-9):
+            for pattern in PATTERNS:
+                s = fo.init_boundary(tb, r, _kinds(pattern, tb))
+                for stage in (fo.to_naf, fo.reduce_interior, lambda s: fo.to_elliptic_form(s)[0]):
+                    s = stage(s)
+                    assert fo.dump_state(s) == ref_dump_state(to_ref(s)), (tb, r, pattern)
 
 
 class TestTypedFailures:
@@ -444,7 +445,6 @@ class TestTypedFailures:
 def test_state_stores_only_the_foliation():
     assert [f.name for f in fields(fo.FoliationState)] == [
         "tb", "r", "boundary", "sing", "separatrices", "trace"]
-    assert [f.name for f in fields(fo.Singularity)] == ["sign", "kind", "locus"]
 
 
 def test_sing_map_built_once_and_read_only():
@@ -456,9 +456,12 @@ def test_sing_map_built_once_and_read_only():
 
 # ---------------------------------------------------------------------------
 # Reference: a per-rewrite implementation of every stage, without the
-# working copy.  Every rewrite rebuilds the whole state and re-walks the
+# working copy, on the former representation: a record (sign, kind, locus)
+# per singularity and a frozenset of two-element frozensets for the
+# separatrices.  Every rewrite rebuilds the whole state and re-walks the
 # whole separatrix graph.  The library must agree with it on every stage
-# output and on every atomic rewrite.
+# output and on every atomic rewrite; to_ref is the one converter between
+# the two.
 
 
 def _ref_check_tight(sing, edges):
@@ -500,16 +503,43 @@ def ref_delta(**kw):
 
 
 @dataclass(frozen=True)
-class RefState(fo.FoliationState):
-    """The reference's elliptic-form state: it stores the broom that the
-    reference built, to compare with the connections a library state derives."""
+class RefSing:
+    """The former singularity record, with its locus stored."""
 
-    connections: frozenset = frozenset()
+    sign: int  # +1 or -1
+    kind: str  # fo.ELLIPTIC or fo.HYPERBOLIC
+    locus: str  # fo.BOUNDARY or fo.INTERIOR
+
+    def tag(self):
+        return f"{'+' if self.sign > 0 else '-'}{self.kind}"
 
 
-def _plain(state):
-    """The same foliation as a library state, which derives its connections."""
-    return fo.FoliationState(**{f.name: getattr(state, f.name) for f in fields(fo.FoliationState)})
+@dataclass(frozen=True)
+class RefState:
+    """The former state.  Like a library state it compares by its foliation;
+    ``connections`` holds the broom the reference's elliptic form builds (or,
+    for a converted state, the library's derived connections)."""
+
+    tb: int
+    r: int
+    boundary: tuple
+    sing: tuple  # sorted (id, RefSing)
+    separatrices: frozenset  # of two-element frozensets of ids
+    trace: tuple = field(default=(), compare=False)
+    connections: frozenset = field(default=frozenset(), compare=False)
+
+
+def to_ref(state):
+    """A library state in the reference's representation, each locus read
+    from the boundary cycle."""
+    on_boundary = set(state.boundary)
+    sing = tuple(
+        (i, RefSing(1 if t[1] == "+" else -1, t[0], fo.BOUNDARY if i in on_boundary else fo.INTERIOR))
+        for i, t in state.sing
+    )
+    return RefState(state.tb, state.r, state.boundary, sing,
+                    frozenset(map(frozenset, state.separatrices)), state.trace,
+                    frozenset(map(frozenset, state.connections)))
 
 
 def _ref_fresh_id(sing, prefix):
@@ -552,7 +582,7 @@ def ref_convert(state, p_id, gamma, tau):
     made = []
     for _ in range(2):
         ident = _ref_fresh_id(sm, prefix)
-        sm[ident] = fo.Singularity(p.sign, p.kind, fo.INTERIOR)
+        sm[ident] = RefSing(p.sign, p.kind, fo.INTERIOR)
         made.append(ident)
     seps = set(state.separatrices)
     for ident in made:
@@ -567,8 +597,8 @@ def ref_create_pair(state, leaf, sign):
     sm = dict(state.sing)
     e_id = _ref_fresh_id(sm, "ce")
     h_id = _ref_fresh_id(sm, "ch")
-    sm[e_id] = fo.Singularity(sign, fo.ELLIPTIC, fo.INTERIOR)
-    sm[h_id] = fo.Singularity(sign, fo.HYPERBOLIC, fo.INTERIOR)
+    sm[e_id] = RefSing(sign, fo.ELLIPTIC, fo.INTERIOR)
+    sm[h_id] = RefSing(sign, fo.HYPERBOLIC, fo.INTERIOR)
     seps = set(state.separatrices)
     seps.add(frozenset((e_id, h_id)))
     _ref_check_tight(sm, seps)
@@ -595,7 +625,7 @@ def ref_rewire(state, add=None, remove=None):
 
 
 def ref_to_naf(state):
-    if not state._alternates:
+    if not ref_alternating(state):
         raise PatternMismatch("boundary signs must alternate")
     cur = state
     for b in state.boundary:
@@ -607,7 +637,7 @@ def ref_to_naf(state):
             prefix = "c" if s.kind == fo.ELLIPTIC else "d"
             for _ in range(2):
                 ident = _ref_fresh_id(sm, prefix)
-                sm[ident] = fo.Singularity(s.sign, s.kind, fo.INTERIOR)
+                sm[ident] = RefSing(s.sign, s.kind, fo.INTERIOR)
                 made.append(ident)
             seps = set(cur.separatrices)
             for ident in made:
@@ -615,12 +645,12 @@ def ref_to_naf(state):
             d = ref_delta(ep=1, hp=1) if s.sign > 0 else ref_delta(em=1, hm=1)
             cur = replace(_ref_with_sing(cur, sm), separatrices=frozenset(seps))
             cur = _ref_logged(cur, fo.RewriteStep("convert", (b, "collar-leaf", "L"), d))
-    assert cur.is_naf()
+    assert ref_is_naf(cur)
     return cur
 
 
 def ref_reduce_interior(state):
-    if not state.is_naf():
+    if not ref_is_naf(state):
         raise PatternMismatch("reduce_interior needs a NAF boundary")
     cur = state
 
@@ -647,15 +677,15 @@ def ref_reduce_interior(state):
             if frozenset((e_id, h_id)) not in cur.separatrices:
                 cur = ref_rewire(cur, add=(e_id, h_id))
             cur = ref_eliminate(cur, e_id, h_id)
-    assert cur.counts(fo.INTERIOR) == {"e+": e_target, "h+": 0, "e-": 0, "h-": h_target}
+    assert ref_counts(cur, fo.INTERIOR) == {"e+": e_target, "h+": 0, "e-": 0, "h-": h_target}
     return cur
 
 
 def ref_extract_skeleton(state):
     """The skeleton rebuilt from the connections on every call, never cached."""
-    if not state.is_elliptic_form():
+    if not ref_is_elliptic_form(state):
         raise NotEllipticForm("extract_skeleton needs an elliptic-form state")
-    sm = state.sing_map
+    sm = dict(state.sing)
     verts = sorted({v for c in state.connections for v in c})
     index = {v: k for k, v in enumerate(verts)}
     signs = {k: sm[v].sign for k, v in enumerate(verts)}
@@ -673,9 +703,7 @@ def ref_extract_skeleton(state):
 
 def ref_to_elliptic_form(state):
     """Absorb one rewrite at a time, then connect through canonical_broom's tree."""
-    if isinstance(state, RefState):
-        return state, ref_extract_skeleton(state)
-    if not (state.is_naf() and state.is_reduced()):
+    if not (ref_is_naf(state) and ref_is_reduced(state)):
         raise PatternMismatch("to_elliptic_form needs a reduced state with NAF boundary")
     cur = state
     doomed_h = sorted(
@@ -701,9 +729,21 @@ def ref_to_elliptic_form(state):
     ids = spine + leaves
     signs = [sm[v].sign for v in ids]
     conns = frozenset(tr.canonical_broom(signs, ids).edges)
-    cur = RefState(**fr.fields_state(cur), connections=conns)
-    assert cur.is_elliptic_form()
+    cur = replace(cur, connections=conns)
+    assert ref_is_elliptic_form(cur)
     return cur, ref_extract_skeleton(cur)
+
+
+def ref_dump_state(state):
+    """The former dump, which sorted the edges it printed."""
+    sm = dict(state.sing)
+    lines = [f"tb {state.tb} r {state.r}"]
+    lines.append("boundary " + " ".join(f"{b}:{sm[b].tag()}" for b in state.boundary))
+    interior = sorted(i for i, s in state.sing if s.locus == fo.INTERIOR)
+    lines.append("interior " + " ".join(f"{i}:{sm[i].tag()}" for i in interior))
+    for name, edges in (("separatrix", state.separatrices), ("connection", state.connections)):
+        lines += (f"{name} {'-'.join(sorted(e))}" for e in sorted(edges, key=sorted))
+    return "\n".join(lines)
 
 
 def _outcome(fn, *args):
@@ -724,16 +764,17 @@ def _kinds(pattern, tb):
 
 
 def _stage_outputs(stages, tb, r, kinds):
-    to_naf, reduce_interior, to_elliptic_form, extract_skeleton = stages
+    to_naf, reduce_interior, to_elliptic_form, extract_skeleton, as_ref = stages
     naf = to_naf(fo.init_boundary(tb, r, kinds))
     reduced = reduce_interior(naf)
     final, _ = to_elliptic_form(reduced)
-    dumps = [(fo.dump_state(s), [st.describe() for st in s.trace]) for s in (naf, reduced, final)]
-    return dumps, extract_skeleton(final)
+    states = [(as_ref(s), [st.describe() for st in s.trace]) for s in (naf, reduced, final)]
+    return states, as_ref(final).connections, extract_skeleton(final)
 
 
-LIBRARY = (fo.to_naf, fo.reduce_interior, fo.to_elliptic_form, fo.extract_skeleton)
-REFERENCE = (ref_to_naf, ref_reduce_interior, ref_to_elliptic_form, ref_extract_skeleton)
+LIBRARY = (fo.to_naf, fo.reduce_interior, fo.to_elliptic_form, fo.extract_skeleton, to_ref)
+REFERENCE = (lambda s: ref_to_naf(to_ref(s)), ref_reduce_interior, ref_to_elliptic_form,
+             ref_extract_skeleton, lambda s: s)
 PATTERNS = (None, "e", "h", "mixed")
 
 
@@ -752,18 +793,20 @@ class TestAgainstReference:
 
 
 def test_derived_connections_are_the_reference_broom():
-    """On every NAF state of the reference pipeline: the broom that the
-    reference's elliptic form stores where the state is in elliptic form with
-    a reduced interior, and none elsewhere."""
+    """On every NAF state of the pipeline: the broom that the reference's
+    elliptic form builds where the state is in elliptic form with a reduced
+    interior, and none elsewhere."""
     for tb, r in in_range_grid(-15):
         for pattern in PATTERNS:
-            naf = ref_to_naf(fo.init_boundary(tb, r, _kinds(pattern, tb)))
-            reduced = ref_reduce_interior(naf)
-            final, _ = ref_to_elliptic_form(reduced)
-            assert final.connections and _plain(final).connections == final.connections
+            naf = fo.to_naf(fo.init_boundary(tb, r, _kinds(pattern, tb)))
+            reduced = fo.reduce_interior(naf)
+            final, _ = fo.to_elliptic_form(reduced)
+            want, _ = ref_to_elliptic_form(to_ref(reduced))
+            assert want.connections and to_ref(final).connections == want.connections
             for s in (naf, reduced):
-                done = s.is_elliptic_form() and s.is_reduced()
-                assert s.connections == (final.connections if done else frozenset()), (tb, r)
+                ref = to_ref(s)
+                done = ref_is_elliptic_form(ref) and ref_is_reduced(ref)
+                assert s.connections == (final.connections if done else ()), (tb, r)
 
 
 SMALL = list(in_range_grid(-4))
@@ -776,7 +819,7 @@ def _neighbours(edges, x):
 
 def _draw_args(data, op, state):
     ids = sorted(i for i, _ in state.sing)
-    edges = sorted(tuple(sorted(e)) for e in state.separatrices)
+    edges = list(state.separatrices)
     if op == "create_pair":
         return ("leaf", data.draw(st.sampled_from((1, -1))))
     if op == "convert":
@@ -784,7 +827,7 @@ def _draw_args(data, op, state):
     if op == "eliminate":
         if edges and data.draw(st.booleans()):
             u, v = data.draw(st.sampled_from(edges))
-            return (u, v) if dict(state.sing)[u].kind == fo.ELLIPTIC else (v, u)
+            return (u, v) if state.sing_map[u][0] == fo.ELLIPTIC else (v, u)
         return tuple(data.draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True)))
     add = remove = None
     if data.draw(st.booleans()):
@@ -802,7 +845,8 @@ def _draw_args(data, op, state):
 @given(st.data())
 def test_atomic_rewrites_match_reference(data):
     tb, r = data.draw(st.sampled_from(SMALL))
-    new = ref = fo.init_boundary(tb, r, _kinds(data.draw(st.sampled_from(PATTERNS)), tb))
+    new = fo.init_boundary(tb, r, _kinds(data.draw(st.sampled_from(PATTERNS)), tb))
+    ref = to_ref(new)
     reference = {"create_pair": ref_create_pair, "rewire": ref_rewire,
                  "convert": ref_convert, "eliminate": ref_eliminate}
     for _ in range(data.draw(st.integers(1, 15))):
@@ -815,7 +859,7 @@ def test_atomic_rewrites_match_reference(data):
             continue
         assert got[0] == "ok", (op, args, got)
         new, ref = got[1], want[1]
-        assert new == ref
+        assert to_ref(new) == ref
         assert [s.describe() for s in new.trace] == [s.describe() for s in ref.trace]
 
 
@@ -867,14 +911,15 @@ def ref_is_elliptic_form(state):
 
 
 def assert_facts_match_reference(state):
+    ref = to_ref(state)
     for locus in (None, fo.BOUNDARY, fo.INTERIOR, "elsewhere"):
-        want = ref_counts(state, locus)
+        want = ref_counts(ref, locus)
         assert state.counts(locus) == want, locus
         assert state.identity_differences(locus) == (want["e+"] - want["h+"], want["e-"] - want["h-"])
-    assert state._alternates == ref_alternating(state)
-    assert state.is_naf() == ref_is_naf(state)
-    assert state.is_reduced() == ref_is_reduced(state)
-    assert state.is_elliptic_form() == ref_is_elliptic_form(state)
+    assert state._alternates == ref_alternating(ref)
+    assert state.is_naf() == ref_is_naf(ref)
+    assert state.is_reduced() == ref_is_reduced(ref)
+    assert state.is_elliptic_form() == ref_is_elliptic_form(ref)
 
 
 @settings(max_examples=60, deadline=None)
@@ -891,7 +936,8 @@ def test_cached_state_facts_match_recount(case):
 def test_cached_facts_of_hand_built_states():
     s = fo.init_boundary(-4, 1, ["e", "h", "h", "e", "e", "e", "h", "h"])
     bent = replace(s, boundary=s.boundary[1:] + s.boundary[:1])  # b1 first: still alternating
-    mixed = replace(s, boundary=("b0", "b2", "b1"))  # two positives side by side
+    # two positives side by side; b3 .. b7 leave the boundary, so their locus is interior
+    mixed = replace(s, boundary=("b0", "b2", "b1"))
     for state in (s, bent, mixed, fo.create_pair(s, "leaf", -1)):
         assert_facts_match_reference(state)
 
@@ -903,10 +949,10 @@ def test_counts_returns_a_fresh_dict():
     first["x"] = 1
     whole = s.counts()
     whole.clear()
-    assert s.counts(fo.INTERIOR) == ref_counts(s, fo.INTERIOR)
-    assert s.counts() == ref_counts(s)
+    assert s.counts(fo.INTERIOR) == ref_counts(to_ref(s), fo.INTERIOR)
+    assert s.counts() == ref_counts(to_ref(s))
     assert s.counts(fo.INTERIOR) is not s.counts(fo.INTERIOR)
-    assert s.is_reduced() == ref_is_reduced(s)
+    assert s.is_reduced() == ref_is_reduced(to_ref(s))
 
 
 # ---------------------------------------------------------------------------
@@ -924,8 +970,9 @@ def _reduced(tb, r, raw):
 def test_elliptic_form_outputs_match_reference(case):
     reduced = _reduced(*case)
     got, _ = fo.to_elliptic_form(reduced)
-    want, _ = ref_to_elliptic_form(reduced)
-    assert got.connections == want.connections
+    want, _ = ref_to_elliptic_form(to_ref(reduced))
+    assert to_ref(got) == want and to_ref(got).connections == want.connections
+    assert fo.dump_state(got) == ref_dump_state(want)
     skel, ref_skel = fo.extract_skeleton(got), ref_extract_skeleton(want)
     assert skel.tree == ref_skel.tree
     assert skel.ids == ref_skel.ids

@@ -852,6 +852,28 @@ class TestRecordContracts:
         with pytest.raises(ParseError, match=message):
             fr.FrontDiagram(*args)
 
+    @pytest.mark.parametrize("override", [
+        (0, 0),  # read r = 2, but serialized to "orient 0 -", which reparses with r = -2
+        (0,),  # a bare ValueError
+        ("0", 1),  # a bare TypeError
+        (0, True),
+        (False, -1),
+        (0, 1.0),
+        [0, 1],
+    ], ids=["sign 0", "no sign", "str component", "bool sign", "bool component", "float sign",
+            "list"])
+    def test_malformed_orientation_override_is_rejected(self, override):
+        with pytest.raises(ParseError, match="orientation override .* is not a"):
+            fr.FrontDiagram(trees.catalog_front(-3, 2).events, (override,))
+
+    def test_orientation_override_component_checked_where_applied(self):
+        d = fr.FrontDiagram(trees.catalog_front(-3, 2).events, ((-1, 1),))
+        with pytest.raises(NotClosed, match="no component -1"):
+            fr.OrientedFront.default(d)
+        d = fr.FrontDiagram(d.events, ((0, -1),))
+        assert fr.invariant_pair(fr.OrientedFront.default(d)) == (-3, -2)
+        assert fr.parse_front(fr.serialize_front(d)) == d
+
     def test_equal_diagrams_share_one_trace(self):
         a = fr.parse_front(CLASP)
         b = fr.FrontDiagram(tuple(fr.FrontEvent(k, p) for k, p in (

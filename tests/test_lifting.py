@@ -12,7 +12,7 @@ from legkit import fronts as fr
 from legkit import lifting as lf
 from legkit import render
 from legkit import trees as tr
-from legkit.errors import DegenerateTangent, GeometryDegenerate, NotClosed
+from legkit.errors import BadDirection, DegenerateTangent, GeometryDegenerate, NotClosed
 
 def lift(text, samples=4000, of=None):
     d = fr.parse_front(text)
@@ -266,6 +266,18 @@ class TestLift:
         rf = lf.realize_front(fr.parse_front("L 1\nR 1"))
         with pytest.raises(NotClosed, match=f"no component {comp}"):
             lf.legendrian_lift(rf, comp)
+
+    def test_orientation_of_another_front_refused(self):
+        # the (-5, 0) orientation read r = 0 off the (-3, 2) lift, with no error
+        d = tr.catalog_front(-3, 2)
+        rf = lf.realize_front(d)
+        with pytest.raises(BadDirection, match="another front"):
+            lf.legendrian_lift(rf, of=fr.OrientedFront.default(tr.catalog_front(-5, 0)))
+        # an equal diagram built apart is the same front
+        same = fr.OrientedFront.default(fr.parse_front(fr.serialize_front(d))).reverse(0)
+        assert same.diagram is not d
+        lc = lf.legendrian_lift(rf, of=same, samples_per_arc=101)
+        assert lf.numeric_rotation(lc) == fr.rotation_number(same) == -2
 
     def test_basic_closure_and_residual(self):
         lc = lift("L 1\nR 1")
