@@ -21,7 +21,13 @@ emanating from a cusp lies above the ray entering it.
 
 Events and trace records are ``NamedTuple``s, built, hashed and compared in
 C: a ``FrontEvent`` equals the pair ``(kind, position)``, and an ``Arc``
-compares on all four fields, ``died`` included.  The trace
+compares on all four fields, ``died`` included.  The stack scan writes
+plain columns and rows, and each record type is made once over them by
+mapping ``tuple.__new__``, so no Python-level constructor runs per record;
+the per-component tallies apply the ``or`` and ``kappa`` rules inline on
+the unpacked records.  ``parse_front`` parses each distinct line once, in
+first-seen order, maps the lines to their events in one pass, and looks up
+a line number only for the line that raises.  The trace
 (``trace_components``) holds O(events) data: each arc's birth, death and
 role, one record per cusp and per crossing, and the component cycles, but
 no snapshot of the strand stack.  Its readers take what they need from the
@@ -42,6 +48,7 @@ import re
 import weakref
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import repeat
 from operator import ne
 from typing import NamedTuple, Optional
 
@@ -117,22 +124,22 @@ class FrontDiagram:
             if (type(o) is not tuple or len(o) != 2 or o[1] not in (1, -1)
                     or any(isinstance(x, bool) or not isinstance(x, int) for x in o)):
                 raise ParseError(f"orientation override {o!r} is not a (component, +1 or -1) pair")
+        # anything else, a bare tuple included, skipped FrontEvent's checks
+        if set(map(type, self.events)) != {FrontEvent}:
+            k, ev = next((k, ev) for k, ev in enumerate(self.events) if type(ev) is not FrontEvent)
+            raise ParseError(f"event {k + 1} ({ev!r}) is not a FrontEvent")
         n = 0
-        for k, ev in enumerate(self.events):
-            try:
-                kind, p = ev.kind, ev.position
-            except AttributeError:  # a bare tuple, which skipped FrontEvent's checks
-                raise ParseError(f"event {k + 1} ({ev!r}) is not a FrontEvent") from None
+        for k, (kind, p) in enumerate(self.events):
             if kind == LEFT:
                 if not 1 <= p <= n + 1:
                     raise InvalidPosition(
-                        f"event {k + 1} ({ev}): left cusp position must be in 1..{n + 1}"
+                        f"event {k + 1} ({kind} {p}): left cusp position must be in 1..{n + 1}"
                     )
                 n += 2
             else:
                 if not 1 <= p <= n - 1:
                     raise InvalidPosition(
-                        f"event {k + 1} ({ev}): position must be in 1..{n - 1} "
+                        f"event {k + 1} ({kind} {p}): position must be in 1..{n - 1} "
                         f"({n} strands)"
                     )
                 if kind == RIGHT:
@@ -234,8 +241,8 @@ def _decompose(events: tuple[FrontEvent, ...]) -> ComponentDecomposition:
     born: list[int] = []
     died: list[int] = []
     join: list[int] = []  # arc end -> the arc end it is joined to
-    cusps: list[CuspRecord] = []
-    crossings: list[CrossingRecord] = []
+    cusps: list = []  # CuspRecord rows, flat, typed once at the end
+    crossings: list = []  # CrossingRecord rows, flat
     stack: list[int] = []
     for j, (kind, p) in enumerate(events):
         if kind == RIGHT:
@@ -243,7 +250,7 @@ def _decompose(events: tuple[FrontEvent, ...]) -> ComponentDecomposition:
             del stack[p - 1 : p + 1]
             died[lo] = died[hi] = j
             join[2 * lo + 1], join[2 * hi + 1] = 2 * hi + 1, 2 * lo + 1
-            cusps.append(CuspRecord(j, RIGHT, lo, hi))
+            cusps += (j, RIGHT, lo, hi)
         else:
             lo, hi = len(born), len(born) + 1
             born += (j, j)
@@ -252,14 +259,14 @@ def _decompose(events: tuple[FrontEvent, ...]) -> ComponentDecomposition:
             if kind == LEFT:
                 stack[p - 1 : p - 1] = [lo, hi]
                 join[2 * lo], join[2 * hi] = 2 * hi, 2 * lo
-                cusps.append(CuspRecord(j, LEFT, lo, hi))
+                cusps += (j, LEFT, lo, hi)
             else:
                 a, b = stack[p - 1], stack[p]
                 died[a] = died[b] = j
                 join[2 * a + 1], join[2 * hi] = 2 * hi, 2 * a + 1
                 join[2 * b + 1], join[2 * lo] = 2 * lo, 2 * b + 1
                 stack[p - 1], stack[p] = lo, hi
-                crossings.append(CrossingRecord(j, a, b, lo, hi))
+                crossings += (j, a, b, lo, hi)
 
     # Components are numbered by their lowest arc, which is walked rightward:
     # leave each arc by its far end and enter the next arc by the joined end.
@@ -280,11 +287,11 @@ def _decompose(events: tuple[FrontEvent, ...]) -> ComponentDecomposition:
         cycles.append(tuple(cycle))
     return ComponentDecomposition(
         # arcs are made in (lower, upper) pairs, so an arc's role is its parity
-        arcs=tuple(Arc(a, born[a], a & 1, died[a]) for a in range(n)),
+        arcs=tuple(map(tuple.__new__, repeat(Arc), zip(range(n), born, (0, 1) * (n // 2), died))),
         component_of=tuple(component_of),
         n_components=len(cycles),
-        cusps=tuple(cusps),
-        crossings=tuple(crossings),
+        cusps=tuple(map(tuple.__new__, repeat(CuspRecord), zip(*[iter(cusps)] * 4))),
+        crossings=tuple(map(tuple.__new__, repeat(CrossingRecord), zip(*[iter(crossings)] * 5))),
         directions=tuple(dirs),
         cycles=tuple(cycles),
     )
@@ -335,18 +342,21 @@ class OrientedFront:
     @cached_property
     def _tallies(self) -> tuple[tuple[int, int, int], ...]:
         """Per component: (or sum over its self-crossings, cusp count, kappa
-        sum), from one pass over the crossings and one over the cusps."""
-        tr = self.trace
-        cof = tr.component_of
-        ors = [0] * tr.n_components
-        for x in tr.crossings:
-            c = cof[x.in_lower]
-            if c == cof[x.in_upper]:
-                ors[c] += crossing_or(self, x)
-        kappas: list[list[int]] = [[] for _ in range(tr.n_components)]
-        for cusp in tr.cusps:
-            kappas[cof[cusp.lower]].append(cusp_kappa(self, cusp))
-        return tuple((o, len(ks), sum(ks)) for o, ks in zip(ors, kappas))
+        sum), from one pass over the crossings and one over the cusps, each
+        applying the rule of ``crossing_or`` or ``cusp_kappa`` inline."""
+        tr, dirs = self.trace, self.directions
+        cof, k = tr.component_of, tr.n_components
+        ors, n_cusps, kappas = [0] * k, [0] * k, [0] * k
+        for _, a, b, _, _ in tr.crossings:
+            c = cof[a]
+            if c == cof[b]:
+                ors[c] += 1 if dirs[a] != dirs[b] else -1
+        for _, kind, lo, hi in tr.cusps:
+            c = cof[lo]
+            n_cusps[c] += 1
+            # the emanating ray: a left cusp's upper arc, a right cusp's lower
+            kappas[c] += 1 if dirs[hi if kind == LEFT else lo] else -1
+        return tuple(zip(ors, n_cusps, kappas))
 
     def reverse(self, comp: int) -> "OrientedFront":
         return OrientedFront(self.diagram, self.reversed_components ^ {comp})
@@ -573,33 +583,40 @@ def displace_zigzag(d: FrontDiagram, from_arc: int, to_arc: int) -> FrontDiagram
 
 
 def parse_front(text: str) -> FrontDiagram:
-    """Parse the line-oriented front format (L/R/X events, orient lines)."""
-    events, overrides = [], []
-    made: dict[str, FrontEvent] = {}  # each distinct event line, parsed once -> its event
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        if raw in made:
-            events.append(made[raw])
-            continue
+    """Parse the line-oriented front format (L/R/X events, orient lines).
+
+    Each distinct line is parsed once, in first-seen order, so the first
+    bad line raises; its number is looked up only then.
+    """
+    lines = text.splitlines()
+    made: dict[str, FrontEvent] = {}  # each distinct event line -> its event
+    orient: dict[str, tuple[int, int]] = {}  # each distinct orient line -> its override
+    for raw in dict.fromkeys(lines):
         parts = raw.split("#", 1)[0].split()
         if not parts:
             continue
         if parts[0] == "orient":
             if len(parts) != 3 or parts[2] not in ("+", "-"):
-                raise ParseError(f"bad orient line {raw!r}", line=ln)
-            if not INT_TOKEN.fullmatch(parts[1]):
-                raise ParseError(f"bad component index {parts[1]!r}", line=ln)
-            overrides.append((int(parts[1]), 1 if parts[2] == "+" else -1))
+                bad = f"bad orient line {raw!r}"
+            elif not INT_TOKEN.fullmatch(parts[1]):
+                bad = f"bad component index {parts[1]!r}"
+            else:
+                orient[raw] = (int(parts[1]), 1 if parts[2] == "+" else -1)
+                continue
+        elif len(parts) != 2 or parts[0] not in _KINDS:
+            bad = f"malformed event line {raw!r}"
+        elif not INT_TOKEN.fullmatch(parts[1]):
+            bad = f"bad position {parts[1]!r}"
+        else:
+            pos = int(parts[1])
+            if pos < 1:
+                raise InvalidPosition(f"line {lines.index(raw) + 1}: position {pos} must be >= 1")
+            made[raw] = FrontEvent(parts[0], pos)
             continue
-        if len(parts) != 2 or parts[0] not in _KINDS:
-            raise ParseError(f"malformed event line {raw!r}", line=ln)
-        if not INT_TOKEN.fullmatch(parts[1]):
-            raise ParseError(f"bad position {parts[1]!r}", line=ln)
-        pos = int(parts[1])
-        if pos < 1:
-            raise InvalidPosition(f"line {ln}: position {pos} must be >= 1")
-        made[raw] = FrontEvent(parts[0], pos)
-        events.append(made[raw])
-    return FrontDiagram(tuple(events), tuple(overrides))
+        raise ParseError(bad, line=lines.index(raw) + 1)
+    # each line in order to its event (or override), any other line to None, which is dropped
+    overrides = tuple(filter(None, map(orient.get, lines))) if orient else ()
+    return FrontDiagram(tuple(filter(None, map(made.get, lines))), overrides)
 
 
 def serialize_front(d: FrontDiagram) -> str:

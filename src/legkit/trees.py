@@ -18,7 +18,25 @@ In the event model the induction portions are:
 
 Reflection is tracked as a parity flag: a reflected subtree emits the
 vertically mirrored event templates and flips the roles of the strand
-pair it acts on.  The resulting front always has
+pair it acts on.  A visit of vertex v, whose incoming edge's strand pair
+sits at positions (p, p+1) with parity phi = +-1, emits a fixed template
+in s = sign(v) * phi; the reflected column is the one for phi < 0:
+
+    portion                  events                    reflected
+    leaf                     R p                       R p
+    one child, s > 0         L p, R p+1                L p+2, R p+1
+    one child, s < 0         L p+1, R p                L p+1, R p+2
+    crotch, n >= 2, s < 0    L p+1, p+3, ..., p+2n-3,  L p+1 (n-1 times),
+                             L p+1, R p                L p+2n-1, R p+2n
+    lofts, n >= 2, s > 0     a loft L p+2 before       a loft L p before
+                             each inner child, the     each inner child, the
+                             first one followed by     first one followed by
+                             L p, R p+1                L p+4, R p+3
+
+A single child is visited at p with phi.  A crotch's child i (numbered
+from the top) is visited at p + 2(n-1-i) with phi.  Of the lofts'
+children, the inner ones (all but the last) are visited at p+1 with -phi,
+and the last one at p with phi.  The resulting front always has
 
     tb = -(V - 1),      r = SIGMA * (V_plus - V_minus)
 
@@ -43,6 +61,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
 from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -98,8 +117,8 @@ class SignedTree:
         pairs = list(map(frozenset, edges))
         e = frozenset(pairs)
         if len(e) != len(pairs):  # a set of edges would hide the repeat
-            repeat = next(p for p, n in Counter(pairs).items() if n > 1)
-            raise NotATree(f"repeated edge {'-'.join(map(str, sorted(repeat)))}")
+            twice = next(p for p, n in Counter(pairs).items() if n > 1)
+            raise NotATree(f"repeated edge {'-'.join(map(str, sorted(twice)))}")
         return SignedTree(tuple(sorted(signs.items())), e)
 
     __getstate__ = fields_state  # the cached views are rebuilt on use
@@ -204,7 +223,10 @@ class AcceptableEmbedding:
         Every comparison the conditions and the front make is exact on
         these ints; NotAcceptable(0) for a coordinate that is not rational.
         """
-        ratios = [(v, _ratio(x), _ratio(y)) for v, (x, y) in self.coord_map.items()]
+        cm = self.coord_map
+        if not set(map(type, chain.from_iterable(cm.values()))) <= {int, Fraction}:
+            cm = {v: (_rational(x), _rational(y)) for v, (x, y) in cm.items()}
+        ratios = [(v, x.as_integer_ratio(), y.as_integer_ratio()) for v, (x, y) in cm.items()]
         scale = lcm(*{d for _, (_, dx), (_, dy) in ratios for d in (dx, dy)})
         return MappingProxyType({
             v: (nx * (scale // dx), ny * (scale // dy)) for v, (nx, dx), (ny, dy) in ratios
@@ -255,13 +277,12 @@ class AcceptableEmbedding:
         return MappingProxyType({v: tuple(ws) for v, ws in kids.items()})
 
 
-def _ratio(c) -> tuple[int, int]:
-    """(numerator, denominator) of an exact number; NotAcceptable(0) otherwise."""
-    if type(c) is Fraction or type(c) is int:
-        return c.as_integer_ratio()
-    if not isinstance(c, str):
+def _rational(c) -> Fraction:
+    """The exact value of a coordinate that is neither an int nor a Fraction;
+    NotAcceptable(0) for a bool, a string or what is not a rational number."""
+    if not isinstance(c, (bool, str)):
         try:
-            return Fraction(c).as_integer_ratio()
+            return Fraction(c)
         except (TypeError, ValueError, OverflowError):
             pass
     raise NotAcceptable(0, f"{c!r} is not a rational number")
@@ -274,68 +295,55 @@ def _ratio(c) -> tuple[int, int]:
 def build_front(emb: AcceptableEmbedding) -> FrontDiagram:
     """Construct the tree-based wavefront of an acceptable signed embedding.
 
-    Each vertex is expanded once, into its own events and the visits of its
-    right children in front order; a work stack replays them, so a child's
-    events come before whatever follows its visit.  Deep trees need no
-    recursion.  Each distinct event is made once and then shared.
+    Each vertex is expanded once, into the ``(kind, position)`` keys of its
+    template (see the module docstring) and the visits of its right
+    children, pushed in reverse front order; a work stack replays them, so a
+    child's events come before whatever follows its visit.  Deep trees need
+    no recursion.  Each distinct key becomes one event at the end, shared by
+    all its occurrences.
     """
     signs, children = emb.tree.sign_map, emb.children
-    made: dict[tuple[str, int], FrontEvent] = {(LEFT, 1): FrontEvent(LEFT, 1)}
-    events: list[FrontEvent] = [made[LEFT, 1]]
-    # a FrontEvent to emit, or a (v, p, phi) visit: the strand pair of the
-    # edge into v sits at positions (p, p+1), reflected if phi < 0
+    keys: list[tuple[str, int]] = [(LEFT, 1)]
+    # a (kind, position) loft key to emit, or a (v, p, phi) visit: the strand
+    # pair of the edge into v sits at positions (p, p+1), reflected if phi < 0
     work: list = [(children[emb.leftmost][0], 1, 1)]
     while work:
         item = work.pop()
-        if type(item) is FrontEvent:
-            events.append(item)
+        if len(item) == 2:
+            keys.append(item)
             continue
         v, p, phi = item
-        plan: list = []
-        w = 2  # local bundle width
-
-        def local(kind: str, offset: int) -> None:
-            nonlocal w
-            if phi < 0:
-                offset = (w + 2 - offset) if kind == LEFT else (w - offset)
-            key = (kind, p - 1 + offset)
-            if key not in made:
-                made[key] = FrontEvent(*key)
-            plan.append(made[key])
-            w += 2 if kind == LEFT else -2
-
         kids = children[v]
         n = len(kids)
         if n == 0:
-            local(RIGHT, 1)
+            keys.append((RIGHT, p))
         elif n == 1:
-            if signs[v] * phi > 0:
-                local(LEFT, 1)  # downward zig-zag
-                local(RIGHT, 2)
-            else:
-                local(LEFT, 2)  # upward zig-zag
-                local(RIGHT, 1)
-            plan.append((kids[0], p, phi))
+            if signs[v] * phi > 0:  # downward zig-zag
+                keys += ((LEFT, p), (RIGHT, p + 1)) if phi > 0 else ((LEFT, p + 2), (RIGHT, p + 1))
+            else:  # upward zig-zag
+                keys += ((LEFT, p + 1), (RIGHT, p)) if phi > 0 else ((LEFT, p + 1), (RIGHT, p + 2))
+            work.append((kids[0], p, phi))
         elif signs[v] * phi < 0:
             # stacked crotch cusps plus one compensating zig-zag
-            for i in range(1, n):
-                local(LEFT, 2 * i)
-            local(LEFT, 2)
-            local(RIGHT, 1)
-            # the pairs at p + 2n - 2, ..., p + 2, p, from the top, either way up
-            plan += [(c, p + 2 * (n - 1 - i), phi) for i, c in enumerate(kids)]
+            if phi > 0:
+                keys += [(LEFT, q) for q in range(p + 1, p + 2 * n - 2, 2)]
+                keys += ((LEFT, p + 1), (RIGHT, p))
+            else:
+                keys += [(LEFT, p + 1)] * (n - 1)
+                keys += ((LEFT, p + 2 * n - 1), (RIGHT, p + 2 * n))
+            # child i at p + 2(n - 1 - i), either way up: the last one at p
+            work += zip(reversed(kids), range(p, p + 2 * n, 2), repeat(phi))
         else:
             # nested lofts; the first branch carries the compensating zig-zag
-            for i in range(1, n):
-                local(LEFT, 3)  # loft: opens the next nested branch
-                if i == 1:
-                    local(LEFT, 1)  # downward zig-zag on the outer strand
-                    local(RIGHT, 2)
-                plan.append((kids[i - 1], p + 1, -phi))
-                w -= 2  # inner branch closed its pair
-            plan.append((kids[n - 1], p, phi))
-        work.extend(reversed(plan))
-    return FrontDiagram(tuple(events))
+            loft = (LEFT, p + 2) if phi > 0 else (LEFT, p)
+            keys.append(loft)  # then a downward zig-zag on the outer strand
+            keys += ((LEFT, p), (RIGHT, p + 1)) if phi > 0 else ((LEFT, p + 4), (RIGHT, p + 3))
+            work.append((kids[-1], p, phi))
+            for c in kids[-2:0:-1]:  # each inner branch after the first opens with a loft
+                work += ((c, p + 1, -phi), loft)
+            work.append((kids[0], p + 1, -phi))
+    made = {key: FrontEvent(*key) for key in set(keys)}
+    return FrontDiagram(tuple(map(made.__getitem__, keys)))
 
 
 def expected_invariants(t: SignedTree) -> tuple[int, int]:
@@ -606,7 +614,7 @@ def parse_tree(text: str) -> AcceptableEmbedding:
 def serialize_tree(emb: AcceptableEmbedding) -> str:
     cm, sm = emb.coord_map, emb.tree.sign_map
     lines = [
-        f"v {v} {cm[v][0]} {cm[v][1]} {'+' if sm[v] > 0 else '-'}"
+        f"v {v} {Fraction(cm[v][0])} {Fraction(cm[v][1])} {'+' if sm[v] > 0 else '-'}"
         for v in emb.tree.vertices
     ]
     lines += [f"e {min(e)} {max(e)}" for e in sorted(emb.tree.edges, key=sorted)]

@@ -3,6 +3,7 @@ import gc
 import pickle
 import random
 import weakref
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +34,10 @@ EYE_X = "L 1\nX 1\nR 1"
 NESTED = "L 1\nL 2\nR 2\nR 1"
 CLASP = "L 1\nL 2\nX 1\nX 1\nR 2\nR 1"
 CANCEL = "L 1\nL 2\nX 1\nX 2\nR 1\nR 1"
+
+
+# an event-like record that is not a FrontEvent, so it skipped FrontEvent's checks
+Event = namedtuple("Event", "kind position")
 
 
 def oriented(text):
@@ -537,6 +542,31 @@ class TestParsing:
         with pytest.raises(InvalidPosition, match="line 5"):
             fr.parse_front("L 1\nR 1\nL 1\nR 1\nR 0\nL 1\nR 1")
 
+    # each distinct line is parsed once, and a line number found only for the
+    # line that raises: it must still be the first bad line's
+    MALFORMED_CORPUS = [
+        "L 1\nL x\nL 1\nL x\nL x\nR 1",  # a bad line, then repeats of it
+        "L 1\nR 1\nL 1\nR 1\nR 1",  # a line out of range after repeats of itself
+        "L 1\nL 1\nR 2\nR 1\nL 1\nL -\nR 1",  # bad line 6 after five good lines
+        "L 1\nL 1\nR 2\nR 1\n" * 40 + "R 0\nR 0",  # below one, after many repeats
+        "L 1\nX 1.5\nL 2\nR x\nX 1.5\nR 1",  # two different bad lines
+        "L 1\nR x\nL 2\nX 1.5\nR x",
+        "L 1\norient 0 -\nR 1\norient 0 -\norient 0 *\norient 0 *",
+        "L 1\norient 0 -\nR 1\norient 0 -\norient 0 +\norient 0 -",  # repeated orient lines
+        "# a comment\n\nL 1  # cusp\n   \nL 1\nR 2\n# a comment\nR 1\n\nL 1\nQ 1",
+        "L 1\r\nL 1\r\nR 2\r\n\r\nR 1\r\nR 1 2\r\n",  # CRLF
+        "L 1\r\nL 1\r\nR 2\r\n# note\r\nR 1\r\norient 0 -\r\n",
+        "L 1\nL 1\nR 2\nR 1\nL 1\nL 3\nR 1\nR 1",  # a position out of range
+        "L 1\nL 2\nR 1\nL 1\nL 2\nR 1",  # open
+    ]
+
+    @pytest.mark.parametrize("text", MALFORMED_CORPUS)
+    def test_malformed_corpus_matches_former_parser(self, text):
+        got = parsed(fr.parse_front, text)
+        assert got == parsed(former_parse_front, text)
+        if isinstance(got, fr.FrontDiagram):
+            assert got.orient_overrides == former_parse_front(text).orient_overrides
+
 
 class TestTrace:
     def test_basic_two_arcs(self):
@@ -798,6 +828,57 @@ def check_tallies(d, orientations):
             assert fr.linking_matrix(of) == reference_linking_matrix(of)
 
 
+def closed_fronts(max_events, max_crossings):
+    """Every closed front of at most ``max_events`` events and at most
+    ``max_crossings`` crossings whose strand count returns to zero only after
+    its last event (a split front is two smaller ones side by side)."""
+    out = []
+
+    def grow(events, n, crossings):
+        if n == 0 and events:
+            out.append(fr.FrontDiagram(tuple(events)))
+            return
+        room = max_events - len(events)  # n / 2 right cusps must still fit
+        if room >= n // 2 + 2:
+            for p in range(1, n + 2):
+                grow(events + [fr.FrontEvent(fr.LEFT, p)], n + 2, crossings)
+        for p in range(1, n):
+            grow(events + [fr.FrontEvent(fr.RIGHT, p)], n - 2, crossings)
+            if crossings < max_crossings and room >= n // 2 + 1:
+                grow(events + [fr.FrontEvent(fr.CROSS, p)], n, crossings + 1)
+
+    grow([], 0, 0)
+    return out
+
+
+class TestSmallFrontsExhaustively:
+    """Every closed front of at most 6 events and at most 2 crossings.
+
+    A knot diagram with at most 2 crossings is an unknot, so each
+    single-component one must have (tb, r) in the unknot range, with no tree
+    involved.  The even rows are 1, 10 and 468 fronts, 172 of them single
+    component; the odd rows carry one crossing.
+    """
+
+    def test_every_front(self):
+        fronts = closed_fronts(6, 2)
+        sizes = [len(d.events) for d in fronts]
+        assert {k: sizes.count(k) for k in set(sizes)} == {2: 1, 3: 1, 4: 10, 5: 45, 6: 468}
+        knots = []
+        for d in fronts:
+            assert fr.parse_front(fr.serialize_front(d)) == d
+            tr = fr.trace_components(d)
+            for name, want in reference_records(d).items():
+                assert [rec._asdict() for rec in getattr(tr, name)] == want
+            k = tr.n_components
+            check_tallies(d, (frozenset(), frozenset(range(k))))
+            if k == 1:
+                knots.append(len(d.events))
+                for rev in (frozenset(), frozenset({0})):
+                    assert fr.in_unknot_range(*fr.invariant_pair(fr.OrientedFront(d, rev))), d
+        assert {k: knots.count(k) for k in set(knots)} == {2: 1, 3: 1, 4: 5, 5: 26, 6: 166}
+
+
 class TestRecordsAndTalliesMatchReferences:
     """Trace records are tuples, and tb and r come from one tally pass per
     orientation; both must agree with the former per-component sums."""
@@ -845,7 +926,13 @@ class TestRecordContracts:
         (((fr.FrontEvent("L", 1), fr.FrontEvent("R", 1)), [(0, -1)]), "must be tuples"),
         (((),), "^empty diagram has no component$"),
         (((), ((0, 1),)), "^empty diagram has no component$"),
-    ], ids=["bare tuples", "event list", "override list", "no events", "orient only"])
+        # read as a crossing, with (tb, r) = (-2, -1), and serialized to "Q 1"
+        (((fr.FrontEvent("L", 1), Event("Q", 1), fr.FrontEvent("R", 1)),),
+         r"^event 2 \(Event\(kind='Q', position=1\)\) is not a FrontEvent$"),
+        (((Event("L", 1.0), fr.FrontEvent("R", 1)),), "event 1 .* is not a FrontEvent"),
+        (((Event("L", True), fr.FrontEvent("R", 1)),), "event 1 .* is not a FrontEvent"),
+    ], ids=["bare tuples", "event list", "override list", "no events", "orient only",
+            "unknown kind", "float position", "bool position"])
     def test_diagram_of_unchecked_parts_is_rejected(self, args, message):
         # a bare tuple skips FrontEvent's checks; a list would fail on the first hash;
         # no events would fail to render and to round-trip through text

@@ -653,11 +653,14 @@ class TestIntegerGrid:
             assert emb.coord_map == coords
         assert tr.build_front(tr.AcceptableEmbedding.make(t, floats)) == tr.build_front(
             tr.AcceptableEmbedding.make(t, exact))
-        assert tr.serialize_tree(tr.AcceptableEmbedding.make(t, floats)).splitlines()[1] == (
-            "v 1 1.0 0.25 -")
+        # each coordinate is written as its exact value, which parse_tree reads back
+        text = tr.serialize_tree(tr.AcceptableEmbedding.make(t, floats))
+        assert text.splitlines()[1] == "v 1 1 1/4 -"
+        assert tr.parse_tree(text) == tr.AcceptableEmbedding.make(t, floats)
 
+    # a bool used to pass as 0 or 1, and serialize_tree wrote it as False or True
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), "1/3", "x",
-                                     None])
+                                     None, True, False])
     def test_non_rational_coordinate_is_typed(self, bad):
         t = tr.SignedTree.make({0: 1, 1: -1}, [(0, 1)])
         with pytest.raises(NotAcceptable) as exc:
@@ -786,11 +789,12 @@ class TestParsing:
         coords = {0: (F(-5, 11), 0), 1: (1.0, 1e-05), 2: (2, 0.25), 3: (F(7, 4), -3e-17)}
         emb = tr.AcceptableEmbedding.make(t, coords)
         text = tr.serialize_tree(emb)
-        for token in ("-5/11", "1.0", "1e-05", "0.25", "7/4", "-3e-17"):
-            assert f" {token} " in text
+        for token in ("-5/11", "v 1 1 ", str(F(1e-05)), " 1/4 ", "7/4", str(F(-3e-17))):
+            assert token in text
         back = tr.parse_tree(text)
-        # a float is written as its shortest repr, which reads back as that decimal
-        assert dict(back.coord_map) == {v: (F(str(x)), F(str(y))) for v, (x, y) in coords.items()}
+        # a float is written as its exact binary value, which reads back as the same number
+        assert back == emb
+        assert dict(back.coord_map) == {v: (F(x), F(y)) for v, (x, y) in coords.items()}
         assert tr.serialize_tree(tr.parse_tree(tr.serialize_tree(back))) == tr.serialize_tree(back)
         assert tr.build_front(back) == tr.build_front(emb)
 
@@ -942,6 +946,22 @@ class TestBuildFront:
         emb = tr.AcceptableEmbedding.make(t, coords)
         assert emb.children == {0: (1,), 1: (2, 3, 4, 5), 2: (), 3: (), 4: (), 5: ()}
         assert_matches_former(emb)
+
+    @pytest.mark.parametrize("r", [0, 300, -300, 600, -600, 640, -640])
+    def test_references_at_ladder_size(self, r):
+        # crotches and lofts with up to 640 children, on a path of up to 642
+        emb = tr.catalog_tree(-641, r)
+        d = assert_matches_former(emb)
+        text = fr.serialize_front(d)
+        assert text == fr.serialize_front(former_build_front(emb))
+        assert text == fr.serialize_front(ref_build_front(emb))
+
+    def test_many_random_embeddings_match_both_references(self):
+        rng = random.Random(2828)
+        for _ in range(3000):
+            emb = tr.random_acceptable_embedding(rng, 40)
+            d = tr.build_front(emb)
+            assert d == former_build_front(emb) == ref_build_front(emb)
 
     def test_deep_catalog_front(self):
         d = tr.catalog_front(-1281, 0)
