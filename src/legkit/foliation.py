@@ -146,17 +146,18 @@ class FoliationState:
         signs = [_SIGN[self.sing_map[i][1]] for i in ids]
         if (len(ids), SIGMA * sum(signs)) != (1 - self.tb, self.r):
             return ()
-        return tuple(sorted(tuple(sorted(e)) for e in _broom(signs, ids)[0]))
+        return _broom(signs, ids)[0]
 
     @cached_property
     def _skeleton(self) -> SkeletonTree:
-        """The connections as a signed tree on the sorted ids, checked when built."""
+        """The connections as a signed tree on the ranks of the sorted ids,
+        checked when built; ranking keeps the sorted pairs sorted."""
         sm, on_b = self.sing_map, self._on_boundary
         verts = sorted({v for c in self.connections for v in c})
         index = {v: k for k, v in enumerate(verts)}
-        signs = {k: _SIGN[sm[v][1]] for k, v in enumerate(verts)}
+        signs = tuple((k, _SIGN[sm[v][1]]) for k, v in enumerate(verts))
         return SkeletonTree(
-            tree=SignedTree.make(signs, [(index[u], index[v]) for u, v in self.connections]),
+            tree=SignedTree(signs, tuple((index[u], index[v]) for u, v in self.connections)),
             interior_vertices=frozenset(v for v in verts if v not in on_b),
             boundary_vertices=frozenset(v for v in verts if v in on_b),
             ids=tuple(verts),

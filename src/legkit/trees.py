@@ -20,18 +20,20 @@ Reflection is tracked as a parity flag: a reflected subtree emits the
 vertically mirrored event templates and flips the roles of the strand
 pair it acts on.  A visit of vertex v, whose incoming edge's strand pair
 sits at positions (p, p+1) with parity phi = +-1, emits a fixed template
-in s = sign(v) * phi; the reflected column is the one for phi < 0:
+in s = sign(v) * phi, written as signed int keys: the event L q is the key
+q and R q is -q (positions are at least 1).  The reflected column is the
+one for phi < 0:
 
-    portion                  events                    reflected
-    leaf                     R p                       R p
-    one child, s > 0         L p, R p+1                L p+2, R p+1
-    one child, s < 0         L p+1, R p                L p+1, R p+2
-    crotch, n >= 2, s < 0    L p+1, p+3, ..., p+2n-3,  L p+1 (n-1 times),
-                             L p+1, R p                L p+2n-1, R p+2n
-    lofts, n >= 2, s > 0     a loft L p+2 before       a loft L p before
+    portion                  keys                      reflected
+    leaf                     -p                        -p
+    one child, s > 0         p, -(p+1)                 p+2, -(p+1)
+    one child, s < 0         p+1, -p                   p+1, -(p+2)
+    crotch, n >= 2, s < 0    p+1, p+3, ..., p+2n-3,    p+1 (n-1 times),
+                             p+1, -p                   p+2n-1, -(p+2n)
+    lofts, n >= 2, s > 0     a loft p+2 before         a loft p before
                              each inner child, the     each inner child, the
                              first one followed by     first one followed by
-                             L p, R p+1                L p+4, R p+3
+                             p, -(p+1)                 p+4, -(p+3)
 
 A single child is visited at p with phi.  A crotch's child i (numbered
 from the top) is visited at p + 2(n-1-i) with phi.  Of the lofts'
@@ -43,14 +45,17 @@ and the last one at p with phi.  The resulting front always has
 which expected_invariants returns in closed form; the construction is
 validated against it exhaustively in the test suite.
 
-Trees and embeddings are checked once, when built.  An embedding scales
-its rational coordinates by one common denominator into integer grid
-points, so every slope, left-edge, left-most and child-order test is an
-exact int comparison; ``Fraction`` appears only at the API.  A vertex's
-right ends are its children in the front.  Normalization copies its tree
-once into a mutable adjacency, grows the canonical broom's path on it
-from an edge the tree already has, moving each vertex at most twice, and
-builds one tree at the end.
+Trees and embeddings are checked once, when built.  A tree's edges are a
+sorted tuple of distinct int pairs (u, w) with u < w, checked in bulk
+passes over their two columns, so each vertex's neighbors come out in
+order without a sort.  An embedding scales its rational coordinates by one
+common denominator into integer grid points, so every slope, left-edge,
+left-most and child-order test is an exact int comparison; ``Fraction``
+appears only at the API.  One pass over the edges checks each slope and
+the left edges and collects each vertex's right ends, its children in the
+front.  Normalization copies its tree once into a mutable adjacency, grows
+the canonical broom's path on it from an edge the tree already has, moving
+each vertex at most twice, and builds one tree at the end.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from math import lcm
+from operator import eq, le, lt
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -105,21 +111,21 @@ VERTEX_TOKENS = (INT_TOKEN, RATIONAL_TOKEN, RATIONAL_TOKEN)  # id, x, y
 class SignedTree:
     """Abstract tree with alternating vertex signs, checked when built.
 
-    ``signs`` maps vertex id -> +1 or -1; ``edges`` is a frozenset of
-    2-element frozensets of vertex ids.
+    ``signs`` maps vertex id -> +1 or -1; ``edges`` is a sorted tuple of
+    distinct int pairs (u, w) with u < w.  ``make`` sorts the signs, each
+    edge's ends and the edges.
     """
 
     signs: tuple[tuple[int, int], ...]  # sorted (vertex, sign) pairs
-    edges: frozenset[frozenset[int]]
+    edges: tuple[tuple[int, int], ...]  # sorted (u, w) pairs, u < w
 
     @staticmethod
     def make(signs: dict[int, int], edges: Iterable[tuple[int, int]]) -> "SignedTree":
-        pairs = list(map(frozenset, edges))
-        e = frozenset(pairs)
-        if len(e) != len(pairs):  # a set of edges would hide the repeat
-            twice = next(p for p, n in Counter(pairs).items() if n > 1)
-            raise NotATree(f"repeated edge {'-'.join(map(str, sorted(twice)))}")
-        return SignedTree(tuple(sorted(signs.items())), e)
+        try:
+            pairs = tuple(sorted((u, w) if u < w else (w, u) for u, w in edges))
+        except (TypeError, ValueError):  # an edge that is not a pair, or ends that do not compare
+            raise NotATree("each edge must be a pair of int vertex ids") from None
+        return SignedTree(tuple(sorted(signs.items())), pairs)
 
     __getstate__ = fields_state  # the cached views are rebuilt on use
 
@@ -133,7 +139,8 @@ class SignedTree:
 
     @cached_property
     def _adjacency(self) -> Mapping[int, tuple[int, ...]]:
-        """Neighbors of each vertex in increasing order, built from the edge pairs.
+        """Neighbors of each vertex in increasing order: a vertex's pairs (u, v)
+        come before its pairs (v, w), each run in order, as the edges are sorted.
 
         Read only after ``__post_init__`` has checked that every edge is a
         pair of vertices.
@@ -142,8 +149,6 @@ class SignedTree:
         for u, w in self.edges:
             adj[u].append(w)
             adj[w].append(u)
-        for ws in adj.values():
-            ws.sort()
         return MappingProxyType({v: tuple(ws) for v, ws in adj.items()})
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -154,31 +159,28 @@ class SignedTree:
         return len(self.neighbors(v))
 
     def __post_init__(self):
-        sm = self.sign_map
-        verts = set(sm)
-        if any(s not in (1, -1) for s in sm.values()):
+        sm, edges = self.sign_map, self.edges
+        us, ws = _ends(edges)
+        if not set(sm.values()) <= {1, -1}:
             raise BadSigning("vertex signs must be +1 or -1")
-        for e in self.edges:
-            if len(e) != 2 or not e <= verts:
-                raise NotATree(f"bad edge {set(e)}")
-        if len(self.edges) != len(verts) - 1:
-            raise NotATree(
-                f"{len(self.edges)} edges on {len(verts)} vertices is not a tree"
-            )
-        # connectivity
-        if verts:
-            adj, root = self._adjacency, min(verts)
-            seen, frontier = {root}, [root]
-            while frontier:
-                for w in adj[frontier.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-            if len(seen) != len(verts):
-                raise NotATree("edge set is not connected")
-        for u, w in self.edges:
-            if sm[u] == sm[w]:
-                raise BadSigning(f"adjacent vertices {u}, {w} share sign")
+        if not (all(map(lt, us, ws)) and sm.keys() >= {*us, *ws}):
+            raise NotATree("bad edge {}".format(
+                next(set(e) for e in edges if e[0] == e[1] or not sm.keys() >= set(e))))
+        if len(edges) != len(sm) - 1:
+            raise NotATree(f"{len(edges)} edges on {len(sm)} vertices is not a tree")
+        # connectivity; the count leaves at least one vertex
+        adj, root = self._adjacency, self.signs[0][0]
+        seen, frontier = {root}, [root]
+        while frontier:
+            for w in adj[frontier.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        if len(seen) != len(sm):
+            raise NotATree("edge set is not connected")
+        if any(map(eq, map(sm.__getitem__, us), map(sm.__getitem__, ws))):
+            u, w = next(e for e in edges if sm[e[0]] == sm[e[1]])
+            raise BadSigning(f"adjacent vertices {u}, {w} share sign")
 
     def counts(self) -> tuple[int, int]:
         """(V_plus, V_minus)."""
@@ -188,13 +190,25 @@ class SignedTree:
     def is_almost_linear(self) -> bool:
         """At most one vertex of valence > 2, with at most one non-end edge there."""
         big = [v for v in self.vertices if self.valence(v) > 2]
-        if len(big) > 1:
-            return False
-        if not big:
-            return True
-        hub = big[0]
-        non_end = sum(1 for w in self.neighbors(hub) if self.valence(w) > 1)
-        return non_end <= 1
+        return not big or len(big) == 1 and sum(
+            self.valence(w) > 1 for w in self.neighbors(big[0])) <= 1
+
+
+def _ends(edges) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The u and the w column of a sorted tuple of distinct int pairs (u, w)
+    with u <= w (u == w is a bad edge, named later); NotATree otherwise."""
+    if type(edges) is not tuple:
+        raise NotATree(f"edges must be a sorted tuple of int pairs, not a {type(edges).__name__}")
+    if set(map(type, edges)) <= {tuple} and set(map(len, edges)) <= {2}:
+        us, ws = tuple(zip(*edges)) or ((), ())
+        if (set(map(type, us + ws)) <= {int} and all(map(le, us, ws))
+                and all(map(lt, edges, edges[1:]))):
+            return us, ws
+    k, e = next((k, e) for k, e in enumerate(edges) if not (
+        type(e) is tuple and len(e) == 2 and set(map(type, e)) == {int} and e[0] <= e[1]
+        and (k == 0 or edges[k - 1] < e)))
+    raise NotATree(f"repeated edge {e[0]}-{e[1]}" if k and edges[k - 1] == e else
+                   f"edge {k}, {e!r}, is not an int pair (u, w), u < w, in sorted order")
 
 
 @dataclass(frozen=True)
@@ -226,29 +240,19 @@ class AcceptableEmbedding:
         cm = self.coord_map
         if not set(map(type, chain.from_iterable(cm.values()))) <= {int, Fraction}:
             cm = {v: (_rational(x), _rational(y)) for v, (x, y) in cm.items()}
-        ratios = [(v, x.as_integer_ratio(), y.as_integer_ratio()) for v, (x, y) in cm.items()]
-        scale = lcm(*{d for _, (_, dx), (_, dy) in ratios for d in (dx, dy)})
-        return MappingProxyType({
-            v: (nx * (scale // dx), ny * (scale // dy)) for v, (nx, dx), (ny, dy) in ratios
-        })
+        # an int is its own numerator over 1, so only the Fractions set the scale
+        scale = lcm(*{c.denominator for c in chain(*cm.values()) if type(c) is not int})
+        return MappingProxyType({v: (
+            x * scale if type(x) is int else x.numerator * (scale // x.denominator),
+            y * scale if type(y) is int else y.numerator * (scale // y.denominator),
+        ) for v, (x, y) in cm.items()})
 
     def __post_init__(self):
-        if set(self.coord_map) != set(self.tree.vertices):
+        if self.coord_map.keys() != self.tree.sign_map.keys():
             raise NotAcceptable(0, "coordinates must cover exactly the vertex set")
-        if len(self.tree.edges) < 1:
+        if not self.tree.edges:
             raise NotAcceptable(1, "embedding needs at least one edge")
-        g = self.grid
-        lefts: dict[int, int] = {}  # vertex -> number of edges on its left
-        for u, w in self.tree.edges:
-            (xu, yu), (xw, yw) = g[u], g[w]
-            dx = xw - xu
-            if dx == 0 or abs(yw - yu) * 2 >= abs(dx):
-                raise NotAcceptable(2, f"edge {u}-{w} slope not strictly between +-1/2")
-            right = w if dx > 0 else u
-            lefts[right] = lefts.get(right, 0) + 1
-        crowded = min((v for v, n in lefts.items() if n > 1), default=None)
-        if crowded is not None:
-            raise NotAcceptable(3, f"vertex {crowded} has {lefts[crowded]} edges on its left")
+        self.children  # checks conditions 2 and 3
         # the left-most vertex is unique now: on the tree path between two
         # vertices at the least x, the one of largest x has two left edges
         root = self.leftmost
@@ -262,12 +266,25 @@ class AcceptableEmbedding:
     @cached_property
     def children(self) -> Mapping[int, tuple[int, ...]]:
         """Each vertex's right ends from the top (steepest slope first): its
-        children in the front, where its one left neighbor is its parent."""
+        children in the front, where its one left neighbor is its parent.
+
+        The one pass over the edges that finds them checks each slope
+        (condition 2) and that no vertex has two left edges (condition 3).
+        """
         g = self.grid
         kids: dict[int, list[int]] = {v: [] for v in g}
+        rights: list[int] = []
         for u, w in self.tree.edges:
-            left, right = (u, w) if g[u][0] < g[w][0] else (w, u)
-            kids[left].append(right)
+            (xu, yu), (xw, yw) = g[u], g[w]
+            if abs(yw - yu) * 2 >= abs(xw - xu):  # so is an edge with dx = 0
+                raise NotAcceptable(2, f"edge {u}-{w} slope not strictly between +-1/2")
+            if xw < xu:
+                u, w = w, u
+            kids[u].append(w)
+            rights.append(w)
+        if len(set(rights)) != len(rights):
+            crowded, n = min((v, n) for v, n in Counter(rights).items() if n > 1)
+            raise NotAcceptable(3, f"vertex {crowded} has {n} edges on its left")
         for v, ws in kids.items():
             if len(ws) > 1:
                 # slope times the lcm m of the fork's dx: an exact int key
@@ -295,54 +312,54 @@ def _rational(c) -> Fraction:
 def build_front(emb: AcceptableEmbedding) -> FrontDiagram:
     """Construct the tree-based wavefront of an acceptable signed embedding.
 
-    Each vertex is expanded once, into the ``(kind, position)`` keys of its
-    template (see the module docstring) and the visits of its right
-    children, pushed in reverse front order; a work stack replays them, so a
-    child's events come before whatever follows its visit.  Deep trees need
-    no recursion.  Each distinct key becomes one event at the end, shared by
-    all its occurrences.
+    Each vertex is expanded once, into the keys of its template (see the
+    module docstring; ``L p`` is the int ``p`` and ``R p`` is ``-p``) and the
+    visits of its right children, pushed in reverse front order; a work
+    stack replays them, so a child's events come before whatever follows its
+    visit.  Deep trees need no recursion.  Each distinct key becomes one
+    event at the end, shared by all its occurrences.
     """
     signs, children = emb.tree.sign_map, emb.children
-    keys: list[tuple[str, int]] = [(LEFT, 1)]
-    # a (kind, position) loft key to emit, or a (v, p, phi) visit: the strand
-    # pair of the edge into v sits at positions (p, p+1), reflected if phi < 0
+    keys: list[int] = [1]
+    # a loft key to emit, or a (v, p, phi) visit: the strand pair of the
+    # edge into v sits at positions (p, p+1), reflected if phi < 0
     work: list = [(children[emb.leftmost][0], 1, 1)]
     while work:
         item = work.pop()
-        if len(item) == 2:
+        if type(item) is int:
             keys.append(item)
             continue
         v, p, phi = item
         kids = children[v]
         n = len(kids)
         if n == 0:
-            keys.append((RIGHT, p))
+            keys.append(-p)
         elif n == 1:
             if signs[v] * phi > 0:  # downward zig-zag
-                keys += ((LEFT, p), (RIGHT, p + 1)) if phi > 0 else ((LEFT, p + 2), (RIGHT, p + 1))
+                keys += (p, -p - 1) if phi > 0 else (p + 2, -p - 1)
             else:  # upward zig-zag
-                keys += ((LEFT, p + 1), (RIGHT, p)) if phi > 0 else ((LEFT, p + 1), (RIGHT, p + 2))
+                keys += (p + 1, -p) if phi > 0 else (p + 1, -p - 2)
             work.append((kids[0], p, phi))
         elif signs[v] * phi < 0:
             # stacked crotch cusps plus one compensating zig-zag
             if phi > 0:
-                keys += [(LEFT, q) for q in range(p + 1, p + 2 * n - 2, 2)]
-                keys += ((LEFT, p + 1), (RIGHT, p))
+                keys += range(p + 1, p + 2 * n - 2, 2)
+                keys += (p + 1, -p)
             else:
-                keys += [(LEFT, p + 1)] * (n - 1)
-                keys += ((LEFT, p + 2 * n - 1), (RIGHT, p + 2 * n))
+                keys += [p + 1] * (n - 1)
+                keys += (p + 2 * n - 1, -p - 2 * n)
             # child i at p + 2(n - 1 - i), either way up: the last one at p
             work += zip(reversed(kids), range(p, p + 2 * n, 2), repeat(phi))
         else:
             # nested lofts; the first branch carries the compensating zig-zag
-            loft = (LEFT, p + 2) if phi > 0 else (LEFT, p)
+            loft = p + 2 if phi > 0 else p
             keys.append(loft)  # then a downward zig-zag on the outer strand
-            keys += ((LEFT, p), (RIGHT, p + 1)) if phi > 0 else ((LEFT, p + 4), (RIGHT, p + 3))
+            keys += (p, -p - 1) if phi > 0 else (p + 4, -p - 3)
             work.append((kids[-1], p, phi))
             for c in kids[-2:0:-1]:  # each inner branch after the first opens with a loft
                 work += ((c, p + 1, -phi), loft)
             work.append((kids[0], p + 1, -phi))
-    made = {key: FrontEvent(*key) for key in set(keys)}
+    made = {k: FrontEvent(LEFT, k) if k > 0 else FrontEvent(RIGHT, -k) for k in set(keys)}
     return FrontDiagram(tuple(map(made.__getitem__, keys)))
 
 
@@ -370,13 +387,12 @@ class _TreeWork:
         self.adj = {v: set(t.neighbors(v)) for v in t.vertices}
 
     def freeze(self) -> SignedTree:
-        edges = frozenset(frozenset((u, w)) for u, ws in self.adj.items() for w in ws if u < w)
-        return SignedTree(self.tree.signs, edges)
+        edges = sorted((u, w) for u, ws in self.adj.items() for w in ws if u < w)
+        return SignedTree(self.tree.signs, tuple(edges))
 
     def end_of(self, edge: tuple[int, int]) -> tuple[int, int]:
         """(attachment, end vertex) of an end edge; either on a single-edge tree."""
-        e = frozenset(edge)
-        u, w = tuple(e) if len(e) == 2 else (None, None)
+        u, w = edge if len(edge) == 2 else (None, None)
         if w not in self.adj.get(u, ()):
             raise NotATree(f"no edge {edge}")
         if len(self.adj[u]) > 1 and len(self.adj[w]) > 1:
@@ -479,8 +495,9 @@ def move_end_edge(t: SignedTree, edge: tuple[int, int], target: int) -> SignedTr
     return replay_moves(t, [(edge, target)])
 
 
-def _broom(signs: Sequence[int], ids: Sequence) -> tuple[list[tuple], list, list]:
-    """The canonical broom's edges, its path order (hub last) and its hub leaves; no tree."""
+def _broom(signs: Sequence[int], ids: Sequence) -> tuple[tuple[tuple, ...], list, list]:
+    """The canonical broom's sorted (u, w) edges with u < w, its path order
+    (hub last) and its hub leaves; no tree."""
     plus = sorted(v for v, s in zip(ids, signs) if s == 1)
     minus = sorted(v for v, s in zip(ids, signs) if s == -1)
     maj, mino = (plus, minus) if len(plus) >= len(minus) else (minus, plus)
@@ -491,8 +508,8 @@ def _broom(signs: Sequence[int], ids: Sequence) -> tuple[list[tuple], list, list
     q = len(mino)
     order = [x for pair in zip(maj[:q], mino) for x in pair]
     leaves = maj[q:]
-    edges = list(zip(order, order[1:])) + [(order[-1], leaf) for leaf in leaves]
-    return edges, order, leaves
+    edges = chain(zip(order, order[1:]), zip(repeat(order[-1]), leaves))
+    return tuple(sorted((u, w) if u < w else (w, u) for u, w in edges)), order, leaves
 
 
 def canonical_broom(signs: Sequence[int], ids: Sequence[int]) -> SignedTree:
@@ -521,7 +538,7 @@ def normalize_to_almost_linear(t: SignedTree) -> tuple[SignedTree, list[Move]]:
     work = _TreeWork(t)
     moves = work.walk_to_broom(order, leaves)
     out = work.freeze()
-    if out.edges != frozenset(map(frozenset, edges)):
+    if out.edges != edges:
         raise PatternMismatch("normalization did not reach the broom")
     if not out.is_almost_linear():
         raise PatternMismatch("normalized tree is not almost linear")
@@ -546,7 +563,7 @@ def catalog_tree(tb: int, r: int) -> AcceptableEmbedding:
         # hang leaves off the hub at the right end, numbered from the top:
         # y = ((k - 1) / 2 - j) / (4 (k + 1))
         coords[v] = (x, Fraction(k - 1 - 2 * j, 8 * (k + 1)))
-    return AcceptableEmbedding.make(SignedTree.make(dict(enumerate(signs)), edges), coords)
+    return AcceptableEmbedding.make(SignedTree(tuple(enumerate(signs)), edges), coords)
 
 
 def _checked_front(emb: AcceptableEmbedding, inv: tuple[int, int]) -> FrontDiagram:
@@ -582,7 +599,7 @@ def parse_tree(text: str) -> AcceptableEmbedding:
     """Parse the line-oriented tree format: v/e lines, # comments."""
     signs: dict[int, int] = {}
     coords: dict[int, tuple[Fraction, Fraction]] = {}
-    edges: set[frozenset[int]] = set()
+    edges: set[tuple[int, int]] = set()
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -597,7 +614,7 @@ def parse_tree(text: str) -> AcceptableEmbedding:
                 coords[vid] = (Fraction(parts[2]), Fraction(parts[3]))
                 signs[vid] = 1 if parts[4] == "+" else -1
             elif parts[0] == "e" and len(parts) == 3 and all(map(INT_TOKEN.fullmatch, parts[1:])):
-                edge = frozenset((int(parts[1]), int(parts[2])))
+                edge = tuple(sorted((int(parts[1]), int(parts[2]))))
                 if edge in edges:  # a set of edges would hide the repeat
                     raise ParseError(f"repeated edge {parts[1]}-{parts[2]}", line=ln)
                 edges.add(edge)
@@ -617,7 +634,7 @@ def serialize_tree(emb: AcceptableEmbedding) -> str:
         f"v {v} {Fraction(cm[v][0])} {Fraction(cm[v][1])} {'+' if sm[v] > 0 else '-'}"
         for v in emb.tree.vertices
     ]
-    lines += [f"e {min(e)} {max(e)}" for e in sorted(emb.tree.edges, key=sorted)]
+    lines += [f"e {u} {w}" for u, w in emb.tree.edges]
     return "\n".join(lines)
 
 

@@ -726,9 +726,11 @@ def ref_to_elliptic_form(state):
     sm = dict(cur.sing)
     spine = sorted(i for i, s in cur.sing if s.locus == fo.INTERIOR and s.kind == fo.ELLIPTIC)
     leaves = [b for b in cur.boundary if sm[b].sign < 0 and sm[b].kind == fo.ELLIPTIC]
-    ids = spine + leaves
+    ids = sorted(spine + leaves)
     signs = [sm[v].sign for v in ids]
-    conns = frozenset(tr.canonical_broom(signs, ids).edges)
+    # a tree's vertices are ints: the broom on the ranks of the sorted ids
+    broom = tr.canonical_broom(signs, range(len(ids)))
+    conns = frozenset(frozenset((ids[u], ids[w])) for u, w in broom.edges)
     cur = replace(cur, connections=conns)
     assert ref_is_elliptic_form(cur)
     return cur, ref_extract_skeleton(cur)
@@ -957,8 +959,8 @@ def test_counts_returns_a_fresh_dict():
 
 # ---------------------------------------------------------------------------
 # The elliptic-form stage builds its broom and skeleton tree once; the
-# references build a string-id broom tree through canonical_broom, and the
-# skeleton anew on every call.
+# references build the broom through canonical_broom on the ranks of the
+# sorted ids, and the skeleton anew on every call.
 
 
 def _reduced(tb, r, raw):

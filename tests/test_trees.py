@@ -1,6 +1,7 @@
 import copy
 import heapq
 import itertools
+import math
 import pickle
 import random
 from fractions import Fraction as F
@@ -33,6 +34,11 @@ def path_embedding(signs):
     )
     coords = {i: (F(i), F(0)) for i in range(len(signs))}
     return tr.AcceptableEmbedding.make(t, coords)
+
+
+def fset(edges):
+    """The former form of a tree's edges: a frozenset of 2-element frozensets."""
+    return frozenset(map(frozenset, edges))
 
 
 def front_invariants(emb):
@@ -269,7 +275,7 @@ def comb_embedding(hub_sign, length):
 
 def ref_move_end_edge(t, edge, target):
     e = frozenset(edge)
-    if e not in t.edges:
+    if e not in fset(t.edges):
         raise NotATree(f"no edge {edge}")
     u, w = tuple(e)
     if t.valence(w) == 1:
@@ -281,7 +287,7 @@ def ref_move_end_edge(t, edge, target):
     sm = t.sign_map
     if target == leaf or sm[target] != sm[attach]:
         raise SignMismatch("bad target")
-    edges = set(t.edges) - {e} | {frozenset((target, leaf))}
+    edges = set(fset(t.edges)) - {e} | {frozenset((target, leaf))}
     return tr.SignedTree.make(sm, [tuple(x) for x in edges])
 
 
@@ -296,7 +302,7 @@ def ref_greedy_to_double_star(t):
     for _ in range(4 * len(t.vertices) + 8):
         sm = cur.sign_map
         pending = None
-        for e in sorted(cur.edges, key=lambda e: tuple(sorted(e))):
+        for e in sorted(fset(cur.edges), key=lambda e: tuple(sorted(e))):
             if e & hubs:
                 continue
             u, w = tuple(e)
@@ -313,7 +319,7 @@ def ref_greedy_to_double_star(t):
         edge, target = pending
         cur = ref_move_end_edge(cur, edge, target)
         moves.append((edge, target))
-    if not all(e & hubs for e in cur.edges):
+    if not all(e & hubs for e in fset(cur.edges)):
         return None
     return cur, moves
 
@@ -481,9 +487,9 @@ def ref_broom_reachable(t):
     """Breadth-first search over all end-edge moves: the fewest moves from t
     to its broom, or None where the broom is not reachable."""
     sm = t.sign_map
-    goal = broom_of(t).edges
-    dist = {t.edges: 0}
-    queue = [t.edges]
+    goal = fset(broom_of(t).edges)
+    dist = {fset(t.edges): 0}
+    queue = [fset(t.edges)]
     for edges in queue:
         if edges == goal:
             return dist[edges]
@@ -508,7 +514,7 @@ def ref_broom_reachable(t):
 def hubs_adjacent(t):
     sm = t.sign_map
     hubs = {min(v for v in sm if sm[v] == s) for s in (1, -1)}
-    return hubs in t.edges
+    return tuple(sorted(hubs)) in t.edges
 
 
 DENOMINATORS = (1, 2, 3, 7, 11, 13)
@@ -728,12 +734,9 @@ class TestParsing:
         with pytest.raises(error) as made:
             tr.SignedTree.make(signs, edges)
         with pytest.raises(error) as direct:
-            tr.SignedTree(
-                tuple(sorted(signs.items())), frozenset(frozenset(e) for e in edges)
-            )
-        # a frozenset of edges holds no repeat, so only make can name one
-        repeats = len(set(map(frozenset, edges))) != len(edges)
-        assert str(made.value) == ("repeated edge 0-1" if repeats else str(direct.value))
+            pairs = tuple(sorted(tuple(sorted(e)) for e in edges))
+            tr.SignedTree(tuple(sorted(signs.items())), pairs)
+        assert str(made.value) == str(direct.value)
 
     @pytest.mark.parametrize(
         "coords, condition",
@@ -986,7 +989,7 @@ class TestMoves:
         )
         moved = tr.move_end_edge(t, (3, 4), 1)
         assert moved.counts() == t.counts()
-        assert frozenset((1, 4)) in moved.edges
+        assert (1, 4) in moved.edges
 
     def test_sign_mismatch(self):
         t = tr.SignedTree.make({0: 1, 1: -1, 2: 1}, [(0, 1), (1, 2)])
@@ -1183,7 +1186,8 @@ class TestDirectWalk:
         # its path edges, so the end vertex 4 first moves next to 2
         t = tr.SignedTree.make({0: 1, 1: -1, 2: -1, 3: -1, 4: 1, 5: 1, 6: 1},
                                [(3, 4), (0, 3), (0, 2), (3, 6), (1, 5), (1, 6)])
-        assert not any(frozenset(e) in t.edges for e in [(0, 1), (1, 4), (4, 2), (2, 5), (5, 3)])
+        assert not any(tuple(sorted(e)) in t.edges
+                       for e in [(0, 1), (1, 4), (4, 2), (2, 5), (5, 3)])
         moves = assert_replays_to_broom(t)
         assert moves[0] == ((3, 4), 2)
         assert len(moves) <= len(ref_double_star_normalize(t)[1])
@@ -1327,16 +1331,20 @@ class TestNormalizeToCatalog:
 
 
 # ---------------------------------------------------------------------------
-# Reference: SignedTree's adjacency and validation as they were, with a set
-# difference per edge end and the connectivity walk through neighbors().
+# Reference: SignedTree's check and adjacency and AcceptableEmbedding's
+# children pass as they were while a tree's edges were a frozenset of
+# two-element frozensets: five passes over the edges for the tree, and the
+# children in a pass of their own after the conditions' pass.
 
 
 def ref_adjacency(signs, edges):
     adj = {v: [] for v, _ in signs}
-    for e in edges:
-        for v in e:
-            adj.setdefault(v, []).extend(e - {v})
-    return {v: tuple(sorted(ws)) for v, ws in adj.items()}
+    for u, w in edges:
+        adj[u].append(w)
+        adj[w].append(u)
+    for ws in adj.values():
+        ws.sort()
+    return {v: tuple(ws) for v, ws in adj.items()}
 
 
 def ref_check_tree(signs, edges):
@@ -1349,22 +1357,44 @@ def ref_check_tree(signs, edges):
             raise NotATree(f"bad edge {set(e)}")
     if len(edges) != len(verts) - 1:
         raise NotATree(f"{len(edges)} edges on {len(verts)} vertices is not a tree")
-    adj = ref_adjacency(signs, edges)
     if verts:
-        seen = {min(verts)}
-        frontier = [min(verts)]
+        adj, root = ref_adjacency(signs, edges), min(verts)
+        seen, frontier = {root}, [root]
         while frontier:
-            u = frontier.pop()
-            for w in adj.get(u, ()):
+            for w in adj[frontier.pop()]:
                 if w not in seen:
                     seen.add(w)
                     frontier.append(w)
-        if seen != verts:
+        if len(seen) != len(verts):
             raise NotATree("edge set is not connected")
-    for e in edges:
-        u, w = tuple(e)
+    for u, w in edges:
         if sm[u] == sm[w]:
             raise BadSigning(f"adjacent vertices {u}, {w} share sign")
+
+
+def ref_children(emb):
+    g = emb.grid
+    kids = {v: [] for v in g}
+    for u, w in fset(emb.tree.edges):
+        left, right = (u, w) if g[u][0] < g[w][0] else (w, u)
+        kids[left].append(right)
+    for v, ws in kids.items():
+        if len(ws) > 1:
+            x, y = g[v]
+            m = math.lcm(*(g[w][0] - x for w in ws))
+            ws.sort(key=lambda w: ((y - g[w][1]) * (m // (g[w][0] - x)), w))
+    return {v: tuple(ws) for v, ws in kids.items()}
+
+
+def assert_matches_former_tree(emb):
+    """The tree's edges are the former ones as sorted pairs, its neighbors
+    the former adjacency, and the embedding's children the former pass's."""
+    t = emb.tree
+    assert ref_check_tree(t.signs, fset(t.edges)) is None
+    assert t.edges == tuple(sorted(tuple(sorted(e)) for e in fset(t.edges)))
+    assert all(u < w for u, w in t.edges)
+    assert {v: t.neighbors(v) for v in t.vertices} == ref_adjacency(t.signs, fset(t.edges))
+    assert emb.children == ref_children(emb)
 
 
 def tree_outcome(fn, signs, edges):
@@ -1375,22 +1405,42 @@ def tree_outcome(fn, signs, edges):
     return None
 
 
+def assert_raises_like_reference(signs, edges):
+    """The error of SignedTree(signs, edges) on sorted int pairs is the
+    former check's on their frozensets.  Where edges join equal signs, the
+    former check named the first one its frozenset yielded, either way
+    round; the tree names the first pair, in order."""
+    got = tree_outcome(tr.SignedTree, signs, edges)
+    want = tree_outcome(ref_check_tree, signs, fset(edges))
+    if want is not None and want[1].startswith("adjacent vertices"):
+        sm = dict(signs)
+        shared = [(u, w) for u, w in edges if sm[u] == sm[w]]
+        named = {f"adjacent vertices {a}, {b} share sign"
+                 for u, w in shared for a, b in ((u, w), (w, u))}
+        assert want[1] in named
+        assert got == (BadSigning, "adjacent vertices {}, {} share sign".format(*shared[0]))
+    else:
+        assert got == want
+    return got
+
+
 @st.composite
 def malformed_trees(draw):
-    """(signs, edges) of a random tree with one defect drawn from a few kinds."""
+    """(signs, edges) of a random tree with one defect drawn from a few kinds,
+    the edges as sorted int pairs."""
     t = draw(signed_trees(max_vertices=12))
-    signs, edges = dict(t.signs), sorted(tuple(sorted(e)) for e in t.edges)
+    signs, edges = dict(t.signs), list(t.edges)
     defect = draw(st.sampled_from(("one-element", "dropped", "extra", "cycle", "sign")))
     k = draw(st.integers(0, len(edges) - 1))
     u, w = edges.pop(k)
     if defect == "one-element":
-        edges.append((u, u))  # a frozenset of one element
+        edges.append((u, u))  # a frozenset of one element in the former form
     elif defect == "extra":
         edges += [(u, w), (u, max(signs) + 1)]  # an endpoint that is not a vertex
     elif defect == "cycle":
         # the right count on the same vertices: a chord closes a cycle on one
         # side of the cut edge, and the other side is cut off
-        adj = ref_adjacency(t.signs, map(frozenset, edges))
+        adj = ref_adjacency(t.signs, edges)
         for start in (u, w):
             side, todo = {start}, [start]
             while todo:
@@ -1406,14 +1456,35 @@ def malformed_trees(draw):
         edges.append((u, w))
         v = draw(st.sampled_from(sorted(signs)))
         signs[v] = -signs[v]  # every edge at v joins two equal signs
-    return tuple(sorted(signs.items())), frozenset(map(frozenset, edges))
+    return tuple(sorted(signs.items())), tuple(sorted(edges))
+
+
+SIGNS4 = ((0, 1), (1, -1), (2, 1), (3, -1))
+PATH4 = ((0, 1), (1, 2), (2, 3))
+
+# Edges that are not a sorted tuple of distinct int pairs (u, w), u < w, on
+# the 4-path, each with what the former check made of their frozenset form:
+# None where it read a tree (the bool as vertex 1, the float as vertex 2).
+NOT_PAIRS = {
+    "frozenset of frozensets": (fset(PATH4), None),
+    "list": (list(PATH4), None),
+    "reversed pair": (((0, 1), (2, 1), (2, 3)), None),
+    "unsorted": (((1, 2), (0, 1), (2, 3)), None),
+    "repeated pair": (((0, 1), (1, 2), (1, 2), (2, 3)), None),
+    "3-tuple": (((0, 1), (1, 2, 3)), NotATree),
+    "1-tuple": (((0, 1), (1,), (2, 3)), NotATree),
+    "list pair": (((0, 1), [1, 2], (2, 3)), None),
+    "bool vertex": (((0, True), (1, 2), (2, 3)), None),
+    "str vertex": (((0, 1), (1, 2), (2, "3")), NotATree),
+    "float vertex": (((0, 1), (1, 2.0), (2, 3)), None),
+}
 
 
 class TestSignedTreeAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(signed_trees())
     def test_neighbors_match_reference(self, t):
-        want = ref_adjacency(t.signs, t.edges)
+        want = ref_adjacency(t.signs, fset(t.edges))
         assert {v: t.neighbors(v) for v in t.vertices} == want
         assert t.neighbors(max(t.vertices) + 1) == ()
 
@@ -1431,8 +1502,7 @@ class TestSignedTreeAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(malformed_trees())
     def test_malformed_input_raises_like_reference(self, case):
-        signs, edges = case
-        assert tree_outcome(tr.SignedTree, signs, edges) == tree_outcome(ref_check_tree, signs, edges)
+        assert assert_raises_like_reference(*case) is not None
 
     @pytest.mark.parametrize(
         "signs, edges, error",
@@ -1443,10 +1513,80 @@ class TestSignedTreeAgainstReference:
             ({0: 1, 1: -1, 2: 1}, [(0, 1)], NotATree),  # wrong edge count
             ({0: 1, 1: -1, 2: 1, 3: 1}, [(0, 2), (2, 3), (0, 3)], NotATree),  # both: count first
             ({0: 1, 1: 1, 2: -1, 3: 1}, [(0, 1), (2, 3), (0, 2)], BadSigning),
+            ({0: 1, 1: -1}, [(0, 5)], NotATree),  # an endpoint that is not a vertex
+            ({0: 1, 1: 2}, [(0, 1)], BadSigning),  # a sign that is not +-1
+            ({0: 1, 1: -1, 2: 1, 3: -1}, [(0, 1), (0, 3), (2, 3)], None),
         ],
     )
     def test_each_defect_raises_like_reference(self, signs, edges, error):
-        signs, edges = tuple(sorted(signs.items())), frozenset(map(frozenset, edges))
-        got = tree_outcome(tr.SignedTree, signs, edges)
-        assert got is not None and got[0] is error
-        assert got == tree_outcome(ref_check_tree, signs, edges)
+        got = assert_raises_like_reference(tuple(sorted(signs.items())), tuple(sorted(edges)))
+        assert (got and got[0]) is error
+
+    @pytest.mark.parametrize("edges, former", NOT_PAIRS.values(), ids=NOT_PAIRS.keys())
+    def test_direct_construction_refuses_what_is_not_sorted_int_pairs(self, edges, former):
+        with pytest.raises(NotATree) as exc:
+            tr.SignedTree(SIGNS4, edges)
+        assert type(exc.value) is NotATree
+        if edges == NOT_PAIRS["repeated pair"][0]:
+            assert str(exc.value) == "repeated edge 1-2"
+        got = tree_outcome(ref_check_tree, SIGNS4, fset(edges))
+        assert (got and got[0]) is former
+
+    @pytest.mark.parametrize("edges", [3, None, [5, (0, 1)], [(0, 1, 2)], [(0,), (1, 2)],
+                                       [(0, "1"), (1, 2)], [(0, 1), ("1", "2")]],
+                             ids=["int", "None", "int edge", "3-tuple", "1-tuple", "str end",
+                                  "str edge"])
+    def test_make_refuses_what_is_not_int_pairs(self, edges):
+        with pytest.raises(NotATree) as exc:
+            tr.SignedTree.make({0: 1, 1: -1, 2: 1}, edges)
+        assert type(exc.value) is NotATree
+
+    def test_a_repeat_in_make_and_in_direct_construction(self):
+        with pytest.raises(NotATree) as made:
+            tr.SignedTree.make(dict(SIGNS4), [(0, 1), (2, 1), (1, 2), (2, 3)])
+        assert str(made.value) == "repeated edge 1-2"
+        with pytest.raises(NotATree, match="repeated edge 1-2"):
+            tr.SignedTree(SIGNS4, NOT_PAIRS["repeated pair"][0])
+
+    def test_malformed_pairs_are_checked_before_signs(self):
+        # make finds a repeat first, as it did before it sorted pairs
+        with pytest.raises(NotATree, match="repeated edge 0-1"):
+            tr.SignedTree.make({0: 1, 1: 0}, [(0, 1), (1, 0)])
+        with pytest.raises(BadSigning):
+            tr.SignedTree(((0, 1), (1, 0)), ((0, 1),))
+
+
+class TestPairsAgainstFormer:
+    """Trees, neighbors and children against the former frozenset code."""
+
+    def test_catalog_grid(self):
+        built = 0
+        for tb in range(-1, -14, -1):
+            for r in range(tb + 1, -tb):
+                if fr.in_unknot_range(tb, r):
+                    assert_matches_former_tree(tr.catalog_tree(tb, r))
+                    built += 1
+        assert built == 13 * 14 // 2
+
+    @pytest.mark.parametrize("r", [0, 300, -300, 600, -600, 640, -640])
+    def test_catalog_at_ladder_size(self, r):
+        emb = tr.catalog_tree(-641, r)
+        assert_matches_former_tree(emb)
+        assert emb.tree == tr.SignedTree.make(dict(emb.tree.signs), fset(emb.tree.edges))
+
+    def test_random_embeddings(self):
+        rng = random.Random(2929)
+        for _ in range(3000):
+            assert_matches_former_tree(tr.random_acceptable_embedding(rng, 40))
+
+    @pytest.mark.parametrize("roundtrip", [lambda x: pickle.loads(pickle.dumps(x)), copy.copy,
+                                           copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+    def test_copies_rebuild_neighbors_and_children(self, roundtrip):
+        emb = tr.random_acceptable_embedding(random.Random(29), 30)
+        t = emb.tree
+        kids, adj = dict(emb.children), {v: t.neighbors(v) for v in t.vertices}
+        t2, emb2 = roundtrip(t), roundtrip(emb)
+        assert t2 == t and "_adjacency" not in vars(t2)
+        assert {v: t2.neighbors(v) for v in t.vertices} == adj
+        assert emb2 == emb and "children" not in vars(emb2)
+        assert emb2.children == kids == ref_children(emb2)
