@@ -41,30 +41,42 @@ elliptic form with a reduced interior whose elliptic points can be the
 skeleton's vertices (1 - tb of them, signed to give r), where they are
 the canonical broom on those points; any other state has none, and so no
 skeleton.
+The connections and the skeleton come from one cached broom on the ranks
+of the sorted elliptic ids: ranks keep the order of the ids, so its sorted
+rank pairs are the skeleton tree's edges as they are and name the sorted
+connections.
 Each stage (to_naf, reduce_interior, to_elliptic_form) scans its input
 once, copies it once into a private working copy, applies all its
 rewrites to it in place and freezes the result once; a stage with nothing
-to do returns its input after an O(1) check of the cached facts.
-init_boundary builds its start state and copies it the same way.
+to do returns its input after an O(1) check of the cached facts.  The
+copy indexes the separatrices only when a rewrite first walks or tests
+them, and a copy that never did (to_elliptic_form's absorbs, which read
+each hyperbolic's boundary partners in one pass over the input) freezes
+by filtering the input's sorted tuples: its surviving pairs are the
+input's own objects and nothing is sorted.  init_boundary builds its
+start state directly, as two sorted tuples and no working copy.
 to_elliptic_form returns its state with the skeleton tree, built and
 checked once; no region decomposition is built.  The atomic
-rewrites (eliminate, convert, create_pair, rewire) are the same code
-applied to a one-rewrite copy; eliminate cancels interior points only.
+rewrites (eliminate, convert, create_pair, rewire) check their arguments
+once and are the same code applied to a one-rewrite copy; eliminate
+cancels interior points only.
 Tightness (no same-sign separatrix cycle) is checked per added same-sign
 separatrix, by a walk over one endpoint's same-sign tree, and needs no
-walk when an endpoint has no separatrix yet; init_boundary adds its
-separatrices the same way.
+walk when an endpoint has no separatrix yet.  init_boundary checks its
+separatrices in one pass instead: each same-sign one has an end on no
+other, so they are stars, which form a forest.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import cycle
+from itertools import chain, cycle
 from operator import ne
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .errors import (
     BadInvariants,
@@ -132,6 +144,20 @@ class FoliationState:
                 INTERIOR: {t: total[t] - bnd[t] for t in _TAGS}}
 
     @cached_property
+    def _rank_broom(self) -> tuple[tuple[str, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """The sorted elliptic ids, their signs and the canonical broom's
+        sorted pairs on their ranks; all empty where there are no
+        connections.  Ranks keep the order of the ids, so the pairs name
+        sorted id pairs."""
+        if not (self.is_elliptic_form() and self.is_reduced()):
+            return (), (), ()
+        ids = tuple(i for i, t in self.sing if t[0] == ELLIPTIC)
+        signs = tuple(_SIGN[t[1]] for _, t in self.sing if t[0] == ELLIPTIC)
+        if (len(ids), SIGMA * sum(signs)) != (1 - self.tb, self.r):
+            return (), (), ()
+        return ids, signs, _broom(signs, range(len(ids)))[0]
+
+    @cached_property
     def connections(self) -> tuple[tuple[str, str], ...]:
         """Elliptic-elliptic arc families: the broom on the elliptic points.
 
@@ -140,28 +166,15 @@ class FoliationState:
         skeleton's vertices: 1 - tb of them, with SIGMA * (plus - minus) = r.
         Any other state has none.
         """
-        if not (self.is_elliptic_form() and self.is_reduced()):
-            return ()
-        ids = [i for i, t in self.sing if t[0] == ELLIPTIC]
-        signs = [_SIGN[self.sing_map[i][1]] for i in ids]
-        if (len(ids), SIGMA * sum(signs)) != (1 - self.tb, self.r):
-            return ()
-        return _broom(signs, ids)[0]
+        ids, _, pairs = self._rank_broom
+        return tuple((ids[u], ids[w]) for u, w in pairs)
 
     @cached_property
     def _skeleton(self) -> SkeletonTree:
-        """The connections as a signed tree on the ranks of the sorted ids,
-        checked when built; ranking keeps the sorted pairs sorted."""
-        sm, on_b = self.sing_map, self._on_boundary
-        verts = sorted({v for c in self.connections for v in c})
-        index = {v: k for k, v in enumerate(verts)}
-        signs = tuple((k, _SIGN[sm[v][1]]) for k, v in enumerate(verts))
-        return SkeletonTree(
-            tree=SignedTree(signs, tuple((index[u], index[v]) for u, v in self.connections)),
-            interior_vertices=frozenset(v for v in verts if v not in on_b),
-            boundary_vertices=frozenset(v for v in verts if v in on_b),
-            ids=tuple(verts),
-        )
+        """The broom as a signed tree on the ranks, checked when built."""
+        (ids, signs, pairs), on_b = self._rank_broom, self._on_boundary
+        return SkeletonTree(SignedTree(tuple(enumerate(signs)), pairs),
+                            frozenset(ids) - on_b, on_b.intersection(ids), ids)
 
     @cached_property
     def _alternates(self) -> bool:
@@ -206,9 +219,8 @@ def interior_count_targets(tb: int, r: int) -> tuple[int, int]:
 # State construction
 
 
-def init_boundary(
-    tb: int, r: int, boundary_kinds: Optional[Sequence[str]] = None
-) -> FoliationState:
+def init_boundary(tb: int, r: int,
+                  boundary_kinds: Optional[Sequence[str]] = None) -> FoliationState:
     """Boundary of 2|tb| alternating singularities plus a compensating interior.
 
     Default kinds are already NAF (positive hyperbolic, negative elliptic)
@@ -216,6 +228,8 @@ def init_boundary(
     model the pre-standardization disk; the interior is then seeded so that
     to_naf followed by reduce_interior lands on the exact reduced counts.
     """
+    if type(tb) is not int or type(r) is not int:  # a bool is no invariant
+        raise BadInvariants(f"tb and r must be integers, got {tb!r} and {r!r}")
     if tb >= 0 or not in_unknot_range(tb, r):
         raise BadInvariants(f"tight pipeline needs (tb, r) in range, got ({tb}, {r})")
     n = -tb
@@ -223,6 +237,8 @@ def init_boundary(
 
     if boundary_kinds is None:
         boundary_kinds = (HYPERBOLIC, ELLIPTIC) * n
+    elif not isinstance(boundary_kinds, Sequence):
+        raise BadInvariants(f"boundary_kinds must be a sequence, got {boundary_kinds!r}")
     elif len(boundary_kinds) != 2 * n:
         raise BadInvariants(f"boundary_kinds must list {2 * n} kinds, got {len(boundary_kinds)}")
     sing: dict[str, str] = {}
@@ -248,20 +264,27 @@ def init_boundary(
     sing.update((f"y{j}", "e-") for j in range(seed["e-"]))
 
     # Separatrices: reduced Legendrian tree (spine alternating with interior
-    # negative hyperbolics) plus boundary attachments.
-    edges = [(q, p) for j, q in enumerate(hubs_h) for p in spine[j : j + 2]]
+    # negative hyperbolics) plus boundary attachments.  Each is a distinct
+    # pair with its lesser id first (b < p < q).
+    edges = [(p, q) for j, q in enumerate(hubs_h) for p in spine[j : j + 2]]
     edges += zip(boundary[::2], cycle(spine))
     # Each interior negative hyperbolic shares a separatrix with the boundary
     # negative elliptic that to_elliptic_form absorbs it into.
     edges += zip(reversed(boundary[1::2]), hubs_h)
+    separatrices = tuple(sorted(e for e in edges if e[0] in sing and e[1] in sing))
+    _check_stars(sing, separatrices)
+    return FoliationState(tb, r, tuple(boundary), tuple(sorted(sing.items())), separatrices)
 
-    w = _Work(FoliationState(tb, r, tuple(boundary), tuple(sorted(sing.items())), ()))
-    # each same-sign edge above lists first a boundary point that has no
-    # separatrix yet, so link adds it without a walk.
-    for u, v in edges:
-        if u in sing and v in sing:
-            w.link(u, v)
-    return w.freeze()
+
+def _check_stars(sing: Mapping[str, str], separatrices: Sequence[tuple[str, str]]) -> None:
+    """Tightness in one pass: each same-sign separatrix needs an end that
+    lies on no other same-sign separatrix.  Such separatrices are stars,
+    which form a forest; every point of a same-sign cycle (a self-loop
+    included) lies on two."""
+    same = [e for e in separatrices if sing[e[0]][1] == sing[e[1]][1]]
+    on_two = {x for x, k in Counter(chain.from_iterable(same)).items() if k > 1}
+    for u, v in filter(on_two.issuperset, same):
+        raise TightnessViolation(f"same-sign separatrix {u}-{v} has no free end")
 
 
 # ---------------------------------------------------------------------------
@@ -275,30 +298,55 @@ class _Work:
     freezes once, so each rewrite costs O(degree) rather than O(n); a stage
     whose input's cached facts show nothing to do makes no copy.  ``adj``
     is the copy's one separatrix index, a set of neighbours per endpoint,
-    so removing a point touches only its own edges.  Tightness is checked
-    per added same-sign separatrix: a tight state's same-sign separatrices
-    form a forest, so an added edge closes a cycle exactly when its
-    endpoints already share a same-sign tree, which an endpoint without
-    separatrices cannot.  A rewrite stores tags and logs a RewriteStep tuple.
+    so removing a point touches only its own edges.  index() builds it
+    when a rewrite first walks or tests it (a link, an eliminate, a
+    rewire); until then it is None, and a point dropped before then only
+    leaves the id map.  A copy that never
+    built it (to_elliptic_form's absorbs) freezes by filtering its input's
+    sorted tuples, so the surviving pairs are the input's own objects and
+    nothing is sorted.  Tightness is checked per added same-sign
+    separatrix: a tight state's same-sign separatrices form a forest, so an
+    added edge closes a cycle exactly when its endpoints already share a
+    same-sign tree, which an endpoint without separatrices cannot.  A
+    rewrite stores tags and logs a RewriteStep tuple.
     """
 
     def __init__(self, state: FoliationState):
         self.state = state
         self.sing = dict(state.sing)
-        self.adj: defaultdict[str, set[str]] = defaultdict(set)
-        for u, v in state.separatrices:
-            self.adj[u].add(v)
-            self.adj[v].add(u)
         self.trace: list[RewriteStep] = []
         self.next_id: dict[str, int] = {}
+        self.adj: Optional[defaultdict[str, set[str]]] = None  # see index()
+
+    def _kept(self) -> list[tuple[str, str]]:
+        """The input's separatrices whose ends are both still here."""
+        sing = self.sing
+        return [e for e in self.state.separatrices if e[0] in sing and e[1] in sing]
+
+    def index(self) -> defaultdict[str, set[str]]:
+        """``adj``, built on the first call.  It is a plain attribute, not a
+        cached property: an instance attribute that a class descriptor
+        shadows is slower to read, and the rewrites read it often."""
+        if self.adj is None:
+            self.adj = defaultdict(set)
+            for u, v in self._kept():
+                self.adj[u].add(v)
+                self.adj[v].add(u)
+        return self.adj
 
     def freeze(self) -> FoliationState:
-        return replace(
-            self.state,
-            sing=tuple(sorted(self.sing.items())),
-            separatrices=tuple(sorted((u, v) for u, vs in self.adj.items() for v in vs if u < v)),
-            trace=self.state.trace + tuple(self.trace),
-        )
+        if self.adj is not None:
+            sing = tuple(sorted(self.sing.items()))
+            separatrices = tuple(sorted((u, v) for u, vs in self.adj.items() for v in vs if u < v))
+        else:
+            # a rewrite that adds a point links it, so these are the input's
+            # points less the dropped ones, some with a new tag
+            get = self.sing.get
+            sing = tuple(p if t == p[1] else (p[0], t)
+                         for p in self.state.sing if (t := get(p[0])) is not None)
+            separatrices = tuple(self._kept())
+        return replace(self.state, sing=sing, separatrices=separatrices,
+                       trace=self.state.trace + tuple(self.trace))
 
     def fresh_id(self, prefix: str) -> str:
         # The probe resumes where the last one stopped.  That is the lowest
@@ -311,26 +359,27 @@ class _Work:
         return f"{prefix}{k}"
 
     def link(self, u: str, v: str) -> None:
-        if v in self.adj[u]:
+        adj = self.index()
+        if v in adj[u]:
             return
         sign = self.sing[u][1]
         # an endpoint without separatrices shares no tree with the other one;
         # a self-loop is a cycle all the same
-        if (self.sing[v][1] == sign and (u == v or self.adj[u] and self.adj.get(v))
+        if (self.sing[v][1] == sign and (u == v or adj[u] and adj.get(v))
                 and self._joined(u, v, sign)):
             raise TightnessViolation(f"same-sign separatrix cycle through {u}")
-        self.adj[u].add(v)
-        self.adj[v].add(u)
+        adj[u].add(v)
+        adj[v].add(u)
 
     def _joined(self, u: str, v: str, sign: str) -> bool:
         """Whether a path of sign-``sign`` separatrices joins u to v."""
-        stack, seen = [u], {u}
+        adj, sing, stack, seen = self.adj, self.sing, [u], {u}
         while stack:
             x = stack.pop()
             if x == v:
                 return True
-            for w in self.adj.get(x, ()):
-                if w not in seen and self.sing[w][1] == sign:
+            for w in adj.get(x, ()):
+                if w not in seen and sing[w][1] == sign:
                     seen.add(w)
                     stack.append(w)
         return False
@@ -338,12 +387,10 @@ class _Work:
     def drop(self, x: str) -> None:
         """Remove singularity x with every separatrix at it."""
         del self.sing[x]
-        for w in self.adj.pop(x, ()):
+        for w in (self.adj or {}).pop(x, ()):  # no index yet: index() leaves x out
             self.adj[w].remove(x)
 
     def eliminate(self, e_id: str, h_id: str) -> None:
-        if e_id not in self.sing or h_id not in self.sing:
-            raise NotConnected(f"unknown singularities {e_id}, {h_id}")
         e, h = self.sing[e_id], self.sing[h_id]
         if e_id in self.state._on_boundary or h_id in self.state._on_boundary:
             # the boundary cycle keeps its points: tb fixes their number
@@ -352,17 +399,13 @@ class _Work:
             raise SignMismatch(f"eliminate needs (elliptic, hyperbolic), got ({e[0]}, {h[0]})")
         if e[1] != h[1]:
             raise SignMismatch("eliminate needs a same-sign pair")
-        if h_id not in self.adj[e_id]:
+        if h_id not in self.index()[e_id]:
             raise NotConnected(f"{e_id} and {h_id} share no separatrix")
         self.drop(e_id)
         self.drop(h_id)
         self.trace.append(RewriteStep("eliminate", (e_id, h_id), _ELIMINATE_DELTA[e[1]]))
 
     def convert(self, p_id: str, gamma, tau) -> None:
-        if gamma == tau:
-            raise BadLeaves("gamma and tau must be distinct leaves")
-        if p_id not in self.sing:
-            raise BadLeaves(f"unknown singularity {p_id}")
         p = self.sing[p_id]
         self.sing[p_id] = _FLIP[p]
         prefix = "c" if p[0] == ELLIPTIC else "d"
@@ -373,28 +416,19 @@ class _Work:
         self.trace.append(RewriteStep("convert", (p_id, gamma, tau), _PAIR_DELTA[p[1]]))
 
     def create_pair(self, leaf, sign: int) -> None:
-        if sign not in (1, -1):
-            raise SignMismatch(f"create_pair needs sign +1 or -1, got {sign!r}")
         s = "+" if sign > 0 else "-"
-        e_id = self.fresh_id("ce")
-        h_id = self.fresh_id("ch")
+        e_id, h_id = self.fresh_id("ce"), self.fresh_id("ch")
         self.sing[e_id] = ELLIPTIC + s
         self.sing[h_id] = HYPERBOLIC + s
         self.link(e_id, h_id)
         self.trace.append(RewriteStep("create_pair", (leaf, sign), _PAIR_DELTA[s]))
 
-    def rewire(
-        self, add: Optional[tuple[str, str]] = None, remove: Optional[tuple[str, str]] = None
-    ) -> None:
+    def rewire(self, add: Optional[tuple[str, str]], remove: Optional[tuple[str, str]]) -> None:
         if remove is not None:
-            if len(remove) != 2 or remove[1] not in self.adj.get(remove[0], ()):
-                raise NotConnected(f"no separatrix {remove}")
             u, v = remove
-            self.adj[u].remove(v)
+            self.index()[u].remove(v)
             self.adj[v].remove(u)
         if add is not None:
-            if not all(x in self.sing for x in add):
-                raise NotConnected(f"unknown endpoint in {add}")
             self.link(*add)
         self.trace.append(RewriteStep("rewire", (add, remove), ()))
 
@@ -408,11 +442,28 @@ class _Work:
 # Atomic rewrites
 
 
+def _known(state: FoliationState, ids, n: int) -> bool:
+    """Whether ids is n ids of state's singularities; an unhashable id is none."""
+    try:
+        return len(ids) == n and all(i in state.sing_map for i in ids)
+    except TypeError:
+        return False
+
+
+def _apply(state: FoliationState, rewrite, *args) -> FoliationState:
+    """One rewrite on a one-rewrite working copy.  Each atomic rewrite checks
+    its arguments once, before this: the working copy checks no argument's
+    form, and the stages pass it well-formed ones only."""
+    w = _Work(state)
+    rewrite(w, *args)
+    return w.freeze()
+
+
 def eliminate(state: FoliationState, e_id: str, h_id: str) -> FoliationState:
     """Cancel a same-sign interior elliptic/hyperbolic pair joined by a separatrix."""
-    w = _Work(state)
-    w.eliminate(e_id, h_id)
-    return w.freeze()
+    if not _known(state, (e_id, h_id), 2):
+        raise NotConnected(f"unknown singularities {e_id}, {h_id}")
+    return _apply(state, _Work.eliminate, e_id, h_id)
 
 
 def convert(state: FoliationState, p_id: str, gamma, tau) -> FoliationState:
@@ -421,27 +472,29 @@ def convert(state: FoliationState, p_id: str, gamma, tau) -> FoliationState:
     p's kind flips and two singularities of p's original kind and sign are
     created on gamma; the per-sign count delta is (+1, +1).
     """
-    w = _Work(state)
-    w.convert(p_id, gamma, tau)
-    return w.freeze()
+    if gamma == tau:
+        raise BadLeaves("gamma and tau must be distinct leaves")
+    if not _known(state, (p_id,), 1):
+        raise BadLeaves(f"unknown singularity {p_id}")
+    return _apply(state, _Work.convert, p_id, gamma, tau)
 
 
 def create_pair(state: FoliationState, leaf, sign: int) -> FoliationState:
     """Create an elliptic/hyperbolic pair of the given sign on a leaf."""
-    w = _Work(state)
-    w.create_pair(leaf, sign)
-    return w.freeze()
+    if type(sign) is not int or sign not in (1, -1):  # nor True, nor 1.0
+        raise SignMismatch(f"create_pair needs sign +1 or -1, got {sign!r}")
+    return _apply(state, _Work.create_pair, leaf, sign)
 
 
-def rewire(
-    state: FoliationState,
-    add: Optional[tuple[str, str]] = None,
-    remove: Optional[tuple[str, str]] = None,
-) -> FoliationState:
+def rewire(state: FoliationState, add: Optional[tuple[str, str]] = None,
+           remove: Optional[tuple[str, str]] = None) -> FoliationState:
     """Break or re-route a separatrix connection; count delta zero."""
-    w = _Work(state)
-    w.rewire(add, remove)
-    return w.freeze()
+    if remove is not None and not (_known(state, remove, 2)
+                                   and tuple(sorted(remove)) in state.separatrices):
+        raise NotConnected(f"no separatrix {remove}")
+    if add is not None and not _known(state, add, 2):
+        raise NotConnected(f"unknown endpoint in {add}")
+    return _apply(state, _Work.rewire, add, remove)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +553,8 @@ def reduce_interior(state: FoliationState) -> FoliationState:
         w = _Work(state)
         for es, hs in plan:
             for e_id, h_id in zip(es, hs):
-                if h_id not in w.adj[e_id]:
-                    w.rewire(add=(e_id, h_id))
+                if h_id not in w.index()[e_id]:
+                    w.rewire((e_id, h_id), None)
                 w.eliminate(e_id, h_id)
             if len(es) != len(hs):
                 raise BadInvariants("interior counts cannot reach the reduced targets")
@@ -535,18 +588,25 @@ def to_elliptic_form(state: FoliationState) -> tuple[FoliationState, SkeletonTre
         # the NAF boundary's negatives are elliptic until absorbed
         pool = [b for b in reversed(state.boundary) if sm[b][1] == "-"]
         free = {m: k for k, m in enumerate(pool)}  # still elliptic -> rank in pool
+        partners = defaultdict(list)  # each point's separatrices into the pool
+        for u, v in state.separatrices:
+            if v in free:
+                partners[u].append(v)
+            if u in free:
+                partners[v].append(u)
         k = 0  # pool[:k] is absorbed already
         w = _Work(state)
-        # a NAF boundary has no negative hyperbolic, so every h- is interior
-        for q in sorted(i for i, t in state.sing if t == "h-"):
-            shared = [m for m in w.adj[q] if m in free]
+        # a NAF boundary has no negative hyperbolic, so every h- is interior;
+        # sing is sorted, and an absorb changes no separatrix of a later h-
+        for q in (i for i, t in state.sing if t == "h-"):
+            shared = [m for m in partners[q] if m in free]
             if shared:
                 m = min(shared, key=free.__getitem__)
             else:
                 while pool[k] not in free:
                     k += 1
                 m = pool[k]
-                w.rewire(add=(q, m))
+                w.rewire((q, m), None)
             del free[m]
             w.absorb(q, m)
         state = w.freeze()

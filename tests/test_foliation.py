@@ -1,5 +1,7 @@
 import copy
+import itertools
 import pickle
+from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
 
 import pytest
@@ -1000,3 +1002,472 @@ def test_one_signed_tree_per_elliptic_form_state(monkeypatch):
         assert fo.extract_skeleton(state).tree is built[0]
         assert fo.extract_skeleton(again) is fo.extract_skeleton(state)
         assert len(built) == 1, case
+
+
+# ---------------------------------------------------------------------------
+# Former: the working copy that indexed every separatrix when made and
+# sorted everything when frozen, the init_boundary that linked its
+# separatrices one by one through it, the stages on it (to_elliptic_form
+# read each hyperbolic's partners from that index), and the connections
+# and skeleton that ran the broom on the string ids and ranked them
+# afterwards.  Every state, trace, dump, skeleton and error of the library
+# must be theirs.
+
+SIGN = {"+": 1, "-": -1}
+
+
+class FormerWork:
+    def __init__(self, state):
+        self.state = state
+        self.sing = dict(state.sing)
+        self.adj = defaultdict(set)
+        for u, v in state.separatrices:
+            self.adj[u].add(v)
+            self.adj[v].add(u)
+        self.trace = []
+        self.next_id = {}
+
+    def freeze(self):
+        return replace(
+            self.state,
+            sing=tuple(sorted(self.sing.items())),
+            separatrices=tuple(sorted((u, v) for u, vs in self.adj.items() for v in vs if u < v)),
+            trace=self.state.trace + tuple(self.trace),
+        )
+
+    def fresh_id(self, prefix):
+        k = self.next_id.get(prefix, 0)
+        while f"{prefix}{k}" in self.sing:
+            k += 1
+        self.next_id[prefix] = k + 1
+        return f"{prefix}{k}"
+
+    def link(self, u, v):
+        if v in self.adj[u]:
+            return
+        sign = self.sing[u][1]
+        if (self.sing[v][1] == sign and (u == v or self.adj[u] and self.adj.get(v))
+                and self._joined(u, v, sign)):
+            raise TightnessViolation(f"same-sign separatrix cycle through {u}")
+        self.adj[u].add(v)
+        self.adj[v].add(u)
+
+    def _joined(self, u, v, sign):
+        stack, seen = [u], {u}
+        while stack:
+            x = stack.pop()
+            if x == v:
+                return True
+            for w in self.adj.get(x, ()):
+                if w not in seen and self.sing[w][1] == sign:
+                    seen.add(w)
+                    stack.append(w)
+        return False
+
+    def drop(self, x):
+        del self.sing[x]
+        for w in self.adj.pop(x, ()):
+            self.adj[w].remove(x)
+
+    def eliminate(self, e_id, h_id):
+        if e_id not in self.sing or h_id not in self.sing:
+            raise NotConnected(f"unknown singularities {e_id}, {h_id}")
+        e, h = self.sing[e_id], self.sing[h_id]
+        if e_id in self.state._on_boundary or h_id in self.state._on_boundary:
+            raise PatternMismatch(f"eliminate needs interior points, got {e_id}, {h_id}")
+        if e[0] != fo.ELLIPTIC or h[0] != fo.HYPERBOLIC:
+            raise SignMismatch(f"eliminate needs (elliptic, hyperbolic), got ({e[0]}, {h[0]})")
+        if e[1] != h[1]:
+            raise SignMismatch("eliminate needs a same-sign pair")
+        if h_id not in self.adj[e_id]:
+            raise NotConnected(f"{e_id} and {h_id} share no separatrix")
+        self.drop(e_id)
+        self.drop(h_id)
+        self.trace.append(fo.RewriteStep("eliminate", (e_id, h_id), fo._ELIMINATE_DELTA[e[1]]))
+
+    def convert(self, p_id, gamma, tau):
+        if gamma == tau:
+            raise BadLeaves("gamma and tau must be distinct leaves")
+        if p_id not in self.sing:
+            raise BadLeaves(f"unknown singularity {p_id}")
+        p = self.sing[p_id]
+        self.sing[p_id] = fo._FLIP[p]
+        prefix = "c" if p[0] == fo.ELLIPTIC else "d"
+        for _ in range(2):
+            ident = self.fresh_id(prefix)
+            self.sing[ident] = p
+            self.link(ident, p_id)
+        self.trace.append(fo.RewriteStep("convert", (p_id, gamma, tau), fo._PAIR_DELTA[p[1]]))
+
+    def create_pair(self, leaf, sign):
+        if sign not in (1, -1):
+            raise SignMismatch(f"create_pair needs sign +1 or -1, got {sign!r}")
+        s = "+" if sign > 0 else "-"
+        e_id = self.fresh_id("ce")
+        h_id = self.fresh_id("ch")
+        self.sing[e_id] = fo.ELLIPTIC + s
+        self.sing[h_id] = fo.HYPERBOLIC + s
+        self.link(e_id, h_id)
+        self.trace.append(fo.RewriteStep("create_pair", (leaf, sign), fo._PAIR_DELTA[s]))
+
+    def rewire(self, add=None, remove=None):
+        if remove is not None:
+            if len(remove) != 2 or remove[1] not in self.adj.get(remove[0], ()):
+                raise NotConnected(f"no separatrix {remove}")
+            u, v = remove
+            self.adj[u].remove(v)
+            self.adj[v].remove(u)
+        if add is not None:
+            if not all(x in self.sing for x in add):
+                raise NotConnected(f"unknown endpoint in {add}")
+            self.link(*add)
+        self.trace.append(fo.RewriteStep("rewire", (add, remove), ()))
+
+    def absorb(self, q, m):
+        self.sing[m] = "h-"
+        self.drop(q)
+        self.trace.append(fo.RewriteStep("absorb", (q, m), fo._ABSORB_DELTA))
+
+
+def former_init_boundary(tb, r, boundary_kinds=None):
+    if tb >= 0 or not fr.in_unknot_range(tb, r):
+        raise BadInvariants(f"tight pipeline needs (tb, r) in range, got ({tb}, {r})")
+    n = -tb
+    e_target, h_target = fo.interior_count_targets(tb, r)
+    if boundary_kinds is None:
+        boundary_kinds = (fo.HYPERBOLIC, fo.ELLIPTIC) * n
+    elif len(boundary_kinds) != 2 * n:
+        raise BadInvariants(f"boundary_kinds must list {2 * n} kinds, got {len(boundary_kinds)}")
+    sing = {}
+    boundary = [f"b{i}" for i in range(2 * n)]
+    pend = {"+": 0, "-": 0}
+    for ident, kind, sign in zip(boundary, boundary_kinds, itertools.cycle("+-")):
+        if kind not in (fo.ELLIPTIC, fo.HYPERBOLIC):
+            raise BadInvariants(f"bad kind {kind!r}")
+        sing[ident] = kind + sign
+        pend[sign] += sing[ident] not in fo._NAF
+    seed = {
+        "e+": max(0, e_target - 2 * pend["+"]),
+        "h+": max(0, 2 * pend["+"] - e_target),
+        "h-": max(0, h_target - 2 * pend["-"]),
+        "e-": max(0, 2 * pend["-"] - h_target),
+    }
+    spine = [f"p{j}" for j in range(e_target)]
+    hubs_h = [f"q{j}" for j in range(h_target)]
+    sing.update(dict.fromkeys(spine[: seed["e+"]], "e+"))
+    sing.update(dict.fromkeys(hubs_h[: seed["h-"]], "h-"))
+    sing.update((f"x{j}", "h+") for j in range(seed["h+"]))
+    sing.update((f"y{j}", "e-") for j in range(seed["e-"]))
+    edges = [(q, p) for j, q in enumerate(hubs_h) for p in spine[j : j + 2]]
+    edges += zip(boundary[::2], itertools.cycle(spine))
+    edges += zip(reversed(boundary[1::2]), hubs_h)
+    w = FormerWork(fo.FoliationState(tb, r, tuple(boundary), tuple(sorted(sing.items())), ()))
+    for u, v in edges:
+        if u in sing and v in sing:
+            w.link(u, v)
+    return w.freeze()
+
+
+def former_rewrite(name):
+    """A former atomic rewrite: one rewrite on a one-rewrite former copy."""
+    def run(state, *args):
+        w = FormerWork(state)
+        getattr(w, name)(*args)
+        return w.freeze()
+    return run
+
+
+def former_to_naf(state):
+    if not state._alternates:
+        raise PatternMismatch("boundary signs must alternate")
+    todo = [b for b in state.boundary if state.sing_map[b] not in fo._NAF]
+    if todo:
+        w = FormerWork(state)
+        for b in todo:
+            w.convert(b, "collar-leaf", "L")
+        state = w.freeze()
+    if not state.is_naf():
+        raise PatternMismatch("to_naf did not reach a NAF boundary")
+    return state
+
+
+def former_reduce_interior(state):
+    if not state.is_naf():
+        raise PatternMismatch("reduce_interior needs a NAF boundary")
+    e_target, h_target = fo.interior_count_targets(state.tb, state.r)
+    want = {"e+": e_target, "h+": 0, "e-": 0, "h-": h_target}
+    if state.counts(fo.INTERIOR) == want:
+        return state
+    groups = {}
+    for i, t in state.sing:
+        if i not in state._on_boundary:
+            groups.setdefault(t, []).append(i)
+    plan = [
+        (fo._doomed(groups.get(fo.ELLIPTIC + s, []), e),
+         fo._doomed(groups.get(fo.HYPERBOLIC + s, []), h))
+        for s, e, h in (("+", e_target, 0), ("-", 0, h_target))
+    ]
+    if any(es or hs for es, hs in plan):
+        w = FormerWork(state)
+        for es, hs in plan:
+            for e_id, h_id in zip(es, hs):
+                if h_id not in w.adj[e_id]:
+                    w.rewire(add=(e_id, h_id))
+                w.eliminate(e_id, h_id)
+            if len(es) != len(hs):
+                raise BadInvariants("interior counts cannot reach the reduced targets")
+        state = w.freeze()
+    counts = state.counts(fo.INTERIOR)
+    if counts != want:
+        raise BadInvariants(
+            f"reduced interior {counts} misses the targets e+={e_target}, h-={h_target}"
+        )
+    return state
+
+
+def former_to_elliptic_form(state):
+    if not former_connections(state):
+        if not (state.is_naf() and state.is_reduced()):
+            raise PatternMismatch("to_elliptic_form needs a reduced state with NAF boundary")
+        sm = state.sing_map
+        pool = [b for b in reversed(state.boundary) if sm[b][1] == "-"]
+        free = {m: k for k, m in enumerate(pool)}
+        k = 0
+        w = FormerWork(state)
+        for q in sorted(i for i, t in state.sing if t == "h-"):
+            shared = [m for m in w.adj[q] if m in free]
+            if shared:
+                m = min(shared, key=free.__getitem__)
+            else:
+                while pool[k] not in free:
+                    k += 1
+                m = pool[k]
+                w.rewire(add=(q, m))
+            del free[m]
+            w.absorb(q, m)
+        state = w.freeze()
+    return state, former_extract_skeleton(state)
+
+
+def former_connections(state):
+    if not (state.is_elliptic_form() and state.is_reduced()):
+        return ()
+    ids = [i for i, t in state.sing if t[0] == fo.ELLIPTIC]
+    signs = [SIGN[state.sing_map[i][1]] for i in ids]
+    if (len(ids), tr.SIGMA * sum(signs)) != (1 - state.tb, state.r):
+        return ()
+    return tr._broom(signs, ids)[0]
+
+
+def former_skeleton(state):
+    sm, on_b = state.sing_map, state._on_boundary
+    conns = former_connections(state)
+    verts = sorted({v for c in conns for v in c})
+    index = {v: k for k, v in enumerate(verts)}
+    signs = tuple((k, SIGN[sm[v][1]]) for k, v in enumerate(verts))
+    return fo.SkeletonTree(
+        tree=tr.SignedTree(signs, tuple((index[u], index[v]) for u, v in conns)),
+        interior_vertices=frozenset(v for v in verts if v not in on_b),
+        boundary_vertices=frozenset(v for v in verts if v in on_b),
+        ids=tuple(verts),
+    )
+
+
+def former_extract_skeleton(state):
+    if not (state.is_elliptic_form() and state.is_reduced()):
+        raise NotEllipticForm("extract_skeleton needs an elliptic-form, reduced state")
+    if not former_connections(state):
+        raise NotATree(
+            f"the elliptic points cannot form a skeleton with tb={state.tb}, r={state.r}"
+        )
+    return former_skeleton(state)
+
+
+def former_dump_state(state):
+    sm, on_b = state.sing_map, state._on_boundary
+    lines = [f"tb {state.tb} r {state.r}"]
+    lines.append("boundary " + " ".join(f"{b}:{sm[b][::-1]}" for b in state.boundary))
+    lines.append("interior " + " ".join(f"{i}:{t[::-1]}" for i, t in state.sing if i not in on_b))
+    connections = former_connections(state)
+    for name, edges in (("separatrix", state.separatrices), ("connection", connections)):
+        lines += (f"{name} {u}-{v}" for u, v in edges)
+    return "\n".join(lines)
+
+
+def _result(fn, *args):
+    """("ok", result) or ("raised", exception type, message)."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # compare what either side raises, message included
+        return "raised", type(exc), str(exc)
+
+
+def _seen(states, skeleton, dump, connections):
+    """Each state with its trace, dump and connections, then the skeleton."""
+    return [(s, s.trace, dump(s), connections(s)) for s in states], skeleton
+
+
+def library_pipeline(tb, r, kinds):
+    states = [fo.init_boundary(tb, r, kinds)]
+    states.append(fo.to_naf(states[-1]))
+    states.append(fo.reduce_interior(states[-1]))
+    final, skeleton = fo.to_elliptic_form(states[-1])
+    assert fo.extract_skeleton(final) is skeleton
+    return _seen(states + [final], skeleton, fo.dump_state, lambda s: s.connections)
+
+
+def former_pipeline(tb, r, kinds):
+    states = [former_init_boundary(tb, r, kinds)]
+    states.append(former_to_naf(states[-1]))
+    states.append(former_reduce_interior(states[-1]))
+    final, skeleton = former_to_elliptic_form(states[-1])
+    return _seen(states + [final], skeleton, former_dump_state, former_connections)
+
+
+class TestAgainstFormer:
+    def test_stages_small_grid(self):
+        for tb, r in in_range_grid(-15):
+            for pattern in PATTERNS:
+                kinds = _kinds(pattern, tb)
+                got = _result(library_pipeline, tb, r, kinds)
+                assert got == _result(former_pipeline, tb, r, kinds), (tb, r, pattern)
+
+    @pytest.mark.parametrize("tb, r, pattern",
+                             [(-161, 0, "e"), (-641, 640, None), (-641, -640, None)])
+    def test_stages_large(self, tb, r, pattern):
+        kinds = _kinds(pattern, tb)
+        assert library_pipeline(tb, r, kinds) == former_pipeline(tb, r, kinds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_atomic_rewrites_and_stages_match_former(data):
+    """Each rewrite of a random sequence, then every stage on its last state."""
+    tb, r = data.draw(st.sampled_from(SMALL))
+    kinds = _kinds(data.draw(st.sampled_from(PATTERNS)), tb)
+    new, old = fo.init_boundary(tb, r, kinds), former_init_boundary(tb, r, kinds)
+    for _ in range(data.draw(st.integers(1, 15))):
+        op = data.draw(st.sampled_from(OPS)) if len(new.sing) >= 2 else "create_pair"
+        args = _draw_args(data, op, new)
+        got, want = _result(getattr(fo, op), new, *args), _result(former_rewrite(op), old, *args)
+        if want[0] == "raised":
+            assert got == want, (op, args)
+            continue
+        assert got[0] == "ok", (op, args, got)
+        new, old = got[1], want[1]
+        assert (new, new.trace, fo.dump_state(new)) == (old, old.trace, former_dump_state(old))
+    library = (fo.to_naf, fo.reduce_interior, lambda s: fo.to_elliptic_form(s)[0])
+    former = (former_to_naf, former_reduce_interior, lambda s: former_to_elliptic_form(s)[0])
+    for stage, former_stage in zip(library, former):
+        got, want = _result(stage, new), _result(former_stage, old)
+        if want[0] == "raised":
+            assert got == want
+            break
+        new, old = got[1], want[1]
+        assert (new, new.trace, fo.dump_state(new)) == (old, old.trace, former_dump_state(old))
+    else:
+        assert _result(fo.extract_skeleton, new) == _result(former_extract_skeleton, old)
+
+
+# ---------------------------------------------------------------------------
+# Each stage pays only for what its rewrites touch.
+
+
+def test_init_boundary_makes_no_working_copy(monkeypatch):
+    def refuse(self, state):
+        raise AssertionError("a working copy")
+
+    monkeypatch.setattr(fo._Work, "__init__", refuse)
+    for pattern in PATTERNS:
+        kinds = _kinds(pattern, -9)
+        assert fo.init_boundary(-9, 2, kinds) == former_init_boundary(-9, 2, kinds)
+
+
+def test_elliptic_form_indexes_separatrices_only_to_rewire(monkeypatch):
+    built = []
+    index = fo._Work.index
+
+    def recording(w):
+        if w.adj is None:
+            built.append(w)
+        return index(w)
+
+    monkeypatch.setattr(fo._Work, "index", recording)
+    for tb, r, raw in ((-1, 0, False), (-9, 2, True), (-41, 0, False), (-41, -40, True),
+                       (-161, 0, False)):
+        reduced = _reduced(tb, r, raw)
+        built.clear()
+        final, _ = fo.to_elliptic_form(reduced)
+        assert built == [], (tb, r, raw)
+        # the output shares the input's surviving pairs and every unchanged point
+        pairs = {id(e) for e in reduced.separatrices}
+        assert final.separatrices and all(id(e) in pairs for e in final.separatrices)
+        points = dict(zip(reduced.sing_map, reduced.sing))
+        absorbed = {step.operands[1] for step in final.trace if step.rule == "absorb"}
+        assert {p[0] for p in final.sing if p is not points[p[0]]} == absorbed
+    # an "h" boundary leaves a hyperbolic without a partner: one rewire, one index
+    reduced = fo.reduce_interior(fo.to_naf(fo.init_boundary(-5, 0, _kinds("h", -5))))
+    built.clear()
+    final, _ = fo.to_elliptic_form(reduced)
+    assert [s.rule for s in final.trace[len(reduced.trace):]].count("rewire") == len(built) == 1
+
+
+@pytest.mark.parametrize("tags, edges", [
+    ("e+ h+ e+", [("a", "b"), ("b", "c"), ("a", "c")]),  # a triangle
+    ("e- h- e- h-", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]),  # a square
+    ("e+ h+", [("a", "a")]),  # a self-loop
+    ("e+ h+", [("a", "b"), ("a", "b")]),  # a double separatrix
+    ("e+ h+ e+ h- e-", [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("d", "e")]),
+])
+def test_star_check_refuses_same_sign_cycles(tags, edges):
+    sing = dict(zip("abcde", tags.split()))
+    with pytest.raises(TightnessViolation):
+        fo._check_stars(sing, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from(("e+", "h+", "e-", "h-")), min_size=n, max_size=n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])
+             .map(lambda e: (f"v{e[0]}", f"v{e[1]}")), unique=True, max_size=2 * n),
+)))
+def test_star_check_never_accepts_a_cycle(case):
+    tags, edges = case
+    sing = {f"v{k}": t for k, t in enumerate(tags)}
+    ref_sing = {i: RefSing(SIGN[t[1]], t[0], fo.INTERIOR) for i, t in sing.items()}
+    try:
+        _ref_check_tight(ref_sing, [frozenset(e) for e in edges])
+    except TightnessViolation:
+        with pytest.raises(TightnessViolation):
+            fo._check_stars(sing, edges)
+
+
+# ---------------------------------------------------------------------------
+# Malformed arguments raise typed errors, checked once at entry.
+
+
+class TestMalformedArguments:
+    @pytest.mark.parametrize("args", [(-4, True), (-3, False), (-3.0, 0), (-3, 0.0), ("-3", 0),
+                                      (-3, 0, 6)])
+    def test_init_boundary(self, args):
+        with pytest.raises(BadInvariants):
+            fo.init_boundary(*args)
+
+    @pytest.mark.parametrize("add, remove", [(("b0",), None), (("b0", ["x"]), None),
+                                             (None, ("b0", ["x"])), (None, 5)])
+    def test_rewire(self, add, remove):
+        with pytest.raises(NotConnected):
+            fo.rewire(fo.init_boundary(-3, 0), add=add, remove=remove)
+
+    def test_eliminate(self):
+        with pytest.raises(NotConnected, match="unknown singularities"):
+            fo.eliminate(fo.init_boundary(-3, 0), ["p0"], "q0")
+
+    def test_convert(self):
+        with pytest.raises(BadLeaves, match="unknown singularity"):
+            fo.convert(fo.init_boundary(-3, 0), ["b0"], "g", "t")
+
+    @pytest.mark.parametrize("sign", [True, 1.0, -1.0])
+    def test_create_pair(self, sign):
+        with pytest.raises(SignMismatch):
+            fo.create_pair(fo.init_boundary(-3, 0), "leaf", sign)
