@@ -19,21 +19,26 @@ where or(p) = +1 iff the rays emanating from a crossing leave on opposite
 sides of the vertical line through it, and kappa(p) = +1 iff the ray
 emanating from a cusp lies above the ray entering it.
 
-Events and trace records are ``NamedTuple``s, built, hashed and compared in
-C: a ``FrontEvent`` equals the pair ``(kind, position)``, and an ``Arc``
-compares on all four fields, ``died`` included.  The stack scan writes
-plain columns and rows, and each record type is made once over them by
-mapping ``tuple.__new__``, so no Python-level constructor runs per record;
-the per-component tallies apply the ``or`` and ``kappa`` rules inline on
-the unpacked records.  ``parse_front`` parses each distinct line once, in
-first-seen order, maps the lines to their events in one pass, and looks up
-a line number only for the line that raises.  The trace
-(``trace_components``) holds O(events) data: each arc's birth, death and
-role, one record per cusp and per crossing, and the component cycles, but
-no snapshot of the strand stack.  Its readers take what they need from the
-events: an arc born at event k starts at ``events[k].position + role``, a
-zig-zag is a left-cusp record followed at the next event by a right-cusp
-record, and ``FrontDiagram.strand_profile`` gives each slot's strand count.
+Events and trace records are ``NamedTuple``s, hashed and compared in C: a
+``FrontEvent`` equals the pair ``(kind, position)``, and an ``Arc`` compares
+on all four fields, ``died`` included.  The trace (``trace_components``)
+holds O(events) data as int columns: each arc's birth and death event, the
+event, kind and two arcs of each cusp, the event and four arcs of each
+crossing, and the component ids, directions and cycles, but no snapshot of
+the strand stack.  Arcs are made in (lower, upper) pairs, so an arc's role
+is its index's parity.  ``arcs``, ``cusps`` and ``crossings`` are read-only
+sequences over the columns: ``len`` makes no record, and the first index or
+iteration makes every record of its type once, by mapping ``tuple.__new__``
+over the columns, so a trace that nobody reads as records holds a few
+objects for the garbage collector and not one per event.  Every reader in
+the library reads the columns: the per-component tallies and
+``linking_matrix`` apply the ``or`` and ``kappa`` rules inline, an arc born
+at event k starts at ``events[k].position + role``, a zig-zag is a left cusp
+followed at the next event by a right cusp, and
+``FrontDiagram.strand_profile`` gives each slot's strand count.
+``parse_front`` parses each distinct line once, in first-seen order, maps
+the lines to their events in one pass, and looks up a line number only for
+the line that raises.
 
 A diagram caches its own trace, and a weak registry keyed by the events
 lets equal diagrams alive at the same time share it.  No global cache keeps
@@ -46,10 +51,11 @@ from __future__ import annotations
 import random
 import re
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import repeat
-from operator import ne
+from itertools import accumulate, repeat
+from operator import itemgetter, ne
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -67,6 +73,7 @@ LEFT = "L"
 RIGHT = "R"
 CROSS = "X"
 _KINDS = (LEFT, RIGHT, CROSS)
+_STEP = {LEFT: 2, RIGHT: -2, CROSS: 0}  # each kind's change to the strand count
 # an integer in the text formats; int() alone also takes "+1", "1_0" and non-ASCII digits
 INT_TOKEN = re.compile(r"-?[0-9]+")
 
@@ -133,15 +140,12 @@ class FrontDiagram:
             if kind == LEFT:
                 if not 1 <= p <= n + 1:
                     raise InvalidPosition(
-                        f"event {k + 1} ({kind} {p}): left cusp position must be in 1..{n + 1}"
-                    )
+                        f"event {k + 1} ({kind} {p}): left cusp position must be in 1..{n + 1}")
                 n += 2
             else:
                 if not 1 <= p <= n - 1:
                     raise InvalidPosition(
-                        f"event {k + 1} ({kind} {p}): position must be in 1..{n - 1} "
-                        f"({n} strands)"
-                    )
+                        f"event {k + 1} ({kind} {p}): position must be in 1..{n - 1} ({n} strands)")
                 if kind == RIGHT:
                     n -= 2
         if n != 0:
@@ -150,12 +154,7 @@ class FrontDiagram:
     @property
     def strand_profile(self) -> tuple[int, ...]:
         """Strand counts n_0 .. n_m (n_j = count after j events)."""
-        prof = [0]
-        n = 0
-        for ev in self.events:
-            n += 2 if ev.kind == LEFT else (-2 if ev.kind == RIGHT else 0)
-            prof.append(n)
-        return tuple(prof)
+        return tuple(accumulate(map(_STEP.__getitem__, map(itemgetter(0), self.events)), initial=0))
 
     @cached_property
     def _trace(self) -> ComponentDecomposition:
@@ -200,21 +199,80 @@ class CrossingRecord(NamedTuple):
     out_upper: int
 
 
+class Records(Sequence):
+    """One record type of a trace, read-only, over the trace's columns.
+
+    ``len`` reads a column and makes no record; the first index or iteration
+    makes every record once, in C, and later reads reuse them.  The sequence
+    equals the tuple of its records."""
+
+    __slots__ = ("_type", "_columns", "_made")
+
+    def __init__(self, record_type, *columns):
+        self._type, self._columns, self._made = record_type, columns, None
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def _all(self) -> tuple:
+        if self._made is None:
+            self._made = tuple(map(tuple.__new__, repeat(self._type), zip(*self._columns)))
+        return self._made
+
+    def __getitem__(self, i):
+        return self._all()[i]
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def __eq__(self, other):
+        return self._all() == (other._all() if isinstance(other, Records) else other)
+
+
 @dataclass(frozen=True)
 class ComponentDecomposition:
-    """Arcs, per-arc component ids, default directions and traversal cycles,
-    cusp pairings and crossing incidences."""
+    """A front's trace as int columns: each arc's birth and death event, the
+    cusp and crossing incidences, per-arc component ids, default directions
+    and traversal cycles.  ``arcs``, ``cusps`` and ``crossings`` read the
+    columns as records."""
 
-    arcs: tuple[Arc, ...]
+    born: tuple[int, ...]  # arc index -> the event that creates it
+    died: tuple[int, ...]  # arc index -> the event that ends it
+    cusp_event: tuple[int, ...]  # one entry per cusp, in event order
+    cusp_kind: tuple[str, ...]  # LEFT or RIGHT
+    cusp_lower: tuple[int, ...]  # arc index
+    cusp_upper: tuple[int, ...]
+    crossing_event: tuple[int, ...]  # one entry per crossing, in event order
+    in_lower: tuple[int, ...]  # arc index
+    in_upper: tuple[int, ...]
+    out_lower: tuple[int, ...]
+    out_upper: tuple[int, ...]
     component_of: tuple[int, ...]  # arc index -> component id
     n_components: int
-    cusps: tuple[CuspRecord, ...]
-    crossings: tuple[CrossingRecord, ...]
     # arc index -> True if traversed rightward under the default orientation
     directions: tuple[bool, ...]
     # cycles[c] = arcs of component c in default traversal order, from its
     # lowest arc
     cycles: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def arcs(self) -> Records:
+        """Each arc as an ``Arc``; arcs are made in (lower, upper) pairs, so
+        an arc's role is its parity."""
+        n = len(self.born)
+        return Records(Arc, range(n), self.born, (0, 1) * (n // 2), self.died)
+
+    @cached_property
+    def cusps(self) -> Records:
+        return Records(CuspRecord, self.cusp_event, self.cusp_kind, self.cusp_lower,
+                       self.cusp_upper)
+
+    @cached_property
+    def crossings(self) -> Records:
+        return Records(CrossingRecord, self.crossing_event, self.in_lower, self.in_upper,
+                       self.out_lower, self.out_upper)
+
+    __getstate__ = fields_state  # a copy makes its own records
 
 
 # each live trace by its events; an entry goes with the last holder of its trace
@@ -241,8 +299,8 @@ def _decompose(events: tuple[FrontEvent, ...]) -> ComponentDecomposition:
     born: list[int] = []
     died: list[int] = []
     join: list[int] = []  # arc end -> the arc end it is joined to
-    cusps: list = []  # CuspRecord rows, flat, typed once at the end
-    crossings: list = []  # CrossingRecord rows, flat
+    cusps: list = []  # (event, kind, lower, upper) per cusp, flat
+    crossings: list = []  # (event, in_lower, in_upper, out_lower, out_upper) per crossing, flat
     stack: list[int] = []
     for j, (kind, p) in enumerate(events):
         if kind == RIGHT:
@@ -285,16 +343,10 @@ def _decompose(events: tuple[FrontEvent, ...]) -> ComponentDecomposition:
             end = join[2 * arc + rightward]
             arc, rightward = end >> 1, not end & 1
         cycles.append(tuple(cycle))
-    return ComponentDecomposition(
-        # arcs are made in (lower, upper) pairs, so an arc's role is its parity
-        arcs=tuple(map(tuple.__new__, repeat(Arc), zip(range(n), born, (0, 1) * (n // 2), died))),
-        component_of=tuple(component_of),
-        n_components=len(cycles),
-        cusps=tuple(map(tuple.__new__, repeat(CuspRecord), zip(*[iter(cusps)] * 4))),
-        crossings=tuple(map(tuple.__new__, repeat(CrossingRecord), zip(*[iter(crossings)] * 5))),
-        directions=tuple(dirs),
-        cycles=tuple(cycles),
-    )
+    cusps, crossings = tuple(cusps), tuple(crossings)
+    return ComponentDecomposition(tuple(born), tuple(died), *(cusps[k::4] for k in range(4)),
+                                  *(crossings[k::5] for k in range(5)), tuple(component_of),
+                                  len(cycles), tuple(dirs), tuple(cycles))
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +365,12 @@ class OrientedFront:
     reversed_components: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        n = self.trace.n_components
-        bad = sorted(c for c in self.reversed_components if not 0 <= c < n)
+        n, rev = self.trace.n_components, self.reversed_components
+        # a value that is not an int (a bool is no index), else the least int out of range
+        bad = rev and ([c for c in rev if type(c) is not int]
+                       or sorted(c for c in rev if not 0 <= c < n))
         if bad:
-            raise NotClosed(f"no component {bad[0]} to reverse (diagram has {n})")
+            raise NotClosed(f"no component {bad[0]!r} to reverse (diagram has {n})")
 
     @staticmethod
     def default(d: FrontDiagram) -> "OrientedFront":
@@ -342,19 +396,22 @@ class OrientedFront:
     @cached_property
     def _tallies(self) -> tuple[tuple[int, int, int], ...]:
         """Per component: (or sum over its self-crossings, cusp count, kappa
-        sum), from one pass over the crossings and one over the cusps, each
-        applying the rule of ``crossing_or`` or ``cusp_kappa`` inline."""
+        sum), from one pass over the crossing columns and one over the cusp
+        columns."""
         tr, dirs = self.trace, self.directions
         cof, k = tr.component_of, tr.n_components
         ors, n_cusps, kappas = [0] * k, [0] * k, [0] * k
-        for _, a, b, _, _ in tr.crossings:
+        for a, b in zip(tr.in_lower, tr.in_upper):
             c = cof[a]
             if c == cof[b]:
+                # or = +1 iff the two emanating rays leave on opposite sides
+                # of the vertical
                 ors[c] += 1 if dirs[a] != dirs[b] else -1
-        for _, kind, lo, hi in tr.cusps:
+        for kind, lo, hi in zip(tr.cusp_kind, tr.cusp_lower, tr.cusp_upper):
             c = cof[lo]
             n_cusps[c] += 1
-            # the emanating ray: a left cusp's upper arc, a right cusp's lower
+            # kappa = +1 iff the emanating ray (a left cusp's upper arc, a
+            # right cusp's lower) runs rightward, so it lies above the other
             kappas[c] += 1 if dirs[hi if kind == LEFT else lo] else -1
         return tuple(zip(ors, n_cusps, kappas))
 
@@ -362,38 +419,9 @@ class OrientedFront:
         return OrientedFront(self.diagram, self.reversed_components ^ {comp})
 
 
-def cusp_kappa(of: OrientedFront, cusp: CuspRecord) -> int:
-    """kappa = +1 iff the ray emanating from the cusp lies above the entering ray."""
-    dirs = of.directions
-    if cusp.kind == LEFT:
-        # emanating ray = the rightward arc
-        return 1 if dirs[cusp.upper] else -1
-    # right cusp: emanating ray = the leftward arc
-    return 1 if dirs[cusp.lower] else -1
-
-
-def crossing_or(of: OrientedFront, crossing: CrossingRecord) -> int:
-    """or = +1 iff the two emanating rays leave on opposite sides of the vertical."""
-    dirs = of.directions
-    return 1 if dirs[crossing.in_lower] != dirs[crossing.in_upper] else -1
-
-
-def crossing_sign(of: OrientedFront, crossing: CrossingRecord) -> int:
-    """Knot-theoretic crossing sign; equals -or under the lesser-slope-over rule.
-
-    With contact form dz - y dx the over-strand at a front crossing is the
-    branch of lesser slope (smaller y, nearer the viewer at y = -infinity).
-    det[t_over, t_under] = d_over * d_under * (y_under - y_over) with
-    y_under > y_over, so the sign is +1 exactly when both strands run the
-    same horizontal way, i.e. -or.
-    """
-    return -crossing_or(of, crossing)
-
-
 def _check_component(of: OrientedFront, comp: int) -> None:
-    tr = of.trace
-    if not 0 <= comp < tr.n_components:
-        raise NotClosed(f"no component {comp} (diagram has {tr.n_components})")
+    if type(comp) is not int or not 0 <= comp < of.trace.n_components:  # a bool is no index
+        raise NotClosed(f"no component {comp!r} (diagram has {of.trace.n_components})")
 
 
 def thurston_bennequin(of: OrientedFront, comp: int = 0) -> int:
@@ -420,26 +448,25 @@ def invariant_pair(of: OrientedFront, comp: int = 0) -> tuple[int, int]:
 
 def linking_matrix(of: OrientedFront) -> list[list[Optional[int]]]:
     """Pairwise linking numbers; symmetric, diagonal left as None."""
-    tr = of.trace
-    k = tr.n_components
+    tr, dirs = of.trace, of.directions
+    cof, k = tr.component_of, tr.n_components
     if k < 2:
         raise SingleComponent("linking matrix needs at least 2 components")
     sums = [[0] * k for _ in range(k)]
-    for x in tr.crossings:
-        i = tr.component_of[x.in_lower]
-        j = tr.component_of[x.in_upper]
+    for a, b in zip(tr.in_lower, tr.in_upper):
+        i, j = cof[a], cof[b]
         if i != j:
-            s = crossing_sign(of, x)
+            # the crossing sign, under the lesser-slope-over rule: +1 iff
+            # both strands run the same horizontal way, so -or
+            s = -1 if dirs[a] != dirs[b] else 1
             sums[i][j] += s
             sums[j][i] += s
-    out: list[list[Optional[int]]] = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                if sums[i][j] % 2:
-                    raise NotClosed(f"odd crossing-sign sum between components {i} and {j}")
-                out[i][j] = sums[i][j] // 2
-    return out
+    for i, row in enumerate(sums):  # the diagonal stays 0
+        for j, s in enumerate(row):
+            if s % 2:
+                raise NotClosed(f"odd crossing-sign sum between components {i} and {j}")
+            row[j] = None if i == j else s // 2
+    return sums
 
 
 def transverse_self_linking(of: OrientedFront, comp: int = 0, pushoff: str = "+") -> int:
@@ -482,12 +509,13 @@ def _splice(
     given, without the zig-zag whose left cusp is event ``cut``.
 
     ``tr`` is the trace of ``d``.  An event at position p creates its arcs at
-    p and p + 1, so an arc starts at ``p + role``.  A zig-zag's two events
-    leave every other position as it was, and its arcs come after its
-    carrier's, so removing it keeps every other arc's default direction.
+    p and p + 1, so an arc starts at ``p + role``, its role being its
+    parity.  A zig-zag's two events leave every other position as it was,
+    and its arcs come after its carrier's, so removing it keeps every other
+    arc's default direction.
     """
-    rec = tr.arcs[arc]
-    p = d.events[rec.born].position + rec.role
+    born = tr.born[arc]
+    p = d.events[born].position + arc % 2
     # Option B (kink above) raises r on a rightward strand, option A (kink
     # below) lowers it; the roles swap on a leftward strand.
     if (direction == UP) == tr.directions[arc]:
@@ -495,7 +523,7 @@ def _splice(
     else:
         kink = [FrontEvent(LEFT, p), FrontEvent(RIGHT, p + 1)]
     events = list(d.events)
-    at = rec.born + 1
+    at = born + 1
     if cut is not None:
         del events[cut : cut + 2]
         if cut < at:
@@ -513,8 +541,8 @@ def insert_zigzag(d: FrontDiagram, arc: int, direction: str) -> FrontDiagram:
     if direction not in (UP, DOWN):
         raise BadDirection(f"direction must be 'up' or 'down', got {direction!r}")
     tr = trace_components(d)
-    if not 0 <= arc < len(tr.arcs):
-        raise BadLocator(f"no arc {arc} (diagram has {len(tr.arcs)} arcs)")
+    if type(arc) is not int or not 0 <= arc < len(tr.born):  # a bool is no index
+        raise BadLocator(f"no arc {arc!r} (diagram has {len(tr.born)} arcs)")
     return _splice(d, tr, arc, direction)
 
 
@@ -532,30 +560,30 @@ class Zigzag:
 def find_zigzags(d: FrontDiagram) -> list[Zigzag]:
     """Each left cusp followed at the next event by a right cusp one position
     above or below it, which joins one new arc to the carrier."""
-    cusps = trace_components(d).cusps
+    tr = trace_components(d)
+    event, kind, lower, upper = tr.cusp_event, tr.cusp_kind, tr.cusp_lower, tr.cusp_upper
     out = []
-    for left, right in zip(cusps, cusps[1:]):
-        if left.kind != LEFT or right.kind != RIGHT or right.event != left.event + 1:
+    for i, (j, j2) in enumerate(zip(event, event[1:])):  # cusps i and i + 1
+        if j2 != j + 1 or kind[i] != LEFT or kind[i + 1] != RIGHT:
             continue
-        shift = d.events[right.event].position - d.events[left.event].position
-        kink = (left.lower, left.upper)
+        lo, hi = lower[i], upper[i]
+        shift = d.events[j2].position - d.events[j].position
         if shift == 1:
             # option A: R consumes (upper kink arc, original strand)
-            out.append(Zigzag(event=left.event, option="A", carrier_in=right.upper,
-                              carrier_out=left.lower, kink_arcs=kink))
+            out.append(Zigzag(event=j, option="A", carrier_in=upper[i + 1], carrier_out=lo,
+                              kink_arcs=(lo, hi)))
         elif shift == -1:
             # option B: R consumes (original strand, lower kink arc)
-            out.append(Zigzag(event=left.event, option="B", carrier_in=right.lower,
-                              carrier_out=left.upper, kink_arcs=kink))
+            out.append(Zigzag(event=j, option="B", carrier_in=lower[i + 1], carrier_out=hi,
+                              kink_arcs=(lo, hi)))
     return out
 
 
 def zigzag_direction(d: FrontDiagram, z: Zigzag) -> str:
     """Oriented direction of a zig-zag under the default orientation."""
     rightward = trace_components(d).directions[z.carrier_in]
-    if z.option == "B":
-        return UP if rightward else DOWN
-    return DOWN if rightward else UP
+    # a kink above (option B) on a rightward strand, or below on a leftward one, is up
+    return UP if rightward == (z.option == "B") else DOWN
 
 
 def displace_zigzag(d: FrontDiagram, from_arc: int, to_arc: int) -> FrontDiagram:
@@ -563,13 +591,11 @@ def displace_zigzag(d: FrontDiagram, from_arc: int, to_arc: int) -> FrontDiagram
     one splice of the event list drops its two events and inserts the new
     kink right after the target arc's birth."""
     tr = trace_components(d)
-    if not 0 <= from_arc < len(tr.arcs) or not 0 <= to_arc < len(tr.arcs):
-        raise BadLocator("arc locator out of range")
-    zigs = [
-        z
-        for z in find_zigzags(d)
-        if from_arc in z.kink_arcs or from_arc in (z.carrier_in, z.carrier_out)
-    ]
+    for arc in (from_arc, to_arc):
+        if type(arc) is not int or not 0 <= arc < len(tr.born):  # a bool is no index
+            raise BadLocator(f"no arc {arc!r} (diagram has {len(tr.born)} arcs)")
+    zigs = [z for z in find_zigzags(d)
+            if from_arc in z.kink_arcs or from_arc in (z.carrier_in, z.carrier_out)]
     if not zigs:
         raise NoZigzag(f"arc {from_arc} carries no zig-zag")
     z = zigs[0]
@@ -622,9 +648,7 @@ def parse_front(text: str) -> FrontDiagram:
 def serialize_front(d: FrontDiagram) -> str:
     """One event per line, in order; inverse of parse_front."""
     lines = [f"{ev.kind} {ev.position}" for ev in d.events]
-    lines.extend(
-        f"orient {c} {'+' if s > 0 else '-'}" for c, s in d.orient_overrides
-    )
+    lines += (f"orient {c} {'+' if s > 0 else '-'}" for c, s in d.orient_overrides)
     return "\n".join(lines)
 
 

@@ -68,7 +68,7 @@ def realize_front(d: FrontDiagram) -> RealizedFront:
 
     # one replay of the stack: mids[a] holds arc a's front point at the
     # middle of every slot it spans; arcs are made in pairs, in event order
-    mids: list[list[tuple[float, float]]] = [[] for _ in tr.arcs]
+    mids: list[list[tuple[float, float]]] = [[] for _ in tr.born]
     stack: list[int] = []
     made = 0
     for k, ev in enumerate(events):
@@ -80,24 +80,24 @@ def realize_front(d: FrontDiagram) -> RealizedFront:
             made += 2
         for q, a in enumerate(stack, 1):
             mids[a].append((k + 1.5, level(q, len(stack))))
-    in_lower = {x.event: x.in_lower for x in tr.crossings}
+    in_lower = dict(zip(tr.crossing_event, tr.in_lower))
 
-    def endpoint(a, born: bool):
-        """(x, z, slope, is_cusp) where the arc is born or dies."""
-        k = a.born if born else a.died
+    def endpoint(a: int, k: int, born: bool):
+        """(x, z, slope, is_cusp) where arc a is born or dies, at event k."""
         ev, n = events[k], counts[k + 1 if born else k]
         z = (level(ev.position, n) + level(ev.position + 1, n)) / 2
         if ev.kind != CROSS:
             return float(k + 1), z, 0.0, True
-        # out_upper and in_lower run at +m, out_lower and in_upper at -m
-        up = a.role == 1 if born else in_lower[k] == a.index
+        # out_upper (the odd arc of a pair) and in_lower run at +m, out_lower
+        # and in_upper at -m
+        up = a % 2 == 1 if born else in_lower[k] == a
         return float(k + 1), z, CROSSING_SLOPE if up else -CROSSING_SLOPE, False
 
     curves = []
-    for a in tr.arcs:
-        x0, z0, s0, cusp0 = endpoint(a, True)
-        x1, z1, s1, cusp1 = endpoint(a, False)
-        pts = [(x0, z0), *mids[a.index], (x1, z1)]
+    for a, (born, died) in enumerate(zip(tr.born, tr.died)):
+        x0, z0, s0, cusp0 = endpoint(a, born, True)
+        x1, z1, s1, cusp1 = endpoint(a, died, False)
+        pts = [(x0, z0), *mids[a], (x1, z1)]
         # a chain of Hermite pieces through (x, z, slope) knots; a cusp end
         # takes a semicubical piece up to the chain's end knot
         head, tail = (x0, z0, s0), (x1, z1, s1)
@@ -111,9 +111,8 @@ def realize_front(d: FrontDiagram) -> RealizedFront:
                          for (xp, zp), (ax, az), (xn, zn) in zip(pts, pts[1:], pts[2:])), tail]
         for (xa, za, sa), (xb, zb, sb) in zip(chain, chain[1:]):
             dx = xb - xa
-            pieces.append(
-                CubicPiece(_hermite(xa, dx, xb, dx), _hermite(za, sa * dx, zb, sb * dx))
-            )
+            pieces.append(CubicPiece(_hermite(xa, dx, xb, dx),
+                                     _hermite(za, sa * dx, zb, sb * dx)))
         if cusp1:
             pieces.append(_cusp_piece(x1, z1, *tail[:2], reverse=True))
         curves.append(tuple(pieces))
@@ -193,12 +192,14 @@ def render_svg(d: FrontDiagram) -> str:
 
     paths = [path_of(pts) for pts in ctrl]
     # crossing casings: over-strand (lesser slope) redrawn over a white disk
-    for xr in rf.trace.crossings:
-        cx, cz = (xr.event + 1 - x0) * SCALE, (z1 - ctrl[xr.in_lower][-1][1]) * SCALE
+    tr = rf.trace
+    for k, in_lower, in_upper, out_lower in zip(tr.crossing_event, tr.in_lower, tr.in_upper,
+                                                tr.out_lower):
+        cx, cz = (k + 1 - x0) * SCALE, (z1 - ctrl[in_lower][-1][1]) * SCALE
         paths.append(f'<circle cx="{cx:.2f}" cy="{cz:.2f}" r="{0.18 * SCALE:.2f}" fill="white"/>')
         # lesser slope = the in_upper -> out_lower chain
-        paths.append(path_of(_controls(rf.curves[xr.in_upper], lo=0.75)))
-        paths.append(path_of(_controls(rf.curves[xr.out_lower], hi=0.25)))
+        paths.append(path_of(_controls(rf.curves[in_upper], lo=0.75)))
+        paths.append(path_of(_controls(rf.curves[out_lower], hi=0.25)))
     body = "\n".join(paths)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

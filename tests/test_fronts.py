@@ -4,7 +4,8 @@ import pickle
 import random
 import weakref
 from collections import namedtuple
-from dataclasses import replace
+from dataclasses import fields, replace
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from legkit.errors import (
     SingleComponent,
 )
 from test_lifting import ref_steps, ref_write
+from test_render import nest
 
 BASIC = "L 1\nR 1"
 STABILIZED = "L 1\nL 1\nR 2\nR 1"
@@ -189,6 +191,115 @@ def reference_records(d):
     return {"arcs": arcs, "cusps": cusps, "crossings": crossings}
 
 
+FormerTrace = namedtuple("FormerTrace", "arcs component_of n_components cusps crossings "
+                                        "directions cycles")
+
+
+def former_decompose(events):
+    """The former eager trace: the same stack scan and cycle walk, with every
+    Arc, CuspRecord and CrossingRecord made at once."""
+    born, died, join, cusps, crossings, stack = [], [], [], [], [], []
+    for j, (kind, p) in enumerate(events):
+        if kind == fr.RIGHT:
+            lo, hi = stack[p - 1], stack[p]
+            del stack[p - 1 : p + 1]
+            died[lo] = died[hi] = j
+            join[2 * lo + 1], join[2 * hi + 1] = 2 * hi + 1, 2 * lo + 1
+            cusps += (j, fr.RIGHT, lo, hi)
+        else:
+            lo, hi = len(born), len(born) + 1
+            born += (j, j)
+            died += (-1, -1)
+            join += (-1, -1, -1, -1)
+            if kind == fr.LEFT:
+                stack[p - 1 : p - 1] = [lo, hi]
+                join[2 * lo], join[2 * hi] = 2 * hi, 2 * lo
+                cusps += (j, fr.LEFT, lo, hi)
+            else:
+                a, b = stack[p - 1], stack[p]
+                died[a] = died[b] = j
+                join[2 * a + 1], join[2 * hi] = 2 * hi, 2 * a + 1
+                join[2 * b + 1], join[2 * lo] = 2 * lo, 2 * b + 1
+                stack[p - 1], stack[p] = lo, hi
+                crossings += (j, a, b, lo, hi)
+    n = len(born)
+    component_of, dirs, cycles = [-1] * n, [True] * n, []
+    for anchor in range(n):
+        if component_of[anchor] >= 0:
+            continue
+        comp, cycle = len(cycles), []
+        arc, rightward = anchor, True
+        while component_of[arc] < 0:
+            component_of[arc], dirs[arc] = comp, rightward
+            cycle.append(arc)
+            end = join[2 * arc + rightward]
+            arc, rightward = end >> 1, not end & 1
+        cycles.append(tuple(cycle))
+    return FormerTrace(
+        arcs=tuple(map(tuple.__new__, repeat(fr.Arc), zip(range(n), born, (0, 1) * (n // 2), died))),
+        component_of=tuple(component_of),
+        n_components=len(cycles),
+        cusps=tuple(map(tuple.__new__, repeat(fr.CuspRecord), zip(*[iter(cusps)] * 4))),
+        crossings=tuple(map(tuple.__new__, repeat(fr.CrossingRecord), zip(*[iter(crossings)] * 5))),
+        directions=tuple(dirs),
+        cycles=tuple(cycles),
+    )
+
+
+def columns(records, width):
+    """The ``width`` columns of a tuple of records."""
+    return tuple(tuple(rec[k] for rec in records) for k in range(width))
+
+
+def check_former(d):
+    """d's trace reads as former_decompose's, record types included, its
+    columns hold the former records' fields, and its record sequences index
+    and compare as the former tuples."""
+    tr, want = fr.trace_components(d), former_decompose(d.events)
+    for name, value in want._asdict().items():
+        assert getattr(tr, name) == value, name
+    assert (tr.born, tr.died) == columns(want.arcs, 4)[1::2]
+    assert (tr.cusp_event, tr.cusp_kind, tr.cusp_lower, tr.cusp_upper) == columns(want.cusps, 4)
+    assert (tr.crossing_event, tr.in_lower, tr.in_upper, tr.out_lower,
+            tr.out_upper) == columns(want.crossings, 5)
+    for got, typ in ((tr.arcs, fr.Arc), (tr.cusps, fr.CuspRecord),
+                     (tr.crossings, fr.CrossingRecord)):
+        assert {type(rec) for rec in got} <= {typ}
+        assert tuple(got) == got and (got[-1:] == tuple(got)[-1:])
+
+
+# The former per-record rules, now applied inline by the tallies and
+# linking_matrix.
+
+
+def cusp_kappa(of, cusp):
+    """kappa = +1 iff the ray emanating from the cusp lies above the entering ray."""
+    dirs = of.directions
+    if cusp.kind == fr.LEFT:
+        # emanating ray = the rightward arc
+        return 1 if dirs[cusp.upper] else -1
+    # right cusp: emanating ray = the leftward arc
+    return 1 if dirs[cusp.lower] else -1
+
+
+def crossing_or(of, crossing):
+    """or = +1 iff the two emanating rays leave on opposite sides of the vertical."""
+    dirs = of.directions
+    return 1 if dirs[crossing.in_lower] != dirs[crossing.in_upper] else -1
+
+
+def crossing_sign(of, crossing):
+    """Knot-theoretic crossing sign; equals -or under the lesser-slope-over rule.
+
+    With contact form dz - y dx the over-strand at a front crossing is the
+    branch of lesser slope (smaller y, nearer the viewer at y = -infinity).
+    det[t_over, t_under] = d_over * d_under * (y_under - y_over) with
+    y_under > y_over, so the sign is +1 exactly when both strands run the
+    same horizontal way, i.e. -or.
+    """
+    return -crossing_or(of, crossing)
+
+
 # The former per-component generator sums: k components cost k passes over
 # the crossings or cusps; the library tallies every component in one pass.
 
@@ -197,7 +308,7 @@ def reference_thurston_bennequin(of, comp=0):
     tr = of.trace
     cof = tr.component_of
     or_sum = sum(
-        fr.crossing_or(of, x)
+        crossing_or(of, x)
         for x in tr.crossings
         if cof[x.in_lower] == comp and cof[x.in_upper] == comp
     )
@@ -208,7 +319,7 @@ def reference_thurston_bennequin(of, comp=0):
 
 def reference_rotation_number(of, comp=0):
     tr = of.trace
-    total = sum(fr.cusp_kappa(of, c) for c in tr.cusps if tr.component_of[c.lower] == comp)
+    total = sum(cusp_kappa(of, c) for c in tr.cusps if tr.component_of[c.lower] == comp)
     assert total % 2 == 0
     return total // 2
 
@@ -216,7 +327,7 @@ def reference_rotation_number(of, comp=0):
 def reference_linking_matrix(of):
     tr = of.trace
     cof, k = tr.component_of, tr.n_components
-    return [[None if i == j else sum(fr.crossing_sign(of, x) for x in tr.crossings
+    return [[None if i == j else sum(crossing_sign(of, x) for x in tr.crossings
                                      if {cof[x.in_lower], cof[x.in_upper]} == {i, j}) // 2
              for j in range(k)] for i in range(k)]
 
@@ -670,28 +781,61 @@ class TestLinking:
 class TestParityChecks:
     """Parity checks on a trace raise typed errors, so they hold under ``python -O``."""
 
+    CUSPS = ("cusp_event", "cusp_kind", "cusp_lower", "cusp_upper")
+    CROSSINGS = ("crossing_event", "in_lower", "in_upper", "out_lower", "out_upper")
+
     @staticmethod
-    def trimmed(monkeypatch, text, **fields):
+    def trimmed(monkeypatch, text, columns, n):
+        """The oriented front of ``text`` whose trace keeps only the first
+        ``n`` entries of each named column."""
         d = fr.parse_front(text)
         real = fr.trace_components(d)
-        trace = replace(real, **{k: getattr(real, k)[:n] for k, n in fields.items()})
+        trace = replace(real, **{k: getattr(real, k)[:n] for k in columns})
         monkeypatch.setattr(fr, "trace_components", lambda diagram: trace)
         return fr.OrientedFront.default(d)
 
     def test_odd_cusp_count(self, monkeypatch):
-        of = self.trimmed(monkeypatch, BASIC, cusps=1)
+        of = self.trimmed(monkeypatch, BASIC, self.CUSPS, 1)
         with pytest.raises(NotClosed, match="odd cusp count"):
             fr.thurston_bennequin(of)
 
     def test_odd_rotation(self, monkeypatch):
-        of = self.trimmed(monkeypatch, BASIC, cusps=1)
+        of = self.trimmed(monkeypatch, BASIC, self.CUSPS, 1)
         with pytest.raises(NotClosed, match="odd signed cusp count"):
             fr.rotation_number(of)
 
     def test_odd_linking_sum(self, monkeypatch):
-        of = self.trimmed(monkeypatch, CLASP, crossings=1)
+        of = self.trimmed(monkeypatch, CLASP, self.CROSSINGS, 1)
         with pytest.raises(NotClosed, match="odd crossing-sign sum"):
             fr.linking_matrix(of)
+
+
+class TestIndicesAreInts:
+    """A component or arc index that is not an int (a bool included) raises
+    a typed error, and is never read as the int it equals."""
+
+    @pytest.mark.parametrize("comp", [True, 1.0, "0", None], ids=repr)
+    def test_invariant_pair_component(self, comp):
+        with pytest.raises(NotClosed, match="no component"):
+            fr.invariant_pair(oriented(CLASP), comp)
+
+    @pytest.mark.parametrize("comp", [True, 1.0, "x"], ids=repr)
+    def test_reversed_component(self, comp):
+        with pytest.raises(NotClosed, match="no component .* to reverse"):
+            fr.OrientedFront(fr.parse_front(CLASP), frozenset({comp}))
+
+    @pytest.mark.parametrize("arc", [True, 1.0, "1"], ids=repr)
+    def test_insert_zigzag_arc(self, arc):
+        with pytest.raises(BadLocator, match="no arc"):
+            fr.insert_zigzag(fr.parse_front(BASIC), arc, "up")
+
+    @pytest.mark.parametrize("from_arc, to_arc", [(2.0, 1), (2, 1.0)])
+    def test_displace_zigzag_arcs(self, from_arc, to_arc):
+        d = fr.insert_zigzag(fr.parse_front(BASIC), 0, "down")  # kink arcs 2 and 3
+        moved = fr.displace_zigzag(d, 2, 1)
+        assert fr.invariant_pair(fr.OrientedFront.default(moved)) == (-2, -1)
+        with pytest.raises(BadLocator, match="no arc"):
+            fr.displace_zigzag(d, from_arc, to_arc)
 
 
 class TestRangeOracles:
@@ -867,6 +1011,7 @@ class TestSmallFrontsExhaustively:
         knots = []
         for d in fronts:
             assert fr.parse_front(fr.serialize_front(d)) == d
+            check_former(d)
             tr = fr.trace_components(d)
             for name, want in reference_records(d).items():
                 assert [rec._asdict() for rec in getattr(tr, name)] == want
@@ -887,6 +1032,7 @@ class TestRecordsAndTalliesMatchReferences:
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 60), data=st.data())
     def test_random_fronts(self, seed, size, data):
         d = fr.random_closed_front(random.Random(seed), size)
+        check_former(d)
         tr = fr.trace_components(d)
         for name, want in reference_records(d).items():
             got = getattr(tr, name)
@@ -905,6 +1051,50 @@ class TestRecordsAndTalliesMatchReferences:
             k = fr.trace_components(d).n_components
             seen.add(k)
             check_tallies(d, (frozenset(), frozenset(range(k)), frozenset(range(0, k, 2))))
+
+
+class TestColumnsMatchFormerTrace:
+    """The trace's columns, read as records, equal the former eager trace's
+    records; ``len`` makes no record, and a copy leaves the records behind."""
+
+    def test_catalog_fronts(self):
+        for n in range(1, 14):
+            for r in range(-(n - 1), n, 2):
+                check_former(trees.catalog_front(-n, r))
+        for r in (0, 300, -300, 640, -640):
+            check_former(trees.catalog_front(-641, r))
+
+    def test_nested_links(self):
+        rng = random.Random(31)
+        for _ in range(12):
+            parts = [trees.catalog_front(-n, rng.choice(range(-(n - 1), n, 2)))
+                     for n in (rng.randint(1, 9) for _ in range(rng.choice((2, 3))))]
+            d = parts[-1]
+            for outer in reversed(parts[:-1]):
+                d = nest(outer, d)
+            assert fr.trace_components(d).n_components == len(parts)
+            check_former(d)
+
+    def test_len_makes_no_record(self):
+        tr = fr._decompose(trees.catalog_front(-41, 10).events)  # a fresh, unshared trace
+        seqs = (tr.arcs, tr.cusps, tr.crossings)
+        assert tuple(map(len, seqs)) == (len(tr.born), len(tr.cusp_event), len(tr.crossing_event))
+        assert [seq._made for seq in seqs] == [None, None, None]
+        first = tr.cusps[0]
+        assert tr.cusps[0] is first and tr.cusps is seqs[1]  # made once, then reused
+        assert tr.arcs._made is None and tr.crossings._made is None
+
+    @pytest.mark.parametrize("roundtrip", [lambda x: pickle.loads(pickle.dumps(x)), copy.copy,
+                                           copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+    def test_copies_leave_records_behind(self, roundtrip):
+        tr = fr._decompose(trees.catalog_front(-9, 2).events)
+        records = tuple(tr.arcs), tuple(tr.cusps), tuple(tr.crossings)  # made and kept on tr
+        tr2 = roundtrip(tr)
+        assert tr2 == tr and hash(tr2) == hash(tr) and tr2 is not tr
+        assert set(vars(tr2)) == {f.name for f in fields(tr)}
+        assert {"arcs", "cusps", "crossings"}.isdisjoint(vars(tr2))
+        assert (tr2.arcs, tr2.cusps, tr2.crossings) == records
+        assert tr2.arcs[0] is not records[0][0]
 
 
 class TestRecordContracts:

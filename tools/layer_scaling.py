@@ -1,0 +1,227 @@
+"""Per-layer scaling table of two legkit trees, timed side by side.
+
+    python tools/layer_scaling.py [--parent REV] [--sizes 161,321,641,1281,2561]
+                                  [--runs 7] [--processes 3]
+
+Extracts ``src/legkit`` at REV (default HEAD) with ``git archive`` and
+imports it next to the working tree's ``src/legkit``, as two packages under
+two names, in each of K fresh processes run one after another.  A process
+times every layer at every size N times per side, alternating the parent's
+call and the change's call (and which of the two goes first), and keeps
+each side's best time.  Each layer's input is built outside the timed call,
+by the side's own package:
+
+    catalog_tree      catalog_tree(-t, 0)
+    build_front       build_front on that embedding
+    trace_components  the trace of a new diagram of catalog_front(-t, 0)'s events
+    invariant_pair    component 0 of a new default orientation of that traced diagram
+    linking_matrix    a new default orientation of a traced 2-component link of
+                      about 2t events: two copies of catalog_front(tb, 0), tb the
+                      odd one of -t/2 and -t/2 - 1, one clasped inside the other
+    realize_front     realize_front of the traced knot diagram
+
+The output is one JSON object: per layer and side, the median over the
+processes of each process's best time in ms, the collections per call of
+each GC generation (read from ``gc.callbacks``, averaged over every timed
+call), and the least-squares slope of log(ms) against log(t).  Only the
+standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import importlib.util
+import io
+import json
+import math
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+LAYERS = ("catalog_tree", "build_front", "trace_components", "invariant_pair",
+          "linking_matrix", "realize_front")
+
+
+def load(name: str, package_dir: Path):
+    """The legkit package in ``package_dir``, imported as ``name``."""
+    spec = importlib.util.spec_from_file_location(
+        name, package_dir / "__init__.py", submodule_search_locations=[str(package_dir)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return {m: importlib.import_module(f"{name}.{m}") for m in ("fronts", "trees", "render")}
+
+
+def nest(fronts, outer, inner):
+    """``inner`` between the strands of ``outer``'s first cusp, clasped once."""
+    ev = fronts.FrontEvent
+    first, *rest = outer.events
+    shifted = [ev(e.kind, e.position + 1) for e in inner.events]
+    events = [first, shifted[0], ev(fronts.CROSS, 1), ev(fronts.CROSS, 1)]
+    return fronts.FrontDiagram(tuple(events + shifted[1:] + rest))
+
+
+def setups(pkg, t: int) -> dict:
+    """Per layer, a function that builds a fresh input and returns the call
+    to time.  Only events are kept between calls, so no diagram that an
+    earlier call traced is alive to share its trace with the next."""
+    fronts, trees, render = pkg["fronts"], pkg["trees"], pkg["render"]
+    emb = trees.catalog_tree(-t, 0)
+    knot = trees.catalog_front(-t, 0).events
+    part = trees.catalog_front(-(t // 2 | 1), 0)  # odd tb: (tb, 0) is an unknot's
+    link = nest(fronts, part, part).events
+
+    def traced(events):
+        d = fronts.FrontDiagram(events)
+        fronts.trace_components(d)
+        return d
+
+    def trace():
+        d = fronts.FrontDiagram(knot)
+        return lambda: fronts.trace_components(d)
+
+    def invariants():
+        of = fronts.OrientedFront.default(traced(knot))
+        return lambda: fronts.invariant_pair(of, 0)
+
+    def linking():
+        of = fronts.OrientedFront.default(traced(link))
+        return lambda: fronts.linking_matrix(of)
+
+    def realize():
+        d = traced(knot)
+        return lambda: render.realize_front(d)
+
+    return {
+        "catalog_tree": lambda: lambda: trees.catalog_tree(-t, 0),
+        "build_front": lambda: lambda: trees.build_front(emb),
+        "trace_components": trace,
+        "invariant_pair": invariants,
+        "linking_matrix": linking,
+        "realize_front": realize,
+    }
+
+
+def worker(parent_dir: Path, sizes: list[int], runs: int, parent_first: bool) -> dict:
+    """Best ms and collections per call for each layer, size and side."""
+    pkgs = {"parent": load("legkit_parent", parent_dir),
+            "change": load("legkit_change", ROOT / "src" / "legkit")}
+    counts = [0, 0, 0]
+
+    def tally(phase, info):
+        if phase == "stop":
+            counts[info["generation"]] += 1
+
+    out = {layer: {side: {"ms": [], "gc": []} for side in SIDES} for layer in LAYERS}
+    for t in sizes:
+        made = {side: setups(pkgs[side], t) for side in SIDES}
+        for layer in LAYERS:
+            best = {side: math.inf for side in SIDES}
+            gcs = {side: [0, 0, 0] for side in SIDES}
+            gc.collect()
+            for run in range(runs):
+                order = SIDES if (run % 2 == 0) == parent_first else SIDES[::-1]
+                for side in order:
+                    call = made[side][layer]()
+                    counts[:] = [0, 0, 0]
+                    gc.callbacks.append(tally)
+                    start = time.perf_counter()
+                    result = call()
+                    elapsed = time.perf_counter() - start
+                    gc.callbacks.remove(tally)
+                    del result, call
+                    best[side] = min(best[side], elapsed)
+                    gcs[side] = [a + b for a, b in zip(gcs[side], counts)]
+            for side in SIDES:
+                out[layer][side]["ms"].append(best[side] * 1e3)
+                out[layer][side]["gc"].append([c / runs for c in gcs[side]])
+        del made
+    return out
+
+
+def slope(xs: list[int], ys: list[float]) -> float:
+    """Least-squares slope of log(y) against log(x)."""
+    lx, ly = [math.log(x) for x in xs], [math.log(y) for y in ys]
+    mx, my = statistics.fmean(lx), statistics.fmean(ly)
+    return sum((a - mx) * (b - my) for a, b in zip(lx, ly)) / sum((a - mx) ** 2 for a in lx)
+
+
+def main(argv: list[str]) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", default="HEAD", help="git revision of the parent side")
+    ap.add_argument("--sizes", default="161,321,641,1281,2561",
+                    help="comma-separated odd |tb|")
+    ap.add_argument("--runs", type=int, default=7, help="timed calls per side, layer and size")
+    ap.add_argument("--processes", type=int, default=3, help="fresh processes, one at a time")
+    ap.add_argument("--worker", help=argparse.SUPPRESS)  # the extracted parent package
+    ap.add_argument("--parent-first", type=int, default=1, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    sizes = [int(s) for s in args.sizes.split(",")]
+    if any(t < 1 or t % 2 == 0 for t in sizes):
+        ap.error("each size is an odd |tb| >= 1: catalog_tree(tb, 0) needs tb odd")
+    if args.worker:
+        json.dump(worker(Path(args.worker), sizes, args.runs, bool(args.parent_first)),
+                  sys.stdout)
+        return 0
+
+    sha = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "archive", sha, "src/legkit"], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp)
+        runs = []
+        for k in range(args.processes):
+            proc = subprocess.run(
+                [sys.executable, __file__, "--worker", str(Path(tmp) / "src" / "legkit"),
+                 "--sizes", args.sizes, "--runs", str(args.runs),
+                 "--parent-first", str(int(k % 2 == 0))],
+                check=True, capture_output=True, text=True,
+                env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+            runs.append(json.loads(proc.stdout))
+
+    layers = {}
+    for layer in LAYERS:
+        layers[layer] = {}
+        for side in SIDES:
+            per_process = [run[layer][side]["ms"] for run in runs]
+            ms = [statistics.median(col) for col in zip(*per_process)]
+            gcs = [[round(statistics.fmean(g), 3) for g in zip(*col)]
+                   for col in zip(*(run[layer][side]["gc"] for run in runs))]
+            layers[layer][side] = {
+                "ms": [round(v, 4) for v in ms],
+                "ms_per_process": [[round(v, 4) for v in p] for p in per_process],
+                "gc_per_call": gcs,
+                "slope": round(slope(sizes, ms), 3) if len(sizes) > 1 else None,
+            }
+    report = {
+        "tool": "tools/layer_scaling.py",
+        "parent": sha,
+        "change": "working tree",
+        "sizes_tb": [-t for t in sizes],
+        "runs": args.runs,
+        "processes": args.processes,
+        "python": platform.python_version(),
+        "machine": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs",
+        "units": {"ms": "ms, median over processes of each process's best call",
+                  "gc_per_call": "gen-0/1/2 collections per timed call, mean over all calls",
+                  "slope": "least-squares slope of log(ms) against log(|tb|)"},
+        "layers": layers,
+    }
+    print(json.dumps(report))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
