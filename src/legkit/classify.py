@@ -11,14 +11,21 @@ exceptional unknots exist only for h = -1, with classes (1, 0) and
 (n, +-(n-1)).  A simultaneous pi-Lutz twist along a transverse link
 changes the Hopf invariant to sum(sl_i) + 2 * sum_{i<j} lk_ij, and the
 positive transverse pushoff of a Legendrian knot has sl = tb - r.
+
+Tags, verdicts and complement-torus data are ``NamedTuple``s; a verdict's
+JSON is its fields as a sorted object.  The integer inputs of
+d3_from_hopf, hopf_after_lutz, complement_torus_data and the exceptional
+classes (h, sl, lk, the slope n, the hopf index, up_to's bound and a pair
+tested for membership) must be ints, never bools or floats, or they raise
+BadInvariants; a tight invariant pair that is not of ints is an
+invalid-invariants verdict.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import BadInvariants, DimensionMismatch, NotOvertwisted, ZeroSlope
 from .fronts import (
@@ -34,8 +41,7 @@ TIGHT = "tight-standard"
 OVERTWISTED = "overtwisted"
 
 
-@dataclass(frozen=True)
-class ContactStructureTag:
+class ContactStructureTag(NamedTuple):
     """Ambient contact structure: the standard tight one, or xi_h on S^3."""
 
     ambient: str  # TIGHT or OVERTWISTED
@@ -55,8 +61,7 @@ class ContactStructureTag:
         return self.ambient == OVERTWISTED
 
 
-@dataclass(frozen=True)
-class ClassificationVerdict:
+class ClassificationVerdict(NamedTuple):
     status: str
     inputs: tuple
     representative: Optional[str] = None  # catalog front text
@@ -64,14 +69,7 @@ class ClassificationVerdict:
     detail: str = ""
 
     def to_json(self) -> str:
-        payload = {
-            "status": self.status,
-            "inputs": list(self.inputs),
-            "representative": self.representative,
-            "citation": self.citation,
-            "detail": self.detail,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(self._asdict(), sort_keys=True)  # json writes a tuple as a list
 
 
 CITE_MAIN = "tight unknots are Legendrian isotopic iff (tb, r) agree"
@@ -148,20 +146,29 @@ def classify_loose(
     )
 
 
+def _check_ints(name: str, *values) -> None:
+    for v in values:
+        if type(v) is not int:  # a bool or a float is no invariant
+            raise BadInvariants(f"{name} must be an integer, got {v!r}")
+
+
 class ExceptionalClasses:
     """Coarse classes of exceptional unknots in xi_h, lazily enumerable."""
 
     def __init__(self, hopf: int):
+        _check_ints("hopf", hopf)
         self.hopf = hopf
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         tb, r = pair
+        _check_ints("tb and r", tb, r)
         if self.hopf != -1:
             return False
         return tb >= 1 and abs(r) == tb - 1
 
     def up_to(self, n_max: int) -> list[tuple[int, int]]:
         """The classes with tb <= n_max, by rising tb."""
+        _check_ints("n_max", n_max)
         if self.hopf != -1 or n_max < 1:
             return []
         out = [(1, 0)]
@@ -187,6 +194,7 @@ def hopf_after_lutz(sl: Sequence[int], lk) -> int:
     k = len(sl)
     if k < 1:
         raise DimensionMismatch("need at least one component")
+    _check_ints("sl", *sl)
     total = sum(sl)
     if k == 1:
         return total
@@ -194,6 +202,7 @@ def hopf_after_lutz(sl: Sequence[int], lk) -> int:
         raise DimensionMismatch(f"lk must be a {k}x{k} symmetric matrix")
     for i in range(k):
         for j in range(i + 1, k):
+            _check_ints("lk", lk[i][j])
             if lk[i][j] != lk[j][i]:
                 raise DimensionMismatch("lk must be symmetric")
             total += 2 * lk[i][j]
@@ -213,6 +222,7 @@ def hopf_after_lutz_front(of: OrientedFront) -> int:
 
 def d3_from_hopf(h: int) -> Fraction:
     """Gompf d3 invariant of xi_h: exactly -h - 1/2."""
+    _check_ints("h", h)
     return -Fraction(h) - Fraction(1, 2)
 
 
@@ -223,8 +233,7 @@ def hopf_from_d3(d3: Fraction) -> int:
     return int(h)
 
 
-@dataclass(frozen=True)
-class ComplementTorusData:
+class ComplementTorusData(NamedTuple):
     """Lattice data of the complementary solid torus for tb = n."""
 
     n: int
@@ -244,6 +253,7 @@ class ComplementTorusData:
 
 def complement_torus_data(n: int) -> ComplementTorusData:
     """Meridian and singularity-curve slope of the complement of a tb = n unknot."""
+    _check_ints("n", n)
     if n == 0:
         raise ZeroSlope("complement torus data is undefined for slope 0")
     data = ComplementTorusData(

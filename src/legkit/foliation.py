@@ -44,7 +44,8 @@ skeleton.
 The connections and the skeleton come from one cached broom on the ranks
 of the sorted elliptic ids: ranks keep the order of the ids, so its sorted
 rank pairs are the skeleton tree's edges as they are and name the sorted
-connections.
+connections.  A skeleton is the ``NamedTuple`` ``(tree, ids)``: that signed
+tree and the elliptic id of each of its vertices.
 Each stage (to_naf, reduce_interior, to_elliptic_form) scans its input
 once, copies it once into a private working copy, applies all its
 rewrites to it in place and freezes the result once; a stage with nothing
@@ -172,9 +173,8 @@ class FoliationState:
     @cached_property
     def _skeleton(self) -> SkeletonTree:
         """The broom as a signed tree on the ranks, checked when built."""
-        (ids, signs, pairs), on_b = self._rank_broom, self._on_boundary
-        return SkeletonTree(SignedTree(tuple(enumerate(signs)), pairs),
-                            frozenset(ids) - on_b, on_b.intersection(ids), ids)
+        ids, signs, pairs = self._rank_broom
+        return SkeletonTree(SignedTree(tuple(enumerate(signs)), pairs), ids)
 
     @cached_property
     def _alternates(self) -> bool:
@@ -617,13 +617,10 @@ def to_elliptic_form(state: FoliationState) -> tuple[FoliationState, SkeletonTre
 # Skeleton extraction
 
 
-@dataclass(frozen=True)
-class SkeletonTree:
-    """Extended skeleton: a signed tree tagged with interior/boundary vertices."""
+class SkeletonTree(NamedTuple):
+    """Extended skeleton: a signed tree on the ranks of its elliptic ids."""
 
     tree: SignedTree
-    interior_vertices: frozenset[str]
-    boundary_vertices: frozenset[str]
     ids: tuple[str, ...]  # original singularity id per tree vertex index
 
     def embedding(self) -> AcceptableEmbedding:

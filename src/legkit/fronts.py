@@ -19,23 +19,24 @@ where or(p) = +1 iff the rays emanating from a crossing leave on opposite
 sides of the vertical line through it, and kappa(p) = +1 iff the ray
 emanating from a cusp lies above the ray entering it.
 
-Events and trace records are ``NamedTuple``s, hashed and compared in C: a
-``FrontEvent`` equals the pair ``(kind, position)``, and an ``Arc`` compares
-on all four fields, ``died`` included.  The trace (``trace_components``)
-holds O(events) data as int columns: each arc's birth and death event, the
-event, kind and two arcs of each cusp, the event and four arcs of each
-crossing, and the component ids, directions and cycles, but no snapshot of
-the strand stack.  Arcs are made in (lower, upper) pairs, so an arc's role
-is its index's parity.  ``arcs``, ``cusps`` and ``crossings`` are read-only
-sequences over the columns: ``len`` makes no record, and the first index or
-iteration makes every record of its type once, by mapping ``tuple.__new__``
-over the columns, so a trace that nobody reads as records holds a few
-objects for the garbage collector and not one per event.  Every reader in
-the library reads the columns: the per-component tallies and
-``linking_matrix`` apply the ``or`` and ``kappa`` rules inline, an arc born
-at event k starts at ``events[k].position + role``, a zig-zag is a left cusp
-followed at the next event by a right cusp, and
-``FrontDiagram.strand_profile`` gives each slot's strand count.
+Events, trace records and zig-zags are ``NamedTuple``s, hashed and compared
+in C: a ``FrontEvent`` equals the pair ``(kind, position)``, and an ``Arc``
+compares on all four fields, ``died`` included.  The trace
+(``trace_components``) holds O(events) data as int columns: each arc's
+birth and death event, the event, kind and two arcs of each cusp, the event
+and four arcs of each crossing, and the component ids, directions and
+cycles, but no snapshot of the strand stack.  Arcs are made in (lower,
+upper) pairs, so an arc's role is its index's parity.  ``arcs``, ``cusps``
+and ``crossings`` are read-only sequences over the columns: ``len`` makes
+no record, and the first index or iteration makes every record of its type
+once, by mapping ``tuple.__new__`` over the columns, so a trace that nobody
+reads as records holds a few objects for the garbage collector and not one
+per event.  Every reader in the library reads the columns: the
+per-component tallies and ``linking_matrix`` apply the ``or`` and ``kappa``
+rules inline, an arc born at event k starts at
+``events[k].position + role``, a zig-zag is a left cusp followed at the
+next event by a right cusp, and ``FrontDiagram.strand_profile`` gives each
+slot's strand count.
 ``parse_front`` parses each distinct line once, in first-seen order, maps
 the lines to their events in one pass, and looks up a line number only for
 the line that raises.
@@ -494,8 +495,9 @@ def check_parity(tb: int, r: int) -> bool:
 
 
 def in_unknot_range(tb: int, r: int) -> bool:
-    """True iff (tb, r) = (-|r| - 2k - 1, r) for some k >= 0."""
-    return check_parity(tb, r) and tb <= -abs(r) - 1
+    """True iff (tb, r) = (-|r| - 2k - 1, r) for some k >= 0, with tb and r
+    exact ints: a bool or a float is no invariant."""
+    return type(tb) is type(r) is int and check_parity(tb, r) and tb <= -abs(r) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +548,7 @@ def insert_zigzag(d: FrontDiagram, arc: int, direction: str) -> FrontDiagram:
     return _splice(d, tr, arc, direction)
 
 
-@dataclass(frozen=True)
-class Zigzag:
+class Zigzag(NamedTuple):
     """A detected zig-zag: consecutive (L, R) events forming a kink."""
 
     event: int  # index of the L event

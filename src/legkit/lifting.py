@@ -21,19 +21,23 @@ sorted sweep over its segments, a crossing through sample vertices counted
 once; each must split the curve into two lobes of nonzero area.  Both lobe
 areas of every double point come from one prefix sum of the shoelace terms
 of the subsampled polygon, so past the sweep's candidate pairs the check
-costs O(n log n + hits).
+costs O(n log n + hits).  The reports are ``NamedTuple``s, made in one
+pass over the sweep's rows: a ``DoublePointReport`` is the tuple
+``(point, area_one, area_two, flagged)``, so ``json.dumps`` writes a report
+as it stands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from itertools import repeat
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import BadDirection, DegenerateTangent, GeometryDegenerate, NotClosed
-from .fronts import OrientedFront
+from .errors import BadDirection, DegenerateTangent, GeometryDegenerate
+from .fronts import OrientedFront, _check_component
 from .render import RealizedFront, realize_front
 
 
@@ -146,26 +150,28 @@ def legendrian_lift(rf: RealizedFront, comp: int = 0, of: Optional[OrientedFront
     An arc of P pieces gets ``max(2, (samples_per_arc // min(P, 62)) & ~1)``
     uniform parameter steps per piece: about ``samples_per_arc`` samples
     over the arc, even per piece, and never fewer per piece than a 62-piece
-    arc gets.  GeometryDegenerate if ``samples_per_arc`` is below 2, and
-    BadDirection if ``of`` orients a front with other events than ``rf``'s.  The
-    panel rule's error scales as (steps per piece)^-4, so with the floor the
-    error of the default lift does not grow with depth: closure and residual
-    stay at or below 3.1e-11 of the diameter on the acceptance grid, 3.2e-11
-    on catalog (-31, 0), 1.9e-11 on (-51, 0), 9.7e-12 on (-101, 0) and
-    4.9e-12 on (-201, 0), inside the 1e-9 bound.
+    arc gets.  GeometryDegenerate if ``samples_per_arc`` is not an int of at
+    least 2 (a bool is none), NotClosed if ``comp`` is not a component index,
+    as in ``fronts``, and BadDirection if ``of`` orients a front with other
+    events than ``rf``'s.  The panel rule's error scales as (steps per
+    piece)^-4, so with the floor the error of the default lift does not grow
+    with depth: closure and residual stay at or below 3.1e-11 of the
+    diameter on the acceptance grid, 3.2e-11 on catalog (-31, 0), 1.9e-11
+    on (-51, 0), 9.7e-12 on (-101, 0) and 4.9e-12 on (-201, 0), inside the
+    1e-9 bound.
     """
     n = samples_per_arc
+    if type(n) is not int:  # a bool is no count
+        raise GeometryDegenerate(f"samples_per_arc {n!r} is not an integer")
     if n < 2:
         raise GeometryDegenerate(f"samples_per_arc {n} below 2")
-    tr = rf.trace
-    if not 0 <= comp < tr.n_components:
-        raise NotClosed(f"no component {comp}")
     if of is None:
         of = OrientedFront.default(rf.diagram)
     elif of.diagram is not rf.diagram and of.diagram.events != rf.diagram.events:
         raise BadDirection("the orientation is of another front than the realized one")
+    _check_component(of, comp)
     dirs = of.directions
-    cycle = tr.cycles[comp]
+    cycle = of.trace.cycles[comp]
     if not dirs[cycle[0]]:
         # reversed: the same first arc, then the others backwards
         cycle = cycle[:1] + cycle[:0:-1]
@@ -177,7 +183,7 @@ def legendrian_lift(rf: RealizedFront, comp: int = 0, of: Optional[OrientedFront
     for arc, per, s, e in zip(cycle, steps, ends.tolist(), ends[1:].tolist()):
         t = np.linspace(0.0, 1.0, per + 1)
         # c[k] holds coefficient k of x and of z, one row per piece
-        c = np.array([(p.cx, p.cz) for p in rf.curves[arc]]).T[..., None]
+        c = np.array(rf.curves[arc]).T[..., None]
         dx, dz = c[1] + t * (2 * c[2] + 3 * t * c[3])
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = np.where(np.abs(dx) > 1e-14, dz / dx, 0.0)
@@ -213,16 +219,14 @@ _BLOCK = 8192  # edges or panels that the winding and the quadrature read at a t
 _SWEEP_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class DoublePointReport:
+class DoublePointReport(NamedTuple):
     point: tuple[float, float]
     area_one: float
     area_two: float
     flagged: bool
 
 
-@dataclass(frozen=True)
-class EmbeddednessReport:
+class EmbeddednessReport(NamedTuple):
     double_points: tuple[DoublePointReport, ...]
     tolerance: float
 
@@ -304,11 +308,8 @@ def lagrangian_embeddedness_check(
     a2 = 0.5 * (_cross(pt, q[j]) + s[n] - s[j + 1] + s[i] + _cross(p[i], pt))
     scale = max(np.ptp(lc.x) * np.ptp(lc.y), 1e-30)
     flagged = np.minimum(np.abs(a1), np.abs(a2)) < tolerance * scale
-    reports = tuple(
-        DoublePointReport(point=(px, py), area_one=u, area_two=v, flagged=f)
-        for (px, py), u, v, f in zip(pt.tolist(), a1.tolist(), a2.tolist(), flagged.tolist())
-    )
-    return EmbeddednessReport(double_points=reports, tolerance=tolerance)
+    rows = zip(map(tuple, pt.tolist()), a1.tolist(), a2.tolist(), flagged.tolist())
+    return EmbeddednessReport(tuple(map(tuple.__new__, repeat(DoublePointReport), rows)), tolerance)
 
 
 def _left_of(a: np.ndarray, da: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -10,7 +10,10 @@ semicubical local model (x ~ t^2, z ~ t^3, so branches meet with a common
 horizontal tangent); crossing ends meet at one point with slopes
 +-CROSSING_SLOPE, the lower incoming strand rising, giving a transversality
 gap of twice that.  The realization takes no setting and needs no numpy;
-``lifting`` samples it.
+``lifting`` samples it.  A realization is the ``NamedTuple``
+``(diagram, curves)``, and each piece of an arc's curve the ``NamedTuple``
+``(cx, cz)`` of its two coefficient 4-tuples, so ``numpy.array`` of an arc's
+pieces is their coefficient array.
 
 The SVG draws the realization exactly, x rightward and z upward:
 each arc is one path, one cubic Bézier segment per realized piece, SCALE =
@@ -24,7 +27,7 @@ character grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fronts import CROSS, LEFT, RIGHT, ComponentDecomposition, FrontDiagram, trace_components
 
@@ -34,8 +37,7 @@ CROSSING_SLOPE = 0.5  # each branch leaves a crossing at +-this slope
 CUSP_REACH = 0.3  # fraction of the first piece taken by the cusp model
 
 
-@dataclass(frozen=True)
-class CubicPiece:
+class CubicPiece(NamedTuple):
     """x(t), z(t) cubics on t in [0, 1], stored as coefficient tuples (c0..c3)."""
 
     cx: tuple[float, float, float, float]
@@ -47,8 +49,7 @@ def _hermite(p0: float, v0: float, p1: float, v1: float) -> tuple[float, float, 
     return (p0, v0, 3 * (p1 - p0) - 2 * v0 - v1, 2 * (p0 - p1) + v0 + v1)
 
 
-@dataclass(frozen=True)
-class RealizedFront:
+class RealizedFront(NamedTuple):
     diagram: FrontDiagram
     curves: tuple[tuple[CubicPiece, ...], ...]  # arc a's pieces, indexed by arc
 

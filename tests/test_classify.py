@@ -6,7 +6,8 @@ import pytest
 
 from legkit import classify as cl
 from legkit import fronts as fr
-from legkit.errors import BadInvariants, DimensionMismatch, NotOvertwisted, ZeroSlope
+from legkit import trees
+from legkit.errors import BadInvariants, DimensionMismatch, NotOvertwisted, OutOfRange, ZeroSlope
 
 
 class TestTightUnknot:
@@ -177,3 +178,72 @@ class TestComplementTorus:
 
     def test_rotation_rule_text(self):
         assert "-r(L)" in cl.complement_torus_data(1).pushoff_rotation_rule
+
+
+@pytest.mark.parametrize("tb, r", [(-1.0, 0), (-3.0, 0), (-3, 0.0), (-2, True), (-4, True)],
+                         ids=repr)
+def test_non_int_invariants_are_out_of_range(tb, r):
+    # each was read as the int pair it equals, or ended in a bare TypeError
+    assert not fr.in_unknot_range(tb, r)
+    for build in (trees.catalog_tree, trees.catalog_front):
+        with pytest.raises(OutOfRange):
+            build(tb, r)
+    v = cl.classify_tight_unknot((tb, r), (int(tb), int(r)))
+    assert (v.status, v.representative) == ("invalid-invariants", None)
+
+
+NOT_INTS = {
+    "d3_from_hopf(1.5)": lambda: cl.d3_from_hopf(1.5),
+    "d3_from_hopf(True)": lambda: cl.d3_from_hopf(True),
+    "hopf_after_lutz float sl": lambda: cl.hopf_after_lutz([1.5, 2], [[0, 1], [1, 0]]),
+    "hopf_after_lutz bool sl": lambda: cl.hopf_after_lutz([True], None),
+    "hopf_after_lutz float lk": lambda: cl.hopf_after_lutz([1, 2], [[0, 0.5], [0.5, 0]]),
+    "complement_torus_data(2.5)": lambda: cl.complement_torus_data(2.5),
+    "complement_torus_data(True)": lambda: cl.complement_torus_data(True),
+    "up_to(2.5)": lambda: cl.exceptional_unknot_classes(-1).up_to(2.5),
+    "up_to(True)": lambda: cl.exceptional_unknot_classes(-1).up_to(True),
+    "exceptional_unknot_classes(-1.0)": lambda: cl.exceptional_unknot_classes(-1.0),
+    "(True, 0) in classes": lambda: (True, 0) in cl.exceptional_unknot_classes(-1),
+}
+
+
+@pytest.mark.parametrize("call", NOT_INTS.values(), ids=NOT_INTS.keys())
+def test_non_int_inputs_raise(call):
+    # each returned a value computed from the float or bool, or ended in a bare TypeError
+    with pytest.raises(BadInvariants, match="must be an integer"):
+        call()
+
+
+def former_to_json(v):
+    """A verdict's JSON as the former dataclass built it, field by field."""
+    payload = {
+        "status": v.status,
+        "inputs": list(v.inputs),
+        "representative": v.representative,
+        "citation": v.citation,
+        "detail": v.detail,
+    }
+    return json.dumps(payload, sort_keys=True)
+
+
+XI = cl.ContactStructureTag.overtwisted(-1)
+XI_INF = cl.ContactStructureTag.overtwisted(2, at_infinity=True)
+VERDICTS = {
+    "isotopic": lambda: cl.classify_tight_unknot((-3, 2), (-3, 2)),
+    "not-isotopic": lambda: cl.classify_tight_unknot((-3, 0), (-3, 2)),
+    "invalid-invariants": lambda: cl.classify_tight_unknot((-2, 0), (-1, 0)),
+    "loose-class": lambda: cl.loose_check(XI, 0, True),
+    "undetermined-by-this-test": lambda: cl.loose_check(XI, 2, True),
+    "not-coarsely-equivalent": lambda: cl.classify_loose(XI, (-2, 1), (-2, -1)),
+    "coarsely-equivalent-and-isotopic": lambda: cl.classify_loose(XI, (-2, 1), (-2, 1)),
+    "coarsely-equivalent-and-isotopic at infinity": lambda: cl.classify_loose(XI_INF, (2, 1), (2, 1)),
+    "coarsely-equivalent": lambda: cl.classify_loose(XI, (2, 1), (2, 1)),
+}
+
+
+@pytest.mark.parametrize("name, make", VERDICTS.items(), ids=VERDICTS.keys())
+def test_to_json_is_the_former_payload(name, make):
+    v = make()
+    assert v.status == name.split()[0]
+    for w in (v, v._replace(detail="a detail"), v._replace(representative="L 1\nR 1")):
+        assert w.to_json() == former_to_json(w)

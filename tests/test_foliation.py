@@ -692,15 +692,7 @@ def ref_extract_skeleton(state):
     index = {v: k for k, v in enumerate(verts)}
     signs = {k: sm[v].sign for k, v in enumerate(verts)}
     edges = [(index[u], index[v]) for u, v in state.connections]
-    tree = tr.SignedTree.make(signs, edges)
-    interior = frozenset(v for v in verts if sm[v].locus == fo.INTERIOR)
-    boundary = frozenset(v for v in verts if sm[v].locus == fo.BOUNDARY)
-    return fo.SkeletonTree(
-        tree=tree,
-        interior_vertices=interior,
-        boundary_vertices=boundary,
-        ids=tuple(verts),
-    )
+    return fo.SkeletonTree(tree=tr.SignedTree.make(signs, edges), ids=tuple(verts))
 
 
 def ref_to_elliptic_form(state):
@@ -1260,15 +1252,13 @@ def former_connections(state):
 
 
 def former_skeleton(state):
-    sm, on_b = state.sing_map, state._on_boundary
+    sm = state.sing_map
     conns = former_connections(state)
     verts = sorted({v for c in conns for v in c})
     index = {v: k for k, v in enumerate(verts)}
     signs = tuple((k, SIGN[sm[v][1]]) for k, v in enumerate(verts))
     return fo.SkeletonTree(
         tree=tr.SignedTree(signs, tuple((index[u], index[v]) for u, v in conns)),
-        interior_vertices=frozenset(v for v in verts if v not in on_b),
-        boundary_vertices=frozenset(v for v in verts if v in on_b),
         ids=tuple(verts),
     )
 

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legkit import classify
+from legkit import foliation
 from legkit import fronts as fr
 from legkit import lifting as lf
 from legkit import render
@@ -1170,6 +1172,48 @@ class TestRecordContracts:
         assert tr2 == tr and tr2 is not tr
         assert type(tr2.arcs[0]) is fr.Arc and type(tr2.cusps[0]) is fr.CuspRecord
         assert fr.trace_components(d2) is tr
+
+
+def bowtie_report():
+    x, y = np.array([(0, 0), (2, 2), (2, 0), (0, 2)], float).T
+    return lf.lagrangian_embeddedness_check(lf.LiftedCurve(x, y, np.zeros_like(x)))
+
+
+# Each value record of the library: its type, its fields in order and a
+# maker of one instance.
+VALUE_RECORDS = [
+    (render.CubicPiece, ("cx", "cz"),
+     lambda: render.realize_front(trees.catalog_front(-3, 2)).curves[0][0]),
+    (render.RealizedFront, ("diagram", "curves"), lambda: render.realize_front(fr.parse_front(CLASP))),
+    (lf.DoublePointReport, ("point", "area_one", "area_two", "flagged"),
+     lambda: bowtie_report().double_points[0]),
+    (lf.EmbeddednessReport, ("double_points", "tolerance"), bowtie_report),
+    (fr.Zigzag, ("event", "option", "carrier_in", "carrier_out", "kink_arcs"),
+     lambda: fr.find_zigzags(fr.parse_front(STABILIZED))[0]),
+    (foliation.SkeletonTree, ("tree", "ids"), lambda: foliation.run_pipeline(-5, 2)[1]),
+    (classify.ContactStructureTag, ("ambient", "hopf", "at_infinity"),
+     lambda: classify.ContactStructureTag.overtwisted(-1, at_infinity=True)),
+    (classify.ClassificationVerdict, ("status", "inputs", "representative", "citation", "detail"),
+     lambda: classify.classify_tight_unknot((-3, 2), (-3, 2))),
+    (classify.ComplementTorusData, ("n", "meridian", "singularity_slope", "pushoff_rotation_rule"),
+     lambda: classify.complement_torus_data(3)),
+]
+
+
+@pytest.mark.parametrize("record_type, names, make", VALUE_RECORDS,
+                         ids=[t.__name__ for t, _, _ in VALUE_RECORDS])
+def test_value_record_contracts(record_type, names, make):
+    """A record that only carries values is a NamedTuple: immutable, equal
+    and hash-equal by value, and kept whole by pickle and copies."""
+    rec = make()
+    assert type(rec) is record_type and isinstance(rec, tuple) and rec._fields == names
+    with pytest.raises(AttributeError):
+        setattr(rec, names[0], rec[0])
+    for other in (make(), record_type(*rec), record_type(**rec._asdict())):
+        assert other == rec and hash(other) == hash(rec)
+    for roundtrip in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+        out = roundtrip(rec)
+        assert type(out) is record_type and out == rec and hash(out) == hash(rec)
 
 
 ROUNDTRIPS = pytest.mark.parametrize(

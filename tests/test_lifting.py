@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from unittest import mock
@@ -266,6 +265,19 @@ class TestLift:
         rf = lf.realize_front(fr.parse_front("L 1\nR 1"))
         with pytest.raises(NotClosed, match=f"no component {comp}"):
             lf.legendrian_lift(rf, comp)
+
+    @pytest.mark.parametrize("comp", [True, 1.0, "0", None], ids=repr)
+    def test_component_not_an_int(self, comp):
+        # two components, so True was read as component 1 and lifted
+        rf = lf.realize_front(fr.parse_front("L 1\nL 1\nR 1\nR 1"))
+        with pytest.raises(NotClosed, match="no component"):
+            lf.legendrian_lift(rf, comp)
+
+    @pytest.mark.parametrize("n", [2.0, "3", True, None], ids=repr)
+    def test_samples_not_an_int(self, n):
+        rf = lf.realize_front(fr.parse_front("L 1\nR 1"))
+        with pytest.raises(GeometryDegenerate, match="is not an integer"):
+            lf.legendrian_lift(rf, samples_per_arc=n)
 
     def test_orientation_of_another_front_refused(self):
         # the (-5, 0) orientation read r = 0 off the (-3, 2) lift, with no error
@@ -543,7 +555,7 @@ class TestEmbeddedness:
             lf.DoublePointReport(point=(1.0, 1.0), area_one=-1.0, area_two=1.0, flagged=False),
         )
         assert type(rep.double_points[0].flagged) is bool
-        json.dumps(dataclasses.asdict(rep))
+        json.dumps(rep)  # a numpy.bool_ flag would fail here
 
     @pytest.mark.parametrize("tb,r", [(-2, 1), (-4, 3), (-5, -2), (-5, 2)])
     def test_catalog_lifts_embedded(self, tb, r):
