@@ -14,10 +14,12 @@ positive transverse pushoff of a Legendrian knot has sl = tb - r.
 
 Tags, verdicts and complement-torus data are ``NamedTuple``s; a verdict's
 JSON is its fields as a sorted object.  The integer inputs of
-d3_from_hopf, hopf_after_lutz, complement_torus_data and the exceptional
-classes (h, sl, lk, the slope n, the hopf index, up_to's bound and a pair
-tested for membership) must be ints, never bools or floats, or they raise
-BadInvariants; a tight invariant pair that is not of ints is an
+ContactStructureTag.overtwisted, loose_check, classify_loose, d3_from_hopf,
+hopf_after_lutz, complement_torus_data and the exceptional classes (h, tb,
+both loose pairs, sl, lk, the slope n, the hopf index, up_to's bound and a
+pair tested for membership) must be ints, never bools or floats, or they
+raise BadInvariants, as does a d3 for hopf_from_d3 that is neither an int
+nor a Fraction; a tight invariant pair that is not of ints is an
 invalid-invariants verdict.
 """
 
@@ -54,6 +56,7 @@ class ContactStructureTag(NamedTuple):
 
     @staticmethod
     def overtwisted(h: int, at_infinity: bool = False) -> "ContactStructureTag":
+        _check_ints("hopf", h)
         return ContactStructureTag(OVERTWISTED, hopf=h, at_infinity=at_infinity)
 
     @property
@@ -107,6 +110,7 @@ def loose_check(
     """One-directional looseness test: trivial knots with tb <= 0 are loose."""
     if not tag.is_overtwisted:
         raise NotOvertwisted("looseness is only defined in overtwisted structures")
+    _check_ints("tb", tb)
     if topologically_trivial and tb <= 0:
         return ClassificationVerdict(
             status="loose-class", inputs=(tag.hopf, tb), citation=CITE_LOOSE
@@ -125,6 +129,7 @@ def classify_loose(
     """Coarse classification of loose unknots, upgraded to isotopy when possible."""
     if not tag.is_overtwisted:
         raise NotOvertwisted("classify_loose needs an overtwisted ambient structure")
+    _check_ints("tb and r", *a, *b)
     if a != b:
         return ClassificationVerdict(
             status="not-coarsely-equivalent", inputs=(a, b), citation=CITE_COARSE
@@ -227,6 +232,8 @@ def d3_from_hopf(h: int) -> Fraction:
 
 
 def hopf_from_d3(d3: Fraction) -> int:
+    if type(d3) not in (int, Fraction):  # nor a bool, nor a float
+        raise BadInvariants(f"d3 must be an int or a Fraction, got {d3!r}")
     h = -d3 - Fraction(1, 2)
     if h.denominator != 1:
         raise BadInvariants(f"{d3} is not the d3 invariant of any plane field on S^3")

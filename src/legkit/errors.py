@@ -40,7 +40,8 @@ class SingleComponent(LegkitError):
 
 
 class BadLocator(LegkitError):
-    """Arc locator does not name an existing arc."""
+    """Arc locator does not name an existing arc, or a foliation locus is
+    none of None, BOUNDARY and INTERIOR."""
 
 
 class NoZigzag(LegkitError):

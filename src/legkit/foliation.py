@@ -51,10 +51,12 @@ once, copies it once into a private working copy, applies all its
 rewrites to it in place and freezes the result once; a stage with nothing
 to do returns its input after an O(1) check of the cached facts.  The
 copy indexes the separatrices only when a rewrite first walks or tests
-them, and a copy that never did (to_elliptic_form's absorbs, which read
-each hyperbolic's boundary partners in one pass over the input) freezes
-by filtering the input's sorted tuples: its surviving pairs are the
-input's own objects and nothing is sorted.  init_boundary builds its
+them, with the pair index ``trees`` shares (``_index``), and freezes that
+index with the shared freeze (``_pairs``); a copy that never indexed
+(to_elliptic_form's absorbs, which read each hyperbolic's boundary
+partners from one ``_index`` of the separatrices with an end in the pool)
+freezes by filtering the input's sorted tuples: its surviving pairs are
+the input's own objects and nothing is sorted.  init_boundary builds its
 start state directly, as two sorted tuples and no working copy.
 to_elliptic_form returns its state with the skeleton tree, built and
 checked once; no region decomposition is built.  The atomic
@@ -62,10 +64,10 @@ rewrites (eliminate, convert, create_pair, rewire) check their arguments
 once and are the same code applied to a one-rewrite copy; eliminate
 cancels interior points only.
 Tightness (no same-sign separatrix cycle) is checked per added same-sign
-separatrix, by a walk over one endpoint's same-sign tree, and needs no
-walk when an endpoint has no separatrix yet.  init_boundary checks its
-separatrices in one pass instead: each same-sign one has an end on no
-other, so they are stars, which form a forest.
+separatrix, by the shared walk (``_reach``) over one endpoint's same-sign
+tree, and needs no walk when an endpoint has no separatrix yet.
+init_boundary checks its separatrices in one pass instead: each same-sign
+one has an end on no other, so they are stars, which form a forest.
 """
 
 from __future__ import annotations
@@ -82,6 +84,7 @@ from typing import NamedTuple, Optional
 from .errors import (
     BadInvariants,
     BadLeaves,
+    BadLocator,
     NotATree,
     NotConnected,
     NotEllipticForm,
@@ -90,7 +93,8 @@ from .errors import (
     TightnessViolation,
 )
 from .fronts import fields_state, in_unknot_range
-from .trees import SIGMA, AcceptableEmbedding, SignedTree, _broom, spread_embedding
+from .trees import (SIGMA, AcceptableEmbedding, SignedTree, _broom, _index, _pairs, _reach,
+                    spread_embedding)
 
 ELLIPTIC = "e"
 HYPERBOLIC = "h"
@@ -186,7 +190,10 @@ class FoliationState:
         return all(self.sing_map[b] in _NAF for b in self.boundary) and self._alternates
 
     def counts(self, locus: Optional[str] = None) -> dict[str, int]:
-        return dict(self._tallies.get(locus) or dict.fromkeys(_TAGS, 0))
+        """Tag counts over all loci (None), on the BOUNDARY or in the INTERIOR."""
+        if locus not in (None, BOUNDARY, INTERIOR):
+            raise BadLocator(f"locus {locus!r} is not None, {BOUNDARY!r} or {INTERIOR!r}")
+        return dict(self._tallies[locus])
 
     def identity_differences(self, locus: Optional[str] = None) -> tuple[int, int]:
         c = self.counts(locus)
@@ -228,10 +235,8 @@ def init_boundary(tb: int, r: int,
     model the pre-standardization disk; the interior is then seeded so that
     to_naf followed by reduce_interior lands on the exact reduced counts.
     """
-    if type(tb) is not int or type(r) is not int:  # a bool is no invariant
-        raise BadInvariants(f"tb and r must be integers, got {tb!r} and {r!r}")
-    if tb >= 0 or not in_unknot_range(tb, r):
-        raise BadInvariants(f"tight pipeline needs (tb, r) in range, got ({tb}, {r})")
+    if not in_unknot_range(tb, r):  # which refuses a bool, a float and tb >= 0
+        raise BadInvariants(f"tight pipeline needs (tb, r) in range, got ({tb!r}, {r!r})")
     n = -tb
     e_target, h_target = interior_count_targets(tb, r)
 
@@ -280,7 +285,8 @@ def _check_stars(sing: Mapping[str, str], separatrices: Sequence[tuple[str, str]
     """Tightness in one pass: each same-sign separatrix needs an end that
     lies on no other same-sign separatrix.  Such separatrices are stars,
     which form a forest; every point of a same-sign cycle (a self-loop
-    included) lies on two."""
+    included) lies on two.  Not a walk (``_reach``) per component: one
+    C-level count of the ends is the cheaper check for a start state."""
     same = [e for e in separatrices if sing[e[0]][1] == sing[e[1]][1]]
     on_two = {x for x, k in Counter(chain.from_iterable(same)).items() if k > 1}
     for u, v in filter(on_two.issuperset, same):
@@ -297,18 +303,21 @@ class _Work:
     A stage copies its input once, applies all its rewrites here and
     freezes once, so each rewrite costs O(degree) rather than O(n); a stage
     whose input's cached facts show nothing to do makes no copy.  ``adj``
-    is the copy's one separatrix index, a set of neighbours per endpoint,
-    so removing a point touches only its own edges.  index() builds it
-    when a rewrite first walks or tests it (a link, an eliminate, a
-    rewire); until then it is None, and a point dropped before then only
-    leaves the id map.  A copy that never
-    built it (to_elliptic_form's absorbs) freezes by filtering its input's
-    sorted tuples, so the surviving pairs are the input's own objects and
-    nothing is sorted.  Tightness is checked per added same-sign
-    separatrix: a tight state's same-sign separatrices form a forest, so an
-    added edge closes a cycle exactly when its endpoints already share a
-    same-sign tree, which an endpoint without separatrices cannot.  A
-    rewrite stores tags and logs a RewriteStep tuple.
+    is the copy's one separatrix index, a set of neighbours per endpoint
+    (``trees._index``), so removing a point touches only its own edges.
+    index() builds it when a rewrite first walks or tests it (a link, an
+    eliminate, a rewire); until then it is None, and a point dropped before
+    then only leaves the id map.  freeze() writes it back with
+    ``trees._pairs``.  A copy that never built it (to_elliptic_form's
+    absorbs) freezes by filtering its input's sorted tuples, so the
+    surviving pairs are the input's own objects and nothing is sorted.
+    Tightness is checked per added same-sign separatrix: a tight state's
+    same-sign separatrices form a forest, so an added edge closes a cycle
+    exactly when its endpoints already share a same-sign tree, which an
+    endpoint without separatrices cannot.  ``_joined`` finds that tree with
+    ``trees._reach``, reading the copy itself as the mapping: ``copy[x]``
+    is x's partners of x's own sign.  A rewrite stores tags and logs a
+    RewriteStep tuple.
     """
 
     def __init__(self, state: FoliationState):
@@ -328,16 +337,12 @@ class _Work:
         cached property: an instance attribute that a class descriptor
         shadows is slower to read, and the rewrites read it often."""
         if self.adj is None:
-            self.adj = defaultdict(set)
-            for u, v in self._kept():
-                self.adj[u].add(v)
-                self.adj[v].add(u)
+            self.adj = _index(self._kept())
         return self.adj
 
     def freeze(self) -> FoliationState:
         if self.adj is not None:
-            sing = tuple(sorted(self.sing.items()))
-            separatrices = tuple(sorted((u, v) for u, vs in self.adj.items() for v in vs if u < v))
+            sing, separatrices = tuple(sorted(self.sing.items())), _pairs(self.adj)
         else:
             # a rewrite that adds a point links it, so these are the input's
             # points less the dropped ones, some with a new tag
@@ -362,27 +367,23 @@ class _Work:
         adj = self.index()
         if v in adj[u]:
             return
-        sign = self.sing[u][1]
         # an endpoint without separatrices shares no tree with the other one;
         # a self-loop is a cycle all the same
-        if (self.sing[v][1] == sign and (u == v or adj[u] and adj.get(v))
-                and self._joined(u, v, sign)):
+        if (self.sing[v][1] == self.sing[u][1] and (u == v or adj[u] and adj.get(v))
+                and self._joined(u, v)):
             raise TightnessViolation(f"same-sign separatrix cycle through {u}")
         adj[u].add(v)
         adj[v].add(u)
 
-    def _joined(self, u: str, v: str, sign: str) -> bool:
-        """Whether a path of sign-``sign`` separatrices joins u to v."""
-        adj, sing, stack, seen = self.adj, self.sing, [u], {u}
-        while stack:
-            x = stack.pop()
-            if x == v:
-                return True
-            for w in adj.get(x, ()):
-                if w not in seen and sing[w][1] == sign:
-                    seen.add(w)
-                    stack.append(w)
-        return False
+    def __getitem__(self, x: str) -> list[str]:
+        """x's separatrix partners of x's own sign, read by ``_joined``'s walk."""
+        return [w for w in self.adj.get(x, ()) if self.sing[w][1] == self.sing[x][1]]
+
+    def _joined(self, u: str, v: str) -> bool:
+        """Whether a path of separatrices of u's sign joins u to v: the walk
+        from u over this copy's partners of the same sign (``__getitem__``)
+        stays in u's same-sign tree."""
+        return v in _reach(u, self)
 
     def drop(self, x: str) -> None:
         """Remove singularity x with every separatrix at it."""
@@ -588,12 +589,8 @@ def to_elliptic_form(state: FoliationState) -> tuple[FoliationState, SkeletonTre
         # the NAF boundary's negatives are elliptic until absorbed
         pool = [b for b in reversed(state.boundary) if sm[b][1] == "-"]
         free = {m: k for k, m in enumerate(pool)}  # still elliptic -> rank in pool
-        partners = defaultdict(list)  # each point's separatrices into the pool
-        for u, v in state.separatrices:
-            if v in free:
-                partners[u].append(v)
-            if u in free:
-                partners[v].append(u)
+        # only the separatrices into the pool: no other partner is read
+        partners = _index(e for e in state.separatrices if e[0] in free or e[1] in free)
         k = 0  # pool[:k] is absorbed already
         w = _Work(state)
         # a NAF boundary has no negative hyperbolic, so every h- is interior;

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from numbers import Real
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -256,9 +257,13 @@ def lagrangian_embeddedness_check(
     lobe two the rest of the curve, so beyond the sweep's candidate pairs
     the check costs O(n log n + hits) for n subsampled segments.  The areas
     differ from a per-lobe shoelace sum in the last digits only.
+    GeometryDegenerate if ``tolerance`` is not a finite real of at least 0
+    or ``max_segments`` is not an int of at least 1 (a bool is neither).
     """
-    if max_segments < 1:
-        raise GeometryDegenerate(f"max_segments {max_segments} below 1")
+    if isinstance(tolerance, bool) or not (isinstance(tolerance, Real) and 0 <= tolerance < np.inf):
+        raise GeometryDegenerate(f"tolerance {tolerance!r} is not a finite real >= 0")
+    if type(max_segments) is not int or max_segments < 1:  # a bool is no count
+        raise GeometryDegenerate(f"max_segments {max_segments!r} is not an integer of at least 1")
     step = max(1, len(lc.x) // max_segments)
     x = np.append(lc.x[::step], lc.x[0])
     y = np.append(lc.y[::step], lc.y[0])

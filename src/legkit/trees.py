@@ -56,13 +56,25 @@ the left edges and collects each vertex's right ends, its children in the
 front.  Normalization copies its tree once into a mutable adjacency, grows
 the canonical broom's path on it from an edge the tree already has, moving
 each vertex at most twice, and builds one tree at the end.
+
+Graphs of pairs, here and in ``foliation``, have one index, one freeze and
+one walk: ``_index`` maps each end of some pairs to the set of its
+partners, ``_pairs`` freezes such an index back to the sorted tuple of its
+pairs (u, w) with u < w, and ``_reach`` maps each point reachable from a
+root to its neighbor towards the root, breadth first.  A tree's
+connectivity check, the normalization's working copy and its frozen tree
+and the broom walk's parent map use them.  Three loops stay their own,
+each for its order: the ordered neighbor table (increasing tuples without
+a sort, which sets cannot give), ``_dfs_order`` (its preorder is
+spread_embedding's x order) and walk_to_broom's branch list (its order is
+the move order).
 """
 
 from __future__ import annotations
 
 import random
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -141,6 +153,7 @@ class SignedTree:
     def _adjacency(self) -> Mapping[int, tuple[int, ...]]:
         """Neighbors of each vertex in increasing order: a vertex's pairs (u, v)
         come before its pairs (v, w), each run in order, as the edges are sorted.
+        Not ``_index``: its sets would need a sort per vertex for this order.
 
         Read only after ``__post_init__`` has checked that every edge is a
         pair of vertices.
@@ -169,14 +182,7 @@ class SignedTree:
         if len(edges) != len(sm) - 1:
             raise NotATree(f"{len(edges)} edges on {len(sm)} vertices is not a tree")
         # connectivity; the count leaves at least one vertex
-        adj, root = self._adjacency, self.signs[0][0]
-        seen, frontier = {root}, [root]
-        while frontier:
-            for w in adj[frontier.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if len(seen) != len(sm):
+        if len(_reach(self.signs[0][0], self._adjacency)) != len(sm):
             raise NotATree("edge set is not connected")
         if any(map(eq, map(sm.__getitem__, us), map(sm.__getitem__, ws))):
             u, w = next(e for e in edges if sm[e[0]] == sm[e[1]])
@@ -209,6 +215,33 @@ def _ends(edges) -> tuple[tuple[int, ...], tuple[int, ...]]:
         and (k == 0 or edges[k - 1] < e)))
     raise NotATree(f"repeated edge {e[0]}-{e[1]}" if k and edges[k - 1] == e else
                    f"edge {k}, {e!r}, is not an int pair (u, w), u < w, in sorted order")
+
+
+def _index(pairs: Iterable[tuple]) -> defaultdict:
+    """Each end of ``pairs`` to the set of its partners, added in pair order."""
+    index = defaultdict(set)
+    for u, w in pairs:
+        index[u].add(w)
+        index[w].add(u)
+    return index
+
+
+def _pairs(index: Mapping) -> tuple[tuple, ...]:
+    """An index frozen back to the sorted tuple of its pairs (u, w), u < w."""
+    return tuple(sorted((u, w) for u, ws in index.items() for w in ws if u < w))
+
+
+def _reach(root, neighbors: Mapping) -> dict:
+    """Each point reachable from ``root`` to its neighbor towards ``root``
+    (``root`` to itself), breadth first; ``neighbors[x]`` is read once for
+    each point x reached, so it needs no key for a point not reached."""
+    parent, queue = {root: root}, [root]
+    for u in queue:
+        for w in neighbors[u]:
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+    return parent
 
 
 @dataclass(frozen=True)
@@ -384,11 +417,10 @@ class _TreeWork:
 
     def __init__(self, t: SignedTree):
         self.tree = t
-        self.adj = {v: set(t.neighbors(v)) for v in t.vertices}
+        self.adj = _index(t.edges)
 
     def freeze(self) -> SignedTree:
-        edges = sorted((u, w) for u, ws in self.adj.items() for w in ws if u < w)
-        return SignedTree(self.tree.signs, tuple(edges))
+        return SignedTree(self.tree.signs, _pairs(self.adj))
 
     def end_of(self, edge: tuple[int, int]) -> tuple[int, int]:
         """(attachment, end vertex) of an end edge; either on a single-edge tree."""
@@ -428,7 +460,9 @@ class _TreeWork:
         branch beyond it, leaves first, onto the end or its path neighbor by
         sign (onto the hub once it is placed, for hub leaves); then x moves
         onto the end.  Built vertices never move, so no vertex moves more
-        than twice.  Returns the moves.
+        than twice.  Returns the moves.  The branch beyond x is listed by its
+        own breadth-first loop, not ``_reach``: it must not walk back through
+        x's parent, and its order is the order the moves are made and printed.
         """
         sm, adj = self.tree.sign_map, self.adj
         seeds = [i for i in range(len(order) - 1) if order[i + 1] in adj[order[i]]]
@@ -440,13 +474,7 @@ class _TreeWork:
             # or the q of them would span 2q edges among the 2q path vertices
             lo = next(i for i in range(0, len(order), 2) if len(adj[order[i]]) == 1)
         hi, last, hub = lo + 1, len(order) - 1, order[-1]
-        parent = {order[hi]: order[hi]}  # each vertex's neighbor towards the built path
-        queue = [order[hi]]
-        for u in queue:
-            for w in adj[u]:
-                if w not in parent:
-                    parent[w] = u
-                    queue.append(w)
+        parent = _reach(order[hi], adj)  # each vertex's neighbor towards the built path
         moves: list[Move] = []
 
         def shift(v: int, target: int) -> None:
@@ -652,7 +680,8 @@ def spread_embedding(t: SignedTree) -> AcceptableEmbedding:
 
 def _dfs_order(t: SignedTree, root: int) -> list[int]:
     """Depth-first preorder from root, smaller neighbor ids first; a tree
-    pushes each vertex once."""
+    pushes each vertex once.  Not ``_reach``, which is breadth first: this
+    preorder is spread_embedding's x order, so its outputs depend on it."""
     order: list[int] = []
     stack = [root]
     seen: set[int] = set()

@@ -204,6 +204,12 @@ NOT_INTS = {
     "up_to(True)": lambda: cl.exceptional_unknot_classes(-1).up_to(True),
     "exceptional_unknot_classes(-1.0)": lambda: cl.exceptional_unknot_classes(-1.0),
     "(True, 0) in classes": lambda: (True, 0) in cl.exceptional_unknot_classes(-1),
+    "classify_loose float tb": lambda: cl.classify_loose(XI, (-2.0, 1), (-2, 1)),
+    "classify_loose bool r": lambda: cl.classify_loose(XI, (2, 1), (2, True)),
+    "loose_check bool tb": lambda: cl.loose_check(XI, True, True),
+    "loose_check float tb": lambda: cl.loose_check(XI, -1.0, True),
+    "overtwisted(True)": lambda: cl.ContactStructureTag.overtwisted(True),
+    "overtwisted(-1.0)": lambda: cl.ContactStructureTag.overtwisted(-1.0),
 }
 
 
@@ -212,6 +218,13 @@ def test_non_int_inputs_raise(call):
     # each returned a value computed from the float or bool, or ended in a bare TypeError
     with pytest.raises(BadInvariants, match="must be an integer"):
         call()
+
+
+@pytest.mark.parametrize("d3", [1.5, "1/2"], ids=repr)
+def test_hopf_from_d3_of_neither_int_nor_fraction_raises(d3):
+    # 1.5 ended in a bare AttributeError, "1/2" in a bare TypeError
+    with pytest.raises(BadInvariants, match="must be an int or a Fraction"):
+        cl.hopf_from_d3(d3)
 
 
 def former_to_json(v):

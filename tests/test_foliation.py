@@ -14,6 +14,7 @@ from legkit import fronts as fr
 from legkit.errors import (
     BadInvariants,
     BadLeaves,
+    BadLocator,
     NotATree,
     NotConnected,
     NotEllipticForm,
@@ -908,10 +909,13 @@ def ref_is_elliptic_form(state):
 
 def assert_facts_match_reference(state):
     ref = to_ref(state)
-    for locus in (None, fo.BOUNDARY, fo.INTERIOR, "elsewhere"):
+    for locus in (None, fo.BOUNDARY, fo.INTERIOR):
         want = ref_counts(ref, locus)
         assert state.counts(locus) == want, locus
         assert state.identity_differences(locus) == (want["e+"] - want["h+"], want["e-"] - want["h-"])
+    # an unknown locus is refused, not read as all zeros
+    with pytest.raises(BadLocator):
+        state.counts("elsewhere")
     assert state._alternates == ref_alternating(ref)
     assert state.is_naf() == ref_is_naf(ref)
     assert state.is_reduced() == ref_is_reduced(ref)
@@ -949,6 +953,16 @@ def test_counts_returns_a_fresh_dict():
     assert s.counts() == ref_counts(to_ref(s))
     assert s.counts(fo.INTERIOR) is not s.counts(fo.INTERIOR)
     assert s.is_reduced() == ref_is_reduced(to_ref(s))
+
+
+@pytest.mark.parametrize("locus", ["interor", "Boundary", "", 0, ("interior",), ["boundary"]],
+                         ids=repr)
+def test_unknown_locus_raises(locus):
+    # each read as all zeros, or a list ended in a bare TypeError
+    s = fo.init_boundary(-5, 2)
+    for ask in (s.counts, s.identity_differences):
+        with pytest.raises(BadLocator, match="is not None, 'boundary' or 'interior'"):
+            ask(locus)
 
 
 # ---------------------------------------------------------------------------

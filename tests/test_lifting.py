@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -615,11 +616,24 @@ class TestEmbeddedness:
             point=(0.0, 0.0), area_one=sign * areas[0], area_two=sign * areas[1], flagged=False),)
         assert rep == brute_force_embeddedness(lc)
 
-    @pytest.mark.parametrize("max_segments", [0, -3])
+    # True checked a one-segment polyline; 2.5 and "x" ended in a bare TypeError
+    @pytest.mark.parametrize("max_segments", [0, -3, True, 2.5, "x"])
     def test_max_segments_below_one(self, max_segments):
         lc = lift("L 1\nX 1\nR 1", 50)
         with pytest.raises(GeometryDegenerate):
             lf.lagrangian_embeddedness_check(lc, max_segments=max_segments)
+
+    @pytest.mark.parametrize("tolerance", [True, "x", float("nan"), -1.0, float("inf")], ids=repr)
+    def test_tolerance_not_a_finite_real_at_least_zero(self, tolerance):
+        # each was used as it came: NaN and -1.0 reported the curve embedded
+        lc = lift("L 1\nX 1\nR 1", 50)
+        with pytest.raises(GeometryDegenerate, match="is not a finite real >= 0"):
+            lf.lagrangian_embeddedness_check(lc, tolerance=tolerance)
+
+    @pytest.mark.parametrize("tolerance", [0, 1e-6, np.float64(1e-4), Fraction(1, 10**6)], ids=repr)
+    def test_tolerance_any_finite_real_at_least_zero(self, tolerance):
+        lc = lift("L 1\nX 1\nR 1", 50)
+        assert lf.lagrangian_embeddedness_check(lc, tolerance=tolerance).tolerance == tolerance
 
     @pytest.mark.parametrize("shift", range(6))
     @pytest.mark.parametrize("backwards", [False, True])

@@ -4,12 +4,14 @@ import itertools
 import math
 import pickle
 import random
+from collections import defaultdict
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legkit import foliation as fo
 from legkit import fronts as fr
 from legkit import trees as tr
 from legkit.errors import (
@@ -1590,3 +1592,127 @@ class TestPairsAgainstFormer:
         assert {v: t2.neighbors(v) for v in t.vertices} == adj
         assert emb2 == emb and "children" not in vars(emb2)
         assert emb2.children == kids == ref_children(emb2)
+
+
+# ---------------------------------------------------------------------------
+# The shared pair index, freeze and walk (_index, _pairs, _reach) against the
+# seven loops they replaced, kept here as references: SignedTree's
+# connectivity walk, _TreeWork's index and freeze, walk_to_broom's parent
+# map, the foliation working copy's index, freeze and same-sign walk
+# (_Work.index, _Work.freeze, _Work._joined) and to_elliptic_form's table
+# of each point's partners in the pool.
+
+
+def former_connected(adj, root):
+    """SignedTree.__post_init__: the points a walk from root reaches."""
+    seen, frontier = {root}, [root]
+    while frontier:
+        for w in adj[frontier.pop()]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
+def former_tree_work_index(vertices, neighbors):
+    """_TreeWork.__init__: each vertex to the set of its neighbors."""
+    return {v: set(neighbors(v)) for v in vertices}
+
+
+def former_tree_work_freeze(adj):
+    """_TreeWork.freeze, less the tree it builds."""
+    edges = sorted((u, w) for u, ws in adj.items() for w in ws if u < w)
+    return tuple(edges)
+
+
+def former_parent(adj, root):
+    """walk_to_broom: each vertex's neighbor towards root, breadth first."""
+    parent = {root: root}
+    queue = [root]
+    for u in queue:
+        for w in adj[u]:
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+    return parent
+
+
+def former_work_index(pairs):
+    """_Work.index(): each endpoint to the set of its partners."""
+    adj = defaultdict(set)
+    for u, v in pairs:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def former_work_freeze(adj):
+    """The indexed branch of _Work.freeze, less the state it builds."""
+    return tuple(sorted((u, v) for u, vs in adj.items() for v in vs if u < v))
+
+
+def former_joined(adj, sing, u, v, sign):
+    """_Work._joined: whether a path of sign-``sign`` pairs joins u to v."""
+    stack, seen = [u], {u}
+    while stack:
+        x = stack.pop()
+        if x == v:
+            return True
+        for w in adj.get(x, ()):
+            if w not in seen and sing[w][1] == sign:
+                seen.add(w)
+                stack.append(w)
+    return False
+
+
+def former_partners(pairs, free):
+    """to_elliptic_form: each point's partners in ``free``, in pair order."""
+    partners = defaultdict(list)
+    for u, v in pairs:
+        if v in free:
+            partners[u].append(v)
+        if u in free:
+            partners[v].append(u)
+    return partners
+
+
+@st.composite
+def pair_graphs(draw):
+    """Points 0..n-1, some on no pair, a list of pairs among them with
+    repeated pairs, cycles and self-loops, a sign per point and a root."""
+    n = draw(st.integers(1, 12))
+    point = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(point, point), max_size=3 * n))
+    signs = draw(st.lists(st.sampled_from("+-"), min_size=n, max_size=n))
+    return n, pairs, signs, draw(point)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_graphs())
+def test_pair_index_freeze_and_walk_match_the_loops_they_replaced(graph):
+    n, pairs, signs, root = graph
+    index, former = tr._index(pairs), former_work_index(pairs)
+    # the same sets, filled in the same order, so they iterate alike
+    assert index == former and all(list(index[v]) == list(former[v]) for v in former)
+    def neighbors(v):
+        return [w if u == v else u for u, w in pairs if v in (u, w)]
+
+    assert index == {v: ws for v, ws in former_tree_work_index(range(n), neighbors).items() if ws}
+    assert tr._pairs(index) == former_work_freeze(index) == former_tree_work_freeze(index)
+    assert tr._pairs(index) == tuple(sorted({(min(e), max(e)) for e in pairs if e[0] != e[1]}))
+    adj = {v: index.get(v, set()) for v in range(n)}
+    parent = tr._reach(root, adj)
+    assert list(parent.items()) == list(former_parent(adj, root).items())
+    assert parent.keys() == former_connected(adj, root)
+    # the same-sign walk, as a mapping and through the working copy that reads it
+    sing = {v: "e" + s for v, s in enumerate(signs)}
+    same = {v: [w for w in adj[v] if signs[w] == signs[v]] for v in range(n)}
+    work = fo._Work(fo.FoliationState(-1, 0, (), tuple(sorted(sing.items())), tuple(pairs)))
+    work.index()
+    for v in range(n):
+        joined = former_joined(index, sing, root, v, signs[root])
+        assert (v in tr._reach(root, same)) == work._joined(root, v) == joined
+    free = set(range(0, n, 2))
+    partners = tr._index(e for e in pairs if e[0] in free or e[1] in free)
+    table = former_partners(pairs, free)
+    assert all({m for m in partners[v] if m in free} == set(table[v]) for v in range(n))
