@@ -20,7 +20,10 @@ both loose pairs, sl, lk, the slope n, the hopf index, up_to's bound and a
 pair tested for membership) must be ints, never bools or floats, or they
 raise BadInvariants, as does a d3 for hopf_from_d3 that is neither an int
 nor a Fraction; a tight invariant pair that is not of ints is an
-invalid-invariants verdict.
+invalid-invariants verdict.  Every invariant pair, tight or loose, and a
+pair tested for membership must be a tuple or list of exactly two items,
+read as a tuple, and an at_infinity flag must be a bool, or they raise
+BadInvariants.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ class ContactStructureTag(NamedTuple):
     @staticmethod
     def overtwisted(h: int, at_infinity: bool = False) -> "ContactStructureTag":
         _check_ints("hopf", h)
+        if type(at_infinity) is not bool:  # "no" would read as overtwisted at infinity
+            raise BadInvariants(f"at_infinity must be a bool, got {at_infinity!r}")
         return ContactStructureTag(OVERTWISTED, hopf=h, at_infinity=at_infinity)
 
     @property
@@ -88,14 +93,11 @@ def classify_tight_unknot(
     a: tuple[int, int], b: tuple[int, int]
 ) -> ClassificationVerdict:
     """Decide Legendrian isotopy of tight unknots from their invariant pairs."""
+    a, b = _pair(a), _pair(b)
     for pair in (a, b):
         if not in_unknot_range(*pair):
-            return ClassificationVerdict(
-                status="invalid-invariants",
-                inputs=(a, b),
-                citation=CITE_RANGE,
-                detail=f"{pair} is not realized by a tight unknot",
-            )
+            return ClassificationVerdict("invalid-invariants", (a, b), citation=CITE_RANGE,
+                                         detail=f"{pair} is not realized by a tight unknot")
     if a == b:
         rep = serialize_front(catalog_front(*a))
         return ClassificationVerdict(
@@ -129,32 +131,30 @@ def classify_loose(
     """Coarse classification of loose unknots, upgraded to isotopy when possible."""
     if not tag.is_overtwisted:
         raise NotOvertwisted("classify_loose needs an overtwisted ambient structure")
+    a, b = _pair(a), _pair(b)
     _check_ints("tb and r", *a, *b)
     if a != b:
-        return ClassificationVerdict(
-            status="not-coarsely-equivalent", inputs=(a, b), citation=CITE_COARSE
-        )
-    if a[0] < 0:
-        return ClassificationVerdict(
-            status="coarsely-equivalent-and-isotopic",
-            inputs=(a, b),
-            citation=CITE_COARSE_ISO,
-        )
-    if tag.at_infinity:
-        return ClassificationVerdict(
-            status="coarsely-equivalent-and-isotopic",
-            inputs=(a, b),
-            citation=CITE_DYMARA,
-        )
-    return ClassificationVerdict(
-        status="coarsely-equivalent", inputs=(a, b), citation=CITE_COARSE
-    )
+        status, citation = "not-coarsely-equivalent", CITE_COARSE
+    elif a[0] < 0:
+        status, citation = "coarsely-equivalent-and-isotopic", CITE_COARSE_ISO
+    elif tag.at_infinity:
+        status, citation = "coarsely-equivalent-and-isotopic", CITE_DYMARA
+    else:
+        status, citation = "coarsely-equivalent", CITE_COARSE
+    return ClassificationVerdict(status, (a, b), citation=citation)
 
 
 def _check_ints(name: str, *values) -> None:
     for v in values:
         if type(v) is not int:  # a bool or a float is no invariant
             raise BadInvariants(f"{name} must be an integer, got {v!r}")
+
+
+def _pair(p) -> tuple:
+    """p as a tuple, so a list and a tuple of the same pair compare equal."""
+    if not isinstance(p, (tuple, list)) or len(p) != 2:  # (-3, 0, 5) is no (tb, r)
+        raise BadInvariants(f"an invariant pair must be (tb, r), got {p!r}")
+    return tuple(p)
 
 
 class ExceptionalClasses:
@@ -165,7 +165,7 @@ class ExceptionalClasses:
         self.hopf = hopf
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        tb, r = pair
+        tb, r = _pair(pair)
         _check_ints("tb and r", tb, r)
         if self.hopf != -1:
             return False

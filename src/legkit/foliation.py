@@ -35,7 +35,12 @@ else once, when first asked: the id map, the per-locus tag counts,
 boundary alternation, the NAF verdict (positive boundary points
 hyperbolic, negative ones elliptic), the connections and their skeleton
 tree; counts(), identity_differences(), the is_* checks and
-extract_skeleton read them.
+extract_skeleton read them.  Every boundary fact reads one column, the
+boundary points' tags in cycle order (``_btags``), the only per-point
+lookup: alternation is one comparison of its sign characters with
+"+-" * k or "-+" * k, the NAF verdict one set inclusion and the boundary
+tally one count, to_naf's todo list (empty when the verdict holds) and
+to_elliptic_form's pool are one filter of it.
 The connections (the arc families between elliptic points) exist only in
 elliptic form with a reduced interior whose elliptic points can be the
 skeleton's vertices (1 - tb of them, signed to give r), where they are
@@ -54,10 +59,11 @@ copy indexes the separatrices only when a rewrite first walks or tests
 them, with the pair index ``trees`` shares (``_index``), and freezes that
 index with the shared freeze (``_pairs``); a copy that never indexed
 (to_elliptic_form's absorbs, which read each hyperbolic's boundary
-partners from one ``_index`` of the separatrices with an end in the pool)
-freezes by filtering the input's sorted tuples: its surviving pairs are
-the input's own objects and nothing is sorted.  init_boundary builds its
-start state directly, as two sorted tuples and no working copy.
+partners from a table that lists each point's partners in the pool and
+no other) freezes by filtering the input's sorted tuples: its surviving
+pairs are the input's own objects and nothing is sorted.  init_boundary
+builds its start state directly, as two sorted tuples and no working
+copy, from one column of boundary tags whose kinds it checks in one pass.
 to_elliptic_form returns its state with the skeleton tree, built and
 checked once; no region decomposition is built.  The atomic
 rewrites (eliminate, convert, create_pair, rewire) check their arguments
@@ -77,7 +83,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, cycle
-from operator import ne
+from operator import add
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
@@ -100,11 +106,11 @@ ELLIPTIC = "e"
 HYPERBOLIC = "h"
 BOUNDARY = "boundary"
 INTERIOR = "interior"
+_KINDS = (ELLIPTIC, HYPERBOLIC)  # a tuple: an unhashable kind is refused, not a TypeError
 # A singularity's tag: its kind, then its sign; tag[1] is "+" or "-".
 _TAGS = ("e+", "h+", "e-", "h-")
-_NAF = ("h+", "e-")  # the tags a NAF boundary has: + hyperbolic, - elliptic
+_NAF = frozenset(("h+", "e-"))  # the tags a NAF boundary has: + hyperbolic, - elliptic
 _FLIP = {"e+": "h+", "h+": "e+", "e-": "h-", "h-": "e-"}  # a conversion's kind flip
-_SIGN = {"+": 1, "-": -1}
 
 
 class RewriteStep(NamedTuple):
@@ -141,10 +147,16 @@ class FoliationState:
         return frozenset(self.boundary)
 
     @cached_property
+    def _btags(self) -> tuple[str, ...]:
+        """The boundary points' tags in cycle order: every boundary fact's one
+        lookup per point."""
+        return tuple(map(self.sing_map.__getitem__, self.boundary))
+
+    @cached_property
     def _tallies(self) -> dict[Optional[str], dict[str, int]]:
         """Tag counts per locus and over all loci (key None)."""
         total = Counter(self.sing_map.values())
-        bnd = Counter(map(self.sing_map.__getitem__, self.boundary))
+        bnd = Counter(self._btags)
         return {None: {t: total[t] for t in _TAGS}, BOUNDARY: {t: bnd[t] for t in _TAGS},
                 INTERIOR: {t: total[t] - bnd[t] for t in _TAGS}}
 
@@ -156,8 +168,8 @@ class FoliationState:
         sorted id pairs."""
         if not (self.is_elliptic_form() and self.is_reduced()):
             return (), (), ()
-        ids = tuple(i for i, t in self.sing if t[0] == ELLIPTIC)
-        signs = tuple(_SIGN[t[1]] for _, t in self.sing if t[0] == ELLIPTIC)
+        ids, signs = tuple(zip(*[(i, 1 if t == "e+" else -1)
+                                 for i, t in self.sing if t[0] == ELLIPTIC])) or ((), ())
         if (len(ids), SIGMA * sum(signs)) != (1 - self.tb, self.r):
             return (), (), ()
         return ids, signs, _broom(signs, range(len(ids)))[0]
@@ -182,12 +194,13 @@ class FoliationState:
 
     @cached_property
     def _alternates(self) -> bool:
-        signs = [self.sing_map[b][1] for b in self.boundary]
-        return all(map(ne, signs, signs[1:] + signs[:1]))
+        signs = "".join(self._btags)[1::2]  # each tag's second character
+        half = len(signs) // 2  # an odd cycle cannot alternate, nor match
+        return signs == "+-" * half or signs == "-+" * half
 
     @cached_property
     def _naf(self) -> bool:
-        return all(self.sing_map[b] in _NAF for b in self.boundary) and self._alternates
+        return _NAF.issuperset(self._btags) and self._alternates
 
     def counts(self, locus: Optional[str] = None) -> dict[str, int]:
         """Tag counts over all loci (None), on the BOUNDARY or in the INTERIOR."""
@@ -246,19 +259,18 @@ def init_boundary(tb: int, r: int,
         raise BadInvariants(f"boundary_kinds must be a sequence, got {boundary_kinds!r}")
     elif len(boundary_kinds) != 2 * n:
         raise BadInvariants(f"boundary_kinds must list {2 * n} kinds, got {len(boundary_kinds)}")
-    sing: dict[str, str] = {}
+    elif not all(map(_KINDS.__contains__, boundary_kinds)):
+        raise BadInvariants(f"bad kind {next(k for k in boundary_kinds if k not in _KINDS)!r}")
     boundary = [f"b{i}" for i in range(2 * n)]  # signs alternate from b0 = +
-    pend = {"+": 0, "-": 0}  # pending NAF conversions
-    for ident, kind, sign in zip(boundary, boundary_kinds, cycle("+-")):
-        if kind not in (ELLIPTIC, HYPERBOLIC):
-            raise BadInvariants(f"bad kind {kind!r}")
-        sing[ident] = kind + sign
-        pend[sign] += sing[ident] not in _NAF
+    tags = list(map(add, boundary_kinds, cycle("+-")))
+    sing = dict(zip(boundary, tags))
+    # the pending NAF conversions: positive elliptics, negative hyperbolics
+    plus, minus = tags[0::2].count("e+"), tags[1::2].count("h-")
     seed = {
-        "e+": max(0, e_target - 2 * pend["+"]),
-        "h+": max(0, 2 * pend["+"] - e_target),
-        "h-": max(0, h_target - 2 * pend["-"]),
-        "e-": max(0, 2 * pend["-"] - h_target),
+        "e+": max(0, e_target - 2 * plus),
+        "h+": max(0, 2 * plus - e_target),
+        "h-": max(0, h_target - 2 * minus),
+        "e-": max(0, 2 * minus - h_target),
     }
 
     spine = [f"p{j}" for j in range(e_target)]  # e_target >= 1 in range
@@ -506,7 +518,8 @@ def to_naf(state: FoliationState) -> FoliationState:
     """Convert boundary singularities until positives are hyperbolic, negatives elliptic."""
     if not state._alternates:
         raise PatternMismatch("boundary signs must alternate")
-    todo = [b for b in state.boundary if state.sing_map[b] not in _NAF]
+    todo = [] if state._naf else [b for b, t in zip(state.boundary, state._btags)
+                                  if t not in _NAF]
     if todo:
         w = _Work(state)
         for b in todo:
@@ -585,12 +598,15 @@ def to_elliptic_form(state: FoliationState) -> tuple[FoliationState, SkeletonTre
     if not state.connections:
         if not (state.is_naf() and state.is_reduced()):
             raise PatternMismatch("to_elliptic_form needs a reduced state with NAF boundary")
-        sm = state.sing_map
         # the NAF boundary's negatives are elliptic until absorbed
-        pool = [b for b in reversed(state.boundary) if sm[b][1] == "-"]
+        pool = [b for b, t in zip(state.boundary, state._btags) if t == "e-"][::-1]
         free = {m: k for k, m in enumerate(pool)}  # still elliptic -> rank in pool
-        # only the separatrices into the pool: no other partner is read
-        partners = _index(e for e in state.separatrices if e[0] in free or e[1] in free)
+        partners = defaultdict(list)  # each point's separatrices into the pool
+        for u, v in state.separatrices:
+            if v in free:
+                partners[u].append(v)
+            if u in free:
+                partners[v].append(u)
         k = 0  # pool[:k] is absorbed already
         w = _Work(state)
         # a NAF boundary has no negative hyperbolic, so every h- is interior;

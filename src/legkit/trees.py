@@ -61,13 +61,19 @@ Graphs of pairs, here and in ``foliation``, have one index, one freeze and
 one walk: ``_index`` maps each end of some pairs to the set of its
 partners, ``_pairs`` freezes such an index back to the sorted tuple of its
 pairs (u, w) with u < w, and ``_reach`` maps each point reachable from a
-root to its neighbor towards the root, breadth first.  A tree's
-connectivity check, the normalization's working copy and its frozen tree
-and the broom walk's parent map use them.  Three loops stay their own,
-each for its order: the ordered neighbor table (increasing tuples without
-a sort, which sets cannot give), ``_dfs_order`` (its preorder is
-spread_embedding's x order) and walk_to_broom's branch list (its order is
-the move order).
+root to its neighbor towards the root, breadth first.  The
+normalization's working copy and its frozen tree and the broom walk's
+parent map use them.  Three loops stay their own, each for its order: the
+ordered neighbor table (increasing tuples without a sort, which sets cannot
+give), ``_dfs_order`` (its preorder is spread_embedding's x order) and
+walk_to_broom's branch list (its order is the move order).
+
+A tree's check walks no graph: its V - 1 edges are connected exactly when
+they close no cycle, which one union-find pass over the sorted edges finds,
+and a valence is read from one count of the edge ends.  So the neighbor
+table is built only where neighbors are read (normalization, ``_dfs_order``
+and is_almost_linear), and a tree that is only built, embedded and turned
+into a front has none.
 """
 
 from __future__ import annotations
@@ -155,8 +161,9 @@ class SignedTree:
         come before its pairs (v, w), each run in order, as the edges are sorted.
         Not ``_index``: its sets would need a sort per vertex for this order.
 
-        Read only after ``__post_init__`` has checked that every edge is a
-        pair of vertices.
+        Built only when ``neighbors`` is first read (by normalization,
+        ``_dfs_order`` and ``is_almost_linear``): the check and ``valence``
+        do without it, so a tree that is only built and embedded has none.
         """
         adj: dict[int, list[int]] = {v: [] for v, _ in self.signs}
         for u, w in self.edges:
@@ -168,12 +175,22 @@ class SignedTree:
         """Neighbors of v in increasing order."""
         return self._adjacency.get(v, ())
 
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The u and the w column of the edges (``_ends``)."""
+        return _ends(self.edges)
+
+    @cached_property
+    def _valences(self) -> Counter:
+        """Each vertex's number of edge ends; a vertex on no edge is missing."""
+        return Counter(chain(*self._columns))
+
     def valence(self, v: int) -> int:
-        return len(self.neighbors(v))
+        return self._valences[v]
 
     def __post_init__(self):
         sm, edges = self.sign_map, self.edges
-        us, ws = _ends(edges)
+        us, ws = self._columns
         if not set(sm.values()) <= {1, -1}:
             raise BadSigning("vertex signs must be +1 or -1")
         if not (all(map(lt, us, ws)) and sm.keys() >= {*us, *ws}):
@@ -181,9 +198,17 @@ class SignedTree:
                 next(set(e) for e in edges if e[0] == e[1] or not sm.keys() >= set(e))))
         if len(edges) != len(sm) - 1:
             raise NotATree(f"{len(edges)} edges on {len(sm)} vertices is not a tree")
-        # connectivity; the count leaves at least one vertex
-        if len(_reach(self.signs[0][0], self._adjacency)) != len(sm):
-            raise NotATree("edge set is not connected")
+        # V - 1 edges are connected exactly when they close no cycle: one
+        # union-find pass, halving each path it climbs
+        up: dict[int, int] = {}  # a vertex to its parent; a root has none
+        for u, w in zip(us, ws):
+            while u in up:
+                up[u] = u = up.get(up[u], up[u])
+            while w in up:
+                up[w] = w = up.get(up[w], up[w])
+            if u == w:
+                raise NotATree("edge set is not connected")
+            up[u] = w
         if any(map(eq, map(sm.__getitem__, us), map(sm.__getitem__, ws))):
             u, w = next(e for e in edges if sm[e[0]] == sm[e[1]])
             raise BadSigning(f"adjacent vertices {u}, {w} share sign")
@@ -285,11 +310,12 @@ class AcceptableEmbedding:
             raise NotAcceptable(0, "coordinates must cover exactly the vertex set")
         if not self.tree.edges:
             raise NotAcceptable(1, "embedding needs at least one edge")
-        self.children  # checks conditions 2 and 3
+        children = self.children  # checks conditions 2 and 3
         # the left-most vertex is unique now: on the tree path between two
-        # vertices at the least x, the one of largest x has two left edges
+        # vertices at the least x, the one of largest x has two left edges;
+        # all its edges go right, so its children are all its neighbors
         root = self.leftmost
-        if self.tree.valence(root) != 1:
+        if len(children[root]) != 1:
             raise NotAcceptable(4, f"left-most vertex {root} is not an end vertex")
 
     @cached_property
@@ -672,9 +698,9 @@ def spread_embedding(t: SignedTree) -> AcceptableEmbedding:
     The root (left-most vertex) is the smallest-id end vertex.
     """
     # a one-vertex tree has no end vertex; the embedding check rejects it
-    order = _dfs_order(t, min((v for v in t.vertices if t.valence(v) == 1), default=t.vertices[0]))
-    n = len(order)
-    coords = {v: (Fraction(i), Fraction((i % 3) - 1, 4 * n)) for i, v in enumerate(order)}
+    order = _dfs_order(t, min((v for v, k in t._valences.items() if k == 1), default=t.vertices[0]))
+    ys = [Fraction(k - 1, 4 * len(order)) for k in range(3)]  # the three heights, made once
+    coords = {v: (Fraction(i), ys[i % 3]) for i, v in enumerate(order)}
     return AcceptableEmbedding.make(t, coords)
 
 

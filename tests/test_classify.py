@@ -260,3 +260,51 @@ def test_to_json_is_the_former_payload(name, make):
     assert v.status == name.split()[0]
     for w in (v, v._replace(detail="a detail"), v._replace(representative="L 1\nR 1")):
         assert w.to_json() == former_to_json(w)
+
+
+# Each input that is not a pair of exactly two ints, and an at_infinity that
+# is not a bool, raises BadInvariants; each was answered or ended in a bare
+# error.  An out-of-range pair of ints is still an invalid-invariants verdict.
+
+
+def test_classify_loose_refuses_a_triple():
+    # answered coarsely-equivalent-and-isotopic
+    with pytest.raises(BadInvariants, match=r"must be \(tb, r\)"):
+        cl.classify_loose(cl.ContactStructureTag.overtwisted(-1), (-3, 0, 5), (-3, 0, 5))
+
+
+def test_classify_loose_refuses_empty_pairs():
+    # ended in a bare IndexError
+    with pytest.raises(BadInvariants, match=r"must be \(tb, r\)"):
+        cl.classify_loose(cl.ContactStructureTag.overtwisted(-1), (), ())
+
+
+def test_classify_tight_unknot_refuses_a_triple():
+    # ended in a bare TypeError
+    for a, b in (((-3, 0, 5), (-3, 0)), ((-3, 0), (-3,)), ((-3, 0), -3)):
+        with pytest.raises(BadInvariants, match=r"must be \(tb, r\)"):
+            cl.classify_tight_unknot(a, b)
+    assert cl.classify_tight_unknot([-3, 0], (-2, 0)).status == "invalid-invariants"
+
+
+def test_a_list_and_a_tuple_of_one_pair_are_the_same_pair():
+    # answered not-isotopic and not-coarsely-equivalent
+    v = cl.classify_tight_unknot([-3, 0], (-3, 0))
+    assert (v.status, v.inputs) == ("isotopic", ((-3, 0), (-3, 0)))
+    xi = cl.ContactStructureTag.overtwisted(-1)
+    assert cl.classify_loose(xi, [-2, 1], (-2, 1)).status == "coarsely-equivalent-and-isotopic"
+
+
+def test_exceptional_membership_refuses_a_triple():
+    # ended in a bare ValueError
+    with pytest.raises(BadInvariants, match=r"must be \(tb, r\)"):
+        (-3, 0, 5) in cl.exceptional_unknot_classes(-1)
+    assert (2, 1) in cl.exceptional_unknot_classes(-1)
+
+
+@pytest.mark.parametrize("flag", ["no", 0, 1, None], ids=repr)
+def test_overtwisted_at_infinity_must_be_a_bool(flag):
+    # "no" was read as overtwisted at infinity
+    with pytest.raises(BadInvariants, match="at_infinity must be a bool"):
+        cl.ContactStructureTag.overtwisted(-1, at_infinity=flag)
+    assert cl.ContactStructureTag.overtwisted(-1, at_infinity=True).at_infinity is True

@@ -1,7 +1,8 @@
 import copy
 import itertools
+import operator
 import pickle
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields, replace
 
 import pytest
@@ -1475,3 +1476,135 @@ class TestMalformedArguments:
     def test_create_pair(self, sign):
         with pytest.raises(SignMismatch):
             fo.create_pair(fo.init_boundary(-3, 0), "leaf", sign)
+
+
+# ---------------------------------------------------------------------------
+# Former: the boundary facts as they were while each one looked every
+# boundary point up in the id map and compared its tag in Python, to_naf's
+# todo list and to_elliptic_form's pool built the same way, and the pool
+# partner table built with the shared pair index.  A state now reads them
+# from one column of boundary tags (_btags).
+
+
+def former_alternates(state):
+    signs = [state.sing_map[b][1] for b in state.boundary]
+    return all(map(operator.ne, signs, signs[1:] + signs[:1]))
+
+
+def former_naf(state):
+    return all(state.sing_map[b] in fo._NAF for b in state.boundary) and former_alternates(state)
+
+
+def former_tallies(state):
+    total = Counter(state.sing_map.values())
+    bnd = Counter(map(state.sing_map.__getitem__, state.boundary))
+    tags = ("e+", "h+", "e-", "h-")
+    return {None: {t: total[t] for t in tags}, fo.BOUNDARY: {t: bnd[t] for t in tags},
+            fo.INTERIOR: {t: total[t] - bnd[t] for t in tags}}
+
+
+def former_todo(state):
+    return [b for b in state.boundary if state.sing_map[b] not in fo._NAF]
+
+
+def former_absorbs(state):
+    """(q, m, rewired) per absorb, from the former pool and the partner table
+    of one ``_index`` of the separatrices with an end in the pool."""
+    sm = state.sing_map
+    pool = [b for b in reversed(state.boundary) if sm[b][1] == "-"]
+    free = {m: k for k, m in enumerate(pool)}
+    partners = tr._index(e for e in state.separatrices if e[0] in free or e[1] in free)
+    plan, k = [], 0
+    for q in (i for i, t in state.sing if t == "h-"):
+        shared = [m for m in partners[q] if m in free]
+        if shared:
+            m = min(shared, key=free.__getitem__)
+        else:
+            while pool[k] not in free:
+                k += 1
+            m = pool[k]
+        del free[m]
+        plan.append((q, m, not shared))
+    return plan
+
+
+def converted(before, after):
+    """The points the stage from ``before`` to ``after`` converted, in order."""
+    return [s.operands[0] for s in after.trace[len(before.trace):] if s.rule == "convert"]
+
+
+def absorbed(before, after):
+    """(q, m, rewired) per absorb of the stage from ``before`` to ``after``."""
+    steps, rewired, out = after.trace[len(before.trace):], set(), []
+    for s in steps:
+        if s.rule == "rewire":
+            rewired.add(s.operands[0])
+        elif s.rule == "absorb":
+            q, m = s.operands
+            out.append((q, m, (q, m) in rewired))
+    return out
+
+
+def assert_boundary_facts_match_former(state):
+    """The cached facts, then to_naf's todo list and to_elliptic_form's pool
+    and partner table as the conversions and absorbs they lead to."""
+    assert state._btags == tuple(state.sing_map[b] for b in state.boundary)
+    assert state._alternates == former_alternates(state)
+    assert state._naf == state.is_naf() == former_naf(state)
+    assert state._tallies == former_tallies(state)
+    got, want = _result(fo.to_naf, state), _result(former_to_naf, state)
+    assert got == want
+    if got[0] == "raised":
+        return
+    naf = got[1]
+    assert naf.trace == want[1].trace
+    assert converted(state, naf) == former_todo(state)
+    assert (naf is state) == (former_todo(state) == [])
+    reduced = _result(fo.reduce_interior, naf)
+    if reduced[0] == "raised" or reduced[1].connections:
+        return
+    final = _result(fo.to_elliptic_form, reduced[1])
+    if final[0] == "ok":
+        assert absorbed(reduced[1], final[1][0]) == former_absorbs(reduced[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(-n), st.sampled_from([r for r in range(-n + 1, n) if fr.in_unknot_range(-n, r)]),
+    st.lists(st.sampled_from((fo.ELLIPTIC, fo.HYPERBOLIC)), min_size=2 * n, max_size=2 * n))))
+def test_boundary_facts_match_former_on_random_boundaries(case):
+    state = fo.init_boundary(*case)
+    # the start state from one column of tags is the one linked point by point
+    assert state == former_init_boundary(*case)
+    assert_boundary_facts_match_former(state)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_boundary_facts_match_former_on_any_boundary_cycle(data):
+    """Any sequence of the state's points as its boundary: odd, empty,
+    repeated and not alternating ones too."""
+    tb, r = data.draw(st.sampled_from(SMALL))
+    state = fo.init_boundary(tb, r, _kinds(data.draw(st.sampled_from(PATTERNS)), tb))
+    ids = [i for i, _ in state.sing]
+    cycle = data.draw(st.lists(st.sampled_from(ids), max_size=12))
+    bent = replace(state, boundary=tuple(cycle))
+    assert bent._btags == tuple(bent.sing_map[b] for b in cycle)
+    assert bent._alternates == former_alternates(bent)
+    assert bent._naf == former_naf(bent)
+    assert bent._tallies == former_tallies(bent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_boundary_facts_match_former_after_converts_and_rewires(data):
+    tb, r = data.draw(st.sampled_from(SMALL))
+    state = fo.init_boundary(tb, r, _kinds(data.draw(st.sampled_from(PATTERNS)), tb))
+    assert_boundary_facts_match_former(state)
+    for _ in range(data.draw(st.integers(1, 8))):
+        op = data.draw(st.sampled_from(("convert", "rewire")))
+        try:
+            state = getattr(fo, op)(state, *_draw_args(data, op, state))
+        except (NotConnected, TightnessViolation, BadLeaves):
+            continue
+        assert_boundary_facts_match_former(state)

@@ -1716,3 +1716,128 @@ def test_pair_index_freeze_and_walk_match_the_loops_they_replaced(graph):
     partners = tr._index(e for e in pairs if e[0] in free or e[1] in free)
     table = former_partners(pairs, free)
     assert all({m for m in partners[v] if m in free} == set(table[v]) for v in range(n))
+
+
+# ---------------------------------------------------------------------------
+# Former: SignedTree's check as it was while it built the adjacency of every
+# tree and walked it once with _reach for connectivity, and the valence that
+# read the adjacency.  The check is now one union-find pass and valence an
+# end count, and neither builds the adjacency.
+
+
+def former_check(signs, edges):
+    """SignedTree.__post_init__ with its adjacency-plus-_reach connectivity check."""
+    sm = dict(signs)
+    us, ws = tr._ends(edges)
+    if not set(sm.values()) <= {1, -1}:
+        raise BadSigning("vertex signs must be +1 or -1")
+    if not (all(map(lambda u, w: u < w, us, ws)) and sm.keys() >= {*us, *ws}):
+        raise NotATree("bad edge {}".format(
+            next(set(e) for e in edges if e[0] == e[1] or not sm.keys() >= set(e))))
+    if len(edges) != len(sm) - 1:
+        raise NotATree(f"{len(edges)} edges on {len(sm)} vertices is not a tree")
+    if len(tr._reach(signs[0][0], ref_adjacency(signs, edges))) != len(sm):
+        raise NotATree("edge set is not connected")
+    if any(sm[u] == sm[w] for u, w in edges):
+        u, w = next(e for e in edges if sm[e[0]] == sm[e[1]])
+        raise BadSigning(f"adjacent vertices {u}, {w} share sign")
+
+
+def two_colouring(ids, edges):
+    """Signs that alternate along every edge of a forest, each component's
+    least id +1; a cycle of odd length keeps what its walk gave first."""
+    adj = tr._index(edges)
+    signs = {}
+    for root in ids:
+        if root not in signs:
+            signs[root] = 1
+            for v in tr._reach(root, adj):
+                for w in adj[v]:
+                    signs.setdefault(w, -signs[v])
+    return signs
+
+
+@st.composite
+def pair_lists(draw):
+    """1-40 points with distinct ids, and a sorted list of distinct pairs
+    (u, w), u < w, among them: mostly V - 1 of them, so the connectivity
+    check is reached, and cycles, forests and isolated points are all
+    drawn; the signs are random or alternate along the pairs."""
+    ids = sorted(draw(st.sets(st.integers(0, 60), min_size=1, max_size=40)))
+    n = len(ids)
+    every = [(u, w) for k, u in enumerate(ids) for w in ids[k + 1:]]
+    size = draw(st.sampled_from([n - 1] * 3 + [max(0, n - 2), n]))
+    size = min(size, len(every))
+    edges = tuple(sorted(draw(st.lists(st.sampled_from(every), min_size=size, max_size=size,
+                                       unique=True)) if every else []))
+    if draw(st.booleans()):
+        signs = two_colouring(ids, edges)
+    else:
+        signs = {v: draw(st.sampled_from((1, -1))) for v in ids}
+    return tuple(sorted(signs.items())), edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_lists())
+def test_tree_check_accepts_and_rejects_as_the_former_one(case):
+    signs, edges = case
+    want = tree_outcome(former_check, signs, edges)
+    assert tree_outcome(tr.SignedTree, signs, edges) == want
+    if want is None:
+        t = tr.SignedTree(signs, edges)
+        assert "_adjacency" not in vars(t)
+        assert {v: t.valence(v) for v in t.vertices} == {
+            v: len(ws) for v, ws in ref_adjacency(signs, edges).items()}
+        assert "_adjacency" not in vars(t)
+        assert all(t.valence(v) == len(t.neighbors(v)) for v in t.vertices)
+        assert dict(t._adjacency) == ref_adjacency(signs, edges)
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (5, ((0, 1), (0, 3), (1, 2), (2, 3)), "edge set is not connected"),  # a square, a point
+    (6, ((0, 1), (0, 2), (1, 2), (3, 4), (4, 5)), "edge set is not connected"),  # triangle, path
+    # two disjoint paths have one edge too few: the count names them first
+    (6, ((0, 1), (1, 2), (3, 4), (4, 5)), "4 edges on 6 vertices is not a tree"),
+])
+def test_disconnected_edge_sets_are_refused_as_before(n, edges, message):
+    signs = tuple((v, 1 - 2 * (v % 2)) for v in range(n))
+    assert tree_outcome(tr.SignedTree, signs, edges) == (NotATree, message)
+    assert tree_outcome(former_check, signs, edges) == (NotATree, message)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(2, 60))
+def test_valence_is_the_number_of_neighbors(seed, size):
+    emb = tr.random_acceptable_embedding(random.Random(seed), size)
+    t = tr.SignedTree(emb.tree.signs, emb.tree.edges)
+    assert [t.valence(v) for v in t.vertices] == [
+        len(ws) for ws in ref_adjacency(t.signs, t.edges).values()]
+    assert all(t.valence(v) == len(t.neighbors(v)) for v in t.vertices)
+    assert t.valence(max(t.vertices) + 1) == 0 == len(t.neighbors(max(t.vertices) + 1))
+
+
+def test_valence_costs_o1_once_counted(monkeypatch):
+    """valence reads one end count per tree: is_almost_linear on the 642-vertex
+    broom reads it for every vertex and counts the ends once."""
+    t = tr.catalog_tree(-641, 0).tree
+    counted = []
+    counter = tr.Counter
+
+    def counting(*args):
+        counted.append(args)
+        return counter(*args)
+
+    monkeypatch.setattr(tr, "Counter", counting)
+    fresh = tr.SignedTree(t.signs, t.edges)
+    assert fresh.is_almost_linear() and tr.spread_embedding(fresh).tree is fresh
+    assert len(counted) == 1
+
+
+def test_built_and_embedded_trees_have_no_adjacency():
+    emb = tr.catalog_tree(-641, 0)
+    assert "_adjacency" not in vars(emb.tree)
+    _, skeleton = fo.run_pipeline(-641, 0)
+    assert "_adjacency" not in vars(skeleton.tree)
+    # reading neighbors builds it
+    assert emb.tree.neighbors(0) == ref_adjacency(emb.tree.signs, emb.tree.edges)[0]
+    assert "_adjacency" in vars(emb.tree)

@@ -19,12 +19,18 @@ by the side's own package:
                       about 2t events: two copies of catalog_front(tb, 0), tb the
                       odd one of -t/2 and -t/2 - 1, one clasped inside the other
     realize_front     realize_front of the traced knot diagram
+    signed_tree       SignedTree(signs, edges) of catalog_tree(-t, 0)'s tree: the check alone
+    init_boundary     init_boundary(-t, 0)
+    to_naf            to_naf of a new init_boundary(-t, 0): its boundary facts, nothing to convert
+    to_elliptic_form  to_elliptic_form of a new reduced state of (-t, 0)
+    raw_pipeline      to_naf, reduce_interior and to_elliptic_form of a new all-elliptic
+                      init_boundary(-t, 0); only for t <= 641 (RAW_MAX)
 
 The output is one JSON object: per layer and side, the median over the
 processes of each process's best time in ms, the collections per call of
 each GC generation (read from ``gc.callbacks``, averaged over every timed
-call), and the least-squares slope of log(ms) against log(t).  Only the
-standard library is used.
+call), and the least-squares slope of log(ms) against log(t), over the
+layer's sizes (``sizes_tb``).  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -49,7 +55,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 LAYERS = ("catalog_tree", "build_front", "trace_components", "invariant_pair",
-          "linking_matrix", "realize_front")
+          "linking_matrix", "realize_front", "signed_tree", "init_boundary", "to_naf",
+          "to_elliptic_form", "raw_pipeline")
+RAW_MAX = 641  # raw_pipeline's largest |tb|: the raw stages are measured up to tb = -641
+
+
+def layer_sizes(layer: str, sizes: list[int]) -> list[int]:
+    """The sizes a layer is timed at: all of them, but raw_pipeline's capped."""
+    return [t for t in sizes if layer != "raw_pipeline" or t <= RAW_MAX]
 
 
 def load(name: str, package_dir: Path):
@@ -59,7 +72,8 @@ def load(name: str, package_dir: Path):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return {m: importlib.import_module(f"{name}.{m}") for m in ("fronts", "trees", "render")}
+    return {m: importlib.import_module(f"{name}.{m}")
+            for m in ("fronts", "trees", "render", "foliation")}
 
 
 def nest(fronts, outer, inner):
@@ -75,7 +89,7 @@ def setups(pkg, t: int) -> dict:
     """Per layer, a function that builds a fresh input and returns the call
     to time.  Only events are kept between calls, so no diagram that an
     earlier call traced is alive to share its trace with the next."""
-    fronts, trees, render = pkg["fronts"], pkg["trees"], pkg["render"]
+    fronts, trees, render, fo = pkg["fronts"], pkg["trees"], pkg["render"], pkg["foliation"]
     emb = trees.catalog_tree(-t, 0)
     knot = trees.catalog_front(-t, 0).events
     part = trees.catalog_front(-(t // 2 | 1), 0)  # odd tb: (tb, 0) is an unknot's
@@ -102,6 +116,18 @@ def setups(pkg, t: int) -> dict:
         d = traced(knot)
         return lambda: render.realize_front(d)
 
+    def naf():
+        s = fo.init_boundary(-t, 0)
+        return lambda: fo.to_naf(s)
+
+    def elliptic():
+        s = fo.reduce_interior(fo.to_naf(fo.init_boundary(-t, 0)))
+        return lambda: fo.to_elliptic_form(s)
+
+    def raw():
+        s = fo.init_boundary(-t, 0, [fo.ELLIPTIC] * (2 * t))
+        return lambda: fo.to_elliptic_form(fo.reduce_interior(fo.to_naf(s)))
+
     return {
         "catalog_tree": lambda: lambda: trees.catalog_tree(-t, 0),
         "build_front": lambda: lambda: trees.build_front(emb),
@@ -109,6 +135,11 @@ def setups(pkg, t: int) -> dict:
         "invariant_pair": invariants,
         "linking_matrix": linking,
         "realize_front": realize,
+        "signed_tree": lambda: lambda: trees.SignedTree(emb.tree.signs, emb.tree.edges),
+        "init_boundary": lambda: lambda: fo.init_boundary(-t, 0),
+        "to_naf": naf,
+        "to_elliptic_form": elliptic,
+        "raw_pipeline": raw,
     }
 
 
@@ -125,7 +156,7 @@ def worker(parent_dir: Path, sizes: list[int], runs: int, parent_first: bool) ->
     out = {layer: {side: {"ms": [], "gc": []} for side in SIDES} for layer in LAYERS}
     for t in sizes:
         made = {side: setups(pkgs[side], t) for side in SIDES}
-        for layer in LAYERS:
+        for layer in (layer for layer in LAYERS if t in layer_sizes(layer, sizes)):
             best = {side: math.inf for side in SIDES}
             gcs = {side: [0, 0, 0] for side in SIDES}
             gc.collect()
@@ -193,7 +224,8 @@ def main(argv: list[str]) -> int:
 
     layers = {}
     for layer in LAYERS:
-        layers[layer] = {}
+        ts = layer_sizes(layer, sizes)
+        layers[layer] = {"sizes_tb": [-t for t in ts]}
         for side in SIDES:
             per_process = [run[layer][side]["ms"] for run in runs]
             ms = [statistics.median(col) for col in zip(*per_process)]
@@ -203,7 +235,7 @@ def main(argv: list[str]) -> int:
                 "ms": [round(v, 4) for v in ms],
                 "ms_per_process": [[round(v, 4) for v in p] for p in per_process],
                 "gc_per_call": gcs,
-                "slope": round(slope(sizes, ms), 3) if len(sizes) > 1 else None,
+                "slope": round(slope(ts, ms), 3) if len(ts) > 1 else None,
             }
     report = {
         "tool": "tools/layer_scaling.py",
