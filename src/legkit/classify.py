@@ -23,7 +23,9 @@ nor a Fraction; a tight invariant pair that is not of ints is an
 invalid-invariants verdict.  Every invariant pair, tight or loose, and a
 pair tested for membership must be a tuple or list of exactly two items,
 read as a tuple, and an at_infinity flag must be a bool, or they raise
-BadInvariants.
+BadInvariants.  loose_check and classify_loose check the hopf and the
+at_infinity of their tag as ContactStructureTag.overtwisted does, so a tag
+built directly from bad parts raises BadInvariants too.
 """
 
 from __future__ import annotations
@@ -59,10 +61,7 @@ class ContactStructureTag(NamedTuple):
 
     @staticmethod
     def overtwisted(h: int, at_infinity: bool = False) -> "ContactStructureTag":
-        _check_ints("hopf", h)
-        if type(at_infinity) is not bool:  # "no" would read as overtwisted at infinity
-            raise BadInvariants(f"at_infinity must be a bool, got {at_infinity!r}")
-        return ContactStructureTag(OVERTWISTED, hopf=h, at_infinity=at_infinity)
+        return _overtwisted(ContactStructureTag(OVERTWISTED, hopf=h, at_infinity=at_infinity))
 
     @property
     def is_overtwisted(self) -> bool:
@@ -110,8 +109,7 @@ def loose_check(
     tag: ContactStructureTag, tb: int, topologically_trivial: bool
 ) -> ClassificationVerdict:
     """One-directional looseness test: trivial knots with tb <= 0 are loose."""
-    if not tag.is_overtwisted:
-        raise NotOvertwisted("looseness is only defined in overtwisted structures")
+    _overtwisted(tag, "looseness")
     _check_ints("tb", tb)
     if topologically_trivial and tb <= 0:
         return ClassificationVerdict(
@@ -129,8 +127,7 @@ def classify_loose(
     tag: ContactStructureTag, a: tuple[int, int], b: tuple[int, int]
 ) -> ClassificationVerdict:
     """Coarse classification of loose unknots, upgraded to isotopy when possible."""
-    if not tag.is_overtwisted:
-        raise NotOvertwisted("classify_loose needs an overtwisted ambient structure")
+    _overtwisted(tag, "classify_loose")
     a, b = _pair(a), _pair(b)
     _check_ints("tb and r", *a, *b)
     if a != b:
@@ -142,6 +139,17 @@ def classify_loose(
     else:
         status, citation = "coarsely-equivalent", CITE_COARSE
     return ClassificationVerdict(status, (a, b), citation=citation)
+
+
+def _overtwisted(tag: ContactStructureTag, what: str = "") -> ContactStructureTag:
+    """tag, if it is overtwisted (NotOvertwisted if not), of an int hopf and
+    a bool at_infinity (BadInvariants if not), however it was built."""
+    if not tag.is_overtwisted:
+        raise NotOvertwisted(f"{what} needs an overtwisted ambient structure")
+    _check_ints("hopf", tag.hopf)
+    if type(tag.at_infinity) is not bool:  # "no" would read as overtwisted at infinity
+        raise BadInvariants(f"at_infinity must be a bool, got {tag.at_infinity!r}")
+    return tag
 
 
 def _check_ints(name: str, *values) -> None:

@@ -87,32 +87,17 @@ def cmd_invariants(args) -> int:
     of = fronts.OrientedFront.default(d)
     tr = of.trace
     comps = [args.component] if args.component is not None else list(range(tr.n_components))
-    records = []
-    for c in comps:
-        tb, r = fronts.invariant_pair(of, c)
-        records.append(
-            {
-                "component": c,
-                "tb": tb,
-                "r": r,
-                "parity": fronts.check_parity(tb, r),
-                "bennequin": fronts.check_bennequin(tb, r),
-                "range": fronts.in_unknot_range(tb, r),
-            }
-        )
-    lk = None
-    if tr.n_components > 1:
-        lk = fronts.linking_matrix(of)
+    checks = {"parity": fronts.check_parity, "bennequin": fronts.check_bennequin,
+              "range": fronts.in_unknot_range}
+    records = [{"component": c, "tb": tb, "r": r, **{k: f(tb, r) for k, f in checks.items()}}
+               for c in comps for tb, r in [fronts.invariant_pair(of, c)]]
+    lk = fronts.linking_matrix(of) if tr.n_components > 1 else None
     if args.json:
         print(json.dumps({"components": records, "lk": lk}, sort_keys=True))
         return 0
     for rec in records:
-        print(
-            f"component {rec['component']}: tb={rec['tb']} r={rec['r']} "
-            f"parity={'yes' if rec['parity'] else 'no'} "
-            f"bennequin={'yes' if rec['bennequin'] else 'no'} "
-            f"range={'yes' if rec['range'] else 'no'}"
-        )
+        flags = " ".join(f"{k}={'yes' if rec[k] else 'no'}" for k in checks)
+        print(f"component {rec['component']}: tb={rec['tb']} r={rec['r']} {flags}")
     if lk is not None:
         for i, row in enumerate(lk):
             cells = " ".join("." if v is None else str(v) for v in row)

@@ -6,23 +6,36 @@ The lift takes one setting, its sample density.  It adds y = dz/dx to the
 realized arcs and follows a component's cycle from the trace: its arcs in
 default order from the lowest one or, for a reversed component, that arc
 and then the others backwards, each written in its oriented direction into
-the curve's arrays.  For a closed component the lift must satisfy dz = y dx,
-so the closure integral of y dx vanishes up to quadrature error, and the
-winding number of the Lagrangian-projection tangent, its turns
-atan2(cross, dot) summed over every edge, recovers the combinatorial
-rotation number.  Each cubic piece is sampled at an even number of uniform
-parameter steps, so every two-step panel of the lifted curve lies inside
-one piece; the integral of y dx over a panel is that of the quadratic
-interpolants of x and y through its three samples, a fourth-order rule,
-exact where x and y are quadratic in the parameter.  The quadrature and the
-winding read blocks of _BLOCK panels or edges, so no temporary array spans
-the curve.  The double points of the Lagrangian projection come from a
-sorted sweep over its segments, a crossing through sample vertices counted
-once; each must split the curve into two lobes of nonzero area.  Both lobe
-areas of every double point come from one prefix sum of the shoelace terms
-of the subsampled polygon, so past the sweep's candidate pairs the check
-costs O(n log n + hits).  The reports are ``NamedTuple``s, made in one
-pass over the sweep's rows: a ``DoublePointReport`` is the tuple
+the curve's arrays.  Arcs of one step count share one parameter grid; an
+arc's values and slopes of x and z are evaluated by Horner's rule in
+place, one fresh array for the values and one for the slopes, and a slope
+dz/dx is 0 where |dx| is not above 1e-14, NaN included.
+
+For a closed component the lift must satisfy dz = y dx, so the closure
+integral of y dx vanishes up to quadrature error, and the winding number of
+the Lagrangian-projection tangent, its turns atan2(cross, dot) summed over
+every edge, recovers the combinatorial rotation number.  Each cubic piece
+is sampled at an even number of uniform parameter steps, so every two-step
+panel of the lifted curve lies inside one piece; the integral of y dx over
+a panel is that of the quadratic interpolants of x and y through its three
+samples, a fourth-order rule, exact where x and y are quadratic in the
+parameter.  The quadrature and the winding read blocks of _BLOCK panels or
+edges, so no temporary array spans the curve.  The quadrature adds a
+panel's second and third terms into its first in place.  The winding sums
+each block's turns on their own; the turn from one block's last kept edge
+to the next block's first is one scalar atan2.  The extents (np.ptp) of x
+and y are computed once per curve and read by the winding's edge floor,
+the embeddedness scale and the diameter.  A curve made from a caller's
+arrays refuses anything but three non-empty 1-D real arrays of one length;
+the lift's own arrays are not checked.
+
+The double points of the Lagrangian projection come from a sorted sweep
+over its segments, a crossing through sample vertices counted once; each
+must split the curve into two lobes of nonzero area.  Both lobe areas of
+every double point come from one prefix sum of the shoelace terms of the
+subsampled polygon, so past the sweep's candidate pairs the check costs
+O(n log n + hits).  The reports are ``NamedTuple``s, made in one pass over
+the sweep's rows: a ``DoublePointReport`` is the tuple
 ``(point, area_one, area_two, flagged)``, so ``json.dumps`` writes a report
 as it stands.
 """
@@ -49,7 +62,9 @@ class LiftedCurve:
     The arrays are read-only: copies of the arrays a caller passes in, or
     the lift's own fresh arrays, marked read-only without a copy.  So the
     closure integral, the residual and the winding number are computed once
-    per curve and cannot go stale.
+    per curve and cannot go stale.  GeometryDegenerate unless a caller's x,
+    y and z are three non-empty 1-D arrays of one length, of ints or floats
+    (not bools, strings or complex numbers).
     """
 
     x: np.ndarray
@@ -58,8 +73,12 @@ class LiftedCurve:
     closed: bool = True
 
     def __post_init__(self):
-        for name in ("x", "y", "z"):
-            a = np.array(getattr(self, name), float)
+        arrays = [np.asarray(getattr(self, name)) for name in "xyz"]
+        if (any(a.dtype.kind not in "iuf" or a.ndim != 1 for a in arrays)
+                or not len(arrays[0]) or len({len(a) for a in arrays}) > 1):
+            raise GeometryDegenerate("x, y and z must be non-empty 1-D real arrays of one length")
+        for name, a in zip("xyz", arrays):
+            a = np.array(a, float)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
@@ -72,10 +91,14 @@ class LiftedCurve:
             a.flags.writeable = False
         return lc
 
+    @cached_property
+    def _extents(self) -> tuple[float, float]:
+        """np.ptp of x and of y, computed once for the winding, the
+        embeddedness check and the diameter."""
+        return float(np.ptp(self.x)), float(np.ptp(self.y))
+
     def diameter(self) -> float:
-        return float(
-            max(np.ptp(self.x), np.ptp(self.z), np.ptp(self.y), 1e-30)
-        )
+        return max(*self._extents, float(np.ptp(self.z)), 1e-30)
 
     @cached_property
     def _quadrature(self) -> tuple[float, float]:
@@ -86,10 +109,14 @@ class LiftedCurve:
         for x, y, z in _windows((self.x, self.y, self.z), steps & ~1, 2 * _BLOCK):
             x0, x1, x2 = x[:-1:2], x[1::2], x[2::2]
             y0, y1, y2 = y[:-1:2], y[1::2], y[2::2]
-            ydx = (y1 * (x2 - x0) + (x0 - 2 * x1 + x2) * (y2 - y0) / 3
-                   + (y0 - 2 * y1 + y2) * (x2 - x0) / 6)
+            dx = x2 - x0
+            ydx = y1 * dx
+            ydx += (x0 - 2 * x1 + x2) * (y2 - y0) / 3
+            ydx += (y0 - 2 * y1 + y2) * dx / 6
             closure += float(np.sum(ydx))
-            residual = max(residual, float(np.max(np.abs(z[2::2] - z[:-1:2] - ydx))))
+            dz = z[2::2] - z[:-1:2]
+            dz -= ydx
+            residual = max(residual, float(np.max(np.abs(dz, out=dz))))
         if steps % 2:
             (x0, x1), (y0, y1), (z0, z1) = (a[[steps - 1, steps % len(a)]].tolist()
                                             for a in (self.x, self.y, self.z))
@@ -112,21 +139,23 @@ class LiftedCurve:
         over edges longer than 1e-13 of the bounding-box diagonal, or of 1."""
         # y is measured downward, so that the winding and the combinatorial
         # cusp count (kappa positive on rising cusps) agree
-        size = float(np.ptp(self.x)) ** 2 + float(np.ptp(self.y)) ** 2 if len(self.x) else 0.0
-        kept, turns, first, last = 0, 0.0, None, (np.empty(0), np.empty(0))
+        floor = 1e-26 * max(1.0, self._extents[0] ** 2 + self._extents[1] ** 2)
+        kept, turns, first, last = 0, 0.0, None, None
         for x, y in _windows((self.x, self.y), len(self.x) - (not self.closed), _BLOCK):
             u, v = x[1:] - x[:-1], y[:-1] - y[1:]
-            keep = u * u + v * v > 1e-26 * max(1.0, size)
+            keep = u * u + v * v > floor
             if not keep.all():
                 u, v = u[keep], v[keep]
             if len(u):
                 kept += len(u)
-                first = first or (u[:1], v[:1])
-                turns += _turning(last, (u, v))
-                last = u[-1:], v[-1:]
+                first = first or (u[0], v[0])
+                # the turn into the block from the last one's last edge, then its own
+                turns += float(_turns(*last, u[0], v[0])) if last else 0.0
+                turns += float(np.sum(_turns(u[:-1], v[:-1], u[1:], v[1:])))
+                last = u[-1], v[-1]
         if kept < 3:
             raise DegenerateTangent("not enough distinct samples for a winding number")
-        return (turns + _turning(last, first)) / (2 * np.pi)
+        return (turns + float(_turns(*last, *first))) / (2 * np.pi)
 
 
 def _windows(arrays, stop: int, width: int):
@@ -137,11 +166,19 @@ def _windows(arrays, stop: int, width: int):
         yield tuple(a[s:e] if e <= len(a) else np.append(a[s:], a[0]) for a in arrays)
 
 
-def _turning(*parts: tuple[np.ndarray, np.ndarray]) -> float:
-    """Sum of the turns from edge to edge along the edges (dx, dy) of parts."""
-    u, v = (np.concatenate(a) for a in zip(*parts))
-    u0, v0, u1, v1 = u[:-1], v[:-1], u[1:], v[1:]
-    return float(np.sum(np.arctan2(u0 * v1 - v0 * u1, u0 * u1 + v0 * v1)))
+def _turns(u0, v0, u1, v1):
+    """The turns atan2(cross, dot) from edges (u0, v0) to edges (u1, v1)."""
+    return np.arctan2(u0 * v1 - v0 * u1, u0 * u1 + v0 * v1)
+
+
+def _horner(acc: np.ndarray, t: np.ndarray, *coefs) -> np.ndarray:
+    """acc + coefs[0], then times t plus each next coefficient: Horner's
+    rule in its own order of operations, in place in acc."""
+    acc += coefs[0]
+    for c in coefs[1:]:
+        acc *= t
+        acc += c
+    return acc
 
 
 def legendrian_lift(rf: RealizedFront, comp: int = 0, of: Optional[OrientedFront] = None, *,
@@ -181,14 +218,16 @@ def legendrian_lift(rf: RealizedFront, comp: int = 0, of: Optional[OrientedFront
     # arc has an even number of steps, so every piece starts at an even index
     ends = np.cumsum([0] + [len(rf.curves[a]) * per for a, per in zip(cycle, steps)])
     x, y, z = (np.empty(int(ends[-1])) for _ in range(3))
+    grids = {per: np.linspace(0.0, 1.0, per + 1) for per in set(steps)}
     for arc, per, s, e in zip(cycle, steps, ends.tolist(), ends[1:].tolist()):
-        t = np.linspace(0.0, 1.0, per + 1)
-        # c[k] holds coefficient k of x and of z, one row per piece
+        t = grids[per]
+        # c[k] holds coefficient k of x and of z, one row per piece: the values
+        # c0 + t (c1 + t (c2 + t c3)) and the slopes c1 + t (2 c2 + 3 t c3)
         c = np.array(rf.curves[arc]).T[..., None]
-        dx, dz = c[1] + t * (2 * c[2] + 3 * t * c[3])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.where(np.abs(dx) > 1e-14, dz / dx, 0.0)
-        for out, grid in zip((x, z, y), (*(c[0] + t * (c[1] + t * (c[2] + t * c[3]))), slope)):
+        xz = _horner(t * c[3], t, c[2], c[1], c[0])
+        dx, dz = _horner(3 * t * c[3], t, 2 * c[2], c[1])
+        slope = np.divide(dz, dx, out=np.zeros_like(dz), where=np.abs(dx) > 1e-14)  # 0 at NaN too
+        for out, grid in zip((x, z, y), (*xz, slope)):
             if dirs[arc]:  # all but the arc's last sample
                 out[s:e].reshape(-1, per)[...] = grid[:, :-1]
             else:  # backwards, all but the first: each piece ends at the next's start
@@ -265,11 +304,9 @@ def lagrangian_embeddedness_check(
     if type(max_segments) is not int or max_segments < 1:  # a bool is no count
         raise GeometryDegenerate(f"max_segments {max_segments!r} is not an integer of at least 1")
     step = max(1, len(lc.x) // max_segments)
-    x = np.append(lc.x[::step], lc.x[0])
-    y = np.append(lc.y[::step], lc.y[0])
-    n = len(x) - 1
-    p = np.stack([x[:-1], y[:-1]], axis=1)
-    q = np.stack([x[1:], y[1:]], axis=1)
+    p = np.stack([lc.x[::step], lc.y[::step]], axis=1)
+    q = np.roll(p, -1, axis=0)
+    n = len(p)
     d = q - p
     lo, hi = np.minimum(p, q), np.maximum(p, q)
     order = np.argsort(lo[:, 0], kind="stable")
@@ -279,7 +316,7 @@ def lagrangian_embeddedness_check(
     counts = end - np.arange(1, n + 1)
     cum = np.cumsum(counts)
     first = cum - counts  # offset of row a among all candidate pairs
-    found_i, found_j, found_t = [], [], []
+    found = []
     start = 0
     while start < n:
         stop = max(start + 1, int(np.searchsorted(cum, first[start] + _SWEEP_CHUNK, side="right")))
@@ -300,10 +337,8 @@ def lagrangian_embeddedness_check(
         hit = ((_left_of(p[i], d1, p[j]) != _left_of(p[i], d1, q[j]))
                & (_left_of(p[j], d2, p[i]) != _left_of(p[j], d2, q[i])) & (denom != 0))
         i, j, d2, denom = i[hit], j[hit], d2[hit], denom[hit]
-        found_i.append(i)
-        found_j.append(j)
-        found_t.append(_cross(p[j] - p[i], d2) / denom)
-    i, j, t = (np.concatenate(v) for v in (found_i, found_j, found_t))
+        found.append((i, j, _cross(p[j] - p[i], d2) / denom))
+    i, j, t = (np.concatenate(v) for v in zip(*found))
     k = np.lexsort((j, i))
     i, j, t = i[k], j[k], t[k]
     # s[m]: the shoelace terms of segments 0 .. m-1, summed
@@ -311,7 +346,7 @@ def lagrangian_embeddedness_check(
     pt = p[i] + t[:, None] * d[i]
     a1 = 0.5 * (_cross(pt, q[i]) + s[j] - s[i + 1] + _cross(p[j], pt))
     a2 = 0.5 * (_cross(pt, q[j]) + s[n] - s[j + 1] + s[i] + _cross(p[i], pt))
-    scale = max(np.ptp(lc.x) * np.ptp(lc.y), 1e-30)
+    scale = max(lc._extents[0] * lc._extents[1], 1e-30)
     flagged = np.minimum(np.abs(a1), np.abs(a2)) < tolerance * scale
     rows = zip(map(tuple, pt.tolist()), a1.tolist(), a2.tolist(), flagged.tolist())
     return EmbeddednessReport(tuple(map(tuple.__new__, repeat(DoublePointReport), rows)), tolerance)

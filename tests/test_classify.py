@@ -302,6 +302,25 @@ def test_exceptional_membership_refuses_a_triple():
     assert (2, 1) in cl.exceptional_unknot_classes(-1)
 
 
+# A tag built directly, not by ContactStructureTag.overtwisted, is checked as
+# that builds it: the first answered coarsely-equivalent-and-isotopic under
+# Dymara's theorem, the second reported its inputs as (1.5, 0).
+BAD_TAGS = {
+    "classify_loose at_infinity 'no'": lambda: cl.classify_loose(
+        cl.ContactStructureTag(cl.OVERTWISTED, -1, "no"), (2, 1), (2, 1)),
+    "loose_check hopf 1.5": lambda: cl.loose_check(
+        cl.ContactStructureTag(cl.OVERTWISTED, 1.5), 0, True),
+}
+
+
+@pytest.mark.parametrize("call", BAD_TAGS.values(), ids=BAD_TAGS.keys())
+def test_tags_built_directly_are_checked(call):
+    with pytest.raises(BadInvariants, match="at_infinity must be a bool|must be an integer"):
+        call()
+    tag = cl.ContactStructureTag(cl.OVERTWISTED, -1, True)
+    assert cl.classify_loose(tag, (2, 1), (2, 1)).status == "coarsely-equivalent-and-isotopic"
+
+
 @pytest.mark.parametrize("flag", ["no", 0, 1, None], ids=repr)
 def test_overtwisted_at_infinity_must_be_a_bool(flag):
     # "no" was read as overtwisted at infinity

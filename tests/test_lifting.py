@@ -136,6 +136,28 @@ def ref_winding(lc):
     return float(np.sum(turns)) / (2 * np.pi)
 
 
+def former_quadrature(lc):
+    """(closure, residual) as the quadrature computed them before it worked in
+    place: every panel term as one expression, _BLOCK panels at a time."""
+    steps = len(lc.x) - (not lc.closed)
+    closure = residual = 0.0
+    for s in range(0, steps & ~1, 2 * lf._BLOCK):
+        e = min(s + 2 * lf._BLOCK, steps & ~1) + 1
+        x, y, z = (a[s:e] if e <= len(a) else np.append(a[s:], a[0]) for a in (lc.x, lc.y, lc.z))
+        x0, x1, x2 = x[:-1:2], x[1::2], x[2::2]
+        y0, y1, y2 = y[:-1:2], y[1::2], y[2::2]
+        ydx = (y1 * (x2 - x0) + (x0 - 2 * x1 + x2) * (y2 - y0) / 3
+               + (y0 - 2 * y1 + y2) * (x2 - x0) / 6)
+        closure += float(np.sum(ydx))
+        residual = max(residual, float(np.max(np.abs(z[2::2] - z[:-1:2] - ydx))))
+    if steps % 2:
+        (x0, x1), (y0, y1), (z0, z1) = (a[[steps - 1, steps % len(a)]].tolist()
+                                        for a in (lc.x, lc.y, lc.z))
+        ydx = (y1 + y0) / 2 * (x1 - x0)
+        closure, residual = closure + ydx, max(residual, abs(z1 - z0 - ydx))
+    return closure, residual
+
+
 def assert_matches_numeric_reference(lc):
     """Closure and residual within 1e-12 of the diameter of the reference's,
     the winding within 1e-12 and rounded the same."""
@@ -436,6 +458,17 @@ class TestQuadratureAndWinding:
                 assert_matches_numeric_reference(lc)
                 assert lf.numeric_rotation(lc) == fr.rotation_number(o)
 
+    @pytest.mark.parametrize("samples", [2, 37, 400, 4000])
+    def test_acceptance_grid_bitwise_former_quadrature(self, samples):
+        # the same floats in the same order: demo 04 prints these numbers
+        for d in _acceptance_grid():
+            rf = lf.realize_front(d)
+            of = fr.OrientedFront.default(d)
+            for o in (of, of.reverse(0)):
+                lc = lf.legendrian_lift(rf, of=o, samples_per_arc=samples)
+                got = (lc.closure_integral(), lc.legendrian_residual())
+                assert [v.hex() for v in got] == [v.hex() for v in former_quadrature(lc)]
+
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 60), closed=st.booleans(),
            repeats=st.lists(st.tuples(st.integers(0, 59), st.integers(1, 12)), max_size=6),
@@ -449,6 +482,31 @@ class TestQuadratureAndWinding:
         lc = lf.LiftedCurve(*pts.T, closed=closed)
         with mock.patch.object(lf, "_BLOCK", block):
             assert_matches_numeric_reference(lc)
+
+
+# Each of these ended wrong before LiftedCurve checked its arrays: the curve
+# of unequal lengths silently returned a closure of 0.0, the empty curve's
+# diameter and the 2-D and string arrays ended in a bare ValueError, and the
+# empty curve's embeddedness check in a bare IndexError.
+BAD_CURVES = {
+    "unequal lengths": lambda: lf.LiftedCurve([0, 1, 2, 3], [0, 1], [0, 1, 2, 3])
+    .closure_integral(),
+    "empty diameter": lambda: lf.LiftedCurve([], [], []).diameter(),
+    "empty embeddedness": lambda: lf.lagrangian_embeddedness_check(lf.LiftedCurve([], [], [])),
+    "2-D": lambda: lf.LiftedCurve(*np.zeros((3, 2, 4))).winding,
+    "strings": lambda: lf.LiftedCurve(["a"], [0.0], [0.0]),
+}
+
+
+class TestCurveChecks:
+    @pytest.mark.parametrize("call", BAD_CURVES.values(), ids=BAD_CURVES.keys())
+    def test_bad_arrays_refused(self, call):
+        with pytest.raises(GeometryDegenerate, match="non-empty 1-D real arrays of one length"):
+            call()
+
+    def test_lists_of_ints_are_real_arrays(self):
+        lc = lf.LiftedCurve([0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 0])
+        assert lc.x.dtype == float and lc.diameter() == 1.0
 
 
 class TestDegenerateTangent:
@@ -477,6 +535,10 @@ class TestDegenerateTangent:
     ])
     def test_fewer_than_three_edges_raise(self, points, closed):
         x, y = np.array(points, float).reshape(-1, 2).T
+        if not points:  # no samples at all: refused when made, before any winding
+            with pytest.raises(GeometryDegenerate, match="non-empty"):
+                lf.LiftedCurve(x, y, np.zeros_like(x), closed=closed)
+            return
         lc = lf.LiftedCurve(x, y, np.zeros_like(x), closed=closed)
         with pytest.raises(DegenerateTangent):
             lc.winding

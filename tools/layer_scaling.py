@@ -25,6 +25,12 @@ by the side's own package:
     to_elliptic_form  to_elliptic_form of a new reduced state of (-t, 0)
     raw_pipeline      to_naf, reduce_interior and to_elliptic_form of a new all-elliptic
                       init_boundary(-t, 0); only for t <= 641 (RAW_MAX)
+    legendrian_lift   the default lift of component 0 of realize_front(catalog_front(-t, 0))
+                      in its default orientation
+    winding           the winding number of a new LiftedCurve over that lift's arrays
+    quadrature        the closure integral (and the residual) of such a new curve
+    lagrangian_embeddedness_check  the double-point check of such a new curve
+                      (the four lifting rows only for t <= 161, LIFT_MAX)
 
 The output is one JSON object: per layer and side, the median over the
 processes of each process's best time in ms, the collections per call of
@@ -56,13 +62,19 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 LAYERS = ("catalog_tree", "build_front", "trace_components", "invariant_pair",
           "linking_matrix", "realize_front", "signed_tree", "init_boundary", "to_naf",
-          "to_elliptic_form", "raw_pipeline")
+          "to_elliptic_form", "raw_pipeline", "legendrian_lift", "winding", "quadrature",
+          "lagrangian_embeddedness_check")
 RAW_MAX = 641  # raw_pipeline's largest |tb|: the raw stages are measured up to tb = -641
+# the lifting rows' largest |tb|: a default lift of (-161, 0) has about 1.3 million
+# samples, 30 MiB of arrays
+LIFT_MAX = 161
+CAPS = {"raw_pipeline": RAW_MAX, "legendrian_lift": LIFT_MAX, "winding": LIFT_MAX,
+        "quadrature": LIFT_MAX, "lagrangian_embeddedness_check": LIFT_MAX}
 
 
 def layer_sizes(layer: str, sizes: list[int]) -> list[int]:
-    """The sizes a layer is timed at: all of them, but raw_pipeline's capped."""
-    return [t for t in sizes if layer != "raw_pipeline" or t <= RAW_MAX]
+    """The sizes a layer is timed at: all of them, up to the layer's cap if it has one."""
+    return [t for t in sizes if t <= CAPS.get(layer, t)]
 
 
 def load(name: str, package_dir: Path):
@@ -73,7 +85,7 @@ def load(name: str, package_dir: Path):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return {m: importlib.import_module(f"{name}.{m}")
-            for m in ("fronts", "trees", "render", "foliation")}
+            for m in ("fronts", "trees", "render", "foliation", "lifting")}
 
 
 def nest(fronts, outer, inner):
@@ -90,6 +102,7 @@ def setups(pkg, t: int) -> dict:
     to time.  Only events are kept between calls, so no diagram that an
     earlier call traced is alive to share its trace with the next."""
     fronts, trees, render, fo = pkg["fronts"], pkg["trees"], pkg["render"], pkg["foliation"]
+    lifting = pkg["lifting"]
     emb = trees.catalog_tree(-t, 0)
     knot = trees.catalog_front(-t, 0).events
     part = trees.catalog_front(-(t // 2 | 1), 0)  # odd tb: (tb, 0) is an unknot's
@@ -128,6 +141,21 @@ def setups(pkg, t: int) -> dict:
         s = fo.init_boundary(-t, 0, [fo.ELLIPTIC] * (2 * t))
         return lambda: fo.to_elliptic_form(fo.reduce_interior(fo.to_naf(s)))
 
+    lifted = []  # the one lift of this size, made when a lifting row first needs it
+
+    def lift():
+        rf = render.realize_front(traced(knot))
+        return lambda: lifting.legendrian_lift(rf)
+
+    def curve(measure):
+        """A new curve over the lift's arrays, so that nothing it caches is reused."""
+        def make():
+            if not lifted:
+                lifted.append(lifting.legendrian_lift(render.realize_front(traced(knot))))
+            lc = lifting.LiftedCurve(lifted[0].x, lifted[0].y, lifted[0].z)
+            return lambda: measure(lc)
+        return make
+
     return {
         "catalog_tree": lambda: lambda: trees.catalog_tree(-t, 0),
         "build_front": lambda: lambda: trees.build_front(emb),
@@ -140,6 +168,10 @@ def setups(pkg, t: int) -> dict:
         "to_naf": naf,
         "to_elliptic_form": elliptic,
         "raw_pipeline": raw,
+        "legendrian_lift": lift,
+        "winding": curve(lambda lc: lc.winding),
+        "quadrature": curve(lambda lc: lc.closure_integral()),
+        "lagrangian_embeddedness_check": curve(lifting.lagrangian_embeddedness_check),
     }
 
 
