@@ -48,14 +48,19 @@ validated against it exhaustively in the test suite.
 Trees and embeddings are checked once, when built.  A tree's edges are a
 sorted tuple of distinct int pairs (u, w) with u < w, checked in bulk
 passes over their two columns, so each vertex's neighbors come out in
-order without a sort.  An embedding scales its rational coordinates by one
-common denominator into integer grid points, so every slope, left-edge,
-left-most and child-order test is an exact int comparison; ``Fraction``
-appears only at the API.  One pass over the edges checks each slope and
-the left edges and collects each vertex's right ends, its children in the
-front.  Normalization copies its tree once into a mutable adjacency, grows
-the canonical broom's path on it from an edge the tree already has, moving
-each vertex at most twice, and builds one tree at the end.
+order without a sort.  An embedding stores its exact integer grid: int
+columns in vertex order over one scale, the lcm of the coordinates'
+reduced denominators.  Every slope, left-edge, left-most and child-order
+test is an exact int comparison on it, and ``coords`` and ``coord_map``
+are views that make ints or ``Fraction``s only when read.  ``make``
+derives the grid from rational coordinates; the catalog and
+spread_embedding write theirs directly, through the same checked
+constructor.  One pass over the edges checks each slope and the left edges
+and collects each vertex's right ends, its children in the front; the
+left-most vertex is the one that is no edge's right end.  Normalization
+copies its tree once into a mutable adjacency, grows the canonical broom's
+path on it from an edge the tree already has, moving each vertex at most
+twice, and builds one tree at the end.
 
 Graphs of pairs, here and in ``foliation``, have one index, one freeze and
 one walk: ``_index`` maps each end of some pairs to the set of its
@@ -85,7 +90,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
-from math import lcm
+from math import gcd, lcm
 from operator import eq, le, lt
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -272,55 +277,76 @@ def _reach(root, neighbors: Mapping) -> dict:
 @dataclass(frozen=True)
 class AcceptableEmbedding:
     """A signed tree with planar coordinates meeting the four conditions;
-    the edge slopes lie strictly between -1/2 and 1/2."""
+    the edge slopes lie strictly between -1/2 and 1/2.
+
+    Stored on its exact integer grid: ``tree.vertices[i]`` sits at
+    ``(xs[i], ys[i]) / scale``, with ``scale`` the lcm of the coordinates'
+    reduced denominators, so equal coordinates give equal fields.
+    """
 
     tree: SignedTree
-    coords: tuple[tuple[int, tuple[Fraction, Fraction]], ...]
+    xs: tuple[int, ...]  # grid columns in vertex order
+    ys: tuple[int, ...]
+    scale: int
 
     @staticmethod
     def make(tree: SignedTree,
-             coords: dict[int, tuple[Fraction, Fraction]]) -> "AcceptableEmbedding":
-        return AcceptableEmbedding(tree, tuple(sorted(coords.items())))
+             coords: Mapping[int, tuple[Fraction, Fraction]]) -> "AcceptableEmbedding":
+        """The embedding at rational ``coords``, which it keeps as ``coord_map``;
+        its grid is each coordinate times the lcm of all their denominators.
+        NotAcceptable(0) for a coordinate that is not rational."""
+        if coords.keys() != tree.sign_map.keys():
+            raise NotAcceptable(0, "coordinates must cover exactly the vertex set")
+        cs = [c for x, y in map(coords.__getitem__, tree.vertices) for c in (x, y)]
+        if not set(map(type, cs)) <= {int, Fraction}:
+            cs = list(map(_rational, cs))
+        # an int is its own numerator over 1, so only the Fractions set the scale
+        scale = lcm(*{c.denominator for c in cs if type(c) is not int})
+        g = [c * scale if type(c) is int else c.numerator * (scale // c.denominator) for c in cs]
+        emb = AcceptableEmbedding(tree, tuple(g[::2]), tuple(g[1::2]), scale)
+        emb.__dict__["coord_map"] = MappingProxyType(dict(coords))
+        return emb
 
     __getstate__ = fields_state  # the cached views are rebuilt on use
 
     @cached_property
     def coord_map(self) -> Mapping[int, tuple[Fraction, Fraction]]:
-        return MappingProxyType(dict(self.coords))
+        """Each vertex's (x, y): an int where the scale divides, else a Fraction."""
+        s = self.scale
+        exact = lambda c: c // s if c % s == 0 else Fraction(c, s)  # noqa: E731
+        return MappingProxyType({v: (exact(x), exact(y)) for v, (x, y) in self.grid.items()})
+
+    coords = property(lambda self: tuple(sorted(self.coord_map.items())), doc="coord_map's items")
 
     @cached_property
     def grid(self) -> Mapping[int, tuple[int, int]]:
-        """Each vertex's (x, y) times the lcm of all coordinate denominators.
-
-        Every comparison the conditions and the front make is exact on
-        these ints; NotAcceptable(0) for a coordinate that is not rational.
-        """
-        cm = self.coord_map
-        if not set(map(type, chain.from_iterable(cm.values()))) <= {int, Fraction}:
-            cm = {v: (_rational(x), _rational(y)) for v, (x, y) in cm.items()}
-        # an int is its own numerator over 1, so only the Fractions set the scale
-        scale = lcm(*{c.denominator for c in chain(*cm.values()) if type(c) is not int})
-        return MappingProxyType({v: (
-            x * scale if type(x) is int else x.numerator * (scale // x.denominator),
-            y * scale if type(y) is int else y.numerator * (scale // y.denominator),
-        ) for v, (x, y) in cm.items()})
+        """Each vertex's (x, y) times ``scale``."""
+        return MappingProxyType(dict(zip(self.tree.vertices, zip(self.xs, self.ys))))
 
     def __post_init__(self):
-        if self.coord_map.keys() != self.tree.sign_map.keys():
+        xs, ys, s = self.xs, self.ys, self.scale
+        if not (type(xs) is type(ys) is tuple and set(map(type, (*xs, *ys, s))) == {int}
+                and s > 0 and gcd(s, *xs, *ys) == 1):
+            raise NotAcceptable(0, "grid is not int tuples over a positive scale in lowest terms")
+        if not len(xs) == len(ys) == len(self.tree.signs):
             raise NotAcceptable(0, "coordinates must cover exactly the vertex set")
         if not self.tree.edges:
             raise NotAcceptable(1, "embedding needs at least one edge")
-        children = self.children  # checks conditions 2 and 3
-        # the left-most vertex is unique now: on the tree path between two
-        # vertices at the least x, the one of largest x has two left edges;
-        # all its edges go right, so its children are all its neighbors
-        root = self.leftmost
-        if len(children[root]) != 1:
-            raise NotAcceptable(4, f"left-most vertex {root} is not an end vertex")
+        # children's pass checks conditions 2 and 3 before leftmost reads it
+        if len(self.children[self.leftmost]) != 1:
+            raise NotAcceptable(4, f"left-most vertex {self.leftmost} is not an end vertex")
 
     @cached_property
     def leftmost(self) -> int:
-        return min((x, v) for v, (x, _) in self.grid.items())[1]
+        """The one vertex that is no edge's right end.
+
+        Once conditions 2 and 3 hold, the V - 1 edges have V - 1 distinct
+        right ends, and each edge's right end has a larger x than its left
+        end.  So every vertex but one has a neighbor of smaller x, and that
+        one is the unique vertex of least x.  Its id is the sum of all the
+        ids less the sum of the right ends, which ``children`` lists.
+        """
+        return sum(self.tree.vertices) - sum(chain.from_iterable(self.children.values()))
 
     @cached_property
     def children(self) -> Mapping[int, tuple[int, ...]]:
@@ -330,26 +356,26 @@ class AcceptableEmbedding:
         The one pass over the edges that finds them checks each slope
         (condition 2) and that no vertex has two left edges (condition 3).
         """
-        g = self.grid
-        kids: dict[int, list[int]] = {v: [] for v in g}
-        rights: list[int] = []
+        vs, X, Y = self.tree.vertices, self.xs, self.ys
+        if vs != [*range(len(vs))]:  # else a vertex id is its index in the columns
+            X, Y = dict(zip(vs, X)), dict(zip(vs, Y))
+        kids: dict[int, list[int]] = {v: [] for v in vs}
         for u, w in self.tree.edges:
-            (xu, yu), (xw, yw) = g[u], g[w]
-            if abs(yw - yu) * 2 >= abs(xw - xu):  # so is an edge with dx = 0
+            dx, dy = X[w] - X[u], Y[w] - Y[u]
+            if abs(dy) * 2 >= abs(dx):  # so is an edge with dx = 0
                 raise NotAcceptable(2, f"edge {u}-{w} slope not strictly between +-1/2")
-            if xw < xu:
+            if dx < 0:
                 u, w = w, u
             kids[u].append(w)
-            rights.append(w)
-        if len(set(rights)) != len(rights):
-            crowded, n = min((v, n) for v, n in Counter(rights).items() if n > 1)
+        if len(set(chain.from_iterable(kids.values()))) != len(self.tree.edges):
+            crowded, n = min((v, n) for v, n in Counter(chain(*kids.values())).items() if n > 1)
             raise NotAcceptable(3, f"vertex {crowded} has {n} edges on its left")
         for v, ws in kids.items():
             if len(ws) > 1:
                 # slope times the lcm m of the fork's dx: an exact int key
-                x, y = g[v]
-                m = lcm(*(g[w][0] - x for w in ws))
-                ws.sort(key=lambda w: ((y - g[w][1]) * (m // (g[w][0] - x)), w))
+                x, y = X[v], Y[v]
+                m = lcm(*(X[w] - x for w in ws))
+                ws.sort(key=lambda w: ((y - Y[w]) * (m // (X[w] - x)), w))
         return MappingProxyType({v: tuple(ws) for v, ws in kids.items()})
 
 
@@ -611,13 +637,17 @@ def catalog_tree(tb: int, r: int) -> AcceptableEmbedding:
     n_plus = (v_total + SIGMA * r) // 2
     signs = [1] * n_plus + [-1] * (v_total - n_plus)
     edges, order, leaves = _broom(signs, range(v_total))
-    coords = {v: (i, 0) for i, v in enumerate(order)}
-    k, x = len(leaves), len(order)
-    for j, v in enumerate(leaves):
-        # hang leaves off the hub at the right end, numbered from the top:
-        # y = ((k - 1) / 2 - j) / (4 (k + 1))
-        coords[v] = (x, Fraction(k - 1 - 2 * j, 8 * (k + 1)))
-    return AcceptableEmbedding.make(SignedTree(tuple(enumerate(signs)), edges), coords)
+    # path vertex i at (i, 0); the hub's leaves hang off it at the right end,
+    # numbered from the top: leaf j at (len(order), (k - 1 - 2j) / d)
+    k = len(leaves)
+    nums, d = range(k - 1, -k, -2), 8 * (k + 1)
+    s = d // gcd(d, *nums)  # the least common denominator
+    xs, ys = [0] * v_total, [0] * v_total
+    for i, v in enumerate(order):
+        xs[v] = i * s
+    for v, n in zip(leaves, nums):
+        xs[v], ys[v] = len(order) * s, n * s // d
+    return AcceptableEmbedding(SignedTree(tuple(enumerate(signs)), edges), tuple(xs), tuple(ys), s)
 
 
 def _checked_front(emb: AcceptableEmbedding, inv: tuple[int, int]) -> FrontDiagram:
@@ -655,10 +685,9 @@ def parse_tree(text: str) -> AcceptableEmbedding:
     coords: dict[int, tuple[Fraction, Fraction]] = {}
     edges: set[tuple[int, int]] = set()
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         try:
             vertex = parts[0] == "v" and len(parts) == 5 and parts[4] in ("+", "-")
             if vertex and all(map(re.fullmatch, VERTEX_TOKENS, parts[1:4])):
@@ -673,7 +702,7 @@ def parse_tree(text: str) -> AcceptableEmbedding:
                     raise ParseError(f"repeated edge {parts[1]}-{parts[2]}", line=ln)
                 edges.add(edge)
             else:
-                raise ValueError(line)
+                raise ValueError
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"malformed tree line {raw!r}", line=ln) from None
     if not signs:
@@ -683,11 +712,9 @@ def parse_tree(text: str) -> AcceptableEmbedding:
 
 
 def serialize_tree(emb: AcceptableEmbedding) -> str:
-    cm, sm = emb.coord_map, emb.tree.sign_map
-    lines = [
-        f"v {v} {Fraction(cm[v][0])} {Fraction(cm[v][1])} {'+' if sm[v] > 0 else '-'}"
-        for v in emb.tree.vertices
-    ]
+    s = emb.scale  # each coordinate written from the grid as its exact value
+    lines = [f"v {v} {Fraction(x, s)} {Fraction(y, s)} {'+' if sign > 0 else '-'}"
+             for (v, sign), x, y in zip(emb.tree.signs, emb.xs, emb.ys)]
     lines += [f"e {u} {w}" for u, w in emb.tree.edges]
     return "\n".join(lines)
 
@@ -699,25 +726,22 @@ def spread_embedding(t: SignedTree) -> AcceptableEmbedding:
     """
     # a one-vertex tree has no end vertex; the embedding check rejects it
     order = _dfs_order(t, min((v for v, k in t._valences.items() if k == 1), default=t.vertices[0]))
-    ys = [Fraction(k - 1, 4 * len(order)) for k in range(3)]  # the three heights, made once
-    coords = {v: (Fraction(i), ys[i % 3]) for i, v in enumerate(order)}
-    return AcceptableEmbedding.make(t, coords)
+    # vertex i of the order at (i, (i % 3 - 1) / s) on the grid of scale s
+    s, at = 4 * len(order), {v: i for i, v in enumerate(order)}
+    return AcceptableEmbedding(t, tuple(at[v] * s for v in t.vertices),
+                               tuple(at[v] % 3 - 1 for v in t.vertices), s)
 
 
 def _dfs_order(t: SignedTree, root: int) -> list[int]:
-    """Depth-first preorder from root, smaller neighbor ids first; a tree
-    pushes each vertex once.  Not ``_reach``, which is breadth first: this
-    preorder is spread_embedding's x order, so its outputs depend on it."""
-    order: list[int] = []
-    stack = [root]
-    seen: set[int] = set()
+    """Depth-first preorder from root, smaller neighbor ids first; in a tree
+    each vertex is pushed once, by its parent, so no set of the vertices
+    seen is needed.  Not ``_reach``, which is breadth first: this preorder
+    is spread_embedding's x order, so its outputs depend on it."""
+    order, stack = [], [(root, None)]
     while stack:
-        u = stack.pop()
-        seen.add(u)
+        u, parent = stack.pop()
         order.append(u)
-        for w in reversed(t.neighbors(u)):
-            if w not in seen:
-                stack.append(w)
+        stack += ((w, u) for w in reversed(t.neighbors(u)) if w != parent)
     return order
 
 
@@ -739,7 +763,6 @@ def random_acceptable_embedding(rng: random.Random, max_vertices: int = 14) -> A
     t = random_signed_tree(rng, max_vertices)
     n = len(t.vertices)
     # vertex 0 hangs off vertex 1 only, so it is an end vertex
-    x_of = {v: Fraction(i) for i, v in enumerate(_dfs_order(t, 0))}
-    delta = Fraction(1, 4 * n)
-    coords = {v: (x_of[v], (rng.randrange(-n, n + 1)) * delta / n) for v in t.vertices}
+    x_of = {v: i for i, v in enumerate(_dfs_order(t, 0))}
+    coords = {v: (x_of[v], Fraction(rng.randrange(-n, n + 1), 4 * n * n)) for v in t.vertices}
     return AcceptableEmbedding.make(t, coords)

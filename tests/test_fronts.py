@@ -3,7 +3,7 @@ import gc
 import pickle
 import random
 import weakref
-from collections import namedtuple
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import fields, replace
 from itertools import repeat
 
@@ -1302,3 +1302,74 @@ class TestReadersMatchReferences:
                     for to_arc in arcs:
                         got = outcome(fr.displace_zigzag, d, z.kink_arcs[0], to_arc)
                         assert got == outcome(reference_displace_zigzag, d, z.kink_arcs[0], to_arc)
+
+
+# ---------------------------------------------------------------------------
+# Normal rulings: an oracle that shares no formula with tb and r.
+
+
+def ruling_polynomial(d):
+    """The ungraded normal-ruling polynomial of a front, as {exponent: count}
+    (Chekanov and Pushkar; Fuchs): the sum of z^(switches - right cusps + 1)
+    over the normal rulings.
+
+    One sweep, left to right, over the events.  A state is the pairing of
+    the strands (``partner[i]`` is the position paired with position i,
+    0-based) with the number of rulings that reach it by each switch count.
+    A left cusp pairs its two strands; a right cusp needs its two strands
+    paired.  Two paired strands never cross.  At a crossing of two unpaired
+    strands the ruling passes, each strand keeping its partner, or it
+    switches, the two positions keeping theirs, when the two pairs are
+    disjoint or nested there.
+    """
+    states = {(): Counter({0: 1})}
+    rights = 0
+    for kind, p in d.events:
+        i = p - 1  # the lower of the event's two positions
+        rights += kind == fr.RIGHT
+        after = defaultdict(Counter)
+        for partner, counts in states.items():
+            if kind == fr.LEFT:
+                shifted = [q + 2 if q >= i else q for q in partner]
+                after[tuple(shifted[:i] + [i + 1, i] + shifted[i:])].update(counts)
+            elif kind == fr.RIGHT:
+                if partner[i] == i + 1:
+                    rest = partner[:i] + partner[i + 2:]
+                    after[tuple(q - 2 if q > i else q for q in rest)].update(counts)
+            elif partner[i] != i + 1:
+                a, b = partner[i], partner[i + 1]
+                passed = list(partner)
+                passed[i], passed[i + 1], passed[a], passed[b] = b, a, i + 1, i
+                after[tuple(passed)].update(counts)
+                if a < i < i + 1 < b or b < a < i or i + 1 < b < a:
+                    after[partner].update({s + 1: n for s, n in counts.items()})
+        states = after
+    return {s - rights + 1: n for s, n in states.get((), {}).items()}
+
+
+class TestNormalRulings:
+    """By the paper's theorem a front of the unknot with (tb, r) other than
+    (-1, 0) is a stabilization, and a stabilized front has no normal ruling;
+    the standard eye has one, with no switch."""
+
+    def assert_unknot_rulings(self, d):
+        tb, r = fr.invariant_pair(fr.OrientedFront.default(d))
+        assert ruling_polynomial(d) == ({0: 1} if (tb, r) == (-1, 0) else {}), d
+
+    def test_small_fronts(self):
+        eyes = 0
+        for d in closed_fronts(6, 2):  # at most 2 crossings: each knot is an unknot
+            if fr.trace_components(d).n_components == 1:
+                self.assert_unknot_rulings(d)
+                eyes += fr.invariant_pair(fr.OrientedFront.default(d)) == (-1, 0)
+        assert eyes > 1
+
+    def test_catalog_fronts(self):
+        for tb in range(-1, -14, -1):
+            for r in range(tb + 1, -tb, 2):
+                self.assert_unknot_rulings(trees.catalog_front(tb, r))
+
+    def test_trefoil(self):
+        d = fr.parse_front("L 1\nL 3\nX 2\nX 2\nX 2\nR 1\nR 1")
+        assert fr.invariant_pair(fr.OrientedFront.default(d))[0] == 1
+        assert ruling_polynomial(d) == {0: 2, 2: 1}  # 2 + z^2

@@ -753,8 +753,11 @@ class TestParsing:
         t = tr.SignedTree.make({0: 1, 1: -1, 2: 1}, [(0, 1), (1, 2)])
         with pytest.raises(NotAcceptable) as made:
             tr.AcceptableEmbedding.make(t, coords)
+        # the same coordinates on their grid, given to the dataclass's constructor
+        s = math.lcm(*(c.denominator for xy in coords.values() for c in xy))
+        xs, ys = (tuple(int(coords[v][i] * s) for v in sorted(coords)) for i in (0, 1))
         with pytest.raises(NotAcceptable) as direct:
-            tr.AcceptableEmbedding(t, tuple(sorted(coords.items())))
+            tr.AcceptableEmbedding(t, xs, ys, s)
         assert direct.value.condition == made.value.condition == condition
         assert str(direct.value) == str(made.value)
 
@@ -843,7 +846,7 @@ class TestCopies:
         front = tr.build_front(emb)  # fills every cached view
         emb2 = roundtrip(emb)
         assert emb2 == emb and emb2.tree == emb.tree and hash(emb2) == hash(emb)
-        assert set(vars(emb2)) == {"tree", "coords"}
+        assert set(vars(emb2)) == {"tree", "xs", "ys", "scale"}
         assert set(vars(emb2.tree)) == {"signs", "edges"}
         assert tr.build_front(emb2) == front
         for view in self.VIEWS:
@@ -1296,6 +1299,171 @@ class TestCatalog:
             v = len(emb.tree.vertices)
             plus, minus = emb.tree.counts()
             assert v == 1 - tb and tr.SIGMA * (plus - minus) == r
+
+
+# ---------------------------------------------------------------------------
+# Embeddings born on their grid: catalog_tree and spread_embedding write the
+# int columns and the scale directly.  Each must be the embedding that make
+# builds from its own coord_map, and from the Fraction coordinates the former
+# constructions made, which are rebuilt here.
+
+
+def former_catalog_coords(tree):
+    """catalog_tree's former coordinates: path vertex i at (i, 0), hub leaf j
+    at (len(path), Fraction(k - 1 - 2j, 8 (k + 1)))."""
+    signs = [s for _, s in tree.signs]
+    _, order, leaves = tr._broom(signs, range(len(signs)))
+    coords = {v: (i, 0) for i, v in enumerate(order)}
+    k = len(leaves)
+    for j, v in enumerate(leaves):
+        coords[v] = (len(order), F(k - 1 - 2 * j, 8 * (k + 1)))
+    return coords
+
+
+def former_dfs_order(t, root):
+    """_dfs_order as it was, with a set of the vertices seen."""
+    order, stack, seen = [], [root], set()
+    while stack:
+        u = stack.pop()
+        seen.add(u)
+        order.append(u)
+        stack.extend(w for w in reversed(t.neighbors(u)) if w not in seen)
+    return order
+
+
+def former_spread_coords(t):
+    """spread_embedding's former coordinates: the i-th vertex of the order at
+    (Fraction(i), Fraction(i % 3 - 1, 4 n))."""
+    order = former_dfs_order(t, min(v for v in t.vertices if t.valence(v) == 1))
+    return {v: (F(i), F(i % 3 - 1, 4 * len(order))) for i, v in enumerate(order)}
+
+
+def former_serialize_tree(tree, coords):
+    """serialize_tree as it was, from the coordinates."""
+    sm = tree.sign_map
+    return "\n".join([f"v {v} {F(coords[v][0])} {F(coords[v][1])} {'+' if sm[v] > 0 else '-'}"
+                      for v in tree.vertices] + [f"e {u} {w}" for u, w in tree.edges])
+
+
+def assert_grid_born(emb, former):
+    """``emb`` equals, hashes and reads like make's embedding of its own
+    coord_map and of the former coordinates, and survives a pickle round
+    trip."""
+    text = tr.serialize_tree(emb)
+    assert text == former_serialize_tree(emb.tree, former)
+    assert math.gcd(emb.scale, *emb.xs, *emb.ys) == 1
+    assert emb.scale == math.lcm(*(F(c).denominator for xy in former.values() for c in xy))
+    for other in (tr.AcceptableEmbedding.make(emb.tree, emb.coord_map),
+                  tr.AcceptableEmbedding.make(emb.tree, former)):
+        assert emb == other and hash(emb) == hash(other)
+        assert (emb.xs, emb.ys, emb.scale) == (other.xs, other.ys, other.scale)
+        assert emb.grid == other.grid and emb.children == other.children
+        assert emb.leftmost == other.leftmost == ref_leftmost(other)
+        assert emb.coord_map == other.coord_map == former and emb.coords == other.coords
+        assert tr.serialize_tree(other) == text
+    copied = pickle.loads(pickle.dumps(emb))
+    assert copied == emb and hash(copied) == hash(emb)
+    assert set(vars(copied)) == {"tree", "xs", "ys", "scale"}
+    assert copied.coord_map == emb.coord_map and copied.children == emb.children
+    assert tr.serialize_tree(copied) == text
+
+
+def ladder_rs(t):
+    """The least, middle and greatest r of |tb| = t (t odd), and the even r
+    nearest +-t/2, whose catalog trees have hub leaves at fractional y."""
+    half = t // 2 + (t // 2) % 2
+    return [-(t - 1), -half, 0, half, t - 1]
+
+
+class TestGridBorn:
+    def assert_catalog(self, tb, r):
+        emb = tr.catalog_tree(tb, r)
+        former = former_catalog_coords(emb.tree)
+        assert_grid_born(emb, former)
+        # every x and each path vertex's y is an int, as it was
+        assert all(type(x) is int for x, _ in emb.coord_map.values())
+        assert all(type(y) is int for v, (_, y) in emb.coord_map.items()
+                   if type(former[v][1]) is int)
+
+    def test_catalog_to_40(self):
+        built = 0
+        for tb in range(-1, -41, -1):
+            for r in range(tb + 1, -tb, 2):
+                self.assert_catalog(tb, r)
+                built += 1
+        assert built == 40 * 41 // 2
+
+    @pytest.mark.parametrize("t", [161, 641])
+    def test_catalog_at_ladder_size(self, t):
+        for r in ladder_rs(t):
+            self.assert_catalog(-t, r)
+
+    def test_spread_embedding(self):
+        rng = random.Random(3636)
+        for _ in range(300):
+            t = tr.random_signed_tree(rng, 40)
+            assert tr._dfs_order(t, t.vertices[0]) == former_dfs_order(t, t.vertices[0])
+            assert_grid_born(tr.spread_embedding(t), former_spread_coords(t))
+
+    def test_made_embedding_keeps_the_callers_coordinates(self):
+        t = tr.SignedTree.make({0: 1, 1: -1, 2: 1}, [(0, 1), (1, 2)])
+        coords = {2: (2.5, -0.25), 0: (0, 0), 1: (1.0, F(1, 4))}
+        emb = tr.AcceptableEmbedding.make(t, coords)
+        assert (emb.xs, emb.ys, emb.scale) == ((0, 4, 10), (0, 1, -1), 4)
+        assert dict(emb.coord_map) == coords and type(emb.coord_map[2][0]) is float
+        assert emb.coords == ((0, (0, 0)), (1, (1.0, F(1, 4))), (2, (2.5, -0.25)))
+        # a copy derives its views from the grid, equal in value
+        copied = copy.deepcopy(emb)
+        assert copied.coord_map == {0: (0, 0), 1: (1, F(1, 4)), 2: (F(5, 2), F(-1, 4))}
+        assert copied.coords == emb.coords and type(copied.coord_map[1][0]) is int
+
+
+class TestGridConstructorChecks:
+    """The dataclass's own constructor takes the grid and runs every check;
+    make's embedding of the same coordinates fails the same way."""
+
+    PATH = tr.SignedTree.make({0: 1, 1: -1, 2: 1}, [(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize("xs, ys, scale, condition, message", [
+        ((0, 1), (0, 0), 1, 0, "coordinates must cover exactly the vertex set"),
+        ((0, 2, 4), (0, 1, 0), 1, 2, "edge 0-1 slope not strictly between +-1/2"),
+        ((0, 2, 2), (0, 0, 1), 2, 2, "edge 1-2 slope not strictly between +-1/2"),
+        ((0, 8, 0), (0, 0, 1), 8, 3, "vertex 1 has 2 edges on its left"),
+        ((1, 0, 2), (0, 0, 0), 1, 4, "left-most vertex 1 is not an end vertex"),
+    ], ids=["missing vertex", "slope 1/2", "vertical edge", "two left edges",
+            "left-most vertex of valence 2"])
+    def test_refusals(self, xs, ys, scale, condition, message):
+        with pytest.raises(NotAcceptable) as direct:
+            tr.AcceptableEmbedding(self.PATH, xs, ys, scale)
+        assert direct.value.condition == condition
+        assert str(direct.value) == f"acceptability condition {condition} failed: {message}"
+        coords = {v: (F(x, scale), F(y, scale)) for v, x, y in zip(range(3), xs, ys)}
+        with pytest.raises(NotAcceptable) as made:
+            tr.AcceptableEmbedding.make(self.PATH, coords)
+        assert str(made.value) == str(direct.value)
+
+    @pytest.mark.parametrize("xs, ys, scale", [
+        ((0, 2, 4), (0, 0, 0), 2),  # not in lowest terms: the grid of (0, 1, 2) / 1
+        ((0, 1, 2), (0, 0, 0), 0),
+        ((0, -1, -2), (0, 0, 0), -1),
+        ((0, 1, 2.0), (0, 0, 0), 1),
+        ((0, 1, 2), (0, 0, True), 1),
+        ((0, 1, F(2)), (0, 0, 0), 1),
+        ([0, 1, 2], (0, 0, 0), 1),
+        ((0, 1, 2), (0, 0, 0), 1.0),
+    ], ids=["common factor", "zero scale", "negative scale", "float", "bool", "Fraction",
+            "list", "float scale"])
+    def test_grid_form_refusals(self, xs, ys, scale):
+        with pytest.raises(NotAcceptable) as exc:
+            tr.AcceptableEmbedding(self.PATH, xs, ys, scale)
+        assert exc.value.condition == 0
+        assert "grid is not int tuples over a positive scale in lowest terms" in str(exc.value)
+
+    def test_grid_constructor_accepts_the_canonical_grid(self):
+        emb = tr.AcceptableEmbedding(self.PATH, (0, 4, 8), (0, 0, 1), 4)
+        assert emb == tr.AcceptableEmbedding.make(self.PATH, {0: (0, 0), 1: (1, 0),
+                                                              2: (2, F(1, 4))})
+        assert emb.leftmost == 0 and emb.children == {0: (1,), 1: (2,), 2: ()}
 
 
 class TestNormalizeToCatalog:

@@ -12,14 +12,24 @@ each side's best time.  Each layer's input is built outside the timed call,
 by the side's own package:
 
     catalog_tree      catalog_tree(-t, 0)
-    build_front       build_front on that embedding
+    catalog_tree_leaves  catalog_tree(-t, r), r the even number nearest t/2: its hub
+                      has leaves at fractional heights (r = 0 on an odd t has none)
+    embedding_make    AcceptableEmbedding.make of a new copy of that tree and the
+                      embedding's coordinates as a dict: the public checked path
+    build_front       build_front on catalog_tree(-t, 0)
     trace_components  the trace of a new diagram of catalog_front(-t, 0)'s events
+    orientation       OrientedFront.default of a new traced diagram of those events,
+                      and its per-arc directions
     invariant_pair    component 0 of a new default orientation of that traced diagram
     linking_matrix    a new default orientation of a traced 2-component link of
                       about 2t events: two copies of catalog_front(tb, 0), tb the
                       odd one of -t/2 and -t/2 - 1, one clasped inside the other
     realize_front     realize_front of the traced knot diagram
     signed_tree       SignedTree(signs, edges) of catalog_tree(-t, 0)'s tree: the check alone
+    normalize_front_to_catalog  normalize_front_to_catalog of spread_embedding of a new
+                      random tree on t + 1 vertices (random.Random(t), each vertex
+                      hung off an earlier one, signs alternating along the edges):
+                      its moves to the broom and the checked catalog front
     init_boundary     init_boundary(-t, 0)
     to_naf            to_naf of a new init_boundary(-t, 0): its boundary facts, nothing to convert
     to_elliptic_form  to_elliptic_form of a new reduced state of (-t, 0)
@@ -50,6 +60,7 @@ import json
 import math
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -60,8 +71,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-LAYERS = ("catalog_tree", "build_front", "trace_components", "invariant_pair",
-          "linking_matrix", "realize_front", "signed_tree", "init_boundary", "to_naf",
+LAYERS = ("catalog_tree", "catalog_tree_leaves", "embedding_make", "build_front",
+          "trace_components", "orientation", "invariant_pair", "linking_matrix",
+          "realize_front", "signed_tree", "normalize_front_to_catalog", "init_boundary", "to_naf",
           "to_elliptic_form", "raw_pipeline", "legendrian_lift", "winding", "quadrature",
           "lagrangian_embeddedness_check")
 RAW_MAX = 641  # raw_pipeline's largest |tb|: the raw stages are measured up to tb = -641
@@ -104,6 +116,8 @@ def setups(pkg, t: int) -> dict:
     fronts, trees, render, fo = pkg["fronts"], pkg["trees"], pkg["render"], pkg["foliation"]
     lifting = pkg["lifting"]
     emb = trees.catalog_tree(-t, 0)
+    half = 2 * round(t / 4)  # the even number nearest t/2
+    leaves = trees.catalog_tree(-t, half)
     knot = trees.catalog_front(-t, 0).events
     part = trees.catalog_front(-(t // 2 | 1), 0)  # odd tb: (tb, 0) is an unknot's
     link = nest(fronts, part, part).events
@@ -116,6 +130,22 @@ def setups(pkg, t: int) -> dict:
     def trace():
         d = fronts.FrontDiagram(knot)
         return lambda: fronts.trace_components(d)
+
+    def made():
+        tree, coords = trees.SignedTree(leaves.tree.signs, leaves.tree.edges), dict(leaves.coords)
+        return lambda: trees.AcceptableEmbedding.make(tree, coords)
+
+    def orientation():
+        d = traced(knot)
+        return lambda: fronts.OrientedFront.default(d).directions
+
+    def normalize():
+        rng = random.Random(t)
+        parents, signs = [rng.randrange(v) for v in range(1, t + 1)], {0: 1}
+        for v, u in enumerate(parents, 1):
+            signs[v] = -signs[u]
+        scattered = trees.spread_embedding(trees.SignedTree.make(signs, enumerate(parents, 1)))
+        return lambda: trees.normalize_front_to_catalog(scattered)
 
     def invariants():
         of = fronts.OrientedFront.default(traced(knot))
@@ -158,12 +188,16 @@ def setups(pkg, t: int) -> dict:
 
     return {
         "catalog_tree": lambda: lambda: trees.catalog_tree(-t, 0),
+        "catalog_tree_leaves": lambda: lambda: trees.catalog_tree(-t, half),
+        "embedding_make": made,
         "build_front": lambda: lambda: trees.build_front(emb),
         "trace_components": trace,
+        "orientation": orientation,
         "invariant_pair": invariants,
         "linking_matrix": linking,
         "realize_front": realize,
         "signed_tree": lambda: lambda: trees.SignedTree(emb.tree.signs, emb.tree.edges),
+        "normalize_front_to_catalog": normalize,
         "init_boundary": lambda: lambda: fo.init_boundary(-t, 0),
         "to_naf": naf,
         "to_elliptic_form": elliptic,
