@@ -35,7 +35,16 @@ else once, when first asked: the id map, the per-locus tag counts,
 boundary alternation, the NAF verdict (positive boundary points
 hyperbolic, negative ones elliptic), the connections and their skeleton
 tree; counts(), identity_differences(), the is_* checks and
-extract_skeleton read them.  Every boundary fact reads one column, the
+extract_skeleton read them.  A builder that holds one of these views
+already hands it over when it makes the state, so no first read rebuilds
+it: init_boundary's state starts with its boundary-tag column
+(``_btags``), and a working copy that only absorbed hands its id map, still
+in id order, to its frozen state (``sing_map``).  Every other view is
+derived on first read.  The tag counts are always recounted from the id
+map, never carried over from the logged deltas, so they check the trace.
+Both the to_elliptic_form and extract_skeleton tests for connections read
+the broom's rank pairs; the id pairs (``connections``) are built only
+when read, by dump_state for one.  Every boundary fact reads one column, the
 boundary points' tags in cycle order (``_btags``), the only per-point
 lookup: alternation is one comparison of its sign characters with
 "+-" * k or "-+" * k, the NAF verdict one set inclusion and the boundary
@@ -264,21 +273,16 @@ def init_boundary(tb: int, r: int,
     boundary = [f"b{i}" for i in range(2 * n)]  # signs alternate from b0 = +
     tags = list(map(add, boundary_kinds, cycle("+-")))
     sing = dict(zip(boundary, tags))
-    # the pending NAF conversions: positive elliptics, negative hyperbolics
+    # the pending NAF conversions: positive elliptics, negative hyperbolics;
+    # each makes two points of its tag, so the seed is the targets less those
+    # (a range of a negative length is empty)
     plus, minus = tags[0::2].count("e+"), tags[1::2].count("h-")
-    seed = {
-        "e+": max(0, e_target - 2 * plus),
-        "h+": max(0, 2 * plus - e_target),
-        "h-": max(0, h_target - 2 * minus),
-        "e-": max(0, 2 * minus - h_target),
-    }
-
     spine = [f"p{j}" for j in range(e_target)]  # e_target >= 1 in range
     hubs_h = [f"q{j}" for j in range(h_target)]
-    sing.update(dict.fromkeys(spine[: seed["e+"]], "e+"))
-    sing.update(dict.fromkeys(hubs_h[: seed["h-"]], "h-"))
-    sing.update((f"x{j}", "h+") for j in range(seed["h+"]))
-    sing.update((f"y{j}", "e-") for j in range(seed["e-"]))
+    sing.update(dict.fromkeys(spine[: max(0, e_target - 2 * plus)], "e+"))
+    sing.update(dict.fromkeys(hubs_h[: max(0, h_target - 2 * minus)], "h-"))
+    sing.update((f"x{j}", "h+") for j in range(2 * plus - e_target))
+    sing.update((f"y{j}", "e-") for j in range(2 * minus - h_target))
 
     # Separatrices: reduced Legendrian tree (spine alternating with interior
     # negative hyperbolics) plus boundary attachments.  Each is a distinct
@@ -290,7 +294,15 @@ def init_boundary(tb: int, r: int,
     edges += zip(reversed(boundary[1::2]), hubs_h)
     separatrices = tuple(sorted(e for e in edges if e[0] in sing and e[1] in sing))
     _check_stars(sing, separatrices)
-    return FoliationState(tb, r, tuple(boundary), tuple(sorted(sing.items())), separatrices)
+    return _with(FoliationState(tb, r, tuple(boundary), tuple(sorted(sing.items())), separatrices),
+                 _btags=tuple(tags))
+
+
+def _with(state: FoliationState, **facts) -> FoliationState:
+    """``state`` holding, as its cached views, the facts its builder has in
+    hand, so that no first read rebuilds them."""
+    vars(state).update(facts)
+    return state
 
 
 def _check_stars(sing: Mapping[str, str], separatrices: Sequence[tuple[str, str]]) -> None:
@@ -314,7 +326,9 @@ class _Work:
 
     A stage copies its input once, applies all its rewrites here and
     freezes once, so each rewrite costs O(degree) rather than O(n); a stage
-    whose input's cached facts show nothing to do makes no copy.  ``adj``
+    whose input's cached facts show nothing to do makes no copy.  The copy's
+    id map starts as a copy of the input's ``sing_map`` (one C-level dict
+    copy, in id order), not a rebuild from its pairs.  ``adj``
     is the copy's one separatrix index, a set of neighbours per endpoint
     (``trees._index``), so removing a point touches only its own edges.
     index() builds it when a rewrite first walks or tests it (a link, an
@@ -322,7 +336,9 @@ class _Work:
     then only leaves the id map.  freeze() writes it back with
     ``trees._pairs``.  A copy that never built it (to_elliptic_form's
     absorbs) freezes by filtering its input's sorted tuples, so the
-    surviving pairs are the input's own objects and nothing is sorted.
+    surviving pairs are the input's own objects and nothing is sorted; its
+    id map has only lost points and changed tags in place, so it is still
+    in id order, and the frozen state takes it as its ``sing_map``.
     Tightness is checked per added same-sign separatrix: a tight state's
     same-sign separatrices form a forest, so an added edge closes a cycle
     exactly when its endpoints already share a same-sign tree, which an
@@ -334,7 +350,7 @@ class _Work:
 
     def __init__(self, state: FoliationState):
         self.state = state
-        self.sing = dict(state.sing)
+        self.sing = state.sing_map.copy()  # the id-ordered dict, copied at C speed
         self.trace: list[RewriteStep] = []
         self.next_id: dict[str, int] = {}
         self.adj: Optional[defaultdict[str, set[str]]] = None  # see index()
@@ -353,17 +369,24 @@ class _Work:
         return self.adj
 
     def freeze(self) -> FoliationState:
+        """The copy as a state, which starts with the id map (``sing_map``)
+        if this copy never indexed; any other view it derives on first read,
+        its tag counts recounted.  The copy is spent: it drops its id map, so
+        no later rewrite of it can change the state's."""
+        facts = {}
         if self.adj is not None:
             sing, separatrices = tuple(sorted(self.sing.items())), _pairs(self.adj)
         else:
             # a rewrite that adds a point links it, so these are the input's
-            # points less the dropped ones, some with a new tag
+            # points less the dropped ones, some with a new tag, and the dict
+            # is still in id order: the state takes it as its sing_map
             get = self.sing.get
             sing = tuple(p if t == p[1] else (p[0], t)
                          for p in self.state.sing if (t := get(p[0])) is not None)
-            separatrices = tuple(self._kept())
-        return replace(self.state, sing=sing, separatrices=separatrices,
-                       trace=self.state.trace + tuple(self.trace))
+            separatrices, facts["sing_map"] = tuple(self._kept()), MappingProxyType(self.sing)
+        self.sing = None  # so no later rewrite of this copy reaches the state's map
+        return _with(replace(self.state, sing=sing, separatrices=separatrices,
+                             trace=self.state.trace + tuple(self.trace)), **facts)
 
     def fresh_id(self, prefix: str) -> str:
         # The probe resumes where the last one stopped.  That is the lowest
@@ -400,8 +423,9 @@ class _Work:
     def drop(self, x: str) -> None:
         """Remove singularity x with every separatrix at it."""
         del self.sing[x]
-        for w in (self.adj or {}).pop(x, ()):  # no index yet: index() leaves x out
-            self.adj[w].remove(x)
+        if self.adj is not None:  # no index yet: index() leaves x out
+            for w in self.adj.pop(x, ()):
+                self.adj[w].remove(x)
 
     def eliminate(self, e_id: str, h_id: str) -> None:
         e, h = self.sing[e_id], self.sing[h_id]
@@ -531,13 +555,10 @@ def to_naf(state: FoliationState) -> FoliationState:
 
 
 def _doomed(ids: list[str], keep: int) -> list[str]:
-    """The ids beyond the first ``keep`` survivors, sorted."""
-    ids = sorted(ids)
-    # spine/hub ids (p*, q*) are the canonical survivors
-    canon = [i for i in ids if i[0] in "pq"]
-    extra = [i for i in ids if i[0] not in "pq"]
-    survivors = set((canon + extra)[:keep])
-    return [i for i in ids if i not in survivors]
+    """The ids beyond the first ``keep`` survivors, sorted.  The survivors
+    are the spine/hub ids (p*, q*), the canonical ones, then the others, each
+    run in id order."""
+    return sorted(sorted(ids, key=lambda i: (i[0] not in "pq", i))[keep:])
 
 
 def reduce_interior(state: FoliationState) -> FoliationState:
@@ -595,7 +616,7 @@ def to_elliptic_form(state: FoliationState) -> tuple[FoliationState, SkeletonTre
     the skeleton is extract_skeleton(state), built and checked once and
     cached on the state.
     """
-    if not state.connections:
+    if not state._rank_broom[2]:  # no connections; their id pairs are not built
         if not (state.is_naf() and state.is_reduced()):
             raise PatternMismatch("to_elliptic_form needs a reduced state with NAF boundary")
         # the NAF boundary's negatives are elliptic until absorbed
@@ -651,7 +672,7 @@ def extract_skeleton(state: FoliationState) -> SkeletonTree:
     """
     if not (state.is_elliptic_form() and state.is_reduced()):
         raise NotEllipticForm("extract_skeleton needs an elliptic-form, reduced state")
-    if not state.connections:
+    if not state._rank_broom[2]:
         raise NotATree(
             f"the elliptic points cannot form a skeleton with tb={state.tb}, r={state.r}"
         )

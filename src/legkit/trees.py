@@ -134,7 +134,8 @@ VERTEX_TOKENS = (INT_TOKEN, RATIONAL_TOKEN, RATIONAL_TOKEN)  # id, x, y
 class SignedTree:
     """Abstract tree with alternating vertex signs, checked when built.
 
-    ``signs`` maps vertex id -> +1 or -1; ``edges`` is a sorted tuple of
+    ``signs`` is a tuple of (vertex, sign) pairs, each vertex once and in
+    increasing order, each sign +1 or -1; ``edges`` is a sorted tuple of
     distinct int pairs (u, w) with u < w.  ``make`` sorts the signs, each
     edge's ends and the edges.
     """
@@ -214,6 +215,10 @@ class SignedTree:
             if u == w:
                 raise NotATree("edge set is not connected")
             up[u] = w
+        # the vertices are now edge ends, so ints: one C-level sort of the
+        # sorted keys refuses a repeated (a shorter map) or unsorted vertex
+        if len(sm) != len(self.signs) or sorted(sm) != [*sm]:
+            raise BadSigning("signs must list each vertex once, in increasing order")
         if any(map(eq, map(sm.__getitem__, us), map(sm.__getitem__, ws))):
             u, w = next(e for e in edges if sm[e[0]] == sm[e[1]])
             raise BadSigning(f"adjacent vertices {u}, {w} share sign")

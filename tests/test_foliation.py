@@ -1608,3 +1608,117 @@ def test_boundary_facts_match_former_after_converts_and_rewires(data):
         except (NotConnected, TightnessViolation, BadLeaves):
             continue
         assert_boundary_facts_match_former(state)
+
+
+# ---------------------------------------------------------------------------
+# Facts handed over at birth: init_boundary's state starts with its
+# boundary-tag column (_btags), and the frozen state of a working copy that
+# only absorbed starts with the copy's id map (sing_map).  Each must read as
+# the view that a fresh state built from the same fields derives.
+
+
+def fresh(state):
+    """A new state from ``state``'s fields alone, with no cached view."""
+    return fo.FoliationState(*(getattr(state, f.name) for f in fields(state)))
+
+
+def assert_like_fresh(state):
+    new = fresh(state)
+    assert list(state.sing_map.items()) == list(new.sing_map.items()) == list(state.sing)
+    assert state._btags == new._btags
+    assert state._tallies == new._tallies
+    assert state.connections == new.connections
+    assert _result(fo.extract_skeleton, state) == _result(fo.extract_skeleton, new)
+    assert fo.dump_state(state) == fo.dump_state(new)
+
+
+def pipeline_states(tb, r, kinds):
+    """The states that init_boundary, to_naf, reduce_interior and
+    to_elliptic_form return, in order."""
+    init = fo.init_boundary(tb, r, kinds)
+    naf = fo.to_naf(init)
+    reduced = fo.reduce_interior(naf)
+    return init, naf, reduced, fo.to_elliptic_form(reduced)[0]
+
+
+def ends_and_middle(max_tb):
+    """Each (tb, r) in range with |tb| <= |max_tb| and r at either end of its
+    range or nearest 0: every size, at a fraction of the whole grid's cost."""
+    for tb, r in in_range_grid(max_tb):
+        if r in (tb + 1, -tb - 1) or abs(r) <= 1:
+            yield tb, r
+
+
+class TestHandedOverFacts:
+    def test_stage_outputs_read_like_fresh_states(self):
+        for tb, r in ends_and_middle(-41):
+            for pattern in PATTERNS:
+                states = pipeline_states(tb, r, _kinds(pattern, tb))
+                assert "_btags" in vars(states[0])
+                for state in states:
+                    assert_like_fresh(state)
+
+    def test_largest_default_pipeline_reads_like_fresh_states(self):
+        for state in pipeline_states(-641, 0, None):
+            assert_like_fresh(state)
+
+    def test_absorb_only_copy_hands_over_its_id_map(self):
+        reduced = fo.reduce_interior(fo.to_naf(fo.init_boundary(-9, 2)))
+        before = dict(reduced.sing_map)
+        w = fo._Work(reduced)
+        w.absorb("q0", "b17")  # q0 and b17 share a separatrix
+        state = w.freeze()
+        assert "sing_map" in vars(state) and w.sing is None
+        assert state.sing_map["b17"] == "h-" and "q0" not in state.sing_map
+        assert dict(reduced.sing_map) == before  # the input's map is not the copy's
+        # the spent copy cannot reach the map it handed over, nor can a reader
+        with pytest.raises(TypeError):
+            w.absorb("q1", "b15")
+        with pytest.raises(TypeError):
+            state.sing_map["q1"] = "e+"
+        assert state.sing_map == dict(state.sing) and "q1" in state.sing_map
+        assert_like_fresh(state)
+
+    def test_indexing_copy_hands_over_nothing(self):
+        w = fo._Work(fo.init_boundary(-5, 0, _kinds("e", -5)))
+        w.convert("b0", "collar-leaf", "L")  # a link indexes; new ids end the dict
+        state = w.freeze()
+        assert "sing_map" not in vars(state) and w.sing is None
+        assert_like_fresh(state)
+
+
+# ---------------------------------------------------------------------------
+# The trace as a certificate: replaying a pipeline's steps from its start
+# state, one at a time, through the public atomic rewrites (and the working
+# copy's absorb, which has no public form) gives the pipeline's state, dump
+# and trace; and each step's logged delta is the change of counts() that the
+# replay measures.
+
+
+def replay_step(state, step):
+    if step.rule == "absorb":
+        w = fo._Work(state)
+        w.absorb(*step.operands)
+        return w.freeze()
+    return {"convert": fo.convert, "eliminate": fo.eliminate, "rewire": fo.rewire,
+            "create_pair": fo.create_pair}[step.rule](state, *step.operands)
+
+
+def measured_delta(before, after):
+    b, a = before.counts(), after.counts()
+    return tuple((t, a[t] - b[t]) for t in fo._TAGS if a[t] != b[t])
+
+
+def test_pipeline_traces_replay_to_their_states():
+    for tb, r in in_range_grid(-9):
+        for pattern in PATTERNS:
+            init, *_, final = pipeline_states(tb, r, _kinds(pattern, tb))
+            state = init
+            for step in final.trace:
+                after = replay_step(state, step)
+                assert after.trace == state.trace + (step,), (tb, r, pattern, step)
+                assert measured_delta(state, after) == step.delta, (tb, r, pattern, step)
+                state = after
+            assert state == final and state.trace == final.trace
+            assert fo.dump_state(state) == fo.dump_state(final)
+            assert fo.extract_skeleton(state) == fo.extract_skeleton(final)

@@ -1726,6 +1726,43 @@ class TestSignedTreeAgainstReference:
             tr.SignedTree(((0, 1), (1, 0)), ((0, 1),))
 
 
+class TestSignsListEachVertexOnce:
+    """A tree built directly from a signs tuple that repeats a vertex, or
+    lists the vertices out of order, is refused: before, a repeat was read
+    as a tree on fewer vertices (the map keeps one sign per vertex), and
+    expected_invariants counted the repeat twice."""
+
+    @pytest.mark.parametrize("signs", [
+        ((0, 1), (0, 1), (1, -1)),
+        ((0, 1), (1, -1), (1, -1)),
+        ((0, -1), (0, 1), (1, -1)),  # both signs on vertex 0
+        ((1, -1), (0, 1)),
+        ((0, 1), (1, -1), (0, 1)),
+    ], ids=["repeat", "repeat at the end", "repeat with both signs", "unsorted",
+            "unsorted repeat"])
+    def test_one_edge(self, signs):
+        with pytest.raises(BadSigning, match="^signs must list each vertex once, in increasing"):
+            tr.SignedTree(signs, ((0, 1),))
+
+    def test_the_repeat_that_misread_the_edge(self):
+        assert tr.expected_invariants(tr.SignedTree(((0, 1), (1, -1)), ((0, 1),))) == (-1, 0)
+        with pytest.raises(BadSigning):
+            tr.SignedTree(((0, 1), (0, 1), (1, -1)), ((0, 1),))
+
+    @settings(max_examples=150, deadline=None)
+    @given(signed_trees(), st.data())
+    def test_any_repeat_or_swap_is_refused(self, t, data):
+        signs = list(t.signs)
+        k = data.draw(st.integers(0, len(signs) - 2))
+        if data.draw(st.booleans()):
+            signs.insert(k, signs[k])  # still in order, vertex k twice
+        else:
+            signs[k], signs[k + 1] = signs[k + 1], signs[k]
+        assert tr.SignedTree(t.signs, t.edges) == t
+        with pytest.raises(BadSigning, match="each vertex once"):
+            tr.SignedTree(tuple(signs), t.edges)
+
+
 class TestPairsAgainstFormer:
     """Trees, neighbors and children against the former frozenset code."""
 

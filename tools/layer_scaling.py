@@ -33,6 +33,9 @@ by the side's own package:
     init_boundary     init_boundary(-t, 0)
     to_naf            to_naf of a new init_boundary(-t, 0): its boundary facts, nothing to convert
     to_elliptic_form  to_elliptic_form of a new reduced state of (-t, 0)
+    raw_reduce_interior  reduce_interior of a new to_naf of an all-elliptic
+                      init_boundary(-t, 0): its eliminations and rewires; only for
+                      t <= 641 (RAW_MAX)
     raw_pipeline      to_naf, reduce_interior and to_elliptic_form of a new all-elliptic
                       init_boundary(-t, 0); only for t <= 641 (RAW_MAX)
     legendrian_lift   the default lift of component 0 of realize_front(catalog_front(-t, 0))
@@ -74,14 +77,14 @@ SIDES = ("parent", "change")
 LAYERS = ("catalog_tree", "catalog_tree_leaves", "embedding_make", "build_front",
           "trace_components", "orientation", "invariant_pair", "linking_matrix",
           "realize_front", "signed_tree", "normalize_front_to_catalog", "init_boundary", "to_naf",
-          "to_elliptic_form", "raw_pipeline", "legendrian_lift", "winding", "quadrature",
-          "lagrangian_embeddedness_check")
-RAW_MAX = 641  # raw_pipeline's largest |tb|: the raw stages are measured up to tb = -641
+          "to_elliptic_form", "raw_reduce_interior", "raw_pipeline", "legendrian_lift", "winding",
+          "quadrature", "lagrangian_embeddedness_check")
+RAW_MAX = 641  # the raw rows' largest |tb|: the raw stages are measured up to tb = -641
 # the lifting rows' largest |tb|: a default lift of (-161, 0) has about 1.3 million
 # samples, 30 MiB of arrays
 LIFT_MAX = 161
-CAPS = {"raw_pipeline": RAW_MAX, "legendrian_lift": LIFT_MAX, "winding": LIFT_MAX,
-        "quadrature": LIFT_MAX, "lagrangian_embeddedness_check": LIFT_MAX}
+CAPS = {"raw_pipeline": RAW_MAX, "raw_reduce_interior": RAW_MAX, "legendrian_lift": LIFT_MAX,
+        "winding": LIFT_MAX, "quadrature": LIFT_MAX, "lagrangian_embeddedness_check": LIFT_MAX}
 
 
 def layer_sizes(layer: str, sizes: list[int]) -> list[int]:
@@ -171,6 +174,10 @@ def setups(pkg, t: int) -> dict:
         s = fo.init_boundary(-t, 0, [fo.ELLIPTIC] * (2 * t))
         return lambda: fo.to_elliptic_form(fo.reduce_interior(fo.to_naf(s)))
 
+    def raw_reduce():
+        s = fo.to_naf(fo.init_boundary(-t, 0, [fo.ELLIPTIC] * (2 * t)))
+        return lambda: fo.reduce_interior(s)
+
     lifted = []  # the one lift of this size, made when a lifting row first needs it
 
     def lift():
@@ -201,6 +208,7 @@ def setups(pkg, t: int) -> dict:
         "init_boundary": lambda: lambda: fo.init_boundary(-t, 0),
         "to_naf": naf,
         "to_elliptic_form": elliptic,
+        "raw_reduce_interior": raw_reduce,
         "raw_pipeline": raw,
         "legendrian_lift": lift,
         "winding": curve(lambda lc: lc.winding),
