@@ -459,13 +459,14 @@ def test_sing_map_built_once_and_read_only():
 
 
 # ---------------------------------------------------------------------------
-# Reference: a per-rewrite implementation of every stage, without the
-# working copy, on the former representation: a record (sign, kind, locus)
-# per singularity and a frozenset of two-element frozensets for the
-# separatrices.  Every rewrite rebuilds the whole state and re-walks the
-# whole separatrix graph.  The library must agree with it on every stage
-# output and on every atomic rewrite; to_ref is the one converter between
-# the two.
+# Reference: a per-rewrite implementation of init_boundary, every stage and
+# every atomic rewrite, without the working copy, on the former
+# representation: a record (sign, kind, locus) per singularity and a
+# frozenset of two-element frozensets for the separatrices.  Every rewrite
+# rebuilds the whole state and re-walks the whole separatrix graph, and the
+# connections are derived anew from each state.  The library must agree
+# with it on every state, trace, dump, skeleton and raised error, message
+# included; to_ref and from_ref are the two converters between the two.
 
 
 def _ref_check_tight(sing, edges):
@@ -521,8 +522,7 @@ class RefSing:
 @dataclass(frozen=True)
 class RefState:
     """The former state.  Like a library state it compares by its foliation;
-    ``connections`` holds the broom the reference's elliptic form builds (or,
-    for a converted state, the library's derived connections)."""
+    its connections are derived from it (``ref_connections``)."""
 
     tb: int
     r: int
@@ -530,7 +530,6 @@ class RefState:
     sing: tuple  # sorted (id, RefSing)
     separatrices: frozenset  # of two-element frozensets of ids
     trace: tuple = field(default=(), compare=False)
-    connections: frozenset = field(default=frozenset(), compare=False)
 
 
 def to_ref(state):
@@ -542,8 +541,55 @@ def to_ref(state):
         for i, t in state.sing
     )
     return RefState(state.tb, state.r, state.boundary, sing,
-                    frozenset(map(frozenset, state.separatrices)), state.trace,
-                    frozenset(map(frozenset, state.connections)))
+                    frozenset(map(frozenset, state.separatrices)), state.trace)
+
+
+def from_ref(ref):
+    """The library state a reference state stands for: a tag per point, and
+    the separatrices as sorted (u, v) pairs with u < v."""
+    sing = tuple((i, s.kind + ("+" if s.sign > 0 else "-")) for i, s in ref.sing)
+    separatrices = tuple(sorted(tuple(sorted(e)) for e in ref.separatrices))
+    return fo.FoliationState(ref.tb, ref.r, ref.boundary, sing, separatrices, ref.trace)
+
+
+def ref_init_boundary(tb, r, boundary_kinds=None):
+    """The start state, point by point: 2|tb| alternating boundary points
+    from b0 = +, an interior seeded so that the NAF conversions still to
+    come (each makes two points) land on the reduced targets, and the
+    separatrices of the reduced tree and the boundary attachments, checked
+    tight as a whole."""
+    if not fr.in_unknot_range(tb, r):
+        raise BadInvariants(f"tight pipeline needs (tb, r) in range, got ({tb!r}, {r!r})")
+    n = -tb
+    e_target, h_target = fo.interior_count_targets(tb, r)
+    kinds = [fo.HYPERBOLIC, fo.ELLIPTIC] * n if boundary_kinds is None else boundary_kinds
+    if len(kinds) != 2 * n:
+        raise BadInvariants(f"boundary_kinds must list {2 * n} kinds, got {len(kinds)}")
+    boundary = [f"b{i}" for i in range(2 * n)]
+    sing, pending = {}, {1: 0, -1: 0}
+    for k, (ident, kind) in enumerate(zip(boundary, kinds)):
+        if kind not in (fo.ELLIPTIC, fo.HYPERBOLIC):
+            raise BadInvariants(f"bad kind {kind!r}")
+        sign = 1 if k % 2 == 0 else -1
+        sing[ident] = RefSing(sign, kind, fo.BOUNDARY)
+        pending[sign] += kind != (fo.HYPERBOLIC if sign > 0 else fo.ELLIPTIC)
+    spine = [f"p{j}" for j in range(e_target)]
+    hubs = [f"q{j}" for j in range(h_target)]
+    # the targets less the points the conversions make; a surplus is
+    # seeded as interior points of the other kind
+    plus, minus = e_target - 2 * pending[1], h_target - 2 * pending[-1]
+    sing.update((i, RefSing(1, fo.ELLIPTIC, fo.INTERIOR)) for i in spine[: max(0, plus)])
+    sing.update((i, RefSing(-1, fo.HYPERBOLIC, fo.INTERIOR)) for i in hubs[: max(0, minus)])
+    sing.update((f"x{j}", RefSing(1, fo.HYPERBOLIC, fo.INTERIOR)) for j in range(-plus))
+    sing.update((f"y{j}", RefSing(-1, fo.ELLIPTIC, fo.INTERIOR)) for j in range(-minus))
+    edges = [(q, p) for j, q in enumerate(hubs) for p in spine[j : j + 2]]
+    edges += zip(boundary[::2], itertools.cycle(spine))
+    # each interior negative hyperbolic joins the boundary negative elliptic
+    # that the elliptic form absorbs it into
+    edges += zip(reversed(boundary[1::2]), hubs)
+    seps = frozenset(frozenset(e) for e in edges if e[0] in sing and e[1] in sing)
+    _ref_check_tight(sing, seps)
+    return RefState(tb, r, tuple(boundary), tuple(sorted(sing.items())), seps)
 
 
 def _ref_fresh_id(sing, prefix):
@@ -623,7 +669,10 @@ def ref_rewire(state, add=None, remove=None):
         if not set(add) <= set(sm):
             raise NotConnected(f"unknown endpoint in {add}")
         seps.add(frozenset(add))
-        _ref_check_tight(sm, seps)
+        try:
+            _ref_check_tight(sm, seps)
+        except TightnessViolation:  # the cycle runs through the new separatrix
+            raise TightnessViolation(f"same-sign separatrix cycle through {add[0]}") from None
     out = replace(state, separatrices=frozenset(seps))
     return _ref_logged(out, fo.RewriteStep("rewire", (add, remove), ()))
 
@@ -676,59 +725,77 @@ def ref_reduce_interior(state):
             hs = doomed(fo.HYPERBOLIC, sign, h_keep)
             if not es and not hs:
                 break
-            assert es and hs, "interior counts cannot reach the reduced targets"
+            if not (es and hs):
+                raise BadInvariants("interior counts cannot reach the reduced targets")
             e_id, h_id = es[0], hs[0]
             if frozenset((e_id, h_id)) not in cur.separatrices:
                 cur = ref_rewire(cur, add=(e_id, h_id))
             cur = ref_eliminate(cur, e_id, h_id)
-    assert ref_counts(cur, fo.INTERIOR) == {"e+": e_target, "h+": 0, "e-": 0, "h-": h_target}
+    counts = ref_counts(cur, fo.INTERIOR)
+    if counts != {"e+": e_target, "h+": 0, "e-": 0, "h-": h_target}:
+        raise BadInvariants(
+            f"reduced interior {counts} misses the targets e+={e_target}, h-={h_target}")
     return cur
+
+
+def ref_connections(state):
+    """The connections, derived anew: in elliptic form with a reduced
+    interior whose elliptic points can be the skeleton's vertices (1 - tb of
+    them, signed to give r), canonical_broom's tree on the ranks of the
+    sorted elliptic ids (a tree's vertices are ints), as sorted id pairs;
+    none in any other state."""
+    if not (ref_is_elliptic_form(state) and ref_is_reduced(state)):
+        return ()
+    sm = dict(state.sing)
+    ids = sorted(i for i, s in state.sing if s.kind == fo.ELLIPTIC)
+    signs = [sm[v].sign for v in ids]
+    if (len(ids), tr.SIGMA * sum(signs)) != (1 - state.tb, state.r):
+        return ()
+    broom = tr.canonical_broom(signs, range(len(ids)))
+    return tuple(sorted(tuple(sorted((ids[u], ids[w]))) for u, w in broom.edges))
 
 
 def ref_extract_skeleton(state):
     """The skeleton rebuilt from the connections on every call, never cached."""
-    if not ref_is_elliptic_form(state):
-        raise NotEllipticForm("extract_skeleton needs an elliptic-form state")
+    if not (ref_is_elliptic_form(state) and ref_is_reduced(state)):
+        raise NotEllipticForm("extract_skeleton needs an elliptic-form, reduced state")
+    conns = ref_connections(state)
+    if not conns:
+        raise NotATree(
+            f"the elliptic points cannot form a skeleton with tb={state.tb}, r={state.r}")
     sm = dict(state.sing)
-    verts = sorted({v for c in state.connections for v in c})
+    verts = sorted({v for c in conns for v in c})
     index = {v: k for k, v in enumerate(verts)}
     signs = {k: sm[v].sign for k, v in enumerate(verts)}
-    edges = [(index[u], index[v]) for u, v in state.connections]
+    edges = [(index[u], index[v]) for u, v in conns]
     return fo.SkeletonTree(tree=tr.SignedTree.make(signs, edges), ids=tuple(verts))
 
 
 def ref_to_elliptic_form(state):
-    """Absorb one rewrite at a time, then connect through canonical_broom's tree."""
-    if not (ref_is_naf(state) and ref_is_reduced(state)):
-        raise PatternMismatch("to_elliptic_form needs a reduced state with NAF boundary")
+    """A state with connections as it is; any other, if reduced with a NAF
+    boundary, absorbs one rewrite at a time."""
     cur = state
-    doomed_h = sorted(
-        i for i, s in cur.sing if s.locus == fo.INTERIOR and s.kind == fo.HYPERBOLIC
-    )
-    for q in doomed_h:
-        sm = dict(cur.sing)
-        # still-elliptic negative boundary points, in reversed boundary order
-        free = [b for b in reversed(cur.boundary) if sm[b].sign < 0 and sm[b].kind == fo.ELLIPTIC]
-        shared = [m for m in free if frozenset((q, m)) in cur.separatrices]
-        m = shared[0] if shared else free[0]
-        if not shared:
-            cur = ref_rewire(cur, add=(q, m))
-        sm = dict(cur.sing)
-        sm[m] = replace(sm[m], kind=fo.HYPERBOLIC)
-        sm.pop(q)
-        seps = frozenset(s for s in cur.separatrices if q not in s)
-        cur = replace(_ref_with_sing(cur, sm), separatrices=seps)
-        cur = _ref_logged(cur, fo.RewriteStep("absorb", (q, m), ref_delta(em=-1)))
-    sm = dict(cur.sing)
-    spine = sorted(i for i, s in cur.sing if s.locus == fo.INTERIOR and s.kind == fo.ELLIPTIC)
-    leaves = [b for b in cur.boundary if sm[b].sign < 0 and sm[b].kind == fo.ELLIPTIC]
-    ids = sorted(spine + leaves)
-    signs = [sm[v].sign for v in ids]
-    # a tree's vertices are ints: the broom on the ranks of the sorted ids
-    broom = tr.canonical_broom(signs, range(len(ids)))
-    conns = frozenset(frozenset((ids[u], ids[w])) for u, w in broom.edges)
-    cur = replace(cur, connections=conns)
-    assert ref_is_elliptic_form(cur)
+    if not ref_connections(state):
+        if not (ref_is_naf(state) and ref_is_reduced(state)):
+            raise PatternMismatch("to_elliptic_form needs a reduced state with NAF boundary")
+        doomed_h = sorted(
+            i for i, s in cur.sing if s.locus == fo.INTERIOR and s.kind == fo.HYPERBOLIC
+        )
+        for q in doomed_h:
+            sm = dict(cur.sing)
+            # still-elliptic negative boundary points, in reversed boundary order
+            free = [b for b in reversed(cur.boundary)
+                    if sm[b].sign < 0 and sm[b].kind == fo.ELLIPTIC]
+            shared = [m for m in free if frozenset((q, m)) in cur.separatrices]
+            m = shared[0] if shared else free[0]
+            if not shared:
+                cur = ref_rewire(cur, add=(q, m))
+            sm = dict(cur.sing)
+            sm[m] = replace(sm[m], kind=fo.HYPERBOLIC)
+            sm.pop(q)
+            seps = frozenset(s for s in cur.separatrices if q not in s)
+            cur = replace(_ref_with_sing(cur, sm), separatrices=seps)
+            cur = _ref_logged(cur, fo.RewriteStep("absorb", (q, m), ref_delta(em=-1)))
     return cur, ref_extract_skeleton(cur)
 
 
@@ -739,17 +806,27 @@ def ref_dump_state(state):
     lines.append("boundary " + " ".join(f"{b}:{sm[b].tag()}" for b in state.boundary))
     interior = sorted(i for i, s in state.sing if s.locus == fo.INTERIOR)
     lines.append("interior " + " ".join(f"{i}:{sm[i].tag()}" for i in interior))
-    for name, edges in (("separatrix", state.separatrices), ("connection", state.connections)):
+    for name, edges in (("separatrix", state.separatrices), ("connection", ref_connections(state))):
         lines += (f"{name} {'-'.join(sorted(e))}" for e in sorted(edges, key=sorted))
     return "\n".join(lines)
 
 
 def _outcome(fn, *args):
-    """("ok", result) or ("raised", exception type)."""
+    """("ok", result) or ("raised", exception type, message)."""
     try:
         return "ok", fn(*args)
-    except Exception as exc:  # the reference may raise anything; compare types
-        return "raised", type(exc)
+    except Exception as exc:  # compare what either side raises, message included
+        return "raised", type(exc), str(exc)
+
+
+def seen(state):
+    """A library state with its trace, dump and connections."""
+    return state, state.trace, fo.dump_state(state), state.connections
+
+
+def ref_seen(ref):
+    """The same of a reference state, as the library state it stands for."""
+    return from_ref(ref), ref.trace, ref_dump_state(ref), ref_connections(ref)
 
 
 def _kinds(pattern, tb):
@@ -761,19 +838,26 @@ def _kinds(pattern, tb):
     return [pattern] * n
 
 
-def _stage_outputs(stages, tb, r, kinds):
-    to_naf, reduce_interior, to_elliptic_form, extract_skeleton, as_ref = stages
-    naf = to_naf(fo.init_boundary(tb, r, kinds))
-    reduced = reduce_interior(naf)
-    final, _ = to_elliptic_form(reduced)
-    states = [(as_ref(s), [st.describe() for st in s.trace]) for s in (naf, reduced, final)]
-    return states, as_ref(final).connections, extract_skeleton(final)
+def library_pipeline(tb, r, kinds):
+    """Each state of init_boundary and the stages, seen, then the skeleton."""
+    states = [fo.init_boundary(tb, r, kinds)]
+    states.append(fo.to_naf(states[-1]))
+    states.append(fo.reduce_interior(states[-1]))
+    final, skeleton = fo.to_elliptic_form(states[-1])
+    assert fo.extract_skeleton(final) is skeleton
+    return [seen(s) for s in states + [final]], skeleton
 
 
-LIBRARY = (fo.to_naf, fo.reduce_interior, fo.to_elliptic_form, fo.extract_skeleton, to_ref)
-REFERENCE = (lambda s: ref_to_naf(to_ref(s)), ref_reduce_interior, ref_to_elliptic_form,
-             ref_extract_skeleton, lambda s: s)
+def reference_pipeline(tb, r, kinds):
+    states = [ref_init_boundary(tb, r, kinds)]
+    states.append(ref_to_naf(states[-1]))
+    states.append(ref_reduce_interior(states[-1]))
+    final, skeleton = ref_to_elliptic_form(states[-1])
+    return [ref_seen(s) for s in states + [final]], skeleton
+
+
 PATTERNS = (None, "e", "h", "mixed")
+LARGE = [(-161, 0, "e"), (-641, 640, None), (-641, -640, None)]
 
 
 class TestAgainstReference:
@@ -781,30 +865,28 @@ class TestAgainstReference:
         for tb, r in in_range_grid(-15):
             for pattern in PATTERNS:
                 kinds = _kinds(pattern, tb)
-                want = _outcome(_stage_outputs, REFERENCE, tb, r, kinds)
-                assert _outcome(_stage_outputs, LIBRARY, tb, r, kinds) == want, (tb, r, pattern)
+                want = _outcome(reference_pipeline, tb, r, kinds)
+                assert _outcome(library_pipeline, tb, r, kinds) == want, (tb, r, pattern)
 
-    @pytest.mark.parametrize("tb, r, pattern", [(-161, 0, "e"), (-641, 640, None), (-641, -640, None)])
+    @pytest.mark.parametrize("tb, r, pattern", LARGE)
     def test_stages_large(self, tb, r, pattern):
         kinds = _kinds(pattern, tb)
-        assert _stage_outputs(LIBRARY, tb, r, kinds) == _stage_outputs(REFERENCE, tb, r, kinds)
+        assert library_pipeline(tb, r, kinds) == reference_pipeline(tb, r, kinds)
 
 
 def test_derived_connections_are_the_reference_broom():
-    """On every NAF state of the pipeline: the broom that the reference's
-    elliptic form builds where the state is in elliptic form with a reduced
-    interior, and none elsewhere."""
+    """On every state of the pipeline: the broom on the elliptic points
+    where the state is in elliptic form with a reduced interior, and none
+    elsewhere, as the reference derives them."""
     for tb, r in in_range_grid(-15):
         for pattern in PATTERNS:
-            naf = fo.to_naf(fo.init_boundary(tb, r, _kinds(pattern, tb)))
+            init = fo.init_boundary(tb, r, _kinds(pattern, tb))
+            naf = fo.to_naf(init)
             reduced = fo.reduce_interior(naf)
             final, _ = fo.to_elliptic_form(reduced)
-            want, _ = ref_to_elliptic_form(to_ref(reduced))
-            assert want.connections and to_ref(final).connections == want.connections
-            for s in (naf, reduced):
-                ref = to_ref(s)
-                done = ref_is_elliptic_form(ref) and ref_is_reduced(ref)
-                assert s.connections == (final.connections if done else ()), (tb, r)
+            assert final.connections
+            for s in (init, naf, reduced, final):
+                assert s.connections == ref_connections(to_ref(s)), (tb, r, pattern)
 
 
 SMALL = list(in_range_grid(-4))
@@ -839,26 +921,56 @@ def _draw_args(data, op, state):
     return (add, remove)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_atomic_rewrites_match_reference(data):
+REWRITES = {"create_pair": ref_create_pair, "rewire": ref_rewire,
+            "convert": ref_convert, "eliminate": ref_eliminate}
+STAGES = ((fo.to_naf, ref_to_naf), (fo.reduce_interior, ref_reduce_interior),
+          (lambda s: fo.to_elliptic_form(s)[0], lambda s: ref_to_elliptic_form(s)[0]))
+
+
+def _rewritten(data):
+    """A random start state and sequence of atomic rewrites, each applied to
+    the library state and to the reference one and compared; the last
+    states.  A rewrite either side refuses is skipped, after the two errors
+    are found equal."""
     tb, r = data.draw(st.sampled_from(SMALL))
-    new = fo.init_boundary(tb, r, _kinds(data.draw(st.sampled_from(PATTERNS)), tb))
-    ref = to_ref(new)
-    reference = {"create_pair": ref_create_pair, "rewire": ref_rewire,
-                 "convert": ref_convert, "eliminate": ref_eliminate}
+    kinds = _kinds(data.draw(st.sampled_from(PATTERNS)), tb)
+    new, ref = fo.init_boundary(tb, r, kinds), ref_init_boundary(tb, r, kinds)
+    assert seen(new) == ref_seen(ref)
     for _ in range(data.draw(st.integers(1, 15))):
         op = data.draw(st.sampled_from(OPS)) if len(new.sing) >= 2 else "create_pair"
         args = _draw_args(data, op, new)
         got = _outcome(getattr(fo, op), new, *args)
-        want = _outcome(reference[op], ref, *args)
+        want = _outcome(REWRITES[op], ref, *args)
         if want[0] == "raised":
             assert got == want, (op, args)
             continue
         assert got[0] == "ok", (op, args, got)
         new, ref = got[1], want[1]
-        assert to_ref(new) == ref
-        assert [s.describe() for s in new.trace] == [s.describe() for s in ref.trace]
+        assert seen(new) == ref_seen(ref), (op, args)
+    return new, ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_atomic_rewrites_match_reference(data):
+    _rewritten(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_atomic_rewrites_and_stages_match_reference(data):
+    """Each rewrite of a random sequence, then every stage on its last state."""
+    new, ref = _rewritten(data)
+    for stage, ref_stage in STAGES:
+        got, want = _outcome(stage, new), _outcome(ref_stage, ref)
+        if want[0] == "raised":
+            assert got == want
+            break
+        assert got[0] == "ok", got
+        new, ref = got[1], want[1]
+        assert seen(new) == ref_seen(ref)
+    else:
+        assert _outcome(fo.extract_skeleton, new) == _outcome(ref_extract_skeleton, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -982,8 +1094,7 @@ def test_elliptic_form_outputs_match_reference(case):
     reduced = _reduced(*case)
     got, _ = fo.to_elliptic_form(reduced)
     want, _ = ref_to_elliptic_form(to_ref(reduced))
-    assert to_ref(got) == want and to_ref(got).connections == want.connections
-    assert fo.dump_state(got) == ref_dump_state(want)
+    assert seen(got) == ref_seen(want)
     skel, ref_skel = fo.extract_skeleton(got), ref_extract_skeleton(want)
     assert skel.tree == ref_skel.tree
     assert skel.ids == ref_skel.ids
@@ -1312,15 +1423,6 @@ def _seen(states, skeleton, dump, connections):
     return [(s, s.trace, dump(s), connections(s)) for s in states], skeleton
 
 
-def library_pipeline(tb, r, kinds):
-    states = [fo.init_boundary(tb, r, kinds)]
-    states.append(fo.to_naf(states[-1]))
-    states.append(fo.reduce_interior(states[-1]))
-    final, skeleton = fo.to_elliptic_form(states[-1])
-    assert fo.extract_skeleton(final) is skeleton
-    return _seen(states + [final], skeleton, fo.dump_state, lambda s: s.connections)
-
-
 def former_pipeline(tb, r, kinds):
     states = [former_init_boundary(tb, r, kinds)]
     states.append(former_to_naf(states[-1]))
@@ -1375,6 +1477,62 @@ def test_atomic_rewrites_and_stages_match_former(data):
 
 
 # ---------------------------------------------------------------------------
+# The two reference engines agree on the union of their inputs, errors and
+# their messages included: every state, trace, dump, connection and
+# skeleton of the former engine is the reference's.
+
+
+class TestReferenceEnginesAgree:
+    def test_stage_grid(self):
+        for tb, r in in_range_grid(-15):
+            for pattern in PATTERNS:
+                kinds = _kinds(pattern, tb)
+                want = _outcome(reference_pipeline, tb, r, kinds)
+                assert _result(former_pipeline, tb, r, kinds) == want, (tb, r, pattern)
+
+    @pytest.mark.parametrize("tb, r, pattern", LARGE)
+    def test_stages_large(self, tb, r, pattern):
+        kinds = _kinds(pattern, tb)
+        assert former_pipeline(tb, r, kinds) == reference_pipeline(tb, r, kinds)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(-n), st.sampled_from([r for r in range(-n + 1, n) if fr.in_unknot_range(-n, r)]),
+        st.lists(st.sampled_from((fo.ELLIPTIC, fo.HYPERBOLIC)), min_size=2 * n, max_size=2 * n))))
+    def test_random_boundaries(self, case):
+        assert _result(former_pipeline, *case) == _outcome(reference_pipeline, *case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rewrites_and_stages(self, data):
+        tb, r = data.draw(st.sampled_from(SMALL))
+        kinds = _kinds(data.draw(st.sampled_from(PATTERNS)), tb)
+        old, ref = former_init_boundary(tb, r, kinds), ref_init_boundary(tb, r, kinds)
+
+        def former_seen(s):
+            return s, s.trace, former_dump_state(s), former_connections(s)
+
+        for _ in range(data.draw(st.integers(1, 15))):
+            op = data.draw(st.sampled_from(OPS)) if len(old.sing) >= 2 else "create_pair"
+            args = _draw_args(data, op, old)
+            got, want = _result(former_rewrite(op), old, *args), _outcome(REWRITES[op], ref, *args)
+            assert got[0] == want[0] and (got == want if got[0] == "raised"
+                                          else former_seen(got[1]) == ref_seen(want[1])), (op, args)
+            if got[0] == "ok":
+                old, ref = got[1], want[1]
+        former = (former_to_naf, former_reduce_interior, lambda s: former_to_elliptic_form(s)[0])
+        for former_stage, (_, ref_stage) in zip(former, STAGES):
+            got, want = _result(former_stage, old), _outcome(ref_stage, ref)
+            if want[0] == "raised":
+                assert got == want
+                break
+            old, ref = got[1], want[1]
+            assert former_seen(old) == ref_seen(ref)
+        else:
+            assert _result(former_extract_skeleton, old) == _outcome(ref_extract_skeleton, ref)
+
+
+# ---------------------------------------------------------------------------
 # Each stage pays only for what its rewrites touch.
 
 
@@ -1385,7 +1543,7 @@ def test_init_boundary_makes_no_working_copy(monkeypatch):
     monkeypatch.setattr(fo._Work, "__init__", refuse)
     for pattern in PATTERNS:
         kinds = _kinds(pattern, -9)
-        assert fo.init_boundary(-9, 2, kinds) == former_init_boundary(-9, 2, kinds)
+        assert seen(fo.init_boundary(-9, 2, kinds)) == ref_seen(ref_init_boundary(-9, 2, kinds))
 
 
 def test_elliptic_form_indexes_separatrices_only_to_rewire(monkeypatch):
@@ -1552,18 +1710,18 @@ def assert_boundary_facts_match_former(state):
     assert state._alternates == former_alternates(state)
     assert state._naf == state.is_naf() == former_naf(state)
     assert state._tallies == former_tallies(state)
-    got, want = _result(fo.to_naf, state), _result(former_to_naf, state)
-    assert got == want
+    got, want = _outcome(fo.to_naf, state), _outcome(ref_to_naf, to_ref(state))
+    assert got[0] == want[0] and (got == want if got[0] == "raised"
+                                  else seen(got[1]) == ref_seen(want[1]))
     if got[0] == "raised":
         return
     naf = got[1]
-    assert naf.trace == want[1].trace
     assert converted(state, naf) == former_todo(state)
     assert (naf is state) == (former_todo(state) == [])
-    reduced = _result(fo.reduce_interior, naf)
+    reduced = _outcome(fo.reduce_interior, naf)
     if reduced[0] == "raised" or reduced[1].connections:
         return
-    final = _result(fo.to_elliptic_form, reduced[1])
+    final = _outcome(fo.to_elliptic_form, reduced[1])
     if final[0] == "ok":
         assert absorbed(reduced[1], final[1][0]) == former_absorbs(reduced[1])
 
@@ -1574,8 +1732,8 @@ def assert_boundary_facts_match_former(state):
     st.lists(st.sampled_from((fo.ELLIPTIC, fo.HYPERBOLIC)), min_size=2 * n, max_size=2 * n))))
 def test_boundary_facts_match_former_on_random_boundaries(case):
     state = fo.init_boundary(*case)
-    # the start state from one column of tags is the one linked point by point
-    assert state == former_init_boundary(*case)
+    # the start state from one column of tags is the one built point by point
+    assert seen(state) == ref_seen(ref_init_boundary(*case))
     assert_boundary_facts_match_former(state)
 
 

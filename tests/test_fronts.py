@@ -29,7 +29,7 @@ from legkit.errors import (
     ParseError,
     SingleComponent,
 )
-from test_lifting import ref_steps, ref_write
+from test_lifting import ref_sample, ref_steps, ref_write
 from test_render import nest
 
 BASIC = "L 1\nR 1"
@@ -358,7 +358,20 @@ def reference_traversal(tr, comp, dirs):
 
 
 def reference_lift(rf, comp, of, n):
-    """legendrian_lift at n samples per arc over the former partner walk."""
+    """legendrian_lift at n samples per arc over the former partner walk:
+    each arc's samples (``ref_sample``), backwards on a leftward arc, less
+    the last, which is where the next arc starts."""
+    xs, ys, zs = [], [], []
+    for arc, rightward in reference_traversal(rf.trace, comp, of.directions):
+        x, z, y = (a if rightward else a[::-1] for a in ref_sample(rf.curves[arc], n))
+        xs.append(x[:-1])
+        ys.append(y[:-1])
+        zs.append(z[:-1])
+    return np.concatenate(xs), np.concatenate(ys), np.concatenate(zs)
+
+
+def writer_reference_lift(rf, comp, of, n):
+    """The same walk through the former per-arc writer."""
     xs, ys, zs = [], [], []
     for arc, rightward in reference_traversal(rf.trace, comp, of.directions):
         pieces = rf.curves[arc]
@@ -959,6 +972,17 @@ class TestProperties:
             ref = reference_lift(rf, c, of, 20)
             for got, want in zip((lc.x, lc.y, lc.z), ref):
                 assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_lift_references_agree_under_reversals(self, seed, data):
+        d = fr.random_closed_front(random.Random(seed), 30)
+        k = fr.trace_components(d).n_components
+        of = fr.OrientedFront(d, data.draw(st.frozensets(st.integers(0, k - 1))))
+        rf = lf.realize_front(d)
+        for c in range(k):
+            for a, b in zip(reference_lift(rf, c, of, 20), writer_reference_lift(rf, c, of, 20)):
+                assert a.tobytes() == b.tobytes()
 
 
 def check_tallies(d, orientations):

@@ -213,6 +213,7 @@ def former_build_front(emb):
     return fr.FrontDiagram(tuple(events))
 
 
+LADDER_RS = [0, 300, -300, 600, -600, 640, -640]  # the catalog trees of tb = -641 tested
 SLOPES = (F(-2, 5), F(-1, 4), F(-1, 7), F(0), F(1, 7), F(1, 4), F(2, 5))
 
 
@@ -243,10 +244,10 @@ def fork_embeddings(draw):
 
 
 def assert_matches_former(emb):
-    """build_front equals the former one, each distinct event is one object,
-    and the recorded children are the reference's right children."""
+    """build_front equals the recursive original, each distinct event is one
+    object, and the recorded children are the reference's right children."""
     d = tr.build_front(emb)
-    assert d == former_build_front(emb)
+    assert d == ref_build_front(emb)
     assert len({id(ev) for ev in d.events}) == len(set(d.events))
     for v in emb.tree.vertices:
         assert emb.children[v] == tuple(ref_right_children(emb, v, None))
@@ -955,26 +956,57 @@ class TestBuildFront:
         assert emb.children == {0: (1,), 1: (2, 3, 4, 5), 2: (), 3: (), 4: (), 5: ()}
         assert_matches_former(emb)
 
-    @pytest.mark.parametrize("r", [0, 300, -300, 600, -600, 640, -640])
+    @pytest.mark.parametrize("r", LADDER_RS)
     def test_references_at_ladder_size(self, r):
         # crotches and lofts with up to 640 children, on a path of up to 642
         emb = tr.catalog_tree(-641, r)
         d = assert_matches_former(emb)
-        text = fr.serialize_front(d)
-        assert text == fr.serialize_front(former_build_front(emb))
-        assert text == fr.serialize_front(ref_build_front(emb))
+        assert fr.serialize_front(d) == fr.serialize_front(ref_build_front(emb))
 
-    def test_many_random_embeddings_match_both_references(self):
+    def test_many_random_embeddings_match_reference(self):
         rng = random.Random(2828)
         for _ in range(3000):
             emb = tr.random_acceptable_embedding(rng, 40)
-            d = tr.build_front(emb)
-            assert d == former_build_front(emb) == ref_build_front(emb)
+            assert tr.build_front(emb) == ref_build_front(emb)
 
     def test_deep_catalog_front(self):
         d = tr.catalog_front(-1281, 0)
         assert len(d.events) == 2 * 1281
         assert fr.invariant_pair(fr.OrientedFront.default(d)) == (-1281, 0)
+
+
+class TestFrontReferencesAgree:
+    """The recursive original and the former work-stack build_front give
+    the same front on the union of their inputs."""
+
+    def test_catalog_trees(self):
+        for tb, r in ((tb, r) for tb in range(-1, -42, -1) for r in range(tb + 1, -tb)):
+            if fr.in_unknot_range(tb, r):
+                emb = tr.catalog_tree(tb, r)
+                assert former_build_front(emb) == ref_build_front(emb), (tb, r)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fork_embeddings())
+    def test_fork_embeddings(self, emb):
+        assert former_build_front(emb) == ref_build_front(emb)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 24))
+    def test_random_embeddings(self, seed, size):
+        emb = tr.random_acceptable_embedding(random.Random(seed), size)
+        assert former_build_front(emb) == ref_build_front(emb)
+
+    def test_combs_forks_ladders_and_many_random(self):
+        t = tr.SignedTree.make({0: 1, 1: -1, 2: 1, 3: 1, 4: 1, 5: 1},
+                               [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5)])
+        coords = {0: (0, 0), 1: (1, 0), 2: (2, F(1, 4)), 3: (3, F(1, 2)), 4: (2, 0),
+                  5: (F(3, 2), F(-1, 8))}
+        embs = [comb_embedding(1, 60), comb_embedding(-1, 60), tr.AcceptableEmbedding.make(t, coords)]
+        embs += [tr.catalog_tree(-641, r) for r in LADDER_RS]
+        rng = random.Random(2828)
+        embs += [tr.random_acceptable_embedding(rng, 40) for _ in range(3000)]
+        for emb in embs:
+            assert former_build_front(emb) == ref_build_front(emb)
 
 
 class TestSigmaConvention:
@@ -1650,6 +1682,19 @@ NOT_PAIRS = {
 }
 
 
+DEFECTS = [
+    ({0: 1, 1: -1, 2: 1}, [(0, 1), (2, 2)], NotATree),  # one-element edge
+    ({0: 1, 1: -1, 2: 1, 3: -1}, [(0, 1), (1, 2), (0, 2)], NotATree),  # disconnected
+    ({0: 1, 1: -1, 2: -1}, [(0, 1), (1, 2)], BadSigning),  # same-sign edge
+    ({0: 1, 1: -1, 2: 1}, [(0, 1)], NotATree),  # wrong edge count
+    ({0: 1, 1: -1, 2: 1, 3: 1}, [(0, 2), (2, 3), (0, 3)], NotATree),  # both: count first
+    ({0: 1, 1: 1, 2: -1, 3: 1}, [(0, 1), (2, 3), (0, 2)], BadSigning),
+    ({0: 1, 1: -1}, [(0, 5)], NotATree),  # an endpoint that is not a vertex
+    ({0: 1, 1: 2}, [(0, 1)], BadSigning),  # a sign that is not +-1
+    ({0: 1, 1: -1, 2: 1, 3: -1}, [(0, 1), (0, 3), (2, 3)], None),
+]
+
+
 class TestSignedTreeAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(signed_trees())
@@ -1674,20 +1719,7 @@ class TestSignedTreeAgainstReference:
     def test_malformed_input_raises_like_reference(self, case):
         assert assert_raises_like_reference(*case) is not None
 
-    @pytest.mark.parametrize(
-        "signs, edges, error",
-        [
-            ({0: 1, 1: -1, 2: 1}, [(0, 1), (2, 2)], NotATree),  # one-element edge
-            ({0: 1, 1: -1, 2: 1, 3: -1}, [(0, 1), (1, 2), (0, 2)], NotATree),  # disconnected
-            ({0: 1, 1: -1, 2: -1}, [(0, 1), (1, 2)], BadSigning),  # same-sign edge
-            ({0: 1, 1: -1, 2: 1}, [(0, 1)], NotATree),  # wrong edge count
-            ({0: 1, 1: -1, 2: 1, 3: 1}, [(0, 2), (2, 3), (0, 3)], NotATree),  # both: count first
-            ({0: 1, 1: 1, 2: -1, 3: 1}, [(0, 1), (2, 3), (0, 2)], BadSigning),
-            ({0: 1, 1: -1}, [(0, 5)], NotATree),  # an endpoint that is not a vertex
-            ({0: 1, 1: 2}, [(0, 1)], BadSigning),  # a sign that is not +-1
-            ({0: 1, 1: -1, 2: 1, 3: -1}, [(0, 1), (0, 3), (2, 3)], None),
-        ],
-    )
+    @pytest.mark.parametrize("signs, edges, error", DEFECTS)
     def test_each_defect_raises_like_reference(self, signs, edges, error):
         got = assert_raises_like_reference(tuple(sorted(signs.items())), tuple(sorted(edges)))
         assert (got and got[0]) is error
@@ -1986,9 +2018,7 @@ def pair_lists(draw):
 @given(pair_lists())
 def test_tree_check_accepts_and_rejects_as_the_former_one(case):
     signs, edges = case
-    want = tree_outcome(former_check, signs, edges)
-    assert tree_outcome(tr.SignedTree, signs, edges) == want
-    if want is None:
+    if assert_raises_like_reference(signs, edges) is None:
         t = tr.SignedTree(signs, edges)
         assert "_adjacency" not in vars(t)
         assert {v: t.valence(v) for v in t.vertices} == {
@@ -1998,16 +2028,52 @@ def test_tree_check_accepts_and_rejects_as_the_former_one(case):
         assert dict(t._adjacency) == ref_adjacency(signs, edges)
 
 
-@pytest.mark.parametrize("n, edges, message", [
+DISCONNECTED = [
     (5, ((0, 1), (0, 3), (1, 2), (2, 3)), "edge set is not connected"),  # a square, a point
     (6, ((0, 1), (0, 2), (1, 2), (3, 4), (4, 5)), "edge set is not connected"),  # triangle, path
     # two disjoint paths have one edge too few: the count names them first
     (6, ((0, 1), (1, 2), (3, 4), (4, 5)), "4 edges on 6 vertices is not a tree"),
-])
+]
+
+
+@pytest.mark.parametrize("n, edges, message", DISCONNECTED)
 def test_disconnected_edge_sets_are_refused_as_before(n, edges, message):
     signs = tuple((v, 1 - 2 * (v % 2)) for v in range(n))
     assert tree_outcome(tr.SignedTree, signs, edges) == (NotATree, message)
+    assert tree_outcome(ref_check_tree, signs, fset(edges)) == (NotATree, message)
     assert tree_outcome(former_check, signs, edges) == (NotATree, message)
+
+
+def assert_check_references_agree(signs, edges):
+    """The former check and the frozenset one raise alike on (signs, edges),
+    each naming a pair of equal signs where edges join some."""
+    former = tree_outcome(former_check, signs, edges)
+    ref = tree_outcome(ref_check_tree, signs, fset(edges))
+    if former is not None and former[1].startswith("adjacent vertices"):
+        sm = dict(signs)
+        assert ref[1] in {f"adjacent vertices {a}, {b} share sign"
+                          for u, w in edges if sm[u] == sm[w] for a, b in ((u, w), (w, u))}
+        assert ref[0] is former[0]
+    else:
+        assert ref == former
+
+
+class TestCheckReferencesAgree:
+    @settings(max_examples=300, deadline=None)
+    @given(pair_lists())
+    def test_pair_lists(self, case):
+        assert_check_references_agree(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(malformed_trees())
+    def test_malformed_trees(self, case):
+        assert_check_references_agree(*case)
+
+    def test_each_defect_and_disconnected_sets(self):
+        for signs, edges, _ in DEFECTS:
+            assert_check_references_agree(tuple(sorted(signs.items())), tuple(sorted(edges)))
+        for n, edges, _ in DISCONNECTED:
+            assert_check_references_agree(tuple((v, 1 - 2 * (v % 2)) for v in range(n)), edges)
 
 
 @settings(max_examples=200, deadline=None)
