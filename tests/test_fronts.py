@@ -29,7 +29,7 @@ from legkit.errors import (
     ParseError,
     SingleComponent,
 )
-from test_lifting import ref_sample, ref_steps, ref_write
+from test_lifting import ref_sample
 from test_render import nest
 
 BASIC = "L 1\nR 1"
@@ -367,19 +367,6 @@ def reference_lift(rf, comp, of, n):
         xs.append(x[:-1])
         ys.append(y[:-1])
         zs.append(z[:-1])
-    return np.concatenate(xs), np.concatenate(ys), np.concatenate(zs)
-
-
-def writer_reference_lift(rf, comp, of, n):
-    """The same walk through the former per-arc writer."""
-    xs, ys, zs = [], [], []
-    for arc, rightward in reference_traversal(rf.trace, comp, of.directions):
-        pieces = rf.curves[arc]
-        x, z, y = (np.empty(len(pieces) * ref_steps(pieces, n)) for _ in range(3))
-        ref_write(pieces, n, x, z, y, reverse=not rightward)
-        xs.append(x)
-        ys.append(y)
-        zs.append(z)
     return np.concatenate(xs), np.concatenate(ys), np.concatenate(zs)
 
 
@@ -972,17 +959,6 @@ class TestProperties:
             ref = reference_lift(rf, c, of, 20)
             for got, want in zip((lc.x, lc.y, lc.z), ref):
                 assert np.array_equal(got, want)
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_lift_references_agree_under_reversals(self, seed, data):
-        d = fr.random_closed_front(random.Random(seed), 30)
-        k = fr.trace_components(d).n_components
-        of = fr.OrientedFront(d, data.draw(st.frozensets(st.integers(0, k - 1))))
-        rf = lf.realize_front(d)
-        for c in range(k):
-            for a, b in zip(reference_lift(rf, c, of, 20), writer_reference_lift(rf, c, of, 20)):
-                assert a.tobytes() == b.tobytes()
 
 
 def check_tallies(d, orientations):

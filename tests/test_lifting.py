@@ -64,47 +64,6 @@ def ref_lift(rf, comp, of, samples):
     return np.concatenate(xs), np.concatenate(ys), np.concatenate(zs)
 
 
-# The former per-arc writer, ArcCurve.write with its step rule, kept as a
-# reference: before the 62-piece floor, an arc of P pieces got
-# max(2, (n // P) & ~1) steps per piece, and a reversed arc's last samples
-# were appended to its grid.
-
-
-def ref_steps(pieces, n):
-    return max(2, (n // len(pieces)) & ~1)
-
-
-def ref_write(pieces, n, x, z, y, reverse=False):
-    """Write the samples, ref_steps(pieces, n) uniform steps per piece, into
-    x, z and y = dz/dx: all but the last or, reversed, all but the first,
-    backwards."""
-    per = ref_steps(pieces, n)
-    t = np.linspace(0.0, 1.0, per + 1)
-    c = np.array([(p.cx, p.cz) for p in pieces]).T[..., None]
-    dx, dz = c[1] + t * (2 * c[2] + 3 * t * c[3])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.where(np.abs(dx) > 1e-14, dz / dx, 0.0)
-    for out, grid in zip((x, z, y), (*(c[0] + t * (c[1] + t * (c[2] + t * c[3]))), slope)):
-        if not reverse:
-            out.reshape(-1, per)[...] = grid[:, :-1]
-        else:  # row k: after piece k's start, up to the next piece's start
-            out = out[::-1].reshape(-1, per)
-            out[:, :-1], out[:, -1] = grid[:, 1:-1], np.append(grid[1:, 0], grid[-1, -1])
-
-
-def ref_write_lift(rf, comp, of, n):
-    """The former legendrian_lift: each arc of the cycle through ref_write."""
-    dirs = of.directions
-    cycle = rf.trace.cycles[comp]
-    if not dirs[cycle[0]]:
-        cycle = cycle[:1] + cycle[:0:-1]
-    ends = np.cumsum([0] + [len(rf.curves[a]) * ref_steps(rf.curves[a], n) for a in cycle])
-    x, y, z = (np.empty(int(ends[-1])) for _ in range(3))
-    for arc, s, e in zip(cycle, ends.tolist(), ends[1:].tolist()):
-        ref_write(rf.curves[arc], n, x[s:e], z[s:e], y[s:e], reverse=not dirs[arc])
-    return x, y, z
-
-
 def ref_panel_terms(lc):
     """(dz, ydx) per panel of two steps; an odd last step is one trapezoid."""
     x, y, z = lc.x, lc.y, lc.z
@@ -432,16 +391,6 @@ class TestLift:
                 lc = lf.legendrian_lift(rf, of=o, samples_per_arc=samples)
                 for got, want in zip((lc.x, lc.y, lc.z), ref_lift(rf, 0, o, samples)):
                     assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("samples", [4000, 101, 2])
-    def test_references_agree(self, samples):
-        # the whole-array reference and the former per-arc writer, bit for bit
-        for d in _acceptance_grid():
-            rf = lf.realize_front(d)
-            of = fr.OrientedFront.default(d)
-            for o in (of, of.reverse(0)):
-                for a, b in zip(ref_lift(rf, 0, o, samples), ref_write_lift(rf, 0, o, samples)):
-                    assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("tb", [-101, -201])
     def test_deep_lift_within_bound(self, tb):

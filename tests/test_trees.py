@@ -151,68 +151,6 @@ def ref_build_front(emb):
     return fr.FrontDiagram(tuple(events))
 
 
-def former_build_front(emb):
-    """The former build_front: the same work stack, with each vertex's
-    children found by ``ref_right_children`` from its parent and every
-    event built anew."""
-    signs = emb.tree.sign_map
-    root = ref_leftmost(emb)
-    (child,) = emb.tree.neighbors(root)
-    events = [fr.FrontEvent(fr.LEFT, 1)]
-    work = [(child, root, 1, 1)]
-    while work:
-        item = work.pop()
-        if isinstance(item, fr.FrontEvent):
-            events.append(item)
-            continue
-        v, parent, p, phi = item
-        plan = []
-        w = 2
-
-        def local(kind, offset):
-            nonlocal w
-            if phi < 0:
-                offset = (w + 2 - offset) if kind == fr.LEFT else (w - offset)
-            plan.append(fr.FrontEvent(kind, p - 1 + offset))
-            w += 2 if kind == fr.LEFT else (-2 if kind == fr.RIGHT else 0)
-
-        kids = ref_right_children(emb, v, parent)
-        n = len(kids)
-        if n == 0:
-            local(fr.RIGHT, 1)
-        elif n == 1:
-            if signs[v] * phi > 0:
-                local(fr.LEFT, 1)
-                local(fr.RIGHT, 2)
-            else:
-                local(fr.LEFT, 2)
-                local(fr.RIGHT, 1)
-            plan.append((kids[0], v, p, phi))
-        elif signs[v] * phi < 0:
-            for i in range(1, n):
-                local(fr.LEFT, 2 * i)
-            local(fr.LEFT, 2)
-            local(fr.RIGHT, 1)
-            width = 2 * n
-            bases = []
-            for j in range(1, n + 1):
-                a = 2 * j - 1
-                bases.append(p - 1 + (a if phi > 0 else width - a))
-            for child_v, base in zip(kids, sorted(bases, reverse=True)):
-                plan.append((child_v, v, base, phi))
-        else:
-            for i in range(1, n):
-                local(fr.LEFT, 3)
-                if i == 1:
-                    local(fr.LEFT, 1)
-                    local(fr.RIGHT, 2)
-                plan.append((kids[i - 1], v, p + 1, -phi))
-                w -= 2
-            plan.append((kids[n - 1], v, p, phi))
-        work.extend(reversed(plan))
-    return fr.FrontDiagram(tuple(events))
-
-
 LADDER_RS = [0, 300, -300, 600, -600, 640, -640]  # the catalog trees of tb = -641 tested
 SLOPES = (F(-2, 5), F(-1, 4), F(-1, 7), F(0), F(1, 7), F(1, 4), F(2, 5))
 
@@ -243,7 +181,7 @@ def fork_embeddings(draw):
     return tr.AcceptableEmbedding.make(tr.SignedTree.make(signs, edges), coords)
 
 
-def assert_matches_former(emb):
+def assert_built_like_reference(emb):
     """build_front equals the recursive original, each distinct event is one
     object, and the recorded children are the reference's right children."""
     d = tr.build_front(emb)
@@ -931,19 +869,19 @@ class TestBuildFront:
         for tb in range(-1, -16, -1):
             for r in range(tb + 1, -tb):
                 if fr.in_unknot_range(tb, r):
-                    assert_matches_former(tr.catalog_tree(tb, r))
+                    assert_built_like_reference(tr.catalog_tree(tb, r))
                     built += 1
         assert built == 15 * 16 // 2
 
     @settings(max_examples=200, deadline=None)
     @given(fork_embeddings())
     def test_fork_embeddings_match_former(self, emb):
-        assert_matches_former(emb)
+        assert_built_like_reference(emb)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 24))
     def test_random_embeddings_match_former(self, seed, size):
-        assert_matches_former(tr.random_acceptable_embedding(random.Random(seed), size))
+        assert_built_like_reference(tr.random_acceptable_embedding(random.Random(seed), size))
 
     def test_forks_of_equal_and_unequal_dx(self):
         # hub 1 at (1, 0): children 2..5 at slopes 1/4, 1/4, 0, -1/4 with dx
@@ -954,13 +892,13 @@ class TestBuildFront:
                   5: (F(3, 2), F(-1, 8))}
         emb = tr.AcceptableEmbedding.make(t, coords)
         assert emb.children == {0: (1,), 1: (2, 3, 4, 5), 2: (), 3: (), 4: (), 5: ()}
-        assert_matches_former(emb)
+        assert_built_like_reference(emb)
 
     @pytest.mark.parametrize("r", LADDER_RS)
     def test_references_at_ladder_size(self, r):
         # crotches and lofts with up to 640 children, on a path of up to 642
         emb = tr.catalog_tree(-641, r)
-        d = assert_matches_former(emb)
+        d = assert_built_like_reference(emb)
         assert fr.serialize_front(d) == fr.serialize_front(ref_build_front(emb))
 
     def test_many_random_embeddings_match_reference(self):
@@ -973,40 +911,6 @@ class TestBuildFront:
         d = tr.catalog_front(-1281, 0)
         assert len(d.events) == 2 * 1281
         assert fr.invariant_pair(fr.OrientedFront.default(d)) == (-1281, 0)
-
-
-class TestFrontReferencesAgree:
-    """The recursive original and the former work-stack build_front give
-    the same front on the union of their inputs."""
-
-    def test_catalog_trees(self):
-        for tb, r in ((tb, r) for tb in range(-1, -42, -1) for r in range(tb + 1, -tb)):
-            if fr.in_unknot_range(tb, r):
-                emb = tr.catalog_tree(tb, r)
-                assert former_build_front(emb) == ref_build_front(emb), (tb, r)
-
-    @settings(max_examples=200, deadline=None)
-    @given(fork_embeddings())
-    def test_fork_embeddings(self, emb):
-        assert former_build_front(emb) == ref_build_front(emb)
-
-    @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 24))
-    def test_random_embeddings(self, seed, size):
-        emb = tr.random_acceptable_embedding(random.Random(seed), size)
-        assert former_build_front(emb) == ref_build_front(emb)
-
-    def test_combs_forks_ladders_and_many_random(self):
-        t = tr.SignedTree.make({0: 1, 1: -1, 2: 1, 3: 1, 4: 1, 5: 1},
-                               [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5)])
-        coords = {0: (0, 0), 1: (1, 0), 2: (2, F(1, 4)), 3: (3, F(1, 2)), 4: (2, 0),
-                  5: (F(3, 2), F(-1, 8))}
-        embs = [comb_embedding(1, 60), comb_embedding(-1, 60), tr.AcceptableEmbedding.make(t, coords)]
-        embs += [tr.catalog_tree(-641, r) for r in LADDER_RS]
-        rng = random.Random(2828)
-        embs += [tr.random_acceptable_embedding(rng, 40) for _ in range(3000)]
-        for emb in embs:
-            assert former_build_front(emb) == ref_build_front(emb)
 
 
 class TestSigmaConvention:
@@ -1956,28 +1860,10 @@ def test_pair_index_freeze_and_walk_match_the_loops_they_replaced(graph):
 
 
 # ---------------------------------------------------------------------------
-# Former: SignedTree's check as it was while it built the adjacency of every
-# tree and walked it once with _reach for connectivity, and the valence that
-# read the adjacency.  The check is now one union-find pass and valence an
-# end count, and neither builds the adjacency.
-
-
-def former_check(signs, edges):
-    """SignedTree.__post_init__ with its adjacency-plus-_reach connectivity check."""
-    sm = dict(signs)
-    us, ws = tr._ends(edges)
-    if not set(sm.values()) <= {1, -1}:
-        raise BadSigning("vertex signs must be +1 or -1")
-    if not (all(map(lambda u, w: u < w, us, ws)) and sm.keys() >= {*us, *ws}):
-        raise NotATree("bad edge {}".format(
-            next(set(e) for e in edges if e[0] == e[1] or not sm.keys() >= set(e))))
-    if len(edges) != len(sm) - 1:
-        raise NotATree(f"{len(edges)} edges on {len(sm)} vertices is not a tree")
-    if len(tr._reach(signs[0][0], ref_adjacency(signs, edges))) != len(sm):
-        raise NotATree("edge set is not connected")
-    if any(sm[u] == sm[w] for u, w in edges):
-        u, w = next(e for e in edges if sm[e[0]] == sm[e[1]])
-        raise BadSigning(f"adjacent vertices {u}, {w} share sign")
+# SignedTree's check, a union-find pass that builds no adjacency, against
+# the reference check (ref_check_tree) on sorted lists of distinct pairs,
+# most of them V - 1 long, so the connectivity check is reached: the same
+# verdict and message, and valence the number of neighbors.
 
 
 def two_colouring(ids, edges):
@@ -2041,39 +1927,6 @@ def test_disconnected_edge_sets_are_refused_as_before(n, edges, message):
     signs = tuple((v, 1 - 2 * (v % 2)) for v in range(n))
     assert tree_outcome(tr.SignedTree, signs, edges) == (NotATree, message)
     assert tree_outcome(ref_check_tree, signs, fset(edges)) == (NotATree, message)
-    assert tree_outcome(former_check, signs, edges) == (NotATree, message)
-
-
-def assert_check_references_agree(signs, edges):
-    """The former check and the frozenset one raise alike on (signs, edges),
-    each naming a pair of equal signs where edges join some."""
-    former = tree_outcome(former_check, signs, edges)
-    ref = tree_outcome(ref_check_tree, signs, fset(edges))
-    if former is not None and former[1].startswith("adjacent vertices"):
-        sm = dict(signs)
-        assert ref[1] in {f"adjacent vertices {a}, {b} share sign"
-                          for u, w in edges if sm[u] == sm[w] for a, b in ((u, w), (w, u))}
-        assert ref[0] is former[0]
-    else:
-        assert ref == former
-
-
-class TestCheckReferencesAgree:
-    @settings(max_examples=300, deadline=None)
-    @given(pair_lists())
-    def test_pair_lists(self, case):
-        assert_check_references_agree(*case)
-
-    @settings(max_examples=300, deadline=None)
-    @given(malformed_trees())
-    def test_malformed_trees(self, case):
-        assert_check_references_agree(*case)
-
-    def test_each_defect_and_disconnected_sets(self):
-        for signs, edges, _ in DEFECTS:
-            assert_check_references_agree(tuple(sorted(signs.items())), tuple(sorted(edges)))
-        for n, edges, _ in DISCONNECTED:
-            assert_check_references_agree(tuple((v, 1 - 2 * (v % 2)) for v in range(n)), edges)
 
 
 @settings(max_examples=200, deadline=None)
