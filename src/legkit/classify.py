@@ -201,21 +201,21 @@ def exceptional_unknot_classes(hopf: int) -> ExceptionalClasses:
 def hopf_after_lutz(sl: Sequence[int], lk) -> int:
     """Hopf invariant after simultaneous pi-Lutz twists along a transverse link.
 
-    ``lk`` is a symmetric k x k matrix (nested sequences, diagonal ignored);
-    for k = 1 it may be None or [].
+    ``sl`` is a list or tuple of k >= 1 ints and ``lk`` a symmetric k x k
+    matrix of ints, a list or tuple of lists or tuples (diagonal ignored);
+    for k = 1 it is not read.  DimensionMismatch for a bad shape,
+    BadInvariants for an entry that is not an int.
     """
-    k = len(sl)
-    if k < 1:
-        raise DimensionMismatch("need at least one component")
+    if not isinstance(sl, (list, tuple)) or not sl:
+        raise DimensionMismatch(f"sl must be a non-empty list or tuple, got {sl!r}")
     _check_ints("sl", *sl)
-    total = sum(sl)
-    if k == 1:
-        return total
-    if lk is None or len(lk) != k or any(len(row) != k for row in lk):
+    k, total = len(sl), sum(sl)
+    if k > 1 and not (isinstance(lk, (list, tuple)) and len(lk) == k and all(
+            isinstance(row, (list, tuple)) and len(row) == k for row in lk)):
         raise DimensionMismatch(f"lk must be a {k}x{k} symmetric matrix")
     for i in range(k):
         for j in range(i + 1, k):
-            _check_ints("lk", lk[i][j])
+            _check_ints("lk", lk[i][j], lk[j][i])  # either side of the diagonal
             if lk[i][j] != lk[j][i]:
                 raise DimensionMismatch("lk must be symmetric")
             total += 2 * lk[i][j]

@@ -222,6 +222,10 @@ class SignedTree:
         if any(map(eq, map(sm.__getitem__, us), map(sm.__getitem__, ws))):
             u, w = next(e for e in edges if sm[e[0]] == sm[e[1]])
             raise BadSigning(f"adjacent vertices {u}, {w} share sign")
+        # a bool vertex equals its int, so no check above sees it: one
+        # C-level type pass over the keys refuses it
+        if {*map(type, sm)} != {int}:
+            raise BadSigning(f"vertex {next(v for v in sm if type(v) is not int)!r} is not an int")
 
     def counts(self) -> tuple[int, int]:
         """(V_plus, V_minus)."""
@@ -481,8 +485,8 @@ class _TreeWork:
 
     def end_of(self, edge: tuple[int, int]) -> tuple[int, int]:
         """(attachment, end vertex) of an end edge; either on a single-edge tree."""
-        u, w = edge if len(edge) == 2 else (None, None)
-        if w not in self.adj.get(u, ()):
+        u, w = edge if type(edge) in (tuple, list) and len(edge) == 2 else (None, None)
+        if {type(u), type(w)} != {int} or w not in self.adj.get(u, ()):  # ends are int ids
             raise NotATree(f"no edge {edge}")
         if len(self.adj[u]) > 1 and len(self.adj[w]) > 1:
             raise NotEndEdge(f"edge {u}-{w} has no end vertex")
@@ -496,7 +500,7 @@ class _TreeWork:
             raise SignMismatch("cannot attach an end edge to its own end vertex")
         if target == attach:
             raise SignMismatch(f"end edge {attach}-{leaf} is already attached to {target}")
-        if target not in sm:
+        if type(target) is not int or target not in sm:  # an unhashable target is none
             raise NotATree(f"no vertex {target}")
         if sm[target] != sm[attach]:
             raise SignMismatch(
@@ -570,7 +574,8 @@ def replay_moves(t: SignedTree, moves: Iterable[Move]) -> SignedTree:
     move_end_edge checks it; only the final tree is built and checked.
     """
     work = _TreeWork(t)
-    for edge, target in moves:
+    for move in moves:  # a move that is no (edge, target) pair is an edge no tree has
+        edge, target = move if type(move) in (tuple, list) and len(move) == 2 else (move, None)
         work.move(edge, target)
     return work.freeze()
 

@@ -129,6 +129,15 @@ class TestLutz:
         with pytest.raises(DimensionMismatch):
             cl.hopf_after_lutz([], None)
 
+    @pytest.mark.parametrize("sl, lk", [
+        (5, None), ("12", None), ({1, 2}, None), ([1, 2], [1, 2]), ([1, 2], (None, None)),
+        ([1, 2], [[0, 1], 5]), ([1, 2], 7), ([1, 2], "ab"),
+    ], ids=repr)
+    def test_shapes_that_are_not_lists_or_tuples(self, sl, lk):
+        # each ended in a bare TypeError, or read a string's characters as a row
+        with pytest.raises(DimensionMismatch):
+            cl.hopf_after_lutz(sl, lk)
+
     def test_from_front(self):
         basic = fr.parse_front("L 1\nR 1")
         assert cl.hopf_after_lutz_front(fr.OrientedFront.default(basic)) == -1
@@ -198,6 +207,8 @@ NOT_INTS = {
     "hopf_after_lutz float sl": lambda: cl.hopf_after_lutz([1.5, 2], [[0, 1], [1, 0]]),
     "hopf_after_lutz bool sl": lambda: cl.hopf_after_lutz([True], None),
     "hopf_after_lutz float lk": lambda: cl.hopf_after_lutz([1, 2], [[0, 0.5], [0.5, 0]]),
+    # read as the int it equals, since only the entries above it were checked
+    "hopf_after_lutz float below the diagonal": lambda: cl.hopf_after_lutz([1, 2], [[0, 1], [1.0, 0]]),
     "complement_torus_data(2.5)": lambda: cl.complement_torus_data(2.5),
     "complement_torus_data(True)": lambda: cl.complement_torus_data(True),
     "up_to(2.5)": lambda: cl.exceptional_unknot_classes(-1).up_to(2.5),

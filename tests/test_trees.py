@@ -963,6 +963,28 @@ class TestMoves:
         with pytest.raises(SignMismatch, match="already attached"):
             tr.move_end_edge(t, (2, 1), 1)
 
+    @pytest.mark.parametrize("edge, target, message", [
+        (5, 2, "no edge 5"),
+        ([0, 1, 2], 2, r"no edge \[0, 1, 2\]"),
+        (([0], 1), 2, r"no edge \(\[0\], 1\)"),
+        ((0, 1), [2], r"no vertex \[2\]"),
+        ((0, 1), None, "no vertex None"),
+    ], ids=repr)
+    def test_malformed_move_is_not_a_tree(self, edge, target, message):
+        # each ended in a bare TypeError: an int has no len, a list no hash
+        t = tr.canonical_broom([1, -1, 1], [0, 1, 2])
+        for make in (lambda: tr.move_end_edge(t, edge, target),
+                     lambda: tr.replay_moves(t, [(edge, target)])):
+            with pytest.raises(NotATree, match=f"^{message}$"):
+                make()
+
+    @pytest.mark.parametrize("move", [5, ((0, 1),), ((0, 1), 2, 0), None], ids=repr)
+    def test_replay_refuses_what_is_not_an_edge_and_target(self, move):
+        # each ended in a bare ValueError or TypeError, unpacking the move
+        t = tr.SignedTree.make({0: 1, 1: -1, 2: 1, 3: -1, 4: 1}, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        with pytest.raises(NotATree, match="^no edge "):
+            tr.replay_moves(t, [((3, 4), 1), move])
+
     def test_replay_checks_each_move_where_it_is_made(self):
         t = tr.SignedTree.make(
             {0: 1, 1: -1, 2: 1, 3: -1, 4: 1},
@@ -1679,6 +1701,15 @@ class TestSignsListEachVertexOnce:
     def test_one_edge(self, signs):
         with pytest.raises(BadSigning, match="^signs must list each vertex once, in increasing"):
             tr.SignedTree(signs, ((0, 1),))
+
+    @pytest.mark.parametrize("signs", [((0, -1), (True, 1)), ((False, -1), (1, 1))], ids=repr)
+    def test_a_bool_vertex_is_refused(self, signs):
+        # a bool equals its int, so the tree built and its serialized embedding
+        # wrote a "v True" line that parse_tree refuses
+        with pytest.raises(BadSigning, match=r"^vertex (True|False) is not an int$"):
+            tr.SignedTree(signs, ((0, 1),))
+        with pytest.raises(BadSigning, match="is not an int"):
+            tr.SignedTree.make(dict(signs), [(0, 1)])
 
     def test_the_repeat_that_misread_the_edge(self):
         assert tr.expected_invariants(tr.SignedTree(((0, 1), (1, -1)), ((0, 1),))) == (-1, 0)
