@@ -130,11 +130,12 @@ class TestLutz:
             cl.hopf_after_lutz([], None)
 
     @pytest.mark.parametrize("sl, lk", [
-        (5, None), ("12", None), ({1, 2}, None), ([1, 2], [1, 2]), ([1, 2], (None, None)),
-        ([1, 2], [[0, 1], 5]), ([1, 2], 7), ([1, 2], "ab"),
+        (5, None), ("12", None), ({1, 2}, [[0, 1], [1, 0]]), ([1, 2], [1, 2]),
+        ([1, 2], (None, None)), ([1, 2], [[0, 1], 5]), ([1, 2], 7), ([1, 2], ["ab", "cd"]),
     ], ids=repr)
     def test_shapes_that_are_not_lists_or_tuples(self, sl, lk):
-        # each ended in a bare TypeError, or read a string's characters as a row
+        # each ended in a bare TypeError, or was read: a set's ints as sl, a
+        # string's characters as a row of lk
         with pytest.raises(DimensionMismatch):
             cl.hopf_after_lutz(sl, lk)
 

@@ -965,10 +965,8 @@ class TestMoves:
 
     @pytest.mark.parametrize("edge, target, message", [
         (5, 2, "no edge 5"),
-        ([0, 1, 2], 2, r"no edge \[0, 1, 2\]"),
         (([0], 1), 2, r"no edge \(\[0\], 1\)"),
         ((0, 1), [2], r"no vertex \[2\]"),
-        ((0, 1), None, "no vertex None"),
     ], ids=repr)
     def test_malformed_move_is_not_a_tree(self, edge, target, message):
         # each ended in a bare TypeError: an int has no len, a list no hash
