@@ -574,7 +574,7 @@ def replay_moves(t: SignedTree, moves: Iterable[Move]) -> SignedTree:
     move_end_edge checks it; only the final tree is built and checked.
     """
     work = _TreeWork(t)
-    for move in moves:  # a move that is no (edge, target) pair is an edge no tree has
+    for move in moves:  # a move that is no (edge, target) pair fails as an edge, named
         edge, target = move if type(move) in (tuple, list) and len(move) == 2 else (move, None)
         work.move(edge, target)
     return work.freeze()

@@ -151,7 +151,6 @@ def ref_build_front(emb):
     return fr.FrontDiagram(tuple(events))
 
 
-LADDER_RS = [0, 300, -300, 600, -600, 640, -640]  # the catalog trees of tb = -641 tested
 SLOPES = (F(-2, 5), F(-1, 4), F(-1, 7), F(0), F(1, 7), F(1, 4), F(2, 5))
 
 
@@ -894,7 +893,7 @@ class TestBuildFront:
         assert emb.children == {0: (1,), 1: (2, 3, 4, 5), 2: (), 3: (), 4: (), 5: ()}
         assert_built_like_reference(emb)
 
-    @pytest.mark.parametrize("r", LADDER_RS)
+    @pytest.mark.parametrize("r", [0, 300, -300, 600, -600, 640, -640])
     def test_references_at_ladder_size(self, r):
         # crotches and lofts with up to 640 children, on a path of up to 642
         emb = tr.catalog_tree(-641, r)
@@ -1606,19 +1605,6 @@ NOT_PAIRS = {
 }
 
 
-DEFECTS = [
-    ({0: 1, 1: -1, 2: 1}, [(0, 1), (2, 2)], NotATree),  # one-element edge
-    ({0: 1, 1: -1, 2: 1, 3: -1}, [(0, 1), (1, 2), (0, 2)], NotATree),  # disconnected
-    ({0: 1, 1: -1, 2: -1}, [(0, 1), (1, 2)], BadSigning),  # same-sign edge
-    ({0: 1, 1: -1, 2: 1}, [(0, 1)], NotATree),  # wrong edge count
-    ({0: 1, 1: -1, 2: 1, 3: 1}, [(0, 2), (2, 3), (0, 3)], NotATree),  # both: count first
-    ({0: 1, 1: 1, 2: -1, 3: 1}, [(0, 1), (2, 3), (0, 2)], BadSigning),
-    ({0: 1, 1: -1}, [(0, 5)], NotATree),  # an endpoint that is not a vertex
-    ({0: 1, 1: 2}, [(0, 1)], BadSigning),  # a sign that is not +-1
-    ({0: 1, 1: -1, 2: 1, 3: -1}, [(0, 1), (0, 3), (2, 3)], None),
-]
-
-
 class TestSignedTreeAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(signed_trees())
@@ -1643,7 +1629,20 @@ class TestSignedTreeAgainstReference:
     def test_malformed_input_raises_like_reference(self, case):
         assert assert_raises_like_reference(*case) is not None
 
-    @pytest.mark.parametrize("signs, edges, error", DEFECTS)
+    @pytest.mark.parametrize(
+        "signs, edges, error",
+        [
+            ({0: 1, 1: -1, 2: 1}, [(0, 1), (2, 2)], NotATree),  # one-element edge
+            ({0: 1, 1: -1, 2: 1, 3: -1}, [(0, 1), (1, 2), (0, 2)], NotATree),  # disconnected
+            ({0: 1, 1: -1, 2: -1}, [(0, 1), (1, 2)], BadSigning),  # same-sign edge
+            ({0: 1, 1: -1, 2: 1}, [(0, 1)], NotATree),  # wrong edge count
+            ({0: 1, 1: -1, 2: 1, 3: 1}, [(0, 2), (2, 3), (0, 3)], NotATree),  # both: count first
+            ({0: 1, 1: 1, 2: -1, 3: 1}, [(0, 1), (2, 3), (0, 2)], BadSigning),
+            ({0: 1, 1: -1}, [(0, 5)], NotATree),  # an endpoint that is not a vertex
+            ({0: 1, 1: 2}, [(0, 1)], BadSigning),  # a sign that is not +-1
+            ({0: 1, 1: -1, 2: 1, 3: -1}, [(0, 1), (0, 3), (2, 3)], None),
+        ],
+    )
     def test_each_defect_raises_like_reference(self, signs, edges, error):
         got = assert_raises_like_reference(tuple(sorted(signs.items())), tuple(sorted(edges)))
         assert (got and got[0]) is error
@@ -1943,15 +1942,12 @@ def test_tree_check_accepts_and_rejects_as_the_former_one(case):
         assert dict(t._adjacency) == ref_adjacency(signs, edges)
 
 
-DISCONNECTED = [
+@pytest.mark.parametrize("n, edges, message", [
     (5, ((0, 1), (0, 3), (1, 2), (2, 3)), "edge set is not connected"),  # a square, a point
     (6, ((0, 1), (0, 2), (1, 2), (3, 4), (4, 5)), "edge set is not connected"),  # triangle, path
     # two disjoint paths have one edge too few: the count names them first
     (6, ((0, 1), (1, 2), (3, 4), (4, 5)), "4 edges on 6 vertices is not a tree"),
-]
-
-
-@pytest.mark.parametrize("n, edges, message", DISCONNECTED)
+])
 def test_disconnected_edge_sets_are_refused_as_before(n, edges, message):
     signs = tuple((v, 1 - 2 * (v % 2)) for v in range(n))
     assert tree_outcome(tr.SignedTree, signs, edges) == (NotATree, message)
